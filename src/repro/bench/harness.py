@@ -425,7 +425,7 @@ def measure_titian_comparison(
     return TitianMeasurement(plain_seconds, titian_seconds, pebble_seconds)
 
 
-#: The optimizer ablation ladder: no rewrites at all (the seed layout),
+#: The optimizer ablation ladder: no rewrites at all (the seed path),
 #: projection pruning alone, then pruning plus operator fusion.  The
 #: ``+trace`` rung repeats the full ladder with a live span tracer, pinning
 #: the "tracing off costs nothing" claim: its delta against ``prune+fuse``
@@ -434,45 +434,21 @@ def measure_titian_comparison(
 #: ``prune+fuse`` isolate what concurrent stage execution buys (or costs) --
 #: threads are GIL-bound on capture's pure-Python work, processes scale the
 #: capture phase with cores at the price of pickling partitions across the
-#: pool boundary.  The ``+cols`` rungs repeat the rewrite/scheduler rungs
-#: under the columnar partition layout (batch kernels, raw-buffer pickling);
-#: each ``+cols`` rung against its rows twin isolates what the layout buys
-#: per backend.  Every rung pins its layout explicitly so the ladder is
-#: insensitive to the engine default and ``REPRO_LAYOUT``.
+#: pool boundary.
+_PRUNE_FUSE = EngineConfig(rules=("prune", "fuse"))
 ABLATION_CONFIGS: tuple[tuple[str, EngineConfig], ...] = (
-    ("no-opt", EngineConfig(optimize=False, layout="rows")),
-    ("prune", EngineConfig(rules=("prune",), layout="rows")),
-    ("prune+fuse", EngineConfig(rules=("prune", "fuse"), layout="rows")),
-    ("prune+fuse+trace", EngineConfig(rules=("prune", "fuse"), layout="rows")),
-    (
-        "prune+fuse+threads",
-        EngineConfig(rules=("prune", "fuse"), scheduler="threads", layout="rows"),
-    ),
-    (
-        "prune+fuse+procs",
-        EngineConfig(rules=("prune", "fuse"), scheduler="processes", layout="rows"),
-    ),
-    ("prune+fuse+cols", EngineConfig(rules=("prune", "fuse"), layout="columnar")),
-    (
-        "prune+fuse+threads+cols",
-        EngineConfig(rules=("prune", "fuse"), scheduler="threads", layout="columnar"),
-    ),
-    (
-        "prune+fuse+procs+cols",
-        EngineConfig(rules=("prune", "fuse"), scheduler="processes", layout="columnar"),
-    ),
+    ("no-opt", EngineConfig(optimize=False)),
+    ("prune", EngineConfig(rules=("prune",))),
+    ("prune+fuse", _PRUNE_FUSE),
+    ("prune+fuse+trace", _PRUNE_FUSE),
+    ("prune+fuse+threads", _PRUNE_FUSE.replace(scheduler="threads")),
+    ("prune+fuse+procs", _PRUNE_FUSE.replace(scheduler="processes")),
     # The profiler pair mirrors the +trace rung for the sampling profiler:
     # prof-off is byte-identical config with profile explicitly False, so
     # its delta against the profile rung is the whole sampling tax -- and
-    # its delta against prune+fuse+cols pins "profiler off costs nothing".
-    (
-        "prune+fuse+cols+prof-off",
-        EngineConfig(rules=("prune", "fuse"), layout="columnar", profile=False),
-    ),
-    (
-        "prune+fuse+cols+profile",
-        EngineConfig(rules=("prune", "fuse"), layout="columnar", profile=True),
-    ),
+    # its delta against prune+fuse pins "profiler off costs nothing".
+    ("prune+fuse+prof-off", _PRUNE_FUSE.replace(profile=False)),
+    ("prune+fuse+profile", _PRUNE_FUSE.replace(profile=True)),
 )
 
 

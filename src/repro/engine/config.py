@@ -12,10 +12,9 @@ The config is immutable and **keyword-only**; derive variants with
 process-wide default and honours environment overrides (``REPRO_SCHEDULER``,
 ``REPRO_OPTIMIZE``, ``REPRO_MAX_WORKERS``, ``REPRO_TASK_TIMEOUT``,
 ``REPRO_MAX_RETRIES``, ``REPRO_RETRY_BACKOFF``, ``REPRO_FAULTS``,
-``REPRO_LAYOUT``, ``REPRO_PROFILE``) so an
-entire test suite or benchmark run can be switched to, say, the process-pool
-scheduler without touching call sites.  Environment variables are overrides;
-every knob is equally settable in code:
+``REPRO_PROFILE``) so an entire test suite or benchmark run can be switched
+to, say, the process-pool scheduler without touching call sites.
+Environment variables are overrides; every knob is equally settable in code:
 
 >>> config = EngineConfig(scheduler="processes").replace(max_retries=3)
 """
@@ -48,10 +47,6 @@ ALL_RULES: tuple[str, ...] = ("pushdown", "prune", "fuse")
 
 _SCHEDULERS = ("serial", "threads", "processes")
 
-#: Partition representations: per-record nested objects vs the offset-encoded
-#: columnar layout of :mod:`repro.engine.columnar`.
-_LAYOUTS = ("rows", "columnar")
-
 
 @dataclass(frozen=True, kw_only=True)
 class EngineConfig:
@@ -77,11 +72,6 @@ class EngineConfig:
     retry_backoff: float = 0.05
     #: Fault-injection spec (see :mod:`repro.engine.faults`); ``None`` off.
     faults: str | None = None
-    #: Partition representation: ``"columnar"`` (offset-encoded columns with
-    #: batch operator kernels, the default) or ``"rows"`` (per-record nested
-    #: objects, the seed layout).  The layouts are result- and
-    #: provenance-equivalent; ``REPRO_LAYOUT=rows`` restores the seed path.
-    layout: str = "columnar"
     #: Attach the sampling profiler (:mod:`repro.obs.profile`) to execution:
     #: stacks are sampled per stage and written as folded output.  Off by
     #: default and zero-cost then; ``REPRO_PROFILE=on`` flips it.
@@ -93,10 +83,6 @@ class EngineConfig:
         if self.scheduler not in _SCHEDULERS:
             raise ExecutionError(
                 f"unknown scheduler {self.scheduler!r}; pick one of {_SCHEDULERS}"
-            )
-        if self.layout not in _LAYOUTS:
-            raise ExecutionError(
-                f"unknown layout {self.layout!r}; pick one of {_LAYOUTS}"
             )
         unknown = set(self.rules) - set(ALL_RULES)
         if unknown:
@@ -112,6 +98,15 @@ class EngineConfig:
         if self.retry_backoff < 0:
             raise ExecutionError(f"retry_backoff must be non-negative, got {self.retry_backoff}")
         parse_faults(self.faults)  # validate the spec eagerly
+
+    @property
+    def layout(self) -> str:
+        """The one partition layout, ``"rows"``; read-only, not a setting.
+
+        Kept because the end-to-end benchmark stamps ``config.layout`` into
+        every record (see DESIGN.md Sec. 15 for the decision).
+        """
+        return "rows"
 
     def rule_enabled(self, name: str) -> bool:
         """Return whether the optimizer rule *name* is active."""
@@ -165,9 +160,6 @@ class EngineConfig:
         faults = os.environ.get("REPRO_FAULTS")
         if faults:
             values["faults"] = faults
-        layout = os.environ.get("REPRO_LAYOUT")
-        if layout:
-            values["layout"] = layout.strip().lower()
         profile = os.environ.get("REPRO_PROFILE")
         if profile:
             values["profile"] = profile.strip().lower() in ("on", "1", "true", "yes")

@@ -41,7 +41,6 @@ from repro.core.operator_provenance import (
 )
 from repro.core.paths import Path
 from repro.core.store import ProvenanceStoreProtocol
-from repro.engine.columnar import ColumnarPartition, ColumnarRows, struct_type_over
 from repro.engine.config import EngineConfig
 from repro.engine.expressions import BinaryExpr, ColumnExpr, Expression
 from repro.engine.faults import parse_faults
@@ -81,14 +80,12 @@ from repro.errors import ExecutionError, PlanError, SchemaMismatchError
 from repro.obs.log import get_logger
 from repro.obs.tracer import get_tracer
 from repro.nested.schema import Schema, infer_schema
-from repro.nested.types import StructType, unify
+from repro.nested.types import StructType
 from repro.nested.values import DataItem
 
 __all__ = ["Executor", "ExecutionResult", "SCHEMA_SAMPLE"]
 
 Row = tuple[Any, DataItem]  # (pid or None, item)
-
-_SCHEMA_SAMPLE = SCHEMA_SAMPLE  # backwards-compatible alias
 
 #: Per-operator stat rows a stage runner reports: ``(node, rows_in, rows_out)``
 #: (``rows_in`` is ``None`` except for sources, matching the seed metrics).
@@ -96,28 +93,19 @@ _OpStats = list[tuple[PlanNode, int | None, int]]
 
 
 class ExecutionResult:
-    """The outcome of executing one plan: rows, schema, provenance, metrics.
-
-    Under the columnar layout the result keeps its partitions in the raw
-    column representation (:class:`~repro.engine.columnar.ColumnarRows`) and
-    decodes lazily: :attr:`partitions` materialises row lists on first
-    access, :attr:`raw_partitions` hands consumers -- the tree-pattern
-    matcher's vectorized pre-filter, the warehouse writer's streaming encode
-    -- the undecoded form.
-    """
+    """The outcome of executing one plan: rows, schema, provenance, metrics."""
 
     def __init__(
         self,
         root: PlanNode,
-        partitions: "list[list[Row] | ColumnarRows]",
+        partitions: list[list[Row]],
         schema: Schema,
         store: ProvenanceStoreProtocol | None,
         metrics: ExecutionMetrics,
         physical: PhysicalPlan | None = None,
     ):
         self.root = root
-        self._raw_partitions = partitions
-        self._row_partitions: list[list[Row]] | None = None
+        self.partitions = partitions
         self.schema = schema
         #: Captured provenance, or ``None`` when capture was disabled.
         self.store = store
@@ -126,48 +114,16 @@ class ExecutionResult:
         #: restored from persistence, which never executed stages).
         self.physical = physical
 
-    @property
-    def partitions(self) -> list[list[Row]]:
-        """Row-layout partitions, decoded on first access."""
-        if self._row_partitions is None:
-            raw = self._raw_partitions
-            if any(isinstance(partition, ColumnarRows) for partition in raw):
-                self._row_partitions = [
-                    partition.rows() if isinstance(partition, ColumnarRows) else partition
-                    for partition in raw
-                ]
-            else:
-                self._row_partitions = raw  # type: ignore[assignment]
-        return self._row_partitions
-
-    @partitions.setter
-    def partitions(self, value: list[list[Row]]) -> None:
-        self._raw_partitions = value
-        self._row_partitions = None
-
-    @property
-    def raw_partitions(self) -> "list[list[Row] | ColumnarRows]":
-        """Partitions in their native representation (no decode)."""
-        return self._raw_partitions
-
     def rows(self) -> list[Row]:
         """Return all ``(pid, item)`` rows in deterministic order."""
         return concat_partitions(self.partitions)
-
-    def iter_rows(self):
-        """Stream ``(pid, item)`` rows without materialising row lists."""
-        for partition in self._raw_partitions:
-            if isinstance(partition, ColumnarRows):
-                yield from partition.iter_rows()
-            else:
-                yield from partition
 
     def items(self) -> list[DataItem]:
         """Return the result data items (provenance ids stripped)."""
         return [item for _, item in self.rows()]
 
     def __len__(self) -> int:
-        return sum(len(partition) for partition in self._raw_partitions)
+        return sum(len(partition) for partition in self.partitions)
 
     def __repr__(self) -> str:
         captured = "captured" if self.store is not None else "plain"
@@ -211,8 +167,7 @@ class Executor:
         self._fault_plan = parse_faults(base.faults)
         self._store = provenance_store(hook_list)
         self._next_id = 1
-        self._columnar = base.layout == "columnar"
-        self._partitions: dict[int, list[Any]] = {}
+        self._partitions: dict[int, list[list[Row]]] = {}
         self._schemas: dict[int, Schema] = {}
 
     @property
@@ -257,14 +212,6 @@ class Executor:
             if profiler is not None:
                 self._finish_profile(profiler)
         self._metrics.total_seconds = watch.elapsed
-        self._metrics.layout = self._config.layout
-        if self._columnar:
-            self._metrics.partition_bytes = sum(
-                partition.data.nbytes()
-                for partitions in self._partitions.values()
-                for partition in partitions
-                if isinstance(partition, ColumnarRows)
-            )
         self._metrics.publish()
         root_oid = physical.root_oid
         return ExecutionResult(
@@ -347,38 +294,6 @@ class Executor:
             return Schema(StructType())
         return infer_schema(sample)
 
-    def _sampled_schema(self, per_part: list[Any], nparts: int) -> Schema:
-        """Schema over the first SCHEMA_SAMPLE sampled rows in partition order.
-
-        Row-layout samples are item lists folded through ``infer_schema``;
-        columnar samples are :class:`ColumnarPartition` prefixes whose types
-        are inferred column-wise (``unify`` is associative, so folding whole
-        partition prefixes reproduces the seed's row-by-row fold exactly).
-        """
-        remaining = SCHEMA_SAMPLE
-        struct: StructType | None = None
-        sample_items: list[DataItem] = []
-        for part in range(nparts):
-            if remaining <= 0:
-                break
-            sample = per_part[part]
-            if isinstance(sample, ColumnarPartition):
-                count = min(remaining, len(sample))
-                if not count:
-                    continue
-                part_type = struct_type_over(sample.struct, range(count))
-                struct = part_type if struct is None else unify(struct, part_type)  # type: ignore[assignment]
-                remaining -= count
-            else:
-                taken = sample[:remaining]
-                sample_items.extend(taken)
-                remaining -= len(taken)
-        if struct is not None:
-            return Schema(struct)
-        if sample_items:
-            return infer_schema(sample_items)
-        return Schema(StructType())
-
     def _emit_operator(self, node, inputs, manipulations, associations) -> None:
         started = time.perf_counter()
         for hook in self._hooks:
@@ -388,22 +303,7 @@ class Executor:
 
     def _child_state(self, node: PlanNode, index: int = 0) -> tuple[list[list[Row]], Schema]:
         child = node.children[index]
-        return self._row_state(child.oid), self._schemas[child.oid]
-
-    def _row_state(self, oid: int) -> list[list[Row]]:
-        """Partitions of *oid* as row lists (decoding columnar state once)."""
-        partitions = self._partitions[oid]
-        if any(isinstance(partition, ColumnarRows) for partition in partitions):
-            partitions = [
-                partition.rows() if isinstance(partition, ColumnarRows) else partition
-                for partition in partitions
-            ]
-            self._partitions[oid] = partitions
-        return partitions
-
-    def _encode_partition(self, rows: list[Row]) -> ColumnarRows:
-        pids = [pid for pid, _ in rows] if self._capturing else None
-        return ColumnarRows(pids, ColumnarPartition.from_items([item for _, item in rows]))
+        return self._partitions[child.oid], self._schemas[child.oid]
 
     # -- source scans --------------------------------------------------------
 
@@ -430,11 +330,9 @@ class Executor:
             slot.capture_seconds += capture_elapsed
         else:
             rows = [(None, item) for item in items]
-        partitions: list[Any] = partition_rows(rows, self._num_partitions)
-        schema = self._schema_of(rows)
-        if self._columnar:
-            partitions = [self._encode_partition(partition) for partition in partitions]
-        total = self._finish(node.oid, partitions, schema)
+        total = self._finish(
+            node.oid, partition_rows(rows, self._num_partitions), self._schema_of(rows)
+        )
         return len(rows), total, [(node, len(rows), total)]
 
     # -- fused pipelines -----------------------------------------------------
@@ -471,22 +369,9 @@ class Executor:
         if current:
             segments.append(current)
 
-        if self._columnar:
-            # Encode any row-layout inputs (wide-stage outputs) once; fused
-            # chains then stay columnar end-to-end and the scheduler ships
-            # raw column buffers, not object graphs.
-            in_partitions = [
-                partition
-                if isinstance(partition, ColumnarRows)
-                else self._encode_partition(partition)
-                for partition in in_partitions
-            ]
-            self._partitions[stage.input_oid] = in_partitions
-            items_by_part: list[Any] = [partition.data for partition in in_partitions]
-        else:
-            items_by_part = [
-                [item for _, item in partition] for partition in in_partitions
-            ]
+        items_by_part: list[list[DataItem]] = [
+            [item for _, item in partition] for partition in in_partitions
+        ]
         rows_in = sum(len(items) for items in items_by_part)
         entries_by_part: list[list[Any]] = [[None] * len(ops) for _ in range(nparts)]
         counts: list[list[tuple[int, int]]] = [[(0, 0)] * len(ops) for _ in range(nparts)]
@@ -531,11 +416,6 @@ class Executor:
                     counts[part][position] = result.counts[offset]
                     if result.samples[offset] is not None:
                         samples[position][part] = result.samples[offset]
-                for ran_kernel in result.kernels:
-                    if ran_kernel:
-                        self._metrics.kernel_ops += 1
-                    else:
-                        self._metrics.fallback_ops += 1
                 for span in result.spans:  # worker-side spans -> parent trace
                     tracer.record_span(span)
 
@@ -546,33 +426,26 @@ class Executor:
                 schema_before[position] = current_schema
                 next_schema = ops[position].propagate_schema(current_schema)
                 if next_schema is None:
-                    next_schema = self._sampled_schema(samples[position], nparts)
+                    sample_items: list[DataItem] = []
+                    for part in range(nparts):
+                        take = SCHEMA_SAMPLE - len(sample_items)
+                        if take <= 0:
+                            break
+                        sample_items.extend(samples[position][part][:take])
+                    next_schema = (
+                        infer_schema(sample_items) if sample_items else Schema(StructType())
+                    )
                 current_schema = next_schema
 
-        columnar = self._columnar
         if capturing:
-            in_pids = [
-                list(partition.pids)
-                if isinstance(partition, ColumnarRows)
-                else [pid for pid, _ in partition]
-                for partition in in_partitions
-            ]
+            in_pids = [[pid for pid, _ in partition] for partition in in_partitions]
             with tracer.span("capture-finalize", "capture", stage=stage_label):
                 out_ids = self._finalize_fused(
                     ops, in_pids, entries_by_part, counts, schema_before
                 )
-            if columnar:
-                out_partitions: list[Any] = [
-                    ColumnarRows(ids, data)
-                    for ids, data in zip(out_ids, items_by_part)
-                ]
-            else:
-                out_partitions = [
-                    list(zip(ids, items))
-                    for ids, items in zip(out_ids, items_by_part)
-                ]
-        elif columnar:
-            out_partitions = [ColumnarRows(None, data) for data in items_by_part]
+            out_partitions = [
+                list(zip(ids, items)) for ids, items in zip(out_ids, items_by_part)
+            ]
         else:
             out_partitions = [
                 [(None, item) for item in items] for items in items_by_part
@@ -598,8 +471,8 @@ class Executor:
 
         Iterating operators in chain order and partitions in order inside each
         operator reproduces the seed's global id sequence exactly, whatever
-        scheduler (or partition layout) ran the computation, so captured
-        stores are byte-identical.  Returns the output id list per partition.
+        scheduler ran the computation, so captured stores are byte-identical.
+        Returns the output id list per partition.
         """
         nparts = len(in_pids)
         frontier: list[list[int]] = in_pids

@@ -255,14 +255,6 @@ class ExecutionMetrics:
         self.task_retries = 0
         self.task_timeouts = 0
         self.worker_losses = 0
-        #: Partition layout of the run (``"rows"`` or ``"columnar"``) and
-        #: its accounting: resident column-buffer bytes across all stage
-        #: outputs, plus how many fused-stage operator applications ran as
-        #: batch kernels vs fell back to row-at-a-time evaluation.
-        self.layout = "rows"
-        self.partition_bytes = 0
-        self.kernel_ops = 0
-        self.fallback_ops = 0
 
     def record_scheduler(self, backend: str, stats: object) -> None:
         """Adopt the scheduler's task accounting (attempts/retries/timeouts).
@@ -306,12 +298,6 @@ class ExecutionMetrics:
                 "task_timeouts": self.task_timeouts,
                 "worker_losses": self.worker_losses,
             },
-            "layout": {
-                "name": self.layout,
-                "partition_bytes": self.partition_bytes,
-                "kernel_ops": self.kernel_ops,
-                "fallback_ops": self.fallback_ops,
-            },
             "operators": [
                 {
                     "oid": op.oid,
@@ -338,7 +324,7 @@ class ExecutionMetrics:
         from repro.obs.metrics import get_registry, set_build_info
 
         registry = registry if registry is not None else get_registry()
-        set_build_info(registry, layout=self.layout)
+        set_build_info(registry)
         registry.counter("repro_runs_total").inc()
         registry.histogram("repro_run_seconds").observe(self.total_seconds)
         if self.scheduler_backend:
@@ -354,14 +340,6 @@ class ExecutionMetrics:
             )
             registry.counter("repro_worker_losses_total", scheduler=backend).inc(
                 self.worker_losses
-            )
-        if self.layout == "columnar":
-            registry.gauge("repro_partition_bytes").set(self.partition_bytes)
-            registry.counter("repro_batch_kernel_ops_total", mode="kernel").inc(
-                self.kernel_ops
-            )
-            registry.counter("repro_batch_kernel_ops_total", mode="fallback").inc(
-                self.fallback_ops
             )
         for op in self._operators.values():
             registry.histogram("repro_operator_seconds", op_type=op.op_type).observe(

@@ -42,19 +42,6 @@ from repro.core.operator_provenance import (
     UNDEFINED,
     UnaryAssociations,
 )
-from repro.engine.columnar import (
-    ColumnarPartition,
-    StructColumn,
-    TAG_BAG,
-    TAG_MISSING,
-    TAG_NONE,
-    TAG_SET,
-    VariantColumn,
-    column_for_values,
-    evaluate_batch,
-    null_column,
-)
-from repro.engine.expressions import AliasedExpr, ColumnExpr
 from repro.engine.plan import (
     AggregateNode,
     DistinctNode,
@@ -128,21 +115,6 @@ class NarrowOp:
     def apply(self, items: list[DataItem], traced: bool) -> tuple[list[DataItem], Any]:
         raise NotImplementedError
 
-    def apply_batch(
-        self, part: ColumnarPartition, traced: bool
-    ) -> tuple[ColumnarPartition, Any, bool]:
-        """Columnar-layout variant of :meth:`apply`.
-
-        Returns ``(partition, entries, kernel)`` where *kernel* reports
-        whether a batch kernel ran (``True``) or the op fell back to
-        decoding the partition and running :meth:`apply` row-at-a-time
-        (``False`` -- the path for opaque UDFs and unsupported expression
-        shapes).  Entries are identical to :meth:`apply`'s either way, so
-        the serial id-assignment pass is layout-oblivious.
-        """
-        items, entries = self.apply(part.to_items(), traced)
-        return ColumnarPartition.from_items(items), entries, False
-
     def propagate_schema(self, schema: Schema) -> Schema | None:
         """Exact output schema given the input schema, or ``None`` to sample."""
         return None
@@ -171,8 +143,8 @@ class NarrowOp:
         ``node.children`` chains back to the ``ReadNode`` whose loader closes
         over the full input dataset, so a naive pickle ships the entire
         source collection with *every* stage task -- the process-pool
-        serialization tax.  Workers only run ``apply``/``apply_batch``, which
-        read the node's own fields, so the pickled node is a childless clone.
+        serialization tax.  Workers only run ``apply``, which reads
+        the node's own fields, so the pickled node is a childless clone.
         """
         state = dict(self.__dict__)
         node = state.get("node")
@@ -183,44 +155,11 @@ class NarrowOp:
         return state
 
 
-def _expr_column(part: ColumnarPartition, expression: Any) -> VariantColumn | None:
-    """Evaluate a projection expression into a full-length column, or None.
-
-    A bare single-step column reference reuses the partition's attribute
-    column zero-copy (holes become explicit nulls, matching ``col("absent")``
-    evaluating to ``None``); everything else goes through
-    :func:`evaluate_batch`.  ``None`` means unsupported -- row fallback.
-    """
-    while isinstance(expression, AliasedExpr):
-        expression = expression.inner
-    if isinstance(expression, ColumnExpr):
-        steps = expression.path.steps
-        if len(steps) == 1 and steps[0].pos is None:
-            column = part.struct.attribute(steps[0].name)
-            if column is None:
-                return null_column(len(part))
-            return column.without_missing()
-    values = evaluate_batch(expression, part)
-    if values is None:
-        return None
-    return column_for_values(values)
-
-
 class FilterOp(NarrowOp):
     entry_kind = "filter"
 
     def __init__(self, node: FilterNode):
         self.node = node
-
-    def apply_batch(
-        self, part: ColumnarPartition, traced: bool
-    ) -> tuple[ColumnarPartition, Any, bool]:
-        mask = evaluate_batch(self.node.predicate, part)
-        if mask is None:
-            return NarrowOp.apply_batch(self, part, traced)
-        kept = [index for index, keep in enumerate(mask) if keep]
-        out = part if len(kept) == len(part) else part.take(kept)
-        return out, (kept if traced else None), True
 
     def apply(self, items: list[DataItem], traced: bool) -> tuple[list[DataItem], Any]:
         predicate = self.node.predicate
@@ -244,22 +183,6 @@ class FilterOp(NarrowOp):
 class SelectOp(NarrowOp):
     def __init__(self, node: SelectNode):
         self.node = node
-
-    def apply_batch(
-        self, part: ColumnarPartition, traced: bool
-    ) -> tuple[ColumnarPartition, Any, bool]:
-        names = self.node.output_names
-        if not names or len(set(names)) != len(names):
-            # duplicate output attributes raise per item in the row path
-            return NarrowOp.apply_batch(self, part, traced)
-        columns: list[VariantColumn] = []
-        for projection in self.node.projections:
-            column = _expr_column(part, projection)
-            if column is None:
-                return NarrowOp.apply_batch(self, part, traced)
-            columns.append(column)
-        struct = StructColumn.uniform(tuple(names), columns)
-        return ColumnarPartition(struct), None, True
 
     def apply(self, items: list[DataItem], traced: bool) -> tuple[list[DataItem], Any]:
         names = self.node.output_names
@@ -308,15 +231,6 @@ class WithColumnOp(NarrowOp):
     def __init__(self, node: WithColumnNode):
         self.node = node
 
-    def apply_batch(
-        self, part: ColumnarPartition, traced: bool
-    ) -> tuple[ColumnarPartition, Any, bool]:
-        column = _expr_column(part, self.node.expression)
-        if column is None:
-            return NarrowOp.apply_batch(self, part, traced)
-        struct = part.struct.with_attribute(self.node.name, column)
-        return ColumnarPartition(struct), None, True
-
     def apply(self, items: list[DataItem], traced: bool) -> tuple[list[DataItem], Any]:
         name = self.node.name
         expression = self.node.expression
@@ -340,53 +254,6 @@ class FlattenOp(NarrowOp):
     def check_input_schema(self, schema: Schema) -> None:
         if schema.struct.has_field(self.node.new_name):
             raise PlanError(f"flatten output attribute {self.node.new_name!r} already exists")
-
-    def apply_batch(
-        self, part: ColumnarPartition, traced: bool
-    ) -> tuple[ColumnarPartition, Any, bool]:
-        node = self.node
-        steps = node.col_path.steps
-        if len(steps) != 1 or steps[0].pos is not None:
-            return NarrowOp.apply_batch(self, part, traced)
-        column = part.struct.attribute(steps[0].name)
-        rows: list[int] = []  # input row feeding each output row
-        elems: list[int] = []  # element index in the list store (-1: null)
-        entries: list[tuple[int, int]] | None = [] if traced else None
-        outer = node.outer
-        for index in range(len(part)):
-            if column is None:
-                tag = TAG_MISSING
-            else:
-                tag = column.tags[index]
-            if tag == TAG_MISSING or tag == TAG_NONE:
-                elements = range(0)
-            elif tag == TAG_BAG or tag == TAG_SET:
-                assert column.lists is not None
-                elements = column.lists.element_range(column.pos[index])
-            else:
-                # a non-collection value: the row path raises ExecutionError
-                return NarrowOp.apply_batch(self, part, traced)
-            if len(elements) == 0:
-                if outer:
-                    rows.append(index)
-                    elems.append(-1)
-                    if entries is not None:
-                        entries.append((index, 0))
-                continue
-            position = 1
-            for element_index in elements:
-                rows.append(index)
-                elems.append(element_index)
-                if entries is not None:
-                    entries.append((index, position))
-                position += 1
-        base = part.struct.take_shared(rows)
-        if column is not None and column.lists is not None:
-            new_column = column.lists.elements.take_shared(elems)
-        else:  # only outer-null rows survive (or none at all)
-            new_column = null_column(len(rows))
-        struct = base.with_attribute(node.new_name, new_column)
-        return ColumnarPartition(struct), entries, True
 
     def apply(self, items: list[DataItem], traced: bool) -> tuple[list[DataItem], Any]:
         node = self.node
@@ -442,14 +309,6 @@ class PruneOp(NarrowOp):
     def __init__(self, keep: frozenset[str]):
         self.keep = keep
 
-    def apply_batch(
-        self, part: ColumnarPartition, traced: bool
-    ) -> tuple[ColumnarPartition, Any, bool]:
-        keep = self.keep
-        if all(name in keep for name in part.struct.columns):
-            return part, None, True
-        return ColumnarPartition(part.struct.project(tuple(keep))), None, True
-
     def apply(self, items: list[DataItem], traced: bool) -> tuple[list[DataItem], Any]:
         keep = self.keep
         out: list[DataItem] = []
@@ -490,11 +349,6 @@ class LimitPrefixOp(NarrowOp):
 
     def __init__(self, n: int):
         self.n = n
-
-    def apply_batch(
-        self, part: ColumnarPartition, traced: bool
-    ) -> tuple[ColumnarPartition, Any, bool]:
-        return part.slice(self.n), None, True
 
     def apply(self, items: list[DataItem], traced: bool) -> tuple[list[DataItem], Any]:
         return items[: self.n], None
@@ -822,35 +676,23 @@ def _wide_static_attrs(
 class StageTaskResult:
     """What one executed :class:`StageTask` hands back to the driver.
 
-    Plain picklable data: the partition's output items (a ``list[DataItem]``
-    or, under the columnar layout, a :class:`ColumnarPartition` of raw column
-    buffers), the per-operator trace entries / cardinalities / schema samples
-    the driver's finalisation pass needs, per-operator kernel-vs-fallback
-    flags, and -- when the task ran traced in a pool worker -- the spans
+    Plain picklable data: the partition's output items, the per-operator
+    trace entries / cardinalities / schema samples the driver's finalisation
+    pass needs, and -- when the task ran traced in a pool worker -- the spans
     recorded there, for merging into the parent trace.
     """
 
-    __slots__ = (
-        "items",
-        "entries",
-        "counts",
-        "samples",
-        "spans",
-        "part",
-        "attempt",
-        "kernels",
-    )
+    __slots__ = ("items", "entries", "counts", "samples", "spans", "part", "attempt")
 
     def __init__(
         self,
-        items: "list[DataItem] | ColumnarPartition",
+        items: list[DataItem],
         entries: list[Any],
         counts: list[tuple[int, int]],
-        samples: "list[list[DataItem] | ColumnarPartition | None]",
+        samples: list[list[DataItem] | None],
         spans: tuple[Any, ...],
         part: int,
         attempt: int,
-        kernels: tuple[bool, ...] = (),
     ):
         self.items = items
         self.entries = entries
@@ -859,9 +701,6 @@ class StageTaskResult:
         self.spans = spans
         self.part = part
         self.attempt = attempt
-        #: Per registered operator: True when the batch kernel ran, False on
-        #: row fallback; empty under the rows layout.
-        self.kernels = kernels
 
     def __repr__(self) -> str:
         return (
@@ -909,7 +748,7 @@ class StageTask:
         key: str,
         ops: tuple[NarrowOp, ...],
         sampling: tuple[bool, ...],
-        items: "list[DataItem] | ColumnarPartition",
+        items: list[DataItem],
         capturing: bool,
         stage_label: str,
         part: int,
@@ -950,12 +789,10 @@ class StageTask:
             self.fault_plan.apply(self.key, self.attempt)
         in_worker = self.origin_pid is not None and os.getpid() != self.origin_pid
         tracer = self._tracer(in_worker)
-        columnar = isinstance(self.items, ColumnarPartition)
-        items: Any = self.items if columnar else list(self.items)
+        items = list(self.items)
         entries_out: list[Any] = []
         counts_out: list[tuple[int, int]] = []
         samples_out: list[list[DataItem] | None] = []
-        kernels_out: list[bool] = []
         with tracer.span(
             f"task p{self.part}",
             "task",
@@ -964,22 +801,10 @@ class StageTask:
             attempt=self.attempt,
         ):
             for op, sampled in zip(self.ops, self.sampling):
-                traced = self.capturing and op.registers
-                if columnar:
-                    out, entries, kernel = op.apply_batch(items, traced)
-                    kernels_out.append(kernel)
-                    # Columnar samples stay columnar: a prefix slice ships as
-                    # raw buffers (or as a reference to the result partition
-                    # itself when it is small) and the driver infers the
-                    # schema column-wise -- no worker-side decode, no
-                    # object-graph pickling for schema sampling.
-                    sample = out.slice(SCHEMA_SAMPLE) if sampled else None
-                else:
-                    out, entries = op.apply(items, traced)
-                    sample = out[:SCHEMA_SAMPLE] if sampled else None
+                out, entries = op.apply(items, self.capturing and op.registers)
                 entries_out.append(entries)
                 counts_out.append((len(items), len(out)))
-                samples_out.append(sample)
+                samples_out.append(out[:SCHEMA_SAMPLE] if sampled else None)
                 items = out
         spans: tuple[Any, ...] = ()
         if in_worker and tracer.enabled:
@@ -991,14 +816,7 @@ class StageTask:
                 span.args.setdefault("pid", os.getpid())
             spans = tuple(worker_spans)
         return StageTaskResult(
-            items,
-            entries_out,
-            counts_out,
-            samples_out,
-            spans,
-            self.part,
-            self.attempt,
-            tuple(kernels_out),
+            items, entries_out, counts_out, samples_out, spans, self.part, self.attempt
         )
 
     def __repr__(self) -> str:

@@ -282,7 +282,7 @@ def set_build_info(registry: "MetricsRegistry | None" = None, **labels: Any) -> 
     """Publish the ``repro_build_info`` gauge (value 1, identity in labels).
 
     The Prometheus build-info convention: the interesting facts -- package
-    version plus whatever the caller knows (partition layout, component) --
+    version plus whatever the caller knows (e.g. the component) --
     ride as labels on a constant-1 gauge, joinable against every other
     series.  The version label is always present.
     """

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from repro.core.backtrace.algorithms import Backtracer
 from repro.core.backtrace.result import ProvenanceResult
-from repro.core.treepattern.matcher import PatternMatch, match_rows, seed_structure
+from repro.core.treepattern.matcher import match_partitions, seed_structure
 from repro.core.treepattern.parser import parse_pattern
 from repro.core.treepattern.pattern import TreePattern
-from repro.engine.columnar import ColumnarRows, match_columnar
 from repro.engine.executor import ExecutionResult
 from repro.errors import CaptureDisabledError
 from repro.obs.breakdown import get_breakdown
@@ -50,23 +49,10 @@ def query_provenance(
     tree_pattern = as_pattern(pattern)
     with tracer.span("pattern-match", "query", pattern=str(pattern)) as span:
         with breakdown.phase("pattern_match"):
-            # Columnar partitions match through the vectorized candidate
-            # pre-filter without decoding non-candidates; row partitions take
-            # the per-item path.  Both produce the same match list.
-            matches: list[PatternMatch] = []
-            rows_visited = 0
-            for partition in execution.raw_partitions:
-                try:
-                    rows_visited += len(partition)
-                except TypeError:
-                    pass
-                if isinstance(partition, ColumnarRows):
-                    matches.extend(match_columnar(tree_pattern, partition))
-                else:
-                    matches.extend(match_rows(tree_pattern, partition))
+            matches = match_partitions(tree_pattern, execution.partitions)
             seeds = seed_structure(matches)
         span.set(matched=len(matches))
-    breakdown.count(rows_visited=rows_visited, matched=len(matches))
+    breakdown.count(rows_visited=len(execution), matched=len(matches))
     matched_ids = sorted(match.item_id for match in matches if match.item_id is not None)
     is_empty = getattr(execution.store, "is_empty", None)
     if is_empty is not None and is_empty():

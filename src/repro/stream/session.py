@@ -2,8 +2,8 @@
 
 The paper captures provenance of one bounded execution.  Streaming pipelines
 never finish, so capture must happen **incrementally**: each micro-batch runs
-through the same compiled plan (same operators, same A/M records, any layout
-or scheduler), and its provenance delta lands as one sealed *epoch* of a
+through the same compiled plan (same operators, same A/M records, any
+scheduler), and its provenance delta lands as one sealed *epoch* of a
 live warehouse run.  Queries admitted mid-ingest resolve against the epochs
 visible at admission; sealing the run optionally compacts the epochs into
 the canonical batch layout, byte-identical to a one-shot capture of the

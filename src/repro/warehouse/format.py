@@ -25,7 +25,7 @@ segment sizes stay comparable with ``size_report()`` figures.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.core.operator_provenance import (
     AggregationAssociations,
@@ -342,26 +342,12 @@ def decode_source_items(cursor: Cursor) -> tuple[str, dict[int, DataItem]]:
     return name, items
 
 
-def encode_rows(
-    rows: "Sequence[tuple[int | None, DataItem]] | Iterable[tuple[int | None, DataItem]]",
-    count: int | None = None,
-) -> bytes:
-    """Encode the provenance-annotated result rows of one run.
-
-    *rows* may be any iterable when *count* is given, so a columnar
-    execution streams ``iter_rows()`` straight into the encoder without
-    materialising a row list first.
-    """
-    if count is None:
-        count = len(rows)  # type: ignore[arg-type]
-    parts = [_u64(count)]
-    encoded = 0
+def encode_rows(rows: Sequence[tuple[int | None, DataItem]]) -> bytes:
+    """Encode the provenance-annotated result rows of one run."""
+    parts = [_u64(len(rows))]
     for pid, item in rows:
         parts.append(_opt_id(pid))
         parts.append(_string(json.dumps(_jsonable(item))))
-        encoded += 1
-    if encoded != count:
-        raise ProvenanceError(f"row count mismatch: declared {count}, encoded {encoded}")
     return b"".join(parts)
 
 

@@ -190,10 +190,9 @@ def append_epoch(
         total_bytes += len(segment)
         operators[str(provenance.oid)] = entry
 
-    row_count = len(execution)
-    rows_segment = wf.encode_segment(
-        wf.SEGMENT_ROWS, wf.encode_rows(execution.iter_rows(), count=row_count)
-    )
+    rows = execution.rows()
+    row_count = len(rows)
+    rows_segment = wf.encode_segment(wf.SEGMENT_ROWS, wf.encode_rows(rows))
     (epoch_dir / ROWS_SEGMENT).write_bytes(rows_segment)
     total_bytes += len(rows_segment)
 
@@ -603,11 +602,8 @@ class _SealedExecution:
         self.store = store
         self._rows = rows
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def iter_rows(self) -> Iterator[tuple[int | None, DataItem]]:
-        return iter(self._rows)
+    def rows(self) -> list[tuple[int | None, DataItem]]:
+        return self._rows
 
 
 def _chain_order(topology: dict[int, tuple[int, ...]]) -> list[int]:

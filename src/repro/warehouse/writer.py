@@ -130,12 +130,8 @@ def write_run(
         total_bytes += len(segment)
         operators[str(provenance.oid)] = entry
 
-    # Stream rows into the encoder: a columnar execution decodes items one
-    # at a time instead of materialising the per-record row lists first.
-    row_count = len(execution)
-    rows_segment = wf.encode_segment(
-        wf.SEGMENT_ROWS, wf.encode_rows(execution.iter_rows(), count=row_count)
-    )
+    rows = execution.rows()
+    rows_segment = wf.encode_segment(wf.SEGMENT_ROWS, wf.encode_rows(rows))
     (run_dir / ROWS_SEGMENT).write_bytes(rows_segment)
     total_bytes += len(rows_segment)
 
@@ -147,7 +143,7 @@ def write_run(
         "sink_oid": execution.root.oid,
         "rows": {
             "segment": ROWS_SEGMENT,
-            "count": row_count,
+            "count": len(rows),
             "segment_bytes": len(rows_segment),
         },
         "operators": operators,

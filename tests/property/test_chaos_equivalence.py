@@ -19,6 +19,7 @@ from tests.property.test_optimizer_equivalence import (
     _build,
     _store_fingerprint,
 )
+from tests.property.test_stream_equivalence import _segment_files
 
 #: The seed execution path: no rewrites, serial scheduler, no faults.
 BASELINE = EngineConfig(optimize=False)
@@ -53,10 +54,13 @@ def test_chaos_runs_match_the_seed_execution(shape, k):
     baseline = _run(shape, k, BASELINE)
     expected_rows = baseline.rows()
     expected_store = _store_fingerprint(baseline.store)
+    # Same rewrites as the chaos variants: pruning changes registered schemas.
+    expected_blob = _run(shape, k, EngineConfig()).store.serialize()
     for name, config in CHAOS_VARIANTS:
         execution = _run(shape, k, config)
         assert execution.rows() == expected_rows, name
         assert _store_fingerprint(execution.store) == expected_store, name
+        assert execution.store.serialize() == expected_blob, name
 
 
 @given(st.sampled_from(sorted(SHAPES)), st.integers(min_value=0, max_value=4))
@@ -94,3 +98,35 @@ def test_crash_faults_exhaust_the_retry_budget():
     config = EngineConfig(faults="crash:1.0", max_retries=1, retry_backoff=0.0)
     with pytest.raises(InjectedFault, match="attempt 1"):
         _run("select-filter", 1, config)
+
+
+def test_recorded_runs_identical_across_schedulers(tmp_path):
+    """Recorded runs agree end-to-end whichever backend executed them: every
+    warehouse segment byte-for-byte (manifest, catalog and metrics carry
+    timestamps and the backend name), the backtrace rendered from the stored
+    run, and the forward trace."""
+    from repro.warehouse import Warehouse
+
+    configs = (
+        ("serial", EngineConfig()),
+        ("threads", EngineConfig(scheduler="threads")),
+        ("processes", EngineConfig(scheduler="processes")),
+    )
+    for shape in ("filter-flatten", "flatten-agg", "union"):
+        results = {}
+        for name, config in configs:
+            root = tmp_path / name / shape
+            warehouse = Warehouse.open(root)
+            record = warehouse.record(_run(shape, 1, config), name=shape)
+            forward = warehouse.forward(record.run_id, "root{/text}")
+            back, _ = warehouse.backtrace(record.run_id, SHAPES[shape])
+            segments = _segment_files(root)
+            assert segments, (shape, name)
+            results[name] = (
+                segments,
+                sorted(forward.output_ids),
+                forward.matched_input_count,
+                back.render(),
+            )
+        for name, _ in configs[1:]:
+            assert results[name] == results["serial"], (shape, name)

@@ -145,11 +145,17 @@ def test_capture_equivalent_across_configs(shape, k):
     baseline = _run(shape, k, BASELINE[1], capture=True)
     expected_rows = baseline.rows()
     expected_store = _store_fingerprint(baseline.store)
+    blobs = {BASELINE[0]: baseline.store.serialize()}
     for name, config in VARIANTS:
         execution = _run(shape, k, config, capture=True)
         assert execution.items() == baseline.items(), name
         assert execution.rows() == expected_rows, name
         assert _store_fingerprint(execution.store) == expected_store, name
+        blobs[name] = execution.store.serialize()
+    # Pruning narrows the input schemas operators register, so serialized
+    # stores are byte-compared per optimizer setting, across schedulers.
+    assert blobs["opt threads"] == blobs["opt serial"]
+    assert blobs["no-opt threads"] == blobs["no-opt serial"]
 
 
 @given(st.sampled_from(sorted(SHAPES)), st.integers(min_value=0, max_value=4))

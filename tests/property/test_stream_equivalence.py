@@ -5,7 +5,7 @@ Splitting one bounded input into N micro-batches, streaming them through a
 leave the warehouse with the *same run* a one-shot batch capture of the
 concatenated input records: identical segment bytes (operator provenance,
 sink rows, index) and identical backtrace answers -- across split points,
-partition counts, layouts, and schedulers.  And a query admitted mid-ingest
+partition counts, and schedulers.  And a query admitted mid-ingest
 must answer exactly like the sealed run restricted to the epochs that were
 visible at admission (``max_epoch``), which is the incremental-query
 consistency contract of the serve tier.
@@ -31,9 +31,8 @@ from repro.stream import StreamSession, TumblingWindow, window_by
 from repro.warehouse import Warehouse
 
 CONFIGS = (
-    ("rows serial", EngineConfig(layout="rows")),
-    ("columnar serial", EngineConfig(layout="columnar")),
-    ("columnar threads", EngineConfig(layout="columnar", scheduler="threads")),
+    ("serial", EngineConfig()),
+    ("threads", EngineConfig(scheduler="threads")),
 )
 
 #: Streamable plan shapes: a narrow chain and a windowed aggregation.

@@ -1,11 +1,31 @@
 """Unit tests for the measurement harness (fast configurations only)."""
 
 from repro.bench.harness import (
+    ABLATION_CONFIGS,
     measure_capture_overhead,
     measure_provenance_size,
     measure_query_times,
     measure_titian_comparison,
 )
+
+
+class TestAblationLadder:
+    def test_rung_names(self):
+        assert [name for name, _ in ABLATION_CONFIGS] == [
+            "no-opt",
+            "prune",
+            "prune+fuse",
+            "prune+fuse+trace",
+            "prune+fuse+threads",
+            "prune+fuse+procs",
+            "prune+fuse+prof-off",
+            "prune+fuse+profile",
+        ]
+
+    def test_profiler_pair_differs_from_the_default_rung_only_in_profile(self):
+        rungs = dict(ABLATION_CONFIGS)
+        assert rungs["prune+fuse+prof-off"] == rungs["prune+fuse"]
+        assert rungs["prune+fuse+profile"] == rungs["prune+fuse"].replace(profile=True)
 
 
 class TestCaptureOverhead:

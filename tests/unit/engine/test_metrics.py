@@ -54,15 +54,8 @@ class TestExecutionMetricsJson:
         assert set(payload) == {
             "total_seconds",
             "scheduler",
-            "layout",
             "operators",
             "stages",
-        }
-        assert set(payload["layout"]) == {
-            "name",
-            "partition_bytes",
-            "kernel_ops",
-            "fallback_ops",
         }
         assert set(payload["scheduler"]) == {
             "backend",

@@ -118,12 +118,12 @@ class TestBuildInfo:
         import repro
 
         registry = MetricsRegistry()
-        gauge = set_build_info(registry, layout="columnar")
+        gauge = set_build_info(registry, component="test")
         assert gauge.value == 1
         text = registry.render_prometheus()
         assert "# TYPE repro_build_info gauge" in text
         assert f'version="{repro.__version__}"' in text
-        assert 'layout="columnar"' in text
+        assert 'component="test"' in text
 
     def test_defaults_to_process_registry(self):
         fresh = MetricsRegistry()

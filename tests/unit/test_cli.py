@@ -37,6 +37,20 @@ class TestParser:
         assert repro.__version__ in capsys.readouterr().out
 
 
+    def test_pyproject_version_is_the_package_version(self):
+        """One source of truth: the build reads ``repro.__version__``."""
+        from pathlib import Path
+
+        tomllib = pytest.importorskip("tomllib")  # stdlib from 3.11
+        root = Path(__file__).resolve().parents[2]
+        pyproject = tomllib.loads((root / "pyproject.toml").read_text())
+        assert "version" not in pyproject["project"]
+        assert pyproject["project"]["dynamic"] == ["version"]
+        assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
