@@ -710,6 +710,10 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
 
             print()
             print(render_breakdown(breakdown.to_json()))
+            counters = breakdown.counters
+            print(f"  rows visited:  {counters['rows_visited']}")
+            print(f"  rows decoded:  {counters['rows_decoded']}")
+            print(f"  items decoded: {counters['items_decoded']}")
         return 0
 
     if args.warehouse_command == "retain":

@@ -13,14 +13,23 @@ isolation, which is exactly what makes the paper's matcher distributable.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+import json
+from typing import Any, Iterable, Iterator
 
 from repro.core.backtrace.tree import BacktraceStructure, BacktraceTree
 from repro.core.paths import Path, Step
 from repro.core.treepattern.pattern import Edge, PatternNode, TreePattern
 from repro.nested.values import Bag, DataItem, NestedSet
 
-__all__ = ["PatternMatch", "match_item", "match_rows", "match_partitions", "seed_structure"]
+__all__ = [
+    "PatternMatch",
+    "match_item",
+    "match_rows",
+    "match_partitions",
+    "required_constants",
+    "prefilter_encoded_rows",
+    "seed_structure",
+]
 
 
 class PatternMatch:
@@ -211,6 +220,46 @@ def match_rows(
         if paths is not None:
             matches.append(PatternMatch(item_id, item, paths))
     return matches
+
+
+def required_constants(pattern: TreePattern) -> list[str]:
+    """The ``str`` equality constants every matching item must contain.
+
+    A node is *required* when neither it nor an ancestor carries a count
+    constraint with ``low == 0`` (an upper bound or negation, satisfied by
+    zero occurrences): for the item to match, at least one value must then
+    pass the node's ``equals`` check, i.e. be a string equal to the
+    constant.  Non-``str`` constants, predicates and unconstrained nodes
+    contribute nothing.
+    """
+    constants: list[str] = []
+    pending = list(pattern.children)
+    while pending:
+        node = pending.pop()
+        if node.count is not None and node.count[0] == 0:
+            continue
+        if isinstance(node.equals, str):
+            constants.append(node.equals)
+        pending.extend(node.children)
+    return constants
+
+
+def prefilter_encoded_rows(
+    pattern: TreePattern, rows: Iterable[tuple[Any, bytes]]
+) -> Iterator[tuple[Any, bytes]]:
+    """Drop JSON-encoded rows that cannot match *pattern*, without parsing.
+
+    *rows* are ``(id, json.dumps(item) bytes)``.  A string value equal to a
+    required constant ``c`` is serialised as exactly ``json.dumps(c)``
+    wherever it sits (JSON string escaping is context-free), so a row whose
+    bytes lack that needle has no such value and fails the pattern.  The
+    survivors are a superset of the matching rows, in row order.
+    """
+    needles = [json.dumps(constant).encode() for constant in required_constants(pattern)]
+    for row in rows:
+        raw = row[1]
+        if all(needle in raw for needle in needles):
+            yield row
 
 
 def match_partitions(

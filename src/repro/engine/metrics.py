@@ -146,7 +146,10 @@ class SegmentCacheMetrics:
     that lazy backtracing touches only the operators on the backtrace path,
     not the whole run.  Source-item blocks are counted separately because
     the reader defers them past operator decoding: a source that ends up
-    with empty provenance never has its items decoded.
+    with empty provenance never has its items decoded.  ``rows_decoded`` and
+    ``items_decoded`` count the result rows and source items whose JSON was
+    actually parsed -- the cold path parses only rows the pattern's constants
+    cannot rule out and only the items an answer lists.
 
     Counter updates are atomic (:meth:`add` takes an internal lock) so one
     instance can account for a store shared by concurrent readers -- the
@@ -155,7 +158,8 @@ class SegmentCacheMetrics:
     """
 
     __slots__ = (
-        "hits", "misses", "item_hits", "item_misses", "bytes_read", "evictions", "_lock",
+        "hits", "misses", "item_hits", "item_misses", "bytes_read", "evictions",
+        "rows_decoded", "items_decoded", "_lock",
     )
 
     def __init__(self) -> None:
@@ -165,6 +169,8 @@ class SegmentCacheMetrics:
         self.item_misses = 0
         self.bytes_read = 0
         self.evictions = 0
+        self.rows_decoded = 0
+        self.items_decoded = 0
         self._lock = threading.Lock()
 
     def add(
@@ -176,6 +182,8 @@ class SegmentCacheMetrics:
         item_misses: int = 0,
         bytes_read: int = 0,
         evictions: int = 0,
+        rows_decoded: int = 0,
+        items_decoded: int = 0,
     ) -> None:
         """Atomically apply one batch of counter increments."""
         with self._lock:
@@ -185,6 +193,8 @@ class SegmentCacheMetrics:
             self.item_misses += item_misses
             self.bytes_read += bytes_read
             self.evictions += evictions
+            self.rows_decoded += rows_decoded
+            self.items_decoded += items_decoded
 
     @property
     def lookups(self) -> int:
@@ -204,6 +214,8 @@ class SegmentCacheMetrics:
             self.item_misses = 0
             self.bytes_read = 0
             self.evictions = 0
+            self.rows_decoded = 0
+            self.items_decoded = 0
 
     def to_json(self) -> dict:
         """Machine-readable cache accounting (CLI artifacts, fig9 payload)."""
@@ -214,6 +226,8 @@ class SegmentCacheMetrics:
             "item_misses": self.item_misses,
             "bytes_read": self.bytes_read,
             "evictions": self.evictions,
+            "rows_decoded": self.rows_decoded,
+            "items_decoded": self.items_decoded,
             "hit_rate": self.hit_rate,
         }
 
@@ -232,6 +246,8 @@ class SegmentCacheMetrics:
         registry.counter("repro_segment_cache_item_misses_total").inc(self.item_misses)
         registry.counter("repro_segment_cache_bytes_read_total").inc(self.bytes_read)
         registry.counter("repro_segment_cache_evictions_total").inc(self.evictions)
+        registry.counter("repro_segment_cache_rows_decoded_total").inc(self.rows_decoded)
+        registry.counter("repro_segment_cache_items_decoded_total").inc(self.items_decoded)
         registry.gauge("repro_segment_cache_hit_rate").set(self.hit_rate)
 
     def __repr__(self) -> str:

@@ -25,8 +25,8 @@ __all__ = [
 ]
 
 
-def item_from_json(text: str) -> DataItem:
-    """Parse one JSON object into a :class:`DataItem`."""
+def item_from_json(text: str | bytes) -> DataItem:
+    """Parse one JSON object (text or UTF-8 bytes) into a :class:`DataItem`."""
     parsed = json.loads(text)
     if not isinstance(parsed, dict):
         raise DataModelError(f"top-level JSON value must be an object, got {type(parsed).__name__}")

@@ -106,16 +106,15 @@ NULL_BREAKDOWN = NullBreakdown()
 class QueryBreakdown:
     """Per-phase wall time plus the counters of one provenance query.
 
-    Usage (the warehouse and serve layers drive this)::
+    Usage -- callers hand one to the layer that drives it::
 
         breakdown = QueryBreakdown()
-        breakdown.start()
-        with activate(breakdown):
-            with breakdown.phase("load"):
-                execution = warehouse.load(run_id)
-            result = query_provenance(execution, pattern)   # phases inside
-        breakdown.finish()
+        result, metrics = warehouse.backtrace(run_id, pattern, breakdown=breakdown)
         breakdown.to_json()
+
+    and the driving layer (``Warehouse.backtrace``, the serve tier) brackets
+    the query with ``start()`` / ``activate(...)`` / ``finish()``; the
+    instrumented code inside opens phases on :func:`get_breakdown`.
 
     Between ``start()`` and ``finish()`` every instant belongs to exactly
     one phase: the innermost open ``phase(...)``, or ``"other"`` when none

@@ -1,16 +1,20 @@
 """Provenance query processing: tree-pattern match + backtrace (Sec. 6).
 
-One function, :func:`query_provenance`, covers the two phases of the paper's
-provenance querying: the distributed tree-pattern matching over the
-pipeline's (provenance-annotated) result, and the backtracing of the matched
-items through the captured operator provenance to every input dataset.
+The paper's provenance querying has two phases: the distributed tree-pattern
+matching over the pipeline's (provenance-annotated) result, and the
+backtracing of the matched items through the captured operator provenance to
+every input dataset.  The match comes in two shapes -- over materialised
+partitions (:func:`query_provenance`, in-memory executions) and over a
+stored run's encoded rows (:func:`repro.warehouse.reader.match_encoded_rows`)
+-- and both hand their matches to the one :func:`trace_matches`.
 """
 
 from __future__ import annotations
 
 from repro.core.backtrace.algorithms import Backtracer
 from repro.core.backtrace.result import ProvenanceResult
-from repro.core.treepattern.matcher import match_partitions, seed_structure
+from repro.core.store import ProvenanceStoreProtocol
+from repro.core.treepattern.matcher import PatternMatch, match_partitions, seed_structure
 from repro.core.treepattern.parser import parse_pattern
 from repro.core.treepattern.pattern import TreePattern
 from repro.engine.executor import ExecutionResult
@@ -18,7 +22,7 @@ from repro.errors import CaptureDisabledError
 from repro.obs.breakdown import get_breakdown
 from repro.obs.tracer import get_tracer
 
-__all__ = ["query_provenance", "as_pattern"]
+__all__ = ["query_provenance", "trace_matches", "as_pattern"]
 
 
 def as_pattern(pattern: TreePattern | str) -> TreePattern:
@@ -34,36 +38,49 @@ def query_provenance(
     """Answer a structural provenance question over a captured execution.
 
     Phase 1 matches the tree pattern against the execution's result
-    partitions, identifying the queried items and seeding the backtracing
-    structure with their matched paths (contributing nodes).  Phase 2 runs
-    the backtracing algorithm over the captured operator provenance down to
-    every read operator and resolves the surviving input identifiers to the
-    actual input items.
+    partitions, identifying the queried items; phase 2
+    (:func:`trace_matches`) backtraces them to every input dataset.
     """
     if execution.store is None:
         raise CaptureDisabledError(
             "provenance was not captured for this execution; re-run with capture=True"
         )
-    tracer = get_tracer()
     breakdown = get_breakdown()
-    tree_pattern = as_pattern(pattern)
-    with tracer.span("pattern-match", "query", pattern=str(pattern)) as span:
+    with get_tracer().span("pattern-match", "query", pattern=str(pattern)) as span:
         with breakdown.phase("pattern_match"):
-            matches = match_partitions(tree_pattern, execution.partitions)
-            seeds = seed_structure(matches)
+            matches = match_partitions(as_pattern(pattern), execution.partitions)
         span.set(matched=len(matches))
     breakdown.count(rows_visited=len(execution), matched=len(matches))
+    return trace_matches(execution.store, execution.root.oid, matches)
+
+
+def trace_matches(
+    store: ProvenanceStoreProtocol, sink_oid: int, matches: list[PatternMatch]
+) -> ProvenanceResult:
+    """Phase 2: backtrace matched result items to the input datasets.
+
+    Seeds the backtracing structure with the matched paths (contributing
+    nodes), runs the backtracing algorithm over the captured operator
+    provenance from *sink_oid* down to every read operator, and resolves
+    the surviving input identifiers to the actual input items.  Shared by
+    in-memory executions and stored runs: everything after the match is the
+    same code.
+    """
+    tracer = get_tracer()
+    breakdown = get_breakdown()
+    with breakdown.phase("pattern_match"):
+        seeds = seed_structure(matches)
     matched_ids = sorted(match.item_id for match in matches if match.item_id is not None)
-    is_empty = getattr(execution.store, "is_empty", None)
+    is_empty = getattr(store, "is_empty", None)
     if is_empty is not None and is_empty():
         # Every epoch of a live run can expire out from under a query (or a
         # run may not have ingested a batch yet); an erased run answers
         # nothing rather than failing the sink-topology walk.
         return ProvenanceResult([], matched_ids)
-    backtracer = Backtracer(execution.store)
+    backtracer = Backtracer(store)
     with tracer.span("backtrace", "query", seeds=len(matches)):
         with breakdown.phase("closure"):
-            raw = backtracer.backtrace(execution.root.oid, seeds)
+            raw = backtracer.backtrace(sink_oid, seeds)
     with tracer.span("source-resolution", "query", sources=len(raw)):
         with breakdown.phase("source_resolution"):
-            return ProvenanceResult.resolve(execution.store, raw, matched_ids)
+            return ProvenanceResult.resolve(store, raw, matched_ids)

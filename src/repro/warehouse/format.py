@@ -25,7 +25,7 @@ segment sizes stay comparable with ``size_report()`` figures.
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.operator_provenance import (
     AggregationAssociations,
@@ -40,7 +40,7 @@ from repro.core.operator_provenance import (
 )
 from repro.core.paths import parse_path
 from repro.errors import ProvenanceError
-from repro.nested.json_io import _jsonable
+from repro.nested.json_io import _jsonable, item_from_json
 from repro.nested.schema import Schema
 from repro.nested.types import type_from_obj, type_to_obj
 from repro.nested.values import DataItem
@@ -57,9 +57,11 @@ __all__ = [
     "encode_operator",
     "decode_operator",
     "encode_source_items",
-    "decode_source_items",
+    "SourceItemBlock",
+    "open_source_items",
     "encode_rows",
-    "decode_rows",
+    "iter_encoded_rows",
+    "materialise_rows",
     "encode_segment",
     "open_segment",
     "encode_store_blob",
@@ -178,8 +180,12 @@ class Cursor:
     def u64(self) -> int:
         return int.from_bytes(self._take(8), "little")
 
+    def raw(self) -> bytes:
+        """One length-prefixed byte string, undecoded."""
+        return self._take(self.u32())
+
     def string(self) -> str:
-        return self._take(self.u32()).decode("utf-8")
+        return self.raw().decode("utf-8")
 
     def opt_id(self) -> int | None:
         value = self.u64()
@@ -333,13 +339,52 @@ def encode_source_items(name: str, items: dict[int, DataItem]) -> bytes:
     return b"".join(parts)
 
 
-def decode_source_items(cursor: Cursor) -> tuple[str, dict[int, DataItem]]:
-    name = cursor.string()
-    items = {}
-    for _ in range(cursor.u64()):
-        item_id = cursor.u64()
-        items[item_id] = DataItem(json.loads(cursor.string()))
-    return name, items
+class SourceItemBlock:
+    """One encoded ``id -> input item`` block, parsed an item at a time.
+
+    Opening hops the ``u64 id | u32 len`` headers and sets each item's JSON
+    bytes aside unparsed, so membership and the id set cost no
+    ``json.loads``; an item is parsed the first time :meth:`get` asks for it
+    and kept.
+    """
+
+    __slots__ = ("name", "_encoded", "_items")
+
+    def __init__(self, raw: bytes):
+        cursor = Cursor(raw)
+        self.name = cursor.string()
+        self._encoded: dict[int, bytes] = {
+            cursor.u64(): cursor.raw() for _ in range(cursor.u64())
+        }
+        self._items: dict[int, DataItem] = {}
+
+    def __contains__(self, item_id: object) -> bool:
+        return item_id in self._encoded
+
+    def ids(self) -> list[int]:
+        """The item ids in stored (ascending) order."""
+        return list(self._encoded)
+
+    @property
+    def decoded(self) -> int:
+        """How many of the block's items have been parsed so far."""
+        return len(self._items)
+
+    def get(self, item_id: int) -> DataItem:
+        """Item *item_id*; raises ``KeyError`` when the block lacks it."""
+        item = self._items.get(item_id)
+        if item is None:
+            item = self._items[item_id] = item_from_json(self._encoded[item_id])
+        return item
+
+    def all(self) -> dict[int, DataItem]:
+        """The whole ``id -> item`` mapping (parses whatever is still raw)."""
+        return {item_id: self.get(item_id) for item_id in self._encoded}
+
+
+def open_source_items(raw: bytes) -> SourceItemBlock:
+    """Open an :func:`encode_source_items` block for per-item access."""
+    return SourceItemBlock(raw)
 
 
 def encode_rows(rows: Sequence[tuple[int | None, DataItem]]) -> bytes:
@@ -351,11 +396,17 @@ def encode_rows(rows: Sequence[tuple[int | None, DataItem]]) -> bytes:
     return b"".join(parts)
 
 
-def decode_rows(cursor: Cursor) -> list[tuple[int | None, DataItem]]:
-    return [
-        (cursor.opt_id(), DataItem(json.loads(cursor.string())))
-        for _ in range(cursor.u64())
-    ]
+def iter_encoded_rows(cursor: Cursor) -> Iterator[tuple[int | None, bytes]]:
+    """Hop a rows payload, yielding ``(pid, raw JSON bytes)`` per row."""
+    for _ in range(cursor.u64()):
+        yield cursor.opt_id(), cursor.raw()
+
+
+def materialise_rows(
+    encoded: Iterable[tuple[int | None, bytes]],
+) -> list[tuple[int | None, DataItem]]:
+    """Parse ``(pid, raw JSON bytes)`` rows into ``(pid, item)`` rows."""
+    return [(pid, item_from_json(raw)) for pid, raw in encoded]
 
 
 def encode_segment(kind: int, payload: bytes) -> bytes:

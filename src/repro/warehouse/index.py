@@ -54,6 +54,7 @@ from repro.core.operator_provenance import (
     UnaryAssociations,
 )
 from repro.errors import ProvenanceError
+from repro.nested.json_io import item_from_json
 from repro.nested.values import DataItem
 import repro.warehouse.format as wf
 from repro.warehouse.writer import MANIFEST_NAME, OPS_DIR
@@ -331,7 +332,7 @@ class RunIndex:
             raise ProvenanceError(
                 f"index range for item {item_id} decoded id {decoded_id}"
             )
-        return DataItem(json.loads(cursor.string()))
+        return item_from_json(cursor.raw())
 
     def __repr__(self) -> str:
         return (

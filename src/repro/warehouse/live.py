@@ -44,6 +44,7 @@ time-based deletion).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import shutil
 import time
@@ -66,8 +67,10 @@ from repro.errors import BacktraceError, LiveRunError, ProvenanceError, StreamEr
 from repro.nested.schema import Schema
 from repro.nested.types import unify
 from repro.nested.values import DataItem
+from repro.obs.breakdown import get_breakdown
 import repro.warehouse.format as wf
 from repro.warehouse.index import RunIndex
+from repro.warehouse.reader import count_items_decoded
 from repro.warehouse.writer import (
     DEFAULT_SUB_SHARD_SPAN,
     MANIFEST_NAME,
@@ -87,6 +90,7 @@ __all__ = [
     "compact_live_run",
     "create_live_manifest",
     "is_epoch_layout",
+    "read_epoch_encoded_rows",
     "read_epoch_rows",
     "retain_epochs",
     "seal_live_manifest",
@@ -238,15 +242,27 @@ def seal_live_manifest(run_dir: FsPath, manifest: dict[str, Any]) -> dict[str, A
     return manifest
 
 
+def read_epoch_encoded_rows(
+    run_dir: FsPath, manifest: dict[str, Any], max_epoch: int | None = None
+) -> Iterator[tuple[int | None, bytes]]:
+    """The sink rows of every visible (unexpired) epoch as ``(pid, raw JSON)``.
+
+    The segments are read before this returns; only the row hop is lazy.
+    """
+    cursors = [
+        wf.open_segment(
+            (FsPath(run_dir) / entry["dir"] / ROWS_SEGMENT).read_bytes(), wf.SEGMENT_ROWS
+        )
+        for entry in _visible_epochs(manifest, max_epoch)
+    ]
+    return itertools.chain.from_iterable(map(wf.iter_encoded_rows, cursors))
+
+
 def read_epoch_rows(
     run_dir: FsPath, manifest: dict[str, Any], max_epoch: int | None = None
 ) -> list[tuple[int | None, DataItem]]:
     """Concatenate the sink rows of every visible (unexpired) epoch."""
-    rows: list[tuple[int | None, DataItem]] = []
-    for entry in _visible_epochs(manifest, max_epoch):
-        buffer = (FsPath(run_dir) / entry["dir"] / ROWS_SEGMENT).read_bytes()
-        rows.extend(wf.decode_rows(wf.open_segment(buffer, wf.SEGMENT_ROWS)))
-    return rows
+    return wf.materialise_rows(read_epoch_encoded_rows(run_dir, manifest, max_epoch))
 
 
 def _visible_epochs(
@@ -345,7 +361,8 @@ class LiveProvenanceStore:
                     (epoch_entry, op_entry)
                 )
         self._operators: dict[int, OperatorProvenance] = {}
-        self._source_items: dict[int, dict[int, DataItem]] = {}
+        #: oid -> the read operator's item block of every visible epoch.
+        self._source_items: dict[int, list[wf.SourceItemBlock]] = {}
         #: Same accounting surface as the lazy store: a "miss" is one merged
         #: operator decode (however many epoch segments it touched).
         self.metrics = SegmentCacheMetrics()
@@ -443,37 +460,54 @@ class LiveProvenanceStore:
             self.metrics.add(hits=1)
             return cached
         self.metrics.add(misses=1)
-        parts = [
-            wf.decode_operator(
-                wf.Cursor(self._read_range(epoch, entry, "offset", "record_length"))
+        with get_breakdown().phase("segment_decode"):
+            parts = [
+                wf.decode_operator(
+                    wf.Cursor(self._read_range(epoch, entry, "offset", "record_length"))
+                )
+                for epoch, entry in self._entries(oid)
+            ]
+            first = parts[0]
+            merged = OperatorProvenance(
+                first.oid,
+                first.op_type,
+                _merge_inputs(parts),
+                first.manipulations,
+                _merge_associations([part.associations for part in parts]),
+                label=first.label,
             )
-            for epoch, entry in self._entries(oid)
-        ]
-        first = parts[0]
-        merged = OperatorProvenance(
-            first.oid,
-            first.op_type,
-            _merge_inputs(parts),
-            first.manipulations,
-            _merge_associations([part.associations for part in parts]),
-            label=first.label,
-        )
         self._operators[oid] = merged
         return merged
 
-    def source_items(self, oid: int) -> dict[int, DataItem]:
+    def _source_blocks(self, oid: int) -> list[wf.SourceItemBlock]:
+        """Read operator *oid*'s item block of every visible epoch.
+
+        A miss reads and header-hops the blocks; no item JSON is parsed.
+        """
         cached = self._source_items.get(oid)
         if cached is not None:
-            return dict(cached)
+            self.metrics.add(item_hits=1)
+            return cached
+        entries = self._entries(oid)
+        if any("items_offset" not in op_entry for _, op_entry in entries):
+            raise BacktraceError(f"operator {oid} is not a read operator")
+        self.metrics.add(item_misses=1)
+        with get_breakdown().phase("segment_decode"):
+            blocks = [
+                wf.open_source_items(
+                    self._read_range(epoch_entry, op_entry, "items_offset", "items_length")
+                )
+                for epoch_entry, op_entry in entries
+            ]
+        self._source_items[oid] = blocks
+        return blocks
+
+    def source_items(self, oid: int) -> dict[int, DataItem]:
         merged: dict[int, DataItem] = {}
-        for epoch_entry, op_entry in self._entries(oid):
-            if "items_offset" not in op_entry:
-                raise BacktraceError(f"operator {oid} is not a read operator")
-            raw = self._read_range(epoch_entry, op_entry, "items_offset", "items_length")
-            _, items = wf.decode_source_items(wf.Cursor(raw))
-            merged.update(items)
-        self._source_items[oid] = merged
-        return dict(merged)
+        for block in self._source_blocks(oid):
+            with count_items_decoded(self.metrics, block):
+                merged.update(block.all())
+        return merged
 
     def decayed_source_id(self, oid: int, item_id: int) -> bool:
         """True when *item_id* was erased out from under a later reference.
@@ -483,17 +517,16 @@ class LiveProvenanceStore:
         lived in an expired (or admission-invisible) epoch.  Window
         aggregates emitted after a TTL sweep decay this way: the window
         closed after its oldest members' epoch was retained away.
+        Answered from the blocks' id tables; no item is parsed.
         """
-        return item_id not in self.source_items(oid)
+        return not any(item_id in block for block in self._source_blocks(oid))
 
     def source_item(self, oid: int, item_id: int) -> DataItem:
-        items = self._source_items.get(oid)
-        if items is None:
-            self.source_items(oid)
-            items = self._source_items[oid]
-        if item_id not in items:
-            raise BacktraceError(f"source {oid} has no item with id {item_id}")
-        return items[item_id]
+        for block in self._source_blocks(oid):
+            if item_id in block:
+                with count_items_decoded(self.metrics, block):
+                    return block.get(item_id)
+        raise BacktraceError(f"source {oid} has no item with id {item_id}")
 
     def operators(self) -> Iterator[OperatorProvenance]:
         for oid in sorted(self._by_oid):
@@ -791,8 +824,7 @@ def retain_epochs(
             with open(path, "rb") as handle:
                 handle.seek(op_entry["items_offset"])
                 raw = handle.read(op_entry["items_length"])
-            _, items = wf.decode_source_items(wf.Cursor(raw))
-            source_ids[oid_text] = sorted(items)
+            source_ids[oid_text] = wf.open_source_items(raw).ids()
         expired_records.append(
             {
                 "epoch": entry["epoch"],

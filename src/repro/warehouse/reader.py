@@ -5,10 +5,12 @@
 algorithm runs over it unchanged -- but operators decode on demand from
 their segment files, an LRU cache bounds resident provenance, and the
 footer index answers ``is_source``/``source_name``/``size_report`` with
-zero decodes.  Source-item blocks are decoded separately from operator
+zero decodes.  Source-item blocks are read separately from operator
 records: backtracing walks every reachable operator's record (it needs the
 predecessor references and associations), while item blocks are only read
-for sources that actually end up with provenance entries.
+for sources that actually end up with provenance entries -- and of such a
+block only the items an answer lists are ever parsed
+(:class:`~repro.warehouse.format.SourceItemBlock`).
 
 Cache hits and misses feed a
 :class:`~repro.engine.metrics.SegmentCacheMetrics`, making "how much of the
@@ -28,11 +30,18 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path as FsPath
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.core.operator_provenance import OperatorProvenance
 from repro.core.store import ProvenanceSizeReport
+from repro.core.treepattern.matcher import (
+    PatternMatch,
+    match_rows,
+    prefilter_encoded_rows,
+)
+from repro.core.treepattern.pattern import TreePattern
 from repro.engine.metrics import SegmentCacheMetrics
 from repro.engine.plan import PlanNode
 from repro.errors import BacktraceError, ProvenanceError
@@ -42,7 +51,13 @@ from repro.obs.tracer import get_tracer
 import repro.warehouse.format as wf
 from repro.warehouse.writer import MANIFEST_NAME, OPS_DIR
 
-__all__ = ["LazyProvenanceStore", "RestoredPlanNode", "load_manifest", "read_rows"]
+__all__ = [
+    "LazyProvenanceStore",
+    "RestoredPlanNode",
+    "load_manifest",
+    "match_encoded_rows",
+    "read_encoded_rows",
+]
 
 #: Default number of decoded operator segments kept resident.
 DEFAULT_CACHE_SIZE = 64
@@ -75,18 +90,51 @@ def load_manifest(run_dir: FsPath) -> dict[str, Any]:
     return manifest
 
 
-def read_rows(
+def read_encoded_rows(
     run_dir: FsPath,
     manifest: dict[str, Any],
     metrics: SegmentCacheMetrics | None = None,
-) -> list[tuple[int | None, DataItem]]:
-    """Decode the result rows segment of a run."""
+) -> Iterator[tuple[int | None, bytes]]:
+    """Read the result rows segment of a run; yields ``(pid, raw JSON)``."""
     with get_tracer().span("segment-read rows", "warehouse") as span:
         buffer = (FsPath(run_dir) / manifest["rows"]["segment"]).read_bytes()
         if metrics is not None:
             metrics.add(bytes_read=len(buffer))
         span.set(bytes=len(buffer))
-        return wf.decode_rows(wf.open_segment(buffer, wf.SEGMENT_ROWS))
+    return wf.iter_encoded_rows(wf.open_segment(buffer, wf.SEGMENT_ROWS))
+
+
+def match_encoded_rows(
+    pattern: TreePattern, rows: Iterable[tuple[int | None, bytes]]
+) -> tuple[list[PatternMatch], int]:
+    """Tree-pattern match over a stored run's ``(pid, raw JSON)`` rows.
+
+    Rows whose bytes lack one of the pattern's required string constants
+    cannot match and are never parsed; the survivors are materialised and
+    matched exactly like in-memory rows.  Returns the matches (in row order)
+    and how many rows were parsed.
+    """
+    breakdown = get_breakdown()
+    with get_tracer().span("pattern-match", "query", pattern=pattern.render()) as span:
+        with breakdown.phase("segment_decode"):
+            survivors = wf.materialise_rows(prefilter_encoded_rows(pattern, rows))
+        with breakdown.phase("pattern_match"):
+            matches = match_rows(pattern, survivors)
+        span.set(matched=len(matches), rows_decoded=len(survivors))
+    return matches, len(survivors)
+
+
+@contextmanager
+def count_items_decoded(
+    metrics: SegmentCacheMetrics, block: wf.SourceItemBlock
+) -> Iterator[None]:
+    """Book the item parses of the body under ``segment_decode`` and add
+    them to ``metrics.items_decoded``."""
+    before = block.decoded
+    with get_breakdown().phase("segment_decode"):
+        yield
+    if block.decoded != before:
+        metrics.add(items_decoded=block.decoded - before)
 
 
 class LazyProvenanceStore:
@@ -109,10 +157,9 @@ class LazyProvenanceStore:
         }
         self._cache_size = cache_size
         self._operators: OrderedDict[int, OperatorProvenance] = OrderedDict()
-        self._source_items: OrderedDict[int, dict[int, DataItem]] = OrderedDict()
+        self._source_items: OrderedDict[int, wf.SourceItemBlock] = OrderedDict()
         self.metrics = metrics if metrics is not None else SegmentCacheMetrics()
-        #: Guards the two LRU maps and the decode path; re-entrant because
-        #: ``source_item`` may fall through to ``source_items`` while held.
+        #: Guards the two LRU maps and the decode path.
         self._lock = threading.RLock()
 
     # -- index-only lookups (zero decodes) -----------------------------------
@@ -221,43 +268,49 @@ class LazyProvenanceStore:
                 self.metrics.add(evictions=1)
             return provenance
 
+    def _source_block(self, oid: int) -> wf.SourceItemBlock:
+        """Read operator *oid*'s item block, read and header-hopped on a miss.
+
+        Call with the store lock held.
+        """
+        cached = self._source_items.get(oid)
+        if cached is not None:
+            self.metrics.add(item_hits=1)
+            self._source_items.move_to_end(oid)
+            return cached
+        entry = self._entry(oid)
+        if "items_offset" not in entry:
+            raise BacktraceError(f"operator {oid} is not a read operator")
+        self.metrics.add(item_misses=1)
+        with get_tracer().span(
+            f"segment-read items op-{oid}",
+            "warehouse",
+            segment=entry["segment"],
+            bytes=entry["items_length"],
+        ), get_breakdown().phase("segment_decode"):
+            raw = self._read_range(entry, "items_offset", "items_length")
+            block = wf.open_source_items(raw)
+        self._source_items[oid] = block
+        if len(self._source_items) > self._cache_size:
+            self._source_items.popitem(last=False)
+            self.metrics.add(evictions=1)
+        return block
+
     def source_items(self, oid: int) -> dict[int, DataItem]:
-        """Return a read operator's ``id -> item`` block (decoded on demand)."""
+        """Return a read operator's whole ``id -> item`` block."""
         with self._lock:
-            cached = self._source_items.get(oid)
-            if cached is not None:
-                self.metrics.add(item_hits=1)
-                self._source_items.move_to_end(oid)
-                return dict(cached)
-            entry = self._entry(oid)
-            if "items_offset" not in entry:
-                raise BacktraceError(f"operator {oid} is not a read operator")
-            self.metrics.add(item_misses=1)
-            with get_tracer().span(
-                f"segment-read items op-{oid}",
-                "warehouse",
-                segment=entry["segment"],
-                bytes=entry["items_length"],
-            ), get_breakdown().phase("segment_decode"):
-                raw = self._read_range(entry, "items_offset", "items_length")
-                _, items = wf.decode_source_items(wf.Cursor(raw))
-            self._source_items[oid] = items
-            if len(self._source_items) > self._cache_size:
-                self._source_items.popitem(last=False)
-                self.metrics.add(evictions=1)
-            return dict(items)
+            block = self._source_block(oid)
+            with count_items_decoded(self.metrics, block):
+                return block.all()
 
     def source_item(self, oid: int, item_id: int) -> DataItem:
+        """One input item; of its block, only this item's JSON is parsed."""
         with self._lock:
-            items = self._source_items.get(oid)
-            if items is None:
-                self.source_items(oid)
-                items = self._source_items[oid]
-            else:
-                self.metrics.add(item_hits=1)
-            if item_id not in items:
+            block = self._source_block(oid)
+            if item_id not in block:
                 raise BacktraceError(f"source {oid} has no item with id {item_id}")
-            return items[item_id]
+            with count_items_decoded(self.metrics, block):
+                return block.get(item_id)
 
     def operators(self) -> Iterator[OperatorProvenance]:
         """Iterate over every operator (decodes the whole run; avoid on hot

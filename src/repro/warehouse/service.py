@@ -33,7 +33,7 @@ import json
 import time
 from contextlib import nullcontext
 from pathlib import Path as FsPath
-from typing import Any
+from typing import Any, Iterator
 
 from repro.core.backtrace.result import ProvenanceResult
 from repro.core.ring import DEFAULT_REPLICAS, HashRing
@@ -45,12 +45,13 @@ from repro.engine.partition import partition_rows
 from repro.errors import LiveRunError, ProvenanceError
 from repro.nested.schema import Schema, infer_schema
 from repro.nested.types import StructType
-from repro.obs.breakdown import QueryBreakdown, activate
+from repro.obs.breakdown import QueryBreakdown, activate, get_breakdown
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import observe_query, slow_threshold_seconds
 from repro.obs.tracer import get_tracer
 from repro.warehouse.catalog import LEGACY_SHARD, Catalog, RunRecord, ShardManifest
+from repro.warehouse.format import materialise_rows
 from repro.warehouse.index import RunIndex, ensure_index
 from repro.warehouse.live import (
     LiveProvenanceStore,
@@ -60,7 +61,7 @@ from repro.warehouse.live import (
     compact_live_run,
     create_live_manifest,
     is_epoch_layout,
-    read_epoch_rows,
+    read_epoch_encoded_rows,
     retain_epochs,
     seal_live_manifest,
 )
@@ -69,7 +70,8 @@ from repro.warehouse.reader import (
     LazyProvenanceStore,
     RestoredPlanNode,
     load_manifest,
-    read_rows,
+    match_encoded_rows,
+    read_encoded_rows,
 )
 from repro.warehouse.writer import DEFAULT_SUB_SHARD_SPAN, write_run
 
@@ -641,6 +643,34 @@ class Warehouse:
 
     # -- lazy loading / querying -----------------------------------------------
 
+    def _open_run(
+        self,
+        run_id: str | None,
+        cache_size: int,
+        metrics: SegmentCacheMetrics | None = None,
+        max_epoch: int | None = None,
+    ) -> tuple[
+        LazyProvenanceStore | LiveProvenanceStore, Iterator[tuple[int | None, bytes]]
+    ]:
+        """A stored run's lazy store plus its result rows, still encoded.
+
+        Reads the manifest and the rows segment(s); parses neither rows nor
+        provenance.  With no *run_id*, the newest run opens.
+        """
+        record = self._catalog.find(run_id) if run_id else self._catalog.latest()
+        run_dir = self._dir_for(record)
+        with get_tracer().span("warehouse-load", "warehouse", run_id=record.run_id):
+            manifest = load_manifest(run_dir)
+            if is_epoch_layout(manifest):
+                return (
+                    LiveProvenanceStore(run_dir, manifest, max_epoch=max_epoch),
+                    read_epoch_encoded_rows(run_dir, manifest, max_epoch=max_epoch),
+                )
+            store = LazyProvenanceStore(
+                run_dir, manifest, cache_size=cache_size, metrics=metrics
+            )
+            return store, read_encoded_rows(run_dir, manifest, metrics=store.metrics)
+
     def load(
         self,
         run_id: str | None = None,
@@ -651,10 +681,12 @@ class Warehouse:
     ) -> ExecutionResult:
         """Restore a run as a queryable execution with a lazy store.
 
-        The result rows are materialised (tree-pattern matching scans them
-        anyway), but the provenance store behind the execution is a
-        :class:`LazyProvenanceStore`: operators decode only when a backtrace
-        touches them.  With no *run_id*, the newest run loads.
+        Every result row is materialised (the execution is a resident,
+        re-queryable object; :meth:`backtrace` is the one-shot path that
+        parses only what its question touches), but the provenance store
+        behind the execution is a :class:`LazyProvenanceStore`: operators
+        decode only when a backtrace touches them.  With no *run_id*, the
+        newest run loads.
 
         Epoch-layout runs (live or sealed-uncompacted) load through a
         :class:`LiveProvenanceStore` over the epochs visible *now* -- a
@@ -664,19 +696,9 @@ class Warehouse:
         mid-ingest stays pinned to what it saw); batch runs ignore it.
         """
         num_partitions = resolve_partitions(num_partitions)
-        record = self._catalog.find(run_id) if run_id else self._catalog.latest()
-        run_dir = self._dir_for(record)
-        with get_tracer().span("warehouse-load", "warehouse", run_id=record.run_id):
-            manifest = load_manifest(run_dir)
-            store: LazyProvenanceStore | LiveProvenanceStore
-            if is_epoch_layout(manifest):
-                store = LiveProvenanceStore(run_dir, manifest, max_epoch=max_epoch)
-                rows = read_epoch_rows(run_dir, manifest, max_epoch=max_epoch)
-            else:
-                store = LazyProvenanceStore(
-                    run_dir, manifest, cache_size=cache_size, metrics=metrics
-                )
-                rows = read_rows(run_dir, manifest, metrics=store.metrics)
+        store, encoded = self._open_run(run_id, cache_size, metrics, max_epoch)
+        rows = materialise_rows(encoded)
+        store.metrics.add(rows_decoded=len(rows))
         from repro.engine.executor import SCHEMA_SAMPLE
 
         schema = (
@@ -685,7 +707,7 @@ class Warehouse:
             else Schema(StructType())
         )
         return ExecutionResult(
-            RestoredPlanNode(manifest["sink_oid"]),
+            RestoredPlanNode(store.sink_oid),
             partition_rows(rows, num_partitions),
             schema,
             store,
@@ -702,15 +724,27 @@ class Warehouse:
     ) -> tuple[ProvenanceResult, SegmentCacheMetrics]:
         """Answer a structural provenance question against a stored run.
 
+        The cold path parses only what the question touches: result rows
+        stay encoded until the pattern's required string constants have
+        ruled out every row they can (:func:`match_encoded_rows`), no
+        schema is inferred and nothing is partitioned, and source blocks
+        yield only the items the answer lists.  The answer is the one
+        ``query_provenance(self.load(run_id), pattern)`` gives.
+
         Returns the provenance result plus the segment-cache metrics of the
         query, whose miss counter equals the number of operator segments the
         backtrace actually decoded.  Pass a started-or-not
         :class:`QueryBreakdown` to collect per-phase explain-analyze timings;
         when the ``REPRO_SLOW_QUERY_MS`` budget is set, one is built anyway
         so over-budget queries land in the slow log with their breakdown.
-        """
-        from repro.pebble.query import query_provenance
 
+        *num_partitions* no longer affects this path (it never affected
+        answers); it is accepted for 2.x callers and goes with the rest of
+        the 3.0 compatibility surface (ROADMAP item 4).
+        """
+        from repro.pebble.query import as_pattern, trace_matches
+
+        tree_pattern = as_pattern(pattern)
         threshold = slow_threshold_seconds()
         if breakdown is None and threshold is not None:
             breakdown = QueryBreakdown()
@@ -718,27 +752,23 @@ class Warehouse:
             breakdown.start()
         with activate(breakdown) if breakdown is not None else _NO_CONTEXT:
             with get_tracer().span("warehouse-query", "warehouse") as span:
-                if breakdown is not None:
-                    with breakdown.phase("load"):
-                        execution = self.load(
-                            run_id, num_partitions=num_partitions, cache_size=cache_size
-                        )
-                else:
-                    execution = self.load(
-                        run_id, num_partitions=num_partitions, cache_size=cache_size
-                    )
-                result = query_provenance(execution, pattern)
-                assert isinstance(
-                    execution.store, (LazyProvenanceStore, LiveProvenanceStore)
-                )
-                metrics = execution.store.metrics
+                with get_breakdown().phase("load"):
+                    store, encoded = self._open_run(run_id, cache_size)
+                matches, rows_decoded = match_encoded_rows(tree_pattern, encoded)
+                metrics = store.metrics
+                metrics.add(rows_decoded=rows_decoded)
+                result = trace_matches(store, store.sink_oid, matches)
                 span.set(
-                    run_id=execution.store.run_id,
+                    run_id=store.run_id,
                     segments_decoded=metrics.misses,
                     bytes_read=metrics.bytes_read,
                 )
         if breakdown is not None:
             breakdown.count(
+                rows_visited=store.manifest["rows"]["count"],
+                matched=len(matches),
+                rows_decoded=metrics.rows_decoded,
+                items_decoded=metrics.items_decoded,
                 segments_decoded=metrics.misses,
                 cache_hits=metrics.hits,
                 cache_misses=metrics.misses,
@@ -747,14 +777,14 @@ class Warehouse:
             breakdown.finish()
             observe_query(
                 "backtrace",
-                execution.store.run_id,
+                store.run_id,
                 str(pattern),
                 breakdown.total_seconds,
                 breakdown=breakdown.to_json(),
                 threshold=threshold,
             )
         metrics.publish()
-        get_logger(execution.store.run_id).event(
+        get_logger(store.run_id).event(
             "warehouse-query",
             pattern=str(pattern),
             matched=len(result.matched_output_ids),

@@ -95,6 +95,48 @@ class TestLiveQuerying:
         assert compacted["result"]["matched_output_ids"]
 
 
+class TestLiveRunAccounting:
+    def test_live_breakdown_books_segment_decode_and_item_counters(self, tmp_path):
+        from repro.obs.breakdown import QueryBreakdown
+
+        stream = _open_stream(Warehouse.open(tmp_path / "wh"))
+        stream.ingest(_rows(0, 6))
+        stream.ingest(_rows(6, 10))
+        breakdown = QueryBreakdown()
+        result, metrics = stream.warehouse.backtrace(
+            stream.run_id, PATTERN, breakdown=breakdown
+        )
+        assert result.matched_output_ids
+        assert breakdown.phases["segment_decode"] > 0.0
+        assert metrics.misses > 0 and metrics.item_misses == 1
+        assert metrics.item_hits > 0
+        answer_items = sum(len(source) for source in result.sources)
+        assert breakdown.counters["items_decoded"] == answer_items > 0
+        assert breakdown.counters["rows_visited"] >= breakdown.counters["rows_decoded"]
+
+    def test_decayed_ids_are_answered_from_the_id_table(self, tmp_path):
+        """A window closing after a TTL sweep still references the erased
+        members; probing them (and every surviving id) parses no item."""
+        stream = _open_stream(Warehouse.open(tmp_path / "wh"))
+        stream.ingest(_rows(0, 3))
+        time.sleep(0.05)
+        warehouse = stream.warehouse
+        assert warehouse.retain(0.01, run_id=stream.run_id)["swept"] == 1
+        stream.ingest(_rows(3, 10))
+
+        store = warehouse.load(stream.run_id).store
+        assert store.decayed_source_id(1, 2), "pid 2 (row id 1) lived in epoch 1"
+        assert not store.decayed_source_id(1, 4)
+        assert store.metrics.items_decoded == 0
+
+        result, metrics = warehouse.backtrace(stream.run_id, PATTERN)
+        (source,) = result.sources
+        # Window [0, 4) of u1 held rows 1 and 3; row 1 was erased.
+        assert [entry.item["id"] for entry in source] == [3, 5, 7]
+        assert metrics.items_decoded == len(source) == 3
+        assert metrics.item_misses == 1, "one block read serves every probe"
+
+
 class TestSegmentInvalidation:
     def test_append_invalidates_only_the_live_run(self, tmp_path):
         warehouse = Warehouse.open(tmp_path / "wh")

@@ -12,7 +12,7 @@ import pytest
 from repro.cli import main
 from repro.engine.metrics import SegmentCacheMetrics
 from repro.engine.session import Session
-from repro.errors import ProvenanceError
+from repro.errors import BacktraceError, ProvenanceError
 from repro.pebble.query import query_provenance
 from repro.warehouse import LazyProvenanceStore, Warehouse
 from repro.workloads.scenarios import RUNNING_EXAMPLE_PATTERN
@@ -147,6 +147,55 @@ class TestLazyBacktrace:
         assert metrics.evictions > 0
 
 
+class TestColdPathParsesOnlyWhatTheQuestionTouches:
+    def test_t2_decodes_only_candidate_rows_and_answer_items(self, tmp_path):
+        from repro.obs.breakdown import QueryBreakdown
+        from repro.workloads.scenarios import load_workload, scenario
+
+        spec = scenario("T2")
+        execution = spec.build(Session(2), load_workload("twitter", 0.2)).execute(
+            capture=True
+        )
+        warehouse = Warehouse.open(tmp_path / "wh")
+        run_id = warehouse.record(execution, name="T2").run_id
+
+        breakdown = QueryBreakdown()
+        result, metrics = Warehouse.open(tmp_path / "wh").backtrace(
+            run_id, spec.pattern, breakdown=breakdown
+        )
+        answer_items = sum(len(source) for source in result.sources)
+        assert answer_items > 0
+        assert metrics.items_decoded == answer_items
+        counters = breakdown.counters
+        assert counters["items_decoded"] == answer_items
+        assert counters["rows_visited"] == len(execution)
+        assert len(result.matched_output_ids) <= counters["rows_decoded"]
+        assert counters["rows_decoded"] == metrics.rows_decoded < counters["rows_visited"]
+        manifest = LazyProvenanceStore(warehouse.run_dir(run_id)).manifest
+        stored_items = sum(
+            entry.get("item_count", 0) for entry in manifest["operators"].values()
+        )
+        assert metrics.items_decoded < stored_items
+
+        # The materialise-everything route stays reachable and says so.
+        loaded = warehouse.load(run_id)
+        assert loaded.store.metrics.rows_decoded == len(execution)
+        assert query_provenance(loaded, spec.pattern).render() == result.render()
+
+    def test_resident_store_parses_an_item_once(self, recorded):
+        root, run_id = recorded
+        store = LazyProvenanceStore(Warehouse.open(root).run_dir(run_id))
+        first = store.source_item(1, 1)
+        assert store.source_item(1, 1) is first
+        assert store.metrics.items_decoded == 1
+        assert (store.metrics.item_misses, store.metrics.item_hits) == (1, 1)
+        everything = store.source_items(1)
+        assert everything[1] is first
+        assert store.metrics.items_decoded == len(everything)
+        with pytest.raises(BacktraceError):
+            store.source_item(1, 10**9)
+
+
 class TestEvictionAccounting:
     @pytest.fixture
     def store(self, recorded):
@@ -198,6 +247,8 @@ class TestEvictionAccounting:
             "item_misses": 0,
             "bytes_read": 0,
             "evictions": 0,
+            "rows_decoded": 0,
+            "items_decoded": 0,
             "hit_rate": 0.0,
         }
 

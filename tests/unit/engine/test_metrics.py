@@ -95,6 +95,7 @@ class TestSegmentCacheMetrics:
         metrics.hits, metrics.misses = 3, 1
         metrics.item_hits, metrics.item_misses = 2, 2
         metrics.bytes_read, metrics.evictions = 4096, 1
+        metrics.add(rows_decoded=5, items_decoded=7)
         assert metrics.to_json() == {
             "hits": 3,
             "misses": 1,
@@ -102,6 +103,8 @@ class TestSegmentCacheMetrics:
             "item_misses": 2,
             "bytes_read": 4096,
             "evictions": 1,
+            "rows_decoded": 5,
+            "items_decoded": 7,
             "hit_rate": 0.75,
         }
 
@@ -109,10 +112,13 @@ class TestSegmentCacheMetrics:
         registry = MetricsRegistry()
         metrics = SegmentCacheMetrics()
         metrics.misses, metrics.bytes_read = 4, 1024
+        metrics.add(rows_decoded=3, items_decoded=2)
         metrics.publish(registry)
         metrics.publish(registry)  # two queries accumulate
         assert registry.counter("repro_segment_cache_misses_total").value == 8
         assert registry.counter("repro_segment_cache_bytes_read_total").value == 2048
+        assert registry.counter("repro_segment_cache_rows_decoded_total").value == 6
+        assert registry.counter("repro_segment_cache_items_decoded_total").value == 4
 
 
 class TestExecutionMetricsPublish:
