@@ -29,10 +29,10 @@ Per operator kind the forward step mirrors the backward step of
 Subjects are selected with the same tree-pattern language queries use,
 matched against the *source items* instead of the results.  With a
 persisted :class:`~repro.warehouse.index.RunIndex` the matching is
-index-assisted (TERMS postings narrow the candidates, ITEMS byte ranges
-decode only those candidates, and the closure skips every operator the
-INPUTS map proves untouched); without one everything falls back to a full
-scan.  Both paths confirm every candidate with
+index-assisted (TERMS postings narrow the candidates, the store parses only
+those candidates out of its item block, and the closure skips every operator
+the INPUTS map proves untouched); without one everything falls back to a
+full scan.  Both paths confirm every candidate with
 :func:`~repro.core.treepattern.matcher.match_item`, so their answers are
 byte-identical -- the index is an accelerator, never an oracle.
 """
@@ -63,8 +63,7 @@ from repro.obs.tracer import get_tracer
 from repro.pebble.query import as_pattern
 from repro.core.treepattern.matcher import match_item
 from repro.warehouse.index import MAX_TERM_LEN, RunIndex
-from repro.warehouse.live import LiveProvenanceStore
-from repro.warehouse.reader import DEFAULT_CACHE_SIZE, LazyProvenanceStore
+from repro.warehouse.reader import DEFAULT_CACHE_SIZE
 
 __all__ = [
     "AUDIT_METHODS",
@@ -213,6 +212,11 @@ class ForwardTracer:
         self._execution = execution
         self._store: ProvenanceStoreProtocol = execution.store
         self._index = index
+        #: Candidates are tested and dropped; a warehouse store can parse
+        #: them without keeping them resident.
+        self._candidate = getattr(
+            self._store, "peek_source_item", self._store.source_item
+        )
 
     # -- subject matching ------------------------------------------------------
 
@@ -254,8 +258,7 @@ class ForwardTracer:
                     return ()
                 confirmed = []
                 for item_id in sorted(candidates):
-                    item = self._candidate_item(oid, item_id)
-                    if match_item(pattern, item) is not None:
+                    if match_item(pattern, self._candidate(oid, item_id)) is not None:
                         confirmed.append(item_id)
                 return tuple(confirmed)
         items = self._store.source_items(oid)
@@ -264,18 +267,6 @@ class ForwardTracer:
             for item_id in sorted(items)
             if match_item(pattern, items[item_id]) is not None
         )
-
-    def _candidate_item(self, oid: int, item_id: int) -> DataItem:
-        """One source item, through the ITEMS byte range when available."""
-        store = self._store
-        if self._index is not None and isinstance(store, LazyProvenanceStore):
-            with get_breakdown().phase("index_probe"):
-                item = self._index.source_item(
-                    store.run_dir_path, store.manifest, oid, item_id
-                )
-            if item is not None:
-                return item
-        return store.source_item(oid, item_id)
 
     # -- the forward closure ---------------------------------------------------
 
@@ -377,8 +368,8 @@ class ForwardTracer:
 
     def _topology(self) -> dict[int, tuple[int, ...]]:
         store = self._store
-        # Warehouse-backed stores (lazy batch reader, live epoch store) keep
-        # the operator graph in their footer; only in-memory stores decode.
+        # The warehouse store keeps the operator graph in its footer; only
+        # in-memory stores decode.
         footer = getattr(store, "footer_topology", None)
         if footer is not None:
             return footer()
@@ -474,7 +465,6 @@ def load_execution(
     )
     if method == "eager":
         store = execution.store
-        assert isinstance(store, (LazyProvenanceStore, LiveProvenanceStore))
         for oid in sorted(store.size_report().per_operator):
             store.get(oid)
             if store.is_source(oid):
@@ -516,15 +506,14 @@ def trace_forward(
         tracer = ForwardTracer(execution, index)
         result = tracer.trace(pattern)
     if breakdown is not None:
-        store = execution.store
-        if isinstance(store, (LazyProvenanceStore, LiveProvenanceStore)):
-            breakdown.count(
-                segments_decoded=store.metrics.misses,
-                cache_hits=store.metrics.hits,
-                cache_misses=store.metrics.misses,
-                bytes_read=store.metrics.bytes_read,
-            )
-        breakdown.count(method=method)
+        metrics = execution.store.metrics
+        breakdown.count(
+            segments_decoded=metrics.misses,
+            cache_hits=metrics.hits,
+            cache_misses=metrics.misses,
+            bytes_read=metrics.bytes_read,
+            method=method,
+        )
         breakdown.finish()
         observe_query(
             "forward",

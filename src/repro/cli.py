@@ -742,8 +742,7 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    from repro.warehouse import RunIndex, Warehouse
-    from repro.warehouse.reader import load_manifest
+    from repro.warehouse import Warehouse
 
     warehouse = Warehouse.open(args.root)
     record = warehouse.resolve(args.run)
@@ -765,8 +764,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         return 0
 
     if args.index_command == "info":
-        manifest = load_manifest(warehouse.run_dir(record.run_id))
-        index = RunIndex.load(warehouse.run_dir(record.run_id), manifest)
+        index = warehouse.load_index(record.run_id)
         if index is None:
             print(f"{record.run_id}: not indexed "
                   f"(forward/audit queries fall back to a full scan)")

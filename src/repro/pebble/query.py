@@ -71,11 +71,11 @@ def trace_matches(
     with breakdown.phase("pattern_match"):
         seeds = seed_structure(matches)
     matched_ids = sorted(match.item_id for match in matches if match.item_id is not None)
-    is_empty = getattr(store, "is_empty", None)
-    if is_empty is not None and is_empty():
+    if len(store) == 0:
         # Every epoch of a live run can expire out from under a query (or a
-        # run may not have ingested a batch yet); an erased run answers
-        # nothing rather than failing the sink-topology walk.
+        # run may not have ingested a batch yet); a store with no operator
+        # at all -- not even the sink -- answers nothing rather than failing
+        # the sink-topology walk.
         return ProvenanceResult([], matched_ids)
     backtracer = Backtracer(store)
     with tracer.span("backtrace", "query", seeds=len(matches)):

@@ -37,7 +37,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.audit.forward import ForwardTracer
+from repro.audit.forward import ForwardTracer, load_execution
 from repro.audit.sar import (
     DEFAULT_SUBJECT_TEMPLATE,
     erasure_over_tracers,
@@ -56,7 +56,6 @@ from repro.serve.cache import PatternResultCache
 from repro.serve.pool import QueryPool
 from repro.warehouse import Warehouse
 from repro.warehouse.catalog import LEGACY_SHARD, RUN_EPOCH_PREFIX
-from repro.warehouse.live import LiveProvenanceStore
 from repro.warehouse.reader import DEFAULT_CACHE_SIZE, LazyProvenanceStore
 from repro.warehouse.service import METRICS_NAME
 
@@ -153,10 +152,8 @@ class _ResidentRun:
         return ForwardTracer(self.execution, self.index)
 
     @property
-    def store(self) -> "LazyProvenanceStore | LiveProvenanceStore":
-        store = self.execution.store
-        assert isinstance(store, (LazyProvenanceStore, LiveProvenanceStore))
-        return store
+    def store(self) -> LazyProvenanceStore:
+        return self.execution.store  # type: ignore[return-value]
 
 
 class QueryService:
@@ -746,33 +743,21 @@ class QueryService:
             resident = self._residents.get(key)
             if resident is not None:
                 return resident
-            record = self.warehouse.resolve(run_id)
-            cache_size = self.config.segment_cache_size
-            if method == "eager":
-                # Nothing may evict: the whole run stays resident.
-                cache_size = max(cache_size, record.operator_count)
             with get_tracer().span(
                 "serve-load", "serve", run_id=run_id, method=method
             ):
-                execution = self.warehouse.load(
+                # Eager: nothing may evict, the whole run decodes up front.
+                _, execution = load_execution(
+                    self.warehouse,
                     run_id,
+                    method=method,
                     num_partitions=self.config.num_partitions,
-                    cache_size=cache_size,
+                    cache_size=self.config.segment_cache_size,
                 )
                 index = self.warehouse.load_index(run_id)
                 resident = _ResidentRun(execution, method, index)
-                if method == "eager":
-                    self._materialise(resident.store)
             self._residents[key] = resident
             return resident
-
-    @staticmethod
-    def _materialise(store: LazyProvenanceStore) -> None:
-        """Decode every operator segment and source-item block up front."""
-        for oid in sorted(store.size_report().per_operator):
-            store.get(oid)
-            if store.is_source(oid):
-                store.source_items(oid)
 
     def debug_slow(self) -> dict[str, Any]:
         """The slow-query ring: what ``GET /debug/slow`` returns.

@@ -13,8 +13,11 @@ Modules:
 * :mod:`~repro.warehouse.writer` -- spills one segment per operator plus a
   footer index,
 * :mod:`~repro.warehouse.catalog` -- the JSON run registry,
-* :mod:`~repro.warehouse.reader` -- :class:`LazyProvenanceStore` with an
-  LRU segment cache and hit/miss metrics,
+* :mod:`~repro.warehouse.reader` -- ``run_parts`` (a batch run is one part,
+  a streamed run one per micro-batch) and the :class:`LazyProvenanceStore`
+  over them, with an LRU segment cache and hit/miss metrics,
+* :mod:`~repro.warehouse.live` -- the epoch-append lifecycle of streamed
+  runs (append, seal, compact, retain),
 * :mod:`~repro.warehouse.index` -- the persisted per-run query index
   (inverted input ids, source-item terms and byte ranges, A/M paths)
   backing forward tracing and the ``repro.audit`` subsystem,

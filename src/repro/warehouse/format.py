@@ -370,11 +370,14 @@ class SourceItemBlock:
         """How many of the block's items have been parsed so far."""
         return len(self._items)
 
+    def peek(self, item_id: int) -> DataItem:
+        """Item *item_id*, not kept when this call had to parse it."""
+        item = self._items.get(item_id)
+        return item if item is not None else item_from_json(self._encoded[item_id])
+
     def get(self, item_id: int) -> DataItem:
         """Item *item_id*; raises ``KeyError`` when the block lacks it."""
-        item = self._items.get(item_id)
-        if item is None:
-            item = self._items[item_id] = item_from_json(self._encoded[item_id])
+        item = self._items[item_id] = self.peek(item_id)
         return item
 
     def all(self) -> dict[int, DataItem]:

@@ -24,8 +24,10 @@ four sections:
 
 ``ITEMS``
     Per source oid, the absolute byte range of each item record inside its
-    segment file -- a subject lookup decodes candidate items only, not the
-    whole block.
+    segment file.  **Unread**: candidates are parsed one at a time out of
+    the store's header-hopped block (``store.peek_source_item``), which is
+    as selective and opens no file per candidate.  The section stays written
+    so ``INDEX_VERSION`` 1 bytes do not move; it goes at the next bump.
 
 ``PATHS``
     The A/M records inverted: ``path -> accessing oids`` and ``path ->
@@ -37,14 +39,16 @@ segments (:func:`RunIndex.build`), so record-time indexing and
 ``repro index build`` backfill share one code path and produce identical
 bytes.  ``manifest.json`` gains an ``"index"`` entry pointing at the
 segment; a run without that entry (or whose segment file is missing) loads
-as ``None`` and every reader falls back to the full scan.
+as ``None`` and every reader falls back to the full scan.  An epoch-layout
+run carries one ``index.seg`` per part, built on append; :meth:`RunIndex.load`
+unions them, so every run is probed through one index type.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path as FsPath
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.core.operator_provenance import (
     AggregationAssociations,
@@ -54,10 +58,9 @@ from repro.core.operator_provenance import (
     UnaryAssociations,
 )
 from repro.errors import ProvenanceError
-from repro.nested.json_io import item_from_json
-from repro.nested.values import DataItem
 import repro.warehouse.format as wf
-from repro.warehouse.writer import MANIFEST_NAME, OPS_DIR
+from repro.warehouse.reader import load_manifest, run_parts
+from repro.warehouse.writer import OPS_DIR, write_manifest
 
 __all__ = [
     "INDEX_SEGMENT",
@@ -114,6 +117,15 @@ def _consumed_ids(associations: Any) -> Iterator[int]:
         )
 
 
+def _union_postings(sections: Iterable[dict[Any, tuple[Any, ...]]]) -> dict[Any, Any]:
+    """Union ``key -> sorted postings`` maps, keeping postings sorted."""
+    merged: dict[Any, set[Any]] = {}
+    for section in sections:
+        for key, values in section.items():
+            merged.setdefault(key, set()).update(values)
+    return {key: tuple(sorted(values)) for key, values in merged.items()}
+
+
 class RunIndex:
     """The decoded persisted index of one stored run."""
 
@@ -155,9 +167,6 @@ class RunIndex:
                 f"term of length {len(term)} exceeds the index cap {MAX_TERM_LEN}"
             )
         return self.terms.get(term, ())
-
-    def item_range(self, oid: int, item_id: int) -> tuple[int, int] | None:
-        return self.items.get(oid, {}).get(item_id)
 
     def operators_touching(self, path: str) -> dict[str, tuple[int, ...]]:
         """A/M operators of one path (the PATHS section, both directions)."""
@@ -305,34 +314,40 @@ class RunIndex:
 
     @classmethod
     def load(cls, run_dir: FsPath, manifest: dict[str, Any]) -> "RunIndex | None":
-        """The run's persisted index, or ``None`` when absent (scan fallback)."""
-        entry = manifest.get("index")
-        if not entry:
-            return None
-        path = FsPath(run_dir) / entry["segment"]
-        if not path.exists():
-            return None
-        return cls.decode(path.read_bytes())
+        """The run's persisted index, or ``None`` when absent (scan fallback).
 
-    def source_item(
-        self, run_dir: FsPath, manifest: dict[str, Any], oid: int, item_id: int
-    ) -> DataItem | None:
-        """Decode one source item through its ITEMS byte range, if indexed."""
-        byte_range = self.item_range(oid, item_id)
-        if byte_range is None:
-            return None
-        entry = manifest["operators"][str(oid)]
-        offset, length = byte_range
-        with open(FsPath(run_dir) / OPS_DIR / entry["segment"], "rb") as handle:
-            handle.seek(offset)
-            raw = handle.read(length)
-        cursor = wf.Cursor(raw)
-        decoded_id = cursor.u64()
-        if decoded_id != item_id:
-            raise ProvenanceError(
-                f"index range for item {item_id} decoded id {decoded_id}"
-            )
-        return item_from_json(cursor.raw())
+        One part loads as decoded; several parts' indexes are unioned.  A
+        run with any unindexed part loads as ``None``: only a complete index
+        makes an empty posting a proof of absence.
+        """
+        decoded = []
+        for part in run_parts(run_dir, manifest):
+            if not part.index:
+                return None
+            path = part.directory / part.index["segment"]
+            if not path.exists():
+                return None
+            decoded.append(cls.decode(path.read_bytes()))
+        return decoded[0] if len(decoded) == 1 else cls._union(decoded)
+
+    @classmethod
+    def _union(cls, parts: "list[RunIndex]") -> "RunIndex":
+        """One index over several parts' indexes: ids are unique across a
+        run and every section maps ``key -> sorted postings``, so the union
+        of complete parts is complete.  (ITEMS ranges stay part-relative;
+        the section has no reader.)
+        """
+        items: dict[int, dict[int, tuple[int, int]]] = {}
+        for part in parts:
+            for oid, ranges in part.items.items():
+                items.setdefault(oid, {}).update(ranges)
+        return cls(
+            _union_postings(part.inputs for part in parts),
+            _union_postings(part.terms for part in parts),
+            items,
+            _union_postings(part.accessed for part in parts),
+            _union_postings(part.manipulated for part in parts),
+        )
 
     def __repr__(self) -> str:
         return (
@@ -353,12 +368,8 @@ def ensure_index(
     """
     run_dir = FsPath(run_dir)
     if manifest is None:
-        with open(run_dir / MANIFEST_NAME, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        manifest = load_manifest(run_dir)
     entry = RunIndex.build(run_dir, manifest).write(run_dir)
     manifest["index"] = entry
-    tmp = run_dir / (MANIFEST_NAME + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-    tmp.replace(run_dir / MANIFEST_NAME)
+    write_manifest(run_dir, manifest)
     return entry

@@ -22,6 +22,12 @@ cache invalidation granule), ``next_pid`` (the executor id counter, so ids
 stay globally unique across batches), the ``watermark``, and one entry per
 epoch mirroring the batch footer index.
 
+This module is the *lifecycle* only.  Reading goes through
+:func:`repro.warehouse.reader.run_parts` and the one
+:class:`~repro.warehouse.reader.LazyProvenanceStore`: each visible epoch is
+a part, written by the same :func:`~repro.warehouse.writer.write_part` that
+writes a batch run's directory.
+
 Run lifecycle::
 
     live --(finish(compact=False))--> sealed, epoch layout   (retention applies)
@@ -44,57 +50,47 @@ time-based deletion).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import shutil
 import time
 from pathlib import Path as FsPath
-from typing import Any, Iterator
+from typing import Any
 
 from repro.core.operator_provenance import (
     AggregationAssociations,
     Associations,
     BinaryAssociations,
     FlattenAssociations,
-    InputRef,
     OperatorProvenance,
     ReadAssociations,
     UnaryAssociations,
 )
-from repro.core.store import ProvenanceSizeReport, ProvenanceStore
-from repro.engine.metrics import SegmentCacheMetrics
-from repro.errors import BacktraceError, LiveRunError, ProvenanceError, StreamError
+from repro.core.store import ProvenanceStore
+from repro.engine.executor import ExecutionResult
+from repro.engine.metrics import ExecutionMetrics
+from repro.errors import LiveRunError, ProvenanceError, StreamError
 from repro.nested.schema import Schema
-from repro.nested.types import unify
-from repro.nested.values import DataItem
-from repro.obs.breakdown import get_breakdown
+from repro.nested.types import StructType
 import repro.warehouse.format as wf
 from repro.warehouse.index import RunIndex
-from repro.warehouse.reader import count_items_decoded
+from repro.warehouse.reader import LazyProvenanceStore, RestoredPlanNode
 from repro.warehouse.writer import (
     DEFAULT_SUB_SHARD_SPAN,
-    MANIFEST_NAME,
-    OPS_DIR,
-    ROWS_SEGMENT,
-    _operator_segment,
+    write_manifest,
+    write_part,
     write_run,
 )
 
 __all__ = [
     "BATCHES_DIR",
     "RETENTION_DIR",
-    "LiveProvenanceStore",
-    "MergedRunIndex",
     "append_epoch",
     "check_not_epoch_layout",
     "compact_live_run",
     "create_live_manifest",
     "is_epoch_layout",
-    "read_epoch_encoded_rows",
-    "read_epoch_rows",
     "retain_epochs",
     "seal_live_manifest",
-    "write_live_manifest",
 ]
 
 BATCHES_DIR = "batches"
@@ -118,20 +114,6 @@ def check_not_epoch_layout(manifest: dict[str, Any], operation: str) -> None:
         )
 
 
-def write_live_manifest(run_dir: FsPath, manifest: dict[str, Any]) -> None:
-    """Persist the live manifest atomically (write-then-rename).
-
-    Epoch directories are written *before* the manifest referencing them,
-    so a reader holding a previously loaded manifest keeps resolving every
-    segment it can see -- the admission-time snapshot costs nothing.
-    """
-    run_dir = FsPath(run_dir)
-    tmp = run_dir / (MANIFEST_NAME + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-    tmp.replace(run_dir / MANIFEST_NAME)
-
-
 def create_live_manifest(
     run_dir: FsPath, run_id: str, name: str, created: float, sink_oid: int
 ) -> dict[str, Any]:
@@ -152,7 +134,7 @@ def create_live_manifest(
         "total_bytes": 0,
         "epochs": [],
     }
-    write_live_manifest(run_dir, manifest)
+    write_manifest(run_dir, manifest)
     return manifest
 
 
@@ -176,36 +158,18 @@ def append_epoch(
         raise LiveRunError(
             f"run {manifest.get('run_id')!r} is sealed; cannot append epochs"
         )
-    store = execution.store
-    if store is None:
-        raise ProvenanceError("only capture-enabled executions can be appended")
     run_dir = FsPath(run_dir)
     epoch = manifest["segment_epoch"] + 1
     epoch_dir = run_dir / BATCHES_DIR / f"epoch-{epoch:04d}"
-    ops_dir = epoch_dir / OPS_DIR
-    ops_dir.mkdir(parents=True, exist_ok=False)
-
-    total_bytes = 0
-    operators: dict[str, Any] = {}
-    for provenance in store.operators():
-        segment, entry = _operator_segment(store, provenance)
-        (ops_dir / entry["segment"]).write_bytes(segment)
-        entry["segment_bytes"] = len(segment)
-        total_bytes += len(segment)
-        operators[str(provenance.oid)] = entry
-
-    rows = execution.rows()
-    row_count = len(rows)
-    rows_segment = wf.encode_segment(wf.SEGMENT_ROWS, wf.encode_rows(rows))
-    (epoch_dir / ROWS_SEGMENT).write_bytes(rows_segment)
-    total_bytes += len(rows_segment)
-
+    operators, row_count, rows_bytes, total_bytes = write_part(
+        epoch_dir, execution, DEFAULT_SUB_SHARD_SPAN
+    )
     entry = {
         "epoch": epoch,
         "dir": f"{BATCHES_DIR}/epoch-{epoch:04d}",
         "created": created if created is not None else time.time(),
         "rows": row_count,
-        "rows_bytes": len(rows_segment),
+        "rows_bytes": rows_bytes,
         "total_bytes": total_bytes,
         "watermark": watermark,
         "operators": operators,
@@ -223,7 +187,7 @@ def append_epoch(
     manifest["rows"]["count"] += row_count
     manifest["total_bytes"] += entry["total_bytes"]
     manifest["epochs"].append(entry)
-    write_live_manifest(run_dir, manifest)
+    write_manifest(run_dir, manifest)
     return entry
 
 
@@ -238,405 +202,13 @@ def seal_live_manifest(run_dir: FsPath, manifest: dict[str, Any]) -> dict[str, A
     """
     manifest["live"] = False
     manifest["segment_epoch"] += 1
-    write_live_manifest(run_dir, manifest)
+    write_manifest(run_dir, manifest)
     return manifest
-
-
-def read_epoch_encoded_rows(
-    run_dir: FsPath, manifest: dict[str, Any], max_epoch: int | None = None
-) -> Iterator[tuple[int | None, bytes]]:
-    """The sink rows of every visible (unexpired) epoch as ``(pid, raw JSON)``.
-
-    The segments are read before this returns; only the row hop is lazy.
-    """
-    cursors = [
-        wf.open_segment(
-            (FsPath(run_dir) / entry["dir"] / ROWS_SEGMENT).read_bytes(), wf.SEGMENT_ROWS
-        )
-        for entry in _visible_epochs(manifest, max_epoch)
-    ]
-    return itertools.chain.from_iterable(map(wf.iter_encoded_rows, cursors))
-
-
-def read_epoch_rows(
-    run_dir: FsPath, manifest: dict[str, Any], max_epoch: int | None = None
-) -> list[tuple[int | None, DataItem]]:
-    """Concatenate the sink rows of every visible (unexpired) epoch."""
-    return wf.materialise_rows(read_epoch_encoded_rows(run_dir, manifest, max_epoch))
-
-
-def _visible_epochs(
-    manifest: dict[str, Any], max_epoch: int | None = None
-) -> list[dict[str, Any]]:
-    return [
-        entry
-        for entry in manifest["epochs"]
-        if not entry.get("expired")
-        and (max_epoch is None or entry["epoch"] <= max_epoch)
-    ]
-
-
-def _merge_associations(parts: list[Associations]) -> Associations:
-    """Concatenate association bags of one operator across epochs, in order."""
-    first = parts[0]
-    if isinstance(first, ReadAssociations):
-        ids: list[int] = []
-        for part in parts:
-            ids.extend(part.ids)  # type: ignore[attr-defined]
-        return ReadAssociations(ids)
-    records: list[Any] = []
-    for part in parts:
-        records.extend(part.records)  # type: ignore[attr-defined]
-    return type(first)(records)  # type: ignore[call-arg]
-
-
-def _merge_inputs(parts: list[OperatorProvenance]) -> list[InputRef]:
-    """Merge the ``I`` entries of one operator across epochs.
-
-    Predecessors and accessed paths are static plan metadata (identical in
-    every epoch); the input *schema* snapshot is not -- it is sampled from
-    the rows each micro-batch actually carried, so an epoch that saw no (or
-    structurally narrower) rows records a narrower struct.  Unifying the
-    snapshots yields the schema a one-shot batch over the concatenated
-    input would have sampled, which is what schema-dependent backtracing
-    (map marks the whole schema manipulated, join prunes the other side)
-    and byte-identical compaction both need.
-    """
-    merged: list[InputRef] = []
-    for index, entry in enumerate(parts[0].inputs):
-        schemas = [
-            part.inputs[index].schema
-            for part in parts
-            if part.inputs[index].schema is not None
-        ]
-        schema = schemas[0] if schemas else None
-        for other in schemas[1:]:
-            schema = Schema(unify(schema.struct, other.struct))
-        merged.append(InputRef(entry.predecessor, entry.accessed, schema))
-    return merged
-
-
-class LiveProvenanceStore:
-    """Merged on-demand view over the epoch delta segments of a live run.
-
-    Satisfies the :class:`~repro.core.store.ProvenanceStoreProtocol` (plus
-    the lazy store's convenience surface: ``sink_oid``, ``run_id``,
-    ``footer_topology``, ``manifest``), so backtracing and forward tracing
-    run over a still-growing run unchanged.  An operator's record is the
-    concatenation of its per-epoch association entries in epoch order;
-    ``M`` comes from the first visible epoch (static plan metadata), while
-    the per-input schema snapshots of ``I`` are unified across epochs --
-    schema sampling is batch-local, so single epochs can record narrower
-    structs than the stream as a whole.
-
-    The constructor snapshots the manifest's epoch list: batches appended
-    afterwards are invisible, which is exactly the query-admission contract.
-    ``max_epoch`` restricts the view further (used to compare a mid-ingest
-    answer against the sealed run).  Expired epochs are skipped.
-    """
-
-    def __init__(
-        self,
-        run_dir: FsPath,
-        manifest: dict[str, Any] | None = None,
-        max_epoch: int | None = None,
-    ):
-        self._run_dir = FsPath(run_dir)
-        if manifest is None:
-            from repro.warehouse.reader import load_manifest
-
-            manifest = load_manifest(run_dir)
-        if not is_epoch_layout(manifest):
-            raise ProvenanceError(
-                f"run {manifest.get('run_id')!r} is not in epoch layout"
-            )
-        self._manifest = manifest
-        self._epochs = _visible_epochs(manifest, max_epoch)
-        self.max_epoch = max_epoch
-        #: oid -> [(epoch entry, operator entry)] in epoch order.
-        self._by_oid: dict[int, list[tuple[dict[str, Any], dict[str, Any]]]] = {}
-        for epoch_entry in self._epochs:
-            for oid_text, op_entry in epoch_entry["operators"].items():
-                self._by_oid.setdefault(int(oid_text), []).append(
-                    (epoch_entry, op_entry)
-                )
-        self._operators: dict[int, OperatorProvenance] = {}
-        #: oid -> the read operator's item block of every visible epoch.
-        self._source_items: dict[int, list[wf.SourceItemBlock]] = {}
-        #: Same accounting surface as the lazy store: a "miss" is one merged
-        #: operator decode (however many epoch segments it touched).
-        self.metrics = SegmentCacheMetrics()
-
-    # -- identity --------------------------------------------------------------
-
-    @property
-    def run_dir_path(self) -> FsPath:
-        return self._run_dir
-
-    @property
-    def manifest(self) -> dict[str, Any]:
-        return self._manifest
-
-    @property
-    def run_id(self) -> str:
-        return self._manifest["run_id"]
-
-    @property
-    def sink_oid(self) -> int:
-        return self._manifest["sink_oid"]
-
-    @property
-    def live(self) -> bool:
-        return bool(self._manifest.get("live"))
-
-    def visible_epochs(self) -> tuple[int, ...]:
-        return tuple(entry["epoch"] for entry in self._epochs)
-
-    # -- index-only lookups ----------------------------------------------------
-
-    def has(self, oid: int) -> bool:
-        return oid in self._by_oid
-
-    def is_empty(self) -> bool:
-        """True when no visible epoch carries provenance.
-
-        A run whose every epoch expired (or which never ingested a batch)
-        has no operator segments at all -- not even the sink -- so queries
-        must answer empty instead of attempting a topology walk.
-        """
-        return not self._by_oid
-
-    def _entries(self, oid: int) -> list[tuple[dict[str, Any], dict[str, Any]]]:
-        entries = self._by_oid.get(oid)
-        if not entries:
-            raise BacktraceError(f"no captured provenance for operator {oid}")
-        return entries
-
-    def is_source(self, oid: int) -> bool:
-        return self._entries(oid)[0][1]["kind"] == "read"
-
-    def source_name(self, oid: int) -> str:
-        entries = self._by_oid.get(oid)
-        if not entries or "source_name" not in entries[0][1]:
-            return f"source-{oid}"
-        return entries[0][1]["source_name"]
-
-    def footer_topology(self) -> dict[int, tuple[int, ...]]:
-        return {
-            oid: tuple(entries[0][1].get("predecessors", ()))
-            for oid, entries in self._by_oid.items()
-        }
-
-    def size_report(self) -> ProvenanceSizeReport:
-        lineage = 0
-        structural = 0
-        records = 0
-        per_operator: dict[int, tuple[str, int, int]] = {}
-        for oid, entries in self._by_oid.items():
-            op_lineage = sum(entry["lineage_bytes"] for _, entry in entries)
-            op_structural = sum(entry["structural_bytes"] for _, entry in entries)
-            records += sum(entry["records"] for _, entry in entries)
-            lineage += op_lineage
-            structural += op_structural
-            per_operator[oid] = (entries[0][1]["op_type"], op_lineage, op_structural)
-        return ProvenanceSizeReport(lineage, structural, records, per_operator)
-
-    # -- merged decoding -------------------------------------------------------
-
-    def _read_range(
-        self, epoch_entry: dict[str, Any], op_entry: dict[str, Any],
-        offset_key: str, length_key: str,
-    ) -> bytes:
-        path = self._run_dir / epoch_entry["dir"] / OPS_DIR / op_entry["segment"]
-        with open(path, "rb") as handle:
-            handle.seek(op_entry[offset_key])
-            raw = handle.read(op_entry[length_key])
-        self.metrics.add(bytes_read=len(raw))
-        return raw
-
-    def get(self, oid: int) -> OperatorProvenance:
-        cached = self._operators.get(oid)
-        if cached is not None:
-            self.metrics.add(hits=1)
-            return cached
-        self.metrics.add(misses=1)
-        with get_breakdown().phase("segment_decode"):
-            parts = [
-                wf.decode_operator(
-                    wf.Cursor(self._read_range(epoch, entry, "offset", "record_length"))
-                )
-                for epoch, entry in self._entries(oid)
-            ]
-            first = parts[0]
-            merged = OperatorProvenance(
-                first.oid,
-                first.op_type,
-                _merge_inputs(parts),
-                first.manipulations,
-                _merge_associations([part.associations for part in parts]),
-                label=first.label,
-            )
-        self._operators[oid] = merged
-        return merged
-
-    def _source_blocks(self, oid: int) -> list[wf.SourceItemBlock]:
-        """Read operator *oid*'s item block of every visible epoch.
-
-        A miss reads and header-hops the blocks; no item JSON is parsed.
-        """
-        cached = self._source_items.get(oid)
-        if cached is not None:
-            self.metrics.add(item_hits=1)
-            return cached
-        entries = self._entries(oid)
-        if any("items_offset" not in op_entry for _, op_entry in entries):
-            raise BacktraceError(f"operator {oid} is not a read operator")
-        self.metrics.add(item_misses=1)
-        with get_breakdown().phase("segment_decode"):
-            blocks = [
-                wf.open_source_items(
-                    self._read_range(epoch_entry, op_entry, "items_offset", "items_length")
-                )
-                for epoch_entry, op_entry in entries
-            ]
-        self._source_items[oid] = blocks
-        return blocks
-
-    def source_items(self, oid: int) -> dict[int, DataItem]:
-        merged: dict[int, DataItem] = {}
-        for block in self._source_blocks(oid):
-            with count_items_decoded(self.metrics, block):
-                merged.update(block.all())
-        return merged
-
-    def decayed_source_id(self, oid: int, item_id: int) -> bool:
-        """True when *item_id* was erased out from under a later reference.
-
-        Pids are append-only, so an id a downstream association still
-        carries but no visible epoch of read *oid* holds can only have
-        lived in an expired (or admission-invisible) epoch.  Window
-        aggregates emitted after a TTL sweep decay this way: the window
-        closed after its oldest members' epoch was retained away.
-        Answered from the blocks' id tables; no item is parsed.
-        """
-        return not any(item_id in block for block in self._source_blocks(oid))
-
-    def source_item(self, oid: int, item_id: int) -> DataItem:
-        for block in self._source_blocks(oid):
-            if item_id in block:
-                with count_items_decoded(self.metrics, block):
-                    return block.get(item_id)
-        raise BacktraceError(f"source {oid} has no item with id {item_id}")
-
-    def operators(self) -> Iterator[OperatorProvenance]:
-        for oid in sorted(self._by_oid):
-            yield self.get(oid)
-
-    def __len__(self) -> int:
-        return len(self._by_oid)
-
-    def __repr__(self) -> str:
-        state = "live" if self.live else "sealed"
-        return (
-            f"LiveProvenanceStore({self.run_id!r}, {state}, "
-            f"{len(self._epochs)} epochs, {len(self._by_oid)} operators)"
-        )
-
-
-class MergedRunIndex:
-    """The incremental index: per-epoch :class:`RunIndex` parts, probed merged.
-
-    Exposes the same probe surface (``consumers`` / ``candidates`` /
-    ``item_range`` / ``operators_touching`` / ``source_item``); each append
-    only builds the new epoch's part, so indexing cost per batch is
-    proportional to the batch, never to the run.
-    """
-
-    def __init__(self, run_dir: FsPath, manifest: dict[str, Any],
-                 max_epoch: int | None = None):
-        self._parts: list[tuple[dict[str, Any], RunIndex]] = []
-        run_dir = FsPath(run_dir)
-        for entry in _visible_epochs(manifest, max_epoch):
-            part = RunIndex.load(run_dir / entry["dir"], entry)
-            if part is not None:
-                self._parts.append((entry, part))
-        self._run_dir = run_dir
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def consumers(self, item_id: int) -> tuple[int, ...]:
-        oids: set[int] = set()
-        for _, part in self._parts:
-            oids.update(part.consumers(item_id))
-        return tuple(sorted(oids))
-
-    def candidates(self, term: str) -> tuple[tuple[int, int], ...]:
-        postings: set[tuple[int, int]] = set()
-        for _, part in self._parts:
-            postings.update(part.candidates(term))
-        return tuple(sorted(postings))
-
-    def item_range(self, oid: int, item_id: int) -> tuple[int, int] | None:
-        for _, part in self._parts:
-            found = part.item_range(oid, item_id)
-            if found is not None:
-                return found
-        return None
-
-    def operators_touching(self, path: str) -> dict[str, tuple[int, ...]]:
-        accessed: set[int] = set()
-        manipulated: set[int] = set()
-        for _, part in self._parts:
-            touching = part.operators_touching(path)
-            accessed.update(touching["accessed"])
-            manipulated.update(touching["manipulated"])
-        return {
-            "accessed": tuple(sorted(accessed)),
-            "manipulated": tuple(sorted(manipulated)),
-        }
-
-    def source_item(self, oid: int, item_id: int) -> DataItem | None:
-        for entry, part in self._parts:
-            found = part.source_item(
-                self._run_dir / entry["dir"], entry, oid, item_id
-            )
-            if found is not None:
-                return found
-        return None
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "epochs": len(self._parts),
-            "inputs": sum(len(part.inputs) for _, part in self._parts),
-            "terms": sum(len(part.terms) for _, part in self._parts),
-            "items": sum(
-                sum(len(r) for r in part.items.values()) for _, part in self._parts
-            ),
-        }
-
-    def __repr__(self) -> str:
-        return f"MergedRunIndex({len(self._parts)} epoch parts)"
 
 
 # ---------------------------------------------------------------------------
 # Compaction: epoch layout -> canonical batch layout
 # ---------------------------------------------------------------------------
-
-
-class _SealedExecution:
-    """Adapter feeding a compacted store and rows to :func:`write_run`."""
-
-    def __init__(self, sink_oid: int, rows: list[tuple[int | None, DataItem]],
-                 store: ProvenanceStore):
-        from repro.warehouse.reader import RestoredPlanNode
-
-        self.root = RestoredPlanNode(sink_oid)
-        self.store = store
-        self._rows = rows
-
-    def rows(self) -> list[tuple[int | None, DataItem]]:
-        return self._rows
 
 
 def _chain_order(topology: dict[int, tuple[int, ...]]) -> list[int]:
@@ -664,7 +236,7 @@ def _chain_order(topology: dict[int, tuple[int, ...]]) -> list[int]:
 
 def compact_live_run(
     run_dir: FsPath,
-    manifest: dict[str, Any] | None = None,
+    manifest: dict[str, Any],
     sub_shard_span: int = DEFAULT_SUB_SHARD_SPAN,
 ) -> dict[str, Any]:
     """Rewrite a sealed epoch-layout run into the canonical batch layout.
@@ -677,10 +249,6 @@ def compact_live_run(
     expired any epoch (the removed rows cannot be re-derived).
     """
     run_dir = FsPath(run_dir)
-    if manifest is None:
-        from repro.warehouse.reader import load_manifest
-
-        manifest = load_manifest(run_dir)
     if manifest.get("live"):
         raise LiveRunError(
             f"run {manifest.get('run_id')!r} is still live; seal before compacting"
@@ -692,7 +260,7 @@ def compact_live_run(
             f"run {manifest['run_id']!r} has expired epochs; a retained run "
             "stays in epoch layout"
         )
-    source = LiveProvenanceStore(run_dir, manifest)
+    source = LazyProvenanceStore(run_dir, manifest)
     id_map: dict[int, int] = {}
     next_id = 1
     compacted = ProvenanceStore()
@@ -755,12 +323,18 @@ def compact_live_run(
         )
     rows = [
         (id_map[pid] if pid is not None else None, item)
-        for pid, item in read_epoch_rows(run_dir, manifest)
+        for pid, item in wf.materialise_rows(source.encoded_rows())
     ]
-    execution = _SealedExecution(manifest["sink_oid"], rows, compacted)
+    execution = ExecutionResult(
+        RestoredPlanNode(manifest["sink_oid"]),
+        [rows],
+        Schema(StructType()),
+        compacted,
+        ExecutionMetrics(),
+    )
     sealed = write_run(
         run_dir,
-        execution,  # type: ignore[arg-type]
+        execution,
         manifest["run_id"],
         manifest["name"],
         manifest["created"],
@@ -808,32 +382,22 @@ def retain_epochs(
 
     expired_records: list[dict[str, Any]] = []
     for entry in due:
-        epoch_dir = run_dir / entry["dir"]
-        sink_ids = sorted(
-            pid
-            for pid, _ in read_epoch_rows(
-                run_dir, {"epochs": [entry]}, max_epoch=None
-            )
-            if pid is not None
-        )
-        source_ids: dict[str, list[int]] = {}
-        for oid_text, op_entry in entry["operators"].items():
-            if "items_offset" not in op_entry:
-                continue
-            path = epoch_dir / OPS_DIR / op_entry["segment"]
-            with open(path, "rb") as handle:
-                handle.seek(op_entry["items_offset"])
-                raw = handle.read(op_entry["items_length"])
-            source_ids[oid_text] = wf.open_source_items(raw).ids()
+        doomed = LazyProvenanceStore(run_dir, dict(manifest, epochs=[entry]))
         expired_records.append(
             {
                 "epoch": entry["epoch"],
                 "rows": entry["rows"],
-                "sink_ids": sink_ids,
-                "source_ids": source_ids,
+                "sink_ids": sorted(
+                    pid for pid, _ in doomed.encoded_rows() if pid is not None
+                ),
+                "source_ids": {
+                    oid_text: sorted(doomed.source_items(int(oid_text)))
+                    for oid_text, op_entry in entry["operators"].items()
+                    if op_entry["kind"] == "read"
+                },
             }
         )
-        shutil.rmtree(epoch_dir)
+        shutil.rmtree(run_dir / entry["dir"])
         entry["expired"] = True
         entry["expired_at"] = now
         entry["operators"] = {}
@@ -841,30 +405,25 @@ def retain_epochs(
         manifest["total_bytes"] -= entry["total_bytes"]
 
     manifest["segment_epoch"] += 1
-    write_live_manifest(run_dir, manifest)
+    write_manifest(run_dir, manifest)
 
     # Verify the expiry actually removed answerability: surviving sink rows
     # must not carry an expired id, and expired source ids must not resolve.
-    survivor = LiveProvenanceStore(run_dir, manifest)
+    survivor = LazyProvenanceStore(run_dir, manifest)
     surviving_ids = {
-        pid for pid, _ in read_epoch_rows(run_dir, manifest) if pid is not None
+        pid for pid, _ in survivor.encoded_rows() if pid is not None
     }
     sink_absent = all(
         not surviving_ids.intersection(record["sink_ids"])
         for record in expired_records
     )
-    sources_absent = True
-    for record in expired_records:
-        for oid_text, ids in record["source_ids"].items():
-            oid = int(oid_text)
-            for item_id in ids:
-                try:
-                    if not survivor.has(oid):
-                        continue
-                    survivor.source_item(oid, item_id)
-                except BacktraceError:
-                    continue
-                sources_absent = False
+    sources_absent = all(
+        not survivor.has(int(oid_text))
+        or survivor.decayed_source_id(int(oid_text), item_id)
+        for record in expired_records
+        for oid_text, ids in record["source_ids"].items()
+        for item_id in ids
+    )
     payload = {
         "run_id": manifest["run_id"],
         "swept_at": now,

@@ -1,5 +1,9 @@
 """Lazy reader: serve backtrace queries from segments without a full load.
 
+A stored run is a list of **parts** (:func:`run_parts`): a batch run is one
+part, an epoch-layout run (live or sealed-uncompacted) one part per visible
+micro-batch.  Everything that reads works over parts.
+
 :class:`LazyProvenanceStore` satisfies the
 :class:`~repro.core.store.ProvenanceStoreProtocol`, so the backtracing
 algorithm runs over it unchanged -- but operators decode on demand from
@@ -14,7 +18,8 @@ block only the items an answer lists are ever parsed
 
 Cache hits and misses feed a
 :class:`~repro.engine.metrics.SegmentCacheMetrics`, making "how much of the
-run did this query touch?" an observable rather than a hope.
+run did this query touch?" an observable rather than a hope (a miss is one
+operator decode, however many parts its record is spread over).
 
 The store is **thread safe**: one re-entrant lock guards the LRU maps and
 the decode path, so concurrent backtraces (the ``repro.serve`` query service
@@ -27,14 +32,20 @@ between threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path as FsPath
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
-from repro.core.operator_provenance import OperatorProvenance
+from repro.core.operator_provenance import (
+    Associations,
+    InputRef,
+    OperatorProvenance,
+    ReadAssociations,
+)
 from repro.core.store import ProvenanceSizeReport
 from repro.core.treepattern.matcher import (
     PatternMatch,
@@ -45,18 +56,21 @@ from repro.core.treepattern.pattern import TreePattern
 from repro.engine.metrics import SegmentCacheMetrics
 from repro.engine.plan import PlanNode
 from repro.errors import BacktraceError, ProvenanceError
+from repro.nested.schema import Schema
+from repro.nested.types import unify
 from repro.nested.values import DataItem
 from repro.obs.breakdown import get_breakdown
 from repro.obs.tracer import get_tracer
 import repro.warehouse.format as wf
-from repro.warehouse.writer import MANIFEST_NAME, OPS_DIR
+from repro.warehouse.writer import MANIFEST_NAME, OPS_DIR, ROWS_SEGMENT
 
 __all__ = [
     "LazyProvenanceStore",
     "RestoredPlanNode",
+    "RunPart",
     "load_manifest",
     "match_encoded_rows",
-    "read_encoded_rows",
+    "run_parts",
 ]
 
 #: Default number of decoded operator segments kept resident.
@@ -90,18 +104,37 @@ def load_manifest(run_dir: FsPath) -> dict[str, Any]:
     return manifest
 
 
-def read_encoded_rows(
-    run_dir: FsPath,
-    manifest: dict[str, Any],
-    metrics: SegmentCacheMetrics | None = None,
-) -> Iterator[tuple[int | None, bytes]]:
-    """Read the result rows segment of a run; yields ``(pid, raw JSON)``."""
-    with get_tracer().span("segment-read rows", "warehouse") as span:
-        buffer = (FsPath(run_dir) / manifest["rows"]["segment"]).read_bytes()
-        if metrics is not None:
-            metrics.add(bytes_read=len(buffer))
-        span.set(bytes=len(buffer))
-    return wf.iter_encoded_rows(wf.open_segment(buffer, wf.SEGMENT_ROWS))
+class RunPart(NamedTuple):
+    """One independently written slice of a stored run."""
+
+    #: Where the part's ``ops/``, ``rows.seg`` and ``index.seg`` live.
+    directory: FsPath
+    #: Footer index of the part: oid text -> segment/offsets/counts/sizes.
+    operators: dict[str, Any]
+    #: Manifest entry of the part's ``index.seg``, or ``None`` (unindexed).
+    index: dict[str, Any] | None
+
+
+def run_parts(
+    run_dir: FsPath, manifest: dict[str, Any], max_epoch: int | None = None
+) -> list[RunPart]:
+    """Locate a stored run's segments: the one place both manifest shapes meet.
+
+    A batch manifest is one part (the run directory itself); an epoch
+    manifest yields one part per visible epoch -- unexpired and, with
+    *max_epoch*, admitted at or before it -- in epoch order.  The list is a
+    snapshot: epochs appended afterwards stay invisible to its holder.
+    """
+    run_dir = FsPath(run_dir)
+    epochs = manifest.get("epochs")
+    if epochs is None:
+        return [RunPart(run_dir, manifest["operators"], manifest.get("index"))]
+    return [
+        RunPart(run_dir / entry["dir"], entry["operators"], entry.get("index"))
+        for entry in epochs
+        if not entry.get("expired")
+        and (max_epoch is None or entry["epoch"] <= max_epoch)
+    ]
 
 
 def match_encoded_rows(
@@ -137,8 +170,55 @@ def count_items_decoded(
         metrics.add(items_decoded=block.decoded - before)
 
 
+def _merge_associations(parts: list[Associations]) -> Associations:
+    """Concatenate association bags of one operator across parts, in order."""
+    first = parts[0]
+    if isinstance(first, ReadAssociations):
+        ids: list[int] = []
+        for part in parts:
+            ids.extend(part.ids)  # type: ignore[attr-defined]
+        return ReadAssociations(ids)
+    records: list[Any] = []
+    for part in parts:
+        records.extend(part.records)  # type: ignore[attr-defined]
+    return type(first)(records)  # type: ignore[call-arg]
+
+
+def _merge_inputs(parts: list[OperatorProvenance]) -> list[InputRef]:
+    """Merge the ``I`` entries of one operator across parts.
+
+    Predecessors and accessed paths are static plan metadata (identical in
+    every part); the input *schema* snapshot is not -- it is sampled from
+    the rows each micro-batch actually carried, so an epoch that saw no (or
+    structurally narrower) rows records a narrower struct.  Unifying the
+    snapshots yields the schema a one-shot batch over the concatenated
+    input would have sampled, which is what schema-dependent backtracing
+    (map marks the whole schema manipulated, join prunes the other side)
+    and byte-identical compaction both need.
+    """
+    merged: list[InputRef] = []
+    for index, entry in enumerate(parts[0].inputs):
+        schemas = [
+            part.inputs[index].schema
+            for part in parts
+            if part.inputs[index].schema is not None
+        ]
+        schema = schemas[0] if schemas else None
+        for other in schemas[1:]:
+            schema = Schema(unify(schema.struct, other.struct))
+        merged.append(InputRef(entry.predecessor, entry.accessed, schema))
+    return merged
+
+
 class LazyProvenanceStore:
-    """An on-disk provenance store decoding operator segments on demand."""
+    """A stored run's provenance, decoding operator segments on demand.
+
+    An operator spread over several parts (:func:`run_parts`) decodes as
+    the concatenation of its per-part associations in part order; ``M``
+    comes from the first part (static plan metadata), the input schema
+    snapshots of ``I`` are unified (:func:`_merge_inputs`).  *max_epoch*
+    pins the view to the epochs a mid-ingest query was admitted with.
+    """
 
     def __init__(
         self,
@@ -146,18 +226,24 @@ class LazyProvenanceStore:
         manifest: dict[str, Any] | None = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
         metrics: SegmentCacheMetrics | None = None,
+        max_epoch: int | None = None,
     ):
         if cache_size < 1:
             raise ProvenanceError(f"segment cache needs capacity >= 1, got {cache_size}")
-        self._run_dir = FsPath(run_dir)
         self._manifest = manifest if manifest is not None else load_manifest(run_dir)
-        #: oid -> footer index entry (segment, offsets, counts, sizes).
-        self._index: dict[int, dict[str, Any]] = {
-            int(oid): entry for oid, entry in self._manifest["operators"].items()
-        }
+        self._parts = run_parts(run_dir, self._manifest, max_epoch)
+        #: oid -> [(part directory, footer index entry)] in part order.
+        self._index: dict[int, list[tuple[FsPath, dict[str, Any]]]] = {}
+        for part in self._parts:
+            for oid, entry in part.operators.items():
+                self._index.setdefault(int(oid), []).append((part.directory, entry))
+        #: Only retention takes ids away from under a later reference.
+        self._decays = any(
+            entry.get("expired") for entry in self._manifest.get("epochs", ())
+        )
         self._cache_size = cache_size
         self._operators: OrderedDict[int, OperatorProvenance] = OrderedDict()
-        self._source_items: OrderedDict[int, wf.SourceItemBlock] = OrderedDict()
+        self._source_items: OrderedDict[int, list[wf.SourceItemBlock]] = OrderedDict()
         self.metrics = metrics if metrics is not None else SegmentCacheMetrics()
         #: Guards the two LRU maps and the decode path.
         self._lock = threading.RLock()
@@ -169,13 +255,13 @@ class LazyProvenanceStore:
 
     def is_source(self, oid: int) -> bool:
         """Answer from the footer index; no segment decode."""
-        return self._entry(oid)["kind"] == "read"
+        return self._entries(oid)[0][1]["kind"] == "read"
 
     def source_name(self, oid: int) -> str:
-        entry = self._index.get(oid)
-        if entry is None or "source_name" not in entry:
+        entries = self._index.get(oid)
+        if entries is None or "source_name" not in entries[0][1]:
             return f"source-{oid}"
-        return entry["source_name"]
+        return entries[0][1]["source_name"]
 
     def size_report(self) -> ProvenanceSizeReport:
         """Fig. 8 accounting straight from the footer index."""
@@ -183,15 +269,13 @@ class LazyProvenanceStore:
         structural = 0
         records = 0
         per_operator: dict[int, tuple[str, int, int]] = {}
-        for oid, entry in self._index.items():
-            lineage += entry["lineage_bytes"]
-            structural += entry["structural_bytes"]
-            records += entry["records"]
-            per_operator[oid] = (
-                entry["op_type"],
-                entry["lineage_bytes"],
-                entry["structural_bytes"],
-            )
+        for oid, entries in self._index.items():
+            op_lineage = sum(entry["lineage_bytes"] for _, entry in entries)
+            op_structural = sum(entry["structural_bytes"] for _, entry in entries)
+            records += sum(entry["records"] for _, entry in entries)
+            lineage += op_lineage
+            structural += op_structural
+            per_operator[oid] = (entries[0][1]["op_type"], op_lineage, op_structural)
         return ProvenanceSizeReport(lineage, structural, records, per_operator)
 
     @property
@@ -201,10 +285,6 @@ class LazyProvenanceStore:
     @property
     def run_id(self) -> str:
         return self._manifest["run_id"]
-
-    @property
-    def run_dir_path(self) -> FsPath:
-        return self._run_dir
 
     @property
     def manifest(self) -> dict[str, Any]:
@@ -218,32 +298,46 @@ class LazyProvenanceStore:
         operators its frontier actually reaches ever decode.
         """
         return {
-            oid: tuple(entry.get("predecessors", ()))
-            for oid, entry in self._index.items()
+            oid: tuple(entries[0][1].get("predecessors", ()))
+            for oid, entries in self._index.items()
         }
 
-    def _entry(self, oid: int) -> dict[str, Any]:
-        entry = self._index.get(oid)
-        if entry is None:
+    def _entries(self, oid: int) -> list[tuple[FsPath, dict[str, Any]]]:
+        entries = self._index.get(oid)
+        if entries is None:
             raise BacktraceError(f"no captured provenance for operator {oid}")
-        return entry
+        return entries
 
     # -- lazy decoding --------------------------------------------------------
 
-    def _read_range(self, entry: dict[str, Any], offset_key: str, length_key: str) -> bytes:
-        path = self._run_dir / OPS_DIR / entry["segment"]
-        with open(path, "rb") as handle:
+    def encoded_rows(self) -> Iterator[tuple[int | None, bytes]]:
+        """The run's result rows, part after part, as ``(pid, raw JSON)``.
+
+        The segments are read before this returns; only the row hop is lazy.
+        """
+        with get_tracer().span("segment-read rows", "warehouse") as span:
+            buffers = [(part.directory / ROWS_SEGMENT).read_bytes() for part in self._parts]
+            read = sum(map(len, buffers))
+            self.metrics.add(bytes_read=read)
+            span.set(bytes=read)
+        cursors = [wf.open_segment(buffer, wf.SEGMENT_ROWS) for buffer in buffers]
+        return itertools.chain.from_iterable(map(wf.iter_encoded_rows, cursors))
+
+    def _read_range(
+        self, directory: FsPath, entry: dict[str, Any], offset_key: str, length_key: str
+    ) -> bytes:
+        with open(directory / OPS_DIR / entry["segment"], "rb") as handle:
             handle.seek(entry[offset_key])
             raw = handle.read(entry[length_key])
         self.metrics.add(bytes_read=len(raw))
         return raw
 
     def get(self, oid: int) -> OperatorProvenance:
-        """Return operator *oid*, decoding its segment on a cache miss.
+        """Return operator *oid*, decoding its segment(s) on a cache miss.
 
         Decoding happens under the store lock: concurrent readers of a cold
         operator serialise on the decode instead of duplicating it, which
-        keeps the miss counter equal to the number of unique segments read.
+        keeps the miss counter equal to the number of unique operators read.
         """
         with self._lock:
             cached = self._operators.get(oid)
@@ -251,66 +345,114 @@ class LazyProvenanceStore:
                 self.metrics.add(hits=1)
                 self._operators.move_to_end(oid)
                 return cached
-            entry = self._entry(oid)
+            entries = self._entries(oid)
+            first = entries[0][1]
             self.metrics.add(misses=1)
             with get_tracer().span(
                 f"segment-read op-{oid}",
                 "warehouse",
-                segment=entry["segment"],
-                op_type=entry["op_type"],
-                bytes=entry["record_length"],
+                segment=first["segment"],
+                op_type=first["op_type"],
+                bytes=sum(entry["record_length"] for _, entry in entries),
             ), get_breakdown().phase("segment_decode"):
-                raw = self._read_range(entry, "offset", "record_length")
-                provenance = wf.decode_operator(wf.Cursor(raw))
+                decoded = [
+                    wf.decode_operator(
+                        wf.Cursor(self._read_range(directory, entry, "offset", "record_length"))
+                    )
+                    for directory, entry in entries
+                ]
+                provenance = decoded[0]
+                if len(decoded) > 1:
+                    provenance = OperatorProvenance(
+                        provenance.oid,
+                        provenance.op_type,
+                        _merge_inputs(decoded),
+                        provenance.manipulations,
+                        _merge_associations([part.associations for part in decoded]),
+                        label=provenance.label,
+                    )
             self._operators[oid] = provenance
             if len(self._operators) > self._cache_size:
                 self._operators.popitem(last=False)
                 self.metrics.add(evictions=1)
             return provenance
 
-    def _source_block(self, oid: int) -> wf.SourceItemBlock:
-        """Read operator *oid*'s item block, read and header-hopped on a miss.
-
-        Call with the store lock held.
+    def _source_blocks(self, oid: int) -> list[wf.SourceItemBlock]:
+        """Operator *oid*'s item block of every part, read and header-hopped
+        on a miss (no item JSON is parsed).  Call with the store lock held.
         """
         cached = self._source_items.get(oid)
         if cached is not None:
             self.metrics.add(item_hits=1)
             self._source_items.move_to_end(oid)
             return cached
-        entry = self._entry(oid)
-        if "items_offset" not in entry:
+        entries = self._entries(oid)
+        if "items_offset" not in entries[0][1]:
             raise BacktraceError(f"operator {oid} is not a read operator")
         self.metrics.add(item_misses=1)
         with get_tracer().span(
             f"segment-read items op-{oid}",
             "warehouse",
-            segment=entry["segment"],
-            bytes=entry["items_length"],
+            segment=entries[0][1]["segment"],
+            bytes=sum(entry["items_length"] for _, entry in entries),
         ), get_breakdown().phase("segment_decode"):
-            raw = self._read_range(entry, "items_offset", "items_length")
-            block = wf.open_source_items(raw)
-        self._source_items[oid] = block
+            blocks = [
+                wf.open_source_items(
+                    self._read_range(directory, entry, "items_offset", "items_length")
+                )
+                for directory, entry in entries
+            ]
+        self._source_items[oid] = blocks
         if len(self._source_items) > self._cache_size:
             self._source_items.popitem(last=False)
             self.metrics.add(evictions=1)
-        return block
+        return blocks
 
     def source_items(self, oid: int) -> dict[int, DataItem]:
-        """Return a read operator's whole ``id -> item`` block."""
+        """Return a read operator's whole ``id -> item`` mapping."""
+        items: dict[int, DataItem] = {}
         with self._lock:
-            block = self._source_block(oid)
-            with count_items_decoded(self.metrics, block):
-                return block.all()
+            for block in self._source_blocks(oid):
+                with count_items_decoded(self.metrics, block):
+                    items.update(block.all())
+        return items
+
+    def _block_of(self, oid: int, item_id: int) -> wf.SourceItemBlock:
+        for block in self._source_blocks(oid):
+            if item_id in block:
+                return block
+        raise BacktraceError(f"source {oid} has no item with id {item_id}")
 
     def source_item(self, oid: int, item_id: int) -> DataItem:
         """One input item; of its block, only this item's JSON is parsed."""
         with self._lock:
-            block = self._source_block(oid)
-            if item_id not in block:
-                raise BacktraceError(f"source {oid} has no item with id {item_id}")
+            block = self._block_of(oid, item_id)
             with count_items_decoded(self.metrics, block):
                 return block.get(item_id)
+
+    def peek_source_item(self, oid: int, item_id: int) -> DataItem:
+        """:meth:`source_item` for callers that test the item and drop it
+        (forward-trace candidates): a fresh parse is not kept on the block,
+        so a resident store grows with its answers, not with every probe."""
+        with self._lock:
+            block = self._block_of(oid, item_id)
+        with get_breakdown().phase("segment_decode"):
+            return block.peek(item_id)
+
+    def decayed_source_id(self, oid: int, item_id: int) -> bool:
+        """True when *item_id* was erased out from under a later reference.
+
+        Pids are append-only, so an id a downstream association still
+        carries but no visible part of read *oid* holds can only have lived
+        in an expired epoch (a window that closed after its oldest members'
+        epoch was retained away).  A run with no expired epoch never decays:
+        a missing id there stays a hard failure.  Answered from the blocks'
+        id tables; no item is parsed.
+        """
+        if not self._decays:
+            return False
+        with self._lock:
+            return not any(item_id in block for block in self._source_blocks(oid))
 
     def operators(self) -> Iterator[OperatorProvenance]:
         """Iterate over every operator (decodes the whole run; avoid on hot
@@ -324,5 +466,6 @@ class LazyProvenanceStore:
     def __repr__(self) -> str:
         return (
             f"LazyProvenanceStore({self._manifest['run_id']!r}, "
-            f"{len(self._index)} operators, {len(self._operators)} resident)"
+            f"{len(self._parts)} parts, {len(self._index)} operators, "
+            f"{len(self._operators)} resident)"
         )

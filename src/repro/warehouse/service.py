@@ -54,14 +54,11 @@ from repro.warehouse.catalog import LEGACY_SHARD, Catalog, RunRecord, ShardManif
 from repro.warehouse.format import materialise_rows
 from repro.warehouse.index import RunIndex, ensure_index
 from repro.warehouse.live import (
-    LiveProvenanceStore,
-    MergedRunIndex,
     append_epoch,
     check_not_epoch_layout,
     compact_live_run,
     create_live_manifest,
     is_epoch_layout,
-    read_epoch_encoded_rows,
     retain_epochs,
     seal_live_manifest,
 )
@@ -71,7 +68,7 @@ from repro.warehouse.reader import (
     RestoredPlanNode,
     load_manifest,
     match_encoded_rows,
-    read_encoded_rows,
+    run_parts,
 )
 from repro.warehouse.writer import DEFAULT_SUB_SHARD_SPAN, write_run
 
@@ -367,10 +364,9 @@ class Warehouse:
         record.segment_epoch = manifest["segment_epoch"]
         record.row_count = manifest["rows"]["count"]
         record.total_bytes = manifest["total_bytes"]
-        oids: set[str] = set()
-        for epoch_entry in manifest["epochs"]:
-            oids.update(epoch_entry.get("operators", {}))
-        record.operator_count = len(oids)
+        record.operator_count = len(
+            {oid for part in run_parts(run_dir, manifest) for oid in part.operators}
+        )
         record.indexed = bool(index)
         # Persist per batch: the catalog's per-run epoch entry is what serve
         # workers stat-compare, so the bump must be durable immediately.
@@ -494,18 +490,13 @@ class Warehouse:
         })
         return entry
 
-    def load_index(self, run_id: str | None = None) -> "RunIndex | MergedRunIndex | None":
+    def load_index(self, run_id: str | None = None) -> RunIndex | None:
         """The persisted index of a run, or ``None`` (callers fall back to scan).
 
-        Epoch-layout runs return a :class:`MergedRunIndex` over their
-        per-epoch delta indexes; it answers the same probe surface.
+        Epoch-layout runs load the union of their per-epoch delta indexes.
         """
-        record = self.resolve(run_id)
-        run_dir = self._dir_for(record)
-        manifest = load_manifest(run_dir)
-        if is_epoch_layout(manifest):
-            return MergedRunIndex(run_dir, manifest)
-        return RunIndex.load(run_dir, manifest)
+        run_dir = self._dir_for(self.resolve(run_id))
+        return RunIndex.load(run_dir, load_manifest(run_dir))
 
     def forward(
         self,
@@ -566,48 +557,16 @@ class Warehouse:
     def run_dir(self, run_id: str) -> FsPath:
         return self._dir_for(self._catalog.find(run_id))
 
-    def inspect(self, run_id: str) -> dict[str, Any]:
-        """Per-operator summary of one run, served from its footer index."""
-        record = self._catalog.find(run_id)
-        manifest = load_manifest(self.run_dir(record.run_id))
-        if is_epoch_layout(manifest):
-            return self._inspect_epochs(record, manifest)
-        operators = [
-            {
-                "oid": int(oid),
-                "op_type": entry["op_type"],
-                "label": entry["label"],
-                "kind": entry["kind"],
-                "records": entry["records"],
-                "segment_bytes": entry["segment_bytes"],
-                "source_name": entry.get("source_name"),
-            }
-            for oid, entry in sorted(
-                manifest["operators"].items(), key=lambda pair: int(pair[0])
-            )
-        ]
-        return {
-            "run_id": record.run_id,
-            "name": record.name,
-            "created": record.created_iso(),
-            "sink_oid": manifest["sink_oid"],
-            "rows": manifest["rows"]["count"],
-            "total_bytes": manifest["total_bytes"],
-            "operators": operators,
-        }
-
-    def _inspect_epochs(
-        self, record: RunRecord, manifest: dict[str, Any]
-    ) -> dict[str, Any]:
-        """The epoch-layout inspect view: liveness, watermark, per-epoch sizes."""
-        aggregated: dict[int, dict[str, Any]] = {}
-        for epoch_entry in manifest["epochs"]:
-            for oid_text, entry in epoch_entry.get("operators", {}).items():
-                oid = int(oid_text)
-                summary = aggregated.setdefault(
-                    oid,
+    @staticmethod
+    def _operator_summaries(run_dir: FsPath, manifest: dict[str, Any]) -> list[dict[str, Any]]:
+        """Per-operator footer figures, summed over the run's visible parts."""
+        summaries: dict[int, dict[str, Any]] = {}
+        for part in run_parts(run_dir, manifest):
+            for oid_text, entry in part.operators.items():
+                summary = summaries.setdefault(
+                    int(oid_text),
                     {
-                        "oid": oid,
+                        "oid": int(oid_text),
                         "op_type": entry["op_type"],
                         "label": entry["label"],
                         "kind": entry["kind"],
@@ -618,28 +577,40 @@ class Warehouse:
                 )
                 summary["records"] += entry["records"]
                 summary["segment_bytes"] += entry["segment_bytes"]
-        return {
+        return [summaries[oid] for oid in sorted(summaries)]
+
+    def inspect(self, run_id: str) -> dict[str, Any]:
+        """Per-operator summary of one run, served from its footer index (plus
+        liveness, watermark and per-epoch sizes on epoch-layout runs)."""
+        record = self._catalog.find(run_id)
+        run_dir = self._dir_for(record)
+        manifest = load_manifest(run_dir)
+        summary = {
             "run_id": record.run_id,
             "name": record.name,
             "created": record.created_iso(),
             "sink_oid": manifest["sink_oid"],
             "rows": manifest["rows"]["count"],
             "total_bytes": manifest["total_bytes"],
-            "operators": [aggregated[oid] for oid in sorted(aggregated)],
-            "live": bool(manifest.get("live")),
-            "segment_epoch": manifest["segment_epoch"],
-            "watermark": manifest.get("watermark"),
-            "epochs": [
-                {
-                    "epoch": entry["epoch"],
-                    "rows": entry["rows"],
-                    "total_bytes": entry["total_bytes"],
-                    "watermark": entry.get("watermark"),
-                    "expired": bool(entry.get("expired")),
-                }
-                for entry in manifest["epochs"]
-            ],
+            "operators": self._operator_summaries(run_dir, manifest),
         }
+        if is_epoch_layout(manifest):
+            summary.update(
+                live=bool(manifest.get("live")),
+                segment_epoch=manifest["segment_epoch"],
+                watermark=manifest.get("watermark"),
+                epochs=[
+                    {
+                        "epoch": entry["epoch"],
+                        "rows": entry["rows"],
+                        "total_bytes": entry["total_bytes"],
+                        "watermark": entry.get("watermark"),
+                        "expired": bool(entry.get("expired")),
+                    }
+                    for entry in manifest["epochs"]
+                ],
+            )
+        return summary
 
     # -- lazy loading / querying -----------------------------------------------
 
@@ -649,9 +620,7 @@ class Warehouse:
         cache_size: int,
         metrics: SegmentCacheMetrics | None = None,
         max_epoch: int | None = None,
-    ) -> tuple[
-        LazyProvenanceStore | LiveProvenanceStore, Iterator[tuple[int | None, bytes]]
-    ]:
+    ) -> tuple[LazyProvenanceStore, Iterator[tuple[int | None, bytes]]]:
         """A stored run's lazy store plus its result rows, still encoded.
 
         Reads the manifest and the rows segment(s); parses neither rows nor
@@ -660,16 +629,14 @@ class Warehouse:
         record = self._catalog.find(run_id) if run_id else self._catalog.latest()
         run_dir = self._dir_for(record)
         with get_tracer().span("warehouse-load", "warehouse", run_id=record.run_id):
-            manifest = load_manifest(run_dir)
-            if is_epoch_layout(manifest):
-                return (
-                    LiveProvenanceStore(run_dir, manifest, max_epoch=max_epoch),
-                    read_epoch_encoded_rows(run_dir, manifest, max_epoch=max_epoch),
-                )
             store = LazyProvenanceStore(
-                run_dir, manifest, cache_size=cache_size, metrics=metrics
+                run_dir,
+                load_manifest(run_dir),
+                cache_size=cache_size,
+                metrics=metrics,
+                max_epoch=max_epoch,
             )
-            return store, read_encoded_rows(run_dir, manifest, metrics=store.metrics)
+            return store, store.encoded_rows()
 
     def load(
         self,
@@ -688,12 +655,11 @@ class Warehouse:
         decode only when a backtrace touches them.  With no *run_id*, the
         newest run loads.
 
-        Epoch-layout runs (live or sealed-uncompacted) load through a
-        :class:`LiveProvenanceStore` over the epochs visible *now* -- a
-        consistent snapshot, since epoch directories are complete before
-        the manifest references them.  *max_epoch* restricts the view to
-        epochs admitted at or before it (how a query that was admitted
-        mid-ingest stays pinned to what it saw); batch runs ignore it.
+        Epoch-layout runs (live or sealed-uncompacted) load the epochs
+        visible *now* -- a consistent snapshot, since epoch directories are
+        complete before the manifest references them.  *max_epoch* restricts
+        the view to epochs admitted at or before it (how a query that was
+        admitted mid-ingest stays pinned to what it saw); batch runs ignore it.
         """
         num_partitions = resolve_partitions(num_partitions)
         store, encoded = self._open_run(run_id, cache_size, metrics, max_epoch)
@@ -812,19 +778,14 @@ class Warehouse:
         record = self._catalog.find(run_id) if run_id else self._catalog.latest()
         run_dir = self._dir_for(record)
         manifest = load_manifest(run_dir)
+        operators = self._operator_summaries(run_dir, manifest)
         if is_epoch_layout(manifest):
-            # Epoch layout: fold per-epoch operator entries into the same
-            # shape the batch footer provides, plus streaming gauges.
-            operator_entries = self._inspect_epochs(record, manifest)["operators"]
-            operators = {str(e["oid"]): e for e in operator_entries}
             registry.gauge("repro_run_segment_epoch", run_id=record.run_id).set(
                 manifest["segment_epoch"]
             )
             registry.gauge("repro_run_live", run_id=record.run_id).set(
                 1 if manifest.get("live") else 0
             )
-        else:
-            operators = manifest["operators"]
         # Sharded runs carry their shard as an extra label; unsharded runs
         # keep the historical label set so existing dashboards stay intact.
         size_labels: dict[str, str] = {"run_id": record.run_id}
@@ -837,7 +798,7 @@ class Warehouse:
         registry.gauge("repro_run_bytes", **size_labels).set(
             manifest["total_bytes"]
         )
-        for oid, entry in sorted(operators.items(), key=lambda p: int(p[0])):
+        for entry in operators:
             registry.counter(
                 "repro_run_operator_records_total", op_type=entry["op_type"]
             ).inc(entry["records"])

@@ -38,6 +38,8 @@ __all__ = [
     "OPS_DIR",
     "ROWS_SEGMENT",
     "DEFAULT_SUB_SHARD_SPAN",
+    "write_manifest",
+    "write_part",
     "write_run",
 ]
 
@@ -88,6 +90,63 @@ def _operator_segment(
     return wf.encode_segment(wf.SEGMENT_OPERATOR, payload), entry
 
 
+def write_manifest(run_dir: FsPath, manifest: dict[str, Any]) -> None:
+    """Persist ``manifest.json`` atomically (write-then-rename).
+
+    Segments are always written *before* the manifest referencing them, so
+    a reader holding a previously loaded manifest keeps resolving every
+    segment it can see -- the admission-time snapshot costs nothing.
+    """
+    run_dir = FsPath(run_dir)
+    tmp = run_dir / (MANIFEST_NAME + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2)
+    tmp.replace(run_dir / MANIFEST_NAME)
+
+
+def write_part(
+    part_dir: FsPath, execution: ExecutionResult, sub_shard_span: int
+) -> tuple[dict[str, Any], int, int, int]:
+    """Write one part -- operator segments plus ``rows.seg`` -- into *part_dir*.
+
+    A batch run is one part (its run directory), a live run one per
+    micro-batch.  Returns ``(operator index entries, row count, rows segment
+    bytes, total bytes)``.  More than *sub_shard_span* operators split
+    across ``ops/range-NNNN/`` directories (span operators per range).
+    """
+    store = execution.store
+    if store is None:
+        raise ProvenanceError("only capture-enabled executions can be recorded")
+    if sub_shard_span < 1:
+        raise ProvenanceError(f"sub_shard_span must be >= 1, got {sub_shard_span}")
+    part_dir = FsPath(part_dir)
+    ops_dir = part_dir / OPS_DIR
+    ops_dir.mkdir(parents=True, exist_ok=False)
+
+    provenances = list(store.operators())
+    sub_sharded = len(provenances) > sub_shard_span
+
+    total_bytes = 0
+    operators: dict[str, Any] = {}
+    for provenance in provenances:
+        segment, entry = _operator_segment(store, provenance)
+        if sub_sharded:
+            # The index entry's "segment" stays an ops-dir-relative path, so
+            # every reader join (part_dir / OPS_DIR / segment) still works.
+            rng = f"range-{provenance.oid // sub_shard_span:04d}"
+            (ops_dir / rng).mkdir(exist_ok=True)
+            entry["segment"] = f"{rng}/{entry['segment']}"
+        (ops_dir / entry["segment"]).write_bytes(segment)
+        entry["segment_bytes"] = len(segment)
+        total_bytes += len(segment)
+        operators[str(provenance.oid)] = entry
+
+    rows = execution.rows()
+    rows_segment = wf.encode_segment(wf.SEGMENT_ROWS, wf.encode_rows(rows))
+    (part_dir / ROWS_SEGMENT).write_bytes(rows_segment)
+    return operators, len(rows), len(rows_segment), total_bytes + len(rows_segment)
+
+
 def write_run(
     run_dir: FsPath,
     execution: ExecutionResult,
@@ -99,42 +158,11 @@ def write_run(
     """Write one captured execution under *run_dir*; returns the manifest.
 
     The manifest is also persisted as ``run_dir/manifest.json``.  Raises
-    :class:`ProvenanceError` for capture-disabled executions.  Runs with
-    more than *sub_shard_span* operators split their segments across
-    ``ops/range-NNNN/`` directories (span operators per range).
+    :class:`ProvenanceError` for capture-disabled executions.
     """
-    store = execution.store
-    if store is None:
-        raise ProvenanceError("only capture-enabled executions can be recorded")
-    if sub_shard_span < 1:
-        raise ProvenanceError(f"sub_shard_span must be >= 1, got {sub_shard_span}")
-    run_dir = FsPath(run_dir)
-    ops_dir = run_dir / OPS_DIR
-    ops_dir.mkdir(parents=True, exist_ok=False)
-
-    provenances = list(store.operators())
-    sub_sharded = len(provenances) > sub_shard_span
-
-    total_bytes = 0
-    operators: dict[str, Any] = {}
-    for provenance in provenances:
-        segment, entry = _operator_segment(store, provenance)
-        if sub_sharded:
-            # The index entry's "segment" stays a run-dir-relative path, so
-            # every reader join (run_dir / OPS_DIR / segment) still works.
-            rng = f"range-{provenance.oid // sub_shard_span:04d}"
-            (ops_dir / rng).mkdir(exist_ok=True)
-            entry["segment"] = f"{rng}/{entry['segment']}"
-        (ops_dir / entry["segment"]).write_bytes(segment)
-        entry["segment_bytes"] = len(segment)
-        total_bytes += len(segment)
-        operators[str(provenance.oid)] = entry
-
-    rows = execution.rows()
-    rows_segment = wf.encode_segment(wf.SEGMENT_ROWS, wf.encode_rows(rows))
-    (run_dir / ROWS_SEGMENT).write_bytes(rows_segment)
-    total_bytes += len(rows_segment)
-
+    operators, row_count, rows_bytes, total_bytes = write_part(
+        run_dir, execution, sub_shard_span
+    )
     manifest = {
         "format": wf.FORMAT_VERSION,
         "run_id": run_id,
@@ -143,15 +171,14 @@ def write_run(
         "sink_oid": execution.root.oid,
         "rows": {
             "segment": ROWS_SEGMENT,
-            "count": len(rows),
-            "segment_bytes": len(rows_segment),
+            "count": row_count,
+            "segment_bytes": rows_bytes,
         },
         "operators": operators,
         "total_bytes": total_bytes,
     }
-    if sub_sharded:
+    if len(operators) > sub_shard_span:
         ranges = sorted({entry["segment"].split("/", 1)[0] for entry in operators.values()})
         manifest["sub_shards"] = {"span": sub_shard_span, "ranges": ranges}
-    with open(run_dir / MANIFEST_NAME, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
+    write_manifest(run_dir, manifest)
     return manifest

@@ -114,6 +114,26 @@ class TestLiveRunAccounting:
         assert breakdown.counters["items_decoded"] == answer_items > 0
         assert breakdown.counters["rows_visited"] >= breakdown.counters["rows_decoded"]
 
+    def test_load_honours_metrics_and_cache_size_on_epoch_runs(self, tmp_path):
+        """``Warehouse.load(run, metrics=m, cache_size=n)`` used to drop both
+        arguments on epoch-layout runs (own metrics, unbounded cache)."""
+        from repro.engine.metrics import SegmentCacheMetrics
+
+        stream = _open_stream(Warehouse.open(tmp_path / "wh"))
+        stream.ingest(_rows(0, 6))
+        stream.ingest(_rows(6, 10))
+        stream.finish(compact=False)
+        warehouse = stream.warehouse
+        expected = query_provenance(warehouse.load(stream.run_id), PATTERN)
+
+        metrics = SegmentCacheMetrics()
+        execution = warehouse.load(stream.run_id, metrics=metrics, cache_size=1)
+        assert execution.store.metrics is metrics
+        answer = query_provenance(execution, PATTERN)
+        assert metrics.misses > 0 and metrics.evictions > 0
+        assert answer.render() == expected.render()
+        assert answer.all_ids() == expected.all_ids()
+
     def test_decayed_ids_are_answered_from_the_id_table(self, tmp_path):
         """A window closing after a TTL sweep still references the erased
         members; probing them (and every surviving id) parses no item."""

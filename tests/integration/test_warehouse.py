@@ -10,10 +10,12 @@ prove how little of the run the query actually decoded.
 import pytest
 
 from repro.cli import main
+from repro.engine.expressions import col
 from repro.engine.metrics import SegmentCacheMetrics
 from repro.engine.session import Session
 from repro.errors import BacktraceError, ProvenanceError
 from repro.pebble.query import query_provenance
+from repro.stream import StreamSession
 from repro.warehouse import LazyProvenanceStore, Warehouse
 from repro.workloads.scenarios import RUNNING_EXAMPLE_PATTERN
 
@@ -24,6 +26,22 @@ def recorded(captured_example, tmp_path):
     warehouse = Warehouse.open(tmp_path / "wh")
     record = warehouse.record(captured_example, name="example")
     return tmp_path / "wh", record.run_id
+
+
+@pytest.fixture(params=["batch", "uncompacted-epoch"])
+def stored_run(request, captured_example, tmp_path):
+    """One stored run per on-disk layout, every operator of which sits on the
+    backtrace path from the sink; returns (root, run_id, pattern, operators)."""
+    warehouse = Warehouse.open(tmp_path / "wh")
+    if request.param == "batch":
+        record = warehouse.record(captured_example, name="example")
+        return tmp_path / "wh", record.run_id, RUNNING_EXAMPLE_PATTERN, 9
+    stream = StreamSession(warehouse=warehouse, name="feed", num_partitions=2)
+    stream.open(stream.dataset().filter(col("user") == "u1").select(col("id"), col("user")))
+    for low in (0, 4, 8):
+        stream.ingest([{"id": i, "user": f"u{i % 2}"} for i in range(low, low + 4)])
+    stream.finish(compact=False)
+    return tmp_path / "wh", stream.run_id, 'root{/user="u1"}', 3
 
 
 class TestRecordAndCatalog:
@@ -73,20 +91,20 @@ class TestLazyBacktrace:
         assert after.matched_output_ids == before.matched_output_ids
         assert after.render() == before.render()
 
-    def test_query_decodes_reachable_operators_once(self, recorded):
-        root, run_id = recorded
+    def test_query_decodes_reachable_operators_once(self, stored_run):
+        root, run_id, pattern, operators = stored_run
         warehouse = Warehouse.open(root)
         execution = warehouse.load(run_id, num_partitions=2)
         store = execution.store
         assert isinstance(store, LazyProvenanceStore)
 
-        query_provenance(execution, RUNNING_EXAMPLE_PATTERN)
-        # Every operator of the running example sits on the backtrace path
-        # from the sink; each decoded exactly once, never twice.
+        assert query_provenance(execution, pattern).matched_output_ids
+        # Every operator sits on the backtrace path from the sink; each
+        # decoded exactly once (however many epochs hold a piece of it).
         first_misses = store.metrics.misses
-        assert first_misses == len(store) == 9
+        assert first_misses == len(store) == operators
 
-        query_provenance(execution, RUNNING_EXAMPLE_PATTERN)
+        query_provenance(execution, pattern)
         assert store.metrics.misses == first_misses, "second query must hit the cache"
         assert store.metrics.hits > 0
 
@@ -194,6 +212,20 @@ class TestColdPathParsesOnlyWhatTheQuestionTouches:
         assert store.metrics.items_decoded == len(everything)
         with pytest.raises(BacktraceError):
             store.source_item(1, 10**9)
+
+    def test_peeked_items_are_not_kept(self, recorded):
+        """Forward-trace candidates are tested and dropped: peeking parses
+        without growing the resident block (serve RSS follows answers)."""
+        root, run_id = recorded
+        store = LazyProvenanceStore(Warehouse.open(root).run_dir(run_id))
+        peeked = store.peek_source_item(1, 1)
+        assert store.peek_source_item(1, 1) is not peeked
+        assert store.metrics.items_decoded == 0 and store.metrics.item_misses == 1
+        kept = store.source_item(1, 1)
+        assert repr(kept) == repr(peeked)
+        assert store.peek_source_item(1, 1) is kept
+        with pytest.raises(BacktraceError):
+            store.peek_source_item(1, 10**9)
 
 
 class TestEvictionAccounting:

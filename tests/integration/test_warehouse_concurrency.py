@@ -152,3 +152,54 @@ class TestRefreshRace:
         assert errors == []
         # Run ids are numbered in creation order; visibility is append-only.
         assert seen == sorted(seen)
+
+
+class TestSharedStore:
+    def test_threads_share_one_store_over_an_uncompacted_run(self, tmp_path):
+        """``repro serve`` keeps one resident store per run for all request
+        threads; over an epoch-layout run it must stay consistent and decode
+        every operator once, not once per racing thread."""
+        from repro.engine.expressions import col
+        from repro.stream import StreamSession
+
+        pattern = 'root{/user="u1"}'
+        warehouse = Warehouse.open(tmp_path / "wh")
+        stream = StreamSession(warehouse=warehouse, name="feed", num_partitions=2)
+        stream.open(stream.dataset().filter(col("user") == "u1").select(col("id"), col("user")))
+        for low in range(0, 40, 8):
+            stream.ingest([{"id": i, "user": f"u{i % 2}"} for i in range(low, low + 8)])
+        stream.finish(compact=False)
+
+        def answer(execution) -> str:
+            return json.dumps(
+                result_to_json(query_provenance(execution, pattern)), sort_keys=True
+            )
+
+        single = warehouse.load(stream.run_id)
+        baseline = answer(single)
+        reached = single.store.metrics.misses
+        assert reached == len(single.store) == 3
+
+        shared = warehouse.load(stream.run_id)
+        threads = 8
+        barrier = threading.Barrier(threads)
+        answers: list[str] = []
+        errors: list[BaseException] = []
+
+        def worker():
+            try:
+                barrier.wait()
+                answers.append(answer(shared))
+            except BaseException as exc:  # noqa: BLE001 -- collected for assert
+                errors.append(exc)
+
+        pool = [threading.Thread(target=worker) for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+
+        assert errors == []
+        assert answers == [baseline] * threads
+        assert shared.store.metrics.misses == reached
+        assert shared.store.metrics.item_misses == 1

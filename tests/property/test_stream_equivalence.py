@@ -168,3 +168,90 @@ def test_mid_ingest_query_equals_sealed_run_at_admission_epoch(
         assert pinned.matched_output_ids == matched, epoch
         assert pinned.all_ids() == ids, epoch
         assert pinned.render() == rendered, epoch
+
+
+@given(
+    n=st.integers(min_value=2, max_value=14),
+    partitions=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=10, deadline=None)
+def test_one_micro_batch_reads_exactly_like_a_recorded_batch(
+    tmp_path_factory, n, partitions
+):
+    """A batch run is a one-part run, literally: the same rows ingested as
+    ONE micro-batch and left uncompacted read back -- operators, source
+    items, result rows, index -- exactly like ``Warehouse.record`` of them."""
+    import repro.warehouse.format as wf
+
+    rows = _rows(n)
+    root = tmp_path_factory.mktemp("stream-one-part")
+    stream = StreamSession(warehouse=root / "wh", name="s", num_partitions=partitions)
+    stream.open(_build("narrow", stream.dataset()))
+    stream.ingest(rows)
+    stream.finish(compact=False)
+    warehouse = stream.warehouse
+    assert len(warehouse.inspect(stream.run_id)["epochs"]) == 1
+
+    batch_session = Session(num_partitions=partitions)
+    batch = _build(
+        "narrow", batch_session.create_dataset([DataItem(row) for row in rows], "stream")
+    ).execute(capture=True)
+    batch_record = warehouse.record(batch, name="batch")
+
+    streamed = warehouse.load(stream.run_id, num_partitions=partitions)
+    recorded = warehouse.load(batch_record.run_id, num_partitions=partitions)
+    assert len(streamed.store) == len(recorded.store) > 0
+    for oid in sorted(recorded.store.footer_topology()):
+        assert wf.encode_operator(streamed.store.get(oid)) == wf.encode_operator(
+            recorded.store.get(oid)
+        ), oid
+        if recorded.store.is_source(oid):
+            assert repr(streamed.store.source_items(oid)) == repr(
+                recorded.store.source_items(oid)
+            ), oid
+    assert repr(streamed.rows()) == repr(recorded.rows())
+
+    one_part = warehouse.load_index(stream.run_id)
+    whole = warehouse.load_index(batch_record.run_id)
+    for section in ("inputs", "terms", "items", "accessed", "manipulated"):
+        assert getattr(one_part, section) == getattr(whole, section), section
+    assert one_part.summary() == whole.summary()
+
+
+@given(
+    shape=st.sampled_from(sorted(SHAPES)),
+    n=st.integers(min_value=6, max_value=14),
+    cuts=st.lists(st.integers(min_value=1, max_value=13), min_size=0, max_size=4),
+    partitions=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=15, deadline=None)
+def test_unioned_epoch_index_agrees_with_the_scan(
+    tmp_path_factory, shape, n, cuts, partitions
+):
+    """The union of the per-epoch indexes is complete: indexed and scan
+    forward traces over an uncompacted run agree, and an empty posting is
+    still a proof of absence."""
+    from repro.audit.forward import ForwardTracer
+
+    root = tmp_path_factory.mktemp("stream-index")
+    stream = StreamSession(warehouse=root / "wh", name="s", num_partitions=partitions)
+    stream.open(_build(shape, stream.dataset()))
+    for chunk in _chunks(_rows(n), cuts):
+        if chunk:
+            stream.ingest(chunk)
+    stream.finish(compact=False)
+    warehouse = stream.warehouse
+
+    execution = warehouse.load(stream.run_id, num_partitions=partitions)
+    index = warehouse.load_index(stream.run_id)
+    assert index is not None
+    for pattern in ('root{/user="u1"}', 'root{//tag="green"}', 'root{/user="nobody"}'):
+        indexed = ForwardTracer(execution, index).trace(pattern)
+        scanned = ForwardTracer(execution, None).trace(pattern)
+        assert indexed.stats["index_used"] and not scanned.stats["index_used"]
+        assert [s.to_json() for s in indexed.sources] == [
+            s.to_json() for s in scanned.sources
+        ], pattern
+        assert indexed.output_ids == scanned.output_ids, pattern
+        assert indexed.to_json() == scanned.to_json(), pattern
+    assert ForwardTracer(execution, index).trace('root{/user="u1"}').matched_input_count

@@ -119,3 +119,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "id" in out.splitlines()[0]
         assert "advice:" in out
+
+    def test_index_info_on_an_uncompacted_stream_run(self, capsys, tmp_path):
+        """Every epoch carries an ``index.seg`` that queries probe; ``index
+        info`` used to look for a top-level entry and print "not indexed"."""
+        import json
+
+        from repro.stream import StreamSession
+
+        root = tmp_path / "wh"
+        assert main(["warehouse", "record", "example", "--root", str(root)]) == 0
+        stream = StreamSession(warehouse=root, name="feed", num_partitions=2)
+        stream.open(stream.dataset())
+        stream.ingest([{"id": 1, "user": "u1"}])
+        stream.ingest([{"id": 2, "user": "u2"}])
+        stream.finish(compact=False)
+        capsys.readouterr()
+
+        summaries = {}
+        for run in ("example", stream.run_id):
+            assert main(["index", "info", run, "--root", str(root)]) == 0
+            out = capsys.readouterr().out
+            assert "not indexed" not in out
+            summaries[run] = json.loads(out.split(": ", 1)[1])
+        assert summaries[stream.run_id].keys() == summaries["example"].keys()
+        assert summaries[stream.run_id]["items"] == 2

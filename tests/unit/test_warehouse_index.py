@@ -104,15 +104,22 @@ class TestProbes:
         with pytest.raises(ProvenanceError):
             index.candidates("x" * (MAX_TERM_LEN + 1))
 
-    def test_item_ranges_decode_the_exact_item(self, loaded):
-        """The ITEMS byte ranges decode one item without touching the block."""
+    def test_item_ranges_frame_the_exact_item(self, loaded):
+        """ITEMS has no reader any more, but stays written (INDEX_VERSION 1):
+        each byte range must still frame exactly one ``id | JSON`` record."""
+        import repro.warehouse.format as wf
+        from repro.nested.json_io import item_from_json
+
         index, store, run_dir, manifest = loaded
         checked = 0
         for oid, ranges in index.items.items():
-            for item_id in ranges:
-                direct = RunIndex.load(run_dir, manifest).source_item(
-                    run_dir, manifest, oid, item_id
-                )
+            segment = (
+                run_dir / "ops" / manifest["operators"][str(oid)]["segment"]
+            ).read_bytes()
+            for item_id, (offset, length) in ranges.items():
+                cursor = wf.Cursor(segment[offset : offset + length])
+                assert cursor.u64() == item_id
+                direct = item_from_json(cursor.raw())
                 assert repr(direct) == repr(store.source_item(oid, item_id))
                 checked += 1
         assert checked > 0
@@ -141,17 +148,44 @@ class TestProbes:
 
 class TestManifestWiring:
     def test_ensure_index_rewrites_manifest_atomically(
-        self, captured_example, tmp_path
+        self, captured_example, tmp_path, monkeypatch
     ):
+        def assert_clean(run_dir):
+            """One writer for every manifest: nothing left behind, and the
+            bytes are the plain ``indent=2`` dump they have always been."""
+            assert not (run_dir / "manifest.json.tmp").exists()
+            raw = (run_dir / "manifest.json").read_text()
+            assert raw == json.dumps(json.loads(raw), indent=2)
+
         warehouse = Warehouse.open(tmp_path / "wh")
         record = warehouse.record(captured_example, name="plain", index=False)
         run_dir = warehouse.run_dir(record.run_id)
+        assert_clean(run_dir)  # write_run
         assert "index" not in load_manifest(run_dir)
         entry = ensure_index(run_dir)
+        assert_clean(run_dir)
         manifest = load_manifest(run_dir)
         assert manifest["index"] == entry
         # The rewritten manifest still loads the run.
         assert warehouse.load(record.run_id).store is not None
+
+        # A write torn mid-dump never shows up under the manifest's name --
+        # not for a rewrite (the old manifest survives) and not for write_run.
+        def torn(obj, handle, **kwargs):
+            handle.write('{"format": 2, "run_id"')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", torn)
+        with pytest.raises(OSError):
+            ensure_index(run_dir, dict(manifest))
+        with pytest.raises(OSError):
+            warehouse.record(captured_example, name="torn", index=False)
+        monkeypatch.undo()
+        assert load_manifest(run_dir) == manifest
+        (torn_dir,) = [
+            path for path in run_dir.parent.iterdir() if path.name.endswith("torn")
+        ]
+        assert not (torn_dir / "manifest.json").exists()
 
     def test_catalog_round_trips_indexed_flag(self, recorded):
         warehouse, record = recorded
