@@ -60,7 +60,7 @@ from repro.pebble import CapturedExecution, PebbleSession, query_provenance
 from repro.stream import StreamSession
 from repro.warehouse import Warehouse
 
-__version__ = "2.3.0"
+__version__ = "2.4.0"
 
 __all__ = [
     # primary API

@@ -660,6 +660,11 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
         print(f"{summary['run_id']} ({summary['name']}), created {summary['created']}")
         print(f"sink oid {summary['sink_oid']}, {summary['rows']} rows, "
               f"{summary['total_bytes']} bytes on disk")
+        if "epochs" in summary:
+            visible = sum(not entry["expired"] for entry in summary["epochs"])
+            print(f"{'live' if summary['live'] else 'sealed'}, segment epoch "
+                  f"{summary['segment_epoch']}, {visible}/{len(summary['epochs'])} "
+                  f"epochs visible, watermark {summary['watermark']}")
         header = f"{'oid':>4} {'type':<12} {'kind':<12} {'records':>8} {'bytes':>9}  label"
         print(header)
         print("-" * len(header))

@@ -25,6 +25,7 @@ segment sizes stay comparable with ``size_report()`` figures.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.operator_provenance import (
@@ -56,6 +57,7 @@ __all__ = [
     "kind_name",
     "encode_operator",
     "decode_operator",
+    "encode_payloads",
     "encode_source_items",
     "SourceItemBlock",
     "open_source_items",
@@ -299,6 +301,13 @@ def encode_operator(provenance: OperatorProvenance) -> bytes:
     return b"".join(parts)
 
 
+@lru_cache(maxsize=256)
+def _decode_schema(text: str) -> Schema:
+    """One parse per distinct encoded schema: every epoch of a stream (and
+    most operators of a plan) repeat the same few, and schemas are immutable."""
+    return Schema(type_from_obj(json.loads(text)))
+
+
 def decode_operator(cursor: Cursor) -> OperatorProvenance:
     """Decode one operator record at the cursor position."""
     oid = cursor.u32()
@@ -314,7 +323,7 @@ def decode_operator(cursor: Cursor) -> OperatorProvenance:
             accessed = [parse_path(cursor.string()) for _ in range(cursor.u32())]
         schema = None
         if cursor.u8() == _FLAG_PRESENT:
-            schema = Schema(type_from_obj(json.loads(cursor.string())))
+            schema = _decode_schema(cursor.string())
         inputs.append(InputRef(predecessor, accessed, schema=schema))
     if cursor.u8() == _FLAG_UNDEFINED:
         manipulations: Any = UNDEFINED
@@ -330,13 +339,33 @@ def decode_operator(cursor: Cursor) -> OperatorProvenance:
 # -- source items and result rows ---------------------------------------------
 
 
+def encode_payloads(
+    name: str | None, payloads: Sequence[tuple[int | None, bytes]]
+) -> bytes:
+    """The one item encoder: ``[name] | count | (id | length | JSON bytes)*``.
+
+    A read operator's block leads with its source *name* and lists real ids
+    in ascending order; the rows payload has no name and ``None`` for a row
+    without a provenance id.  Payloads are the items' stored JSON bytes, so
+    compaction moves items between segments without parsing one.
+    """
+    parts = [] if name is None else [_string(name)]
+    parts.append(_u64(len(payloads)))
+    for ident, raw in payloads:
+        parts.append(_opt_id(ident) + _u32(len(raw)))
+        parts.append(raw)
+    return b"".join(parts)
+
+
+def _item_json(item: DataItem) -> bytes:
+    return json.dumps(_jsonable(item)).encode("utf-8")
+
+
 def encode_source_items(name: str, items: dict[int, DataItem]) -> bytes:
     """Encode a read operator's ``id -> input item`` mapping."""
-    parts = [_string(name), _u64(len(items))]
-    for item_id, item in sorted(items.items()):
-        parts.append(_u64(item_id))
-        parts.append(_string(json.dumps(_jsonable(item))))
-    return b"".join(parts)
+    return encode_payloads(
+        name, [(item_id, _item_json(item)) for item_id, item in sorted(items.items())]
+    )
 
 
 class SourceItemBlock:
@@ -365,6 +394,10 @@ class SourceItemBlock:
         """The item ids in stored (ascending) order."""
         return list(self._encoded)
 
+    def encoded(self) -> Iterable[tuple[int, bytes]]:
+        """``(item id, raw JSON bytes)`` in stored order; parses nothing."""
+        return self._encoded.items()
+
     @property
     def decoded(self) -> int:
         """How many of the block's items have been parsed so far."""
@@ -392,11 +425,7 @@ def open_source_items(raw: bytes) -> SourceItemBlock:
 
 def encode_rows(rows: Sequence[tuple[int | None, DataItem]]) -> bytes:
     """Encode the provenance-annotated result rows of one run."""
-    parts = [_u64(len(rows))]
-    for pid, item in rows:
-        parts.append(_opt_id(pid))
-        parts.append(_string(json.dumps(_jsonable(item))))
-    return b"".join(parts)
+    return encode_payloads(None, [(pid, _item_json(item)) for pid, item in rows])
 
 
 def iter_encoded_rows(cursor: Cursor) -> Iterator[tuple[int | None, bytes]]:

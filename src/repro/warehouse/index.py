@@ -81,15 +81,17 @@ MAX_TERM_LEN = 120
 
 
 def walk_string_leaves(value: Any) -> Iterator[str]:
-    """Yield every string leaf of a JSON-shaped value (dicts/lists/scalars)."""
-    if isinstance(value, str):
-        yield value
-    elif isinstance(value, dict):
-        for child in value.values():
-            yield from walk_string_leaves(child)
-    elif isinstance(value, (list, tuple)):
-        for child in value:
-            yield from walk_string_leaves(child)
+    """Yield every string leaf of a JSON-shaped value (dicts/lists/scalars),
+    in no particular order (one flat loop: every append indexes its items)."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            yield value
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
 
 
 def _consumed_ids(associations: Any) -> Iterator[int]:

@@ -2,25 +2,37 @@
 
 A batch run is written once and sealed (:mod:`repro.warehouse.writer`).  A
 **live run** grows: every micro-batch appends one immutable *epoch*
-directory and rewrites the manifest (write-then-rename), so a reader that
-snapshots the manifest at admission sees a frozen, consistent set of
-segments no matter how many batches land afterwards.
+directory that describes itself (``part.json``) and renames a new *head*
+(``manifest.json``) into place, so a reader that snapshots the head at
+admission sees a frozen, consistent set of segments no matter how many
+batches land afterwards.
 
 Directory layout::
 
     runs/<run_id>/
-      manifest.json                 live manifest (rewritten per batch)
+      manifest.json                 the head: run counters + one line per epoch
       batches/epoch-0001/           one immutable directory per micro-batch
         ops/op-<oid>.seg            delta segments (same codec as batch runs)
         rows.seg                    sink rows this batch emitted
         index.seg                   per-epoch RunIndex (incremental indexing)
+        part.json                   the epoch's footer: operator index + index entry
       retention/receipt-*.json      erasure-style retention receipts
 
-The live manifest carries ``live`` (still growing?), ``segment_epoch`` (a
-monotonic counter bumped per append *and* per retention sweep -- the serve
-cache invalidation granule), ``next_pid`` (the executor id counter, so ids
-stay globally unique across batches), the ``watermark``, and one entry per
-epoch mirroring the batch footer index.
+The head carries ``live`` (still growing?), ``segment_epoch`` (a monotonic
+counter bumped per append *and* per retention sweep -- the serve cache
+invalidation granule), ``next_pid`` (the executor id counter, so ids stay
+globally unique across batches), the ``watermark``, the run's
+``operator_count``, and per epoch one slim line (epoch, dir, created, rows,
+total_bytes, watermark, expired) -- about 130 bytes.  Everything per
+operator lives in the epoch's ``part.json``, written once, so an append
+costs in proportion to its batch however long the stream has run: it reads
+and rewrites the head and touches no earlier epoch.  (Heads written by
+<= 2.3 carry each epoch's footer inline; :func:`~repro.warehouse.reader.run_parts`
+takes those as they are.)
+
+An append writes the epoch directory completely, then renames the head.  A
+writer that dies in between leaves a directory no head references; the next
+append recomputes the same epoch number and clears it first.
 
 This module is the *lifecycle* only.  Reading goes through
 :func:`repro.warehouse.reader.run_parts` and the one
@@ -38,7 +50,9 @@ Compaction is a pure association-level rewrite: operators are walked in
 chain (topological) order, per-epoch association entries concatenate in
 epoch order, and fresh sequential ids are assigned in entry order -- exactly
 the order a batch executor would have assigned them for a linear plan -- so
-the compacted segments are byte-identical to a batch capture.
+the compacted segments are byte-identical to a batch capture.  Source items
+and sink rows are re-headed, not re-parsed: their stored JSON bytes move
+under the new ids through the writer's one item encoder.
 
 Retention expires whole epochs past a TTL and proves it: the sweep records
 the expired sink-row and source-item ids, verifies they no longer answer
@@ -65,19 +79,17 @@ from repro.core.operator_provenance import (
     ReadAssociations,
     UnaryAssociations,
 )
-from repro.core.store import ProvenanceStore
-from repro.engine.executor import ExecutionResult
-from repro.engine.metrics import ExecutionMetrics
 from repro.errors import LiveRunError, ProvenanceError, StreamError
-from repro.nested.schema import Schema
-from repro.nested.types import StructType
 import repro.warehouse.format as wf
 from repro.warehouse.index import RunIndex
-from repro.warehouse.reader import LazyProvenanceStore, RestoredPlanNode
+from repro.warehouse.reader import LazyProvenanceStore
 from repro.warehouse.writer import (
     DEFAULT_SUB_SHARD_SPAN,
+    EncodedPart,
+    encode_part,
     write_manifest,
     write_part,
+    write_part_footer,
     write_run,
 )
 
@@ -132,6 +144,7 @@ def create_live_manifest(
         "sink_oid": sink_oid,
         "rows": {"count": 0},
         "total_bytes": 0,
+        "operator_count": 0,
         "epochs": [],
     }
     write_manifest(run_dir, manifest)
@@ -148,11 +161,12 @@ def append_epoch(
     created: float | None = None,
     index: bool = True,
 ) -> dict[str, Any]:
-    """Append one micro-batch as a sealed epoch; returns the epoch entry.
+    """Append one micro-batch as a sealed epoch; returns its manifest line.
 
     *execution* is the batch's capture-enabled execution result (its store
-    holds only this batch's delta records).  The epoch directory is written
-    completely before the manifest is rewritten to reference it.
+    holds only this batch's delta records).  The epoch directory -- segments,
+    index, footer -- is written completely before the manifest is rewritten
+    to reference it; one a crashed append left unreferenced is cleared.
     """
     if not manifest.get("live"):
         raise LiveRunError(
@@ -161,31 +175,33 @@ def append_epoch(
     run_dir = FsPath(run_dir)
     epoch = manifest["segment_epoch"] + 1
     epoch_dir = run_dir / BATCHES_DIR / f"epoch-{epoch:04d}"
-    operators, row_count, rows_bytes, total_bytes = write_part(
-        epoch_dir, execution, DEFAULT_SUB_SHARD_SPAN
-    )
+    if epoch_dir.exists():
+        shutil.rmtree(epoch_dir)
+    part = encode_part(execution)
+    operators, _, total_bytes = write_part(epoch_dir, part, DEFAULT_SUB_SHARD_SPAN)
+    index_entry = None
+    if index:
+        # The per-epoch delta index: derived from the epoch's own segments,
+        # exactly like the batch path, so no full-run rebuild ever happens.
+        index_entry = RunIndex.build(epoch_dir, {"operators": operators}).write(epoch_dir)
+        total_bytes += index_entry["segment_bytes"]
+    write_part_footer(epoch_dir, operators, index_entry)
     entry = {
         "epoch": epoch,
         "dir": f"{BATCHES_DIR}/epoch-{epoch:04d}",
         "created": created if created is not None else time.time(),
-        "rows": row_count,
-        "rows_bytes": rows_bytes,
+        "rows": part.row_count,
         "total_bytes": total_bytes,
         "watermark": watermark,
-        "operators": operators,
     }
-    if index:
-        # The per-epoch delta index: derived from the epoch's own segments,
-        # exactly like the batch path, so no full-run rebuild ever happens.
-        entry["index"] = RunIndex.build(epoch_dir, entry).write(epoch_dir)
-        entry["total_bytes"] += entry["index"]["segment_bytes"]
 
     manifest["segment_epoch"] = epoch
     manifest["next_pid"] = next_pid
     if watermark is not None:
         manifest["watermark"] = watermark
-    manifest["rows"]["count"] += row_count
-    manifest["total_bytes"] += entry["total_bytes"]
+    manifest["rows"]["count"] += part.row_count
+    manifest["total_bytes"] += total_bytes
+    manifest["operator_count"] = max(manifest.get("operator_count", 0), len(operators))
     manifest["epochs"].append(entry)
     write_manifest(run_dir, manifest)
     return entry
@@ -263,10 +279,11 @@ def compact_live_run(
     source = LazyProvenanceStore(run_dir, manifest)
     id_map: dict[int, int] = {}
     next_id = 1
-    compacted = ProvenanceStore()
+    operators = []
     for oid in _chain_order(source.footer_topology()):
         provenance = source.get(oid)
         associations = provenance.associations
+        source_block = None
         if isinstance(associations, ReadAssociations):
             fresh = []
             for old in associations.ids:
@@ -274,12 +291,11 @@ def compact_live_run(
                 fresh.append(next_id)
                 next_id += 1
             remapped: Associations = ReadAssociations(fresh)
-            items = source.source_items(oid)
-            compacted.register_source_items(
-                oid,
-                source.source_name(oid),
-                {id_map[old]: item for old, item in items.items()},
+            payloads = sorted(
+                (id_map[old], raw) for old, raw in source.encoded_source_items(oid)
             )
+            name = source.source_name(oid)
+            source_block = (name, len(payloads), wf.encode_payloads(name, payloads))
         elif isinstance(associations, UnaryAssociations):
             records = []
             for id_in, id_out in associations.records:
@@ -311,30 +327,23 @@ def compact_live_run(
             raise ProvenanceError(
                 f"cannot compact associations {type(associations).__name__}"
             )
-        compacted.register(
-            OperatorProvenance(
-                provenance.oid,
-                provenance.op_type,
-                provenance.inputs,
-                provenance.manipulations,
-                remapped,
-                label=provenance.label,
-            )
+        remapped_provenance = OperatorProvenance(
+            provenance.oid,
+            provenance.op_type,
+            provenance.inputs,
+            provenance.manipulations,
+            remapped,
+            label=provenance.label,
         )
+        operators.append((remapped_provenance, source_block))
     rows = [
-        (id_map[pid] if pid is not None else None, item)
-        for pid, item in wf.materialise_rows(source.encoded_rows())
+        (id_map[pid] if pid is not None else None, raw)
+        for pid, raw in source.encoded_rows()
     ]
-    execution = ExecutionResult(
-        RestoredPlanNode(manifest["sink_oid"]),
-        [rows],
-        Schema(StructType()),
-        compacted,
-        ExecutionMetrics(),
-    )
     sealed = write_run(
         run_dir,
-        execution,
+        EncodedPart(operators, len(rows), wf.encode_payloads(None, rows)),
+        manifest["sink_oid"],
         manifest["run_id"],
         manifest["name"],
         manifest["created"],
@@ -391,16 +400,20 @@ def retain_epochs(
                     pid for pid, _ in doomed.encoded_rows() if pid is not None
                 ),
                 "source_ids": {
-                    oid_text: sorted(doomed.source_items(int(oid_text)))
-                    for oid_text, op_entry in entry["operators"].items()
-                    if op_entry["kind"] == "read"
+                    str(oid): sorted(
+                        item_id for item_id, _ in doomed.encoded_source_items(oid)
+                    )
+                    for oid in doomed.footer_topology()
+                    if doomed.is_source(oid)
                 },
             }
         )
         shutil.rmtree(run_dir / entry["dir"])
         entry["expired"] = True
         entry["expired_at"] = now
-        entry["operators"] = {}
+        # A <= 2.3 entry's inline footer goes with its directory.
+        entry.pop("operators", None)
+        entry.pop("index", None)
         manifest["rows"]["count"] -= entry["rows"]
         manifest["total_bytes"] -= entry["total_bytes"]
 

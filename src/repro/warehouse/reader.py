@@ -62,7 +62,7 @@ from repro.nested.values import DataItem
 from repro.obs.breakdown import get_breakdown
 from repro.obs.tracer import get_tracer
 import repro.warehouse.format as wf
-from repro.warehouse.writer import MANIFEST_NAME, OPS_DIR, ROWS_SEGMENT
+from repro.warehouse.writer import MANIFEST_NAME, OPS_DIR, PART_NAME, ROWS_SEGMENT
 
 __all__ = [
     "LazyProvenanceStore",
@@ -122,19 +122,25 @@ def run_parts(
 
     A batch manifest is one part (the run directory itself); an epoch
     manifest yields one part per visible epoch -- unexpired and, with
-    *max_epoch*, admitted at or before it -- in epoch order.  The list is a
-    snapshot: epochs appended afterwards stay invisible to its holder.
+    *max_epoch*, admitted at or before it -- in epoch order.  An epoch's
+    footer is its own immutable ``part.json``; an entry that carries
+    ``operators`` inline (written by <= 2.3) is taken as it is.  The list is
+    a snapshot: epochs appended afterwards stay invisible to its holder.
     """
     run_dir = FsPath(run_dir)
     epochs = manifest.get("epochs")
     if epochs is None:
         return [RunPart(run_dir, manifest["operators"], manifest.get("index"))]
-    return [
-        RunPart(run_dir / entry["dir"], entry["operators"], entry.get("index"))
-        for entry in epochs
-        if not entry.get("expired")
-        and (max_epoch is None or entry["epoch"] <= max_epoch)
-    ]
+    parts = []
+    for entry in epochs:
+        if entry.get("expired") or (max_epoch is not None and entry["epoch"] > max_epoch):
+            continue
+        directory = run_dir / entry["dir"]
+        footer = entry
+        if "operators" not in entry:
+            footer = json.loads((directory / PART_NAME).read_bytes())
+        parts.append(RunPart(directory, footer["operators"], footer.get("index")))
+    return parts
 
 
 def match_encoded_rows(
@@ -205,7 +211,9 @@ def _merge_inputs(parts: list[OperatorProvenance]) -> list[InputRef]:
         ]
         schema = schemas[0] if schemas else None
         for other in schemas[1:]:
-            schema = Schema(unify(schema.struct, other.struct))
+            # Equal snapshots decode to one object (the schema memo); most are.
+            if other is not schema and other.struct != schema.struct:
+                schema = Schema(unify(schema.struct, other.struct))
         merged.append(InputRef(entry.predecessor, entry.accessed, schema))
     return merged
 
@@ -416,6 +424,13 @@ class LazyProvenanceStore:
                 with count_items_decoded(self.metrics, block):
                     items.update(block.all())
         return items
+
+    def encoded_source_items(self, oid: int) -> list[tuple[int, bytes]]:
+        """A read operator's ``(item id, raw JSON bytes)``, part after part;
+        no item is parsed (compaction moves them as they are)."""
+        with self._lock:
+            blocks = self._source_blocks(oid)
+        return [pair for block in blocks for pair in block.encoded()]
 
     def _block_of(self, oid: int, item_id: int) -> wf.SourceItemBlock:
         for block in self._source_blocks(oid):

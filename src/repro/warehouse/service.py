@@ -70,7 +70,7 @@ from repro.warehouse.reader import (
     match_encoded_rows,
     run_parts,
 )
-from repro.warehouse.writer import DEFAULT_SUB_SHARD_SPAN, write_run
+from repro.warehouse.writer import DEFAULT_SUB_SHARD_SPAN, encode_part, write_run
 
 __all__ = ["Warehouse"]
 
@@ -260,7 +260,8 @@ class Warehouse:
             "warehouse-record", "warehouse", run_id=run_id, shard=shard or LEGACY_SHARD
         ):
             manifest = write_run(
-                run_dir, execution, run_id, name, created, sub_shard_span=sub_shard_span
+                run_dir, encode_part(execution), execution.root.oid, run_id, name, created,
+                sub_shard_span=sub_shard_span,
             )
             # Keep the execution's accounting next to the segments so
             # ``repro stats`` can rebuild a registry for the stored run.
@@ -364,9 +365,7 @@ class Warehouse:
         record.segment_epoch = manifest["segment_epoch"]
         record.row_count = manifest["rows"]["count"]
         record.total_bytes = manifest["total_bytes"]
-        record.operator_count = len(
-            {oid for part in run_parts(run_dir, manifest) for oid in part.operators}
-        )
+        record.operator_count = manifest["operator_count"]
         record.indexed = bool(index)
         # Persist per batch: the catalog's per-run epoch entry is what serve
         # workers stat-compare, so the bump must be durable immediately.

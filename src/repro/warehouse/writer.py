@@ -7,10 +7,12 @@ in the footer index, so a lazy reader can decode the operator (needed for
 topological backtracing) without touching the usually much larger item
 block.  The provenance-annotated result rows go into ``rows.seg``.
 
-The footer index (``manifest.json``) maps every operator id to its segment,
-byte offsets, record counts, and the Fig. 8 size split -- everything
-``size_report()`` and ``is_source()`` need is answerable from the index
-alone, with zero segment decodes.
+The footer index maps every operator id to its segment, byte offsets, record
+counts, and the Fig. 8 size split -- everything ``size_report()`` and
+``is_source()`` need is answerable from the index alone, with zero segment
+decodes.  A batch run keeps it in ``manifest.json``; an epoch of a live run
+keeps its own in ``part.json`` beside its segments (:func:`write_part_footer`),
+so appending a micro-batch never rewrites an earlier epoch's footer.
 
 Large runs additionally **sub-shard** their segments: when a run has more
 operators than ``sub_shard_span``, segments land in ``ops/range-NNNN/``
@@ -25,25 +27,30 @@ from __future__ import annotations
 
 import json
 from pathlib import Path as FsPath
-from typing import Any
+from typing import Any, NamedTuple
 
-from repro.core.operator_provenance import ReadAssociations
-from repro.core.store import ProvenanceStore
+from repro.core.operator_provenance import OperatorProvenance, ReadAssociations
 from repro.engine.executor import ExecutionResult
 from repro.errors import ProvenanceError
 import repro.warehouse.format as wf
 
 __all__ = [
     "MANIFEST_NAME",
+    "PART_NAME",
     "OPS_DIR",
     "ROWS_SEGMENT",
     "DEFAULT_SUB_SHARD_SPAN",
+    "EncodedPart",
+    "encode_part",
     "write_manifest",
     "write_part",
+    "write_part_footer",
     "write_run",
 ]
 
 MANIFEST_NAME = "manifest.json"
+#: Footer of one epoch part (operator index entries + its ``index.seg`` entry).
+PART_NAME = "part.json"
 OPS_DIR = "ops"
 ROWS_SEGMENT = "rows.seg"
 
@@ -55,12 +62,40 @@ DEFAULT_SUB_SHARD_SPAN = 256
 _PREAMBLE = len(wf.MAGIC) + 2 + 1
 
 
+class EncodedPart(NamedTuple):
+    """One part's content with every data item already in its stored bytes."""
+
+    #: ``(provenance, source)`` per operator; *source* is a read operator's
+    #: ``(name, item count, items block)``, else ``None``.
+    operators: list[tuple[OperatorProvenance, tuple[str, int, bytes] | None]]
+    row_count: int
+    #: The rows payload (:func:`repro.warehouse.format.encode_rows`).
+    rows: bytes
+
+
+def encode_part(execution: ExecutionResult) -> EncodedPart:
+    """The ``DataItem`` front end of :func:`write_part`: JSON-encode the
+    source items and result rows of one captured execution."""
+    store = execution.store
+    if store is None:
+        raise ProvenanceError("only capture-enabled executions can be recorded")
+    operators: list[tuple[OperatorProvenance, tuple[str, int, bytes] | None]] = []
+    for provenance in store.operators():
+        source = None
+        if isinstance(provenance.associations, ReadAssociations):
+            name = store.source_name(provenance.oid)
+            items = store.source_items(provenance.oid)
+            source = (name, len(items), wf.encode_source_items(name, items))
+        operators.append((provenance, source))
+    rows = execution.rows()
+    return EncodedPart(operators, len(rows), wf.encode_rows(rows))
+
+
 def _operator_segment(
-    store: ProvenanceStore, provenance: Any
+    provenance: OperatorProvenance, source: tuple[str, int, bytes] | None
 ) -> tuple[bytes, dict[str, Any]]:
     """Encode one operator segment; returns ``(bytes, index entry)``."""
     record = wf.encode_operator(provenance)
-    is_source = isinstance(provenance.associations, ReadAssociations)
     payload = record
     entry: dict[str, Any] = {
         "segment": f"op-{provenance.oid:06d}.seg",
@@ -78,14 +113,10 @@ def _operator_segment(
             if input_ref.predecessor is not None
         ],
     }
-    if is_source:
-        items_block = wf.encode_source_items(
-            store.source_name(provenance.oid), store.source_items(provenance.oid)
-        )
-        entry["source_name"] = store.source_name(provenance.oid)
+    if source is not None:
+        entry["source_name"], entry["item_count"], items_block = source
         entry["items_offset"] = _PREAMBLE + len(record)
         entry["items_length"] = len(items_block)
-        entry["item_count"] = len(store.source_items(provenance.oid))
         payload = record + items_block
     return wf.encode_segment(wf.SEGMENT_OPERATOR, payload), entry
 
@@ -95,41 +126,48 @@ def write_manifest(run_dir: FsPath, manifest: dict[str, Any]) -> None:
 
     Segments are always written *before* the manifest referencing them, so
     a reader holding a previously loaded manifest keeps resolving every
-    segment it can see -- the admission-time snapshot costs nothing.
+    segment it can see -- the admission-time snapshot costs nothing.  The
+    JSON is compact: ``json.dumps`` without ``indent`` runs the C encoder
+    (``json.dump`` and ``indent`` both fall back to the Python one).
     """
     run_dir = FsPath(run_dir)
     tmp = run_dir / (MANIFEST_NAME + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
+    tmp.write_text(json.dumps(manifest), encoding="utf-8")
     tmp.replace(run_dir / MANIFEST_NAME)
 
 
+def write_part_footer(
+    part_dir: FsPath, operators: dict[str, Any], index: dict[str, Any] | None
+) -> None:
+    """Persist an epoch part's own footer, ``part.json``: the operator index
+    entries plus the ``index.seg`` entry.  Written once, before the manifest
+    line that makes the epoch visible, and never rewritten."""
+    footer = {"operators": operators, "index": index}
+    (FsPath(part_dir) / PART_NAME).write_text(json.dumps(footer), encoding="utf-8")
+
+
 def write_part(
-    part_dir: FsPath, execution: ExecutionResult, sub_shard_span: int
-) -> tuple[dict[str, Any], int, int, int]:
+    part_dir: FsPath, part: EncodedPart, sub_shard_span: int
+) -> tuple[dict[str, Any], int, int]:
     """Write one part -- operator segments plus ``rows.seg`` -- into *part_dir*.
 
     A batch run is one part (its run directory), a live run one per
-    micro-batch.  Returns ``(operator index entries, row count, rows segment
-    bytes, total bytes)``.  More than *sub_shard_span* operators split
-    across ``ops/range-NNNN/`` directories (span operators per range).
+    micro-batch.  Returns ``(operator index entries, rows segment bytes,
+    total bytes)``.  More than *sub_shard_span* operators split across
+    ``ops/range-NNNN/`` directories (span operators per range).
     """
-    store = execution.store
-    if store is None:
-        raise ProvenanceError("only capture-enabled executions can be recorded")
     if sub_shard_span < 1:
         raise ProvenanceError(f"sub_shard_span must be >= 1, got {sub_shard_span}")
     part_dir = FsPath(part_dir)
     ops_dir = part_dir / OPS_DIR
     ops_dir.mkdir(parents=True, exist_ok=False)
 
-    provenances = list(store.operators())
-    sub_sharded = len(provenances) > sub_shard_span
+    sub_sharded = len(part.operators) > sub_shard_span
 
     total_bytes = 0
     operators: dict[str, Any] = {}
-    for provenance in provenances:
-        segment, entry = _operator_segment(store, provenance)
+    for provenance, source in part.operators:
+        segment, entry = _operator_segment(provenance, source)
         if sub_sharded:
             # The index entry's "segment" stays an ops-dir-relative path, so
             # every reader join (part_dir / OPS_DIR / segment) still works.
@@ -141,37 +179,32 @@ def write_part(
         total_bytes += len(segment)
         operators[str(provenance.oid)] = entry
 
-    rows = execution.rows()
-    rows_segment = wf.encode_segment(wf.SEGMENT_ROWS, wf.encode_rows(rows))
+    rows_segment = wf.encode_segment(wf.SEGMENT_ROWS, part.rows)
     (part_dir / ROWS_SEGMENT).write_bytes(rows_segment)
-    return operators, len(rows), len(rows_segment), total_bytes + len(rows_segment)
+    return operators, len(rows_segment), total_bytes + len(rows_segment)
 
 
 def write_run(
     run_dir: FsPath,
-    execution: ExecutionResult,
+    part: EncodedPart,
+    sink_oid: int,
     run_id: str,
     name: str,
     created: float,
     sub_shard_span: int = DEFAULT_SUB_SHARD_SPAN,
 ) -> dict[str, Any]:
-    """Write one captured execution under *run_dir*; returns the manifest.
-
-    The manifest is also persisted as ``run_dir/manifest.json``.  Raises
-    :class:`ProvenanceError` for capture-disabled executions.
-    """
-    operators, row_count, rows_bytes, total_bytes = write_part(
-        run_dir, execution, sub_shard_span
-    )
+    """Write one part as a whole batch run under *run_dir*; returns the
+    manifest, also persisted as ``run_dir/manifest.json``."""
+    operators, rows_bytes, total_bytes = write_part(run_dir, part, sub_shard_span)
     manifest = {
         "format": wf.FORMAT_VERSION,
         "run_id": run_id,
         "name": name,
         "created": created,
-        "sink_oid": execution.root.oid,
+        "sink_oid": sink_oid,
         "rows": {
             "segment": ROWS_SEGMENT,
-            "count": row_count,
+            "count": part.row_count,
             "segment_bytes": rows_bytes,
         },
         "operators": operators,

@@ -1,0 +1,297 @@
+"""The streaming write path costs O(batch), survives a crashed append, and
+reads the same whichever manifest shape holds an epoch's footer.
+
+Three contracts, none of them timed:
+
+* **O(batch).**  An append reads and rewrites the head and touches nothing
+  of any earlier epoch; the head grows by one slim line per epoch; and
+  compaction moves source items and sink rows as stored bytes -- it parses
+  none.
+* **Crash safety.**  A writer that dies between the epoch directory and the
+  head rename leaves exactly the pre-state, and the next append goes through.
+* **One reader for both shapes.**  A head written by <= 2.3 carries each
+  epoch's footer inline; ``run_parts`` takes it as it is, so inspect, pinned
+  backtrace, retention and compaction agree with the ``part.json`` shape.
+"""
+
+from __future__ import annotations
+
+import builtins
+import io
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+import repro.warehouse.format as wf
+import repro.warehouse.live as live
+from repro.engine.expressions import col, collect_list, count
+from repro.engine.session import Session
+from repro.nested.values import DataItem
+from repro.pebble.query import query_provenance
+from repro.stream import StreamSession, TumblingWindow, window_by
+from repro.warehouse import Warehouse
+from repro.warehouse.reader import load_manifest
+
+PATTERN = 'root{/user="u1", /ids}'
+
+
+def _rows(lo: int, hi: int) -> list[dict]:
+    return [{"id": i, "user": f"u{i % 2}", "ts": float(i)} for i in range(lo, hi)]
+
+
+def _plan(dataset):
+    return window_by(dataset, col("ts"), TumblingWindow(4.0), col("user")).agg(
+        collect_list(col("id")).alias("ids"), count().alias("n")
+    )
+
+
+def _open_stream(root: Path) -> StreamSession:
+    stream = StreamSession(warehouse=root, name="feed", num_partitions=2)
+    stream.open(_plan(stream.dataset()))
+    return stream
+
+
+def _segments(run_dir: Path) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(run_dir)): path.read_bytes()
+        for path in sorted(run_dir.rglob("*.seg"))
+    }
+
+
+def _tree(run_dir: Path) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(run_dir)): path.read_bytes()
+        for path in sorted(run_dir.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _record_batch(warehouse: Warehouse, rows: list[dict]) -> Path:
+    session = Session(num_partitions=2)
+    dataset = session.create_dataset([DataItem(row) for row in rows], "stream")
+    batch = _plan(dataset).execute(capture=True)
+    return warehouse.run_dir(warehouse.record(batch, name="batch").run_id)
+
+
+def _narrow(dataset):
+    return dataset.filter(col("id") >= 1).select(col("user"), col("id"))
+
+
+class TestCrashedAppend:
+    """The writer dies after the epoch directory is complete and before the
+    head is renamed.  The plan is windowless, so re-ingesting the batch that
+    never committed is the whole recovery (at-least-once delivery)."""
+
+    @pytest.fixture()
+    def crashed(self, tmp_path, monkeypatch):
+        stream = StreamSession(warehouse=tmp_path / "wh", name="feed", num_partitions=2)
+        stream.open(_narrow(stream.dataset()))
+        stream.ingest(_rows(0, 6))
+
+        def die(run_dir, manifest):
+            raise OSError("killed before the head rename")
+
+        monkeypatch.setattr(live, "write_manifest", die)
+        with pytest.raises(OSError):
+            stream.ingest(_rows(6, 10))
+        monkeypatch.undo()
+        return stream, stream.warehouse.run_dir(stream.run_id)
+
+    def test_reopen_shows_exactly_the_pre_state(self, tmp_path, crashed):
+        stream, run_dir = crashed
+        # The epoch directory landed, complete; the head never moved.
+        assert (run_dir / "batches" / "epoch-0002" / "part.json").exists()
+        head = load_manifest(run_dir)
+        assert head["segment_epoch"] == 1 and len(head["epochs"]) == 1
+        reopened = Warehouse.open(tmp_path / "wh")
+        summary = reopened.inspect(stream.run_id)
+        assert [entry["epoch"] for entry in summary["epochs"]] == [1]
+        assert summary["rows"] == 5 and reopened.resolve(stream.run_id).segment_epoch == 1
+        answer, _ = reopened.backtrace(stream.run_id, 'root{/user="u1"}')
+        assert sorted(answer.all_ids()) and len(answer.matched_output_ids) == 3
+
+    def test_the_next_ingest_succeeds_and_compacts_to_the_batch_bytes(self, crashed):
+        stream, run_dir = crashed
+        garbage = run_dir / "batches" / "epoch-0002"
+        (garbage / "ops" / "stale.seg").write_bytes(b"left by the dead writer")
+        entry = stream.ingest(_rows(6, 10))  # used to raise FileExistsError
+        assert entry["epoch"] == 2 and entry["rows"] == 4
+        assert not (garbage / "ops" / "stale.seg").exists()  # cleared, not merged
+        record = stream.finish(compact=True)
+
+        session = Session(num_partitions=2)
+        rows = [DataItem(row) for row in _rows(0, 10)]
+        batch = _narrow(session.create_dataset(rows, "stream")).execute(capture=True)
+        batch_dir = stream.warehouse.run_dir(stream.warehouse.record(batch, name="batch").run_id)
+        assert _segments(stream.warehouse.run_dir(record.run_id)) == _segments(batch_dir)
+
+
+class TestCostFollowsTheBatch:
+    EPOCHS = 120
+
+    @pytest.fixture()
+    def long_stream(self, tmp_path):
+        stream = _open_stream(tmp_path / "wh")
+        run_dir = stream.warehouse.run_dir(stream.run_id)
+        sizes = []
+        for epoch in range(self.EPOCHS):
+            stream.ingest(_rows(epoch * 3, epoch * 3 + 3))
+            sizes.append((run_dir / "manifest.json").stat().st_size)
+        return stream, run_dir, sizes
+
+    def test_head_grows_by_one_slim_line_per_epoch(self, long_stream):
+        _, run_dir, sizes = long_stream
+        growth = [after - before for before, after in zip(sizes, sizes[1:])]
+        assert max(growth) <= 256, max(growth)
+        assert sizes[-1] <= 256 * self.EPOCHS
+        head = load_manifest(run_dir)
+        assert len(head["epochs"]) == self.EPOCHS
+        assert all("operators" not in entry for entry in head["epochs"])
+        assert head["operator_count"] == len(
+            json.loads((run_dir / head["epochs"][-1]["dir"] / "part.json").read_text())[
+                "operators"
+            ]
+        )
+
+    def test_an_append_opens_nothing_of_an_earlier_epoch(self, long_stream, monkeypatch):
+        stream, run_dir, _ = long_stream
+        opened: list[str] = []
+        real_open = io.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        # ``Path.read_bytes`` / ``write_bytes`` / ``open`` all go through io.open.
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        stream.ingest(_rows(1000, 1003))
+        monkeypatch.undo()
+
+        batches = str(run_dir / "batches")
+        own = str(run_dir / "batches" / f"epoch-{self.EPOCHS + 1:04d}")
+        touched = [name for name in opened if name.startswith(batches)]
+        assert touched, "the recorder saw no epoch file at all"
+        assert all(name.startswith(own) for name in touched), touched
+        assert str(run_dir / "manifest.json") in opened  # the head is re-read
+
+    def test_compaction_parses_no_item_and_no_row(self, long_stream, monkeypatch):
+        stream, run_dir, _ = long_stream
+        rows = [row for epoch in range(self.EPOCHS) for row in _rows(epoch * 3, epoch * 3 + 3)]
+        stores = []
+
+        class Watched(live.LazyProvenanceStore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                stores.append(self)
+
+        def no_parse(raw):
+            raise AssertionError("compaction parsed an item")
+
+        monkeypatch.setattr(live, "LazyProvenanceStore", Watched)
+        monkeypatch.setattr(wf, "item_from_json", no_parse)
+        record = stream.finish(compact=True)
+        monkeypatch.undo()
+
+        (store,) = stores
+        assert store.metrics.items_decoded == 0
+        assert store.metrics.rows_decoded == 0
+        assert store.metrics.item_misses == 1  # the blocks were read, header-hopped
+        assert not (run_dir / "batches").exists()
+        assert _segments(stream.warehouse.run_dir(record.run_id)) == _segments(
+            _record_batch(stream.warehouse, rows)
+        )
+
+
+def _inline_footers(run_dir: Path) -> None:
+    """Rewrite *run_dir* the way <= 2.3 wrote it: every epoch's footer inline
+    in the (indented) manifest, no ``part.json``."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest.pop("operator_count")
+    for entry in manifest["epochs"]:
+        footer_path = run_dir / entry["dir"] / "part.json"
+        footer = json.loads(footer_path.read_text())
+        entry["operators"] = footer["operators"]
+        if footer["index"] is not None:
+            entry["index"] = footer["index"]
+        entry["rows_bytes"] = (run_dir / entry["dir"] / "rows.seg").stat().st_size
+        footer_path.unlink()
+    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+
+class TestBothShapesReadTheSame:
+    @pytest.fixture()
+    def pair(self, tmp_path):
+        """The same sealed three-epoch run twice: as written now, and
+        hand-converted to the inline-``operators`` shape."""
+        stream = _open_stream(tmp_path / "new")
+        stream.ingest(_rows(0, 6))
+        stream.ingest(_rows(6, 10))
+        stream.finish(compact=False)
+        shutil.copytree(tmp_path / "new", tmp_path / "old")
+        new, old = Warehouse.open(tmp_path / "new"), Warehouse.open(tmp_path / "old")
+        _inline_footers(old.run_dir(stream.run_id))
+        assert not list(old.run_dir(stream.run_id).rglob("part.json"))
+        return new, old, stream.run_id
+
+    def test_inspect_and_index(self, pair):
+        new, old, run_id = pair
+        assert old.inspect(run_id) == new.inspect(run_id)
+        assert len(new.inspect(run_id)["epochs"]) == 3
+        assert old.load_index(run_id).summary() == new.load_index(run_id).summary()
+
+    def test_backtrace_pinned_to_an_admission_epoch(self, pair):
+        new, old, run_id = pair
+        for max_epoch in (1, 2, 3):
+            answers = [
+                query_provenance(warehouse.load(run_id, max_epoch=max_epoch), PATTERN)
+                for warehouse in (new, old)
+            ]
+            assert answers[0].render() == answers[1].render(), max_epoch
+            assert answers[0].all_ids() == answers[1].all_ids(), max_epoch
+        assert answers[0].matched_output_ids
+
+    def test_retain_expires_the_footer_with_its_directory(self, pair):
+        new, old, run_id = pair
+        created = load_manifest(new.run_dir(run_id))["epochs"][0]["created"]
+        receipts = []
+        for warehouse in (new, old):
+            assert (warehouse.run_dir(run_id) / "batches" / "epoch-0001").exists()
+            # TTL and clock chosen so only the first epoch is past the horizon.
+            report = warehouse.retain(1.0, run_id, now=created + 1.0)
+            (receipt,) = report["receipts"]
+            assert receipt["verified"] == {"sink_ids_absent": True, "source_ids_absent": True}
+            assert [record["epoch"] for record in receipt["expired_epochs"]] == [1]
+            assert not (warehouse.run_dir(run_id) / "batches" / "epoch-0001").exists()
+            receipts.append(receipt)
+        assert receipts[0] == receipts[1]  # digest included
+        assert new.inspect(run_id) == old.inspect(run_id)
+        expired = load_manifest(old.run_dir(run_id))["epochs"][0]
+        assert expired["expired"] and "operators" not in expired
+        after = [warehouse.backtrace(run_id, PATTERN)[0].render() for warehouse in (new, old)]
+        assert after[0] == after[1]
+
+    def test_compact_gives_the_same_run(self, pair):
+        new, old, run_id = pair
+        for warehouse in (new, old):
+            warehouse.seal_live_run(run_id, compact=True)
+        assert _tree(new.run_dir(run_id)) == _tree(old.run_dir(run_id))
+        assert _segments(new.run_dir(run_id)) == _segments(
+            _record_batch(new, _rows(0, 10))
+        )
+
+    def test_an_old_live_head_keeps_growing(self, tmp_path):
+        """A <= 2.3 run that is still live takes new-shape epochs after its
+        inline ones; the reader sees both."""
+        stream = _open_stream(tmp_path / "wh")
+        stream.ingest(_rows(0, 6))
+        run_dir = stream.warehouse.run_dir(stream.run_id)
+        _inline_footers(run_dir)
+        stream.ingest(_rows(6, 10))
+        head = load_manifest(run_dir)
+        assert ["operators" in entry for entry in head["epochs"]] == [True, False]
+        record = stream.finish(compact=True)
+        assert record.operator_count == head["operator_count"]
+        assert _segments(run_dir) == _segments(_record_batch(stream.warehouse, _rows(0, 10)))

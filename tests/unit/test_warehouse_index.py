@@ -152,10 +152,10 @@ class TestManifestWiring:
     ):
         def assert_clean(run_dir):
             """One writer for every manifest: nothing left behind, and the
-            bytes are the plain ``indent=2`` dump they have always been."""
+            bytes are the compact dump the C encoder produces."""
             assert not (run_dir / "manifest.json.tmp").exists()
             raw = (run_dir / "manifest.json").read_text()
-            assert raw == json.dumps(json.loads(raw), indent=2)
+            assert raw == json.dumps(json.loads(raw))
 
         warehouse = Warehouse.open(tmp_path / "wh")
         record = warehouse.record(captured_example, name="plain", index=False)
@@ -171,11 +171,12 @@ class TestManifestWiring:
 
         # A write torn mid-dump never shows up under the manifest's name --
         # not for a rewrite (the old manifest survives) and not for write_run.
-        def torn(obj, handle, **kwargs):
-            handle.write('{"format": 2, "run_id"')
+        def torn(path, text, **kwargs):
+            with open(path, "w") as handle:
+                handle.write(text[:22])
             raise OSError("disk full")
 
-        monkeypatch.setattr(json, "dump", torn)
+        monkeypatch.setattr(type(run_dir), "write_text", torn)
         with pytest.raises(OSError):
             ensure_index(run_dir, dict(manifest))
         with pytest.raises(OSError):
