@@ -126,9 +126,9 @@ class ForwardResult:
     """One forward trace: matched inputs, reached ids, derived outputs.
 
     ``stats`` carries the evaluation accounting (index used, operators
-    decoded/skipped); it is deliberately **excluded** from :meth:`to_json`
-    so indexed and scan answers to the same question serialise
-    byte-identically.
+    decoded/skipped, source items tested as candidates and confirmed); it
+    is deliberately **excluded** from :meth:`to_json` so indexed and scan
+    answers to the same question serialise byte-identically.
     """
 
     __slots__ = ("run_id", "pattern", "sources", "reached", "output_ids", "outputs", "stats")
@@ -217,23 +217,43 @@ class ForwardTracer:
         self._candidate = getattr(
             self._store, "peek_source_item", self._store.source_item
         )
+        #: Accounting of the last trace: what ``match_sources`` tested and
+        #: confirmed, what ``closure`` decoded and skipped.
+        self._last_stats: dict[str, Any] = {
+            "index_used": False,
+            "operators_decoded": 0,
+            "operators_skipped": 0,
+            "candidates_tested": 0,
+            "candidates_confirmed": 0,
+        }
 
     # -- subject matching ------------------------------------------------------
 
     def match_sources(self, pattern: TreePattern | str) -> list[SubjectMatch]:
         """Match *pattern* against every source's items, in oid order."""
         tree_pattern = as_pattern(pattern)
-        with get_breakdown().phase("pattern_match"):
+        breakdown = get_breakdown()
+        tested = 0
+        with breakdown.phase("pattern_match"):
             topology = self._topology()
             matches = []
             for oid in sorted(topology):
                 if not self._store.is_source(oid):
                     continue
-                ids = self._match_source(tree_pattern, oid)
+                ids, candidates = self._match_source(tree_pattern, oid)
+                tested += candidates
                 matches.append(SubjectMatch(oid, self._store.source_name(oid), ids))
+        counts = {
+            "candidates_tested": tested,
+            "candidates_confirmed": sum(len(match.ids) for match in matches),
+        }
+        self._last_stats.update(counts)
+        breakdown.count(**counts)
         return matches
 
-    def _match_source(self, pattern: TreePattern, oid: int) -> tuple[int, ...]:
+    def _match_source(self, pattern: TreePattern, oid: int) -> tuple[tuple[int, ...], int]:
+        """The matching item ids of one source, and how many items were
+        parsed and walked to find them (the index's candidates, or all)."""
         index = self._index
         if index is not None:
             terms = [
@@ -255,18 +275,19 @@ class ForwardTracer:
                 if not candidates:
                     # TERMS is complete for in-cap terms: no postings
                     # proves no source item can satisfy the pattern.
-                    return ()
+                    return (), 0
                 confirmed = []
                 for item_id in sorted(candidates):
                     if match_item(pattern, self._candidate(oid, item_id)) is not None:
                         confirmed.append(item_id)
-                return tuple(confirmed)
+                return tuple(confirmed), len(candidates)
         items = self._store.source_items(oid)
-        return tuple(
+        matched = tuple(
             item_id
             for item_id in sorted(items)
             if match_item(pattern, items[item_id]) is not None
         )
+        return matched, len(items)
 
     # -- the forward closure ---------------------------------------------------
 
@@ -314,12 +335,13 @@ class ForwardTracer:
                         continue
                     reached |= _emit(store.get(oid), reached)
                     decoded += 1
-        self._last_stats = {
+        counts = {
             "index_used": self._index is not None,
             "operators_decoded": decoded,
             "operators_skipped": skipped,
         }
-        breakdown.count(**self._last_stats)
+        self._last_stats.update(counts)
+        breakdown.count(**counts)
         return reached
 
     def trace(self, pattern: TreePattern | str) -> ForwardResult:
@@ -359,12 +381,6 @@ class ForwardTracer:
         )
 
     # -- plumbing --------------------------------------------------------------
-
-    _last_stats: dict[str, Any] = {
-        "index_used": False,
-        "operators_decoded": 0,
-        "operators_skipped": 0,
-    }
 
     def _topology(self) -> dict[int, tuple[int, ...]]:
         store = self._store

@@ -809,7 +809,9 @@ def _cmd_trace_forward(args: argparse.Namespace) -> int:
         stats = result.stats
         print(f"\nindex: {'used' if stats['index_used'] else 'absent (full scan)'}  "
               f"operators decoded: {stats['operators_decoded']}  "
-              f"skipped: {stats['operators_skipped']}")
+              f"skipped: {stats['operators_skipped']}  "
+              f"candidates tested: {stats['candidates_tested']}  "
+              f"confirmed: {stats['candidates_confirmed']}")
         if breakdown is not None:
             from repro.obs.breakdown import render_breakdown
 

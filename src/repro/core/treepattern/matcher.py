@@ -54,93 +54,92 @@ class PatternMatch:
         return f"PatternMatch(id={self.item_id}, paths={rendered})"
 
 
-def _with_pos(path: Path, pos: int) -> Path:
-    """Attach a concrete position to the last step of *path*."""
-    last = path.last()
-    return Path(path.parent().steps + (Step(last.name, pos),))
+# While matching, a candidate's path is a parent link ``(link, name, pos)``
+# -- ``None`` is the item root -- sharing its prefix with its siblings.  Only
+# the links a whole match reports become :class:`Path` objects, at the end.
+_Link = tuple[Any, str, "int | None"]
+
+_COLLECTIONS = (Bag, NestedSet)
+_CONTAINERS = (DataItem, Bag, NestedSet)
 
 
-def _direct_candidates(value: Any, path: Path, name: str) -> Iterator[tuple[Path, Any]]:
-    """Parent-child candidates: attribute *name* of a struct, or of the
-    elements of a collection (Fig. 4 navigates ``tweets / text`` through the
-    bag's elements).  ``*`` matches every attribute."""
-    if isinstance(value, DataItem):
-        if name == "*":
-            for attr, attr_value in value.pairs():
-                yield path.child(attr), attr_value
-        elif name in value:
-            yield path.child(name), value[name]
-    elif isinstance(value, (Bag, NestedSet)):
-        for pos, element in enumerate(value, start=1):
-            if not isinstance(element, DataItem):
-                continue
-            element_path = _with_pos(path, pos)
-            if name == "*":
-                for attr, attr_value in element.pairs():
-                    yield element_path.child(attr), attr_value
-            elif name in element:
-                yield element_path.child(name), element[name]
+def _to_path(link: _Link | None) -> Path:
+    steps = []
+    while link is not None:
+        link, name, pos = link
+        steps.append(Step(name, pos))
+    steps.reverse()
+    return Path(steps)
 
 
-def _descendant_candidates(value: Any, path: Path, name: str) -> Iterator[tuple[Path, Any]]:
-    """Ancestor-descendant candidates: attribute *name* at any depth.
+def _survivors(node: PatternNode, value: Any, link: _Link | None) -> list[tuple[_Link, Any]]:
+    """Walk *node*'s edge from *value*; return the candidates passing its value check.
 
-    ``*`` matches every attribute at every depth."""
-    if isinstance(value, DataItem):
-        for attr, attr_value in value.pairs():
-            attr_path = path.child(attr)
-            if name == "*" or attr == name:
-                yield attr_path, attr_value
-            yield from _descendant_candidates(attr_value, attr_path, name)
-    elif isinstance(value, (Bag, NestedSet)):
-        for pos, element in enumerate(value, start=1):
-            yield from _descendant_candidates(element, _with_pos(path, pos), name)
+    A parent-child edge reaches attribute ``node.name`` of a struct, or of
+    the struct elements of a collection (Fig. 4 navigates ``tweets / text``
+    through the bag's elements); an ancestor-descendant edge reaches it at
+    any depth; ``*`` matches every attribute.  Elements take their
+    collection's own step with a concrete position, so a bag of bags
+    addresses its innermost position.
 
-
-def _expand_elements(
-    node: PatternNode, candidates: Iterator[tuple[Path, Any]]
-) -> Iterator[tuple[Path, Any]]:
-    """Fan value-constrained collection candidates out over their elements.
-
-    A constrained node naming a collection of *constants* (e.g. a
+    A value-constrained node naming a collection of *constants* (e.g. a
     ``collect_list`` of strings) addresses the individual elements:
     ``/labels="b"`` matches ``labels[2]`` when the second element is ``b``.
-    Unconstrained nodes (and collections of structs, which are navigated via
-    child patterns) pass through unchanged.
+    A collection that satisfies the constraint as a whole, and every
+    candidate of an unconstrained node, stands for itself.
     """
-    for path, value in candidates:
-        if (
-            node.has_value_constraint()
-            and isinstance(value, (Bag, NestedSet))
-            and not node.value_matches(value)
-        ):
+    name = node.name
+    any_name = name == "*"
+    deep = node.edge != Edge.CHILD
+    constrained = node.has_value_constraint()
+    passes = node.value_matches
+    found: list[tuple[_Link, Any]] = []
+    stack = [(link, value)]
+    while stack:
+        link, value = stack.pop()
+        if isinstance(value, DataItem):
+            if deep or any_name:
+                pairs = value.pairs()
+            else:
+                pairs = ((name, value[name]),) if name in value else ()
+            for attr, inner in pairs:
+                nested = isinstance(inner, _CONTAINERS)
+                if any_name or attr == name:
+                    if not constrained or passes(inner):
+                        found.append(((link, attr, None), inner))
+                    elif nested and not isinstance(inner, DataItem):
+                        for pos, element in enumerate(inner, start=1):
+                            if passes(element):
+                                found.append(((link, attr, pos), element))
+                if nested and deep:
+                    stack.append(((link, attr, None), inner))
+        elif isinstance(value, _COLLECTIONS):
+            parent, attr, _ = link
             for pos, element in enumerate(value, start=1):
-                yield _with_pos(path, pos), element
-        else:
-            yield path, value
+                if isinstance(element, DataItem) or (deep and isinstance(element, _COLLECTIONS)):
+                    stack.append(((parent, attr, pos), element))
+    return found
 
 
-def _collection_context(candidate_path: Path) -> tuple[str, ...]:
+def _collection_context(link: _Link) -> tuple[Any, str] | None:
     """Key identifying the collection instance a candidate sits in.
 
     The count constraint of Fig. 4 counts occurrences *within one nested
     collection*: the context of ``tweets[2].text`` is the ``tweets`` bag,
-    the context of ``groups[1].vals[2]`` is ``groups[1].vals``.  Candidates
+    the context of ``groups[1].vals[2]`` is ``groups[1].vals`` -- the
+    candidate's nearest positional step, without its position.  Candidates
     without positional steps share the whole-item context.
     """
-    last_positional = -1
-    for index, step in enumerate(candidate_path.steps):
-        if isinstance(step.pos, int):
-            last_positional = index
-    if last_positional < 0:
-        return ()
-    prefix = [str(step) for step in candidate_path.steps[:last_positional]]
-    prefix.append(candidate_path.steps[last_positional].name)
-    return tuple(prefix)
+    while link is not None:
+        parent, name, pos = link
+        if pos is not None:
+            return parent, name
+        link = parent
+    return None
 
 
-def _match_node(node: PatternNode, value: Any, path: Path) -> set[Path] | None:
-    """Match *node* within the context value; return matched paths or None.
+def _match_node(node: PatternNode, value: Any, link: _Link | None) -> set[_Link] | None:
+    """Match *node* within the context value; return matched links or None.
 
     A count constraint ``(low, high)`` applies per enclosing collection
     instance: with ``low > 0`` the node matches if at least one collection
@@ -150,47 +149,35 @@ def _match_node(node: PatternNode, value: Any, path: Path) -> set[Path] | None:
     negation).  Without a count constraint the node must match at least
     once anywhere.
     """
-    if node.edge == Edge.CHILD:
-        candidates = _direct_candidates(value, path, node.name)
-    else:
-        candidates = _descendant_candidates(value, path, node.name)
-    successes: list[tuple[tuple[str, ...], set[Path]]] = []
-    for candidate_path, candidate_value in _expand_elements(node, candidates):
-        if not node.value_matches(candidate_value):
-            continue
-        gathered: set[Path] = {candidate_path}
-        failed = False
+    successes: list[tuple[_Link, set[_Link]]] = []
+    for candidate, candidate_value in _survivors(node, value, link):
+        gathered = {candidate}
         for sub_node in node.children:
-            sub_paths = _match_node(sub_node, candidate_value, candidate_path)
-            if sub_paths is None:
-                failed = True
+            sub_links = _match_node(sub_node, candidate_value, candidate)
+            if sub_links is None:
                 break
-            gathered |= sub_paths
-        if not failed:
-            successes.append((_collection_context(candidate_path), gathered))
+            gathered |= sub_links
+        else:
+            successes.append((candidate, gathered))
     if node.count is None:
         if not successes:
             return None
-        matched: set[Path] = set()
-        for _, paths in successes:
-            matched |= paths
-        return matched
+        return set().union(*(links for _, links in successes))
     low, high = node.count
-    by_context: dict[tuple[str, ...], list[set[Path]]] = {}
-    for context, paths in successes:
-        by_context.setdefault(context, []).append(paths)
+    by_context: dict[Any, list[set[_Link]]] = {}
+    for candidate, links in successes:
+        by_context.setdefault(_collection_context(candidate), []).append(links)
     if low == 0:
         # Pure upper bound: every collection must respect it.
         if high is not None and any(len(group) > high for group in by_context.values()):
             return None
-        return set().union(*(paths for group in by_context.values() for paths in group)) if successes else set()
-    matched = set()
+        return set().union(*(links for _, links in successes))
+    matched: set[_Link] = set()
     satisfied = False
     for group in by_context.values():
         if low <= len(group) and (high is None or len(group) <= high):
             satisfied = True
-            for paths in group:
-                matched |= paths
+            matched.update(*group)
     if not satisfied:
         return None
     return matched
@@ -201,13 +188,13 @@ def match_item(pattern: TreePattern, item: DataItem) -> set[Path] | None:
 
     Returns ``None`` if the item does not satisfy the pattern.
     """
-    gathered: set[Path] = set()
+    gathered: set[_Link] = set()
     for node in pattern.children:
-        paths = _match_node(node, item, Path())
-        if paths is None:
+        links = _match_node(node, item, None)
+        if links is None:
             return None
-        gathered |= paths
-    return gathered
+        gathered |= links
+    return {_to_path(link) for link in gathered}
 
 
 def match_rows(

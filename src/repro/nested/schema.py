@@ -24,7 +24,7 @@ from repro.nested.types import (
     NULL,
     SetType,
     StructType,
-    infer_type,
+    fold_type,
     unify,
 )
 from repro.nested.values import DataItem
@@ -136,15 +136,11 @@ def _walk(struct: StructType, prefix: Path) -> Iterator[Path]:
 
 def infer_schema(items: Iterable[DataItem]) -> Schema:
     """Infer the unified schema of a collection of data items."""
-    struct: DataType = StructType()
-    first = True
+    struct: DataType | None = None
     for item in items:
-        item_type = infer_type(item)
-        if first:
-            struct = item_type
-            first = False
-        else:
-            struct = unify(struct, item_type)
+        struct = fold_type(NULL if struct is None else struct, item)
+    if struct is None:
+        struct = StructType()
     if not isinstance(struct, StructType):
         raise TypeInferenceError(f"dataset items must be data items, got {struct}")
     return Schema(struct)

@@ -77,6 +77,9 @@ INT = PrimitiveType("Int")
 DOUBLE = PrimitiveType("Double")
 STRING = PrimitiveType("String")
 
+#: Exact constant types (subclasses take :func:`_primitive_of`).
+_PRIMITIVES = {bool: BOOLEAN, int: INT, float: DOUBLE, str: STRING}
+
 
 class StructType(DataType):
     """The type of a data item: an ordered list of named field types."""
@@ -147,8 +150,44 @@ class SetType(DataType):
 
 def infer_type(value: Any) -> DataType:
     """Infer the nested data type of a model value (the paper's ``tau``)."""
+    return fold_type(NULL, value)
+
+
+def fold_type(acc: DataType, value: Any) -> DataType:
+    """``unify(acc, tau(value))`` in one walk over *value*.
+
+    Returns *acc* itself -- no new type object -- whenever it already covers
+    the value, which is what makes typing a sample of same-shaped items cost
+    one navigation per item instead of one type tree per item.  Field order
+    (the accumulator's fields first, then the value's new ones), widening
+    and the :class:`TypeInferenceError` cases are those of :func:`unify`.
+    """
     if value is None:
-        return NULL
+        return acc
+    primitive = _PRIMITIVES.get(type(value))
+    if primitive is not None:
+        return acc if acc is primitive else unify(acc, primitive)
+    if isinstance(value, DataItem):
+        if isinstance(acc, StructType):
+            return _fold_struct(acc, value)
+        if acc == NULL:
+            return _fold_struct(StructType(), value)
+    elif isinstance(value, (Bag, NestedSet)):
+        kind = BagType if isinstance(value, Bag) else SetType
+        if isinstance(acc, kind):
+            element = acc.element
+            for item in value:
+                element = fold_type(element, item)
+            return acc if element is acc.element else kind(element)
+        if acc == NULL:
+            return kind(check_same_type(value))
+    else:
+        return unify(acc, _primitive_of(value))
+    raise TypeInferenceError(f"cannot unify types {acc} and {infer_type(value)}")
+
+
+def _primitive_of(value: Any) -> PrimitiveType:
+    """The constant type of a ``bool``/``int``/``float``/``str`` subclass instance."""
     if isinstance(value, bool):
         return BOOLEAN
     if isinstance(value, int):
@@ -157,13 +196,40 @@ def infer_type(value: Any) -> DataType:
         return DOUBLE
     if isinstance(value, str):
         return STRING
-    if isinstance(value, DataItem):
-        return StructType((name, infer_type(item)) for name, item in value.pairs())
-    if isinstance(value, Bag):
-        return BagType(unify_all(infer_type(item) for item in value))
-    if isinstance(value, NestedSet):
-        return SetType(unify_all(infer_type(item) for item in value))
     raise TypeInferenceError(f"cannot type value of {type(value).__name__!r}")
+
+
+_MISSING = object()
+
+
+def _fold_struct(acc: StructType, value: DataItem) -> StructType:
+    """Fold a data item into a struct type, field by field in *acc*'s order."""
+    fields = acc.fields
+    pairs = value.pairs()
+    width = len(pairs)
+    changed: list[tuple[str, DataType]] | None = None
+    seen = 0
+    for position, (name, typ) in enumerate(fields):
+        if position < width and pairs[position][0] == name:
+            # Same-shaped items line up positionally: no lookup by name.
+            inner = pairs[position][1]
+        else:
+            inner = value.get(name, _MISSING)
+            if inner is _MISSING:
+                continue
+        seen += 1
+        if inner is None or typ is _PRIMITIVES.get(type(inner)):
+            continue
+        folded = fold_type(typ, inner)
+        if folded is not typ:
+            if changed is None:
+                changed = list(fields)
+            changed[position] = (name, folded)
+    if seen < width:
+        known = set(acc.field_names())
+        changed = list(fields) if changed is None else changed
+        changed.extend((name, infer_type(inner)) for name, inner in pairs if name not in known)
+    return acc if changed is None else StructType(changed)
 
 
 def unify(left: DataType, right: DataType) -> DataType:
@@ -211,7 +277,10 @@ def check_same_type(values: Iterable[Any]) -> DataType:
     Returns the unified element type; raises :class:`TypeInferenceError` if
     two elements cannot be unified.
     """
-    return unify_all(infer_type(value) for value in values)
+    result: DataType = NULL
+    for value in values:
+        result = fold_type(result, value)
+    return result
 
 
 def type_to_obj(typ: DataType) -> Any:

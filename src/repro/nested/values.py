@@ -42,10 +42,19 @@ def coerce_value(value: Any) -> Any:
     ``dict`` becomes :class:`DataItem`, ``list``/``tuple`` become
     :class:`Bag`, ``set``/``frozenset`` become :class:`NestedSet` (sorted by
     repr for determinism).  Model values and constants pass through.
+
+    Dispatches on the exact type first -- what ``json.loads`` and the model
+    itself produce; subclasses and other mappings take the ``isinstance``
+    chain below, so both routes accept and reject the same inputs.
     """
-    if isinstance(value, (DataItem, Bag, NestedSet)):
+    kind = type(value)
+    if kind in _MODEL_TYPES:
         return value
-    if is_constant(value):
+    if kind is dict:
+        return DataItem(value)
+    if kind is list:
+        return Bag(value)
+    if isinstance(value, (DataItem, Bag, NestedSet)) or is_constant(value):
         return value
     if isinstance(value, Mapping):
         return DataItem(value)
@@ -80,20 +89,22 @@ class DataItem:
     __slots__ = ("_pairs", "_index", "_hash")
 
     def __init__(self, pairs: Mapping[str, Any] | Iterable[tuple[str, Any]] = (), **kwargs: Any):
-        if isinstance(pairs, Mapping):
-            items = list(pairs.items())
+        items: Iterable[tuple[str, Any]]
+        if type(pairs) is dict or isinstance(pairs, Mapping):
+            items = pairs.items()
         else:
-            items = list(pairs)
-        items.extend(kwargs.items())
+            items = pairs
+        if kwargs:
+            items = [*items, *kwargs.items()]
         seen: dict[str, int] = {}
         coerced: list[tuple[str, Any]] = []
-        for position, (name, value) in enumerate(items):
-            if not isinstance(name, str) or not name:
+        for name, value in items:
+            if (type(name) is not str and not isinstance(name, str)) or not name:
                 raise DataModelError(f"attribute name must be a non-empty string, got {name!r}")
             if name in seen:
                 raise DataModelError(f"duplicate attribute name {name!r} in data item")
-            seen[name] = position
-            coerced.append((name, coerce_value(value)))
+            seen[name] = len(coerced)
+            coerced.append((name, value if type(value) in _MODEL_TYPES else coerce_value(value)))
         self._pairs: tuple[tuple[str, Any], ...] = tuple(coerced)
         self._index: dict[str, int] = seen
         self._hash: int | None = None
@@ -231,7 +242,9 @@ class Bag(_Collection):
     __slots__ = ()
 
     def __init__(self, items: Iterable[Any] = ()):
-        self._items = tuple(coerce_value(item) for item in items)
+        self._items = tuple(
+            [item if type(item) in _MODEL_TYPES else coerce_value(item) for item in items]
+        )
         self._hash = None
 
     def appended(self, item: Any) -> "Bag":
@@ -262,3 +275,9 @@ class NestedSet(_Collection):
                 unique.append(coerced)
         self._items = tuple(unique)
         self._hash = None
+
+
+#: Exact types that already are model values: constants and the three
+#: containers.  Anything else (plain containers, subclasses, other
+#: mappings) goes through :func:`coerce_value`'s checks.
+_MODEL_TYPES = frozenset((str, int, float, bool, type(None), DataItem, Bag, NestedSet))

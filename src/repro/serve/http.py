@@ -127,18 +127,40 @@ class _ServeHTTPServer(ThreadingHTTPServer):
         self.service = service
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes one connection; all responses carry Content-Length (keep-alive)."""
+class OneWriteHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 keep-alive handler whose responses leave in one segment.
+
+    Headers flushed on their own and a small body written after them meet
+    Nagle's algorithm and the peer's delayed ACK: a client that reuses its
+    connection then waits ~40 ms per request for a body the server already
+    has.  So Nagle is off and :meth:`end_headers_with` replaces the
+    ``end_headers()`` + ``wfile.write(body)`` pair with a single write.
+    """
 
     protocol_version = "HTTP/1.1"
-    server: _ServeHTTPServer
-
-    # -- plumbing --------------------------------------------------------------
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: Any) -> None:
         # The default handler writes to stderr per request; route nothing --
-        # the service emits structured "serve-query" events instead.
+        # the services emit structured events instead.
         pass
+
+    def end_headers_with(self, body: bytes) -> None:
+        if self.request_version == "HTTP/0.9":  # bare "GET /path": body only
+            self.wfile.write(body)
+            return
+        # ``_headers_buffer`` is where send_response/send_header queue their
+        # lines until end_headers() flushes them (stdlib, stable since 3.2).
+        head, self._headers_buffer = self._headers_buffer, []
+        self.wfile.write(b"".join(head) + b"\r\n" + body)
+
+
+class _Handler(OneWriteHandler):
+    """Routes one connection; all responses carry Content-Length (keep-alive)."""
+
+    server: _ServeHTTPServer
+
+    # -- plumbing --------------------------------------------------------------
 
     def _send(self, status: int, body: bytes, content_type: str) -> None:
         self.send_response(status)
@@ -152,8 +174,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(
                 "Link", f"</{API_VERSION}{self._legacy_path}>; rel=\"successor-version\""
             )
-        self.end_headers()
-        self.wfile.write(body)
+        self.end_headers_with(body)
 
     def _send_json(self, status: int, payload: Any) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")

@@ -37,7 +37,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from time import perf_counter
 from typing import Any, Callable
 
@@ -47,7 +47,13 @@ from repro.errors import ProvenanceError, ServeError
 from repro.obs.log import get_logger
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, set_build_info
 from repro.obs.tracer import get_tracer
-from repro.serve.http import API_VERSION, MAX_BODY_BYTES, error_envelope, error_status
+from repro.serve.http import (
+    API_VERSION,
+    MAX_BODY_BYTES,
+    OneWriteHandler,
+    error_envelope,
+    error_status,
+)
 
 __all__ = ["RouterService", "RouterServer"]
 
@@ -523,14 +529,10 @@ class _RouterHTTPServer(ThreadingHTTPServer):
         self.router = router
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(OneWriteHandler):
     """One router connection: route, proxy or scatter, answer in-envelope."""
 
-    protocol_version = "HTTP/1.1"
     server: _RouterHTTPServer
-
-    def log_message(self, format: str, *args: Any) -> None:
-        pass
 
     def _send(self, status: int, body: bytes, content_type: str, worker: str | None = None) -> None:
         self.send_response(status)
@@ -538,8 +540,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if worker is not None:
             self.send_header("X-Repro-Worker", worker)
-        self.end_headers()
-        self.wfile.write(body)
+        self.end_headers_with(body)
 
     def _send_envelope(self, payload: Any) -> int:
         body = json.dumps({"ok": True, "data": payload}, sort_keys=True).encode(

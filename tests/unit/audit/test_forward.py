@@ -6,11 +6,15 @@ import json
 
 import pytest
 
+from repro.audit.bench import harvest_subjects
 from repro.audit.forward import ForwardTracer, required_terms, trace_forward
+from repro.audit.sar import subject_pattern
 from repro.core.treepattern.parser import parse_pattern
 from repro.engine import col, collect_list, count, struct_
 from repro.errors import AuditError
+from repro.obs.breakdown import QueryBreakdown
 from repro.warehouse import Warehouse
+from repro.workloads.scenarios import scenario
 
 
 class TestRequiredTerms:
@@ -150,6 +154,61 @@ class TestIndexedEqualsScan:
         assert miss.output_ids == ()
         assert miss.stats["operators_decoded"] == 0
         assert miss.stats["operators_skipped"] > 0
+
+
+class TestCandidateAccounting:
+    """What an audit request does is parse and walk candidate source items;
+    ``candidates_tested`` / ``candidates_confirmed`` count exactly that."""
+
+    @pytest.fixture(scope="class")
+    def recorded_t3(self, tmp_path_factory):
+        warehouse = Warehouse.open(tmp_path_factory.mktemp("t3") / "wh")
+        execution = scenario("T3").instantiate(0.2, num_partitions=2).execute(capture=True)
+        record = warehouse.record(execution, name="t3")
+        return warehouse, record.run_id
+
+    def test_indexed_route_tests_the_terms_postings(self, recorded_t3):
+        warehouse, run_id = recorded_t3
+        execution = warehouse.load(run_id)
+        index = warehouse.load_index(run_id)
+        sources = {
+            provenance.oid
+            for provenance in execution.store.operators()
+            if execution.store.is_source(provenance.oid)
+        }
+        for subject in harvest_subjects(execution, limit=200)[::20]:
+            breakdown = QueryBreakdown()
+            result = trace_forward(
+                warehouse, subject_pattern(subject), run_id, breakdown=breakdown
+            )
+            postings = [oid for oid, _ in index.candidates(subject) if oid in sources]
+            assert result.stats["index_used"]
+            assert result.stats["candidates_tested"] == len(postings) > 0
+            assert result.stats["candidates_confirmed"] == result.matched_input_count > 0
+            counters = breakdown.to_json()["counters"]
+            assert counters["candidates_tested"] == result.stats["candidates_tested"]
+            assert counters["candidates_confirmed"] == counters["matched_inputs"]
+            assert "candidates_tested" not in result.to_json()
+
+    def test_scan_route_tests_every_item(self, recorded_t3):
+        warehouse, run_id = recorded_t3
+        store = warehouse.load(run_id).store
+        item_count = sum(
+            len(store.source_items(provenance.oid))
+            for provenance in store.operators()
+            if store.is_source(provenance.oid)
+        )
+        scanned = trace_forward(warehouse, 'root{//*="u1"}', run_id, use_index=False)
+        indexed = trace_forward(warehouse, 'root{//*="u1"}', run_id)
+        assert scanned.stats["candidates_tested"] == item_count
+        assert indexed.stats["candidates_tested"] < item_count
+        assert scanned.stats["candidates_confirmed"] == indexed.stats["candidates_confirmed"]
+        assert scanned.to_json() == indexed.to_json()
+
+    def test_no_postings_tests_nothing(self, recorded_t3):
+        warehouse, run_id = recorded_t3
+        miss = trace_forward(warehouse, 'root{//*="no-such-subject"}', run_id)
+        assert miss.stats["candidates_tested"] == miss.stats["candidates_confirmed"] == 0
 
 
 def _backtrace_ids(execution, output_id):

@@ -1,0 +1,197 @@
+"""Guards on the three value-model walks that do not use a clock.
+
+Construct, match and infer run under every provenance answer, and their cost
+is what they allocate.  With ``Path`` / ``Step`` / ``StructType`` construction
+counted: a non-matching item costs the matcher no ``Path`` at all and a
+matching one no more than it reports; typing a sample of same-shaped items
+builds one type tree, for the first item, and returns that very object.
+Construction itself must accept and reject exactly what it always did,
+whichever route (exact-type dispatch or the ``isinstance`` chain) a value takes.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import OrderedDict
+from types import MappingProxyType
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.paths import Path, Step
+from repro.core.treepattern.matcher import match_item
+from repro.core.treepattern.parser import parse_pattern
+from repro.errors import DataModelError
+from repro.nested.json_io import item_from_json
+from repro.nested.schema import infer_schema
+from repro.nested.types import BOOLEAN, INT, NULL, STRING, BagType, StructType, fold_type, infer_type
+from repro.nested.values import Bag, DataItem, NestedSet, coerce_value
+from repro.workloads.twitter import generate_tweets
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Count constructions of the three allocation-heavy types."""
+    counts = {Path: 0, Step: 0, StructType: 0}
+    for cls in counts:
+        original = cls.__init__
+
+        def counting(self, *args, _cls=cls, _original=original, **kwargs):
+            counts[_cls] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def tweets():
+    return [item_from_json(json.dumps(raw)) for raw in generate_tweets(scale=0.05, seed=3, payload_width=40)]
+
+
+def _leaves(value) -> int:
+    if isinstance(value, DataItem):
+        return sum(_leaves(inner) for inner in value.values())
+    if isinstance(value, (Bag, NestedSet)):
+        return sum(_leaves(inner) for inner in value)
+    return 1
+
+
+class TestMatchAllocatesOnlyWhatItReports:
+    def test_a_non_matching_tweet_constructs_no_path(self, tweets, built):
+        tweet = max(tweets, key=_leaves)
+        assert _leaves(tweet) >= 200
+        for pattern in ('root{//*="no-such-subject"}', 'root{/user{/id_str="nobody"}}'):
+            assert match_item(parse_pattern(pattern), tweet) is None
+        assert built[Path] == 0 and built[Step] == 0
+
+    def test_a_matching_tweet_constructs_the_paths_it_reports(self, tweets, built):
+        tweet = tweets[0]
+        subject = tweet["user"]["id_str"]
+        pattern = parse_pattern(f'root{{//*="{subject}"}}')
+        paths = match_item(pattern, tweet)
+        assert paths and built[Path] == len(paths)
+        assert built[Step] == sum(len(path) for path in paths)
+
+    def test_failed_branches_and_count_contexts_construct_nothing(self, tweets, built):
+        tweet = tweets[0]
+        subject = tweet["user"]["id_str"]
+        # The first branch matches many attributes; the second sinks the item.
+        sunk = parse_pattern(f'root{{//*="{subject}", /lang="no-such-language"}}')
+        assert match_item(sunk, tweet) is None
+        assert built[Path] == 0
+        counted = parse_pattern(f'root{{//*="{subject}"[1,*], //indices[0,4]}}')
+        paths = match_item(counted, tweet)
+        assert paths and built[Path] == len(paths)
+
+
+class TestInferBuildsOneTypeTree:
+    def test_same_shaped_items_reuse_the_first_items_type(self, tweets, built):
+        raw = tweets[0].to_python()
+        sample = [DataItem(dict(raw, id_str=f"t{position}")) for position in range(200)]
+        after_first: list[int] = []
+
+        def feed():
+            for position, item in enumerate(sample):
+                if position == 1:
+                    after_first.append(built[StructType])
+                yield item
+
+        schema = infer_schema(feed())
+        assert after_first[0] > 0 and built[StructType] == after_first[0]
+        assert schema.struct == infer_type(sample[-1])
+
+    def test_the_accumulator_object_itself_comes_back(self, tweets):
+        accumulated = fold_type(NULL, tweets[0])
+        assert fold_type(accumulated, tweets[0]) is accumulated
+        # Nulls, missing fields and empty bags are covered by what is there.
+        sparse = tweets[0].without("lang").replace(user_mentions=[], text=None)
+        assert fold_type(accumulated, sparse) is accumulated
+        # A new field is not: a new struct, the old one left as it was.
+        before = str(accumulated)
+        grown = fold_type(accumulated, tweets[0].replace(extra=1))
+        assert grown is not accumulated and grown.field_names()[-1] == "extra"
+        assert str(accumulated) == before
+
+
+_names = st.text(alphabet="abcdefgh_", min_size=1, max_size=5)
+_constants = st.one_of(st.none(), st.booleans(), st.integers(-9, 9), st.floats(allow_nan=False), st.text(max_size=6))
+
+
+def _raw(depth: int = 2):
+    if depth == 0:
+        return _constants
+    inner = _raw(depth - 1)
+    return st.one_of(_constants, st.lists(inner, max_size=3), st.dictionaries(_names, inner, max_size=3))
+
+
+class TestConstructionFidelity:
+    @given(st.dictionaries(_names, _raw(), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_a_dict_and_its_pairs_build_the_same_item(self, raw):
+        item = DataItem(raw)
+        assert item == DataItem(list(raw.items()))
+        assert item == DataItem(iter(raw.items())) == DataItem(**raw)
+        assert item.attributes() == tuple(raw)
+        assert [item[name] for name in raw] == [coerce_value(value) for value in raw.values()]
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DataItem({"": 1}), "attribute name must be a non-empty string, got ''"),
+            (lambda: DataItem({1: 2}), "attribute name must be a non-empty string, got 1"),
+            (lambda: DataItem([(None, 2)]), "attribute name must be a non-empty string, got None"),
+            (lambda: DataItem({"a": {"b": [{"": 1}]}}), "attribute name must be a non-empty string, got ''"),
+            (lambda: DataItem([("a", 1), ("a", 2)]), "duplicate attribute name 'a' in data item"),
+            (lambda: DataItem({"a": 1}, a=2), "duplicate attribute name 'a' in data item"),
+            (lambda: DataItem({"a": object()}), "value of type 'object' does not fit the nested data model"),
+            (lambda: DataItem({"a": [1, {"b": b"raw"}]}), "value of type 'bytes' does not fit the nested data model"),
+            (lambda: Bag([1, 2j]), "value of type 'complex' does not fit the nested data model"),
+            (lambda: coerce_value(range(3)), "value of type 'range' does not fit the nested data model"),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, build, message):
+        with pytest.raises(DataModelError) as caught:
+            build()
+        assert str(caught.value) == message
+
+    def test_the_first_fault_in_pair_order_is_the_one_reported(self):
+        with pytest.raises(DataModelError, match="does not fit"):
+            DataItem([("a", object()), ("", 1)])
+        with pytest.raises(DataModelError, match="non-empty string"):
+            DataItem([("", 1), ("a", object())])
+
+    def test_subclasses_and_other_mappings_are_accepted_as_before(self):
+        class Row(dict):
+            pass
+
+        class Name(str):
+            pass
+
+        class Count(int):
+            pass
+
+        plain = DataItem({"user": {"id": 7, "name": "lp"}, "tags": ["a", "b"]})
+        assert DataItem(OrderedDict(user=OrderedDict(id=7, name="lp"), tags=["a", "b"])) == plain
+        assert DataItem(Row(user=Row(id=7, name="lp"), tags=("a", "b"))) == plain
+        assert DataItem(MappingProxyType({"user": MappingProxyType({"id": 7, "name": "lp"}), "tags": ["a", "b"]})) == plain
+        assert DataItem({Name("user"): {"id": Count(7), "name": Name("lp")}, "tags": [Name("a"), "b"]}) == plain
+        assert infer_type(DataItem({"n": Count(7), "s": Name("x")})).fields == (("n", INT), ("s", STRING))
+
+    def test_model_values_pass_through_untouched(self):
+        inner = DataItem({"k": 1})
+        bag = Bag([inner])
+        unique = NestedSet(["x", "x", "y"])
+        outer = DataItem({"inner": inner, "bag": bag, "set": unique, "plain": {"k": 1}})
+        assert outer["inner"] is inner and outer["bag"] is bag and outer["set"] is unique
+        assert outer["plain"] == inner and bag[0] is inner
+        assert coerce_value({"x", "y"}) == NestedSet(["x", "y"]) == coerce_value(frozenset({"x", "y"}))
+
+    def test_true_stays_a_boolean(self):
+        item = DataItem({"flag": True, "flags": [True, False], "n": 1})
+        assert item["flag"] is True
+        assert infer_type(item).fields == (
+            ("flag", BOOLEAN),
+            ("flags", BagType(BOOLEAN)),
+            ("n", INT),
+        )

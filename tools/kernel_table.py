@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Per-tweet cost of the three value-model walks, for one or two source trees.
+
+    python3 tools/kernel_table.py --src /path/to/parent/src --src src --rounds 5
+
+Each round starts one child interpreter per ``--src`` (alternating which
+goes first) that times, on the same 100 generated tweets,
+
+* ``item_from_json``                      -- construct
+* ``match_item(root{//*="<user id>"})``   -- the default SAR subject selector
+* ``match_item(root{/user{/id_str=...}})`` -- a navigating pattern (control)
+* ``infer_schema`` over the 100 items     -- infer
+
+and prints the best-of-repeats per kernel.  The parent prints the median
+over rounds and, given two trees, the ratio first/second.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+_CHILD = r"""
+import json, time
+from repro.core.treepattern.matcher import match_item
+from repro.core.treepattern.parser import parse_pattern
+from repro.nested.json_io import item_from_json
+from repro.nested.schema import infer_schema
+from repro.workloads.twitter import generate_tweets
+
+tweets = generate_tweets(scale=0.25, seed=1)
+texts = [json.dumps(tweet) for tweet in tweets]
+items = [item_from_json(text) for text in texts]
+user = tweets[5]["user"]["id_str"]
+wildcard = parse_pattern('root{//*="%s"}' % user)
+navigating = parse_pattern('root{/user{/id_str="%s"}}' % user)
+
+
+def best(fn, repeats=7):
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - started)
+    return min(times)
+
+
+n = len(items)
+hits = sum(match_item(wildcard, item) is not None for item in items)
+print(json.dumps({
+    "item_from_json_us": best(lambda: [item_from_json(t) for t in texts]) / n * 1e6,
+    "match_wildcard_us": best(lambda: [match_item(wildcard, i) for i in items]) / n * 1e6,
+    "match_navigating_us": best(lambda: [match_item(navigating, i) for i in items]) / n * 1e6,
+    "infer_schema_100_ms": best(lambda: infer_schema(items)) * 1e3,
+    "json_loads_us": best(lambda: [json.loads(t) for t in texts]) / n * 1e6,
+    "tweets": n, "bytes_per_tweet": sum(map(len, texts)) // n, "wildcard_hits": hits,
+}))
+"""
+
+
+def _measure(src: str) -> dict[str, float]:
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+    out = subprocess.run(
+        [sys.executable, "-c", _CHILD], env=env, check=True, capture_output=True, text=True
+    )
+    return json.loads(out.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", action="append", required=True, help="a src/ tree (give twice to compare)")
+    parser.add_argument("--rounds", type=int, default=5)
+    args = parser.parse_args()
+    runs: dict[str, list[dict[str, float]]] = {src: [] for src in args.src}
+    for round_index in range(args.rounds):
+        order = args.src if round_index % 2 == 0 else list(reversed(args.src))
+        for src in order:
+            runs[src].append(_measure(src))
+    medians = {
+        src: {key: statistics.median(run[key] for run in rows) for key in rows[0]}
+        for src, rows in runs.items()
+    }
+    keys = [key for key in next(iter(medians.values())) if key.endswith(("_us", "_ms"))]
+    print(f"{'kernel':<22}" + "".join(f"{src[-28:]:>30}" for src in args.src)
+          + ("   first/second" if len(args.src) == 2 else ""))
+    for key in keys:
+        row = f"{key:<22}" + "".join(f"{medians[src][key]:>30.2f}" for src in args.src)
+        if len(args.src) == 2:
+            row += f"   {medians[args.src[0]][key] / medians[args.src[1]][key]:>10.2f}x"
+        print(row)
+    shape = medians[args.src[0]]
+    print(f"({int(shape['tweets'])} tweets, {int(shape['bytes_per_tweet'])} B each, "
+          f"{int(shape['wildcard_hits'])} wildcard hits, median of {args.rounds} rounds)")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
