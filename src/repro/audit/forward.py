@@ -39,7 +39,6 @@ byte-identical -- the index is an accelerator, never an oracle.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Any, Iterable
 
 from repro.core.operator_provenance import (
@@ -56,9 +55,9 @@ from repro.engine.executor import ExecutionResult
 from repro.errors import AuditError
 from repro.nested.json_io import _jsonable
 from repro.nested.values import DataItem
-from repro.obs.breakdown import QueryBreakdown, activate, get_breakdown
+from repro.obs.breakdown import QueryBreakdown, get_breakdown
 from repro.obs.log import get_logger
-from repro.obs.slowlog import observe_query, slow_threshold_seconds
+from repro.obs.slowlog import explained
 from repro.obs.tracer import get_tracer
 from repro.pebble.query import as_pattern
 from repro.core.treepattern.matcher import match_item
@@ -460,7 +459,6 @@ def load_execution(
     warehouse: Any,
     run_id: str | None = None,
     method: str = "lazy",
-    num_partitions: int | None = None,
     cache_size: int = DEFAULT_CACHE_SIZE,
 ) -> tuple[Any, ExecutionResult]:
     """Restore ``(record, execution)`` with the lazy or eager strategy.
@@ -476,9 +474,7 @@ def load_execution(
     record = warehouse.resolve(run_id)
     if method == "eager":
         cache_size = max(cache_size, record.operator_count)
-    execution = warehouse.load(
-        record.run_id, num_partitions=num_partitions, cache_size=cache_size
-    )
+    execution = warehouse.load(record.run_id, cache_size=cache_size)
     if method == "eager":
         store = execution.store
         for oid in sorted(store.size_report().per_operator):
@@ -494,7 +490,6 @@ def trace_forward(
     run_id: str | None = None,
     method: str = "lazy",
     use_index: bool = True,
-    num_partitions: int | None = None,
     cache_size: int = DEFAULT_CACHE_SIZE,
     breakdown: QueryBreakdown | None = None,
 ) -> ForwardResult:
@@ -504,41 +499,21 @@ def trace_forward(
     ``REPRO_SLOW_QUERY_MS`` is set, one is built regardless so over-budget
     traces land in the slow log with their breakdown attached.
     """
-    threshold = slow_threshold_seconds()
-    if breakdown is None and threshold is not None:
-        breakdown = QueryBreakdown()
-    if breakdown is not None:
-        breakdown.start()
-    with activate(breakdown) if breakdown is not None else nullcontext():
-        with get_breakdown().phase("load") if breakdown is not None else nullcontext():
+    with explained("forward", "", method=method, breakdown=breakdown) as query:
+        with get_breakdown().phase("load"):
             record, execution = load_execution(
-                warehouse,
-                run_id,
-                method=method,
-                num_partitions=num_partitions,
-                cache_size=cache_size,
+                warehouse, run_id, method=method, cache_size=cache_size
             )
             index = warehouse.load_index(record.run_id) if use_index else None
-        tracer = ForwardTracer(execution, index)
-        result = tracer.trace(pattern)
-    if breakdown is not None:
+        result = ForwardTracer(execution, index).trace(pattern)
+        query.run_id, query.pattern = record.run_id, result.pattern
         metrics = execution.store.metrics
-        breakdown.count(
+        query.count(
             segments_decoded=metrics.misses,
             cache_hits=metrics.hits,
             cache_misses=metrics.misses,
             bytes_read=metrics.bytes_read,
             method=method,
-        )
-        breakdown.finish()
-        observe_query(
-            "forward",
-            record.run_id,
-            result.pattern,
-            breakdown.total_seconds,
-            method=method,
-            breakdown=breakdown.to_json(),
-            threshold=threshold,
         )
     get_logger(record.run_id).event(
         "forward-trace",

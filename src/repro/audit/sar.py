@@ -28,6 +28,8 @@ __all__ = [
     "DEFAULT_SUBJECT_TEMPLATE",
     "build_tracers",
     "erasure_over_tracers",
+    "merge_erasure",
+    "merge_sar",
     "report_digest",
     "sar_over_tracers",
     "subject_access_request",
@@ -86,7 +88,6 @@ def sar_over_tracers(
     for subject in page_subjects:
         pattern = subject_pattern(subject, template)
         runs = []
-        outputs_total = 0
         for run_id, tracer in tracers:
             result = tracer.trace(pattern)
             if result.matched_input_count == 0 and not result.output_ids:
@@ -103,15 +104,7 @@ def sar_over_tracers(
                     {"id": pid, "item": _item_json(item)} for pid, item in result.outputs
                 ]
             runs.append(entry)
-            outputs_total += len(result.output_ids)
-        entries.append(
-            {
-                "subject": subject,
-                "runs": runs,
-                "run_count": len(runs),
-                "total_outputs": outputs_total,
-            }
-        )
+        entries.append(_sar_entry(subject, runs))
     return {
         "report": "subject-access-request",
         "template": template,
@@ -121,6 +114,51 @@ def sar_over_tracers(
         "total_subjects": total,
         "subjects": entries,
     }
+
+
+def _sar_entry(subject: str, runs: list[dict[str, Any]]) -> dict[str, Any]:
+    """One subject's entry of a SAR page over its per-run findings."""
+    return {
+        "subject": subject,
+        "runs": runs,
+        "run_count": len(runs),
+        "total_outputs": sum(run["output_count"] for run in runs),
+    }
+
+
+def _merged_subjects(
+    scope: Sequence[str], parts: Sequence[dict[str, Any]], field: str
+) -> list[tuple[str, list[dict[str, Any]]]]:
+    """``(subject, per-run entries)`` pairs over every part, in *scope* order.
+
+    Each part is a report over a disjoint subset of *scope* for the same
+    subjects, template and page, so the parts list the same subjects in the
+    same order and only their per-run lists (*field*) differ.
+    """
+    order = {run_id: index for index, run_id in enumerate(scope)}
+    merged = []
+    for index, entry in enumerate(parts[0]["subjects"]):
+        runs = [run for part in parts for run in part["subjects"][index][field]]
+        runs.sort(key=lambda run: order[run["run_id"]])
+        merged.append((entry["subject"], runs))
+    return merged
+
+
+def merge_sar(
+    scope: Sequence[str], parts: Sequence[dict[str, Any]]
+) -> dict[str, Any]:
+    """The SAR page over *scope* from pages over a split of it.
+
+    Equal to :func:`sar_over_tracers` over the whole scope: what a fleet
+    router answers after scattering one request by run ownership.
+    """
+    return dict(
+        parts[0],
+        subjects=[
+            _sar_entry(subject, runs)
+            for subject, runs in _merged_subjects(scope, parts, "runs")
+        ],
+    )
 
 
 def _item_json(item: Any) -> Any:
@@ -216,18 +254,45 @@ def erasure_over_tracers(
                     "output_ids": list(result.output_ids),
                 }
             )
-        findings.append(
-            {"subject": subject, "clean": not residuals, "residuals": residuals}
-        )
+        findings.append((subject, residuals))
+    return _erasure_report(template, findings, [run_id for run_id, _ in tracers])
+
+
+def _erasure_report(
+    template: str,
+    findings: Sequence[tuple[str, list[dict[str, Any]]]],
+    runs_checked: list[str],
+) -> dict[str, Any]:
+    """The digest-signed receipt over ``(subject, residuals)`` findings."""
+    subjects = [
+        {"subject": subject, "clean": not residuals, "residuals": residuals}
+        for subject, residuals in findings
+    ]
     body = {
         "report": "erasure-verification",
         "template": template,
-        "subjects": findings,
-        "subject_count": len(findings),
-        "clean": all(finding["clean"] for finding in findings),
-        "runs_checked": [run_id for run_id, _ in tracers],
+        "subjects": subjects,
+        "subject_count": len(subjects),
+        "clean": all(entry["clean"] for entry in subjects),
+        "runs_checked": runs_checked,
     }
     return dict(body, digest=report_digest(body))
+
+
+def merge_erasure(
+    scope: Sequence[str], parts: Sequence[dict[str, Any]]
+) -> dict[str, Any]:
+    """The erasure receipt over *scope* from receipts over a split of it.
+
+    Equal to :func:`erasure_over_tracers` over the whole scope, digest
+    included -- fleet receipts and single-process receipts are
+    interchangeable.
+    """
+    return _erasure_report(
+        parts[0]["template"],
+        _merged_subjects(scope, parts, "residuals"),
+        list(scope),
+    )
 
 
 def verify_erasure(

@@ -325,9 +325,7 @@ def measure_query_times(
                 # disk + decode cost (cold cache), matching the "query a
                 # run recorded days ago" scenario.
                 nonlocal last_metrics
-                _, last_metrics = warehouse.backtrace(
-                    record.run_id, spec.pattern, num_partitions=num_partitions
-                )
+                _, last_metrics = warehouse.backtrace(record.run_id, spec.pattern)
 
             warehouse_seconds, _ = _timed(run_warehouse, repeats)
             assert last_metrics is not None

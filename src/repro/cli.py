@@ -227,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     wh_query.add_argument("run", help="run id or name (names resolve to newest)")
     wh_query.add_argument("pattern", help="tree pattern, e.g. 'root{//id_str=\"lp\"}'")
     wh_query.add_argument("--root", required=True, help="warehouse root directory")
-    wh_query.add_argument("--partitions", type=int, default=None,
-                          help="partition count (default: engine default)")
     wh_query.add_argument("--cache-size", type=int, default=64)
     wh_query.add_argument("--analyze", action="store_true",
                           help="print an explain-analyze breakdown: per-phase "
@@ -362,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pattern-result cache capacity (entries)")
     serve.add_argument("--segment-cache-size", type=int, default=None,
                        help="per-resident-run operator segment cache size")
-    serve.add_argument("--partitions", type=int, default=None,
-                       help="partition count for restored runs")
     serve.add_argument("--retention-ttl", type=float, default=None,
                        metavar="SECONDS",
                        help="sweep streaming runs in the background, expiring "
@@ -693,7 +689,6 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
             provenance, metrics = warehouse.backtrace(
                 args.run,
                 args.pattern,
-                num_partitions=args.partitions,
                 cache_size=args.cache_size,
                 breakdown=breakdown,
             )
@@ -899,42 +894,36 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     )  # pragma: no cover
 
 
-def _local_slow_payload() -> dict:
-    """This process's slow-query ring, shaped like ``GET /debug/slow``."""
-    from repro.obs.slowlog import get_slow_log, slow_threshold_seconds
-
-    threshold = slow_threshold_seconds()
-    ring = get_slow_log()
-    return {
-        "threshold_ms": threshold * 1000.0 if threshold is not None else None,
-        "total": ring.total,
-        "entries": ring.snapshot(),
-    }
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     if args.remote and args.root:
         print("stats: use either --root or --remote, not both", file=sys.stderr)
         return 2
+    from repro.obs.slowlog import slow_log_payload
+
     if args.remote:
-        from repro.serve.client import ServeClient
+        from urllib.parse import quote
+
+        from repro.client import connect, scrape
 
         if args.pattern:
             print("stats: --pattern needs a local --root", file=sys.stderr)
             return 2
-        client = ServeClient(args.remote)
+        client = connect(args.remote)
         if args.slow:
             print(json.dumps(client.debug_slow(), indent=2))
-            return 0
-        if args.as_json:
-            print(json.dumps(client.run_stats(args.run), indent=2))
+        elif args.as_json:
+            print(json.dumps(client.stats(run=args.run), indent=2))
         else:
-            print(client.run_stats(args.run, prometheus=True), end="")
+            # The text form is a scrape page, not a /v1 answer.
+            page = args.remote.rstrip("/") + "/stats?format=prometheus"
+            if args.run:
+                page += f"&run={quote(args.run)}"
+            print(scrape(page), end="")
         return 0
     if not args.root:
         if args.slow:
             # No warehouse involved: report whatever this process captured.
-            print(json.dumps(_local_slow_payload(), indent=2))
+            print(json.dumps(slow_log_payload(), indent=2))
             return 0
         print("stats: one of --root or --remote is required", file=sys.stderr)
         return 2
@@ -944,7 +933,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.slow:
         # The --pattern query (if any) just ran in-process, so over-budget
         # work shows up here exactly like it would on a server's /debug/slow.
-        print(json.dumps(_local_slow_payload(), indent=2))
+        print(json.dumps(slow_log_payload(), indent=2))
         return 0
     if args.as_json:
         print(json.dumps(registry.to_json(), indent=2))
@@ -1037,7 +1026,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if args.segment_cache_size is not None
             else DEFAULT_CACHE_SIZE
         ),
-        num_partitions=args.partitions,
         retention_ttl=args.retention_ttl,
         retention_sweep_interval=args.retention_sweep_interval,
     )
@@ -1059,8 +1047,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if config.retention_ttl:
             print(f"  retention: ttl {config.retention_ttl:g}s, sweep every "
                   f"{config.retention_sweep_interval:g}s")
-        print("  endpoints: /healthz /runs /runs/<id> /stats /metrics "
-              "/debug/slow POST /query /forward /audit/sar")
+        print("  endpoints: /v1/healthz /v1/runs /v1/runs/<id> /v1/stats "
+              "/v1/debug/slow /metrics POST /v1/query /v1/forward "
+              "/v1/audit/sar /v1/audit/erasure")
         if profiler is not None:
             print("  profiler: sampling (REPRO_PROFILE=on)")
         # Supervisors read the banner through a pipe; don't sit in the buffer.

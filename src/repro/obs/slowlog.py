@@ -12,6 +12,12 @@ The threshold is read from the environment per query so long-lived servers
 can be tuned without a restart (``0`` captures everything -- the smoke-test
 setting; unset/empty disables capture entirely and the fast path pays one
 ``os.environ.get``).
+
+Every layer that answers a provenance question -- ``Warehouse.backtrace``,
+``trace_forward``, the serve tier's four request kinds -- runs it under
+:func:`explained`, the one place that decides whether a
+:class:`~repro.obs.breakdown.QueryBreakdown` is collected and offers the
+finished query to the ring.
 """
 
 from __future__ import annotations
@@ -20,8 +26,10 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
+from repro.obs.breakdown import QueryBreakdown, activate
 from repro.obs.log import get_logger
 
 __all__ = [
@@ -32,6 +40,9 @@ __all__ = [
     "set_slow_log",
     "slow_threshold_seconds",
     "observe_query",
+    "ExplainedQuery",
+    "explained",
+    "slow_log_payload",
 ]
 
 SLOW_QUERY_ENV = "REPRO_SLOW_QUERY_MS"
@@ -152,3 +163,75 @@ def observe_query(
         breakdown=breakdown,
     )
     return True
+
+
+def slow_log_payload() -> dict[str, Any]:
+    """The ring as ``GET /v1/debug/slow`` and ``repro stats --slow`` print it.
+
+    Entries are newest first; ``total`` counts every over-budget query
+    this process observed, evicted entries included.
+    """
+    threshold = slow_threshold_seconds()
+    ring = get_slow_log()
+    return {
+        "threshold_ms": threshold * 1000.0 if threshold is not None else None,
+        "total": ring.total,
+        "entries": ring.snapshot(),
+    }
+
+
+class ExplainedQuery:
+    """What :func:`explained` yields: the breakdown, if one is collected,
+    and the run id and pattern text the query is logged under (the body
+    may set either once it has resolved them)."""
+
+    __slots__ = ("breakdown", "run_id", "pattern")
+
+    def __init__(self, breakdown: QueryBreakdown | None, run_id: str, pattern: str):
+        self.breakdown = breakdown
+        self.run_id = run_id
+        self.pattern = pattern
+
+    def count(self, **deltas: Any) -> None:
+        """Report query-shape counters; a no-op when nothing is collected."""
+        if self.breakdown is not None:
+            self.breakdown.count(**deltas)
+
+
+@contextmanager
+def explained(
+    kind: str,
+    pattern: str,
+    method: str = "lazy",
+    run_id: str = "",
+    breakdown: QueryBreakdown | None = None,
+    analyze: bool = False,
+) -> Iterator[ExplainedQuery]:
+    """Run one provenance question under the explain / slow-log scaffold.
+
+    A breakdown is collected when the caller passed one (started or not),
+    asked with *analyze*, or a slow-query budget is set; it is started and
+    made this thread's active breakdown for the body, and after a body that
+    did not raise it is finished and the query offered to the slow log.
+    With none of the three the body runs bare.
+    """
+    threshold = slow_threshold_seconds()
+    if breakdown is None and (analyze or threshold is not None):
+        breakdown = QueryBreakdown()
+    query = ExplainedQuery(breakdown, run_id, pattern)
+    if breakdown is None:
+        yield query
+        return
+    breakdown.start()
+    with activate(breakdown):
+        yield query
+    breakdown.finish()
+    observe_query(
+        kind,
+        query.run_id,
+        query.pattern,
+        breakdown.total_seconds,
+        method=method,
+        breakdown=breakdown.to_json(),
+        threshold=threshold,
+    )

@@ -4,24 +4,26 @@ The paper's provenance outlives the run that produced it (auditing and
 usage queries arrive days later, Sec. 7.4); this package turns the
 warehouse into a long-running HTTP service so those queries don't pay a
 process start + catalog load each time.  Everything is standard library:
-``http.server`` + ``threading`` for the server, ``urllib`` for the client.
+``http.server`` + ``threading`` for the server, ``urllib`` for the client
+(:func:`repro.connect`, in :mod:`repro.client`).
 
 Layers, inside out:
 
 * :mod:`repro.serve.cache` -- single-flight LRU over pattern results,
-  keyed ``(run_id, pattern, method)``.
+  keyed ``(kind, run scope, params)``.
 * :mod:`repro.serve.pool` -- the bounded worker pool with admission
   control (full queue -> 429) and per-request deadlines (-> 504).
-* :mod:`repro.serve.service` -- :class:`QueryService`, the HTTP-free
-  core: resident runs, catalog freshness, metrics.
-* :mod:`repro.serve.http` -- :class:`ProvenanceServer`, the endpoints.
-* :mod:`repro.serve.client` -- :class:`ServeClient`, typed access with
-  the PR-4 retry protocol.
+* :mod:`repro.serve.service` -- the route table (the served surface,
+  declared once) and :class:`QueryService`, the transport-free core that
+  answers it: resident runs, catalog freshness, metrics.
+* :mod:`repro.serve.http` -- the handler that reads the table, and
+  :class:`ProvenanceServer`.
+* :mod:`repro.serve.router`, :mod:`repro.serve.fleet` -- N workers behind
+  one front door answering the same table.
 * :mod:`repro.serve.bench` -- the ``repro bench serve`` load generator.
 """
 
 from repro.serve.cache import PatternResultCache
-from repro.serve.client import ServeClient
 from repro.serve.http import ProvenanceServer
 from repro.serve.pool import QueryPool
 from repro.serve.service import (
@@ -37,7 +39,6 @@ __all__ = [
     "QueryPool",
     "QueryService",
     "QUERY_METHODS",
-    "ServeClient",
     "ServeConfig",
     "result_to_json",
 ]

@@ -23,7 +23,7 @@ from pathlib import Path as FsPath
 from typing import Any
 
 from repro.engine.scheduler import RetryPolicy
-from repro.serve.client import ServeClient
+from repro.client import connect
 
 __all__ = ["ServeBenchReport", "run_load", "write_report", "percentile"]
 
@@ -114,7 +114,7 @@ def run_load(
 ) -> ServeBenchReport:
     """Drive *requests* queries through *concurrency* closed-loop workers."""
     report = ServeBenchReport(url, run, pattern, method, requests, concurrency)
-    client = ServeClient(url, policy=policy, timeout=timeout)
+    client = connect(url, policy=policy, timeout=timeout)
     lock = threading.Lock()
     remaining = requests
     samples: list[tuple[float, bool]] = []
@@ -128,7 +128,7 @@ def run_load(
                 remaining -= 1
             started = time.perf_counter()
             try:
-                response = client.query(pattern, run_id=run, method=method)
+                response = client.backtrace(pattern, run=run, method=method)
             except Exception as exc:  # noqa: BLE001 -- counted, not fatal
                 with lock:
                     report.errors += 1

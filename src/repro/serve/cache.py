@@ -158,23 +158,19 @@ class PatternResultCache:
     def invalidate_runs(self, run_ids: set[str]) -> int:
         """Drop entries whose answer depends on any run in *run_ids*.
 
-        The serving layer's cache keys carry the resolved run scope at
-        position 1: a single run id for ``query``/``forward`` keys, a tuple
-        of run ids for ``sar``/``erasure`` keys.  Counts one invalidation
-        event when anything dropped (same accounting as :meth:`invalidate`).
+        The serving layer's cache keys carry the resolved run scope -- a
+        tuple of run ids, for every request kind -- at position 1.  Counts
+        one invalidation event when anything dropped (same accounting as
+        :meth:`invalidate`).
         """
         with self._lock:
             doomed = []
             for key in self._entries:
                 scope = key[1] if isinstance(key, tuple) and len(key) > 1 else None
-                if isinstance(scope, str):
-                    if scope in run_ids:
-                        doomed.append(key)
-                elif isinstance(scope, tuple):
-                    if any(run in run_ids for run in scope):
-                        doomed.append(key)
-                else:
-                    # Unrecognised key shape: drop conservatively.
+                # Unrecognised key shape: drop conservatively.
+                if not isinstance(scope, tuple) or any(
+                    run in run_ids for run in scope
+                ):
                     doomed.append(key)
             for key in doomed:
                 del self._entries[key]

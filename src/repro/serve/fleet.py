@@ -165,7 +165,6 @@ class Fleet:
             deadline=base.deadline,
             cache_size=base.cache_size,
             segment_cache_size=base.segment_cache_size,
-            num_partitions=base.num_partitions,
         )
         self._startup_timeout = startup_timeout
         self._workers: list[_ThreadWorker | _ProcessWorker] = []

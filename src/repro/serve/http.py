@@ -1,8 +1,12 @@
 """The HTTP layer: stdlib ``http.server`` endpoints over a QueryService.
 
-The API is **versioned**: the stable surface lives under ``/v1`` and every
-``/v1`` endpoint -- success, 400, 404, 429, 504, 500 alike -- answers with
-one uniform JSON envelope::
+The surface is **versioned** under ``/v1`` and declared once, in the route
+table beside :class:`~repro.serve.service.QueryService`
+(:data:`~repro.serve.service.POST_ROUTES`,
+:data:`~repro.serve.service.GET_ROUTES`); :class:`OneWriteHandler` reads the
+request, resolves it against that table and answers -- for the worker here
+and for the fleet router alike.  Every ``/v1`` answer -- success, 400, 404,
+429, 504, 500 -- is one uniform JSON envelope::
 
     {"ok": true,  "data": <payload>}
     {"ok": false, "error": {"code": <stable code>, "message": ...,
@@ -11,8 +15,8 @@ one uniform JSON envelope::
 ``error.code`` comes from the :class:`~repro.errors.ReproError` hierarchy's
 stable ``code`` attributes (``admission_full``, ``deadline_exceeded``,
 ``bad_pattern``, ``not_found``, ...), so remote callers classify failures
-without parsing messages, and the typed client rebuilds the matching
-exception class from the code.
+without parsing messages, and the client rebuilds the matching exception
+class from the code.
 
 Endpoints (all JSON)::
 
@@ -20,26 +24,23 @@ Endpoints (all JSON)::
     GET  /v1/runs                  the catalog (one object per stored run)
     GET  /v1/runs/<run_id>         manifest summary + recorded run metrics
     GET  /v1/stats[?run=ID]        the per-run registry `repro stats` renders
+    GET  /v1/debug/slow            the slow-query ring (REPRO_SLOW_QUERY_MS)
     POST /v1/query                 {"pattern", "run", "method", "analyze"}
     POST /v1/forward               {"pattern", "run", "method", "analyze"}
-    GET  /v1/debug/slow            the slow-query ring (REPRO_SLOW_QUERY_MS)
     POST /v1/audit/sar             {"subjects", "template", "run", "runs",
                                     "method", "page", "page_size"}
     POST /v1/audit/erasure         {"subjects", "template", "run", "runs",
                                     "method"} -- digest-signed receipt
 
-Outside the version namespace:
+Outside the version namespace there are exactly two paths, both Prometheus
+text: ``GET /metrics`` and ``GET /stats?format=prometheus[&run=ID]``.
+Scrape formats are governed by their own spec, not by this API's envelope,
+so they are deliberately unversioned.  Any other unversioned path is a 404
+``not_found`` in the envelope.
 
-* ``GET /metrics`` -- Prometheus text exposition.  Scrape formats are
-  governed by their own spec, not by this API's envelope, so the endpoint
-  is deliberately unversioned (as is ``GET /stats?format=prometheus``).
-* every pre-/v1 route (``/query``, ``/runs``, ...) still answers with its
-  historical body shape but carries ``Deprecation: true`` plus a ``Link:
-  </v1/...>; rel="successor-version"`` header pointing at its replacement.
+Error statuses:
 
-Error statuses (legacy body ``{"error": ..., "kind": ...}``):
-
-* 400 -- malformed request (bad JSON, unknown method, invalid pattern)
+* 400 -- malformed request (bad JSON, bad field, invalid pattern)
 * 404 -- unknown run or route
 * 429 -- admission queue full (:class:`~repro.errors.AdmissionError`)
 * 504 -- per-request deadline exceeded (:class:`~repro.errors.TaskTimeoutError`)
@@ -48,9 +49,9 @@ Error statuses (legacy body ``{"error": ..., "kind": ...}``):
 Each connection runs on its own thread (``ThreadingHTTPServer``); heavy
 work is bounded separately by the service's query pool, so accepting a
 request never commits the server to running it.  Requests are traced
-("request <endpoint>" spans in the ``serve`` category) and counted into the
-service registry by endpoint *template* -- ``/v1/runs/<id>``, not the
-concrete id -- to keep the metric cardinality bounded.
+("request <endpoint>" spans) and counted into the service registry by
+endpoint *template* -- ``/v1/runs/<id>``, not the concrete id -- to keep
+the metric cardinality bounded.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
-from typing import Any
+from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import (
@@ -75,15 +76,21 @@ from repro.errors import (
 )
 from repro.obs.log import get_logger
 from repro.obs.tracer import get_tracer
-from repro.serve.service import QueryService
+from repro.serve.service import (
+    API_VERSION,
+    GET_ROUTES,
+    POST_ROUTES,
+    GetRoute,
+    PostRoute,
+    QueryService,
+)
 
-__all__ = ["ProvenanceServer", "API_VERSION", "error_envelope"]
+__all__ = ["ProvenanceServer", "API_VERSION", "OneWriteHandler", "error_envelope"]
 
 #: Upper bound on accepted request bodies (a tree pattern is tiny).
 MAX_BODY_BYTES = 1 << 20
 
-#: The current (only) version namespace of the HTTP surface.
-API_VERSION = "v1"
+_POST_BY_PATH = {route.path: route for route in POST_ROUTES.values()}
 
 
 def error_status(exc: BaseException) -> int:
@@ -104,7 +111,7 @@ def error_status(exc: BaseException) -> int:
 
 
 def error_envelope(exc: BaseException) -> dict[str, Any]:
-    """The uniform ``/v1`` error body for *exc* (also used by the router)."""
+    """The uniform ``/v1`` error body for *exc*."""
     return {
         "ok": False,
         "error": {
@@ -115,30 +122,42 @@ def error_envelope(exc: BaseException) -> dict[str, Any]:
     }
 
 
-class _ServeHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the service for its handlers."""
-
-    daemon_threads = True
-    #: Ephemeral port 0 resolves at bind time; ``server_port`` reflects it.
-    allow_reuse_address = True
-
-    def __init__(self, address: tuple[str, int], service: QueryService):
-        super().__init__(address, _Handler)
-        self.service = service
+def json_object(raw: bytes) -> dict[str, Any]:
+    """A POST body as the JSON object it must be, or :class:`ServeError`."""
+    try:
+        payload = json.loads(raw)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ServeError(f"request body is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ServeError("request body must be a JSON object")
+    return payload
 
 
 class OneWriteHandler(BaseHTTPRequestHandler):
-    """HTTP/1.1 keep-alive handler whose responses leave in one segment.
+    """One connection of a worker or a router: read, route, answer once.
 
-    Headers flushed on their own and a small body written after them meet
-    Nagle's algorithm and the peer's delayed ACK: a client that reuses its
-    connection then waits ~40 ms per request for a body the server already
-    has.  So Nagle is off and :meth:`end_headers_with` replaces the
-    ``end_headers()`` + ``wfile.write(body)`` pair with a single write.
+    HTTP/1.1 keep-alive in both directions.  The request body is read
+    *before* the request is resolved, so an answer that never looks at it
+    (unknown route, stale catalog) cannot leave it on the socket to be
+    parsed as the next request.  Headers flushed on their own and a small
+    body written after them meet Nagle's algorithm and the peer's delayed
+    ACK: a client that reuses its connection then waits ~40 ms per request
+    for a body the server already has.  So Nagle is off and
+    :meth:`end_headers_with` replaces the ``end_headers()`` +
+    ``wfile.write(body)`` pair with a single write.
+
+    Subclasses name their :attr:`backend` -- the object whose methods the
+    route table's rows call -- and may override how a row is answered.
     """
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    #: Tracer category and logger of this tier: ``"serve"`` or ``"router"``.
+    role = "serve"
+
+    @property
+    def backend(self) -> Any:
+        raise NotImplementedError
 
     def log_message(self, format: str, *args: Any) -> None:
         # The default handler writes to stderr per request; route nothing --
@@ -154,47 +173,45 @@ class OneWriteHandler(BaseHTTPRequestHandler):
         head, self._headers_buffer = self._headers_buffer, []
         self.wfile.write(b"".join(head) + b"\r\n" + body)
 
-
-class _Handler(OneWriteHandler):
-    """Routes one connection; all responses carry Content-Length (keep-alive)."""
-
-    server: _ServeHTTPServer
-
     # -- plumbing --------------------------------------------------------------
 
-    def _send(self, status: int, body: bytes, content_type: str) -> None:
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str = "application/json",
+        worker: str | None = None,
+    ) -> int:
+        """Answer with *body* (Content-Length set: keep-alive); returns *status*."""
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if status == 429:
             self.send_header("Retry-After", "1")
-        if getattr(self, "_deprecated", False):
-            # RFC 8594-style sunset signalling for the pre-/v1 surface.
-            self.send_header("Deprecation", "true")
-            self.send_header(
-                "Link", f"</{API_VERSION}{self._legacy_path}>; rel=\"successor-version\""
-            )
+        if worker is not None:
+            self.send_header("X-Repro-Worker", worker)
         self.end_headers_with(body)
+        return status
 
-    def _send_json(self, status: int, payload: Any) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._send(status, body, "application/json")
+    def _send_json(self, status: int, payload: Any) -> int:
+        return self._send(status, json.dumps(payload, sort_keys=True).encode("utf-8"))
 
-    def _send_text(self, status: int, text: str) -> None:
-        self._send(status, text.encode("utf-8"), "text/plain; version=0.0.4")
+    def _ok(self, data: Any) -> int:
+        return self._send_json(200, {"ok": True, "data": data})
 
-    def _read_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0 or length > MAX_BODY_BYTES:
-            raise ServeError(f"request body must be 1..{MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
+    def _send_text(self, text: str) -> int:
+        return self._send(200, text.encode("utf-8"), "text/plain; version=0.0.4")
+
+    def _read_body(self) -> bytes:
+        """The request body; where it cannot be read the connection closes."""
         try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ServeError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ServeError("request body must be a JSON object")
-        return payload
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ServeError(f"request body must be 0..{MAX_BODY_BYTES} bytes")
+        return self.rfile.read(length)
 
     # -- routing ---------------------------------------------------------------
 
@@ -205,163 +222,92 @@ class _Handler(OneWriteHandler):
         self._route("POST")
 
     def _route(self, verb: str) -> None:
-        service = self.server.service
         split = urlsplit(self.path)
-        segments = [part for part in split.path.split("/") if part]
-        query = parse_qs(split.query)
-        # Version resolution happens before anything can fail so that even
-        # a catalog-refresh error answers in the caller's dialect.
-        self._versioned = segments[:1] == [API_VERSION]
-        if self._versioned:
-            segments = segments[1:]
-        self._legacy_path = split.path
-        self._deprecated = not self._versioned and segments != ["metrics"]
         endpoint = "(unknown)"
         status = 500
         started = perf_counter()
         handle = None
         try:
-            service.check_catalog()
-            endpoint, handler = self._dispatch(verb, segments, query)
-            if self._versioned:
-                endpoint = f"/{API_VERSION}" + endpoint
-            with get_tracer().span(f"request {endpoint}", "serve", verb=verb) as handle:
-                status = handler()
+            raw = self._read_body()
+            endpoint, answer = self._resolve(
+                verb, split.path.rstrip("/"), parse_qs(split.query), raw
+            )
+            with get_tracer().span(f"request {endpoint}", self.role, verb=verb) as handle:
+                status = answer()
         except Exception as exc:  # noqa: BLE001 -- every error becomes a response
-            status = error_status(exc)
-            if self._versioned:
-                self._send_json(status, error_envelope(exc))
-            else:
-                self._send_json(
-                    status, {"error": str(exc), "kind": type(exc).__name__}
-                )
+            status = self._send_json(error_status(exc), error_envelope(exc))
             if status == 500:
-                get_logger("serve").event(
-                    "serve-error", endpoint=endpoint, error=str(exc)
+                get_logger(self.role).event(
+                    f"{self.role}-error", endpoint=endpoint, error=str(exc)
                 )
         finally:
-            service.observe_request(
+            self.backend.observe_request(
                 endpoint,
                 status,
                 perf_counter() - started,
                 span_id=getattr(handle, "span_id", None),
             )
 
-    def _dispatch(self, verb, segments, query):
-        """Resolve ``(endpoint template, thunk)``; raises for unknown routes.
-
-        Called with the version prefix already stripped: the legacy aliases
-        and the ``/v1`` surface share one route table, differing only in
-        response dialect (envelope vs. historical body) and headers.
-        """
-        service = self.server.service
-        if verb == "GET" and segments == ["healthz"]:
-            return "/healthz", lambda: self._ok(service.health())
-        if verb == "GET" and segments == ["runs"]:
-            return "/runs", lambda: self._ok({"runs": service.runs()})
-        if verb == "GET" and len(segments) == 2 and segments[0] == "runs":
-            return "/runs/<id>", lambda: self._ok(service.run_detail(segments[1]))
-        if verb == "GET" and segments == ["stats"]:
-            return "/stats", lambda: self._stats(query)
-        if verb == "GET" and segments == ["metrics"] and not self._versioned:
-            return "/metrics", lambda: self._metrics()
-        if verb == "GET" and segments == ["debug", "slow"]:
-            return "/debug/slow", lambda: self._ok(service.debug_slow())
-        if verb == "POST" and segments == ["query"]:
-            return "/query", lambda: self._query()
-        if verb == "POST" and segments == ["forward"]:
-            return "/forward", lambda: self._forward()
-        if verb == "POST" and segments == ["audit", "sar"]:
-            return "/audit/sar", lambda: self._sar()
-        if verb == "POST" and segments == ["audit", "erasure"] and self._versioned:
-            return "/audit/erasure", lambda: self._erasure()
-        raise ProvenanceError(f"no such route: {verb} {self._legacy_path}")
-
-    # -- endpoint bodies (each returns the response status) --------------------
-
-    def _ok(self, payload: Any) -> int:
-        if self._versioned:
-            payload = {"ok": True, "data": payload}
-        self._send_json(200, payload)
-        return 200
-
-    def _stats(self, query: dict[str, list[str]]) -> int:
-        service = self.server.service
+    def _resolve(
+        self, verb: str, path: str, query: dict[str, list[str]], raw: bytes
+    ) -> tuple[str, Callable[[], int]]:
+        """``(endpoint template, thunk answering it)`` from the route table;
+        raises for anything the table (or the scrape surface) does not list."""
         run = (query.get("run") or [None])[0]
-        registry = service.run_stats(run)
-        wants_text = (query.get("format") or ["json"])[0] == "prometheus"
-        if wants_text and not self._versioned:
-            self._send_text(200, registry.render_prometheus())
-            return 200
-        return self._ok(registry.to_json())
+        prefix = f"/{API_VERSION}"
+        if path.startswith(prefix + "/"):
+            path = path[len(prefix):]
+            if verb == "POST" and path in _POST_BY_PATH:
+                route = _POST_BY_PATH[path]
+                return prefix + path, lambda: self._post(route, raw)
+            get, arg = GET_ROUTES.get(path), run
+            if get is None or get.takes == "id":  # the last segment is the <id>
+                head, _, arg = path.rpartition("/")
+                get = GET_ROUTES.get(head + "/<id>")
+            if verb == "GET" and get is not None:
+                return prefix + get.path, lambda: self._get(get, arg)
+        elif verb == "GET" and path == "/metrics":
+            return path, lambda: self._send_text(self.backend.metrics_text())
+        elif verb == "GET" and path == "/stats" and query.get("format") == ["prometheus"]:
+            return path, lambda: self._send_text(
+                self.backend.run_stats(run).render_prometheus()
+            )
+        raise ProvenanceError(f"no such route: {verb} {self.path}")
 
-    def _metrics(self) -> int:
-        self._send_text(200, self.server.service.render_metrics())
-        return 200
+    def _get(self, route: GetRoute, arg: str | None) -> int:
+        return self._ok(route.answer(self.backend, arg))
 
-    def _query(self) -> int:
-        body = self._read_body()
-        pattern = body.get("pattern")
-        if not isinstance(pattern, str):
-            raise ServeError("query needs a 'pattern' string")
-        payload = self.server.service.query(
-            pattern,
-            run_id=body.get("run"),
-            method=body.get("method", "lazy"),
-            analyze=bool(body.get("analyze", False)),
-        )
-        return self._ok(payload)
+    def _post(self, route: PostRoute, raw: bytes) -> int:
+        return self._ok(self.backend.request(route.kind, json_object(raw)))
 
-    def _forward(self) -> int:
-        body = self._read_body()
-        pattern = body.get("pattern")
-        if not isinstance(pattern, str):
-            raise ServeError("forward query needs a 'pattern' string")
-        payload = self.server.service.forward(
-            pattern,
-            run_id=body.get("run"),
-            method=body.get("method", "lazy"),
-            analyze=bool(body.get("analyze", False)),
-        )
-        return self._ok(payload)
 
-    def _sar(self) -> int:
-        body = self._read_body()
-        subjects = body.get("subjects")
-        if not isinstance(subjects, list):
-            raise ServeError("sar needs a 'subjects' list")
-        kwargs: dict[str, Any] = {}
-        if "template" in body:
-            kwargs["template"] = body["template"]
-        if "runs" in body:
-            kwargs["runs"] = body["runs"]
-        payload = self.server.service.sar(
-            subjects,
-            run_id=body.get("run"),
-            method=body.get("method", "lazy"),
-            page=int(body.get("page", 1)),
-            page_size=int(body.get("page_size", 100)),
-            **kwargs,
-        )
-        return self._ok(payload)
+class _ServeHTTPServer(ThreadingHTTPServer):
+    """ThreadingHTTPServer carrying the service for its handlers."""
 
-    def _erasure(self) -> int:
-        body = self._read_body()
-        subjects = body.get("subjects")
-        if not isinstance(subjects, list):
-            raise ServeError("erasure needs a 'subjects' list")
-        kwargs: dict[str, Any] = {}
-        if "template" in body:
-            kwargs["template"] = body["template"]
-        if "runs" in body:
-            kwargs["runs"] = body["runs"]
-        payload = self.server.service.erasure(
-            subjects,
-            run_id=body.get("run"),
-            method=body.get("method", "lazy"),
-            **kwargs,
-        )
-        return self._ok(payload)
+    daemon_threads = True
+    #: Ephemeral port 0 resolves at bind time; ``server_port`` reflects it.
+    allow_reuse_address = True
+
+    def __init__(self, address: tuple[str, int], service: QueryService):
+        super().__init__(address, _Handler)
+        self.service = service
+
+
+class _Handler(OneWriteHandler):
+    """The worker's connections: the table's rows over one QueryService."""
+
+    server: _ServeHTTPServer
+
+    @property
+    def backend(self) -> QueryService:
+        return self.server.service
+
+    def _resolve(
+        self, verb: str, path: str, query: dict[str, list[str]], raw: bytes
+    ) -> tuple[str, Callable[[], int]]:
+        # Inside _route's try: a catalog-refresh error answers in the envelope.
+        self.server.service.check_catalog()
+        return super()._resolve(verb, path, query, raw)
 
 
 class ProvenanceServer:
@@ -370,7 +316,7 @@ class ProvenanceServer:
     ::
 
         with ProvenanceServer(service, port=0) as server:   # ephemeral port
-            client = ServeClient(server.url)
+            client = repro.connect(server.url)
             ...
 
     ``start()`` serves from a daemon thread (tests, embedding);

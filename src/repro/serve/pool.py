@@ -11,7 +11,7 @@ Admission control sits between them: at most ``workers + queue_limit``
 requests may be in flight, and the next one is rejected *immediately* with
 :class:`~repro.errors.AdmissionError` (HTTP 429) rather than queued without
 bound -- under overload the server stays responsive and tells clients to
-back off, which the :class:`~repro.serve.client.ServeClient` retry protocol
+back off, which the retry protocol of :func:`repro.client.exchange`
 understands.
 
 Deadlines reuse the scheduler's semantics from the fault-tolerance layer: a

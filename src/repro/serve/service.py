@@ -1,9 +1,16 @@
-"""The query service: warehouse + resident stores + caches + admission.
+"""The query service: the route table, resident stores, caches, admission.
 
-This is the transport-independent core of ``repro.serve``: every HTTP
-endpoint is a thin shim over one :class:`QueryService` method, so the whole
-serving behaviour (admission control, deadlines, caching, invalidation,
-metrics) is testable without a socket.
+This is the transport-independent core of ``repro.serve``, and the one
+place the served surface is spelled out.  :data:`POST_ROUTES` and
+:data:`GET_ROUTES` declare every endpoint once -- path, body fields and
+their validation, run scope, cache-key params, the computation over
+resident runs, counter and log fields, the merge of a scattered answer --
+and every layer reads them: the file transport of :func:`repro.connect`,
+the worker's HTTP handler, the fleet router, and the HTTP client.  A POST
+request *is* its JSON body on every transport, and
+:meth:`QueryService.request` is the one path it takes: validate ->
+resolve scope -> cache -> admit under a deadline -> compute under a span
+-> ``server`` block.
 
 Serving changes the warehouse's access pattern from "load per query" to
 "load once, query forever":
@@ -14,12 +21,12 @@ Serving changes the warehouse's access pattern from "load per query" to
   the ``lazy`` method decodes operator segments on demand, the ``eager``
   method materialises the whole run up front so queries never touch disk --
   the two sides of the paper's eager-vs-lazy query evaluation (Sec. 6),
-  now selectable per request;
-* one **pattern-result cache** keyed by ``(run, pattern, method)``,
+  selectable per request;
+* one **pattern-result cache** keyed by ``(kind, run scope, params)``,
   invalidated when the catalog gains a run (stored runs are immutable, but
   name resolution is "newest wins");
-* one **query pool** bounding concurrent backtraces with admission control
-  (429) and per-request deadlines (504).
+* one **query pool** bounding concurrent computations with admission
+  control (429) and per-request deadlines (504).
 
 Request accounting flows into a :class:`~repro.obs.metrics.MetricsRegistry`
 (the process-wide one by default) and every query runs under a tracer span,
@@ -33,23 +40,23 @@ import json
 import os
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.audit.forward import ForwardTracer, load_execution
+from repro.audit.forward import ForwardResult, ForwardTracer, load_execution
 from repro.audit.sar import (
     DEFAULT_SUBJECT_TEMPLATE,
     erasure_over_tracers,
+    merge_erasure,
+    merge_sar,
     sar_over_tracers,
 )
 from repro.core.backtrace.result import ProvenanceResult
 from repro.engine.executor import ExecutionResult
 from repro.errors import ServeError
-from repro.obs.breakdown import QueryBreakdown, activate
 from repro.obs.log import get_logger
 from repro.obs.metrics import Counter, MetricsRegistry, get_registry, set_build_info
-from repro.obs.slowlog import get_slow_log, observe_query, slow_threshold_seconds
+from repro.obs.slowlog import explained, slow_log_payload
 from repro.obs.tracer import get_tracer
 from repro.pebble.query import query_provenance
 from repro.serve.cache import PatternResultCache
@@ -59,7 +66,20 @@ from repro.warehouse.catalog import LEGACY_SHARD, RUN_EPOCH_PREFIX
 from repro.warehouse.reader import DEFAULT_CACHE_SIZE, LazyProvenanceStore
 from repro.warehouse.service import METRICS_NAME
 
-__all__ = ["ServeConfig", "QueryService", "QUERY_METHODS", "result_to_json"]
+__all__ = [
+    "API_VERSION",
+    "GET_ROUTES",
+    "POST_ROUTES",
+    "GetRoute",
+    "PostRoute",
+    "QUERY_METHODS",
+    "QueryService",
+    "ServeConfig",
+    "result_to_json",
+]
+
+#: The current (only) version namespace of the HTTP surface.
+API_VERSION = "v1"
 
 #: The two run-loading strategies a query may request.
 QUERY_METHODS = ("lazy", "eager")
@@ -82,8 +102,6 @@ class ServeConfig:
     cache_size: int = 128
     #: Per-store LRU capacity for lazily decoded operator segments.
     segment_cache_size: int = DEFAULT_CACHE_SIZE
-    #: Partition count used when restoring runs (None: engine default).
-    num_partitions: int | None = None
     #: Retention TTL in seconds for epoch-layout (streaming) runs;
     #: ``None``/0 disables the background sweep.
     retention_ttl: float | None = None
@@ -136,9 +154,12 @@ def result_to_json(result: ProvenanceResult) -> dict[str, Any]:
 class _ResidentRun:
     """One loaded (run, method) pair shared across request threads."""
 
-    __slots__ = ("execution", "method", "loaded_at", "index")
+    __slots__ = ("run_id", "execution", "method", "loaded_at", "index")
 
-    def __init__(self, execution: ExecutionResult, method: str, index: Any = None):
+    def __init__(
+        self, run_id: str, execution: ExecutionResult, method: str, index: Any = None
+    ):
+        self.run_id = run_id
         self.execution = execution
         self.method = method
         self.loaded_at = time.time()
@@ -154,6 +175,213 @@ class _ResidentRun:
     @property
     def store(self) -> LazyProvenanceStore:
         return self.execution.store  # type: ignore[return-value]
+
+
+# -- the route table -----------------------------------------------------------
+
+
+def _is_name(value: Any) -> bool:
+    return isinstance(value, str) and bool(value.strip())
+
+
+def _is_count(value: Any) -> bool:
+    return type(value) is int and value >= 1
+
+
+#: Every field a POST body may carry: its default when absent, what a valid
+#: value is (the 400 message says so), and the test for one.
+_FIELDS: dict[str, tuple[Any, str, Callable[[Any], bool]]] = {
+    "pattern": (None, "a non-empty pattern string", _is_name),
+    "subjects": (
+        None,
+        "a non-empty list of non-empty strings",
+        lambda value: isinstance(value, list)
+        and bool(value)
+        and all(map(_is_name, value)),
+    ),
+    "run": (
+        None,
+        "a run id or name, or null",
+        lambda value: value is None or isinstance(value, str),
+    ),
+    "runs": (
+        None,
+        "a list of run ids or names, or null",
+        lambda value: value is None
+        or (isinstance(value, list) and all(map(_is_name, value))),
+    ),
+    "method": ("lazy", f"one of {QUERY_METHODS}", lambda value: value in QUERY_METHODS),
+    "analyze": (False, "true or false", lambda value: isinstance(value, bool)),
+    "template": (DEFAULT_SUBJECT_TEMPLATE, "a pattern template string", _is_name),
+    "page": (1, "an integer >= 1", _is_count),
+    "page_size": (100, "an integer >= 1", _is_count),
+}
+
+
+@dataclass(frozen=True)
+class PostRoute:
+    """One POST kind of the served surface; every layer reads this row."""
+
+    kind: str
+    #: Path under ``/v1``.
+    path: str
+    #: The body's fields (see :data:`_FIELDS`); anything else is ignored.
+    fields: tuple[str, ...]
+    #: ``(residents, params) -> (answer, facts)``: the computation over the
+    #: scope's resident runs, and what its span and log line say about it.
+    compute: Callable[[list[_ResidentRun], dict[str, Any]], tuple[Any, dict[str, Any]]]
+    #: The answer's JSON view (its ``result`` / ``report`` block).
+    render: Callable[[Any], dict[str, Any]]
+    #: The request counter, and the params that label it.
+    counter: str
+    counter_labels: tuple[str, ...] = ()
+    #: The run scope.  ``None``: one run (``run`` names it, default the
+    #: newest), which a router proxies to the run's owner.  Otherwise many
+    #: runs (``runs``, else ``run``, else every run), which a router
+    #: scatters by ownership, merging the parts' reports with
+    #: ``merge(scope, parts)``.
+    merge: Callable[[list[str], list[dict[str, Any]]], dict[str, Any]] | None = None
+
+    @property
+    def many_runs(self) -> bool:
+        return self.merge is not None
+
+    @property
+    def cache_key(self) -> tuple[str, ...]:
+        """The params, beside the kind and the run scope, that an answer is
+        a pure function of: every field that is not the scope or ``analyze``
+        (which bypasses the cache)."""
+        return tuple(
+            name for name in self.fields if name not in ("run", "runs", "analyze")
+        )
+
+    @property
+    def block(self) -> str:
+        """The payload key the rendered answer sits under."""
+        return "report" if self.many_runs else "result"
+
+    def parse(self, body: dict[str, Any]) -> dict[str, Any]:
+        """Validate a request body into normalised params, or raise
+        :class:`ServeError` (400) -- identically on every transport."""
+        params = {}
+        for name in self.fields:
+            default, expected, valid = _FIELDS[name]
+            value = body.get(name, default)
+            if not valid(value):
+                raise ServeError(
+                    f"{self.kind}: '{name}' must be {expected}, got {value!r}"
+                )
+            params[name] = value
+        if "subjects" in params:  # order and repeats never change a report
+            params["subjects"] = tuple(sorted(set(params["subjects"])))
+        return params
+
+
+@dataclass(frozen=True)
+class GetRoute:
+    """One GET endpoint: its path template and the method answering it."""
+
+    #: Path under ``/v1``; ``<id>`` stands for one path segment.
+    path: str
+    #: The :class:`QueryService` method (a router has one of the same name).
+    method: str
+    #: The argument the method takes: ``"id"`` (the path's ``<id>``: a run,
+    #: so a router proxies to its owner), ``"run"`` (the optional ``?run=``
+    #: query parameter), or ``None``.
+    takes: str | None = None
+
+    def answer(self, backend: Any, arg: str | None = None) -> Any:
+        """Call the method this route names on *backend*."""
+        return getattr(backend, self.method)(*([arg] if self.takes else ()))
+
+
+def _tracers(residents: list[_ResidentRun]) -> list[tuple[str, ForwardTracer]]:
+    return [(resident.run_id, resident.forward_tracer()) for resident in residents]
+
+
+def _backtrace(residents: list[_ResidentRun], params: dict[str, Any]) -> Any:
+    result = query_provenance(residents[0].execution, params["pattern"])
+    return result, {"matched": len(result.matched_output_ids)}
+
+
+def _forward(residents: list[_ResidentRun], params: dict[str, Any]) -> Any:
+    result = residents[0].forward_tracer().trace(params["pattern"])
+    return result, {
+        "matched_inputs": result.matched_input_count,
+        "outputs": len(result.output_ids),
+        **result.stats,
+    }
+
+
+def _sar(residents: list[_ResidentRun], params: dict[str, Any]) -> Any:
+    report = sar_over_tracers(
+        _tracers(residents),
+        params["subjects"],
+        template=params["template"],
+        page=params["page"],
+        page_size=params["page_size"],
+    )
+    return report, {"subjects": report["total_subjects"], "page": params["page"]}
+
+
+def _erasure(residents: list[_ResidentRun], params: dict[str, Any]) -> Any:
+    report = erasure_over_tracers(
+        _tracers(residents), params["subjects"], template=params["template"]
+    )
+    return report, {"subjects": report["subject_count"], "clean": report["clean"]}
+
+
+_AUDIT_FIELDS = ("subjects", "template", "run", "runs", "method")
+
+#: The four request kinds.  A fifth is one entry here plus one
+#: :class:`~repro.client.ProvenanceClient` method.
+POST_ROUTES: dict[str, PostRoute] = {
+    route.kind: route
+    for route in (
+        PostRoute(
+            "query", "/query",
+            fields=("pattern", "run", "method", "analyze"),
+            compute=_backtrace,
+            render=result_to_json,
+            counter="repro_serve_queries_total", counter_labels=("method",),
+        ),
+        PostRoute(
+            "forward", "/forward",
+            fields=("pattern", "run", "method", "analyze"),
+            compute=_forward,
+            render=ForwardResult.to_json,
+            counter="repro_serve_forward_queries_total", counter_labels=("method",),
+        ),
+        PostRoute(
+            "sar", "/audit/sar",
+            fields=_AUDIT_FIELDS + ("page", "page_size"),
+            compute=_sar,
+            render=dict,
+            counter="repro_serve_sar_requests_total",
+            merge=merge_sar,
+        ),
+        PostRoute(
+            "erasure", "/audit/erasure",
+            fields=_AUDIT_FIELDS,
+            compute=_erasure,
+            render=dict,
+            counter="repro_serve_erasure_requests_total",
+            merge=merge_erasure,
+        ),
+    )
+}
+
+#: The read-only endpoints, by path template.
+GET_ROUTES: dict[str, GetRoute] = {
+    route.path: route
+    for route in (
+        GetRoute("/healthz", "health"),
+        GetRoute("/runs", "runs"),
+        GetRoute("/runs/<id>", "run_detail", takes="id"),
+        GetRoute("/stats", "stats", takes="run"),
+        GetRoute("/debug/slow", "debug_slow"),
+    )
+}
 
 
 class QueryService:
@@ -336,8 +564,9 @@ class QueryService:
             "queue_limit": self.config.queue_limit,
         }
 
-    def runs(self) -> list[dict[str, Any]]:
-        return [record.to_obj() for record in self.warehouse.runs()]
+    def runs(self) -> dict[str, Any]:
+        """The catalog: one object per stored run, oldest first."""
+        return {"runs": [record.to_obj() for record in self.warehouse.runs()]}
 
     def run_detail(self, run_id: str) -> dict[str, Any]:
         """Manifest summary plus the execution metrics recorded with the run."""
@@ -363,375 +592,113 @@ class QueryService:
                     copy.inc(metric.value)
         return registry
 
-    # -- the query path --------------------------------------------------------
+    def stats(self, run_id: str | None = None) -> dict[str, Any]:
+        """:meth:`run_stats` as JSON (``GET /v1/stats``)."""
+        return self.run_stats(run_id).to_json()
 
-    def query(
-        self,
-        pattern: str,
-        run_id: str | None = None,
-        method: str = "lazy",
-        analyze: bool = False,
-    ) -> dict[str, Any]:
-        """Answer one provenance query; cached, admission-controlled, traced.
+    def debug_slow(self) -> dict[str, Any]:
+        """This process's slow-query ring (``GET /v1/debug/slow``)."""
+        return slow_log_payload()
 
-        Returns the stored payload (run/pattern/method/result/query_seconds)
-        plus a per-request ``server`` block carrying the cache verdict and
-        this request's wall time.  With *analyze* the request bypasses the
-        pattern-result cache (a cached answer has no fresh timings to
-        explain) and the payload gains an ``"analyze"`` breakdown block; the
-        ``"result"`` block is byte-identical either way.
+    # -- the request path ------------------------------------------------------
+
+    def request(self, kind: str, body: dict[str, Any]) -> dict[str, Any]:
+        """Answer one POST request of *kind* (a :data:`POST_ROUTES` key).
+
+        *body* is the request's JSON body -- on every transport.  It is
+        validated by the route's ``parse``, its run scope resolved to an id
+        tuple, and the answer taken from the pattern-result cache or
+        computed as one pooled task (one admission slot, one deadline).
+        Returns the stored payload (``result`` or ``report``,
+        ``query_seconds``, ...) plus a per-request ``server`` block carrying
+        the cache verdict and this request's wall time.  An ``analyze``
+        request bypasses the cache (a cached answer has no fresh timings to
+        explain) and its payload gains an ``"analyze"`` breakdown block;
+        the ``result`` block is byte-identical either way.
         """
-        if method not in QUERY_METHODS:
-            raise ServeError(
-                f"unknown query method {method!r}; expected one of {QUERY_METHODS}"
-            )
-        if not isinstance(pattern, str) or not pattern.strip():
-            raise ServeError("query needs a non-empty 'pattern' string")
-        record = self.warehouse.resolve(run_id)
-        # Keys are ("<kind>", <run scope>, ...): position 1 is what
-        # invalidate_runs inspects when a shard epoch moves.
-        key = ("query", record.run_id, pattern, method)
+        route = POST_ROUTES[kind]
+        params = route.parse(body)
+        run_ids = self._scope(route, params)
         started = time.perf_counter()
         deadline = self.config.effective_deadline()
-        if analyze:
-            payload = self.pool.run(
-                lambda: self._execute_query(record.run_id, pattern, method, analyze=True),
-                deadline,
+
+        def compute() -> dict[str, Any]:
+            return self.pool.run(
+                lambda: self._execute(route, run_ids, params), deadline
             )
-            was_hit = False
+
+        if params.get("analyze"):
+            payload, was_hit = compute(), False
         else:
+            # Position 1 is what invalidate_runs inspects when an epoch moves.
+            key = (kind, run_ids, *(params[name] for name in route.cache_key))
             payload, was_hit = self.cache.get_or_compute(
-                key,
-                lambda: self.pool.run(
-                    lambda: self._execute_query(record.run_id, pattern, method),
-                    deadline,
-                ),
-                wait_timeout=deadline,
-            )
-        elapsed = time.perf_counter() - started
-        self.registry.counter("repro_serve_queries_total", method=method).inc()
-        return dict(payload, server={"cached": was_hit, "seconds": elapsed})
-
-    def _execute_query(
-        self, run_id: str, pattern: str, method: str, analyze: bool = False
-    ) -> dict[str, Any]:
-        """The pooled worker body: resolve the resident run and backtrace."""
-        threshold = slow_threshold_seconds()
-        breakdown = QueryBreakdown() if (analyze or threshold is not None) else None
-        if breakdown is not None:
-            breakdown.start()
-        if self.query_hook is not None:
-            self.query_hook()
-        with activate(breakdown) if breakdown is not None else nullcontext():
-            with get_tracer().span(
-                "serve-query", "serve", run_id=run_id, pattern=pattern, method=method
-            ) as span:
-                resident = self._resident(run_id, method)
-                started = time.perf_counter()
-                result = query_provenance(resident.execution, pattern)
-                seconds = time.perf_counter() - started
-                span.set(matched=len(result.matched_output_ids))
-        get_logger(run_id).event(
-            "serve-query",
-            pattern=pattern,
-            method=method,
-            matched=len(result.matched_output_ids),
-            seconds=seconds,
-        )
-        payload = {
-            "run_id": run_id,
-            "pattern": pattern,
-            "method": method,
-            "result": result_to_json(result),
-            "query_seconds": seconds,
-        }
-        if breakdown is not None:
-            breakdown.finish()
-            observe_query(
-                "query",
-                run_id,
-                pattern,
-                breakdown.total_seconds,
-                method=method,
-                breakdown=breakdown.to_json(),
-                threshold=threshold,
-            )
-            if analyze:
-                payload["analyze"] = breakdown.to_json()
-        return payload
-
-    # -- the audit path --------------------------------------------------------
-
-    def forward(
-        self,
-        pattern: str,
-        run_id: str | None = None,
-        method: str = "lazy",
-        analyze: bool = False,
-    ) -> dict[str, Any]:
-        """Answer one forward provenance query (inputs -> derived outputs).
-
-        Same machinery as :meth:`query` -- admission control, deadline,
-        pattern-result cache -- with a direction-prefixed cache key so a
-        forward and a backward query over the same pattern never collide.
-        *analyze* bypasses the cache and attaches the breakdown, exactly as
-        on the query path.
-        """
-        if method not in QUERY_METHODS:
-            raise ServeError(
-                f"unknown query method {method!r}; expected one of {QUERY_METHODS}"
-            )
-        if not isinstance(pattern, str) or not pattern.strip():
-            raise ServeError("forward query needs a non-empty 'pattern' string")
-        record = self.warehouse.resolve(run_id)
-        key = ("forward", record.run_id, pattern, method)
-        started = time.perf_counter()
-        deadline = self.config.effective_deadline()
-        if analyze:
-            payload = self.pool.run(
-                lambda: self._execute_forward(
-                    record.run_id, pattern, method, analyze=True
-                ),
-                deadline,
-            )
-            was_hit = False
-        else:
-            payload, was_hit = self.cache.get_or_compute(
-                key,
-                lambda: self.pool.run(
-                    lambda: self._execute_forward(record.run_id, pattern, method),
-                    deadline,
-                ),
-                wait_timeout=deadline,
+                key, compute, wait_timeout=deadline
             )
         elapsed = time.perf_counter() - started
         self.registry.counter(
-            "repro_serve_forward_queries_total", method=method
+            route.counter, **{name: params[name] for name in route.counter_labels}
         ).inc()
         return dict(payload, server={"cached": was_hit, "seconds": elapsed})
 
-    def _execute_forward(
-        self, run_id: str, pattern: str, method: str, analyze: bool = False
-    ) -> dict[str, Any]:
-        threshold = slow_threshold_seconds()
-        breakdown = QueryBreakdown() if (analyze or threshold is not None) else None
-        if breakdown is not None:
-            breakdown.start()
-        if self.query_hook is not None:
-            self.query_hook()
-        with activate(breakdown) if breakdown is not None else nullcontext():
-            with get_tracer().span(
-                "serve-forward", "serve", run_id=run_id, pattern=pattern, method=method
-            ) as span:
-                resident = self._resident(run_id, method)
-                started = time.perf_counter()
-                result = resident.forward_tracer().trace(pattern)
-                seconds = time.perf_counter() - started
-                span.set(outputs=len(result.output_ids), **result.stats)
-        get_logger(run_id).event(
-            "serve-forward",
-            pattern=pattern,
-            method=method,
-            matched_inputs=result.matched_input_count,
-            outputs=len(result.output_ids),
-            seconds=seconds,
-            **result.stats,
-        )
-        payload = {
-            "run_id": run_id,
-            "pattern": pattern,
-            "method": method,
-            "result": result.to_json(),
-            "query_seconds": seconds,
-        }
-        if breakdown is not None:
-            breakdown.finish()
-            observe_query(
-                "forward",
-                run_id,
-                pattern,
-                breakdown.total_seconds,
-                method=method,
-                breakdown=breakdown.to_json(),
-                threshold=threshold,
-            )
-            if analyze:
-                payload["analyze"] = breakdown.to_json()
-        return payload
-
-    def _scope_runs(
-        self, run_id: str | None, runs: list[str] | None
-    ) -> tuple[str, ...]:
+    def _scope(self, route: PostRoute, params: dict[str, Any]) -> tuple[str, ...]:
         """Resolve a request's run scope to an ordered id tuple.
 
-        *runs* (an explicit list of ids/names, catalog order preserved)
-        wins over *run_id*; with neither, the scope is every catalogued
-        run.  The router uses *runs* to hand each worker exactly its owned
-        subset while keeping the global request shape identical.
+        A one-run route resolves ``run`` (``None``: the newest).  On a
+        many-run route ``runs`` (an explicit list of ids/names, order
+        preserved) wins over ``run``; with neither, the scope is every
+        catalogued run.  The router uses ``runs`` to hand each worker
+        exactly its owned subset while keeping the request shape identical.
         """
-        if runs is not None:
-            if not isinstance(runs, list) or not all(
-                isinstance(run, str) and run for run in runs
-            ):
-                raise ServeError("'runs' must be a list of run ids or names")
-            return tuple(self.warehouse.resolve(run).run_id for run in runs)
-        if run_id is None:
-            return tuple(record.run_id for record in self.warehouse.runs())
-        return (self.warehouse.resolve(run_id).run_id,)
+        resolve = self.warehouse.resolve
+        if route.many_runs:
+            if params["runs"] is not None:
+                return tuple(resolve(run).run_id for run in params["runs"])
+            if params["run"] is None:
+                return tuple(record.run_id for record in self.warehouse.runs())
+        return (resolve(params["run"]).run_id,)
 
-    def sar(
-        self,
-        subjects: list[str],
-        template: str = DEFAULT_SUBJECT_TEMPLATE,
-        run_id: str | None = None,
-        runs: list[str] | None = None,
-        method: str = "lazy",
-        page: int = 1,
-        page_size: int = 100,
+    def _execute(
+        self, route: PostRoute, run_ids: tuple[str, ...], params: dict[str, Any]
     ) -> dict[str, Any]:
-        """One bulk subject-access request over the resident warehouse.
-
-        ``run_id=None`` spans every catalogued run; ``runs`` restricts to an
-        explicit subset (the router's scatter shape).  The whole report is
-        one pooled task (one admission slot, one deadline) and one cache
-        entry keyed by the full request shape, so repeating a page is free
-        until the catalog changes.
-        """
-        if method not in QUERY_METHODS:
-            raise ServeError(
-                f"unknown query method {method!r}; expected one of {QUERY_METHODS}"
-            )
-        if not isinstance(subjects, list) or not subjects or not all(
-            isinstance(subject, str) and subject for subject in subjects
-        ):
-            raise ServeError("sar needs a non-empty 'subjects' list of strings")
-        run_ids = self._scope_runs(run_id, runs)
-        key = (
-            "sar",
-            run_ids,
-            tuple(sorted(set(subjects))),
-            template,
-            method,
-            page,
-            page_size,
-        )
-        started = time.perf_counter()
-        deadline = self.config.effective_deadline()
-        payload, was_hit = self.cache.get_or_compute(
-            key,
-            lambda: self.pool.run(
-                lambda: self._execute_sar(
-                    run_ids, subjects, template, method, page, page_size
-                ),
-                deadline,
-            ),
-            wait_timeout=deadline,
-        )
-        elapsed = time.perf_counter() - started
-        self.registry.counter("repro_serve_sar_requests_total").inc()
-        return dict(payload, server={"cached": was_hit, "seconds": elapsed})
-
-    def _execute_sar(
-        self,
-        run_ids: tuple[str, ...],
-        subjects: list[str],
-        template: str,
-        method: str,
-        page: int,
-        page_size: int,
-    ) -> dict[str, Any]:
-        if self.query_hook is not None:
-            self.query_hook()
-        with get_tracer().span(
-            "serve-sar", "serve", runs=len(run_ids), subjects=len(subjects)
-        ) as span:
-            tracers = [
-                (run_id, self._resident(run_id, method).forward_tracer())
-                for run_id in run_ids
-            ]
-            started = time.perf_counter()
-            report = sar_over_tracers(
-                tracers, subjects, template=template, page=page, page_size=page_size
-            )
-            seconds = time.perf_counter() - started
-            span.set(page=page, total_subjects=report["total_subjects"])
-        get_logger("serve").event(
-            "serve-sar",
-            runs=len(run_ids),
-            subjects=report["total_subjects"],
-            page=page,
+        """The pooled worker body: the route's computation over resident runs."""
+        method = params["method"]
+        analyze = params.get("analyze", False)
+        if route.many_runs:
+            text, log_as, about = params["template"], "serve", {"runs": len(run_ids)}
+        else:
+            text, log_as = params["pattern"], run_ids[0]
+            about = {"run_id": log_as, "pattern": text}
+        with explained(
+            route.kind,
+            text,
             method=method,
-            seconds=seconds,
-        )
-        return {"method": method, "report": report, "query_seconds": seconds}
-
-    def erasure(
-        self,
-        subjects: list[str],
-        template: str = DEFAULT_SUBJECT_TEMPLATE,
-        run_id: str | None = None,
-        runs: list[str] | None = None,
-        method: str = "lazy",
-    ) -> dict[str, Any]:
-        """One erasure verification served from resident executions.
-
-        The report (and its sha256 ``digest``) is byte-identical to a direct
-        :func:`repro.verify_erasure` call over the same warehouse state --
-        the receipt does not depend on which tier produced it.
-        """
-        if method not in QUERY_METHODS:
-            raise ServeError(
-                f"unknown query method {method!r}; expected one of {QUERY_METHODS}"
+            run_id=",".join(run_ids),
+            analyze=analyze,
+        ) as query:
+            if self.query_hook is not None:
+                self.query_hook()
+            with get_tracer().span(
+                f"serve-{route.kind}", "serve", method=method, **about
+            ) as span:
+                residents = [self._resident(run_id, method) for run_id in run_ids]
+                started = time.perf_counter()
+                answer, facts = route.compute(residents, params)
+                seconds = time.perf_counter() - started
+                span.set(**facts)
+            get_logger(log_as).event(
+                f"serve-{route.kind}", method=method, seconds=seconds, **about, **facts
             )
-        if not isinstance(subjects, list) or not subjects or not all(
-            isinstance(subject, str) and subject for subject in subjects
-        ):
-            raise ServeError("erasure needs a non-empty 'subjects' list of strings")
-        run_ids = self._scope_runs(run_id, runs)
-        key = ("erasure", run_ids, tuple(sorted(set(subjects))), template, method)
-        started = time.perf_counter()
-        deadline = self.config.effective_deadline()
-        payload, was_hit = self.cache.get_or_compute(
-            key,
-            lambda: self.pool.run(
-                lambda: self._execute_erasure(run_ids, subjects, template, method),
-                deadline,
-            ),
-            wait_timeout=deadline,
-        )
-        elapsed = time.perf_counter() - started
-        self.registry.counter("repro_serve_erasure_requests_total").inc()
-        return dict(payload, server={"cached": was_hit, "seconds": elapsed})
-
-    def _execute_erasure(
-        self,
-        run_ids: tuple[str, ...],
-        subjects: list[str],
-        template: str,
-        method: str,
-    ) -> dict[str, Any]:
-        if self.query_hook is not None:
-            self.query_hook()
-        with get_tracer().span(
-            "serve-erasure", "serve", runs=len(run_ids), subjects=len(subjects)
-        ) as span:
-            tracers = [
-                (run_id, self._resident(run_id, method).forward_tracer())
-                for run_id in run_ids
-            ]
-            started = time.perf_counter()
-            report = erasure_over_tracers(tracers, subjects, template=template)
-            seconds = time.perf_counter() - started
-            span.set(clean=report["clean"], subjects=report["subject_count"])
-        get_logger("serve").event(
-            "serve-erasure",
-            runs=len(run_ids),
-            subjects=report["subject_count"],
-            clean=report["clean"],
-            method=method,
-            seconds=seconds,
-        )
-        return {"method": method, "report": report, "query_seconds": seconds}
+            payload = {
+                "method": method,
+                route.block: route.render(answer),
+                "query_seconds": seconds,
+            }
+            if not route.many_runs:
+                payload.update(about)
+        if analyze:
+            payload["analyze"] = query.breakdown.to_json()
+        return payload
 
     def _resident(self, run_id: str, method: str) -> _ResidentRun:
         """The shared execution for ``(run_id, method)``, loading on first use."""
@@ -751,27 +718,12 @@ class QueryService:
                     self.warehouse,
                     run_id,
                     method=method,
-                    num_partitions=self.config.num_partitions,
                     cache_size=self.config.segment_cache_size,
                 )
                 index = self.warehouse.load_index(run_id)
-                resident = _ResidentRun(execution, method, index)
+                resident = _ResidentRun(run_id, execution, method, index)
             self._residents[key] = resident
             return resident
-
-    def debug_slow(self) -> dict[str, Any]:
-        """The slow-query ring: what ``GET /debug/slow`` returns.
-
-        Entries are newest first; ``total`` counts every over-budget query
-        this process observed, evicted entries included.
-        """
-        threshold = slow_threshold_seconds()
-        ring = get_slow_log()
-        return {
-            "threshold_ms": threshold * 1000.0 if threshold is not None else None,
-            "total": ring.total,
-            "entries": ring.snapshot(),
-        }
 
     # -- metrics ---------------------------------------------------------------
 
@@ -814,7 +766,7 @@ class QueryService:
                     f"repro_serve_segment_cache_{field}", run_id=run_id, method=method
                 ).set(getattr(cache, field))
 
-    def render_metrics(self) -> str:
+    def metrics_text(self) -> str:
         """The Prometheus text page ``GET /metrics`` serves."""
         self.publish_gauges()
         return self.registry.render_prometheus()

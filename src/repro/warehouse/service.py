@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import nullcontext
 from pathlib import Path as FsPath
 from typing import Any, Iterator
 
@@ -45,10 +44,10 @@ from repro.engine.partition import partition_rows
 from repro.errors import LiveRunError, ProvenanceError
 from repro.nested.schema import Schema, infer_schema
 from repro.nested.types import StructType
-from repro.obs.breakdown import QueryBreakdown, activate, get_breakdown
+from repro.obs.breakdown import QueryBreakdown, get_breakdown
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slowlog import observe_query, slow_threshold_seconds
+from repro.obs.slowlog import explained
 from repro.obs.tracer import get_tracer
 from repro.warehouse.catalog import LEGACY_SHARD, Catalog, RunRecord, ShardManifest
 from repro.warehouse.format import materialise_rows
@@ -79,9 +78,6 @@ SHARDS_DIR = "shards"
 
 #: Execution accounting recorded next to a run's manifest (``repro stats``).
 METRICS_NAME = "metrics.json"
-
-#: Shared no-op context for the breakdown-off query path.
-_NO_CONTEXT = nullcontext()
 
 
 class Warehouse:
@@ -503,7 +499,6 @@ class Warehouse:
         pattern: TreePattern | str,
         method: str = "lazy",
         use_index: bool = True,
-        num_partitions: int | None = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
         breakdown: QueryBreakdown | None = None,
     ) -> "ForwardResult":
@@ -518,7 +513,6 @@ class Warehouse:
             run_id=run_id,
             method=method,
             use_index=use_index,
-            num_partitions=num_partitions,
             cache_size=cache_size,
             breakdown=breakdown,
         )
@@ -683,7 +677,6 @@ class Warehouse:
         self,
         run_id: str | None,
         pattern: TreePattern | str,
-        num_partitions: int | None = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
         breakdown: QueryBreakdown | None = None,
     ) -> tuple[ProvenanceResult, SegmentCacheMetrics]:
@@ -702,23 +695,15 @@ class Warehouse:
         :class:`QueryBreakdown` to collect per-phase explain-analyze timings;
         when the ``REPRO_SLOW_QUERY_MS`` budget is set, one is built anyway
         so over-budget queries land in the slow log with their breakdown.
-
-        *num_partitions* no longer affects this path (it never affected
-        answers); it is accepted for 2.x callers and goes with the rest of
-        the 3.0 compatibility surface (ROADMAP item 4).
         """
         from repro.pebble.query import as_pattern, trace_matches
 
         tree_pattern = as_pattern(pattern)
-        threshold = slow_threshold_seconds()
-        if breakdown is None and threshold is not None:
-            breakdown = QueryBreakdown()
-        if breakdown is not None:
-            breakdown.start()
-        with activate(breakdown) if breakdown is not None else _NO_CONTEXT:
+        with explained("backtrace", str(pattern), breakdown=breakdown) as query:
             with get_tracer().span("warehouse-query", "warehouse") as span:
                 with get_breakdown().phase("load"):
                     store, encoded = self._open_run(run_id, cache_size)
+                query.run_id = store.run_id
                 matches, rows_decoded = match_encoded_rows(tree_pattern, encoded)
                 metrics = store.metrics
                 metrics.add(rows_decoded=rows_decoded)
@@ -728,8 +713,7 @@ class Warehouse:
                     segments_decoded=metrics.misses,
                     bytes_read=metrics.bytes_read,
                 )
-        if breakdown is not None:
-            breakdown.count(
+            query.count(
                 rows_visited=store.manifest["rows"]["count"],
                 matched=len(matches),
                 rows_decoded=metrics.rows_decoded,
@@ -738,15 +722,6 @@ class Warehouse:
                 cache_hits=metrics.hits,
                 cache_misses=metrics.misses,
                 bytes_read=metrics.bytes_read,
-            )
-            breakdown.finish()
-            observe_query(
-                "backtrace",
-                store.run_id,
-                str(pattern),
-                breakdown.total_seconds,
-                breakdown=breakdown.to_json(),
-                threshold=threshold,
             )
         metrics.publish()
         get_logger(store.run_id).event(

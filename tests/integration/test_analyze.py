@@ -13,11 +13,12 @@ import time
 
 import pytest
 
+import repro
 from repro.cli import main as cli_main
 from repro.obs.breakdown import PHASES, QueryBreakdown
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SLOW_QUERY_ENV, SlowQueryLog, set_slow_log
-from repro.serve import ProvenanceServer, QueryService, ServeClient, ServeConfig
+from repro.serve import ProvenanceServer, QueryService, ServeConfig
 from repro.warehouse import Warehouse
 from repro.workloads.scenarios import RUNNING_EXAMPLE_PATTERN
 
@@ -95,9 +96,9 @@ class TestServedAnalyze:
             registry=MetricsRegistry(),
         )
         with ProvenanceServer(service, port=0) as server:
-            client = ServeClient(server.url)
-            plain = client.query(RUNNING_EXAMPLE_PATTERN)
-            analyzed = client.query(RUNNING_EXAMPLE_PATTERN, analyze=True)
+            client = repro.connect(server.url)
+            plain = client.backtrace(RUNNING_EXAMPLE_PATTERN)
+            analyzed = client.backtrace(RUNNING_EXAMPLE_PATTERN, analyze=True)
             assert "analyze" not in plain
             block = analyzed["analyze"]
             total = block["total_seconds"]
@@ -114,7 +115,7 @@ class TestServedAnalyze:
             registry=MetricsRegistry(),
         )
         with ProvenanceServer(service, port=0) as server:
-            client = ServeClient(server.url)
+            client = repro.connect(server.url)
             payload = client.forward('root{//id_str="lp"}', analyze=True)
             block = payload["analyze"]
             total = block["total_seconds"]
@@ -132,8 +133,8 @@ class TestSlowQueryCapture:
         )
         service.query_hook = lambda: time.sleep(0.05)
         with ProvenanceServer(service, port=0) as server:
-            client = ServeClient(server.url)
-            client.query(RUNNING_EXAMPLE_PATTERN)
+            client = repro.connect(server.url)
+            client.backtrace(RUNNING_EXAMPLE_PATTERN)
             slow = client.debug_slow()
         assert slow["threshold_ms"] == 10.0
         assert slow["total"] >= 1
@@ -172,8 +173,8 @@ class TestSlowQueryCapture:
             registry=MetricsRegistry(),
         )
         with ProvenanceServer(service, port=0) as server:
-            client = ServeClient(server.url)
-            client.query(RUNNING_EXAMPLE_PATTERN)
+            client = repro.connect(server.url)
+            client.backtrace(RUNNING_EXAMPLE_PATTERN)
             assert cli_main(["stats", "--remote", server.url, "--slow"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["total"] >= 1

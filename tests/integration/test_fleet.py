@@ -7,7 +7,7 @@ scatter-gathers the cross-run endpoints.  The invariant pinned throughout:
 the router is byte-identical to a direct library call and to a
 ``repro.connect("file://...")`` client over the same root, including audit
 digests.  Alongside that, the /v1 surface itself: the uniform envelope,
-stable error codes, and the ``Deprecation`` headers on legacy routes.
+stable error codes, and the 404 every unversioned path now gets.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 
 import repro
 from repro.cli import main as cli_main
-from repro.client import LocalClient, ProvenanceClient, RemoteClient
+from repro.client import ProvenanceClient
 from repro.engine.scheduler import RetryPolicy
 from repro.engine.session import Session
 from repro.errors import ProvenanceError, ReproError
@@ -251,7 +251,7 @@ class TestEnvelope:
 
         service.query_hook = hold
         with ProvenanceServer(service, port=0) as server:
-            client = RemoteClient(server.url, policy=RetryPolicy(max_retries=0))
+            client = repro.connect(server.url, policy=RetryPolicy(max_retries=0))
             blocker = threading.Thread(
                 target=lambda: client.backtrace(RUNNING_EXAMPLE_PATTERN)
             )
@@ -269,25 +269,31 @@ class TestEnvelope:
         assert body["error"]["code"] == "admission_full"
         assert body["error"]["retryable"] is True
 
-    def test_legacy_routes_carry_deprecation_headers(self, fleet_setup):
-        _, _, fleet, _, _ = fleet_setup
+    def test_unversioned_routes_are_404_in_the_envelope(self, fleet_setup):
+        """3.0: only /v1 (and the two scrape pages) -- on worker and router."""
+        server, _, fleet, _, _ = fleet_setup
         _, worker_url = fleet.workers()[0]
-        status, headers, _ = _get(worker_url + "/runs")
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert 'rel="successor-version"' in headers.get("Link", "")
-        assert "/v1/runs" in headers.get("Link", "")
-        status, headers, _ = _get(worker_url + "/v1/runs")
-        assert status == 200
-        assert "Deprecation" not in headers
+        for base in (worker_url, server.url):
+            for path in ("/runs", "/healthz", "/stats", "/debug/slow"):
+                status, headers, body = _get(base + path)
+                assert status == 404, (base, path)
+                assert body["ok"] is False
+                assert body["error"]["code"] == "not_found"
+                assert "Deprecation" not in headers
+            status, _, body = _post(base + "/query", {"pattern": "root{}"})
+            assert (status, body["error"]["code"]) == (404, "not_found")
+            assert _get(base + "/v1/runs")[0] == 200
+            for page in ("/metrics", "/stats?format=prometheus"):
+                with urllib.request.urlopen(base + page, timeout=30) as response:
+                    assert response.status == 200
+                    assert "repro_serve_" in response.read().decode()
 
 
 class TestConnectFacade:
     def test_both_transports_satisfy_the_protocol(self, remote, local):
-        assert isinstance(remote, RemoteClient)
-        assert isinstance(local, LocalClient)
-        assert isinstance(remote, ProvenanceClient)
-        assert isinstance(local, ProvenanceClient)
+        assert type(remote) is type(local) is ProvenanceClient
+        assert remote.health()["role"] == "router"
+        assert local.health()["status"] == "ok"
 
     def test_bare_path_is_local(self, fleet_setup):
         _, _, _, root, run_ids = fleet_setup
@@ -305,9 +311,11 @@ class TestConnectFacade:
             with pytest.raises(ProvenanceError, match="no run"):
                 client.backtrace(RUNNING_EXAMPLE_PATTERN, run="run-9999-nope")
 
-    def test_serveclient_attribute_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="repro.connect"):
-            repro.ServeClient  # noqa: B018 (the access itself is the test)
+    def test_removed_facade_names_raise_attribute_error(self):
+        for name in ("ServeClient", "Session"):
+            assert name not in repro.__all__
+            with pytest.raises(AttributeError, match=name):
+                getattr(repro, name)
 
 
 class TestFreshRuns:

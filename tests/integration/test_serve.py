@@ -14,7 +14,9 @@ import threading
 
 import pytest
 
+import repro
 from repro.cli import main as cli_main
+from repro.client import scrape
 from repro.engine.scheduler import RetryPolicy
 from repro.errors import AdmissionError, TaskTimeoutError
 from repro.obs.metrics import MetricsRegistry
@@ -22,7 +24,6 @@ from repro.pebble.query import query_provenance
 from repro.serve import (
     ProvenanceServer,
     QueryService,
-    ServeClient,
     ServeConfig,
     result_to_json,
 )
@@ -54,12 +55,12 @@ def served(recorded):
 @pytest.fixture
 def client(served):
     server, _, _ = served
-    return ServeClient(server.url, policy=NO_BACKOFF)
+    return repro.connect(server.url, policy=NO_BACKOFF)
 
 
 class TestEndpoints:
     def test_healthz_reports_capacity(self, client):
-        health = client.healthz()
+        health = client.health()
         assert health["status"] == "ok"
         assert health["runs"] == 1
         assert health["workers"] == 4
@@ -85,24 +86,24 @@ class TestEndpoints:
             client.run("no-such-run")
         assert "no run 'no-such-run'" in str(info.value)
 
-    def test_unknown_route_is_404(self, client):
+    def test_unknown_route_is_404(self, served):
         import urllib.error
         import urllib.request
 
         with pytest.raises(urllib.error.HTTPError) as info:
-            urllib.request.urlopen(client.base_url + "/nope", timeout=5)
+            urllib.request.urlopen(served[0].url + "/v1/nope", timeout=5)
         assert info.value.code == 404
 
     def test_malformed_query_is_400(self, client):
         from repro.errors import ServeError, TreePatternError
 
         with pytest.raises(TreePatternError):
-            client.query("root{")  # unbalanced pattern
+            client.backtrace("root{")  # unbalanced pattern
         with pytest.raises(ServeError):
-            client.query(RUNNING_EXAMPLE_PATTERN, method="psychic")
+            client.backtrace(RUNNING_EXAMPLE_PATTERN, method="psychic")
 
     def test_metrics_exposes_request_queue_and_cache_counters(self, client):
-        client.query(RUNNING_EXAMPLE_PATTERN)
+        client.backtrace(RUNNING_EXAMPLE_PATTERN)
         text = client.metrics_text()
         assert 'repro_serve_requests_total{endpoint="/v1/query",status="200"}' in text
         assert 'repro_serve_queries_total{method="lazy"}' in text
@@ -115,7 +116,7 @@ class TestEndpoints:
     ):
         root, run_id = recorded
         local = Warehouse.open(root).stats(run_id, registry=MetricsRegistry())
-        remote = client.run_stats(run_id)
+        remote = client.stats(run=run_id)
         # Every warehouse metric appears verbatim; the remote registry may
         # additionally fold in this server's repro_serve_* counters.
         extras = [
@@ -124,8 +125,8 @@ class TestEndpoints:
             if metric not in local.to_json()["metrics"]
         ]
         assert all(metric["name"].startswith("repro_serve_") for metric in extras)
-        client.query(RUNNING_EXAMPLE_PATTERN)
-        text = client.run_stats(run_id, prometheus=True)
+        client.backtrace(RUNNING_EXAMPLE_PATTERN)
+        text = scrape(f"{served[0].url}/stats?format=prometheus&run={run_id}")
         for line in local.render_prometheus().splitlines():
             assert line in text
         assert 'repro_serve_queries_total{method="lazy"}' in text
@@ -135,7 +136,7 @@ class TestQueryEquivalence:
     @pytest.mark.parametrize("method", ["lazy", "eager"])
     def test_served_answer_equals_direct_backtrace(self, served, client, method):
         _, _, root = served
-        payload = client.query(RUNNING_EXAMPLE_PATTERN, method=method)
+        payload = client.backtrace(RUNNING_EXAMPLE_PATTERN, method=method)
         direct = query_provenance(
             Warehouse.open(root).load(), RUNNING_EXAMPLE_PATTERN
         )
@@ -145,12 +146,12 @@ class TestQueryEquivalence:
 
     def test_eager_run_queries_touch_no_disk(self, served, client):
         _, service, _ = served
-        client.query(RUNNING_EXAMPLE_PATTERN, method="eager")
+        client.backtrace(RUNNING_EXAMPLE_PATTERN, method="eager")
         resident = service._residents[
             (service.warehouse.resolve().run_id, "eager")
         ]
         bytes_after_load = resident.store.metrics.bytes_read
-        client.query('root{//name="vx"}', method="eager")
+        client.backtrace('root{//name="vx"}', method="eager")
         assert resident.store.metrics.bytes_read == bytes_after_load
 
     def test_concurrent_queries_identical_to_serial(self, served, recorded):
@@ -178,12 +179,12 @@ class TestQueryEquivalence:
         lock = threading.Lock()
 
         def drive(worker: int):
-            client = ServeClient(server.url, policy=NO_BACKOFF)
+            client = repro.connect(server.url, policy=NO_BACKOFF)
             barrier.wait()
             for step in range(per_worker):
                 pattern = patterns[(worker + step) % len(patterns)]
                 try:
-                    payload = client.query(pattern)
+                    payload = client.backtrace(pattern)
                     got = json.dumps(payload["result"], sort_keys=True)
                     if got != serial[pattern]:
                         raise AssertionError(f"divergent answer for {pattern}")
@@ -229,16 +230,16 @@ class TestAdmissionAndDeadlines:
 
         service.query_hook = hold
         with ProvenanceServer(service, port=0) as server:
-            client = ServeClient(server.url, policy=RetryPolicy(max_retries=0))
+            client = repro.connect(server.url, policy=RetryPolicy(max_retries=0))
             blocker = threading.Thread(
-                target=lambda: client.query(RUNNING_EXAMPLE_PATTERN)
+                target=lambda: client.backtrace(RUNNING_EXAMPLE_PATTERN)
             )
             blocker.start()
             try:
                 assert entered.wait(5)
                 with pytest.raises(AdmissionError):
                     # A different pattern: must reach the pool, not the cache.
-                    client.query('root{//name="vx"}')
+                    client.backtrace('root{//name="vx"}')
             finally:
                 release.set()
                 blocker.join()
@@ -254,27 +255,27 @@ class TestAdmissionAndDeadlines:
         )
         service.query_hook = lambda: threading.Event().wait(2)
         with ProvenanceServer(service, port=0) as server:
-            client = ServeClient(server.url, policy=RetryPolicy(max_retries=0))
+            client = repro.connect(server.url, policy=RetryPolicy(max_retries=0))
             with pytest.raises(TaskTimeoutError):
-                client.query(RUNNING_EXAMPLE_PATTERN)
+                client.backtrace(RUNNING_EXAMPLE_PATTERN)
             assert service.pool.stats.timeouts == 1
             # The failure must not be cached: a later, fast ask recomputes.
             service.query_hook = None
-            payload = client.query(RUNNING_EXAMPLE_PATTERN)
+            payload = client.backtrace(RUNNING_EXAMPLE_PATTERN)
             assert payload["server"]["cached"] is False
 
 
 class TestCacheInvalidation:
     def test_new_run_flushes_the_pattern_cache(self, served, captured_example):
         server, service, root = served
-        client = ServeClient(server.url, policy=NO_BACKOFF)
-        first = client.query(RUNNING_EXAMPLE_PATTERN)
+        client = repro.connect(server.url, policy=NO_BACKOFF)
+        first = client.backtrace(RUNNING_EXAMPLE_PATTERN)
         assert first["server"]["cached"] is False
-        second = client.query(RUNNING_EXAMPLE_PATTERN)
+        second = client.backtrace(RUNNING_EXAMPLE_PATTERN)
         assert second["server"]["cached"] is True
         # Another process records a new run into the same root.
         Warehouse.open(root).record(captured_example, name="example")
-        third = client.query(RUNNING_EXAMPLE_PATTERN)
+        third = client.backtrace(RUNNING_EXAMPLE_PATTERN)
         assert third["server"]["cached"] is False
         assert third["run_id"] != first["run_id"]  # newest-run resolution moved
         assert len(client.runs()) == 2
@@ -299,7 +300,7 @@ class TestForwardEndpoint:
 
     def test_cache_keys_are_direction_scoped(self, client):
         """A backward /query must never answer a /forward of the same pattern."""
-        client.query(RUNNING_EXAMPLE_PATTERN)
+        client.backtrace(RUNNING_EXAMPLE_PATTERN)
         payload = client.forward(RUNNING_EXAMPLE_PATTERN)
         assert payload["server"]["cached"] is False
 
@@ -331,7 +332,7 @@ class TestForwardEndpoint:
 
         service.query_hook = hold
         with ProvenanceServer(service, port=0) as server:
-            client = ServeClient(server.url, policy=RetryPolicy(max_retries=0))
+            client = repro.connect(server.url, policy=RetryPolicy(max_retries=0))
             blocker = threading.Thread(
                 target=lambda: client.forward(self.PATTERN)
             )
@@ -371,7 +372,7 @@ class TestSarEndpoint:
         )
         service.query_hook = lambda: threading.Event().wait(2)
         with ProvenanceServer(service, port=0) as server:
-            client = ServeClient(server.url, policy=RetryPolicy(max_retries=0))
+            client = repro.connect(server.url, policy=RetryPolicy(max_retries=0))
             with pytest.raises(TaskTimeoutError):
                 client.sar(self.SUBJECTS)
             text = client.metrics_text()
@@ -396,7 +397,7 @@ class TestSarEndpoint:
         text = client.metrics_text()
         assert 'repro_serve_forward_queries_total{method="lazy"}' in text
         assert "repro_serve_sar_requests_total" in text
-        names = {metric["name"] for metric in client.run_stats(run_id)["metrics"]}
+        names = {metric["name"] for metric in client.stats(run=run_id)["metrics"]}
         assert "repro_serve_forward_queries_total" in names
         assert "repro_serve_sar_requests_total" in names
 
@@ -408,7 +409,7 @@ class TestGracefulShutdown:
         from repro.obs.log import LOGGER_NAME
 
         _, service, _ = served
-        client.query(RUNNING_EXAMPLE_PATTERN)
+        client.backtrace(RUNNING_EXAMPLE_PATTERN)
         client.forward('root{//id_str="lp"}')
         with caplog.at_level(logging.INFO, logger=LOGGER_NAME):
             service.close()
@@ -443,8 +444,8 @@ class TestGracefulShutdown:
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
-        client = ServeClient(server.url, policy=NO_BACKOFF)
-        assert client.healthz()["status"] == "ok"
+        client = repro.connect(server.url, policy=NO_BACKOFF)
+        assert client.health()["status"] == "ok"
         os.kill(os.getpid(), signal.SIGTERM)
         assert finished.wait(5), "serve_forever did not return after SIGTERM"
         assert server.signalled == signal.SIGTERM

@@ -6,6 +6,9 @@ against the peer's delayed ACK).  No clock here: the handlers' ``wfile.write``
 is wrapped and must be called exactly once per response -- on 200, 404 and
 429 alike -- and 50 requests over one ``http.client`` connection must be
 answered on one accepted socket, by the worker handler and by the router's.
+Mid-loop each connection also POSTs a body to a route that does not exist:
+the 404 must consume that body, or the next request on the socket would be
+parsed out of it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from repro.serve.http import OneWriteHandler, _Handler
 from repro.serve.router import RouterServer, RouterService, _RouterHandler
 from repro.warehouse import Warehouse
 from repro.workloads.scenarios import RUNNING_EXAMPLE_PATTERN
+
+
+#: A body for a route that does not exist; it must not outlive its request.
+UNROUTED = {"pattern": RUNNING_EXAMPLE_PATTERN, "padding": "x" * 2048}
 
 
 class Wire:
@@ -92,11 +99,15 @@ def test_worker_answers_fifty_requests_on_one_socket_one_write_each(root, wire):
     with ProvenanceServer(service, port=0) as server:
         connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
         bodies = []
-        for _ in range(49):
-            status, body = _exchange(
-                connection, "POST", "/v1/query", {"pattern": RUNNING_EXAMPLE_PATTERN}
-            )
-            assert status == 200
+        for index in range(49):
+            if index == 25:
+                status, body = _exchange(connection, "POST", "/v1/nosuch", UNROUTED)
+                assert status == 404
+            else:
+                status, body = _exchange(
+                    connection, "POST", "/v1/query", {"pattern": RUNNING_EXAMPLE_PATTERN}
+                )
+                assert status == 200
             bodies.append(body)
         status, body = _exchange(connection, "GET", "/v1/runs/no-such-run")
         assert status == 404
@@ -153,6 +164,9 @@ def test_router_answers_fifty_requests_on_one_socket_one_write_each(root, wire):
             for index in range(50):
                 if index == 25:
                     status, body = _exchange(connection, "GET", "/v1/runs/no-such-run")
+                    assert status == 404
+                elif index == 30:
+                    status, body = _exchange(connection, "POST", "/v1/nosuch", UNROUTED)
                     assert status == 404
                 else:
                     status, body = _exchange(

@@ -17,10 +17,11 @@ import time
 
 import pytest
 
+import repro
 from repro.engine.expressions import col, collect_list, count
 from repro.obs.metrics import MetricsRegistry
 from repro.pebble.query import query_provenance
-from repro.serve import ProvenanceServer, QueryService, ServeClient, ServeConfig
+from repro.serve import ProvenanceServer, QueryService, ServeConfig
 from repro.stream import StreamSession, TumblingWindow, window_by
 from repro.warehouse import Warehouse
 
@@ -40,6 +41,10 @@ def _open_stream(warehouse, name: str = "feed") -> StreamSession:
     return stream
 
 
+def _query(service: QueryService, run_id: str) -> dict:
+    return service.request("query", {"pattern": PATTERN, "run": run_id})
+
+
 def _service(root) -> QueryService:
     return QueryService.open(
         ServeConfig(root=str(root / "wh"), port=0), registry=MetricsRegistry()
@@ -52,7 +57,7 @@ class TestLiveQuerying:
         stream.ingest(_rows(0, 6))
         stream.ingest(_rows(6, 10))
         service = _service(tmp_path)
-        served = service.query(PATTERN, run_id=stream.run_id)
+        served = _query(service, stream.run_id)
         direct = query_provenance(
             stream.warehouse.load(stream.run_id), PATTERN
         )
@@ -60,14 +65,14 @@ class TestLiveQuerying:
 
         assert served["result"] == result_to_json(direct)
         assert served["server"]["cached"] is False
-        assert service.query(PATTERN, run_id=stream.run_id)["server"]["cached"]
+        assert _query(service, stream.run_id)["server"]["cached"]
 
     def test_run_detail_reports_liveness_and_watermark(self, tmp_path):
         stream = _open_stream(Warehouse.open(tmp_path / "wh"))
         stream.ingest(_rows(0, 6))
         service = _service(tmp_path)
         with ProvenanceServer(service, port=0) as server:
-            client = ServeClient(server.url)
+            client = repro.connect(server.url)
             detail = client.run(stream.run_id)
             assert detail["live"] is True
             assert detail["watermark"] == 5.0
@@ -89,7 +94,7 @@ class TestLiveQuerying:
         assert "live" not in detail  # batch layout: no epoch surface
         from repro.serve import result_to_json
 
-        compacted = service.query(PATTERN, run_id=stream.run_id)
+        compacted = _query(service, stream.run_id)
         direct = query_provenance(stream.warehouse.load(stream.run_id), PATTERN)
         assert compacted["result"] == result_to_json(direct)
         assert compacted["result"]["matched_output_ids"]
@@ -168,13 +173,13 @@ class TestSegmentInvalidation:
 
         service = _service(tmp_path)
         for run in (stream.run_id, batch_record.run_id):
-            service.query(PATTERN, run_id=run)
-            assert service.query(PATTERN, run_id=run)["server"]["cached"]
+            _query(service, run)
+            assert _query(service, run)["server"]["cached"]
 
         stream.ingest(_rows(6, 10))
         assert service.check_catalog() is True
-        assert service.query(PATTERN, run_id=batch_record.run_id)["server"]["cached"]
-        fresh = service.query(PATTERN, run_id=stream.run_id)
+        assert _query(service, batch_record.run_id)["server"]["cached"]
+        fresh = _query(service, stream.run_id)
         assert fresh["server"]["cached"] is False
         invalidations = service.registry.counter(
             "repro_serve_segment_invalidations_total"
@@ -218,13 +223,13 @@ class TestRetention:
         stream = _open_stream(Warehouse.open(tmp_path / "wh"))
         stream.ingest(_rows(0, 6))
         service = _service(tmp_path)
-        service.query(PATTERN, run_id=stream.run_id)
+        _query(service, stream.run_id)
         time.sleep(0.05)
         report = service.sweep_retention(0.01)
         assert report["swept"] == 1
         registry = service.registry
         assert registry.counter("repro_serve_retention_sweeps_total").value == 1.0
         assert registry.counter("repro_serve_segments_expired_total").value >= 1.0
-        swept = service.query(PATTERN, run_id=stream.run_id)
+        swept = _query(service, stream.run_id)
         assert swept["server"]["cached"] is False
         assert swept["result"]["matched_output_ids"] == []

@@ -85,7 +85,7 @@ class TestLazyBacktrace:
 
         root, run_id = recorded
         warehouse = Warehouse.open(root)  # fresh object: simulated restart
-        after, _ = warehouse.backtrace(run_id, RUNNING_EXAMPLE_PATTERN, num_partitions=2)
+        after, _ = warehouse.backtrace(run_id, RUNNING_EXAMPLE_PATTERN)
 
         assert after.all_ids() == before.all_ids()
         assert after.matched_output_ids == before.matched_output_ids
@@ -120,7 +120,7 @@ class TestLazyBacktrace:
         warehouse = Warehouse.open(tmp_path / "wh")
         run_id = warehouse.record(execution, name="union").run_id
 
-        result, metrics = warehouse.backtrace(run_id, 'root{/grp="a"}', num_partitions=2)
+        result, metrics = warehouse.backtrace(run_id, 'root{/grp="a"}')
         by_name = {source.name: source for source in result.sources}
         assert len(by_name["left.json"]) == 2
         assert len(by_name["right.json"]) == 0
@@ -158,7 +158,7 @@ class TestLazyBacktrace:
         """A tiny cache thrashes but never changes the query answer."""
         root, run_id = recorded
         result, metrics = Warehouse.open(root).backtrace(
-            run_id, RUNNING_EXAMPLE_PATTERN, num_partitions=2, cache_size=2
+            run_id, RUNNING_EXAMPLE_PATTERN, cache_size=2
         )
         before = query_provenance(captured_example, RUNNING_EXAMPLE_PATTERN)
         assert result.render() == before.render()
@@ -300,8 +300,6 @@ class TestWarehouseCli:
                     RUNNING_EXAMPLE_PATTERN,
                     "--root",
                     root,
-                    "--partitions",
-                    "2",
                 ]
             )
             == 0
@@ -329,8 +327,6 @@ class TestWarehouseCli:
                     RUNNING_EXAMPLE_PATTERN,
                     "--root",
                     root,
-                    "--partitions",
-                    "2",
                     "--trace",
                     str(trace_path),
                 ]

@@ -23,6 +23,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
+from repro.audit.sar import (
+    build_tracers,
+    erasure_over_tracers,
+    merge_erasure,
+    merge_sar,
+    sar_over_tracers,
+)
 from repro.engine.session import Session
 from repro.pebble.query import query_provenance
 from repro.serve.fleet import Fleet
@@ -124,3 +131,36 @@ class TestAuditEquivalence:
         theirs = remote.verify_erasure(subjects)["report"]
         assert _canon(ours) == _canon(theirs)
         assert ours["digest"] == theirs["digest"]
+
+
+class TestMergeEquivalence:
+    """What the router's scatter relies on: reports over any split of a run
+    scope merge back into the report over the whole scope, digest included."""
+
+    @_settings
+    @given(
+        subjects=st.lists(
+            st.sampled_from(SUBJECT_POOL), min_size=1, max_size=4, unique=True
+        ),
+        owners=st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=4),
+        data=st.data(),
+    )
+    def test_merged_parts_equal_the_whole(self, tiers, subjects, owners, data):
+        warehouse, _, _, run_ids = tiers
+        # Four runs in scope from the two stored ones: a merge sees only ids.
+        whole = [
+            (f"{run_id}#{copy}", tracer)
+            for copy in range(2)
+            for run_id, tracer in build_tracers(warehouse, run_ids)
+        ]
+        scope = [run_id for run_id, _ in whole]
+        split = [
+            [pair for pair, owner in zip(whole, owners) if owner == part]
+            for part in data.draw(st.permutations(sorted(set(owners))))
+        ]
+        assert merge_erasure(
+            scope, [erasure_over_tracers(part, subjects) for part in split]
+        ) == erasure_over_tracers(whole, subjects)
+        assert merge_sar(
+            scope, [sar_over_tracers(part, subjects, page_size=3) for part in split]
+        ) == sar_over_tracers(whole, subjects, page_size=3)

@@ -178,12 +178,11 @@ class TestInvalidateRuns:
     @staticmethod
     def _populated() -> PatternResultCache:
         cache = PatternResultCache(16)
-        # query/forward keys scope a single run id at position 1; a pattern
-        # can be cached under both directions independently.
-        cache.get_or_compute(("query", "run-1", "root{/a}", "lazy"), lambda: "q1")
-        cache.get_or_compute(("forward", "run-1", "root{/a}", "lazy"), lambda: "f1")
-        cache.get_or_compute(("query", "run-2", "root{/a}", "lazy"), lambda: "q2")
-        # sar/erasure keys scope a tuple of run ids.
+        # Every key scopes a tuple of run ids at position 1 (one id for
+        # query/forward); a pattern caches under both directions independently.
+        cache.get_or_compute(("query", ("run-1",), "root{/a}", "lazy"), lambda: "q1")
+        cache.get_or_compute(("forward", ("run-1",), "root{/a}", "lazy"), lambda: "f1")
+        cache.get_or_compute(("query", ("run-2",), "root{/a}", "lazy"), lambda: "q2")
         cache.get_or_compute(
             ("sar", ("run-1", "run-2"), ("u1",), "tmpl", "lazy", 1, 100), lambda: "s12"
         )
@@ -195,7 +194,7 @@ class TestInvalidateRuns:
     def test_single_run_drops_both_directions_and_member_tuples(self):
         cache = self._populated()
         assert cache.invalidate_runs({"run-1"}) == 3  # q1, f1, s12
-        _, hit = cache.get_or_compute(("query", "run-2", "root{/a}", "lazy"), lambda: None)
+        _, hit = cache.get_or_compute(("query", ("run-2",), "root{/a}", "lazy"), lambda: None)
         assert hit  # other runs survive
         _, hit = cache.get_or_compute(
             ("erasure", ("run-2", "run-3"), ("u1",), "tmpl", "lazy"), lambda: None
@@ -224,7 +223,7 @@ class TestInvalidateRuns:
     def test_unrecognised_key_shape_drops_conservatively(self):
         cache = PatternResultCache(4)
         cache.get_or_compute("bare-string-key", lambda: 1)
-        cache.get_or_compute(("query", "run-1", "p", "lazy"), lambda: 2)
+        cache.get_or_compute(("query", ("run-1",), "p", "lazy"), lambda: 2)
         assert cache.invalidate_runs({"run-2"}) == 1  # only the bare key
-        _, hit = cache.get_or_compute(("query", "run-1", "p", "lazy"), lambda: None)
+        _, hit = cache.get_or_compute(("query", ("run-1",), "p", "lazy"), lambda: None)
         assert hit

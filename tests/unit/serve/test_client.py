@@ -1,4 +1,5 @@
-"""ServeClient: the retry protocol against a scripted stub server."""
+"""The HTTP transport of ``connect``: the retry protocol of ``exchange``
+against a scripted stub server."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import pytest
 
 from repro.engine.scheduler import RetryPolicy
 from repro.errors import AdmissionError, ServeError, TaskTimeoutError
-from repro.serve.client import DEFAULT_CLIENT_POLICY, ServeClient, _error_for
+from repro.client import DEFAULT_POLICY, _response_error, connect
 
 NO_BACKOFF = RetryPolicy(max_retries=3, backoff=0.0)
 
@@ -22,7 +23,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
     def _respond(self):
-        self.server.requests.append((self.command, self.path))
+        length = int(self.headers.get("Content-Length") or 0)
+        self.server.requests.append((self.command, self.path, self.rfile.read(length)))
         status, payload = self.server.script[
             min(len(self.server.requests), len(self.server.script)) - 1
         ]
@@ -52,59 +54,72 @@ def stub_server():
         server.server_close()
 
 
+def _full(message: str = "queue full") -> dict:
+    return {
+        "ok": False,
+        "error": {"code": "admission_full", "message": message, "retryable": True},
+    }
+
+
 class TestErrorMapping:
     def test_status_codes_map_to_typed_errors(self):
-        assert isinstance(_error_for(429, "full"), AdmissionError)
-        assert isinstance(_error_for(504, "slow"), TaskTimeoutError)
-        assert _error_for(503, "down").retryable
-        assert not _error_for(400, "bad").retryable
-        assert not _error_for(500, "boom").retryable
+        # Bodies a proxy generated carry no envelope: the status decides.
+        assert isinstance(_response_error(429, b"full"), AdmissionError)
+        assert isinstance(_response_error(504, b"slow"), TaskTimeoutError)
+        assert _response_error(503, b"down").retryable
+        assert not _response_error(400, b"bad").retryable
+        assert not _response_error(500, b"boom").retryable
+        # An envelope's code wins over the status.
+        assert isinstance(_response_error(400, json.dumps(_full()).encode()), AdmissionError)
 
 
 class TestRetries:
     def test_retries_through_429_to_success(self, stub_server):
         url, server = stub_server
         server.script = [
-            (429, {"error": "queue full"}),
-            (429, {"error": "queue full"}),
-            (200, {"runs": [{"run_id": "r1"}]}),
+            (429, _full()),
+            (429, {"error": "a proxy's own body"}),
+            (200, {"ok": True, "data": {"runs": [{"run_id": "r1"}]}}),
         ]
-        client = ServeClient(url, policy=NO_BACKOFF)
+        client = connect(url, policy=NO_BACKOFF)
         assert client.runs() == [{"run_id": "r1"}]
         assert len(server.requests) == 3
 
     def test_non_retryable_error_fails_immediately(self, stub_server):
         url, server = stub_server
         server.script = [(400, {"error": "bad pattern"})]
-        client = ServeClient(url, policy=NO_BACKOFF)
+        client = connect(url, policy=NO_BACKOFF)
         with pytest.raises(ServeError) as info:
-            client.query("not-a-pattern")
+            client.backtrace("not-a-pattern")
         assert "bad pattern" in str(info.value)
         assert len(server.requests) == 1
 
     def test_exhausted_retries_raise_the_last_error(self, stub_server):
         url, server = stub_server
-        server.script = [(429, {"error": "still full"})]
-        client = ServeClient(url, policy=RetryPolicy(max_retries=1, backoff=0.0))
-        with pytest.raises(AdmissionError):
-            client.healthz()
+        server.script = [(429, _full("still full"))]
+        client = connect(url, policy=RetryPolicy(max_retries=1, backoff=0.0))
+        with pytest.raises(AdmissionError, match="still full"):
+            client.health()
         assert len(server.requests) == 2  # first try + one retry
 
     def test_unreachable_server_is_retryable(self):
-        client = ServeClient(
+        client = connect(
             "http://127.0.0.1:1", policy=RetryPolicy(max_retries=0, backoff=0.0)
         )
         with pytest.raises(ServeError) as info:
-            client.healthz()
+            client.health()
         assert info.value.retryable
 
     def test_query_posts_json_payload(self, stub_server):
         url, server = stub_server
-        server.script = [(200, {"run_id": "r1", "result": {}})]
-        client = ServeClient(url, policy=NO_BACKOFF)
-        client.query("root{}", run_id="r1", method="eager")
-        verb, path = server.requests[0]
+        server.script = [(200, {"ok": True, "data": {"run_id": "r1", "result": {}}})]
+        client = connect(url, policy=NO_BACKOFF)
+        client.backtrace("root{}", run="r1", method="eager")
+        verb, path, body = server.requests[0]
         assert (verb, path) == ("POST", "/v1/query")
+        assert json.loads(body) == {
+            "pattern": "root{}", "run": "r1", "method": "eager", "analyze": False,
+        }
 
     def test_default_policy_bounds_attempts(self):
-        assert DEFAULT_CLIENT_POLICY.max_attempts == 4
+        assert DEFAULT_POLICY.max_attempts == 4
