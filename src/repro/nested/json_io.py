@@ -18,6 +18,7 @@ from repro.nested.values import Bag, DataItem, NestedSet, to_python
 __all__ = [
     "item_from_json",
     "item_to_json",
+    "json_default",
     "items_from_jsonl",
     "items_to_jsonl",
     "read_jsonl",
@@ -33,12 +34,28 @@ def item_from_json(text: str | bytes) -> DataItem:
     return DataItem(parsed)
 
 
+def json_default(value: Any) -> Any:
+    """The ``default`` hook that lets ``json`` encode model values directly.
+
+    A data item becomes the ``dict`` of its pairs and a bag or set the tuple
+    of its elements -- one level only: the encoder recurses and calls back
+    for nested containers, so constants never pass through Python.
+    """
+    if isinstance(value, DataItem):
+        return dict(value.pairs())
+    if isinstance(value, (Bag, NestedSet)):
+        return value.items()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def item_to_json(item: DataItem, indent: int | None = None) -> str:
     """Serialise a data item to JSON text (sets serialise as arrays)."""
-    return json.dumps(_jsonable(item), indent=indent, sort_keys=False)
+    return json.dumps(item, indent=indent, default=json_default)
 
 
 def _jsonable(value: Any) -> Any:
+    """The plain ``dict``/``list`` tree of a model value, for callers that
+    need Python objects rather than JSON text."""
     if isinstance(value, DataItem):
         return {name: _jsonable(inner) for name, inner in value.pairs()}
     if isinstance(value, (Bag, NestedSet)):

@@ -41,7 +41,7 @@ from repro.core.operator_provenance import (
 )
 from repro.core.paths import parse_path
 from repro.errors import ProvenanceError
-from repro.nested.json_io import _jsonable, item_from_json
+from repro.nested.json_io import item_from_json, json_default
 from repro.nested.schema import Schema
 from repro.nested.types import type_from_obj, type_to_obj
 from repro.nested.values import DataItem
@@ -349,16 +349,29 @@ def encode_payloads(
     without a provenance id.  Payloads are the items' stored JSON bytes, so
     compaction moves items between segments without parsing one.
     """
-    parts = [] if name is None else [_string(name)]
-    parts.append(_u64(len(payloads)))
+    return b"".join(_payload_parts(name, payloads))
+
+
+def _payload_parts(
+    name: str | None, payloads: Sequence[tuple[int | None, bytes]]
+) -> list[bytes]:
+    """:func:`encode_payloads` before the join: the header, then per payload
+    its ``id | length`` head and its bytes, uncopied -- whoever writes them
+    out knows each record's offset."""
+    parts = [_u64(len(payloads)) if name is None else _string(name) + _u64(len(payloads))]
     for ident, raw in payloads:
         parts.append(_opt_id(ident) + _u32(len(raw)))
         parts.append(raw)
-    return b"".join(parts)
+    return parts
+
+
+#: One encoder for every stored item: the C encoder walks the item and calls
+#: back only for the model's containers (immutable, so never circular).
+_ITEM_ENCODER = json.JSONEncoder(default=json_default, check_circular=False)
 
 
 def _item_json(item: DataItem) -> bytes:
-    return json.dumps(_jsonable(item)).encode("utf-8")
+    return _ITEM_ENCODER.encode(item).encode("utf-8")
 
 
 def encode_source_items(name: str, items: dict[int, DataItem]) -> bytes:

@@ -34,19 +34,25 @@ four sections:
     manipulating oids`` (the usage-analysis questions, answered with zero
     operator decodes).
 
-The index is *derived* data built by re-reading the already-written
-segments (:func:`RunIndex.build`), so record-time indexing and
-``repro index build`` backfill share one code path and produce identical
-bytes.  ``manifest.json`` gains an ``"index"`` entry pointing at the
-segment; a run without that entry (or whose segment file is missing) loads
-as ``None`` and every reader falls back to the full scan.  An epoch-layout
-run carries one ``index.seg`` per part, built on append; :meth:`RunIndex.load`
-unions them, so every run is probed through one index type.
+The index is *derived* data with one accumulate / sort / encode path and
+two feeders.  Recording feeds it in the pass that encodes the part, from
+what the writer holds -- provenance objects, item objects, the offsets of
+the block it is assembling (:func:`repro.warehouse.writer.write_part`) --
+and reads nothing back; ``repro index build`` backfill feeds it from a
+written part's segments (:meth:`RunIndex.build`).  That both write identical
+bytes is a tested property, not a shared code path.  ``manifest.json``
+carries an ``"index"`` entry pointing at the segment; a run without that
+entry (or whose segment file is missing) loads as ``None`` and every reader
+falls back to the full scan.  An epoch-layout run carries one ``index.seg``
+per part, fed on append; :meth:`RunIndex.load` unions them, so every run is
+probed through one index type.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
+from operator import itemgetter
 from pathlib import Path as FsPath
 from typing import Any, Iterable, Iterator
 
@@ -54,10 +60,12 @@ from repro.core.operator_provenance import (
     AggregationAssociations,
     BinaryAssociations,
     FlattenAssociations,
+    OperatorProvenance,
     ReadAssociations,
     UnaryAssociations,
 )
 from repro.errors import ProvenanceError
+from repro.nested.values import Bag, DataItem, NestedSet
 import repro.warehouse.format as wf
 from repro.warehouse.reader import load_manifest, run_parts
 from repro.warehouse.writer import OPS_DIR, write_manifest
@@ -80,18 +88,28 @@ INDEX_VERSION = 1
 MAX_TERM_LEN = 120
 
 
+_VALUE_OF_PAIR = itemgetter(1)
+
+
 def walk_string_leaves(value: Any) -> Iterator[str]:
-    """Yield every string leaf of a JSON-shaped value (dicts/lists/scalars),
-    in no particular order (one flat loop: every append indexes its items)."""
+    """Yield every string leaf of a model value or of a JSON-shaped one
+    (dicts/lists/scalars), in no particular order (one flat loop: every
+    append indexes its items)."""
     stack = [value]
     while stack:
         value = stack.pop()
         if isinstance(value, str):
             yield value
+        elif isinstance(value, DataItem):
+            stack.extend(map(_VALUE_OF_PAIR, value.pairs()))
         elif isinstance(value, dict):
             stack.extend(value.values())
-        elif isinstance(value, (list, tuple)):
+        elif isinstance(value, (list, tuple, Bag, NestedSet)):
             stack.extend(value)
+
+
+def _indexable_leaves(value: Any) -> list[str]:
+    return [leaf for leaf in walk_string_leaves(value) if len(leaf) <= MAX_TERM_LEN]
 
 
 def _consumed_ids(associations: Any) -> Iterator[int]:
@@ -126,6 +144,56 @@ def _union_postings(sections: Iterable[dict[Any, tuple[Any, ...]]]) -> dict[Any,
         for key, values in section.items():
             merged.setdefault(key, set()).update(values)
     return {key: tuple(sorted(values)) for key, values in merged.items()}
+
+
+class _Accumulator:
+    """What every ``index.seg`` is accumulated in, whoever feeds it."""
+
+    def __init__(self) -> None:
+        self.inputs, self.terms, self.accessed, self.manipulated = (
+            defaultdict(set) for _ in range(4)
+        )
+        self.items: dict[int, dict[int, tuple[int, int]]] = {}
+        #: id(item object) -> its indexable leaves: a self-join reads one
+        #: dataset through two read operators, and each item is walked once.
+        self._walked: dict[int, list[str]] = {}
+
+    def add_operator(self, provenance: OperatorProvenance) -> None:
+        """INPUTS and PATHS of one operator."""
+        oid = provenance.oid
+        for item_id in _consumed_ids(provenance.associations):
+            self.inputs[item_id].add(oid)
+        for input_ref in provenance.inputs:
+            for acc in input_ref.accessed_or_empty():
+                self.accessed[str(acc)].add(oid)
+        for path_in, _path_out in provenance.manipulations_or_empty():
+            self.manipulated[str(path_in)].add(oid)
+        if isinstance(provenance.associations, ReadAssociations):
+            self.items[oid] = {}
+
+    def add_item(
+        self, oid: int, item_id: int, offset: int, length: int, item: DataItem | bytes
+    ) -> None:
+        """ITEMS and TERMS of one source item record at absolute *offset*.
+
+        *item* is the item as the feeder holds it: the model object, which
+        the feeder keeps alive while it feeds, or its stored JSON bytes.
+        """
+        self.items[oid][item_id] = (offset, length)
+        if isinstance(item, bytes):
+            leaves = _indexable_leaves(json.loads(item))
+        elif (leaves := self._walked.get(id(item))) is None:
+            leaves = self._walked[id(item)] = _indexable_leaves(item)
+        posting = (oid, item_id)
+        for leaf in leaves:
+            self.terms[leaf].add(posting)
+
+    def finish(self) -> "RunIndex":
+        inputs, terms, accessed, manipulated = (
+            {key: tuple(sorted(postings)) for key, postings in section.items()}
+            for section in (self.inputs, self.terms, self.accessed, self.manipulated)
+        )
+        return RunIndex(inputs, terms, self.items, accessed, manipulated)
 
 
 class RunIndex:
@@ -188,58 +256,38 @@ class RunIndex:
 
     # -- building --------------------------------------------------------------
 
+    @staticmethod
+    def accumulator() -> "_Accumulator":
+        """An empty accumulator; whoever holds a part's content feeds it."""
+        return _Accumulator()
+
     @classmethod
     def build(cls, run_dir: FsPath, manifest: dict[str, Any]) -> "RunIndex":
-        """Derive the index by re-reading a written run's segments.
-
-        Works identically at ``record`` time and for backfill: the stored
-        segments are the single source of truth, so both paths produce
-        byte-identical index segments.
-        """
+        """The disk feeder: derive the index of a written part from its
+        segments (backfill, and any part recorded without one)."""
         run_dir = FsPath(run_dir)
-        inputs: dict[int, set[int]] = {}
-        terms: dict[str, set[tuple[int, int]]] = {}
-        items: dict[int, dict[int, tuple[int, int]]] = {}
-        accessed: dict[str, set[int]] = {}
-        manipulated: dict[str, set[int]] = {}
+        accumulator = cls.accumulator()
         for oid_text, entry in manifest["operators"].items():
             oid = int(oid_text)
             path = run_dir / OPS_DIR / entry["segment"]
             with open(path, "rb") as handle:
                 handle.seek(entry["offset"])
                 record = handle.read(entry["record_length"])
-                provenance = wf.decode_operator(wf.Cursor(record))
-                for item_id in _consumed_ids(provenance.associations):
-                    inputs.setdefault(item_id, set()).add(oid)
-                for input_ref in provenance.inputs:
-                    for acc in input_ref.accessed_or_empty():
-                        accessed.setdefault(str(acc), set()).add(oid)
-                for path_in, _path_out in provenance.manipulations_or_empty():
-                    manipulated.setdefault(str(path_in), set()).add(oid)
+                accumulator.add_operator(wf.decode_operator(wf.Cursor(record)))
                 if "items_offset" not in entry:
                     continue
                 handle.seek(entry["items_offset"])
                 block = handle.read(entry["items_length"])
             cursor = wf.Cursor(block)
             cursor.string()  # source name
-            count = cursor.u64()
-            ranges: dict[int, tuple[int, int]] = {}
-            for _ in range(count):
+            for _ in range(cursor.u64()):
                 start = cursor.offset
                 item_id = cursor.u64()
-                payload = cursor.string()
-                ranges[item_id] = (entry["items_offset"] + start, cursor.offset - start)
-                for leaf in walk_string_leaves(json.loads(payload)):
-                    if len(leaf) <= MAX_TERM_LEN:
-                        terms.setdefault(leaf, set()).add((oid, item_id))
-            items[oid] = ranges
-        return cls(
-            {item_id: tuple(sorted(oids)) for item_id, oids in inputs.items()},
-            {term: tuple(sorted(postings)) for term, postings in terms.items()},
-            items,
-            {text: tuple(sorted(oids)) for text, oids in accessed.items()},
-            {text: tuple(sorted(oids)) for text, oids in manipulated.items()},
-        )
+                payload = cursor.raw()
+                accumulator.add_item(
+                    oid, item_id, entry["items_offset"] + start, cursor.offset - start, payload
+                )
+        return accumulator.finish()
 
     # -- codec -----------------------------------------------------------------
 
@@ -361,12 +409,13 @@ class RunIndex:
 def ensure_index(
     run_dir: FsPath, manifest: dict[str, Any] | None = None
 ) -> dict[str, Any]:
-    """Build and persist the index of one run; returns its manifest entry.
+    """Backfill: build the index of a written run from its segments and
+    persist it; returns its manifest entry.
 
     Rewrites ``manifest.json`` (write-then-rename) with the ``"index"``
-    entry, so record-time indexing and ``repro index build`` backfill both
-    leave the run in the same state.  Idempotent: an already-indexed run is
-    re-derived and rewritten to the same bytes.
+    entry, which leaves the run as a ``record(index=True)`` would have.
+    Idempotent: an already-indexed run is re-derived and rewritten to the
+    same bytes.
     """
     run_dir = FsPath(run_dir)
     if manifest is None:

@@ -178,12 +178,12 @@ def append_epoch(
     if epoch_dir.exists():
         shutil.rmtree(epoch_dir)
     part = encode_part(execution)
-    operators, _, total_bytes = write_part(epoch_dir, part, DEFAULT_SUB_SHARD_SPAN)
-    index_entry = None
-    if index:
-        # The per-epoch delta index: derived from the epoch's own segments,
-        # exactly like the batch path, so no full-run rebuild ever happens.
-        index_entry = RunIndex.build(epoch_dir, {"operators": operators}).write(epoch_dir)
+    # The per-epoch delta index is accumulated while the epoch's segments
+    # are encoded, like a batch run's, so no full-run rebuild ever happens.
+    operators, index_entry, _, total_bytes = write_part(
+        epoch_dir, part, DEFAULT_SUB_SHARD_SPAN, RunIndex.accumulator() if index else None
+    )
+    if index_entry is not None:
         total_bytes += index_entry["segment_bytes"]
     write_part_footer(epoch_dir, operators, index_entry)
     entry = {
@@ -260,7 +260,8 @@ def compact_live_run(
     Ids are remapped to the sequence a one-shot batch execution would have
     assigned (operator-major in chain order, entry order within each
     operator), which makes the resulting segments byte-identical to a batch
-    capture of the same data.  The ``batches/`` tree is removed afterwards.
+    capture of the same data; the batch index is fed in the same pass, from
+    the stored item bytes.  The ``batches/`` tree is removed afterwards.
     Only linear (streaming-legal) plans compact; retention must not have
     expired any epoch (the removed rows cannot be re-derived).
     """
@@ -294,8 +295,7 @@ def compact_live_run(
             payloads = sorted(
                 (id_map[old], raw) for old, raw in source.encoded_source_items(oid)
             )
-            name = source.source_name(oid)
-            source_block = (name, len(payloads), wf.encode_payloads(name, payloads))
+            source_block = (source.source_name(oid), payloads, [raw for _, raw in payloads])
         elif isinstance(associations, UnaryAssociations):
             records = []
             for id_in, id_out in associations.records:
@@ -348,6 +348,7 @@ def compact_live_run(
         manifest["name"],
         manifest["created"],
         sub_shard_span=sub_shard_span,
+        index=RunIndex.accumulator(),
     )
     shutil.rmtree(run_dir / BATCHES_DIR)
     return sealed

@@ -30,6 +30,7 @@ warehouse mid-``rebalance``).
 from __future__ import annotations
 
 import json
+import shutil
 import time
 from pathlib import Path as FsPath
 from typing import Any, Iterator
@@ -116,11 +117,14 @@ class Warehouse:
             return None
         return self._placement_ring().assign(run_id)
 
+    def _dir_at(self, shard: str | None, run_id: str) -> FsPath:
+        """A run's directory under *shard* (or the legacy flat layout)."""
+        if shard:
+            return self.root / SHARDS_DIR / shard / RUNS_DIR / run_id
+        return self.root / RUNS_DIR / run_id
+
     def _dir_for(self, record: RunRecord) -> FsPath:
-        """The run's directory under its shard (or the legacy flat layout)."""
-        if record.shard:
-            return self.root / SHARDS_DIR / record.shard / RUNS_DIR / record.run_id
-        return self.root / RUNS_DIR / record.run_id
+        return self._dir_at(record.shard, record.run_id)
 
     def init_shards(
         self, count: int, replicas: int = DEFAULT_REPLICAS, prefix: str = "shard"
@@ -227,6 +231,21 @@ class Warehouse:
 
     # -- recording -------------------------------------------------------------
 
+    def _new_run(self, name: str) -> tuple[str, str | None, FsPath]:
+        """Mint a run id; returns ``(run id, shard, run directory)``.
+
+        The catalog references no run under a fresh id, so a directory
+        already there is what a recording that died before the catalog
+        rename left behind (``next_seq`` is persisted by that rename, and a
+        reopened catalog mints the same id again); it is cleared.
+        """
+        run_id = self._catalog.new_run_id(name)
+        shard = self.shard_for(run_id)
+        run_dir = self._dir_at(shard, run_id)
+        if run_dir.exists():
+            shutil.rmtree(run_dir)
+        return run_id, shard, run_dir
+
     def record(
         self,
         execution: ExecutionResult,
@@ -246,25 +265,19 @@ class Warehouse:
         if execution.store is None:
             raise ProvenanceError("only capture-enabled executions can be recorded")
         created = time.time()
-        run_id = self._catalog.new_run_id(name)
-        shard = self.shard_for(run_id)
-        if shard:
-            run_dir = self.root / SHARDS_DIR / shard / RUNS_DIR / run_id
-        else:
-            run_dir = self.root / RUNS_DIR / run_id
+        run_id, shard, run_dir = self._new_run(name)
         with get_tracer().span(
             "warehouse-record", "warehouse", run_id=run_id, shard=shard or LEGACY_SHARD
         ):
             manifest = write_run(
                 run_dir, encode_part(execution), execution.root.oid, run_id, name, created,
                 sub_shard_span=sub_shard_span,
+                index=RunIndex.accumulator() if index else None,
             )
             # Keep the execution's accounting next to the segments so
             # ``repro stats`` can rebuild a registry for the stored run.
             with open(run_dir / METRICS_NAME, "w", encoding="utf-8") as handle:
                 json.dump(execution.metrics.to_json(), handle, indent=2)
-            if index:
-                ensure_index(run_dir, manifest)
         record = RunRecord(
             run_id,
             name,
@@ -301,12 +314,7 @@ class Warehouse:
         vector gains a per-run entry serve workers can invalidate on.
         """
         created = time.time()
-        run_id = self._catalog.new_run_id(name)
-        shard = self.shard_for(run_id)
-        if shard:
-            run_dir = self.root / SHARDS_DIR / shard / RUNS_DIR / run_id
-        else:
-            run_dir = self.root / RUNS_DIR / run_id
+        run_id, shard, run_dir = self._new_run(name)
         create_live_manifest(run_dir, run_id, name, created, sink_oid)
         record = RunRecord(
             run_id,
@@ -405,7 +413,6 @@ class Warehouse:
                 manifest = compact_live_run(
                     run_dir, manifest, sub_shard_span=sub_shard_span
                 )
-                ensure_index(run_dir, manifest)
             record.indexed = True
             record.operator_count = len(manifest["operators"])
             record.row_count = manifest["rows"]["count"]

@@ -8,7 +8,8 @@ Three contracts, none of them timed:
   compaction moves source items and sink rows as stored bytes -- it parses
   none.
 * **Crash safety.**  A writer that dies between the epoch directory and the
-  head rename leaves exactly the pre-state, and the next append goes through.
+  head rename leaves exactly the pre-state, and the next append goes through;
+  so does a ``record`` that dies anywhere before the catalog rename.
 * **One reader for both shapes.**  A head written by <= 2.3 carries each
   epoch's footer inline; ``run_parts`` takes it as it is, so inspect, pinned
   backtrace, retention and compaction agree with the ``part.json`` shape.
@@ -26,13 +27,17 @@ import pytest
 
 import repro.warehouse.format as wf
 import repro.warehouse.live as live
+import repro.warehouse.writer as writer
 from repro.engine.expressions import col, collect_list, count
 from repro.engine.session import Session
 from repro.nested.values import DataItem
 from repro.pebble.query import query_provenance
 from repro.stream import StreamSession, TumblingWindow, window_by
-from repro.warehouse import Warehouse
-from repro.warehouse.reader import load_manifest
+from repro.warehouse import RunIndex, Warehouse
+from repro.warehouse.catalog import Catalog
+from repro.warehouse.reader import load_manifest, run_parts
+from repro.workloads import scenario
+from repro.workloads.scenarios import load_workload
 
 PATTERN = 'root{/user="u1", /ids}'
 
@@ -66,6 +71,17 @@ def _tree(run_dir: Path) -> dict[str, bytes]:
         for path in sorted(run_dir.rglob("*"))
         if path.is_file()
     }
+
+
+def _assert_indexed_like_the_disk_feeder(run_dir: Path) -> int:
+    """Every part's ``index.seg`` -- fed by the writer from what it held -- is
+    what ``RunIndex.build`` derives from the part's segments; returns the
+    number of parts checked."""
+    parts = run_parts(run_dir, load_manifest(run_dir))
+    for part in parts:
+        written = (part.directory / part.index["segment"]).read_bytes()
+        assert written == RunIndex.build(part.directory, {"operators": part.operators}).encode()
+    return len(parts)
 
 
 def _record_batch(warehouse: Warehouse, rows: list[dict]) -> Path:
@@ -128,6 +144,60 @@ class TestCrashedAppend:
         assert _segments(stream.warehouse.run_dir(record.run_id)) == _segments(batch_dir)
 
 
+class TestCrashedRecord:
+    """``record`` dies somewhere after its first segment and before the
+    catalog rename.  ``next_seq`` is persisted by that rename, so a reopened
+    warehouse mints the crashed run's id again and finds its directory."""
+
+    PATTERN = 'root{/user="u1"}'
+
+    @pytest.fixture(
+        params=[(RunIndex, "write"), (writer, "write_manifest"), (Catalog, "save")],
+        ids=["after-the-segments", "after-index.seg", "before-the-catalog-rename"],
+    )
+    def crashed(self, request, tmp_path, monkeypatch):
+        warehouse = Warehouse.open(tmp_path / "wh")
+        session = Session(num_partitions=2)
+        rows = [DataItem(row) for row in _rows(0, 10)]
+        batch = _narrow(session.create_dataset(rows, "stream")).execute(capture=True)
+        kept = warehouse.record(batch, name="kept")
+        before = _tree(tmp_path / "wh")
+
+        def die(*args, **kwargs):
+            raise OSError("killed mid-record")
+
+        monkeypatch.setattr(*request.param, die)
+        with pytest.raises(OSError):
+            warehouse.record(batch, name="t1")
+        monkeypatch.undo()
+        return tmp_path / "wh", batch, kept, before
+
+    def test_reopen_shows_exactly_the_pre_state(self, crashed):
+        root, batch, kept, before = crashed
+        left = root / "runs" / "run-0002-t1"
+        assert (left / "rows.seg").exists()  # the dead writer got that far
+        after = _tree(root)
+        assert {name: after[name] for name in before} == before
+        reopened = Warehouse.open(root)
+        assert [record.run_id for record in reopened.runs()] == [kept.run_id]
+        answer, _ = reopened.backtrace(None, self.PATTERN)
+        assert answer.render() == query_provenance(batch, self.PATTERN).render()
+
+    def test_the_retry_succeeds_and_answers_like_the_capture(self, crashed):
+        root, batch, kept, _ = crashed
+        left = root / "runs" / "run-0002-t1"
+        (left / "ops" / "stale.seg").write_bytes(b"left by the dead writer")
+        for _ in range(2):  # a directory left behind used to wedge the name for good
+            reopened = Warehouse.open(root)
+            record = reopened.record(batch, name="t1")
+        assert record.run_id == "run-0003-t1"
+        assert not (left / "ops" / "stale.seg").exists()  # cleared, not merged
+        assert _segments(left) == _segments(reopened.run_dir(kept.run_id))
+        answer, _ = Warehouse.open(root).backtrace("run-0002-t1", self.PATTERN)
+        assert answer.matched_output_ids
+        assert answer.render() == query_provenance(batch, self.PATTERN).render()
+
+
 class TestCostFollowsTheBatch:
     EPOCHS = 120
 
@@ -176,6 +246,7 @@ class TestCostFollowsTheBatch:
         assert touched, "the recorder saw no epoch file at all"
         assert all(name.startswith(own) for name in touched), touched
         assert str(run_dir / "manifest.json") in opened  # the head is re-read
+        assert _assert_indexed_like_the_disk_feeder(run_dir) == self.EPOCHS + 1
 
     def test_compaction_parses_no_item_and_no_row(self, long_stream, monkeypatch):
         stream, run_dir, _ = long_stream
@@ -203,6 +274,23 @@ class TestCostFollowsTheBatch:
         assert _segments(stream.warehouse.run_dir(record.run_id)) == _segments(
             _record_batch(stream.warehouse, rows)
         )
+        assert _assert_indexed_like_the_disk_feeder(run_dir) == 1
+
+    def test_a_streamed_s1_is_indexed_like_the_disk_feeder_would(self, tmp_path):
+        """Nested tweets, per epoch (the writer holds item objects) and
+        compacted (it holds only their stored bytes)."""
+        spec = scenario("S1")
+        tweets = load_workload("twitter", 0.05)
+        stream = StreamSession(warehouse=tmp_path / "wh", name="s1", num_partitions=2)
+        stream.open(spec.build(stream.session, stream.dataset(stream.source("tweets.json"))))
+        for low in range(0, len(tweets), 5):
+            stream.ingest(tweets[low : low + 5])
+        run_dir = stream.warehouse.run_dir(stream.run_id)
+        assert _assert_indexed_like_the_disk_feeder(run_dir) == stream.epochs == 4
+        stream.finish(compact=True)
+        assert _assert_indexed_like_the_disk_feeder(run_dir) == 1
+        answer, _ = stream.warehouse.backtrace(stream.run_id, spec.pattern)
+        assert answer.matched_output_ids
 
 
 def _inline_footers(run_dir: Path) -> None:

@@ -1,17 +1,23 @@
 """Unit tests for JSON / JSONL (de)serialisation."""
 
+import json
+
 import pytest
 
 from repro.errors import DataModelError
 from repro.nested.json_io import (
+    _jsonable,
     item_from_json,
     item_to_json,
+    json_default,
     items_from_jsonl,
     items_to_jsonl,
     read_jsonl,
     write_jsonl,
 )
-from repro.nested.values import Bag, DataItem
+from repro.nested.values import Bag, DataItem, NestedSet
+import repro.warehouse.format as wf
+from repro.workloads.twitter import generate_tweets
 
 
 class TestJson:
@@ -32,6 +38,23 @@ class TestJson:
     def test_unicode_preserved(self):
         item = DataItem(text="héllo ümläut")
         assert item_from_json(item_to_json(item)) == item
+
+
+    def test_the_default_hook_writes_the_text_the_plain_tree_writes(self):
+        """``item_to_json`` and the warehouse's item encoder hand the model
+        to ``json`` through one hook; the text is that of the plain tree."""
+        raws = generate_tweets(scale=0.05, seed=3, payload_width=40)
+        raws.append({"set": NestedSet(["b", "a", "b"]), "bags": [[], [[1.5, None, True]]], "e": {}})
+        for raw in raws:
+            item = DataItem(raw)
+            plain = _jsonable(item)
+            for indent in (None, 2):
+                assert item_to_json(item, indent=indent) == json.dumps(plain, indent=indent)
+            assert wf._item_json(item) == json.dumps(plain).encode("utf-8")
+
+    def test_the_default_hook_rejects_what_json_rejects(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps({"a": object()}, default=json_default)
 
 
 class TestJsonl:

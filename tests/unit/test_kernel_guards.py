@@ -1,4 +1,5 @@
-"""Guards on the three value-model walks that do not use a clock.
+"""Guards on the three value-model walks, and on the write path, that do
+not use a clock.
 
 Construct, match and infer run under every provenance answer, and their cost
 is what they allocate.  With ``Path`` / ``Step`` / ``StructType`` construction
@@ -7,12 +8,19 @@ matching one no more than it reports; typing a sample of same-shaped items
 builds one type tree, for the first item, and returns that very object.
 Construction itself must accept and reject exactly what it always did,
 whichever route (exact-type dispatch or the ``isinstance`` chain) a value takes.
+
+Recording is one pass over what the writer holds: with file opens, decodes,
+parses and encoder calls counted, a ``record`` or an ``append_epoch`` reads
+nothing it wrote, writes each footer once, and encodes an item object once
+however many read operators hold it.
 """
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from types import MappingProxyType
 
 import pytest
@@ -26,6 +34,13 @@ from repro.nested.json_io import item_from_json
 from repro.nested.schema import infer_schema
 from repro.nested.types import BOOLEAN, INT, NULL, STRING, BagType, StructType, fold_type, infer_type
 from repro.nested.values import Bag, DataItem, NestedSet, coerce_value
+from repro.engine.expressions import col
+from repro.stream import StreamSession
+from repro.warehouse import Warehouse
+import repro.warehouse.format as wf
+import repro.warehouse.index as index
+import repro.warehouse.writer as writer
+from repro.workloads import scenario
 from repro.workloads.twitter import generate_tweets
 
 
@@ -195,3 +210,75 @@ class TestConstructionFidelity:
             ("flags", BagType(BOOLEAN)),
             ("n", INT),
         )
+
+
+@pytest.fixture
+def write_path(monkeypatch):
+    """Count what a write does: files opened (by mode), operator decodes,
+    JSON parses, manifest writes and item-encoder calls."""
+    counts: Counter = Counter()
+    opened: list[tuple[str, str]] = []
+    real_open = io.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        opened.append((str(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    # ``Path.read_bytes`` / ``write_bytes`` / ``write_text`` go through io.open.
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    counting(wf, "decode_operator")
+    counting(wf, "_item_json")
+    counting(json, "loads")
+    counting(writer, "write_manifest")
+    # The backfill path calls it through its own import: same counter.
+    monkeypatch.setattr(index, "write_manifest", writer.write_manifest)
+    return counts, opened
+
+
+class TestRecordIsOnePass:
+    def test_a_record_reads_nothing_back_and_encodes_an_item_object_once(
+        self, tmp_path, write_path
+    ):
+        counts, opened = write_path
+        execution = scenario("T3").instantiate(scale=0.1, num_partitions=2).execute(capture=True)
+        store = execution.store
+        held = [
+            item
+            for provenance in store.operators()
+            if store.is_source(provenance.oid)
+            for item in store.source_items(provenance.oid).values()
+        ]
+        distinct = len({id(item) for item in held})
+        assert (len(held), distinct) == (80, 40)  # T3 reads its input twice
+        warehouse = Warehouse.open(tmp_path / "wh")
+        counts.clear(), opened.clear()
+        record = warehouse.record(execution, name="T3", index=True)
+        run_dir = str(warehouse.run_dir(record.run_id))
+        assert (run_dir + "/index.seg", "wb") in opened
+        assert [name for name, mode in opened if name.startswith(run_dir) and "r" in mode] == []
+        assert counts["decode_operator"] == 0 and counts["loads"] == 0
+        assert counts["write_manifest"] == 1
+        assert counts["_item_json"] == distinct + len(execution.rows())
+
+    def test_an_append_writes_its_footer_once_and_reads_no_segment(self, tmp_path, write_path):
+        counts, opened = write_path
+        stream = StreamSession(warehouse=tmp_path / "wh", name="feed", num_partitions=2)
+        stream.open(stream.dataset().filter(col("id") >= 1).select(col("user"), col("id")))
+        rows = [{"id": i, "user": f"u{i % 2}", "ts": float(i)} for i in range(12)]
+        stream.ingest(rows[:6])
+        counts.clear(), opened.clear()
+        stream.ingest(rows[6:])
+        assert [mode for name, mode in opened if name.endswith("part.json")] == ["w"]
+        assert (str(stream.warehouse.run_dir(stream.run_id) / "batches/epoch-0002/index.seg"), "wb") in opened
+        assert [name for name, mode in opened if name.endswith(".seg") and "r" in mode] == []
+        assert counts["decode_operator"] == 0 and counts["_item_json"] == 6 + 6  # items + rows

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.engine.expressions import col
+from repro.engine.session import Session
 from repro.errors import ProvenanceError
+from repro.nested.json_io import item_to_json
+from repro.nested.values import DataItem
 from repro.warehouse import RunIndex, Warehouse, ensure_index
 from repro.warehouse.index import INDEX_SEGMENT, MAX_TERM_LEN, walk_string_leaves
 from repro.warehouse.reader import load_manifest
+from repro.workloads.scenarios import SCENARIOS
 
 
 @pytest.fixture
@@ -18,6 +25,41 @@ def recorded(captured_example, tmp_path):
     warehouse = Warehouse.open(tmp_path / "wh")
     record = warehouse.record(captured_example, name="example")
     return warehouse, record
+
+
+def _both_feeders(warehouse, execution, **options) -> tuple[bytes, bytes]:
+    """``index.seg`` as the writer feeds it (in the recording pass) and as
+    the disk feeder derives it from a run recorded without one."""
+    at_record = warehouse.record(execution, name="indexed", index=True, **options)
+    backfilled = warehouse.record(execution, name="plain", index=False, **options)
+    assert at_record.indexed and not backfilled.indexed
+    warehouse.build_index(backfilled.run_id)
+    assert warehouse.resolve(backfilled.run_id).indexed
+    return tuple(
+        (warehouse.run_dir(record.run_id) / INDEX_SEGMENT).read_bytes()
+        for record in (at_record, backfilled)
+    )
+
+
+#: Leaves the two feeders could disagree on: what JSON escapes, what UTF-8
+#: widens, the empty string, and both sides of the term cap.
+_leaves = st.one_of(
+    st.sampled_from(
+        ["", '"', "\\", 'a"b\\c', "\n\t\x00\x1f", "\u2028", "é", "日本", "😀"]
+        + ["x" * MAX_TERM_LEN, "y" * (MAX_TERM_LEN + 1)]
+    ),
+    st.text(max_size=5),
+)
+_raw_items = st.fixed_dictionaries(
+    {
+        "s": _leaves,
+        "tags": st.lists(_leaves, max_size=3),
+        "nest": st.lists(st.lists(_leaves, max_size=2), max_size=2),
+        "deep": st.fixed_dictionaries(
+            {"bag": st.lists(st.lists(st.fixed_dictionaries({"t": _leaves}), max_size=2), max_size=2)}
+        ),
+    }
+)
 
 
 class TestBuildAndRoundTrip:
@@ -44,15 +86,42 @@ class TestBuildAndRoundTrip:
 
     def test_backfill_produces_identical_bytes(self, captured_example, tmp_path):
         """`repro index build` after the fact == index built at record time."""
-        warehouse = Warehouse.open(tmp_path / "wh")
-        at_record = warehouse.record(captured_example, name="indexed", index=True)
-        backfilled = warehouse.record(captured_example, name="plain", index=False)
-        assert not backfilled.indexed
-        warehouse.build_index(backfilled.run_id)
-        assert warehouse.resolve(backfilled.run_id).indexed
-        first = (warehouse.run_dir(at_record.run_id) / INDEX_SEGMENT).read_bytes()
-        second = (warehouse.run_dir(backfilled.run_id) / INDEX_SEGMENT).read_bytes()
+        first, second = _both_feeders(Warehouse.open(tmp_path / "wh"), captured_example)
         assert first == second
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_both_feeders_agree_on_every_scenario(self, name, tmp_path):
+        execution = SCENARIOS[name].instantiate(scale=0.05, num_partitions=2).execute(capture=True)
+        first, second = _both_feeders(Warehouse.open(tmp_path / "wh"), execution)
+        assert first == second
+
+    @given(st.lists(_raw_items, min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_both_feeders_agree_on_generated_items(self, raws):
+        """One item list under two reads, more operators than the sub-shard
+        span, leaves in a bag of bags."""
+        items = [DataItem(dict(raw, k=position)) for position, raw in enumerate(raws)]
+        for item in items:  # the model walk sees what the parsed JSON shows
+            parsed = json.loads(item_to_json(item))
+            assert sorted(walk_string_leaves(item)) == sorted(walk_string_leaves(parsed))
+        session = Session(num_partitions=2)
+        reads = [session.create_dataset(items, "in.json") for _ in range(2)]
+        execution = reads[0].union(reads[1]).filter(col("k") >= 0).execute(capture=True)
+        store = execution.store
+        sources = [p.oid for p in store.operators() if store.is_source(p.oid)]
+        assert len(sources) == 2 and all(
+            one is other
+            for one, other in zip(*(store.source_items(oid).values() for oid in sources))
+        )
+        with tempfile.TemporaryDirectory() as root:
+            warehouse = Warehouse.open(root)
+            first, second = _both_feeders(warehouse, execution, sub_shard_span=2)
+            assert "sub_shards" in load_manifest(warehouse.run_dir("indexed"))
+            index = warehouse.load_index("indexed")
+        assert first == second
+        for raw in raws:
+            if len(raw["s"]) <= MAX_TERM_LEN:
+                assert index.candidates(raw["s"])
 
     def test_load_returns_none_when_unindexed(self, captured_example, tmp_path):
         warehouse = Warehouse.open(tmp_path / "wh")

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-tweet cost of the three value-model walks, for one or two source trees.
+"""Per-tweet cost of the value-model walks, read side and write side, for one
+or two source trees.
 
     python3 tools/kernel_table.py --src /path/to/parent/src --src src --rounds 5
 
@@ -10,6 +11,9 @@ goes first) that times, on the same 100 generated tweets,
 * ``match_item(root{//*="<user id>"})``   -- the default SAR subject selector
 * ``match_item(root{/user{/id_str=...}})`` -- a navigating pattern (control)
 * ``infer_schema`` over the 100 items     -- infer
+* the warehouse's item encoder            -- encode item (write side)
+* the string leaves ``index.seg`` indexes -- from the item where the tree's
+  walk knows the model types, else from ``json.loads`` of its stored bytes
 
 and prints the best-of-repeats per kernel.  The parent prints the median
 over rounds and, given two trees, the ratio first/second.
@@ -30,6 +34,8 @@ from repro.core.treepattern.matcher import match_item
 from repro.core.treepattern.parser import parse_pattern
 from repro.nested.json_io import item_from_json
 from repro.nested.schema import infer_schema
+from repro.warehouse.format import _item_json
+from repro.warehouse.index import walk_string_leaves
 from repro.workloads.twitter import generate_tweets
 
 tweets = generate_tweets(scale=0.25, seed=1)
@@ -38,6 +44,11 @@ items = [item_from_json(text) for text in texts]
 user = tweets[5]["user"]["id_str"]
 wildcard = parse_pattern('root{//*="%s"}' % user)
 navigating = parse_pattern('root{/user{/id_str="%s"}}' % user)
+stored = [_item_json(item) for item in items]
+if any(walk_string_leaves(items[0])):
+    leaves = lambda: [list(walk_string_leaves(i)) for i in items]
+else:  # a tree whose walk sees only parsed JSON
+    leaves = lambda: [list(walk_string_leaves(json.loads(raw))) for raw in stored]
 
 
 def best(fn, repeats=7):
@@ -56,6 +67,8 @@ print(json.dumps({
     "match_wildcard_us": best(lambda: [match_item(wildcard, i) for i in items]) / n * 1e6,
     "match_navigating_us": best(lambda: [match_item(navigating, i) for i in items]) / n * 1e6,
     "infer_schema_100_ms": best(lambda: infer_schema(items)) * 1e3,
+    "encode_item_us": best(lambda: [_item_json(i) for i in items]) / n * 1e6,
+    "string_leaves_us": best(leaves) / n * 1e6,
     "json_loads_us": best(lambda: [json.loads(t) for t in texts]) / n * 1e6,
     "tweets": n, "bytes_per_tweet": sum(map(len, texts)) // n, "wildcard_hits": hits,
 }))
