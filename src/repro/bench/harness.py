@@ -427,12 +427,10 @@ def measure_titian_comparison(
 #: projection pruning alone, then pruning plus operator fusion.  The
 #: ``+trace`` rung repeats the full ladder with a live span tracer, pinning
 #: the "tracing off costs nothing" claim: its delta against ``prune+fuse``
-#: is the entire observability tax.  The ``+threads``/``+procs`` rungs swap
-#: in the pool schedulers over the same optimized plan: their deltas against
-#: ``prune+fuse`` isolate what concurrent stage execution buys (or costs) --
-#: threads are GIL-bound on capture's pure-Python work, processes scale the
-#: capture phase with cores at the price of pickling partitions across the
-#: pool boundary.
+#: is the entire observability tax.  The ``+threads`` rung swaps in the
+#: thread-pool scheduler over the same optimized plan: its delta against
+#: ``prune+fuse`` is what concurrent stage execution costs -- threads are
+#: GIL-bound on capture's pure-Python work.
 _PRUNE_FUSE = EngineConfig(rules=("prune", "fuse"))
 ABLATION_CONFIGS: tuple[tuple[str, EngineConfig], ...] = (
     ("no-opt", EngineConfig(optimize=False)),
@@ -440,7 +438,6 @@ ABLATION_CONFIGS: tuple[tuple[str, EngineConfig], ...] = (
     ("prune+fuse", _PRUNE_FUSE),
     ("prune+fuse+trace", _PRUNE_FUSE),
     ("prune+fuse+threads", _PRUNE_FUSE.replace(scheduler="threads")),
-    ("prune+fuse+procs", _PRUNE_FUSE.replace(scheduler="processes")),
     # The profiler pair mirrors the +trace rung for the sampling profiler:
     # prof-off is byte-identical config with profile explicitly False, so
     # its delta against the profile rung is the whole sampling tax -- and

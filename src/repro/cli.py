@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="partition count (default: engine default)")
     run.add_argument("--pattern", default=None, help="override the scenario's query")
     run.add_argument("--no-query", action="store_true", help="execute only, skip the query")
-    run.add_argument("--scheduler", choices=["serial", "threads", "processes"], default=None,
+    run.add_argument("--scheduler", choices=["serial", "threads"], default=None,
                      help="partition scheduler (default: engine config / REPRO_SCHEDULER)")
     run.add_argument("--no-optimize", action="store_true",
                      help="disable plan rewriting (seed operator-at-a-time execution)")
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="partition count (default: engine default)")
     explain.add_argument("--capture", action="store_true",
                          help="compile for provenance capture (disables store-unsafe rewrites)")
-    explain.add_argument("--scheduler", choices=["serial", "threads", "processes"], default=None)
+    explain.add_argument("--scheduler", choices=["serial", "threads"], default=None)
     explain.add_argument("--no-optimize", action="store_true",
                          help="disable plan rewriting (show the unoptimized stages)")
 

@@ -13,10 +13,10 @@ process-wide default and honours environment overrides (``REPRO_SCHEDULER``,
 ``REPRO_OPTIMIZE``, ``REPRO_MAX_WORKERS``, ``REPRO_TASK_TIMEOUT``,
 ``REPRO_MAX_RETRIES``, ``REPRO_RETRY_BACKOFF``, ``REPRO_FAULTS``,
 ``REPRO_PROFILE``) so an entire test suite or benchmark run can be switched
-to, say, the process-pool scheduler without touching call sites.
+to, say, the thread-pool scheduler without touching call sites.
 Environment variables are overrides; every knob is equally settable in code:
 
->>> config = EngineConfig(scheduler="processes").replace(max_retries=3)
+>>> config = EngineConfig(scheduler="threads").replace(max_retries=3)
 """
 
 from __future__ import annotations
@@ -45,7 +45,23 @@ DEFAULT_NUM_PARTITIONS = 4
 #: ``fuse`` pipelines consecutive narrow operators into one stage.
 ALL_RULES: tuple[str, ...] = ("pushdown", "prune", "fuse")
 
-_SCHEDULERS = ("serial", "threads", "processes")
+_SCHEDULERS = ("serial", "threads")
+
+
+_OFF = ("0", "false", "off", "no")
+_ON = ("on", "1", "true", "yes")
+
+#: Environment override -> (the field it sets, the parser of its text).
+_ENV_OVERRIDES = {
+    "REPRO_SCHEDULER": ("scheduler", str),
+    "REPRO_OPTIMIZE": ("optimize", lambda text: text.strip().lower() not in _OFF),
+    "REPRO_MAX_WORKERS": ("max_workers", int),
+    "REPRO_TASK_TIMEOUT": ("task_timeout", float),
+    "REPRO_MAX_RETRIES": ("max_retries", int),
+    "REPRO_RETRY_BACKOFF": ("retry_backoff", float),
+    "REPRO_FAULTS": ("faults", str),
+    "REPRO_PROFILE": ("profile", lambda text: text.strip().lower() in _ON),
+}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -53,10 +69,9 @@ class EngineConfig:
     """Immutable execution configuration carried by a ``Session``."""
 
     num_partitions: int = DEFAULT_NUM_PARTITIONS
-    #: ``"serial"``, ``"threads"`` (thread pool over partitions) or
-    #: ``"processes"`` (process pool over pickled stage tasks).
+    #: ``"serial"`` or ``"threads"`` (thread pool over partitions).
     scheduler: str = "serial"
-    #: Worker cap for the pool schedulers; ``None`` sizes from the CPU.
+    #: Worker cap for the thread pool; ``None`` sizes from the CPU.
     max_workers: int | None = None
     #: Master switch for plan rewriting; ``False`` reproduces the seed
     #: operator-at-a-time execution exactly.
@@ -82,7 +97,8 @@ class EngineConfig:
             raise ExecutionError(f"need at least one partition, got {self.num_partitions}")
         if self.scheduler not in _SCHEDULERS:
             raise ExecutionError(
-                f"unknown scheduler {self.scheduler!r}; pick one of {_SCHEDULERS}"
+                f"unknown scheduler {self.scheduler!r}; pick one of {_SCHEDULERS} "
+                "(the process pool, 'processes', was removed in 3.1)"
             )
         unknown = set(self.rules) - set(ALL_RULES)
         if unknown:
@@ -115,7 +131,7 @@ class EngineConfig:
     def replace(self, **changes: object) -> "EngineConfig":
         """Return a copy with the given knobs overridden (the builder API).
 
-        ``config.replace(scheduler="processes", max_retries=3)`` is the
+        ``config.replace(scheduler="threads", max_retries=3)`` is the
         code-level equivalent of the environment switches; unknown knob
         names raise ``TypeError`` and the copy is re-validated.
         """
@@ -139,30 +155,16 @@ class EngineConfig:
         expectations depend on it.
         """
         values: dict[str, object] = {}
-        scheduler = os.environ.get("REPRO_SCHEDULER")
-        if scheduler:
-            values["scheduler"] = scheduler
-        optimize = os.environ.get("REPRO_OPTIMIZE")
-        if optimize:
-            values["optimize"] = optimize.strip().lower() not in ("0", "false", "off", "no")
-        max_workers = os.environ.get("REPRO_MAX_WORKERS")
-        if max_workers:
-            values["max_workers"] = int(max_workers)
-        task_timeout = os.environ.get("REPRO_TASK_TIMEOUT")
-        if task_timeout:
-            values["task_timeout"] = float(task_timeout)
-        max_retries = os.environ.get("REPRO_MAX_RETRIES")
-        if max_retries:
-            values["max_retries"] = int(max_retries)
-        retry_backoff = os.environ.get("REPRO_RETRY_BACKOFF")
-        if retry_backoff:
-            values["retry_backoff"] = float(retry_backoff)
-        faults = os.environ.get("REPRO_FAULTS")
-        if faults:
-            values["faults"] = faults
-        profile = os.environ.get("REPRO_PROFILE")
-        if profile:
-            values["profile"] = profile.strip().lower() in ("on", "1", "true", "yes")
+        for name, (field, parse) in _ENV_OVERRIDES.items():
+            text = os.environ.get(name)
+            if not text:
+                continue
+            try:
+                values[field] = parse(text)
+            except ValueError:
+                raise ExecutionError(
+                    f"environment override {name}={text!r} is not a valid {parse.__name__}"
+                ) from None
         values.update(overrides)
         return cls(**values)  # type: ignore[arg-type]
 

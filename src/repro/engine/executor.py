@@ -29,7 +29,6 @@ hook needs ids, so the plain path carries no provenance cost.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Sequence
 
@@ -197,9 +196,8 @@ class Executor:
             from repro.obs.profile import SamplingProfiler
 
             profiler = SamplingProfiler().start()
-        # The context-manager protocol shuts the scheduler's pools down on
-        # the error path too (a raising stage must not leak worker threads
-        # or processes).
+        # The context-manager protocol shuts the scheduler's pool down on
+        # the error path too (a raising stage must not leak worker threads).
         try:
             with make_scheduler(self._config) as scheduler:
                 with run_span, Stopwatch() as watch:
@@ -345,8 +343,6 @@ class Executor:
         nparts = len(in_partitions)
         capturing = self._capturing
         tracer = get_tracer()
-        trace_epoch = tracer.epoch if tracer.enabled else None
-        origin_pid = os.getpid()
         stage_label = stage.label()
         sampling = [
             type(op).propagate_schema is NarrowOp.propagate_schema for op in ops
@@ -402,8 +398,6 @@ class Executor:
                     capturing=capturing,
                     stage_label=stage_label,
                     part=part,
-                    trace_epoch=trace_epoch,
-                    origin_pid=origin_pid,
                     fault_plan=self._fault_plan,
                 )
                 for part in range(nparts)
@@ -416,8 +410,6 @@ class Executor:
                     counts[part][position] = result.counts[offset]
                     if result.samples[offset] is not None:
                         samples[position][part] = result.samples[offset]
-                for span in result.spans:  # worker-side spans -> parent trace
-                    tracer.record_span(span)
 
             # Runtime schemas along the executed segment: structure-preserving
             # ops propagate, rebuilding ops are inferred from the first

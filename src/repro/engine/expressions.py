@@ -56,9 +56,8 @@ __all__ = [
 
 # -- named operand functions --------------------------------------------------
 #
-# Expression nodes are shipped to process-pool workers inside pickled
-# ``StageTask`` descriptors; module-level functions pickle by reference while
-# lambdas do not, so every derived-expression semantic lives here by name.
+# The semantics of every derived expression, one named function each: a
+# traceback through an expression then names the operation that failed.
 
 
 def _logical_and(a: Any, b: Any) -> bool:

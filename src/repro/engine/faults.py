@@ -55,9 +55,8 @@ def _fraction(seed: int, key: str, attempt: int) -> float:
 class FaultPlan:
     """One parsed probe; applied inside every stage task before it runs.
 
-    Instances are immutable and picklable, so a plan travels to process-pool
-    workers inside the :class:`~repro.engine.physical.StageTask` descriptor
-    and fires identically in-process and out-of-process.
+    Instances are immutable and decide from a task's ``key`` and ``attempt``
+    alone, so a fault fires identically on either scheduler.
     """
 
     mode: str

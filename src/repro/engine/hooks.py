@@ -160,13 +160,13 @@ def hooks_for(capture: bool, lineage_only: bool) -> list[CaptureHook]:
 
 
 def capture_spec(hooks: Iterable[CaptureHook]) -> bool:
-    """Distil the hook set into the capture flag shipped inside stage tasks.
+    """Distil the hook set into the capture flag carried by stage tasks.
 
-    Hooks themselves stay driver-side (they hold stores, metrics, and the
-    id-assignment state); the only hook-derived state a partition task needs
-    is whether any hook requires per-row provenance ids -- i.e. whether the
-    operators must record trace entries for the serial finalisation pass.
-    The flag is plain data, so it travels inside pickled ``StageTask``s.
+    Hooks themselves stay with the executor (they hold stores, metrics, and
+    the id-assignment state, none of it safe to touch from concurrent
+    tasks); the only hook-derived state a partition task needs is whether
+    any hook requires per-row provenance ids -- i.e. whether the operators
+    must record trace entries for the serial finalisation pass.
     """
     return any(hook.needs_ids for hook in hooks)
 

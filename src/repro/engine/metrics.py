@@ -270,7 +270,6 @@ class ExecutionMetrics:
         self.task_attempts = 0
         self.task_retries = 0
         self.task_timeouts = 0
-        self.worker_losses = 0
 
     def record_scheduler(self, backend: str, stats: object) -> None:
         """Adopt the scheduler's task accounting (attempts/retries/timeouts).
@@ -282,7 +281,6 @@ class ExecutionMetrics:
         self.task_attempts = getattr(stats, "attempts", 0)
         self.task_retries = getattr(stats, "retries", 0)
         self.task_timeouts = getattr(stats, "timeouts", 0)
-        self.worker_losses = getattr(stats, "worker_losses", 0)
 
     def operator(self, oid: int, op_type: str, label: str) -> OperatorMetrics:
         """Return (creating if needed) the metrics slot for operator *oid*."""
@@ -312,7 +310,6 @@ class ExecutionMetrics:
                 "task_attempts": self.task_attempts,
                 "task_retries": self.task_retries,
                 "task_timeouts": self.task_timeouts,
-                "worker_losses": self.worker_losses,
             },
             "operators": [
                 {
@@ -353,9 +350,6 @@ class ExecutionMetrics:
             )
             registry.counter("repro_task_timeouts_total", scheduler=backend).inc(
                 self.task_timeouts
-            )
-            registry.counter("repro_worker_losses_total", scheduler=backend).inc(
-                self.worker_losses
             )
         for op in self._operators.values():
             registry.histogram("repro_operator_seconds", op_type=op.op_type).observe(

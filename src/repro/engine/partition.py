@@ -1,6 +1,6 @@
 """Partitioning utilities for the simulated distributed execution.
 
-The engine processes every dataset as a list of partitions, mirroring how a
+The engine treats every dataset as a list of partitions, mirroring how a
 DISC system distributes bags across workers.  Narrow operators (filter,
 select, map, flatten) run partition-by-partition; joins and aggregations
 repartition their inputs by a hash of the key, simulating a shuffle.  This
@@ -86,7 +86,7 @@ def _feed(crc: int, value: Any) -> int:
 def stable_hash(key: Any) -> int:
     """A process-independent hash of a shuffle key (CRC-32 over a canonical
     encoding).  Unlike builtin ``hash``, the value does not depend on
-    ``PYTHONHASHSEED``, so every worker process -- and every re-execution --
+    ``PYTHONHASHSEED``, so every interpreter -- and every re-execution --
     assigns a row to the same partition."""
     return _feed(0, key)
 
@@ -99,9 +99,9 @@ def hash_partition(
     """Repartition *rows* by ``stable_hash(key) % num_partitions`` (a shuffle).
 
     The shuffle previously keyed on builtin ``hash()``, which is randomized
-    per interpreter for strings: two pool workers (or two recorded runs)
-    could disagree on a row's bucket.  :func:`stable_hash` pins the
-    assignment across processes.
+    per interpreter for strings: two recorded runs could disagree on a
+    row's bucket.  :func:`stable_hash` pins the assignment across
+    interpreters.
     """
     partitions: list[list[Row]] = [[] for _ in range(num_partitions)]
     for row in rows:

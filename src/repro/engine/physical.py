@@ -61,6 +61,7 @@ from repro.errors import ExecutionError, PlanError
 from repro.nested.schema import Schema
 from repro.nested.types import StructType
 from repro.nested.values import Bag, DataItem, NestedSet, coerce_value
+from repro.obs.tracer import get_tracer
 
 __all__ = [
     "SCHEMA_SAMPLE",
@@ -136,23 +137,6 @@ class NarrowOp:
     def static_attributes(self, attrs: tuple[str, ...] | None) -> tuple[str, ...] | None:
         """Attribute-level output schema given the input attributes."""
         return attrs
-
-    def __getstate__(self) -> dict[str, Any]:
-        """Pickle without the upstream plan graph.
-
-        ``node.children`` chains back to the ``ReadNode`` whose loader closes
-        over the full input dataset, so a naive pickle ships the entire
-        source collection with *every* stage task -- the process-pool
-        serialization tax.  Workers only run ``apply``, which reads
-        the node's own fields, so the pickled node is a childless clone.
-        """
-        state = dict(self.__dict__)
-        node = state.get("node")
-        if isinstance(node, PlanNode) and node.children:
-            clone = object.__new__(type(node))
-            clone.__dict__ = {**node.__dict__, "children": ()}
-            state["node"] = clone
-        return state
 
 
 class FilterOp(NarrowOp):
@@ -669,20 +653,18 @@ def _wide_static_attrs(
 
 
 # ---------------------------------------------------------------------------
-# Stage tasks: the picklable unit of scheduled work
+# Stage tasks: the unit of scheduled work
 # ---------------------------------------------------------------------------
 
 
 class StageTaskResult:
-    """What one executed :class:`StageTask` hands back to the driver.
+    """What one executed :class:`StageTask` hands back to the executor.
 
-    Plain picklable data: the partition's output items, the per-operator
-    trace entries / cardinalities / schema samples the driver's finalisation
-    pass needs, and -- when the task ran traced in a pool worker -- the spans
-    recorded there, for merging into the parent trace.
+    The partition's output items and the per-operator trace entries /
+    cardinalities / schema samples the executor's finalisation pass needs.
     """
 
-    __slots__ = ("items", "entries", "counts", "samples", "spans", "part", "attempt")
+    __slots__ = ("items", "entries", "counts", "samples", "part", "attempt")
 
     def __init__(
         self,
@@ -690,7 +672,6 @@ class StageTaskResult:
         entries: list[Any],
         counts: list[tuple[int, int]],
         samples: list[list[DataItem] | None],
-        spans: tuple[Any, ...],
         part: int,
         attempt: int,
     ):
@@ -698,7 +679,6 @@ class StageTaskResult:
         self.entries = entries
         self.counts = counts
         self.samples = samples
-        self.spans = spans
         self.part = part
         self.attempt = attempt
 
@@ -710,22 +690,21 @@ class StageTaskResult:
 
 
 class StageTask:
-    """A picklable descriptor of one partition's slice of a fused segment.
+    """One partition's slice of a fused segment, as a keyed value.
 
-    The fused-stage executor used to build closures over its local state;
-    closures don't pickle, which ruled out process pools and made tasks
-    non-restartable.  A ``StageTask`` instead carries plain data -- the
-    segment's operator chain, the partition's items, the capture-hook spec,
-    the tracing linkage, and the fault-injection plan -- and ``__call__`` is
-    the module-level-importable entrypoint every scheduler backend runs.
+    A ``StageTask`` carries everything its run needs -- the segment's
+    operator chain, the partition's items, the capture flag and the
+    fault-injection plan -- instead of closing over the executor's local
+    state, so the retry layer can run it again and the fault plan can address
+    it by ``key``.  It runs on whichever thread the scheduler picks and
+    records its ``task`` span in the ambient tracer.
 
     Tasks are **pure**: they read only their own fields and return a fresh
     :class:`StageTaskResult`, so a retried task recomputes the identical
     value and the engine's output is attempt-count independent.
 
     ``attempt`` is the one mutable field; the scheduler's retry layer bumps
-    it before each submission (a process pool re-pickles the task per
-    submit, so workers observe the current value).
+    it before each submission.
     """
 
     __slots__ = (
@@ -736,8 +715,6 @@ class StageTask:
         "capturing",
         "stage_label",
         "part",
-        "trace_epoch",
-        "origin_pid",
         "fault_plan",
         "attempt",
     )
@@ -752,8 +729,6 @@ class StageTask:
         capturing: bool,
         stage_label: str,
         part: int,
-        trace_epoch: float | None = None,
-        origin_pid: int | None = None,
         fault_plan: "FaultPlan | None" = None,
     ):
         self.key = key
@@ -763,37 +738,17 @@ class StageTask:
         self.capturing = capturing
         self.stage_label = stage_label
         self.part = part
-        #: Parent tracer epoch; workers align their local clock to it so
-        #: merged spans land on the parent timeline (``perf_counter`` is
-        #: CLOCK_MONOTONIC, shared system-wide on Linux).
-        self.trace_epoch = trace_epoch
-        self.origin_pid = origin_pid
         self.fault_plan = fault_plan
         self.attempt = 1
 
-    def _tracer(self, in_worker: bool):
-        from repro.obs.tracer import NULL_TRACER, Tracer, get_tracer
-
-        if not in_worker:
-            return get_tracer()
-        if self.trace_epoch is None:
-            return NULL_TRACER
-        # A forked worker inherits the parent's (driver-owned, non-IPC-safe)
-        # tracer object; record into a fresh local one and ship the spans.
-        return Tracer("repro-worker", epoch=self.trace_epoch)
-
     def __call__(self) -> StageTaskResult:
-        import os
-
         if self.fault_plan is not None:
             self.fault_plan.apply(self.key, self.attempt)
-        in_worker = self.origin_pid is not None and os.getpid() != self.origin_pid
-        tracer = self._tracer(in_worker)
         items = list(self.items)
         entries_out: list[Any] = []
         counts_out: list[tuple[int, int]] = []
         samples_out: list[list[DataItem] | None] = []
-        with tracer.span(
+        with get_tracer().span(
             f"task p{self.part}",
             "task",
             stage=self.stage_label,
@@ -806,17 +761,8 @@ class StageTask:
                 counts_out.append((len(items), len(out)))
                 samples_out.append(out[:SCHEMA_SAMPLE] if sampled else None)
                 items = out
-        spans: tuple[Any, ...] = ()
-        if in_worker and tracer.enabled:
-            worker_spans = tracer.spans()
-            # One export track per worker process: thread idents collide
-            # across forked processes, pids do not.
-            for span in worker_spans:
-                span.tid = os.getpid()
-                span.args.setdefault("pid", os.getpid())
-            spans = tuple(worker_spans)
         return StageTaskResult(
-            items, entries_out, counts_out, samples_out, spans, self.part, self.attempt
+            items, entries_out, counts_out, samples_out, self.part, self.attempt
         )
 
     def __repr__(self) -> str:

@@ -1,25 +1,27 @@
 """Pluggable schedulers: how independent partition tasks are executed.
 
-A fused stage compiles to one picklable :class:`~repro.engine.physical.
-StageTask` per input partition; the tasks are independent (each reads only
-its own partition), so a scheduler may run them in any order or concurrently.
+A fused stage compiles to one :class:`~repro.engine.physical.StageTask` per
+input partition; the tasks are independent (each reads only its own
+partition), so a scheduler may run them in any order or concurrently -- in
+this process: DESIGN.md Sec. 12 records why the process pool left in 3.1.
 
-Three backends share one **fault-tolerance layer** implemented in the
+Two backends share one **fault-tolerance layer** implemented in the
 :class:`Scheduler` base class:
 
 * retries: failures whose ``retryable`` attribute is true (the
-  :class:`~repro.errors.TransientError` branch -- timeouts, lost workers,
-  injected faults) are retried up to ``RetryPolicy.max_retries`` times with
-  a jitter-free exponential backoff, so the retry schedule is deterministic
+  :class:`~repro.errors.TransientError` branch -- timeouts, injected
+  faults) are retried up to ``RetryPolicy.max_retries`` times with a
+  jitter-free exponential backoff, so the retry schedule is deterministic
   and unit-testable;
 * timeouts: with ``RetryPolicy.task_timeout`` set, a task that exceeds its
   wall-clock budget fails with :class:`~repro.errors.TaskTimeoutError`
-  (transient, hence retried).  Pool backends enforce the budget on the
-  ``Future``; the serial backend checks post-hoc (it cannot preempt);
+  (transient, hence retried).  The budget is the task's own, counted from
+  the moment it starts: the thread backend stops waiting once it is spent,
+  the serial one checks post-hoc, and both discard a result that came late;
 * determinism: result order is always task-submission order, every pending
   task finishes its protocol before the batch resolves, and when tasks fail
   terminally the **first submission-order task's original error** (its first
-  recorded failure, not the last retry's) is raised -- identical across all
+  recorded failure, not the last retry's) is raised -- identical on both
   backends, so the engine's output and error surface are
   scheduler-independent.
 
@@ -27,7 +29,7 @@ Tasks must be **pure** for retries to be sound: a re-executed task must
 recompute the identical result.  ``StageTask`` guarantees this by carrying
 its full input; the equivalence property tests pin it under injected faults.
 
-Per-run accounting (attempts, retries, timeouts, worker losses) accumulates
+Per-run accounting (attempts, retries, timeouts) accumulates
 in :class:`TaskStats`; the executor folds it into the run's metrics and the
 process-wide registry (``repro stats``).
 """
@@ -36,25 +38,18 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor as PoolExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.engine.config import EngineConfig
-from repro.errors import ExecutionError, TaskTimeoutError, WorkerLostError
+from repro.errors import ExecutionError, TaskTimeoutError
 
 __all__ = [
     "Scheduler",
     "SerialScheduler",
     "ThreadPoolScheduler",
-    "ProcessPoolScheduler",
     "RetryPolicy",
     "TaskStats",
     "backoff_schedule",
@@ -108,30 +103,32 @@ def backoff_schedule(policy: RetryPolicy) -> list[float]:
 class TaskStats:
     """Scheduler-lifetime task accounting (summed over every ``run`` call)."""
 
-    __slots__ = ("attempts", "retries", "timeouts", "worker_losses")
+    __slots__ = ("attempts", "retries", "timeouts")
 
     def __init__(self) -> None:
         self.attempts = 0
         self.retries = 0
         self.timeouts = 0
-        self.worker_losses = 0
 
     def to_json(self) -> dict[str, int]:
         return {
             "attempts": self.attempts,
             "retries": self.retries,
             "timeouts": self.timeouts,
-            "worker_losses": self.worker_losses,
         }
 
     def __repr__(self) -> str:
         return (
             f"TaskStats(attempts={self.attempts}, retries={self.retries}, "
-            f"timeouts={self.timeouts}, worker_losses={self.worker_losses})"
+            f"timeouts={self.timeouts})"
         )
 
 
 _NO_RESULT = object()
+
+
+def _over_budget(timeout: float) -> TaskTimeoutError:
+    return TaskTimeoutError(f"task exceeded {timeout}s budget")
 
 
 def _set_attempt(task: Task, attempt: int) -> None:
@@ -178,8 +175,6 @@ class Scheduler:
                     continue
                 if isinstance(error, TaskTimeoutError):
                     self.stats.timeouts += 1
-                elif isinstance(error, WorkerLostError):
-                    self.stats.worker_losses += 1
                 if errors[index] is None:
                     errors[index] = error  # keep the task's *original* failure
                 if getattr(error, "retryable", False) and attempt < policy.max_attempts:
@@ -202,6 +197,18 @@ class Scheduler:
         """Run one attempt of *tasks*; one outcome per task, never raises."""
         raise NotImplementedError
 
+    def _settle(self, result: Callable[[], Any], clock: list[float]) -> _Outcome:
+        """Outcome of a finished :func:`_clocked` task: its error, a timeout
+        if it ran over budget (the late result is discarded), or its value."""
+        timeout = self.policy.task_timeout
+        try:
+            value = result()
+        except BaseException as exc:
+            return None, exc
+        if timeout is not None and clock[1] - clock[0] > timeout:
+            return None, _over_budget(timeout)
+        return value, None
+
     def close(self) -> None:
         """Release scheduler resources (idempotent)."""
 
@@ -212,130 +219,74 @@ class Scheduler:
         self.close()
 
 
+def _clocked(task: Task, clock: list[float]) -> Any:
+    """Run *task*, stamping its own start and end on *clock*."""
+    clock.append(time.perf_counter())
+    try:
+        return task()
+    finally:
+        clock.append(time.perf_counter())
+
+
 class SerialScheduler(Scheduler):
     """Runs tasks one after another on the calling thread (the seed path).
 
-    Timeouts are detected post-hoc (a single thread cannot preempt a running
-    task): the task's result is discarded and the attempt reported as a
-    :class:`TaskTimeoutError`, keeping the error surface identical to the
-    pool backends.
+    A single thread cannot preempt a running task, so an overrun is only
+    detected once the task has returned.
     """
 
     name = "serial"
 
     def _run_batch(self, tasks: Sequence[Task]) -> list[_Outcome]:
-        timeout = self.policy.task_timeout
         outcomes: list[_Outcome] = []
         for task in tasks:
-            started = time.perf_counter()
-            try:
-                value = task()
-            except BaseException as exc:
-                outcomes.append((None, exc))
-                continue
-            if timeout is not None and time.perf_counter() - started > timeout:
-                outcomes.append(
-                    (None, TaskTimeoutError(f"task exceeded {timeout}s budget"))
-                )
-            else:
-                outcomes.append((value, None))
+            clock: list[float] = []
+            outcomes.append(self._settle(partial(_clocked, task, clock), clock))
         return outcomes
 
 
-class _PoolScheduler(Scheduler):
-    """Shared future-driving logic of the thread- and process-pool backends."""
+class ThreadPoolScheduler(Scheduler):
+    """Runs partition tasks concurrently on a shared thread pool.
+
+    Threads serialise CPU-bound bytecode, so this does not beat the serial
+    backend on capture's pure-Python work.  It does what one thread cannot:
+    hand control back at a task's deadline, and run a stage's tasks
+    concurrently -- how the equivalence suites show they are independent.
+    """
+
+    name = "threads"
 
     def __init__(self, max_workers: int | None = None, *, policy: RetryPolicy | None = None):
         super().__init__(policy=policy)
-        self._max_workers = max_workers
-        self._pool: PoolExecutor | None = self._new_pool()
-
-    def _new_pool(self) -> PoolExecutor:
-        raise NotImplementedError
+        self._pool: ThreadPoolExecutor | None = ThreadPoolExecutor(
+            max_workers=max_workers or min(32, (os.cpu_count() or 2)),
+            thread_name_prefix="repro-stage",
+        )
 
     def _run_batch(self, tasks: Sequence[Task]) -> list[_Outcome]:
         if self._pool is None:
             raise ExecutionError("scheduler already closed")
-        timeout = self.policy.task_timeout
-        try:
-            futures: list[Future[Any]] = [self._pool.submit(task) for task in tasks]
-        except BrokenExecutor as exc:
-            # The pool broke between batches (e.g. workers OOM-killed while
-            # idle): every task of this attempt is lost but retryable.
-            self._rebuild_pool()
-            return [
-                (None, WorkerLostError(f"executor broken at submit: {exc}"))
-                for _ in tasks
-            ]
-        outcomes: list[_Outcome] = []
-        broken = False
-        for future in futures:
-            try:
-                outcomes.append((future.result(timeout), None))
-            except FutureTimeoutError:
-                future.cancel()
-                outcomes.append(
-                    (None, TaskTimeoutError(f"task exceeded {timeout}s budget"))
-                )
-            except BrokenExecutor as exc:
-                broken = True
-                outcomes.append(
-                    (None, WorkerLostError(f"worker died mid-task: {exc}"))
-                )
-            except BaseException as exc:
-                outcomes.append((None, exc))
-        if broken:
-            # A broken pool rejects all further submissions; rebuild it so
-            # the retry attempts (and later stages) have live workers.
-            self._rebuild_pool()
-        return outcomes
+        clocks: list[list[float]] = [[] for _ in tasks]
+        futures = [
+            self._pool.submit(_clocked, task, clock) for task, clock in zip(tasks, clocks)
+        ]
+        return [self._outcome(future, clock) for future, clock in zip(futures, clocks)]
 
-    def _rebuild_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = self._new_pool()
+    def _outcome(self, future: Future[Any], clock: list[float]) -> _Outcome:
+        """Wait for one task until it is done or *its own* budget is spent."""
+        timeout = self.policy.task_timeout
+        while timeout is not None and not future.done():
+            # A task still queued behind others has its whole budget left.
+            left = clock[0] + timeout - time.perf_counter() if clock else timeout
+            if left <= 0:
+                return None, _over_budget(timeout)
+            wait((future,), timeout=left)
+        return self._settle(future.result, clock)
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-class ThreadPoolScheduler(_PoolScheduler):
-    """Runs partition tasks concurrently on a shared thread pool.
-
-    Python threads still serialise CPU-bound bytecode, but the engine's
-    per-partition work releases the GIL during I/O and benefits on
-    free-threaded builds; more importantly the backend proves the fused
-    stages are safe to execute concurrently (the equivalence property tests
-    run the whole suite through this scheduler).
-    """
-
-    name = "threads"
-
-    def _new_pool(self) -> PoolExecutor:
-        workers = self._max_workers or min(32, (os.cpu_count() or 2))
-        return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-stage")
-
-
-class ProcessPoolScheduler(_PoolScheduler):
-    """Runs pickled stage tasks on a process pool (true CPU parallelism).
-
-    Structural-provenance capture is CPU-bound pure-Python work -- exactly
-    what the GIL serialises -- so this is the backend that scales capture
-    with cores.  It requires tasks to be picklable: ``StageTask`` descriptors
-    qualify by construction; plans containing unpicklable user functions
-    (lambda UDFs) fail the submission with the raw pickling error, which is
-    deliberately *not* transient.  A worker death surfaces as
-    :class:`~repro.errors.WorkerLostError` (transient) and the pool is
-    rebuilt before the retry attempt.
-    """
-
-    name = "processes"
-
-    def _new_pool(self) -> PoolExecutor:
-        workers = self._max_workers or min(8, (os.cpu_count() or 2))
-        return ProcessPoolExecutor(max_workers=workers)
 
 
 def make_scheduler(config: EngineConfig) -> Scheduler:
@@ -347,6 +298,4 @@ def make_scheduler(config: EngineConfig) -> Scheduler:
     )
     if config.scheduler == "threads":
         return ThreadPoolScheduler(config.max_workers, policy=policy)
-    if config.scheduler == "processes":
-        return ProcessPoolScheduler(config.max_workers, policy=policy)
     return SerialScheduler(policy=policy)

@@ -8,7 +8,8 @@ Each class also carries a stable machine-readable ``code``.  The versioned
 HTTP surface (``/v1``) puts this code in its error envelope so remote callers
 can classify failures without string-matching messages, and the HTTP client
 maps codes back onto this hierarchy -- the wire format survives exception
-renames, the codes do not change.
+renames, the codes do not change.  Retired codes are never reused:
+``worker_lost`` (went with the process pool in 3.1).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ class ReproError(Exception):
     """Base class for all errors raised by this library.
 
     ``retryable`` classifies the failure for the scheduler's fault-tolerance
-    layer: transient errors (timeouts, lost workers, injected faults) may be
+    layer: transient errors (timeouts, injected faults) may be
     retried with backoff, everything else fails the run immediately.  Callers
     classify through this attribute rather than string-matching messages.
 
@@ -42,12 +43,6 @@ class TaskTimeoutError(TransientError):
     """A partition task exceeded the configured per-task timeout."""
 
     code = "deadline_exceeded"
-
-
-class WorkerLostError(TransientError):
-    """A pool worker died before delivering its task's result."""
-
-    code = "worker_lost"
 
 
 class InjectedFault(TransientError):

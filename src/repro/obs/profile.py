@@ -5,9 +5,7 @@ say which Python frames burned it.  :class:`SamplingProfiler` fills that
 gap with nothing beyond the standard library: a daemon timer thread
 periodically walks ``sys._current_frames()`` and counts one sample per
 ``(stage, call stack)`` pair across every thread of the process -- which
-covers the thread-pool scheduler's workers for free.  Process-pool workers
-run in other interpreters and are *not* sampled; their driver-side share
-(pickling, result merge) is.
+covers the thread-pool scheduler's workers for free.
 
 Output is the collapsed **folded-stack** format every flamegraph tool
 ingests (``stage;frame;frame;... count`` lines, one per unique stack), and

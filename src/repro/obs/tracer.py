@@ -157,16 +157,11 @@ class NullTracer:
     """
 
     enabled = False
-    #: Timeline origin; meaningless while disabled, kept for interface parity.
-    epoch = 0.0
 
     def span(self, name: str, category: str = "run", **args: Any) -> _NullSpanHandle:
         return _NULL_SPAN
 
     def instant(self, name: str, category: str = "run", **args: Any) -> None:
-        pass
-
-    def record_span(self, span: Span) -> None:
         pass
 
     def spans(self) -> list[Span]:
@@ -184,20 +179,13 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, process_name: str = "repro", epoch: float | None = None):
+    def __init__(self, process_name: str = "repro"):
         self.process_name = process_name
         self._lock = threading.Lock()
         self._spans: list[Span] = []
         self._instants: list[Span] = []
-        #: Timeline origin (``perf_counter`` units).  Pool workers build local
-        #: tracers pinned to the driver tracer's epoch so their spans merge
-        #: onto the parent timeline (CLOCK_MONOTONIC is system-wide on Linux).
-        self._epoch = time.perf_counter() if epoch is None else epoch
-
-    @property
-    def epoch(self) -> float:
-        """The timeline origin spans are recorded relative to."""
-        return self._epoch
+        #: Timeline origin (``perf_counter`` units) spans are relative to.
+        self._epoch = time.perf_counter()
 
     # -- recording -----------------------------------------------------------
 
@@ -215,15 +203,6 @@ class Tracer:
     def _record(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
-
-    def record_span(self, span: Span) -> None:
-        """Adopt an externally recorded span (worker-side span export).
-
-        The span's ``start``/``end`` must already be relative to this
-        tracer's epoch -- true for spans from a worker tracer built with
-        ``Tracer(epoch=parent.epoch)``.
-        """
-        self._record(span)
 
     # -- reading -------------------------------------------------------------
 

@@ -127,7 +127,7 @@ class PebbleSession:
     retry, and fault-injection settings are settable in code without
     touching environment variables:
 
-    >>> pebble = PebbleSession(scheduler="processes", max_retries=3)
+    >>> pebble = PebbleSession(scheduler="threads", max_retries=3)
     >>> pebble = PebbleSession(num_partitions=8, config=my_config)
 
     An explicit ``config`` provides the base (``EngineConfig.from_env()``

@@ -2,9 +2,9 @@
 
 Extends the optimizer-equivalence properties with the fault-tolerance layer:
 for random plan shapes, a run with deterministic injected faults (healed by
-the scheduler's retry protocol) under any backend -- serial, thread pool, or
-process pool -- must produce results, provenance stores, and backtrace
-answers identical to the fault-free seed execution.  This pins the retry
+the scheduler's retry protocol) under either backend -- serial or thread
+pool -- must produce results, provenance stores, and backtrace answers
+identical to the fault-free seed execution.  This pins the retry
 protocol's core soundness claim: stage tasks are pure, so re-execution is
 invisible in every observable output.
 """
@@ -29,16 +29,10 @@ BASELINE = EngineConfig(optimize=False)
 #: default) always recovers; zero backoff keeps the suite fast.
 CHAOS_VARIANTS = (
     ("serial+faults", EngineConfig(faults="flaky_once:0.5", retry_backoff=0.0)),
+    ("threads", EngineConfig(scheduler="threads")),
     (
         "threads+faults",
         EngineConfig(scheduler="threads", faults="flaky_once:0.5", retry_backoff=0.0),
-    ),
-    ("processes", EngineConfig(scheduler="processes")),
-    (
-        "processes+faults",
-        EngineConfig(
-            scheduler="processes", faults="flaky_once:0.5", retry_backoff=0.0
-        ),
     ),
 )
 
@@ -88,6 +82,21 @@ def test_faults_actually_fire_and_are_retried():
     assert execution.metrics.task_attempts > execution.metrics.task_retries
 
 
+def test_traced_threads_run_has_one_task_span_per_attempt_that_ran():
+    """Tasks record their span in the ambient tracer from whichever pool
+    thread ran them: one per attempt that got past the fault probe."""
+    from repro.obs.tracer import Tracer, tracing
+
+    config = EngineConfig(scheduler="threads", faults="flaky_once:1.0", retry_backoff=0.0)
+    tracer = Tracer()
+    with tracing(tracer):
+        metrics = _run("select-filter", 1, config).metrics
+    spans = tracer.find("task")
+    assert metrics.task_retries > 0
+    assert len(spans) == metrics.task_attempts - metrics.task_retries
+    assert {span.args["attempt"] for span in spans} == {2}
+
+
 def test_crash_faults_exhaust_the_retry_budget():
     """A ``crash`` probe at p=1.0 fails every attempt: the run must raise the
     *original* injected fault after the budget is spent."""
@@ -110,7 +119,13 @@ def test_recorded_runs_identical_across_schedulers(tmp_path):
     configs = (
         ("serial", EngineConfig()),
         ("threads", EngineConfig(scheduler="threads")),
-        ("processes", EngineConfig(scheduler="processes")),
+        ("serial+faults", EngineConfig(faults="flaky_once:0.5", retry_backoff=0.0)),
+        (
+            "threads+faults",
+            EngineConfig(
+                scheduler="threads", faults="flaky_once:0.5", retry_backoff=0.0
+            ),
+        ),
     )
     for shape in ("filter-flatten", "flatten-agg", "union"):
         results = {}

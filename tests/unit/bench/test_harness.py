@@ -17,7 +17,6 @@ class TestAblationLadder:
             "prune+fuse",
             "prune+fuse+trace",
             "prune+fuse+threads",
-            "prune+fuse+procs",
             "prune+fuse+prof-off",
             "prune+fuse+profile",
         ]

@@ -79,6 +79,14 @@ class TestValidation:
         with pytest.raises(ExecutionError, match="unknown scheduler"):
             EngineConfig(scheduler="mesos")
 
+    def test_names_the_removed_process_pool_and_what_is_left(self, monkeypatch):
+        message = r"'serial', 'threads'.*removed in 3\.1"
+        with pytest.raises(ExecutionError, match=message):
+            EngineConfig(scheduler="processes")
+        monkeypatch.setenv("REPRO_SCHEDULER", "processes")
+        with pytest.raises(ExecutionError, match=message):
+            EngineConfig.from_env()
+
     def test_rejects_unknown_rule(self):
         with pytest.raises(ExecutionError, match="unknown optimizer rules"):
             EngineConfig(rules=("prune", "vectorize"))
@@ -115,6 +123,22 @@ class TestFromEnv:
         assert config.scheduler == "threads"
         assert config.optimize is False
         assert config.max_workers == 3
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("REPRO_MAX_RETRIES", "two"),
+            ("REPRO_MAX_WORKERS", "2.5"),
+            ("REPRO_TASK_TIMEOUT", "soon"),
+            ("REPRO_RETRY_BACKOFF", "50ms"),
+        ],
+    )
+    def test_malformed_number_names_the_variable_and_the_value(
+        self, monkeypatch, name, text
+    ):
+        monkeypatch.setenv(name, text)
+        with pytest.raises(ExecutionError, match=f"{name}='{text}'"):
+            EngineConfig.from_env()
 
     def test_explicit_overrides_beat_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCHEDULER", "threads")

@@ -62,7 +62,6 @@ class TestExecutionMetricsJson:
             "task_attempts",
             "task_retries",
             "task_timeouts",
-            "worker_losses",
         }
 
 

@@ -1,16 +1,13 @@
 """Unit tests for the scheduler backends (order, errors, retry, lifecycle)."""
 
 import functools
-import os
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.engine.config import EngineConfig
 from repro.engine.scheduler import (
-    ProcessPoolScheduler,
     RetryPolicy,
     SerialScheduler,
     ThreadPoolScheduler,
@@ -21,17 +18,7 @@ from repro.errors import ExecutionError, TaskTimeoutError, TransientError
 
 
 def _return_value(value):
-    """Module-level so the process pool can pickle it by reference."""
     return value
-
-
-def _crash_once(marker):
-    """Kill the worker process on the first call, succeed afterwards."""
-    path = Path(marker)
-    if not path.exists():
-        path.write_text("crashed")
-        os._exit(1)
-    return "survived"
 
 
 def _sleep_then_return(seconds, value):
@@ -240,52 +227,25 @@ class TestTimeouts:
         finally:
             backend.close()
 
+    @pytest.mark.parametrize("backend_name", ["serial", "threads"])
+    def test_each_task_has_its_own_budget(self, backend_name):
+        """Two tasks that both overrun: both time out, whoever hosts them."""
+        config = EngineConfig(
+            scheduler=backend_name, max_workers=2, max_retries=0, task_timeout=0.05
+        )
+        tasks = [functools.partial(_sleep_then_return, 0.08, "done") for _ in range(2)]
+        with make_scheduler(config) as backend:
+            outcomes = backend._run_batch(tasks)
+            assert [type(error) for _, error in outcomes] == [TaskTimeoutError] * 2
+            assert [value for value, _ in outcomes] == [None, None]
+            with pytest.raises(TaskTimeoutError, match="budget"):
+                backend.run(tasks)
+            assert backend.stats.timeouts == 2
+
     def test_fast_tasks_are_unaffected_by_the_budget(self):
         backend = SerialScheduler(policy=RetryPolicy(task_timeout=5.0))
         assert backend.run([functools.partial(_return_value, 3)]) == [3]
         assert backend.stats.timeouts == 0
-
-
-class TestProcessPool:
-    def test_runs_picklable_tasks(self):
-        backend = ProcessPoolScheduler(
-            max_workers=1, policy=RetryPolicy(backoff=0.0)
-        )
-        try:
-            tasks = [functools.partial(_return_value, index) for index in range(3)]
-            assert backend.run(tasks) == [0, 1, 2]
-        finally:
-            backend.close()
-
-    def test_worker_death_is_transient_and_pool_rebuilds(self, tmp_path):
-        marker = tmp_path / "crashed.marker"
-        backend = ProcessPoolScheduler(
-            max_workers=1, policy=RetryPolicy(max_retries=2, backoff=0.0)
-        )
-        try:
-            result = backend.run([functools.partial(_crash_once, str(marker))])
-            assert result == ["survived"]
-            assert backend.stats.worker_losses >= 1
-            assert backend.stats.retries >= 1
-        finally:
-            backend.close()
-
-    def test_unpicklable_task_fails_without_retry(self):
-        backend = ProcessPoolScheduler(
-            max_workers=1, policy=RetryPolicy(max_retries=3, backoff=0.0)
-        )
-        try:
-            with pytest.raises(Exception) as excinfo:
-                backend.run([lambda: 1])
-            assert not getattr(excinfo.value, "retryable", False)
-        finally:
-            backend.close()
-
-    def test_closed_scheduler_rejects_work(self):
-        backend = ProcessPoolScheduler(max_workers=1)
-        backend.close()
-        with pytest.raises(ExecutionError, match="closed"):
-            backend.run([functools.partial(_return_value, 1)])
 
 
 class TestFactory:
@@ -296,8 +256,8 @@ class TestFactory:
             assert isinstance(threaded, ThreadPoolScheduler)
         finally:
             threaded.close()
-        with make_scheduler(EngineConfig(scheduler="processes")) as pooled:
-            assert isinstance(pooled, ProcessPoolScheduler)
+        with pytest.raises(ExecutionError, match="removed in 3.1"):
+            make_scheduler(EngineConfig(scheduler="processes"))
 
     def test_policy_comes_from_config(self):
         backend = make_scheduler(

@@ -1,16 +1,13 @@
-"""Pickle round-trips of every StageTask the optimizer can emit.
+"""Purity of every StageTask the optimizer can emit.
 
-The process-pool scheduler only works if each fused stage compiles to a
-descriptor that survives ``pickle`` -- operator chains included, which is
-why the expression builders use named module-level functions instead of
-lambdas.  These tests run every evaluation scenario through the serial
-scheduler twice -- once untouched, once with a shim that pickles and
-unpickles each :class:`StageTask` before executing it -- asserting (a) the
-round-trip never fails and (b) the rebuilt tasks compute exactly what the
-original tasks compute.
+The scheduler's retry layer re-runs a failed task and keeps whichever
+attempt succeeded, so the engine's output is attempt-count independent only
+if a task run twice computes the same thing twice.  These tests run every
+evaluation scenario through a serial backend that calls each
+:class:`StageTask` as attempt 1 and again as attempt 2 and compares the two
+results field by field before the backend runs the batch as usual.
 """
 
-import pickle
 from contextlib import contextmanager
 
 import pytest
@@ -25,22 +22,29 @@ SCALE = 0.05
 
 
 @contextmanager
-def pickling_stage_tasks():
-    """Route every StageTask through pickle before the serial backend runs it."""
+def rerunning_stage_tasks():
+    """Call every StageTask twice inside the serial backend; yield the keys."""
     seen = []
     original = SerialScheduler._run_batch
 
-    def round_tripping(self, tasks):
-        rebuilt = []
+    def twice(self, tasks):
         for task in tasks:
-            if isinstance(task, StageTask):
-                payload = pickle.dumps(task)
-                task = pickle.loads(payload)
-                seen.append((task.key, len(payload)))
-            rebuilt.append(task)
-        return original(self, rebuilt)
+            if not isinstance(task, StageTask):
+                continue
+            inputs = list(task.items)
+            first = task()
+            task.attempt = 2
+            second = task()
+            task.attempt = 1
+            for field in ("items", "entries", "counts", "samples"):
+                assert getattr(first, field) == getattr(second, field), (task.key, field)
+            assert (first.attempt, second.attempt) == (1, 2)
+            assert first.items is not second.items
+            assert task.items == inputs, task.key
+            seen.append(task.key)
+        return original(self, tasks)
 
-    SerialScheduler._run_batch = round_tripping
+    SerialScheduler._run_batch = twice
     try:
         yield seen
     finally:
@@ -55,44 +59,19 @@ def _run_scenario(name, capture):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_stage_tasks_survive_pickling(name):
+def test_stage_tasks_recompute_identically(name):
     baseline = _run_scenario(name, capture=True)
-    with pickling_stage_tasks() as seen:
-        round_tripped = _run_scenario(name, capture=True)
+    with rerunning_stage_tasks() as seen:
+        rerun = _run_scenario(name, capture=True)
     assert seen, f"{name} compiled no fused stage tasks"
-    assert round_tripped.rows() == baseline.rows()
+    assert len(set(seen)) == len(seen), "stage task keys must be unique within a run"
+    assert rerun.rows() == baseline.rows()
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_plain_stage_tasks_survive_pickling(name):
+def test_plain_stage_tasks_recompute_identically(name):
     baseline = _run_scenario(name, capture=False)
-    with pickling_stage_tasks() as seen:
-        round_tripped = _run_scenario(name, capture=False)
+    with rerunning_stage_tasks() as seen:
+        rerun = _run_scenario(name, capture=False)
     assert seen
-    assert round_tripped.items() == baseline.items()
-
-
-def test_task_fields_survive_pickling():
-    captured = {}
-    original = SerialScheduler._run_batch
-
-    def grab(self, tasks):
-        for task in tasks:
-            if isinstance(task, StageTask) and "task" not in captured:
-                captured["task"] = task
-        return original(self, tasks)
-
-    SerialScheduler._run_batch = grab
-    try:
-        _run_scenario("T1", capture=True)
-    finally:
-        SerialScheduler._run_batch = original
-
-    task = captured["task"]
-    clone = pickle.loads(pickle.dumps(task))
-    assert clone.key == task.key
-    assert clone.part == task.part
-    assert clone.stage_label == task.stage_label
-    assert clone.capturing == task.capturing
-    assert len(clone.ops) == len(task.ops)
-    assert clone.items == task.items
+    assert rerun.items() == baseline.items()
