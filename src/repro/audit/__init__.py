@@ -18,7 +18,6 @@ All answers are byte-stable across scheduler backends, loading strategies,
 and indexed-vs-scan evaluation.
 """
 
-from repro.audit.bench import run_audit_bench, write_audit_report
 from repro.audit.forward import (
     AUDIT_METHODS,
     ForwardResult,
@@ -40,11 +39,9 @@ __all__ = [
     "ForwardResult",
     "ForwardTracer",
     "SubjectMatch",
-    "run_audit_bench",
     "sar_over_tracers",
     "subject_access_request",
     "subject_pattern",
     "trace_forward",
     "verify_erasure",
-    "write_audit_report",
 ]

@@ -21,13 +21,16 @@ import json
 from typing import Any, Iterable, Sequence
 
 from repro.errors import AuditError
+from repro.nested.json_io import _jsonable
 from repro.obs.log import get_logger
 from repro.audit.forward import ForwardTracer, load_execution
+from repro.warehouse.index import walk_string_leaves
 
 __all__ = [
     "DEFAULT_SUBJECT_TEMPLATE",
     "build_tracers",
     "erasure_over_tracers",
+    "harvest_subjects",
     "merge_erasure",
     "merge_sar",
     "report_digest",
@@ -51,6 +54,23 @@ def subject_pattern(subject: str, template: str = DEFAULT_SUBJECT_TEMPLATE) -> s
         )
     escaped = subject.replace("\\", "\\\\").replace('"', '\\"')
     return template.replace("{subject}", escaped)
+
+
+def harvest_subjects(execution: Any, limit: int = 500) -> list[str]:
+    """Distinct string leaves of the run's source items, sorted, capped.
+
+    Subjects drawn from the data itself keep a probe sweep honest: every
+    probe exercises the term-postings path (and most also the closure),
+    instead of short-circuiting on guaranteed misses.
+    """
+    store = execution.store
+    leaves: set[str] = set()
+    for provenance in store.operators():
+        if not store.is_source(provenance.oid):
+            continue
+        for item in store.source_items(provenance.oid).values():
+            leaves.update(walk_string_leaves(_jsonable(item)))
+    return sorted(leaves)[:limit]
 
 
 def _paginate(subjects: Iterable[str], page: int, page_size: int) -> tuple[list[str], int, int]:

@@ -10,10 +10,14 @@ Provides one measurement function per experiment family:
 * :func:`measure_titian_comparison` -- flat-workload overhead of a
   lineage-only capture vs. the structural capture (Sec. 7.3.4),
 * :func:`measure_operator_overhead` -- per-operator capture overhead
-  (discussed without graphs in Sec. 7.3.1).
+  (discussed without graphs in Sec. 7.3.1),
+* :func:`measure_optimizer_ablation` -- capture-on runtime under the
+  optimizer rewrite ladder.
 
 Runs are repeated and averaged; data generation is excluded from every
 timing (the generators memoise per scale, mirroring data already on disk).
+This is what ``repro bench`` runs, and only that command imports it; the
+end-to-end benchmark of the system lives in ``benchmarks/e2e/``.
 """
 
 from __future__ import annotations
@@ -41,14 +45,12 @@ __all__ = [
     "CaptureMeasurement",
     "SizeMeasurement",
     "QueryMeasurement",
-    "StreamMeasurement",
     "TitianMeasurement",
     "OperatorMeasurement",
     "measure_capture_overhead",
     "measure_optimizer_ablation",
     "measure_provenance_size",
     "measure_query_times",
-    "measure_stream",
     "measure_titian_comparison",
     "measure_operator_overhead",
 ]
@@ -590,125 +592,3 @@ def measure_operator_overhead(
         measurements.append(OperatorMeasurement(kind, plain_seconds, capture_seconds))
     return measurements
 
-
-class StreamMeasurement:
-    """One row of `bench stream`: a mode of the S1 micro-batch workload.
-
-    ``mode`` identifies the series in the bench history: ``batch`` is the
-    one-shot captured execution over all rows, ``stream`` the end-to-end
-    micro-batch ingest (capture + per-epoch append), and
-    ``query-during-ingest`` the latency of a backtrace admitted while the
-    run is still live.
-    """
-
-    __slots__ = ("scenario", "scale", "mode", "batches", "rows", "seconds", "stdev")
-
-    def __init__(
-        self,
-        scenario_name: str,
-        scale: float,
-        mode: str,
-        batches: int,
-        rows: int,
-        seconds: float,
-        stdev: float,
-    ):
-        self.scenario = scenario_name
-        self.scale = scale
-        self.mode = mode
-        self.batches = batches
-        self.rows = rows
-        self.seconds = seconds
-        self.stdev = stdev
-
-    def __repr__(self) -> str:
-        return (
-            f"StreamMeasurement({self.scenario}@{self.scale}x {self.mode}: "
-            f"{self.seconds:.3f}s over {self.batches} batch(es))"
-        )
-
-
-def measure_stream(
-    scale: float = 1.0,
-    repeats: int = 3,
-    batches: int = 4,
-    num_partitions: int = 4,
-    name: str = "S1",
-) -> list[StreamMeasurement]:
-    """Micro-batch capture overhead and query-during-ingest latency (S1).
-
-    Streams the scenario's workload through a :class:`StreamSession` in
-    *batches* micro-batches against a throwaway warehouse, timing the whole
-    ingest (capture, per-epoch append, per-epoch index).  The one-shot batch
-    execution over the same rows is the baseline; a mid-ingest backtrace
-    (admitted after the first micro-batch) measures how much a query pays
-    for running against a growing run.
-    """
-    import shutil
-    import tempfile
-
-    from repro.stream import StreamSession
-    from repro.warehouse import Warehouse
-
-    spec = scenario(name)
-    data = load_workload(spec.kind, scale)
-    rows = len(data)
-    split = max(1, rows // batches)
-    chunks = [data[low:low + split] for low in range(0, rows, split)]
-
-    def run_batch() -> None:
-        spec.build(Session(num_partitions=num_partitions), data).execute(capture=True)
-
-    stream_samples: list[float] = []
-    query_samples: list[float] = []
-    for _ in range(repeats + 1):  # first iteration is the warmup
-        root = tempfile.mkdtemp(prefix="repro-bench-stream-")
-        try:
-            session = StreamSession(
-                warehouse=root, name="bench", num_partitions=num_partitions
-            )
-            dataset = spec.build(
-                session.session, session.dataset(session.source("tweets.json"))
-            )
-            ingest_wall = 0.0
-            start = time.perf_counter()
-            record = session.open(dataset)
-            session.ingest(chunks[0])
-            ingest_wall += time.perf_counter() - start
-            # The mid-ingest probe runs while the run is live, against the
-            # epochs visible at admission; its wall time is kept out of the
-            # ingest measurement.
-            warehouse = Warehouse.open(root)
-            start = time.perf_counter()
-            warehouse.backtrace(record.run_id, spec.pattern)
-            query_samples.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            for chunk in chunks[1:]:
-                session.ingest(chunk)
-            session.finish(compact=False)
-            ingest_wall += time.perf_counter() - start
-            stream_samples.append(ingest_wall)
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-    stream_samples, query_samples = stream_samples[1:], query_samples[1:]
-
-    batch_seconds, batch_stdev = _timed(run_batch, repeats)
-
-    def summarise(samples: list[float]) -> tuple[float, float]:
-        median = statistics.median(samples)
-        stdev = statistics.stdev(samples) if len(samples) > 1 else 0.0
-        return median, stdev
-
-    stream_seconds, stream_stdev = summarise(stream_samples)
-    query_seconds, query_stdev = summarise(query_samples)
-    count = len(chunks)
-    return [
-        StreamMeasurement(name, scale, "batch", 1, rows, batch_seconds, batch_stdev),
-        StreamMeasurement(
-            name, scale, "stream", count, rows, stream_seconds, stream_stdev
-        ),
-        StreamMeasurement(
-            name, scale, "query-during-ingest", count, rows,
-            query_seconds, query_stdev,
-        ),
-    ]

@@ -16,7 +16,6 @@ from repro.bench.harness import (
     OperatorMeasurement,
     QueryMeasurement,
     SizeMeasurement,
-    StreamMeasurement,
     TitianMeasurement,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "render_optimizer_ablation",
     "render_provenance_sizes",
     "render_query_times",
-    "render_stream",
     "render_titian_comparison",
     "render_operator_overhead",
 ]
@@ -187,22 +185,3 @@ def render_operator_overhead(measurements: list[OperatorMeasurement]) -> str:
     table = format_table(("operator", "plain ms", "capture ms", "overhead"), rows)
     return f"Sec. 7.3.1 -- per-operator capture overhead\n{table}"
 
-
-def render_stream(measurements: list[StreamMeasurement]) -> str:
-    """`bench stream`: one-shot batch vs micro-batch ingest vs live query."""
-    rows = [
-        (
-            measurement.scenario,
-            f"{measurement.scale:g}x",
-            measurement.mode,
-            str(measurement.batches),
-            str(measurement.rows),
-            f"{measurement.seconds * 1000:.1f}",
-            f"{measurement.stdev * 1000:.1f}",
-        )
-        for measurement in measurements
-    ]
-    table = format_table(
-        ("scenario", "scale", "mode", "batches", "rows", "ms", "stdev"), rows
-    )
-    return f"Streaming capture -- micro-batch ingest vs one-shot batch\n{table}\n"

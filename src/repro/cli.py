@@ -18,8 +18,6 @@ Usage (also via ``python -m repro``)::
 
     python -m repro serve --root /tmp/wh --port 9410   # the query service
     python -m repro serve --root /tmp/wh --fleet 4     # N workers + a router
-    python -m repro bench serve --url http://127.0.0.1:9410
-    python -m repro bench serve --fleet 4 --root /tmp/wh
     python -m repro stats --remote http://127.0.0.1:9410
 
     python -m repro shard init --root /tmp/wh --count 4
@@ -30,10 +28,11 @@ Usage (also via ``python -m repro``)::
     python -m repro trace-forward --root /tmp/wh --pattern 'root{//id_str="lp"}'
     python -m repro audit sar u1 u2 --root /tmp/wh     # subject-access request
     python -m repro audit erasure u1 --root /tmp/wh    # erasure receipt
-    python -m repro bench audit --subjects 2000        # indexed vs scan sweep
 
 Most execution commands accept ``--trace PATH`` to write a Chrome
 trace-event JSON of the run (loadable in Perfetto / ``chrome://tracing``).
+``repro bench`` regenerates the paper's figures; the system's own
+end-to-end benchmark is ``python3 benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
@@ -44,24 +43,6 @@ import json
 import sys
 from typing import Iterator, Sequence
 
-from repro.bench.harness import (
-    measure_capture_overhead,
-    measure_operator_overhead,
-    measure_optimizer_ablation,
-    measure_provenance_size,
-    measure_query_times,
-    measure_stream,
-    measure_titian_comparison,
-)
-from repro.bench.reporting import (
-    render_capture_overhead,
-    render_operator_overhead,
-    render_optimizer_ablation,
-    render_provenance_sizes,
-    render_query_times,
-    render_stream,
-    render_titian_comparison,
-)
 from repro.core.usecases.usage import UsageAnalysis
 from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor
@@ -134,56 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench = commands.add_parser("bench", help="regenerate one evaluation artefact")
     bench.add_argument(
         "figure",
-        choices=[
-            "fig6", "fig7", "fig8", "fig9", "titian", "operators", "ablation",
-            "serve", "audit", "stream",
-        ],
+        choices=["fig6", "fig7", "fig8", "fig9", "titian", "operators", "ablation"],
     )
     bench.add_argument("--scale", type=float, default=1.0)
     bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--batches", type=int, default=4,
-                       help="micro-batch count for `bench stream`")
     bench.add_argument("--metrics-json", default=None, metavar="PATH",
                        help="write the raw measurements as JSON")
     bench.add_argument("--trace", default=None, metavar="PATH",
                        help="write a Chrome trace-event JSON of the benchmark runs")
-    bench.add_argument("--history", default=None, metavar="PATH",
-                       help="bench history JSONL to append to "
-                            "(default: benchmarks/history/history.jsonl, "
-                            "or REPRO_BENCH_HISTORY)")
-    bench.add_argument("--no-history", action="store_true",
-                       help="skip appending this run to the bench history")
-    serve_bench = bench.add_argument_group("serve", "options for `bench serve`")
-    serve_bench.add_argument("--url", default="http://127.0.0.1:9410",
-                             help="base URL of a running `repro serve`")
-    serve_bench.add_argument("--fleet", type=int, default=None, metavar="N",
-                             help="benchmark an N-worker fleet behind a router "
-                                  "over --root (sizes 1 and N; ignores --url)")
-    serve_bench.add_argument("--root", default=None,
-                             help="warehouse root for --fleet mode")
-    serve_bench.add_argument("--fleet-mode", choices=["thread", "process"],
-                             default="thread",
-                             help="how --fleet hosts its workers")
-    serve_bench.add_argument("--run", default=None,
-                             help="run id or name to query (default: newest)")
-    serve_bench.add_argument("--pattern", default=RUNNING_EXAMPLE_PATTERN,
-                             help="tree pattern to backtrace (default: Fig. 4)")
-    serve_bench.add_argument("--method", choices=["lazy", "eager"], default="lazy",
-                             help="server-side loading strategy for the run")
-    serve_bench.add_argument("--requests", type=int, default=100,
-                             help="total queries to issue")
-    serve_bench.add_argument("--concurrency", type=int, default=4,
-                             help="closed-loop client workers")
-    serve_bench.add_argument("--report", default=None, metavar="PATH",
-                             help="write the latency report JSON (+ .txt) here "
-                                  "(default: benchmarks/results/serve_bench.json)")
-    audit_bench = bench.add_argument_group("audit", "options for `bench audit`")
-    audit_bench.add_argument("--scenarios", default="T1,D1",
-                             help="comma-separated scenario names to record and sweep")
-    audit_bench.add_argument("--subjects", type=int, default=2000,
-                             help="subject probes per scenario (cycled over the pool)")
-    audit_bench.add_argument("--subject-pool", type=int, default=500,
-                             help="distinct subjects harvested from source items")
 
     heatmap = commands.add_parser("heatmap", help="Fig. 10 usage heatmap over D1-D5")
     heatmap.add_argument("--scale", type=float, default=0.5)
@@ -528,15 +467,24 @@ def _measurement_dict(measurement: object) -> dict:
     }
 
 
-def _cmd_bench(
-    figure: str,
-    scale: float,
-    repeats: int,
-    metrics_json: str | None,
-    history: str | None = None,
-    no_history: bool = False,
-    batches: int = 4,
-) -> int:
+def _cmd_bench(figure: str, scale: float, repeats: int, metrics_json: str | None) -> int:
+    from repro.bench.harness import (
+        measure_capture_overhead,
+        measure_operator_overhead,
+        measure_optimizer_ablation,
+        measure_provenance_size,
+        measure_query_times,
+        measure_titian_comparison,
+    )
+    from repro.bench.reporting import (
+        render_capture_overhead,
+        render_operator_overhead,
+        render_optimizer_ablation,
+        render_provenance_sizes,
+        render_query_times,
+        render_titian_comparison,
+    )
+
     measurements: list = []
     if figure == "fig6":
         measurements = measure_capture_overhead(
@@ -572,9 +520,6 @@ def _cmd_bench(
             TWITTER_SCENARIOS, scale=scale, repeats=repeats
         )
         print(render_optimizer_ablation(measurements))
-    elif figure == "stream":
-        measurements = measure_stream(scale=scale, repeats=repeats, batches=batches)
-        print(render_stream(measurements))
     if metrics_json:
         payload = {
             "figure": figure,
@@ -582,15 +527,6 @@ def _cmd_bench(
             "measurements": [_measurement_dict(entry) for entry in measurements],
         }
         _write_json(metrics_json, payload)
-    if measurements and not no_history:
-        from repro.bench.history import append_history
-
-        path = append_history(
-            figure, scale, [_measurement_dict(entry) for entry in measurements],
-            path=history,
-        )
-        if path is not None:
-            print(f"history: appended {len(measurements)} record(s) to {path}")
     return 0
 
 
@@ -1077,99 +1013,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    if args.fleet:
-        return _cmd_bench_fleet(args)
-    from repro.serve.bench import run_load, write_report
-
-    report = run_load(
-        args.url,
-        args.pattern,
-        run=args.run,
-        method=args.method,
-        requests=args.requests,
-        concurrency=args.concurrency,
-    )
-    print(report.render())
-    json_path, text_path = write_report(
-        report, args.report or "benchmarks/results/serve_bench.json"
-    )
-    print(f"wrote {json_path} and {text_path}")
-    return 0 if report.completed else 1
-
-
-def _cmd_bench_fleet(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.serve.fleetbench import (
-        render_fleet_report,
-        run_fleet_bench,
-        write_fleet_report,
-    )
-
-    if not args.root:
-        print("bench serve --fleet needs --root", file=sys.stderr)
-        return 2
-    report = run_fleet_bench(
-        args.root,
-        size=args.fleet,
-        pattern=args.pattern,
-        run=args.run,
-        method=args.method,
-        requests=args.requests,
-        concurrency=args.concurrency,
-        mode=args.fleet_mode,
-    )
-    print(render_fleet_report(report))
-    json_path, text_path = write_fleet_report(
-        report, args.report or "benchmarks/results/fleet_bench.json"
-    )
-    print(f"wrote {json_path} and {text_path}")
-    if not report["byte_identical"]:
-        print("bench serve --fleet: fleet answers diverged from direct "
-              "warehouse queries", file=sys.stderr)
-        return 1
-    # Scaling is only a pass/fail question when there are cores to scale onto.
-    if (os.cpu_count() or 1) >= 2 * args.fleet and report["speedup"] < 1.5:
-        print(f"bench serve --fleet: speedup x{report['speedup']:.2f} below "
-              "expectation on a multi-core host", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_audit(args: argparse.Namespace) -> int:
-    from repro.audit.bench import render_audit_report, run_audit_bench, write_audit_report
-
-    scenarios = tuple(
-        name.strip() for name in args.scenarios.split(",") if name.strip()
-    )
-    for name in scenarios:
-        if name not in SCENARIOS:
-            print(f"bench audit: unknown scenario {name!r}", file=sys.stderr)
-            return 2
-    report = run_audit_bench(
-        scenarios=scenarios,
-        scale=args.scale,
-        subjects=args.subjects,
-        subject_pool=args.subject_pool,
-    )
-    print(render_audit_report(report))
-    json_path, text_path = write_audit_report(
-        report, args.report or "benchmarks/results/audit_bench.json"
-    )
-    print(f"wrote {json_path} and {text_path}")
-    slower = [
-        entry["scenario"]
-        for entry in report["scenarios"]
-        if entry["indexed"]["wall_seconds"] >= entry["scan"]["wall_seconds"]
-    ]
-    if slower:
-        print(f"bench audit: index no faster than scan on {', '.join(slower)}",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -1184,16 +1027,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "explain":
         return _cmd_explain(args)
     if args.command == "bench":
-        if args.figure == "serve":
-            return _cmd_bench_serve(args)
-        if args.figure == "audit":
-            return _cmd_bench_audit(args)
         with _trace_to(args.trace):
-            return _cmd_bench(
-                args.figure, args.scale, args.repeats, args.metrics_json,
-                history=args.history, no_history=args.no_history,
-                batches=args.batches,
-            )
+            return _cmd_bench(args.figure, args.scale, args.repeats, args.metrics_json)
     if args.command == "heatmap":
         return _cmd_heatmap(args.scale, args.items)
     if args.command == "warehouse":

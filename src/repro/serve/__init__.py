@@ -20,7 +20,6 @@ Layers, inside out:
   :class:`ProvenanceServer`.
 * :mod:`repro.serve.router`, :mod:`repro.serve.fleet` -- N workers behind
   one front door answering the same table.
-* :mod:`repro.serve.bench` -- the ``repro bench serve`` load generator.
 """
 
 from repro.serve.cache import PatternResultCache

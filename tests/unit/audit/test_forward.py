@@ -6,9 +6,8 @@ import json
 
 import pytest
 
-from repro.audit.bench import harvest_subjects
 from repro.audit.forward import ForwardTracer, required_terms, trace_forward
-from repro.audit.sar import subject_pattern
+from repro.audit.sar import harvest_subjects, subject_pattern
 from repro.core.treepattern.parser import parse_pattern
 from repro.engine import col, collect_list, count, struct_
 from repro.errors import AuditError

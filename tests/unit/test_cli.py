@@ -1,8 +1,31 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+
+class TestImports:
+    def test_production_imports_load_no_benchmark_code(self):
+        """``repro serve`` and every other command start without loading the
+        figure harness or any load generator; ``repro bench`` imports its own."""
+        script = (
+            "import sys, repro, repro.cli, repro.serve.service\n"
+            "print(sorted(name for name in sys.modules if 'bench' in name))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestParser:
@@ -98,21 +121,21 @@ class TestCommands:
         assert 'root{/key="conf/pebble/2015"}' in out
 
     def test_bench_fig8(self, capsys, tmp_path):
-        history = tmp_path / "history.jsonl"
+        metrics = tmp_path / "fig8.json"
         assert main(
-            ["bench", "fig8", "--scale", "0.1", "--history", str(history)]
+            ["bench", "fig8", "--scale", "0.1", "--metrics-json", str(metrics)]
         ) == 0
         out = capsys.readouterr().out
         assert "Fig. 8(a)" in out and "Fig. 8(b)" in out
-        assert "history: appended" in out
-        assert history.exists()
+        assert metrics.exists()
 
     def test_bench_fig8_no_history(self, capsys, tmp_path, monkeypatch):
+        """Without ``--metrics-json`` both tables print and nothing is written."""
         monkeypatch.chdir(tmp_path)
-        assert main(["bench", "fig8", "--scale", "0.1", "--no-history"]) == 0
+        assert main(["bench", "fig8", "--scale", "0.1"]) == 0
         out = capsys.readouterr().out
-        assert "history: appended" not in out
-        assert not (tmp_path / "benchmarks").exists()
+        assert "Fig. 8(a)" in out and "Fig. 8(b)" in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_heatmap(self, capsys):
         assert main(["heatmap", "--scale", "0.1", "--items", "5"]) == 0
