@@ -429,17 +429,13 @@ def measure_titian_comparison(
 #: projection pruning alone, then pruning plus operator fusion.  The
 #: ``+trace`` rung repeats the full ladder with a live span tracer, pinning
 #: the "tracing off costs nothing" claim: its delta against ``prune+fuse``
-#: is the entire observability tax.  The ``+threads`` rung swaps in the
-#: thread-pool scheduler over the same optimized plan: its delta against
-#: ``prune+fuse`` is what concurrent stage execution costs -- threads are
-#: GIL-bound on capture's pure-Python work.
+#: is the entire observability tax.
 _PRUNE_FUSE = EngineConfig(rules=("prune", "fuse"))
 ABLATION_CONFIGS: tuple[tuple[str, EngineConfig], ...] = (
     ("no-opt", EngineConfig(optimize=False)),
     ("prune", EngineConfig(rules=("prune",))),
     ("prune+fuse", _PRUNE_FUSE),
     ("prune+fuse+trace", _PRUNE_FUSE),
-    ("prune+fuse+threads", _PRUNE_FUSE.replace(scheduler="threads")),
     # The profiler pair mirrors the +trace rung for the sampling profiler:
     # prof-off is byte-identical config with profile explicitly False, so
     # its delta against the profile rung is the whole sampling tax -- and

@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="partition count (default: engine default)")
     run.add_argument("--pattern", default=None, help="override the scenario's query")
     run.add_argument("--no-query", action="store_true", help="execute only, skip the query")
-    run.add_argument("--scheduler", choices=["serial", "threads"], default=None,
-                     help="partition scheduler (default: engine config / REPRO_SCHEDULER)")
     run.add_argument("--no-optimize", action="store_true",
                      help="disable plan rewriting (seed operator-at-a-time execution)")
     run.add_argument("--metrics-json", default=None, metavar="PATH",
@@ -108,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="partition count (default: engine default)")
     explain.add_argument("--capture", action="store_true",
                          help="compile for provenance capture (disables store-unsafe rewrites)")
-    explain.add_argument("--scheduler", choices=["serial", "threads"], default=None)
     explain.add_argument("--no-optimize", action="store_true",
                          help="disable plan rewriting (show the unoptimized stages)")
 
@@ -362,11 +359,9 @@ def _cmd_example(pattern: str) -> int:
     return 0
 
 
-def _engine_config(scheduler: str | None, no_optimize: bool) -> EngineConfig:
+def _engine_config(no_optimize: bool) -> EngineConfig:
     """The environment-derived config with the CLI's explicit overrides."""
     config = EngineConfig.from_env()
-    if scheduler is not None:
-        config = config.replace(scheduler=scheduler)
     if no_optimize:
         config = config.replace(optimize=False)
     return config
@@ -415,7 +410,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     data = load_workload(spec.kind, args.scale)
     session = Session(
         num_partitions=args.partitions,
-        config=_engine_config(args.scheduler, args.no_optimize),
+        config=_engine_config(args.no_optimize),
     )
     execution = spec.build(session, data).execute(capture=True)
     print(f"{args.name}: {spec.description}")
@@ -439,7 +434,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     session = Session(
         num_partitions=args.partitions,
-        config=_engine_config(args.scheduler, args.no_optimize),
+        config=_engine_config(args.no_optimize),
     )
     dataset, description = _build_pipeline(args.name, session, args.scale)
     physical = Executor(capture=args.capture, config=session.config).compile(dataset.plan)
@@ -448,7 +443,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     print(
         f"capture: {'on' if args.capture else 'off'}  "
         f"optimize: {'on' if config.optimize else 'off'}  "
-        f"scheduler: {config.scheduler}  partitions: {config.num_partitions}"
+        f"partitions: {config.num_partitions}"
     )
     print("\nlogical plan:")
     print(dataset.explain())

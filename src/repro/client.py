@@ -36,10 +36,10 @@ import json
 import time
 import urllib.error
 import urllib.request
+from dataclasses import dataclass
 from typing import Any
 from urllib.parse import quote, urlsplit
 
-from repro.engine.scheduler import RetryPolicy
 from repro.errors import (
     ERROR_CODES,
     AdmissionError,
@@ -55,7 +55,38 @@ from repro.serve.service import (
     ServeConfig,
 )
 
-__all__ = ["connect", "ProvenanceClient", "exchange", "scrape", "unwrap"]
+__all__ = ["connect", "ProvenanceClient", "RetryPolicy", "exchange", "scrape", "unwrap"]
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How :func:`exchange` retries a retryable failure.
+
+    The backoff is **jitter-free** on purpose: the delay before retrying
+    attempt ``n`` is exactly ``min(backoff * factor**(n-1), max_delay)``
+    seconds, so tests and the determinism guarantee never depend on a
+    random source.
+    """
+
+    #: Retries *after* the first attempt; 0 disables retrying.
+    max_retries: int = 2
+    #: Base delay in seconds before the first retry.
+    backoff: float = 0.05
+    #: Multiplier applied per subsequent retry.
+    factor: float = 2.0
+    #: Upper bound on a single delay.
+    max_delay: float = 2.0
+
+    @property
+    def max_attempts(self) -> int:
+        return self.max_retries + 1
+
+    def delay(self, attempt: int) -> float:
+        """Seconds to sleep after failed *attempt* (1-based) before retrying."""
+        if self.backoff <= 0:
+            return 0.0
+        return min(self.backoff * self.factor ** (attempt - 1), self.max_delay)
+
 
 #: Client default: three retries, 50 ms base backoff -- enough to ride out a
 #: momentary queue spike without hammering an overloaded server.
@@ -104,7 +135,7 @@ def exchange(
     """One logical HTTP exchange: ``(status, body)`` of the final attempt.
 
     Up to ``policy.max_attempts`` attempts, with the jitter-free exponential
-    backoff the schedulers use, while the failure is retryable: a full
+    backoff of :class:`RetryPolicy`, while the failure is retryable: a full
     admission queue (429), a deadline overrun (504), a 503, or an
     unreachable server.  An error *response* is returned, not raised --
     :func:`unwrap` raises it, a proxy passes it on; only a transport failure

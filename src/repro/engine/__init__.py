@@ -2,10 +2,9 @@
 
 The engine is layered: a logical plan (``plan.py``) is rewritten by the
 optimizer (``optimizer.py``), compiled into a physical plan of fused stages
-(``physical.py``), and executed by the driver (``executor.py``) through a
-pluggable scheduler (``scheduler.py``), with provenance capture attached as
-hooks (``hooks.py``) and everything configured by one
-:class:`~repro.engine.config.EngineConfig`.
+(``physical.py``), and executed serially by ``executor.py``, with
+provenance capture attached as hooks (``hooks.py``) and everything
+configured by one :class:`~repro.engine.config.EngineConfig`.
 """
 
 from repro.engine.config import EngineConfig
@@ -19,7 +18,6 @@ from repro.engine.hooks import (
 )
 from repro.engine.optimizer import OptimizationReport, plan_physical
 from repro.engine.physical import PhysicalPlan
-from repro.engine.scheduler import Scheduler, SerialScheduler, ThreadPoolScheduler
 from repro.engine.expressions import (
     AggregateExpr,
     Expression,
@@ -51,9 +49,6 @@ __all__ = [
     "OptimizationReport",
     "PhysicalPlan",
     "plan_physical",
-    "Scheduler",
-    "SerialScheduler",
-    "ThreadPoolScheduler",
     "AggregateExpr",
     "Expression",
     "avg",

@@ -1,22 +1,22 @@
-"""Engine configuration: partitioning, scheduling, fault-tolerance, optimizer.
+"""Engine configuration: partitioning, optimizer rules, profiling.
 
 One :class:`EngineConfig` replaces the ``num_partitions`` defaults that were
 previously duplicated across ``Session``, ``PebbleSession`` and
-``CapturedExecution.load``, and carries the knobs introduced by the
-logical/physical split and the fault-tolerant scheduler layer: which backend
-executes the partitions of a fused stage, how failed tasks are retried, and
-which optimizer rules rewrite the plan before compilation.
+``CapturedExecution.load``, and carries the knobs of the logical/physical
+split: which optimizer rules rewrite the plan before compilation, and
+whether the sampling profiler watches the run.  How a stage runs is not a
+knob: its partition tasks run serially, once, on the calling thread
+(DESIGN.md Sec. 12).
 
 The config is immutable and **keyword-only**; derive variants with
 :meth:`replace` / :meth:`with_partitions`.  :meth:`from_env` builds the
-process-wide default and honours environment overrides (``REPRO_SCHEDULER``,
-``REPRO_OPTIMIZE``, ``REPRO_MAX_WORKERS``, ``REPRO_TASK_TIMEOUT``,
-``REPRO_MAX_RETRIES``, ``REPRO_RETRY_BACKOFF``, ``REPRO_FAULTS``,
-``REPRO_PROFILE``) so an entire test suite or benchmark run can be switched
-to, say, the thread-pool scheduler without touching call sites.
+process-wide default and honours two environment switches,
+``REPRO_OPTIMIZE`` and ``REPRO_PROFILE``, so an entire test suite or
+benchmark run can be switched without touching call sites.  Both are parsed
+by :func:`env_flag`, which rejects text it does not recognise.
 Environment variables are overrides; every knob is equally settable in code:
 
->>> config = EngineConfig(scheduler="threads").replace(max_retries=3)
+>>> config = EngineConfig(optimize=False).replace(rules=("prune",))
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from repro.engine.faults import parse_faults
 from repro.errors import ExecutionError
 
 __all__ = [
     "EngineConfig",
     "DEFAULT_NUM_PARTITIONS",
     "ALL_RULES",
+    "env_flag",
     "resolve_partitions",
 ]
 
@@ -45,23 +45,34 @@ DEFAULT_NUM_PARTITIONS = 4
 #: ``fuse`` pipelines consecutive narrow operators into one stage.
 ALL_RULES: tuple[str, ...] = ("pushdown", "prune", "fuse")
 
-_SCHEDULERS = ("serial", "threads")
-
-
 _OFF = ("0", "false", "off", "no")
 _ON = ("on", "1", "true", "yes")
 
-#: Environment override -> (the field it sets, the parser of its text).
+#: Environment switch -> the field it sets.
 _ENV_OVERRIDES = {
-    "REPRO_SCHEDULER": ("scheduler", str),
-    "REPRO_OPTIMIZE": ("optimize", lambda text: text.strip().lower() not in _OFF),
-    "REPRO_MAX_WORKERS": ("max_workers", int),
-    "REPRO_TASK_TIMEOUT": ("task_timeout", float),
-    "REPRO_MAX_RETRIES": ("max_retries", int),
-    "REPRO_RETRY_BACKOFF": ("retry_backoff", float),
-    "REPRO_FAULTS": ("faults", str),
-    "REPRO_PROFILE": ("profile", lambda text: text.strip().lower() in _ON),
+    "REPRO_OPTIMIZE": "optimize",
+    "REPRO_PROFILE": "profile",
 }
+
+
+def env_flag(name: str) -> bool | None:
+    """The boolean environment switch *name*; ``None`` when unset or empty.
+
+    Accepts the ``_ON`` and ``_OFF`` spellings, ignoring case and surrounding
+    space; anything else raises :class:`~repro.errors.ExecutionError` naming
+    the variable and the value, so a typo never silently picks a side.
+    """
+    text = os.environ.get(name)
+    if not text:
+        return None
+    word = text.strip().lower()
+    if word in _ON:
+        return True
+    if word in _OFF:
+        return False
+    raise ExecutionError(
+        f"environment switch {name}={text!r} is neither on {_ON} nor off {_OFF}"
+    )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -69,24 +80,11 @@ class EngineConfig:
     """Immutable execution configuration carried by a ``Session``."""
 
     num_partitions: int = DEFAULT_NUM_PARTITIONS
-    #: ``"serial"`` or ``"threads"`` (thread pool over partitions).
-    scheduler: str = "serial"
-    #: Worker cap for the thread pool; ``None`` sizes from the CPU.
-    max_workers: int | None = None
     #: Master switch for plan rewriting; ``False`` reproduces the seed
     #: operator-at-a-time execution exactly.
     optimize: bool = True
     #: Enabled rule subset (ablations disable individual rules).
     rules: tuple[str, ...] = ALL_RULES
-    #: Wall-clock budget per partition task in seconds; ``None`` disables
-    #: timeout enforcement (timeouts are transient -> retried).
-    task_timeout: float | None = None
-    #: Retries *after* the first attempt for transient task failures.
-    max_retries: int = 2
-    #: Base delay of the jitter-free exponential backoff between attempts.
-    retry_backoff: float = 0.05
-    #: Fault-injection spec (see :mod:`repro.engine.faults`); ``None`` off.
-    faults: str | None = None
     #: Attach the sampling profiler (:mod:`repro.obs.profile`) to execution:
     #: stacks are sampled per stage and written as folded output.  Off by
     #: default and zero-cost then; ``REPRO_PROFILE=on`` flips it.
@@ -95,25 +93,11 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.num_partitions < 1:
             raise ExecutionError(f"need at least one partition, got {self.num_partitions}")
-        if self.scheduler not in _SCHEDULERS:
-            raise ExecutionError(
-                f"unknown scheduler {self.scheduler!r}; pick one of {_SCHEDULERS} "
-                "(the process pool, 'processes', was removed in 3.1)"
-            )
         unknown = set(self.rules) - set(ALL_RULES)
         if unknown:
             raise ExecutionError(
                 f"unknown optimizer rules {sorted(unknown)}; known rules are {ALL_RULES}"
             )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ExecutionError(f"max_workers must be positive, got {self.max_workers}")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ExecutionError(f"task_timeout must be positive, got {self.task_timeout}")
-        if self.max_retries < 0:
-            raise ExecutionError(f"max_retries must be non-negative, got {self.max_retries}")
-        if self.retry_backoff < 0:
-            raise ExecutionError(f"retry_backoff must be non-negative, got {self.retry_backoff}")
-        parse_faults(self.faults)  # validate the spec eagerly
 
     @property
     def layout(self) -> str:
@@ -124,6 +108,15 @@ class EngineConfig:
         """
         return "rows"
 
+    @property
+    def scheduler(self) -> str:
+        """The one way a stage runs, ``"serial"``; read-only, not a setting.
+
+        Kept because the end-to-end benchmark stamps ``config.scheduler``
+        into every record (see DESIGN.md Sec. 12 for the decision).
+        """
+        return "serial"
+
     def rule_enabled(self, name: str) -> bool:
         """Return whether the optimizer rule *name* is active."""
         return self.optimize and name in self.rules
@@ -131,9 +124,9 @@ class EngineConfig:
     def replace(self, **changes: object) -> "EngineConfig":
         """Return a copy with the given knobs overridden (the builder API).
 
-        ``config.replace(scheduler="threads", max_retries=3)`` is the
-        code-level equivalent of the environment switches; unknown knob
-        names raise ``TypeError`` and the copy is re-validated.
+        ``config.replace(optimize=False)`` is the code-level equivalent of
+        the environment switches; unknown knob names raise ``TypeError`` and
+        the copy is re-validated.
         """
         if not changes:
             return self
@@ -155,16 +148,10 @@ class EngineConfig:
         expectations depend on it.
         """
         values: dict[str, object] = {}
-        for name, (field, parse) in _ENV_OVERRIDES.items():
-            text = os.environ.get(name)
-            if not text:
-                continue
-            try:
-                values[field] = parse(text)
-            except ValueError:
-                raise ExecutionError(
-                    f"environment override {name}={text!r} is not a valid {parse.__name__}"
-                ) from None
+        for name, field in _ENV_OVERRIDES.items():
+            flag = env_flag(name)
+            if flag is not None:
+                values[field] = flag
         values.update(overrides)
         return cls(**values)  # type: ignore[arg-type]
 

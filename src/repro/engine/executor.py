@@ -1,7 +1,7 @@
-"""The execution driver: compile, optimize, schedule, run.
+"""The executor: compile, optimize, run.
 
 The seed executor was a monolithic operator-at-a-time interpreter.  It is now
-split into three layers (mirroring the classic logical/physical separation):
+split into two layers (mirroring the classic logical/physical separation):
 
 1. :mod:`repro.engine.optimizer` rewrites the logical plan (filter pushdown,
    projection pruning, operator fusion) and compiles it into a
@@ -9,9 +9,8 @@ split into three layers (mirroring the classic logical/physical separation):
 2. This module executes the stages in order.  Source scans and wide stages
    (join, aggregate, union, distinct, sort, limit) run the seed's handler
    logic; **fused stages** run their narrow-operator chain partition-at-a-time
-   and hand the independent per-partition tasks to a scheduler.
-3. :mod:`repro.engine.scheduler` supplies the backend (serial or thread
-   pool) that actually runs those tasks.
+   as independent per-partition tasks, serially, once, on the calling thread
+   (DESIGN.md Sec. 12 records why there is no scheduler and no retry).
 
 Provenance capture is no longer hard-wired: the executor emits events to
 :class:`~repro.engine.hooks.CaptureHook` instances (structural capture,
@@ -42,7 +41,6 @@ from repro.core.paths import Path
 from repro.core.store import ProvenanceStoreProtocol
 from repro.engine.config import EngineConfig
 from repro.engine.expressions import BinaryExpr, ColumnExpr, Expression
-from repro.engine.faults import parse_faults
 from repro.engine.hooks import (
     CaptureHook,
     MetricsHook,
@@ -74,7 +72,6 @@ from repro.engine.plan import (
     SortNode,
     UnionNode,
 )
-from repro.engine.scheduler import Scheduler, make_scheduler
 from repro.errors import ExecutionError, PlanError, SchemaMismatchError
 from repro.obs.log import get_logger
 from repro.obs.tracer import get_tracer
@@ -133,7 +130,7 @@ class Executor:
     """Executes one plan DAG; create a fresh instance per run.
 
     ``Executor(n, capture=True)`` keeps its seed meaning; the richer form
-    passes an :class:`EngineConfig` (scheduler, optimizer rules) and/or an
+    passes an :class:`EngineConfig` (optimizer rules, profiling) and/or an
     explicit list of capture hooks.
     """
 
@@ -163,7 +160,6 @@ class Executor:
         #: Whether any hook needs per-row provenance ids (the seed ``capture``);
         #: this is the capture-hook spec shipped inside every ``StageTask``.
         self._capturing = capture_spec(hook_list)
-        self._fault_plan = parse_faults(base.faults)
         self._store = provenance_store(hook_list)
         self._next_id = 1
         self._partitions: dict[int, list[list[Row]]] = {}
@@ -185,7 +181,6 @@ class Executor:
         run_span = get_tracer().span(
             "run",
             "run",
-            scheduler=self._config.scheduler,
             partitions=self._num_partitions,
             optimize=self._config.optimize,
             capture=self._capturing,
@@ -196,16 +191,12 @@ class Executor:
             from repro.obs.profile import SamplingProfiler
 
             profiler = SamplingProfiler().start()
-        # The context-manager protocol shuts the scheduler's pool down on
-        # the error path too (a raising stage must not leak worker threads).
         try:
-            with make_scheduler(self._config) as scheduler:
-                with run_span, Stopwatch() as watch:
-                    for index, stage in enumerate(physical.stages):
-                        if profiler is not None:
-                            profiler.mark_stage(f"stage-{index} {stage.kind}")
-                        self._execute_stage(index, stage, scheduler)
-                self._metrics.record_scheduler(scheduler.name, scheduler.stats)
+            with run_span, Stopwatch() as watch:
+                for index, stage in enumerate(physical.stages):
+                    if profiler is not None:
+                        profiler.mark_stage(f"stage-{index} {stage.kind}")
+                    self._execute_stage(index, stage)
         finally:
             if profiler is not None:
                 self._finish_profile(profiler)
@@ -242,7 +233,7 @@ class Executor:
 
     # -- stage driver --------------------------------------------------------
 
-    def _execute_stage(self, index: int, stage: Stage, scheduler: Scheduler) -> None:
+    def _execute_stage(self, index: int, stage: Stage) -> None:
         with get_tracer().span(
             f"stage-{index} {stage.kind}", "stage", label=stage.label()
         ) as span:
@@ -250,9 +241,7 @@ class Executor:
                 if isinstance(stage, ReadStage):
                     rows_in, rows_out, op_stats = self._run_read_stage(stage)
                 elif isinstance(stage, FusedStage):
-                    rows_in, rows_out, op_stats = self._run_fused_stage(
-                        index, stage, scheduler
-                    )
+                    rows_in, rows_out, op_stats = self._run_fused_stage(stage)
                 else:
                     assert isinstance(stage, WideStage)
                     rows_in, rows_out, op_stats = self._run_wide_stage(stage)
@@ -335,9 +324,7 @@ class Executor:
 
     # -- fused pipelines -----------------------------------------------------
 
-    def _run_fused_stage(
-        self, stage_index: int, stage: FusedStage, scheduler: Scheduler
-    ) -> tuple[int, int, _OpStats]:
+    def _run_fused_stage(self, stage: FusedStage) -> tuple[int, int, _OpStats]:
         ops = stage.ops
         in_partitions = self._partitions[stage.input_oid]
         nparts = len(in_partitions)
@@ -391,18 +378,18 @@ class Executor:
 
             tasks = [
                 StageTask(
-                    key=f"s{stage_index}:o{segment[0]}:p{part}",
                     ops=tuple(ops[position] for position in segment),
                     sampling=tuple(sampling[position] for position in segment),
                     items=items_by_part[part],
                     capturing=capturing,
                     stage_label=stage_label,
                     part=part,
-                    fault_plan=self._fault_plan,
                 )
                 for part in range(nparts)
             ]
-            results = scheduler.run(tasks)
+            # Serially, once, in submission order: the first failing
+            # partition raises its own error.
+            results = [task() for task in tasks]
             for part, result in enumerate(results):
                 items_by_part[part] = result.items
                 for offset, position in enumerate(segment):
@@ -462,8 +449,8 @@ class Executor:
         """Serial id assignment: replay traces operator-by-operator.
 
         Iterating operators in chain order and partitions in order inside each
-        operator reproduces the seed's global id sequence exactly, whatever
-        scheduler ran the computation, so captured stores are byte-identical.
+        operator reproduces the seed's global id sequence exactly, the
+        sequence the operator-at-a-time path assigns.
         Returns the output id list per partition.
         """
         nparts = len(in_pids)

@@ -265,22 +265,6 @@ class ExecutionMetrics:
         self._operators: dict[int, OperatorMetrics] = {}
         self._stages: list[StageMetrics] = []
         self.total_seconds = 0.0
-        #: Scheduler backend + fault-tolerance accounting of the run.
-        self.scheduler_backend = ""
-        self.task_attempts = 0
-        self.task_retries = 0
-        self.task_timeouts = 0
-
-    def record_scheduler(self, backend: str, stats: object) -> None:
-        """Adopt the scheduler's task accounting (attempts/retries/timeouts).
-
-        *stats* is a :class:`repro.engine.scheduler.TaskStats` (typed as
-        ``object`` to keep this module import-light).
-        """
-        self.scheduler_backend = backend
-        self.task_attempts = getattr(stats, "attempts", 0)
-        self.task_retries = getattr(stats, "retries", 0)
-        self.task_timeouts = getattr(stats, "timeouts", 0)
 
     def operator(self, oid: int, op_type: str, label: str) -> OperatorMetrics:
         """Return (creating if needed) the metrics slot for operator *oid*."""
@@ -305,12 +289,6 @@ class ExecutionMetrics:
         """A plain-JSON view of the run's accounting (CI artifact format)."""
         return {
             "total_seconds": self.total_seconds,
-            "scheduler": {
-                "backend": self.scheduler_backend,
-                "task_attempts": self.task_attempts,
-                "task_retries": self.task_retries,
-                "task_timeouts": self.task_timeouts,
-            },
             "operators": [
                 {
                     "oid": op.oid,
@@ -340,17 +318,6 @@ class ExecutionMetrics:
         set_build_info(registry)
         registry.counter("repro_runs_total").inc()
         registry.histogram("repro_run_seconds").observe(self.total_seconds)
-        if self.scheduler_backend:
-            backend = self.scheduler_backend
-            registry.counter("repro_task_attempts_total", scheduler=backend).inc(
-                self.task_attempts
-            )
-            registry.counter("repro_task_retries_total", scheduler=backend).inc(
-                self.task_retries
-            )
-            registry.counter("repro_task_timeouts_total", scheduler=backend).inc(
-                self.task_timeouts
-            )
         for op in self._operators.values():
             registry.histogram("repro_operator_seconds", op_type=op.op_type).observe(
                 op.seconds

@@ -14,11 +14,10 @@ operator-at-a-time interpreter:
 * **Stage order** follows the logical DAG's children-first walk, the same
   order the seed's recursive ``_run`` executed operators in.
 * **Id assignment is split out of computation.** A fused stage first runs
-  its operator chain per partition (parallelisable; records, per operator,
-  which input row produced each output row), then a serial finalisation pass
-  replays those traces operator-by-operator across partitions in order,
-  assigning provenance ids.  That reproduces the seed's global id sequence
-  byte-for-byte, so captured stores are identical whatever the scheduler.
+  its operator chain per partition (records, per operator, which input row
+  produced each output row), then a finalisation pass replays those traces
+  operator-by-operator across partitions in order, assigning provenance ids.
+  That reproduces the seed's global id sequence byte-for-byte.
 
 Schema handling mirrors the seed exactly: operators that preserve structure
 (filter, sort, limit, distinct, and the optimizer's prune) propagate their
@@ -31,10 +30,7 @@ only downstream of a UDF (``map``) until a projection rebuilds the shape.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.faults import FaultPlan
+from typing import Any
 
 from repro.core.operator_provenance import (
     Associations,
@@ -653,7 +649,7 @@ def _wide_static_attrs(
 
 
 # ---------------------------------------------------------------------------
-# Stage tasks: the unit of scheduled work
+# Stage tasks: one partition's slice of a fused segment
 # ---------------------------------------------------------------------------
 
 
@@ -664,7 +660,7 @@ class StageTaskResult:
     cardinalities / schema samples the executor's finalisation pass needs.
     """
 
-    __slots__ = ("items", "entries", "counts", "samples", "part", "attempt")
+    __slots__ = ("items", "entries", "counts", "samples", "part")
 
     def __init__(
         self,
@@ -673,77 +669,51 @@ class StageTaskResult:
         counts: list[tuple[int, int]],
         samples: list[list[DataItem] | None],
         part: int,
-        attempt: int,
     ):
         self.items = items
         self.entries = entries
         self.counts = counts
         self.samples = samples
         self.part = part
-        self.attempt = attempt
 
     def __repr__(self) -> str:
-        return (
-            f"StageTaskResult(p{self.part}, {len(self.items)} items, "
-            f"attempt {self.attempt})"
-        )
+        return f"StageTaskResult(p{self.part}, {len(self.items)} items)"
 
 
 class StageTask:
-    """One partition's slice of a fused segment, as a keyed value.
+    """One partition's slice of a fused segment, as a value.
 
     A ``StageTask`` carries everything its run needs -- the segment's
-    operator chain, the partition's items, the capture flag and the
-    fault-injection plan -- instead of closing over the executor's local
-    state, so the retry layer can run it again and the fault plan can address
-    it by ``key``.  It runs on whichever thread the scheduler picks and
-    records its ``task`` span in the ambient tracer.
+    operator chain, the partition's items and the capture flag -- instead of
+    closing over the executor's local state.  The executor calls each task
+    once, on the calling thread, and the task records its ``task`` span in the
+    ambient tracer.
 
     Tasks are **pure**: they read only their own fields and return a fresh
-    :class:`StageTaskResult`, so a retried task recomputes the identical
-    value and the engine's output is attempt-count independent.
-
-    ``attempt`` is the one mutable field; the scheduler's retry layer bumps
-    it before each submission.
+    :class:`StageTaskResult`, so the result depends neither on how often nor
+    on which thread a task runs (``test_stage_tasks.py`` pins both).
     """
 
-    __slots__ = (
-        "key",
-        "ops",
-        "sampling",
-        "items",
-        "capturing",
-        "stage_label",
-        "part",
-        "fault_plan",
-        "attempt",
-    )
+    __slots__ = ("ops", "sampling", "items", "capturing", "stage_label", "part")
 
     def __init__(
         self,
         *,
-        key: str,
         ops: tuple[NarrowOp, ...],
         sampling: tuple[bool, ...],
         items: list[DataItem],
         capturing: bool,
         stage_label: str,
         part: int,
-        fault_plan: "FaultPlan | None" = None,
     ):
-        self.key = key
         self.ops = ops
         self.sampling = sampling
         self.items = items
         self.capturing = capturing
         self.stage_label = stage_label
         self.part = part
-        self.fault_plan = fault_plan
-        self.attempt = 1
 
     def __call__(self) -> StageTaskResult:
-        if self.fault_plan is not None:
-            self.fault_plan.apply(self.key, self.attempt)
         items = list(self.items)
         entries_out: list[Any] = []
         counts_out: list[tuple[int, int]] = []
@@ -753,7 +723,6 @@ class StageTask:
             "task",
             stage=self.stage_label,
             rows=len(items),
-            attempt=self.attempt,
         ):
             for op, sampled in zip(self.ops, self.sampling):
                 out, entries = op.apply(items, self.capturing and op.registers)
@@ -761,10 +730,8 @@ class StageTask:
                 counts_out.append((len(items), len(out)))
                 samples_out.append(out[:SCHEMA_SAMPLE] if sampled else None)
                 items = out
-        return StageTaskResult(
-            items, entries_out, counts_out, samples_out, self.part, self.attempt
-        )
+        return StageTaskResult(items, entries_out, counts_out, samples_out, self.part)
 
     def __repr__(self) -> str:
         chain = " | ".join(op.describe() for op in self.ops)
-        return f"StageTask({self.key}: {chain}, {len(self.items)} items)"
+        return f"StageTask(p{self.part}: {chain}, {len(self.items)} items)"

@@ -9,7 +9,8 @@ HTTP surface (``/v1``) puts this code in its error envelope so remote callers
 can classify failures without string-matching messages, and the HTTP client
 maps codes back onto this hierarchy -- the wire format survives exception
 renames, the codes do not change.  Retired codes are never reused:
-``worker_lost`` (went with the process pool in 3.1).
+``worker_lost`` (went with the process pool in 3.1) and ``injected_fault``
+(went with the fault injector in 3.3).
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for all errors raised by this library.
 
-    ``retryable`` classifies the failure for the scheduler's fault-tolerance
-    layer: transient errors (timeouts, injected faults) may be
-    retried with backoff, everything else fails the run immediately.  Callers
-    classify through this attribute rather than string-matching messages.
+    ``retryable`` classifies the failure for the client's retry loop
+    (:func:`repro.client.exchange`): transient errors (a full admission
+    queue, a deadline overrun, an unreachable server) may be retried with
+    backoff, everything else fails immediately.  Callers classify through
+    this attribute rather than string-matching messages.
 
     ``code`` is the stable wire identifier of the failure mode; subclasses
     narrow it.  It is part of the ``/v1`` API contract -- never recycle a
@@ -33,22 +35,17 @@ class ReproError(Exception):
 
 
 class TransientError(ReproError):
-    """A failure that may succeed on retry (the scheduler's retry trigger)."""
+    """A failure that may succeed on retry (the client's retry trigger)."""
 
     retryable = True
     code = "transient"
 
 
 class TaskTimeoutError(TransientError):
-    """A partition task exceeded the configured per-task timeout."""
+    """A served request overran its deadline (HTTP 504), or no answer
+    arrived in the client's timeout."""
 
     code = "deadline_exceeded"
-
-
-class InjectedFault(TransientError):
-    """A synthetic failure raised by the fault-injection harness."""
-
-    code = "injected_fault"
 
 
 class ServeError(ReproError):
@@ -61,7 +58,7 @@ class AdmissionError(ServeError):
     """The service's admission queue is full (HTTP 429).
 
     Retryable by design: the client-side backoff protocol treats a full
-    queue exactly like a transient scheduler failure -- wait, then retry.
+    queue like any transient failure -- wait, then retry.
     """
 
     retryable = True

@@ -5,7 +5,7 @@ say which Python frames burned it.  :class:`SamplingProfiler` fills that
 gap with nothing beyond the standard library: a daemon timer thread
 periodically walks ``sys._current_frames()`` and counts one sample per
 ``(stage, call stack)`` pair across every thread of the process -- which
-covers the thread-pool scheduler's workers for free.
+covers ``repro serve``'s query workers for free.
 
 Output is the collapsed **folded-stack** format every flamegraph tool
 ingests (``stage;frame;frame;... count`` lines, one per unique stack), and
@@ -47,9 +47,11 @@ PROFILE_OUT_ENV = "REPRO_PROFILE_OUT"
 
 
 def profile_enabled() -> bool:
-    """Whether ``REPRO_PROFILE`` asks for sampling (``on``/``1``/``true``)."""
-    raw = os.environ.get(PROFILE_ENV, "")
-    return raw.strip().lower() in ("on", "1", "true", "yes")
+    """Whether ``REPRO_PROFILE`` asks for sampling; parsed like every
+    engine switch (:func:`repro.engine.config.env_flag`)."""
+    from repro.engine.config import env_flag
+
+    return env_flag(PROFILE_ENV) is True
 
 
 def profile_out_path() -> str | None:

@@ -1,9 +1,9 @@
 """Span-based tracing: where a run spends its time, as an inspectable artifact.
 
 The evaluation chapters of the paper (capture overhead, eager-vs-lazy query
-latency) reduce runs to single wall-clock numbers; concurrent stage execution
-(thread-pool scheduler) and lazy segment decoding make those numbers
-unexplainable without a time dimension.  The tracer records **hierarchical
+latency) reduce runs to single wall-clock numbers; fused stages, concurrent
+serve requests and lazy segment decoding make those numbers unexplainable
+without a time dimension.  The tracer records **hierarchical
 spans** -- run -> physical stage -> partition task -> operator, plus warehouse
 segment reads and backtrace query phases -- and exports them as Chrome
 trace-event JSON (loadable in Perfetto / ``chrome://tracing``) or JSONL.
@@ -14,10 +14,10 @@ Design constraints:
   :data:`NULL_TRACER`, whose ``span()`` returns one shared no-op context
   manager; instrumented code pays a function call and nothing else.  The
   bench ablation ladder carries a ``+trace`` row that pins this.
-* **Thread safe.**  The thread-pool scheduler runs partition tasks of one
-  stage concurrently; spans record the identifier of the thread they ran on
-  and the tracer appends finished spans under a lock, so overlapping stages
-  render correctly as separate tracks.
+* **Thread safe.**  ``repro serve`` answers requests on worker threads;
+  spans record the identifier of the thread they ran on and the tracer
+  appends finished spans under a lock, so overlapping requests render
+  correctly as separate tracks.
 * **No result perturbation.**  Tracing only observes; the equivalence
   property tests pin traced == untraced results, stores, and backtraces.
 

@@ -123,11 +123,11 @@ class PebbleSession:
     """Transparent wrapper over the engine session (the PebbleAPI of Fig. 5).
 
     The constructor is **keyword-only** and accepts every
-    :class:`~repro.engine.config.EngineConfig` knob directly, so scheduler,
-    retry, and fault-injection settings are settable in code without
-    touching environment variables:
+    :class:`~repro.engine.config.EngineConfig` knob directly, so optimizer
+    and profiling settings are settable in code without touching
+    environment variables:
 
-    >>> pebble = PebbleSession(scheduler="threads", max_retries=3)
+    >>> pebble = PebbleSession(optimize=False, rules=("prune",))
     >>> pebble = PebbleSession(num_partitions=8, config=my_config)
 
     An explicit ``config`` provides the base (``EngineConfig.from_env()``

@@ -14,10 +14,9 @@ bound -- under overload the server stays responsive and tells clients to
 back off, which the retry protocol of :func:`repro.client.exchange`
 understands.
 
-Deadlines reuse the scheduler's semantics from the fault-tolerance layer: a
-request that exceeds its wall-clock budget fails with
-:class:`~repro.errors.TaskTimeoutError` (HTTP 504).  As with the pool
-schedulers, an already-running computation cannot be preempted -- the worker
+Deadlines: a request that exceeds its wall-clock budget fails with
+:class:`~repro.errors.TaskTimeoutError` (HTTP 504).  A thread cannot be
+preempted, so an already-running computation is not stopped -- the worker
 finishes and its result is discarded; only the *requester* is released.
 """
 

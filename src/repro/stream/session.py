@@ -2,9 +2,9 @@
 
 The paper captures provenance of one bounded execution.  Streaming pipelines
 never finish, so capture must happen **incrementally**: each micro-batch runs
-through the same compiled plan (same operators, same A/M records, any
-scheduler), and its provenance delta lands as one sealed *epoch* of a
-live warehouse run.  Queries admitted mid-ingest resolve against the epochs
+through the same compiled plan (same operators, same A/M records), and its
+provenance delta lands as one sealed *epoch* of a live warehouse run.
+Queries admitted mid-ingest resolve against the epochs
 visible at admission; sealing the run optionally compacts the epochs into
 the canonical batch layout, byte-identical to a one-shot capture of the
 concatenated input (the streaming == batch property).
@@ -241,8 +241,8 @@ class StreamSession:
 
     def _run_batch(self) -> dict[str, object]:
         executor = Executor(capture=True, config=self.session.config)
-        # Seed global id uniqueness and cross-batch window state.  Ids are
-        # assigned only in the driver, so process schedulers stay safe.
+        # Seed global id uniqueness and cross-batch window state; ids are
+        # assigned only in the executor's finalisation pass.
         executor._next_id = self._next_pid
         executor._window_runtime = self._runtime  # type: ignore[attr-defined]
         assert self._dataset is not None and self._run_id is not None

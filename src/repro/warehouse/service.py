@@ -794,25 +794,6 @@ class Warehouse:
                 registry.counter(
                     "repro_run_capture_seconds_total", run_id=record.run_id
                 ).inc(op.get("capture_seconds", 0.0))
-            # Scheduler fault-tolerance accounting (absent in pre-1.1 runs).
-            sched = stored.get("scheduler") or {}
-            if sched.get("backend"):
-                backend = sched["backend"]
-                registry.counter(
-                    "repro_run_task_attempts_total",
-                    run_id=record.run_id,
-                    scheduler=backend,
-                ).inc(sched.get("task_attempts", 0))
-                registry.counter(
-                    "repro_run_task_retries_total",
-                    run_id=record.run_id,
-                    scheduler=backend,
-                ).inc(sched.get("task_retries", 0))
-                registry.counter(
-                    "repro_run_task_timeouts_total",
-                    run_id=record.run_id,
-                    scheduler=backend,
-                ).inc(sched.get("task_timeouts", 0))
         if pattern is not None:
             _, cache_metrics = self.backtrace(record.run_id, pattern)
             cache_metrics.publish(registry)

@@ -21,8 +21,7 @@ import pytest
 
 import repro
 from repro.cli import main as cli_main
-from repro.client import ProvenanceClient
-from repro.engine.scheduler import RetryPolicy
+from repro.client import ProvenanceClient, RetryPolicy
 from repro.engine.session import Session
 from repro.errors import ProvenanceError, ReproError
 from repro.obs.metrics import MetricsRegistry

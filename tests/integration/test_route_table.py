@@ -15,7 +15,7 @@ import json
 import pytest
 
 import repro
-from repro.engine.scheduler import RetryPolicy
+from repro.client import RetryPolicy
 from repro.engine.session import Session
 from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry

@@ -16,8 +16,7 @@ import pytest
 
 import repro
 from repro.cli import main as cli_main
-from repro.client import scrape
-from repro.engine.scheduler import RetryPolicy
+from repro.client import RetryPolicy, scrape
 from repro.errors import AdmissionError, TaskTimeoutError
 from repro.obs.metrics import MetricsRegistry
 from repro.pebble.query import query_provenance

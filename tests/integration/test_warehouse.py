@@ -390,3 +390,31 @@ class TestWarehouseCli:
         names = {entry["name"] for entry in payload["metrics"]}
         assert "repro_segment_cache_misses_total" in names
         assert "repro_run_rows" in names
+
+    def test_stats_reads_a_run_stored_before_3_3(self, tmp_path, capsys):
+        """Runs recorded before 3.3 carry a ``scheduler`` block in their
+        ``metrics.json``; ``repro stats`` still reports them and ignores it."""
+        import json
+
+        root = tmp_path / "wh"
+        record = Warehouse.open(root).record(
+            Session(2).create_dataset([{"a": 1}], "in").execute(capture=True),
+            name="old",
+        )
+        metrics_path = Warehouse.open(root).run_dir(record.run_id) / "metrics.json"
+        stored = json.loads(metrics_path.read_text())
+        assert "scheduler" not in stored
+        stored["scheduler"] = {"backend": "threads"} | {
+            f"task_{kind}": count
+            for kind, count in (("attempts", 6), ("retries", 2), ("timeouts", 0))
+        }
+        metrics_path.write_text(json.dumps(stored))
+
+        assert main(["stats", "old", "--root", str(root)]) == 0
+        text = capsys.readouterr().out
+        assert "repro_run_operators" in text
+        assert "repro_run_task_" not in text
+        assert main(["stats", "old", "--root", str(root), "--json"]) == 0
+        names = {entry["name"] for entry in json.loads(capsys.readouterr().out)["metrics"]}
+        assert "repro_run_total_seconds" in names
+        assert not any(name.startswith("repro_run_task_") for name in names)

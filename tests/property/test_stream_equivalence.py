@@ -4,11 +4,12 @@ Splitting one bounded input into N micro-batches, streaming them through a
 :class:`~repro.stream.StreamSession`, and sealing with ``compact=True`` must
 leave the warehouse with the *same run* a one-shot batch capture of the
 concatenated input records: identical segment bytes (operator provenance,
-sink rows, index) and identical backtrace answers -- across split points,
-partition counts, and schedulers.  And a query admitted mid-ingest
-must answer exactly like the sealed run restricted to the epochs that were
-visible at admission (``max_epoch``), which is the incremental-query
-consistency contract of the serve tier.
+sink rows, index) and identical backtrace answers -- across split points
+and partition counts.  And a query admitted mid-ingest must answer exactly
+like the sealed run restricted to the epochs that were visible at admission
+(``max_epoch``), which is the incremental-query consistency contract of the
+serve tier -- over a live stream as over recorded batch scenarios, where the
+cold warehouse route must agree with the load route.
 
 Event times are monotone here: late rows are *defined* to diverge from
 batch (a batch run has no lateness), so they are exercised in the unit
@@ -30,10 +31,7 @@ from repro.pebble.query import query_provenance
 from repro.stream import StreamSession, TumblingWindow, window_by
 from repro.warehouse import Warehouse
 
-CONFIGS = (
-    ("serial", EngineConfig()),
-    ("threads", EngineConfig(scheduler="threads")),
-)
+CONFIGS = (("default", EngineConfig()),)
 
 #: Streamable plan shapes: a narrow chain and a windowed aggregation.
 SHAPES = {
@@ -255,3 +253,55 @@ def test_unioned_epoch_index_agrees_with_the_scan(
         assert indexed.output_ids == scanned.output_ids, pattern
         assert indexed.to_json() == scanned.to_json(), pattern
     assert ForwardTracer(execution, index).trace('root{/user="u1"}').matched_input_count
+
+
+COLD_SCENARIOS = ("T1", "T2", "T3", "T4", "T5", "D1", "D2", "D3", "D4", "D5")
+
+
+def test_cold_backtrace_identical_to_the_load_route(tmp_path):
+    """``Warehouse.backtrace`` parses only what the question touches; the
+    materialise-everything route (``load`` + ``query_provenance``) stays
+    the reference it must agree with byte for byte, on every scenario."""
+    from repro.warehouse import Warehouse
+    from repro.workloads.scenarios import load_workload, scenario
+
+    warehouse = Warehouse.open(tmp_path / "wh")
+    for name in COLD_SCENARIOS:
+        spec = scenario(name)
+        execution = spec.build(Session(2), load_workload(spec.kind, 0.2)).execute(
+            capture=True
+        )
+        run_id = warehouse.record(execution, name=name).run_id
+        cold, metrics = Warehouse.open(tmp_path / "wh").backtrace(run_id, spec.pattern)
+        reference = query_provenance(warehouse.load(run_id), spec.pattern)
+        assert cold.matched_output_ids == reference.matched_output_ids, name
+        assert cold.matched_output_ids, name
+        assert cold.render() == reference.render(), name
+        assert metrics.items_decoded == sum(len(s) for s in cold.sources), name
+
+
+def test_cold_backtrace_identical_to_the_load_route_on_a_stream(tmp_path):
+    """S1 as a live run: every mid-ingest answer equals the load route
+    pinned to the epochs visible at admission, and so does the sealed one."""
+    from repro.stream import StreamSession
+    from repro.workloads.scenarios import load_workload, scenario
+
+    spec = scenario("S1")
+    tweets = sorted(load_workload("twitter", 0.2), key=lambda tweet: tweet["created_at"])
+    stream = StreamSession(warehouse=tmp_path / "wh", name="s1")
+    stream.open(spec.build(stream.session, stream.dataset(stream.source("tweets.json"))))
+    warehouse = stream.warehouse
+    admitted = {}
+    for low in range(0, len(tweets), 16):
+        stream.ingest(tweets[low : low + 16])
+        cold, _ = warehouse.backtrace(stream.run_id, spec.pattern)
+        admitted[stream.epochs] = (cold.matched_output_ids, cold.render())
+    stream.finish(compact=False)
+    sealed, _ = warehouse.backtrace(stream.run_id, spec.pattern)
+    admitted[None] = (sealed.matched_output_ids, sealed.render())
+    assert sealed.matched_output_ids
+    for epoch, answer in admitted.items():
+        pinned = query_provenance(
+            warehouse.load(stream.run_id, max_epoch=epoch), spec.pattern
+        )
+        assert (pinned.matched_output_ids, pinned.render()) == answer, epoch

@@ -16,7 +16,6 @@ class TestAblationLadder:
             "prune",
             "prune+fuse",
             "prune+fuse+trace",
-            "prune+fuse+threads",
             "prune+fuse+prof-off",
             "prune+fuse+profile",
         ]

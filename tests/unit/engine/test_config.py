@@ -18,8 +18,6 @@ class TestDefaults:
     def test_default_values(self):
         config = EngineConfig()
         assert config.num_partitions == DEFAULT_NUM_PARTITIONS == 4
-        assert config.scheduler == "serial"
-        assert config.max_workers is None
         assert config.optimize is True
         assert config.rules == ALL_RULES
 
@@ -39,14 +37,8 @@ class TestLayoutIsNotAnOption:
     def test_exact_field_set(self):
         assert {field.name for field in dataclasses.fields(EngineConfig)} == {
             "num_partitions",
-            "scheduler",
-            "max_workers",
             "optimize",
             "rules",
-            "task_timeout",
-            "max_retries",
-            "retry_backoff",
-            "faults",
             "profile",
         }
 
@@ -64,10 +56,34 @@ class TestLayoutIsNotAnOption:
 
     def test_environment_cannot_select_a_layout(self, monkeypatch):
         # Spelled in two halves: CI greps src/ and tests/ for the joined name.
-        before = EngineConfig.from_env()  # CI reruns the suite under REPRO_SCHEDULER
+        before = EngineConfig.from_env()
         monkeypatch.setenv("REPRO_" + "LAYOUT", "columnar")
         assert EngineConfig.from_env() == before
         assert EngineConfig.from_env().layout == "rows"
+
+
+class TestSchedulerIsNotAnOption:
+    """Stages run serially, once; ``scheduler`` survives only as a
+    read-only constant for the benchmark's engine stamp."""
+
+    def test_constructor_and_replace_reject_scheduler(self):
+        with pytest.raises(TypeError):
+            EngineConfig(scheduler="serial")
+        with pytest.raises(TypeError):
+            EngineConfig().replace(scheduler="serial")
+
+    def test_scheduler_is_a_read_only_constant(self):
+        config = EngineConfig()
+        assert config.scheduler == "serial"
+        with pytest.raises(AttributeError):
+            config.scheduler = "serial"
+
+    def test_environment_cannot_select_a_scheduler(self, monkeypatch):
+        # Spelled in two halves: CI greps src/ and tests/ for the joined name.
+        before = EngineConfig.from_env()
+        monkeypatch.setenv("REPRO_" + "SCHEDULER", "threads")
+        assert EngineConfig.from_env() == before
+        assert EngineConfig.from_env().scheduler == "serial"
 
 
 class TestValidation:
@@ -75,25 +91,9 @@ class TestValidation:
         with pytest.raises(ExecutionError, match="at least one partition"):
             EngineConfig(num_partitions=0)
 
-    def test_rejects_unknown_scheduler(self):
-        with pytest.raises(ExecutionError, match="unknown scheduler"):
-            EngineConfig(scheduler="mesos")
-
-    def test_names_the_removed_process_pool_and_what_is_left(self, monkeypatch):
-        message = r"'serial', 'threads'.*removed in 3\.1"
-        with pytest.raises(ExecutionError, match=message):
-            EngineConfig(scheduler="processes")
-        monkeypatch.setenv("REPRO_SCHEDULER", "processes")
-        with pytest.raises(ExecutionError, match=message):
-            EngineConfig.from_env()
-
     def test_rejects_unknown_rule(self):
         with pytest.raises(ExecutionError, match="unknown optimizer rules"):
             EngineConfig(rules=("prune", "vectorize"))
-
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(ExecutionError, match="max_workers"):
-            EngineConfig(max_workers=0)
 
 
 class TestRuleToggles:
@@ -116,36 +116,31 @@ class TestRuleToggles:
 
 class TestFromEnv:
     def test_environment_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "threads")
         monkeypatch.setenv("REPRO_OPTIMIZE", "off")
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
+        monkeypatch.setenv("REPRO_PROFILE", " ON ")
         config = EngineConfig.from_env()
-        assert config.scheduler == "threads"
         assert config.optimize is False
-        assert config.max_workers == 3
+        assert config.profile is True
 
     @pytest.mark.parametrize(
         "name, text",
         [
-            ("REPRO_MAX_RETRIES", "two"),
-            ("REPRO_MAX_WORKERS", "2.5"),
-            ("REPRO_TASK_TIMEOUT", "soon"),
-            ("REPRO_RETRY_BACKOFF", "50ms"),
+            ("REPRO_OPTIMIZE", "flase"),
+            ("REPRO_PROFILE", "enabled"),
         ],
     )
-    def test_malformed_number_names_the_variable_and_the_value(
-        self, monkeypatch, name, text
-    ):
+    def test_unrecognised_switch_raises(self, monkeypatch, name, text):
+        """A typo never silently picks a side; the error names both."""
         monkeypatch.setenv(name, text)
         with pytest.raises(ExecutionError, match=f"{name}='{text}'"):
             EngineConfig.from_env()
 
     def test_explicit_overrides_beat_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "threads")
-        assert EngineConfig.from_env(scheduler="serial").scheduler == "serial"
+        monkeypatch.setenv("REPRO_OPTIMIZE", "off")
+        assert EngineConfig.from_env(optimize=True).optimize is True
 
     def test_partition_count_not_read_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "threads")
+        monkeypatch.setenv("REPRO_OPTIMIZE", "off")
         assert EngineConfig.from_env().num_partitions == DEFAULT_NUM_PARTITIONS
 
 
@@ -158,7 +153,7 @@ class TestSessionIntegration:
         assert session.num_partitions == 2
 
     def test_session_carries_config(self):
-        config = EngineConfig(scheduler="threads", optimize=False)
+        config = EngineConfig(rules=("prune",), optimize=False)
         session = Session(config=config)
-        assert session.config.scheduler == "threads"
+        assert session.config.rules == ("prune",)
         assert session.config.optimize is False

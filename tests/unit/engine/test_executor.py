@@ -301,3 +301,20 @@ class TestExecutorInfrastructure:
         session = Session(num_partitions=1)
         ds = session.create_dataset([{"a": index} for index in range(5)], "in")
         assert len(ds.filter(col("a") > 2).collect()) == 2
+
+    def test_first_error_in_submission_order_wins(self):
+        """Partitions 1 and 2 both fail; the run raises partition 1's error."""
+        calls = []
+
+        def fail_in_middle_partitions(item):
+            calls.append(item["p"])
+            if item["p"] in (1, 2):
+                raise ValueError(f"partition {item['p']} failed")
+            return item
+
+        session = Session(num_partitions=4)
+        # Contiguous partitioning: item p lands in partition p.
+        ds = session.create_dataset([{"p": part} for part in range(4)], "in")
+        with pytest.raises(ExecutionError, match="partition 1 failed"):
+            ds.map(fail_in_middle_partitions).collect()
+        assert calls == [0, 1]

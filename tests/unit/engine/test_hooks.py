@@ -74,10 +74,8 @@ class TestMetricsHook:
             assert stage.rows_out >= 0
             assert stage.seconds >= 0.0
         payload = metrics.to_json()
-        assert set(payload) == {"total_seconds", "scheduler", "operators", "stages"}
+        assert set(payload) == {"total_seconds", "operators", "stages"}
         assert len(payload["stages"]) == len(metrics.stages())
-        assert payload["scheduler"]["backend"] == "serial"
-        assert payload["scheduler"]["task_retries"] == 0
 
     def test_rows_in_and_out_reflect_filter(self):
         session = Session(num_partitions=2)

@@ -29,7 +29,7 @@ def _rows():
 
 def _compile(dataset, config=None, hooks=()):
     # Explicit EngineConfig() rather than the session's env-derived config,
-    # so stage-shape expectations hold under REPRO_OPTIMIZE/REPRO_SCHEDULER.
+    # so stage-shape expectations hold under REPRO_OPTIMIZE.
     return plan_physical(dataset.plan, config or EngineConfig(), hooks)
 
 

@@ -1,54 +1,61 @@
 """Purity of every StageTask the optimizer can emit.
 
-The scheduler's retry layer re-runs a failed task and keeps whichever
-attempt succeeded, so the engine's output is attempt-count independent only
-if a task run twice computes the same thing twice.  These tests run every
-evaluation scenario through a serial backend that calls each
-:class:`StageTask` as attempt 1 and again as attempt 2 and compares the two
-results field by field before the backend runs the batch as usual.
+The executor calls each :class:`StageTask` once, on the calling thread, and
+the engine's output is only well defined if that choice is unobservable: a
+task must compute the same thing however often, and on whichever thread, it
+runs.  These tests run every evaluation scenario with ``StageTask.__call__``
+wrapped so that each task also runs a second time on a fresh
+:class:`threading.Thread`; the two results are compared field by field
+before the executor uses the first.
 """
 
+import threading
 from contextlib import contextmanager
 
 import pytest
 
 from repro.engine.config import EngineConfig
 from repro.engine.physical import StageTask
-from repro.engine.scheduler import SerialScheduler
 from repro.engine.session import Session
 from repro.workloads.scenarios import SCENARIOS, load_workload, scenario
 
 SCALE = 0.05
 
 
+def _on_fresh_thread(task):
+    """Run *task* on a new thread and return its result."""
+    outcome = {}
+    thread = threading.Thread(target=lambda: outcome.update(result=task()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return outcome["result"]
+
+
 @contextmanager
 def rerunning_stage_tasks():
-    """Call every StageTask twice inside the serial backend; yield the keys."""
+    """Run every StageTask twice, the second time on a fresh thread; yield
+    the ``(stage, partition)`` of each task that ran."""
     seen = []
-    original = SerialScheduler._run_batch
+    original = StageTask.__call__
 
-    def twice(self, tasks):
-        for task in tasks:
-            if not isinstance(task, StageTask):
-                continue
-            inputs = list(task.items)
-            first = task()
-            task.attempt = 2
-            second = task()
-            task.attempt = 1
-            for field in ("items", "entries", "counts", "samples"):
-                assert getattr(first, field) == getattr(second, field), (task.key, field)
-            assert (first.attempt, second.attempt) == (1, 2)
-            assert first.items is not second.items
-            assert task.items == inputs, task.key
-            seen.append(task.key)
-        return original(self, tasks)
+    def twice(task):
+        inputs = list(task.items)
+        first = original(task)
+        second = _on_fresh_thread(lambda: original(task))
+        where = (task.stage_label, task.part)
+        for field in ("items", "entries", "counts", "samples", "part"):
+            assert getattr(first, field) == getattr(second, field), (where, field)
+        assert first.items is not second.items
+        assert task.items == inputs, where
+        seen.append(where)
+        return first
 
-    SerialScheduler._run_batch = twice
+    StageTask.__call__ = twice
     try:
         yield seen
     finally:
-        SerialScheduler._run_batch = original
+        StageTask.__call__ = original
 
 
 def _run_scenario(name, capture):
@@ -64,8 +71,8 @@ def test_stage_tasks_recompute_identically(name):
     with rerunning_stage_tasks() as seen:
         rerun = _run_scenario(name, capture=True)
     assert seen, f"{name} compiled no fused stage tasks"
-    assert len(set(seen)) == len(seen), "stage task keys must be unique within a run"
     assert rerun.rows() == baseline.rows()
+    assert rerun.store.serialize() == baseline.store.serialize()
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.errors import ExecutionError
 from repro.obs.profile import (
     PROFILE_ENV,
     PROFILE_OUT_ENV,
@@ -21,10 +22,18 @@ class TestEnvKnobs:
         monkeypatch.setenv(PROFILE_ENV, raw)
         assert profile_enabled() is True
 
-    @pytest.mark.parametrize("raw", ["", "off", "0", "definitely"])
+    @pytest.mark.parametrize("raw", ["", "off", "0"])
     def test_everything_else_disables(self, monkeypatch, raw):
+        """Empty text and the off spellings."""
         monkeypatch.setenv(PROFILE_ENV, raw)
         assert profile_enabled() is False
+
+    @pytest.mark.parametrize("raw", ["definitely", "enabled"])
+    def test_unrecognised_text_raises(self, monkeypatch, raw):
+        """Parsed by the engine's one switch parser: a typo is an error."""
+        monkeypatch.setenv(PROFILE_ENV, raw)
+        with pytest.raises(ExecutionError, match=f"{PROFILE_ENV}='{raw}'"):
+            profile_enabled()
 
     def test_out_path(self, monkeypatch):
         monkeypatch.delenv(PROFILE_OUT_ENV, raising=False)

@@ -83,7 +83,7 @@ class TestTracer:
 class TestChromeExport:
     def _traced(self):
         tracer = Tracer()
-        with tracer.span("run", "run", scheduler="serial"):
+        with tracer.span("run", "run", partitions=4):
             with tracer.span("stage-0 read", "stage"):
                 pass
             with tracer.span("stage-1 fused", "stage"):

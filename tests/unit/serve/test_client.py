@@ -9,9 +9,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.engine.scheduler import RetryPolicy
 from repro.errors import AdmissionError, ServeError, TaskTimeoutError
-from repro.client import DEFAULT_POLICY, _response_error, connect
+from repro.client import DEFAULT_POLICY, RetryPolicy, _response_error, connect, exchange
 
 NO_BACKOFF = RetryPolicy(max_retries=3, backoff=0.0)
 
@@ -123,3 +122,36 @@ class TestRetries:
 
     def test_default_policy_bounds_attempts(self):
         assert DEFAULT_POLICY.max_attempts == 4
+
+
+def _schedule(policy: RetryPolicy) -> list[float]:
+    """The full delay sequence of *policy*, one per retry."""
+    return [policy.delay(attempt) for attempt in range(1, policy.max_attempts)]
+
+
+class TestBackoffSchedule:
+    def test_jitter_free_exponential_sequence(self):
+        policy = RetryPolicy(max_retries=4, backoff=0.05, factor=2.0, max_delay=2.0)
+        assert _schedule(policy) == [0.05, 0.1, 0.2, 0.4]
+
+    def test_max_delay_caps_the_tail(self):
+        policy = RetryPolicy(max_retries=6, backoff=0.5, factor=2.0, max_delay=2.0)
+        assert _schedule(policy) == [0.5, 1.0, 2.0, 2.0, 2.0, 2.0]
+
+    def test_zero_backoff_means_no_sleeping(self):
+        policy = RetryPolicy(max_retries=3, backoff=0.0)
+        assert _schedule(policy) == [0.0, 0.0, 0.0]
+
+    def test_zero_retries_means_empty_schedule(self):
+        assert _schedule(RetryPolicy(max_retries=0)) == []
+
+    def test_exchange_sleeps_the_exact_schedule(self, stub_server, monkeypatch):
+        url, server = stub_server
+        server.script = [(429, _full())] * 3 + [(200, {"ok": True, "data": {}})]
+        slept = []
+        monkeypatch.setattr("repro.client.time.sleep", slept.append)
+        policy = RetryPolicy(max_retries=3, backoff=0.05, factor=2.0)
+        status, _ = exchange(url + "/v1/healthz", policy=policy)
+        assert status == 200
+        assert len(server.requests) == 4
+        assert slept == [policy.delay(attempt) for attempt in (1, 2, 3)]
