@@ -5,16 +5,28 @@ data items a struct type over their attributes, and bags/sets a collection
 type over a single element type.  This module implements
 
 * the type objects (:class:`PrimitiveType`, :class:`StructType`,
-  :class:`BagType`, :class:`SetType`),
-* :func:`infer_type` -- the paper's ``tau(.)``,
+  :class:`BagType`, :class:`SetType`), **hash-consed**: constructing a type
+  returns the one live object with that structure, so ``==`` and ``hash``
+  are identity.  Each class keeps a weak-valued table (a type lives as long
+  as something holds it); minting is lock-guarded, so two threads never make
+  two objects for one structure; pickle and ``copy`` rebuild through the
+  constructor, i.e. the table;
+* :func:`infer_type` -- the paper's ``tau(.)``, computed once per value
+  object, bottom-up, and kept in the value's ``_type`` slot beside its
+  ``_hash``: typing a value whose children are typed costs its width;
 * :func:`unify` -- least upper bound of two types, used to type datasets
-  whose items differ only in nullability or int/double width, and
-* :func:`check_same_type` -- the bag/set restriction that all elements share
-  one type.
+  whose items differ only in nullability or int/double width; memoized on
+  the left operand (``_joins``), which holds its right operands and dies
+  with it, and
+* :func:`fold_type` / :func:`check_same_type` -- ``unify`` folded over the
+  values' memoized types; the latter is the bag/set restriction that all
+  elements share one type.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Any, Iterable
 
 from repro.errors import TypeInferenceError
@@ -39,32 +51,59 @@ __all__ = [
 
 
 class DataType:
-    """Base class of all nested data types."""
+    """Base class of all nested data types (hash-consed, see the module docstring)."""
+
+    __slots__ = ("_joins", "__weakref__")
+
+    #: Structure -> the live type of this class.  The structure is the
+    #: constructor argument and sits in the slot that ``_payload`` names.
+    _table: weakref.WeakValueDictionary
+    _payload: str
 
     def accepts(self, other: "DataType") -> bool:
         """Return ``True`` if values of *other* can be used where ``self`` is expected."""
         try:
-            return unify(self, other) == self
+            return unify(self, other) is self
         except TypeInferenceError:
             return False
 
+    def __reduce__(self) -> tuple:
+        return type(self), (getattr(self, self._payload),)
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return str(self)
+
+
+_MINT_LOCK = threading.Lock()
+
+
+def _mint(cls: type, key: Any) -> Any:
+    """The live ``cls`` type of structure *key*, made under the lock if there is none."""
+    with _MINT_LOCK:
+        typ = cls._table.get(key)
+        if typ is None:
+            typ = object.__new__(cls)
+            setattr(typ, cls._payload, key)
+            typ._joins = {}
+            cls._table[key] = typ
+    return typ
+
+
+def _interned(cls: type, key: Any) -> Any:
+    """The live ``cls`` type of structure *key*: a lock-free hit, else :func:`_mint`."""
+    ref = cls._table.data.get(key)  # the table's own key -> weakref dict
+    return ref and ref() or _mint(cls, key)
 
 
 class PrimitiveType(DataType):
     """A constant type such as ``Int`` or ``String``."""
 
     __slots__ = ("name",)
+    _table = weakref.WeakValueDictionary()
+    _payload = "name"
 
-    def __init__(self, name: str):
-        self.name = name
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimitiveType) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return hash(("primitive", self.name))
+    def __new__(cls, name: str) -> "PrimitiveType":
+        return _interned(cls, name)
 
     def __str__(self) -> str:
         return self.name
@@ -78,16 +117,20 @@ DOUBLE = PrimitiveType("Double")
 STRING = PrimitiveType("String")
 
 #: Exact constant types (subclasses take :func:`_primitive_of`).
-_PRIMITIVES = {bool: BOOLEAN, int: INT, float: DOUBLE, str: STRING}
+_CONSTANTS = {type(None): NULL, bool: BOOLEAN, int: INT, float: DOUBLE, str: STRING}
 
 
 class StructType(DataType):
     """The type of a data item: an ordered list of named field types."""
 
     __slots__ = ("fields",)
+    _table = weakref.WeakValueDictionary()
+    _payload = "fields"
 
-    def __init__(self, fields: Iterable[tuple[str, DataType]] = ()):
-        self.fields: tuple[tuple[str, DataType], ...] = tuple(fields)
+    fields: tuple[tuple[str, DataType], ...]
+
+    def __new__(cls, fields: Iterable[tuple[str, DataType]] = ()) -> "StructType":
+        return _interned(cls, tuple([(name, typ) for name, typ in fields]))
 
     def field_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.fields)
@@ -101,12 +144,6 @@ class StructType(DataType):
     def has_field(self, name: str) -> bool:
         return any(field_name == name for field_name, _ in self.fields)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, StructType) and other.fields == self.fields
-
-    def __hash__(self) -> int:
-        return hash(("struct", self.fields))
-
     def __str__(self) -> str:
         inner = ", ".join(f"{name}: {typ}" for name, typ in self.fields)
         return f"<{inner}>"
@@ -116,15 +153,11 @@ class BagType(DataType):
     """The type of a bag; all elements share ``element`` type."""
 
     __slots__ = ("element",)
+    _table = weakref.WeakValueDictionary()
+    _payload = "element"
 
-    def __init__(self, element: DataType):
-        self.element = element
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BagType) and other.element == self.element
-
-    def __hash__(self) -> int:
-        return hash(("bag", self.element))
+    def __new__(cls, element: DataType) -> "BagType":
+        return _interned(cls, element)
 
     def __str__(self) -> str:
         return f"{{{{{self.element}}}}}"
@@ -134,56 +167,54 @@ class SetType(DataType):
     """The type of a set; all elements share ``element`` type."""
 
     __slots__ = ("element",)
+    _table = weakref.WeakValueDictionary()
+    _payload = "element"
 
-    def __init__(self, element: DataType):
-        self.element = element
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SetType) and other.element == self.element
-
-    def __hash__(self) -> int:
-        return hash(("set", self.element))
+    def __new__(cls, element: DataType) -> "SetType":
+        return _interned(cls, element)
 
     def __str__(self) -> str:
         return f"{{{self.element}}}"
 
 
+_STRUCTS = StructType._table.data
+
+
 def infer_type(value: Any) -> DataType:
-    """Infer the nested data type of a model value (the paper's ``tau``)."""
-    return fold_type(NULL, value)
+    """Infer the nested data type of a model value (the paper's ``tau``).
+
+    A data item, bag or set is typed once: the type is kept in its
+    ``_type`` slot, and its children's kept types are reused.
+    """
+    return _CONSTANTS.get(type(value)) or _tau(value)
+
+
+def _tau(value: Any) -> DataType:
+    """``infer_type`` of a value that is not an exact constant."""
+    if isinstance(value, DataItem):
+        typ = value._type
+        if typ is None:
+            fields = []
+            for name, inner in value._pairs:
+                fields.append((name, _CONSTANTS.get(type(inner)) or _tau(inner)))
+            # _interned(StructType, fields), inlined: this is the hot line.
+            fields = tuple(fields)
+            ref = _STRUCTS.get(fields)
+            typ = value._type = ref and ref() or _mint(StructType, fields)
+        return typ
+    if isinstance(value, (Bag, NestedSet)):
+        typ = value._type
+        if typ is None:
+            kind = BagType if isinstance(value, Bag) else SetType
+            typ = value._type = _interned(kind, check_same_type(value._items))
+        return typ
+    return _primitive_of(value)
 
 
 def fold_type(acc: DataType, value: Any) -> DataType:
-    """``unify(acc, tau(value))`` in one walk over *value*.
-
-    Returns *acc* itself -- no new type object -- whenever it already covers
-    the value, which is what makes typing a sample of same-shaped items cost
-    one navigation per item instead of one type tree per item.  Field order
-    (the accumulator's fields first, then the value's new ones), widening
-    and the :class:`TypeInferenceError` cases are those of :func:`unify`.
-    """
-    if value is None:
-        return acc
-    primitive = _PRIMITIVES.get(type(value))
-    if primitive is not None:
-        return acc if acc is primitive else unify(acc, primitive)
-    if isinstance(value, DataItem):
-        if isinstance(acc, StructType):
-            return _fold_struct(acc, value)
-        if acc == NULL:
-            return _fold_struct(StructType(), value)
-    elif isinstance(value, (Bag, NestedSet)):
-        kind = BagType if isinstance(value, Bag) else SetType
-        if isinstance(acc, kind):
-            element = acc.element
-            for item in value:
-                element = fold_type(element, item)
-            return acc if element is acc.element else kind(element)
-        if acc == NULL:
-            return kind(check_same_type(value))
-    else:
-        return unify(acc, _primitive_of(value))
-    raise TypeInferenceError(f"cannot unify types {acc} and {infer_type(value)}")
+    """``unify(acc, tau(value))``: *acc* itself whenever it already covers the value."""
+    typ = infer_type(value)
+    return acc if acc is typ else unify(acc, typ)
 
 
 def _primitive_of(value: Any) -> PrimitiveType:
@@ -199,67 +230,36 @@ def _primitive_of(value: Any) -> PrimitiveType:
     raise TypeInferenceError(f"cannot type value of {type(value).__name__!r}")
 
 
-_MISSING = object()
-
-
-def _fold_struct(acc: StructType, value: DataItem) -> StructType:
-    """Fold a data item into a struct type, field by field in *acc*'s order."""
-    fields = acc.fields
-    pairs = value.pairs()
-    width = len(pairs)
-    changed: list[tuple[str, DataType]] | None = None
-    seen = 0
-    for position, (name, typ) in enumerate(fields):
-        if position < width and pairs[position][0] == name:
-            # Same-shaped items line up positionally: no lookup by name.
-            inner = pairs[position][1]
-        else:
-            inner = value.get(name, _MISSING)
-            if inner is _MISSING:
-                continue
-        seen += 1
-        if inner is None or typ is _PRIMITIVES.get(type(inner)):
-            continue
-        folded = fold_type(typ, inner)
-        if folded is not typ:
-            if changed is None:
-                changed = list(fields)
-            changed[position] = (name, folded)
-    if seen < width:
-        known = set(acc.field_names())
-        changed = list(fields) if changed is None else changed
-        changed.extend((name, infer_type(inner)) for name, inner in pairs if name not in known)
-    return acc if changed is None else StructType(changed)
-
-
 def unify(left: DataType, right: DataType) -> DataType:
     """Return the least upper bound of two types.
 
     ``Null`` unifies with anything, ``Int`` widens to ``Double``, structs
     unify field-wise over the union of their field names (missing fields
-    become nullable), and collections unify element-wise.
+    become nullable), and collections unify element-wise.  Interned types
+    make this a pure function of two identities, memoized in ``left._joins``.
     """
-    if left == right:
+    if left is right or right is NULL:
         return left
-    if left == NULL:
+    if left is NULL:
         return right
-    if right == NULL:
-        return left
-    if {left, right} == {INT, DOUBLE}:
+    typ = left._joins.get(right)
+    if typ is None:
+        typ = left._joins[right] = _join(left, right)
+    return typ
+
+
+def _join(left: DataType, right: DataType) -> DataType:
+    if (left is INT and right is DOUBLE) or (left is DOUBLE and right is INT):
         return DOUBLE
-    if isinstance(left, StructType) and isinstance(right, StructType):
-        names = list(left.field_names())
-        names.extend(name for name in right.field_names() if name not in names)
-        fields = []
-        for name in names:
-            left_typ = left.field_type(name) if left.has_field(name) else NULL
-            right_typ = right.field_type(name) if right.has_field(name) else NULL
-            fields.append((name, unify(left_typ, right_typ)))
-        return StructType(fields)
-    if isinstance(left, BagType) and isinstance(right, BagType):
-        return BagType(unify(left.element, right.element))
-    if isinstance(left, SetType) and isinstance(right, SetType):
-        return SetType(unify(left.element, right.element))
+    kind = type(left)
+    if kind is type(right):
+        if kind is StructType:
+            rest = dict(right.fields)
+            fields = [(name, unify(typ, rest.pop(name, NULL))) for name, typ in left.fields]
+            fields.extend(rest.items())  # right's new fields, in right's order
+            return StructType(fields)
+        if kind is not PrimitiveType:
+            return kind(unify(left.element, right.element))
     raise TypeInferenceError(f"cannot unify types {left} and {right}")
 
 
@@ -278,8 +278,10 @@ def check_same_type(values: Iterable[Any]) -> DataType:
     two elements cannot be unified.
     """
     result: DataType = NULL
-    for value in values:
-        result = fold_type(result, value)
+    for value in values:  # fold_type, inlined
+        typ = _CONSTANTS.get(type(value)) or _tau(value)
+        if typ is not result:
+            result = unify(result, typ)
     return result
 
 

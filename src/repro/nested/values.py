@@ -13,6 +13,9 @@ these building blocks:
 All three coerce plain Python values (``dict`` -> :class:`DataItem`,
 ``list``/``tuple`` -> :class:`Bag`, ``set``/``frozenset`` -> sorted
 :class:`NestedSet`) on construction, and convert back via ``to_python()``.
+Being immutable, each keeps what is computed about it once: its hash
+(``_hash``) and its type (``_type``, filled by
+:func:`repro.nested.types.infer_type` on first use).
 
 Positional access follows the paper and is **1-based** through ``at(pos)``;
 the standard Python ``[]`` indexing on collections stays 0-based and is
@@ -86,7 +89,7 @@ class DataItem:
     ['user', 'retweet_count']
     """
 
-    __slots__ = ("_pairs", "_index", "_hash")
+    __slots__ = ("_pairs", "_index", "_hash", "_type")
 
     def __init__(self, pairs: Mapping[str, Any] | Iterable[tuple[str, Any]] = (), **kwargs: Any):
         items: Iterable[tuple[str, Any]]
@@ -108,6 +111,7 @@ class DataItem:
         self._pairs: tuple[tuple[str, Any], ...] = tuple(coerced)
         self._index: dict[str, int] = seen
         self._hash: int | None = None
+        self._type: Any = None
 
     def attributes(self) -> tuple[str, ...]:
         """Return the attribute names in declaration order."""
@@ -186,10 +190,11 @@ class DataItem:
 class _Collection:
     """Shared behaviour of :class:`Bag` and :class:`NestedSet`."""
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ("_items", "_hash", "_type")
 
     _items: tuple[Any, ...]
     _hash: int | None
+    _type: Any
 
     def at(self, pos: int) -> Any:
         """Return the element at the **1-based** position *pos* (paper style)."""
@@ -246,6 +251,7 @@ class Bag(_Collection):
             [item if type(item) in _MODEL_TYPES else coerce_value(item) for item in items]
         )
         self._hash = None
+        self._type = None
 
     def appended(self, item: Any) -> "Bag":
         """Return a new bag with *item* appended."""
@@ -275,6 +281,7 @@ class NestedSet(_Collection):
                 unique.append(coerced)
         self._items = tuple(unique)
         self._hash = None
+        self._type = None
 
 
 #: Exact types that already are model values: constants and the three

@@ -1,11 +1,14 @@
-"""Schema inference as a fold against "type every value, then unify".
+"""Schema inference against "type every value, then unify", by definition.
 
-``infer_type`` / ``infer_schema`` / ``check_same_type`` fold values into an
-accumulated type and hand the accumulator back when it already covers the
-value; :mod:`tests.oracle.naive_types` types every value on its own and
-unifies afterwards.  The results must be equal -- field order included,
-since the schema is serialised into every operator segment -- and the same
-inputs must raise :class:`TypeInferenceError`.
+``infer_type`` / ``infer_schema`` / ``check_same_type`` intern their types,
+keep each value's type on the value and memoize ``unify``;
+:mod:`tests.oracle.naive_types` types every value on its own, every time,
+over plain ``type_to_obj``-shaped data.  The two must agree through
+``type_to_obj`` -- field order included, since the schema is serialised into
+every operator segment -- and the same inputs must raise
+:class:`TypeInferenceError`.  The memo gets its own properties: children
+shared by several items, values typed alone before a wider fold meets them,
+and the same objects folded in several orders.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from repro.nested.types import (
     StructType,
     check_same_type,
     infer_type,
-    unify_all,
+    type_to_obj,
 )
 from repro.nested.values import Bag, DataItem, NestedSet, coerce_value
 
-from tests.oracle.naive_types import infer_struct_naive, infer_type_naive
+from tests.oracle.naive_types import infer_struct_naive, infer_type_naive, unify_all_naive
 
 # -- strategies ---------------------------------------------------------------
 # A sample is drawn from one random *shape*, so most samples type: fields go
@@ -93,35 +96,97 @@ def _outcome(compute):
         return TypeInferenceError
 
 
+def _tau(value):
+    return _outcome(lambda: type_to_obj(infer_type(value)))
+
+
+def _schema(sample):
+    return _outcome(lambda: type_to_obj(infer_schema(sample).struct))
+
+
 # -- properties ---------------------------------------------------------------
 
 
 @given(_samples)
 @settings(max_examples=400, deadline=None)
 def test_fold_over_a_sample_equals_unify_all_of_naive_types(sample):
-    expected = _outcome(lambda: infer_struct_naive(sample))
-    actual = _outcome(lambda: infer_schema(sample).struct)
-    if not sample:
-        assert actual == StructType()
-    elif expected is TypeInferenceError:
-        assert actual is TypeInferenceError
-    else:
-        assert actual == expected
-        assert str(actual) == str(expected)  # field order, spelled out
+    assert _schema(sample) == _outcome(lambda: infer_struct_naive(sample))
 
 
 @given(_values)
 @settings(max_examples=300, deadline=None)
 def test_infer_type_equals_the_naive_tau(value):
-    assert _outcome(lambda: infer_type(value)) == _outcome(lambda: infer_type_naive(value))
+    assert _tau(value) == _outcome(lambda: infer_type_naive(value))
+    assert _tau(value) == _outcome(lambda: infer_type_naive(value))  # from the memo
 
 
 @given(_shapes(1).flatmap(lambda shape: st.lists(_conforming(shape), max_size=5)))
 @settings(max_examples=200, deadline=None)
 def test_check_same_type_equals_unify_all(values):
     values = [coerce_value(value) for value in values]
-    expected = _outcome(lambda: unify_all(infer_type_naive(value) for value in values))
-    assert _outcome(lambda: check_same_type(values)) == expected
+    expected = _outcome(lambda: unify_all_naive(infer_type_naive(value) for value in values))
+    assert _outcome(lambda: type_to_obj(check_same_type(values))) == expected
+
+
+# -- the memo -----------------------------------------------------------------
+# Items share child objects drawn from one pool; some of those children are
+# typed alone first; the sample is then folded in several orders, so later
+# folds start from memoized types and a memoized ``unify``.
+
+
+@st.composite
+def _shared_samples(draw):
+    pool = [coerce_value(raw) for raw in draw(st.lists(_shapes(2).flatmap(_conforming), min_size=1, max_size=4))]
+    shape = draw(st.dictionaries(st.sampled_from(_names), _shapes(1), max_size=3))
+    items = []
+    for raw in draw(st.lists(_structs(shape), max_size=6)):
+        pairs = list(raw.items())
+        pick = draw(st.none() | st.integers(0, len(pool) - 1))
+        if pick is not None:
+            pairs.insert(draw(st.integers(0, len(pairs))), ("shared", pool[pick]))
+        items.append(DataItem(pairs))
+    typed_first = draw(st.lists(st.integers(0, len(pool) - 1), max_size=3))
+    return pool, items, typed_first
+
+
+@given(_shared_samples(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_shared_and_pretyped_children_in_any_order_equal_the_naive_types(drawn, rng):
+    pool, items, typed_first = drawn
+    for position in typed_first:
+        assert _tau(pool[position]) == _outcome(lambda: infer_type_naive(pool[position]))
+    for order in (items, items[::-1], rng.sample(items, len(items)), items):
+        assert _schema(order) == _outcome(lambda: infer_struct_naive(order))
+    for item in items:
+        assert _tau(item) == _outcome(lambda: infer_type_naive(item))
+
+
+def test_widening_nulls_missing_fields_and_empty_bags_over_typed_children():
+    narrow = DataItem({"k": 1, "m": []})
+    wide = DataItem({"m": [DataItem({"z": None})], "k": 2.5, "extra": "x"})
+    sparse = DataItem({"k": None})
+    for child in (narrow, wide, sparse):
+        infer_type(child)  # typed alone, before any fold meets it
+    sample = [
+        DataItem({"c": narrow, "bag": Bag([narrow, sparse])}),
+        DataItem({"c": wide, "bag": Bag([])}),
+        DataItem({"c": None, "n": 1}),
+        DataItem({"bag": Bag([wide, None, narrow]), "n": 2.0}),
+        DataItem({}),
+        DataItem({"c": narrow}),
+    ]
+    for order in (sample, sample[::-1], sample[2:] + sample[:2]):
+        assert _schema(order) == infer_struct_naive(order)
+    # Field order is first appearance in fold order: ``wide`` leads the bag.
+    assert _schema(sample[::-1]) == {
+        "struct": [
+            ["c", {"struct": [["k", "Double"], ["m", {"bag": {"struct": [["z", "Null"]]}}], ["extra", "String"]]}],
+            ["bag", {"bag": {"struct": [["m", {"bag": {"struct": [["z", "Null"]]}}], ["k", "Double"], ["extra", "String"]]}}],
+            ["n", "Double"],
+        ]
+    }
+    # Folding a wider accumulator left the narrow child's own type alone.
+    assert type_to_obj(infer_type(narrow)) == {"struct": [["k", "Int"], ["m", {"bag": "Null"}]]}
 
 
 # -- the shapes named in the issue ---------------------------------------------

@@ -2,10 +2,12 @@
 not use a clock.
 
 Construct, match and infer run under every provenance answer, and their cost
-is what they allocate.  With ``Path`` / ``Step`` / ``StructType`` construction
-counted: a non-matching item costs the matcher no ``Path`` at all and a
-matching one no more than it reports; typing a sample of same-shaped items
-builds one type tree, for the first item, and returns that very object.
+is what they allocate or walk.  With ``Path`` / ``Step`` construction
+counted, a non-matching item costs the matcher no ``Path`` at all and a
+matching one no more than it reports.  With reads of a value's children
+counted, typing a typed item walks nothing and typing a new item over typed
+children walks only the new item; with type minting counted, a sample of
+same-shaped items mints types for the first item only.
 Construction itself must accept and reject exactly what it always did,
 whichever route (exact-type dispatch or the ``isinstance`` chain) a value takes.
 
@@ -32,8 +34,9 @@ from repro.core.treepattern.parser import parse_pattern
 from repro.errors import DataModelError
 from repro.nested.json_io import item_from_json
 from repro.nested.schema import infer_schema
-from repro.nested.types import BOOLEAN, INT, NULL, STRING, BagType, StructType, fold_type, infer_type
-from repro.nested.values import Bag, DataItem, NestedSet, coerce_value
+from repro.nested.types import BOOLEAN, INT, NULL, STRING, BagType, fold_type, infer_type
+import repro.nested.types as types
+from repro.nested.values import Bag, DataItem, NestedSet, _Collection, coerce_value
 from repro.engine.expressions import col
 from repro.stream import StreamSession
 from repro.warehouse import Warehouse
@@ -46,8 +49,8 @@ from repro.workloads.twitter import generate_tweets
 
 @pytest.fixture
 def built(monkeypatch):
-    """Count constructions of the three allocation-heavy types."""
-    counts = {Path: 0, Step: 0, StructType: 0}
+    """Count constructions of the two allocation-heavy path types."""
+    counts = {Path: 0, Step: 0}
     for cls in counts:
         original = cls.__init__
 
@@ -57,6 +60,23 @@ def built(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counting)
     return counts
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """Count, per value object, reads of the slot that holds its children
+    (``DataItem._pairs``, ``Bag`` / ``NestedSet`` ``_items``): any walk that
+    descends into a value reads it."""
+    reads: Counter = Counter()
+    for owner, name in ((DataItem, "_pairs"), (_Collection, "_items")):
+        slot = owner.__dict__[name]
+
+        def read(self, _slot=slot):
+            reads[id(self)] += 1
+            return _slot.__get__(self, type(self))
+
+        monkeypatch.setattr(owner, name, property(read, slot.__set__))
+    return reads
 
 
 @pytest.fixture(scope="module")
@@ -101,20 +121,41 @@ class TestMatchAllocatesOnlyWhatItReports:
 
 
 class TestInferBuildsOneTypeTree:
-    def test_same_shaped_items_reuse_the_first_items_type(self, tweets, built):
+    def test_typing_a_typed_item_walks_no_child(self, tweets, walked):
+        tweet = max(tweets, key=_leaves)
+        typ = infer_type(tweet)
+        walked.clear()
+        assert infer_type(tweet) is typ and fold_type(typ, tweet) is typ
+        assert infer_schema([tweet] * 3).struct is typ
+        assert not walked
+
+    def test_fresh_same_shaped_items_mint_types_for_the_first_only(self, tweets, monkeypatch):
+        minted: list[type] = []
+        mint = types._mint
+        monkeypatch.setattr(types, "_mint", lambda cls, key: minted.append(cls) or mint(cls, key))
         raw = tweets[0].to_python()
-        sample = [DataItem(dict(raw, id_str=f"t{position}")) for position in range(200)]
+        # A field no other test uses: the first item's struct is a new type.
+        sample = [DataItem(dict(raw, id_str=f"t{position}", mint_guard=position)) for position in range(200)]
         after_first: list[int] = []
 
         def feed():
             for position, item in enumerate(sample):
                 if position == 1:
-                    after_first.append(built[StructType])
+                    after_first.append(len(minted))
                 yield item
 
         schema = infer_schema(feed())
-        assert after_first[0] > 0 and built[StructType] == after_first[0]
-        assert schema.struct == infer_type(sample[-1])
+        assert after_first[0] > 0 and len(minted) == after_first[0]
+        assert all(infer_type(item) is schema.struct for item in sample)
+
+    def test_a_new_item_over_typed_children_walks_only_itself(self, tweets, walked):
+        item, element = tweets[0], tweets[1]["user"]
+        item_type, element_type = infer_type(item), infer_type(element)
+        flat = item.replace(tag=element)
+        walked.clear()
+        typ = infer_type(flat)
+        assert walked == Counter({id(flat): 1})
+        assert typ.fields == item_type.fields + (("tag", element_type),)
 
     def test_the_accumulator_object_itself_comes_back(self, tweets):
         accumulated = fold_type(NULL, tweets[0])

@@ -10,7 +10,11 @@ goes first) that times, on the same 100 generated tweets,
 * ``item_from_json``                      -- construct
 * ``match_item(root{//*="<user id>"})``   -- the default SAR subject selector
 * ``match_item(root{/user{/id_str=...}})`` -- a navigating pattern (control)
-* ``infer_schema`` over the 100 items     -- infer
+* ``infer_schema`` over the 100 items     -- infer, twice: ``infer_first_ms``
+  on items re-coerced from their JSON before each repeat (outside the
+  timer), so no value has been typed yet, and ``infer_again_ms`` on the same
+  objects every repeat, which a tree that keeps each value's type answers
+  from that memo
 * the warehouse's item encoder            -- encode item (write side)
 * the string leaves ``index.seg`` indexes -- from the item where the tree's
   walk knows the model types, else from ``json.loads`` of its stored bytes
@@ -51,11 +55,12 @@ else:  # a tree whose walk sees only parsed JSON
     leaves = lambda: [list(walk_string_leaves(json.loads(raw))) for raw in stored]
 
 
-def best(fn, repeats=7):
+def best(fn, repeats=7, fresh=None):
     times = []
     for _ in range(repeats):
+        args = () if fresh is None else (fresh(),)  # built outside the timer
         started = time.perf_counter()
-        fn()
+        fn(*args)
         times.append(time.perf_counter() - started)
     return min(times)
 
@@ -66,7 +71,9 @@ print(json.dumps({
     "item_from_json_us": best(lambda: [item_from_json(t) for t in texts]) / n * 1e6,
     "match_wildcard_us": best(lambda: [match_item(wildcard, i) for i in items]) / n * 1e6,
     "match_navigating_us": best(lambda: [match_item(navigating, i) for i in items]) / n * 1e6,
-    "infer_schema_100_ms": best(lambda: infer_schema(items)) * 1e3,
+    # Before anything types ``items``: first-time typing, then the same objects.
+    "infer_first_ms": best(infer_schema, fresh=lambda: [item_from_json(t) for t in texts]) * 1e3,
+    "infer_again_ms": best(lambda: infer_schema(items)) * 1e3,
     "encode_item_us": best(lambda: [_item_json(i) for i in items]) / n * 1e6,
     "string_leaves_us": best(leaves) / n * 1e6,
     "json_loads_us": best(lambda: [json.loads(t) for t in texts]) / n * 1e6,
