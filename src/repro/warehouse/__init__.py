@@ -10,8 +10,8 @@ Modules:
 
 * :mod:`~repro.warehouse.format` -- length-prefixed, versioned binary
   encoding of operator provenance, source items, and result rows,
-* :mod:`~repro.warehouse.writer` -- spills one segment per operator plus a
-  footer index,
+* :mod:`~repro.warehouse.writer` -- spills one segment per operator, the
+  rows and the index into one part file plus a footer index,
 * :mod:`~repro.warehouse.catalog` -- the JSON run registry,
 * :mod:`~repro.warehouse.reader` -- ``run_parts`` (a batch run is one part,
   a streamed run one per micro-batch) and the :class:`LazyProvenanceStore`

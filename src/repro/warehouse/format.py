@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import chain
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.operator_provenance import (
@@ -49,6 +50,8 @@ from repro.nested.values import DataItem
 __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
+    "LAYOUT_VERSION",
+    "PREAMBLE",
     "SEGMENT_OPERATOR",
     "SEGMENT_ROWS",
     "SEGMENT_INDEX",
@@ -71,7 +74,14 @@ __all__ = [
 ]
 
 MAGIC = b"PBWH"  # "PeBble WareHouse"
-FORMAT_VERSION = 2  # version 1 was the whole-document JSON format
+#: The segment codec (every preamble carries it); version 1 was the
+#: whole-document JSON format.
+FORMAT_VERSION = 2
+#: How a run lays its segments out (a manifest's ``"format"``): 3 writes a
+#: part as one ``part.seg``; 2, a file per segment, is still read.
+LAYOUT_VERSION = 3
+#: Bytes of the segment preamble (magic + version + kind).
+PREAMBLE = len(MAGIC) + 2 + 1
 
 SEGMENT_OPERATOR = 1
 SEGMENT_ROWS = 2
@@ -372,6 +382,26 @@ _ITEM_ENCODER = json.JSONEncoder(default=json_default, check_circular=False)
 
 def _item_json(item: DataItem) -> bytes:
     return _ITEM_ENCODER.encode(item).encode("utf-8")
+
+
+def _item_json_and_leaves(item: DataItem) -> tuple[bytes, list[str]]:
+    """:func:`_item_json` plus every string leaf of *item*, from the same C
+    encoder pass: the hook that expands each model container also keeps the
+    expansion, whose direct ``str`` children are the leaves."""
+    expanded: list[Any] = []
+
+    def default(value: Any) -> Any:
+        container = json_default(value)
+        expanded.append(container)
+        return container
+
+    raw = json.JSONEncoder(default=default, check_circular=False).encode(item)
+    children = chain.from_iterable(
+        container.values() if isinstance(container, dict) else container
+        for container in expanded
+    )
+    # ``str.__instancecheck__`` is ``isinstance(child, str)`` as a C callable.
+    return raw.encode("utf-8"), list(filter(str.__instancecheck__, children))
 
 
 def encode_source_items(name: str, items: dict[int, DataItem]) -> bytes:

@@ -5,9 +5,8 @@ Backtracing reads a run from the sink downwards, so the footer index
 operators decode.  The *forward* direction ("which outputs derive from
 these input items?", the GDPR audit question) starts at the sources, and
 without extra structure every operator segment and every source-item block
-must be scanned.  This module persists, per run, one extra segment file
-(``index.seg``, kind :data:`~repro.warehouse.format.SEGMENT_INDEX`) holding
-four sections:
+must be scanned.  This module persists, per part, one extra segment (kind
+:data:`~repro.warehouse.format.SEGMENT_INDEX`) holding four sections:
 
 ``INPUTS``
     The inverted ``input id -> consuming operator oids`` map.  Identifiers
@@ -23,11 +22,13 @@ four sections:
     a longer term must fall back to a scan.
 
 ``ITEMS``
-    Per source oid, the absolute byte range of each item record inside its
-    segment file.  **Unread**: candidates are parsed one at a time out of
-    the store's header-hopped block (``store.peek_source_item``), which is
-    as selective and opens no file per candidate.  The section stays written
-    so ``INDEX_VERSION`` 1 bytes do not move; it goes at the next bump.
+    Per source oid, the byte range of each item record from the start of
+    its operator segment (the segment's own file in layout 2, its slice of
+    ``part.seg`` in layout 3).  **Unread**: candidates are parsed one at a
+    time out of the store's header-hopped block
+    (``store.peek_source_item``), which is as selective and opens no file
+    per candidate.  The section stays written so ``INDEX_VERSION`` 1 bytes
+    do not move; it goes at the next bump.
 
 ``PATHS``
     The A/M records inverted: ``path -> accessing oids`` and ``path ->
@@ -36,16 +37,24 @@ four sections:
 
 The index is *derived* data with one accumulate / sort / encode path and
 two feeders.  Recording feeds it in the pass that encodes the part, from
-what the writer holds -- provenance objects, item objects, the offsets of
-the block it is assembling (:func:`repro.warehouse.writer.write_part`) --
-and reads nothing back; ``repro index build`` backfill feeds it from a
-written part's segments (:meth:`RunIndex.build`).  That both write identical
-bytes is a tested property, not a shared code path.  ``manifest.json``
-carries an ``"index"`` entry pointing at the segment; a run without that
-entry (or whose segment file is missing) loads as ``None`` and every reader
-falls back to the full scan.  An epoch-layout run carries one ``index.seg``
-per part, fed on append; :meth:`RunIndex.load` unions them, so every run is
-probed through one index type.
+what the writer holds -- provenance objects, the string leaves the item
+encoder collected, the offsets of the block it is assembling
+(:func:`repro.warehouse.writer.write_part`) -- and writes it as the last
+segment of ``part.seg``, reading nothing back; ``repro index build``
+backfill feeds it from a written part's segments (:meth:`RunIndex.build`)
+and writes it beside the part as ``index.seg``, since derived data is
+rebuilt without rewriting the part.  That both write identical bytes is a
+tested property, not a shared code path.  The footer carries an ``"index"``
+entry locating the segment; a run without that entry (or whose file is
+missing) loads as ``None`` and every reader falls back to the full scan.
+An epoch-layout run carries one index per part, fed on append;
+:meth:`RunIndex.load` unions them, so every run is probed through one index
+type::
+
+    runs/<run_id>/
+      part.seg          operator segments | rows | index   (record, compaction)
+      index.seg         the index alone                    (backfill)
+    runs/<run_id>/batches/epoch-NNNN/part.seg   ... | index   (append)
 """
 
 from __future__ import annotations
@@ -67,8 +76,8 @@ from repro.core.operator_provenance import (
 from repro.errors import ProvenanceError
 from repro.nested.values import Bag, DataItem, NestedSet
 import repro.warehouse.format as wf
-from repro.warehouse.reader import load_manifest, run_parts
-from repro.warehouse.writer import OPS_DIR, write_manifest
+from repro.warehouse.reader import RunPart, load_manifest, read_range, run_parts
+from repro.warehouse.writer import write_manifest
 
 __all__ = [
     "INDEX_SEGMENT",
@@ -106,10 +115,6 @@ def walk_string_leaves(value: Any) -> Iterator[str]:
             stack.extend(value.values())
         elif isinstance(value, (list, tuple, Bag, NestedSet)):
             stack.extend(value)
-
-
-def _indexable_leaves(value: Any) -> list[str]:
-    return [leaf for leaf in walk_string_leaves(value) if len(leaf) <= MAX_TERM_LEN]
 
 
 def _consumed_ids(associations: Any) -> Iterator[int]:
@@ -154,9 +159,6 @@ class _Accumulator:
             defaultdict(set) for _ in range(4)
         )
         self.items: dict[int, dict[int, tuple[int, int]]] = {}
-        #: id(item object) -> its indexable leaves: a self-join reads one
-        #: dataset through two read operators, and each item is walked once.
-        self._walked: dict[int, list[str]] = {}
 
     def add_operator(self, provenance: OperatorProvenance) -> None:
         """INPUTS and PATHS of one operator."""
@@ -172,21 +174,16 @@ class _Accumulator:
             self.items[oid] = {}
 
     def add_item(
-        self, oid: int, item_id: int, offset: int, length: int, item: DataItem | bytes
+        self, oid: int, item_id: int, offset: int, length: int, leaves: Iterable[str]
     ) -> None:
-        """ITEMS and TERMS of one source item record at absolute *offset*.
-
-        *item* is the item as the feeder holds it: the model object, which
-        the feeder keeps alive while it feeds, or its stored JSON bytes.
-        """
+        """ITEMS and TERMS of one source item record at *offset* in its
+        operator segment, given the item's string leaves (every one; those
+        over :data:`MAX_TERM_LEN` are left out here)."""
         self.items[oid][item_id] = (offset, length)
-        if isinstance(item, bytes):
-            leaves = _indexable_leaves(json.loads(item))
-        elif (leaves := self._walked.get(id(item))) is None:
-            leaves = self._walked[id(item)] = _indexable_leaves(item)
         posting = (oid, item_id)
         for leaf in leaves:
-            self.terms[leaf].add(posting)
+            if len(leaf) <= MAX_TERM_LEN:
+                self.terms[leaf].add(posting)
 
     def finish(self) -> "RunIndex":
         inputs, terms, accessed, manipulated = (
@@ -213,7 +210,7 @@ class RunIndex:
         self.inputs = inputs
         #: string leaf -> sorted (source oid, item id) postings.
         self.terms = terms
-        #: source oid -> item id -> (absolute offset, length) in its segment.
+        #: source oid -> item id -> (offset, length) in its operator segment.
         self.items = items
         #: path text -> sorted oids with the path in an A record.
         self.accessed = accessed
@@ -262,30 +259,31 @@ class RunIndex:
         return _Accumulator()
 
     @classmethod
-    def build(cls, run_dir: FsPath, manifest: dict[str, Any]) -> "RunIndex":
+    def build(cls, part: RunPart) -> "RunIndex":
         """The disk feeder: derive the index of a written part from its
-        segments (backfill, and any part recorded without one)."""
-        run_dir = FsPath(run_dir)
+        segments (backfill, and any part recorded without one), parsing
+        each stored item for its string leaves."""
         accumulator = cls.accumulator()
-        for oid_text, entry in manifest["operators"].items():
+        for oid_text, entry in part.operators.items():
             oid = int(oid_text)
-            path = run_dir / OPS_DIR / entry["segment"]
-            with open(path, "rb") as handle:
-                handle.seek(entry["offset"])
-                record = handle.read(entry["record_length"])
-                accumulator.add_operator(wf.decode_operator(wf.Cursor(record)))
-                if "items_offset" not in entry:
-                    continue
-                handle.seek(entry["items_offset"])
-                block = handle.read(entry["items_length"])
-            cursor = wf.Cursor(block)
+            record = read_range(part.directory, entry, "offset", "record_length")
+            accumulator.add_operator(wf.decode_operator(wf.Cursor(record)))
+            if "items_offset" not in entry:
+                continue
+            cursor = wf.Cursor(read_range(part.directory, entry, "items_offset", "items_length"))
             cursor.string()  # source name
+            # ITEMS offsets count from the operator segment's start.
+            base = entry["items_offset"] - entry["offset"] + wf.PREAMBLE
             for _ in range(cursor.u64()):
                 start = cursor.offset
                 item_id = cursor.u64()
                 payload = cursor.raw()
                 accumulator.add_item(
-                    oid, item_id, entry["items_offset"] + start, cursor.offset - start, payload
+                    oid,
+                    item_id,
+                    base + start,
+                    cursor.offset - start,
+                    walk_string_leaves(json.loads(payload)),
                 )
         return accumulator.finish()
 
@@ -354,13 +352,15 @@ class RunIndex:
 
     # -- persistence -----------------------------------------------------------
 
+    def entry(self, segment: str, offset: int, length: int) -> dict[str, Any]:
+        """The footer entry of this index, encoded at *offset* of *segment*."""
+        return dict(self.summary(), segment=segment, offset=offset, segment_bytes=length)
+
     def write(self, run_dir: FsPath) -> dict[str, Any]:
         """Write ``index.seg`` under *run_dir*; returns the manifest entry."""
         encoded = self.encode()
         (FsPath(run_dir) / INDEX_SEGMENT).write_bytes(encoded)
-        return dict(
-            self.summary(), segment=INDEX_SEGMENT, segment_bytes=len(encoded)
-        )
+        return self.entry(INDEX_SEGMENT, 0, len(encoded))
 
     @classmethod
     def load(cls, run_dir: FsPath, manifest: dict[str, Any]) -> "RunIndex | None":
@@ -374,17 +374,16 @@ class RunIndex:
         for part in run_parts(run_dir, manifest):
             if not part.index:
                 return None
-            path = part.directory / part.index["segment"]
-            if not path.exists():
+            if not (part.directory / part.index["segment"]).exists():
                 return None
-            decoded.append(cls.decode(path.read_bytes()))
+            decoded.append(cls.decode(read_range(part.directory, part.index)))
         return decoded[0] if len(decoded) == 1 else cls._union(decoded)
 
     @classmethod
     def _union(cls, parts: "list[RunIndex]") -> "RunIndex":
         """One index over several parts' indexes: ids are unique across a
         run and every section maps ``key -> sorted postings``, so the union
-        of complete parts is complete.  (ITEMS ranges stay part-relative;
+        of complete parts is complete.  (ITEMS ranges stay segment-relative;
         the section has no reader.)
         """
         items: dict[int, dict[int, tuple[int, int]]] = {}
@@ -409,18 +408,19 @@ class RunIndex:
 def ensure_index(
     run_dir: FsPath, manifest: dict[str, Any] | None = None
 ) -> dict[str, Any]:
-    """Backfill: build the index of a written run from its segments and
-    persist it; returns its manifest entry.
+    """Backfill: build the index of a written batch run from its segments
+    and persist it as ``index.seg``; returns its manifest entry.
 
     Rewrites ``manifest.json`` (write-then-rename) with the ``"index"``
-    entry, which leaves the run as a ``record(index=True)`` would have.
-    Idempotent: an already-indexed run is re-derived and rewritten to the
-    same bytes.
+    entry, which leaves the run answering as a ``record(index=True)`` would
+    have.  Idempotent: an already-indexed run is re-derived to the same
+    index bytes.
     """
     run_dir = FsPath(run_dir)
     if manifest is None:
         manifest = load_manifest(run_dir)
-    entry = RunIndex.build(run_dir, manifest).write(run_dir)
+    (part,) = run_parts(run_dir, manifest)
+    entry = RunIndex.build(part).write(run_dir)
     manifest["index"] = entry
     write_manifest(run_dir, manifest)
     return entry

@@ -12,10 +12,11 @@ Directory layout::
     runs/<run_id>/
       manifest.json                 the head: run counters + one line per epoch
       batches/epoch-0001/           one immutable directory per micro-batch
-        ops/op-<oid>.seg            delta segments (same codec as batch runs)
-        rows.seg                    sink rows this batch emitted
-        index.seg                   per-epoch RunIndex (incremental indexing)
-        part.json                   the epoch's footer: operator index + index entry
+        part.seg                    delta operator segments | sink rows this
+                                    batch emitted | its RunIndex (same codec
+                                    and writer as a batch run)
+        part.json                   the epoch's footer: operator entries,
+                                    rows and index locations
       retention/receipt-*.json      erasure-style retention receipts
 
 The head carries ``live`` (still growing?), ``segment_epoch`` (a monotonic
@@ -30,9 +31,10 @@ and rewrites the head and touches no earlier epoch.  (Heads written by
 <= 2.3 carry each epoch's footer inline; :func:`~repro.warehouse.reader.run_parts`
 takes those as they are.)
 
-An append writes the epoch directory completely, then renames the head.  A
-writer that dies in between leaves a directory no head references; the next
-append recomputes the same epoch number and clears it first.
+An append writes the epoch's ``part.seg``, then its ``part.json``, then
+renames the head.  A writer that dies anywhere before that rename leaves a
+directory no head references; the next append recomputes the same epoch
+number and clears it first.
 
 This module is the *lifecycle* only.  Reading goes through
 :func:`repro.warehouse.reader.run_parts` and the one
@@ -81,10 +83,9 @@ from repro.core.operator_provenance import (
 )
 from repro.errors import LiveRunError, ProvenanceError, StreamError
 import repro.warehouse.format as wf
-from repro.warehouse.index import RunIndex
+from repro.warehouse.index import RunIndex, walk_string_leaves
 from repro.warehouse.reader import LazyProvenanceStore
 from repro.warehouse.writer import (
-    DEFAULT_SUB_SHARD_SPAN,
     EncodedPart,
     encode_part,
     write_manifest,
@@ -133,7 +134,7 @@ def create_live_manifest(
     run_dir = FsPath(run_dir)
     (run_dir / BATCHES_DIR).mkdir(parents=True, exist_ok=False)
     manifest: dict[str, Any] = {
-        "format": wf.FORMAT_VERSION,
+        "format": wf.LAYOUT_VERSION,
         "run_id": run_id,
         "name": name,
         "created": created,
@@ -164,9 +165,11 @@ def append_epoch(
     """Append one micro-batch as a sealed epoch; returns its manifest line.
 
     *execution* is the batch's capture-enabled execution result (its store
-    holds only this batch's delta records).  The epoch directory -- segments,
-    index, footer -- is written completely before the manifest is rewritten
-    to reference it; one a crashed append left unreferenced is cleared.
+    holds only this batch's delta records).  The epoch directory --
+    ``part.seg``, then ``part.json`` -- is written completely before the
+    manifest is rewritten to reference it; one a crashed append left
+    unreferenced is cleared.  The line's ``total_bytes`` is the size of the
+    epoch's ``part.seg``.
     """
     if not manifest.get("live"):
         raise LiveRunError(
@@ -180,12 +183,10 @@ def append_epoch(
     part = encode_part(execution)
     # The per-epoch delta index is accumulated while the epoch's segments
     # are encoded, like a batch run's, so no full-run rebuild ever happens.
-    operators, index_entry, _, total_bytes = write_part(
-        epoch_dir, part, DEFAULT_SUB_SHARD_SPAN, RunIndex.accumulator() if index else None
+    footer, total_bytes = write_part(
+        epoch_dir, part, RunIndex.accumulator() if index else None
     )
-    if index_entry is not None:
-        total_bytes += index_entry["segment_bytes"]
-    write_part_footer(epoch_dir, operators, index_entry)
+    write_part_footer(epoch_dir, footer)
     entry = {
         "epoch": epoch,
         "dir": f"{BATCHES_DIR}/epoch-{epoch:04d}",
@@ -201,7 +202,7 @@ def append_epoch(
         manifest["watermark"] = watermark
     manifest["rows"]["count"] += part.row_count
     manifest["total_bytes"] += total_bytes
-    manifest["operator_count"] = max(manifest.get("operator_count", 0), len(operators))
+    manifest["operator_count"] = max(manifest.get("operator_count", 0), len(footer["operators"]))
     manifest["epochs"].append(entry)
     write_manifest(run_dir, manifest)
     return entry
@@ -250,11 +251,7 @@ def _chain_order(topology: dict[int, tuple[int, ...]]) -> list[int]:
     return order
 
 
-def compact_live_run(
-    run_dir: FsPath,
-    manifest: dict[str, Any],
-    sub_shard_span: int = DEFAULT_SUB_SHARD_SPAN,
-) -> dict[str, Any]:
+def compact_live_run(run_dir: FsPath, manifest: dict[str, Any]) -> dict[str, Any]:
     """Rewrite a sealed epoch-layout run into the canonical batch layout.
 
     Ids are remapped to the sequence a one-shot batch execution would have
@@ -295,7 +292,9 @@ def compact_live_run(
             payloads = sorted(
                 (id_map[old], raw) for old, raw in source.encoded_source_items(oid)
             )
-            source_block = (source.source_name(oid), payloads, [raw for _, raw in payloads])
+            # No item object exists here: the index parses the stored bytes.
+            leaves = (walk_string_leaves(json.loads(raw)) for _, raw in payloads)
+            source_block = (source.source_name(oid), payloads, leaves)
         elif isinstance(associations, UnaryAssociations):
             records = []
             for id_in, id_out in associations.records:
@@ -347,7 +346,6 @@ def compact_live_run(
         manifest["run_id"],
         manifest["name"],
         manifest["created"],
-        sub_shard_span=sub_shard_span,
         index=RunIndex.accumulator(),
     )
     shutil.rmtree(run_dir / BATCHES_DIR)

@@ -2,7 +2,21 @@
 
 A stored run is a list of **parts** (:func:`run_parts`): a batch run is one
 part, an epoch-layout run (live or sealed-uncompacted) one part per visible
-micro-batch.  Everything that reads works over parts.
+micro-batch.  Everything that reads works over parts, and every segment
+read is one :func:`read_range` -- open the file a footer entry names, seek,
+read::
+
+    runs/<run_id>/                  a batch run: one part
+      part.seg                      operator segments | rows | index
+      manifest.json                 its footer (+ run fields)
+      metrics.json
+    runs/<run_id>/batches/epoch-NNNN/   one part per micro-batch
+      part.seg
+      part.json                     its footer
+
+Runs written in layout 2 (a file per segment: ``ops/op-<oid>.seg``,
+``ops/range-NNNN/`` sub-shards, ``rows.seg``, ``index.seg``) still read:
+:func:`run_parts` hands their footers out in layout-3 form.
 
 :class:`LazyProvenanceStore` satisfies the
 :class:`~repro.core.store.ProvenanceStoreProtocol`, so the backtracing
@@ -62,7 +76,7 @@ from repro.nested.values import DataItem
 from repro.obs.breakdown import get_breakdown
 from repro.obs.tracer import get_tracer
 import repro.warehouse.format as wf
-from repro.warehouse.writer import MANIFEST_NAME, OPS_DIR, PART_NAME, ROWS_SEGMENT
+from repro.warehouse.writer import MANIFEST_NAME, PART_NAME
 
 __all__ = [
     "LazyProvenanceStore",
@@ -70,6 +84,7 @@ __all__ = [
     "RunPart",
     "load_manifest",
     "match_encoded_rows",
+    "read_range",
     "run_parts",
 ]
 
@@ -97,7 +112,7 @@ def load_manifest(run_dir: FsPath) -> dict[str, Any]:
         raise ProvenanceError(f"no run manifest at {path}")
     with open(path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
-    if manifest.get("format") != wf.FORMAT_VERSION:
+    if manifest.get("format") not in (2, wf.LAYOUT_VERSION):
         raise ProvenanceError(
             f"unsupported run manifest format: {manifest.get('format')!r}"
         )
@@ -107,30 +122,56 @@ def load_manifest(run_dir: FsPath) -> dict[str, Any]:
 class RunPart(NamedTuple):
     """One independently written slice of a stored run."""
 
-    #: Where the part's ``ops/``, ``rows.seg`` and ``index.seg`` live.
+    #: Where the part's files live.
     directory: FsPath
-    #: Footer index of the part: oid text -> segment/offsets/counts/sizes.
+    #: Footer entries of the part: oid text -> segment/offsets/counts/sizes.
     operators: dict[str, Any]
-    #: Manifest entry of the part's ``index.seg``, or ``None`` (unindexed).
+    #: Location of the part's rows segment.
+    rows: dict[str, Any]
+    #: Location of the part's index segment, or ``None`` (unindexed).
     index: dict[str, Any] | None
+
+
+def _part(directory: FsPath, footer: dict[str, Any]) -> RunPart:
+    """A part from its own footer.  A layout-2 footer (no ``"format"`` on
+    an epoch's, 2 on a batch manifest) is read in layout-3 form, copied:
+    each segment was its own file, so an operator's lives at
+    ``ops/<segment>`` (``range-NNNN/`` sub-shards included), the rows at
+    offset 0 of ``rows.seg`` to its end, the index at offset 0 of
+    ``index.seg``."""
+    if footer.get("format") == wf.LAYOUT_VERSION:
+        return RunPart(directory, footer["operators"], footer["rows"], footer.get("index"))
+    index = footer.get("index")
+    return RunPart(
+        directory,
+        {
+            oid: dict(entry, segment=f"ops/{entry['segment']}")
+            for oid, entry in footer["operators"].items()
+        },
+        {"segment": "rows.seg", "offset": 0, "segment_bytes": -1},
+        dict(index, offset=0) if index else None,
+    )
 
 
 def run_parts(
     run_dir: FsPath, manifest: dict[str, Any], max_epoch: int | None = None
 ) -> list[RunPart]:
-    """Locate a stored run's segments: the one place both manifest shapes meet.
+    """Locate a stored run's segments: the one place both manifest shapes
+    and both layouts meet.
 
     A batch manifest is one part (the run directory itself); an epoch
     manifest yields one part per visible epoch -- unexpired and, with
     *max_epoch*, admitted at or before it -- in epoch order.  An epoch's
     footer is its own immutable ``part.json``; an entry that carries
-    ``operators`` inline (written by <= 2.3) is taken as it is.  The list is
-    a snapshot: epochs appended afterwards stay invisible to its holder.
+    ``operators`` inline (written by <= 2.3) is taken as it is.  Each
+    part's layout comes from its own footer, so a layout-2 live head that
+    keeps growing mixes both.  The list is a snapshot: epochs appended
+    afterwards stay invisible to its holder.
     """
     run_dir = FsPath(run_dir)
     epochs = manifest.get("epochs")
     if epochs is None:
-        return [RunPart(run_dir, manifest["operators"], manifest.get("index"))]
+        return [_part(run_dir, manifest)]
     parts = []
     for entry in epochs:
         if entry.get("expired") or (max_epoch is not None and entry["epoch"] > max_epoch):
@@ -139,8 +180,22 @@ def run_parts(
         footer = entry
         if "operators" not in entry:
             footer = json.loads((directory / PART_NAME).read_bytes())
-        parts.append(RunPart(directory, footer["operators"], footer.get("index")))
+        parts.append(_part(directory, footer))
     return parts
+
+
+def read_range(
+    directory: FsPath,
+    entry: dict[str, Any],
+    offset_key: str = "offset",
+    length_key: str = "segment_bytes",
+) -> bytes:
+    """The one segment read: open the file *entry* names under *directory*,
+    seek to ``entry[offset_key]``, read ``entry[length_key]`` bytes (-1: to
+    the end)."""
+    with open(directory / entry["segment"], "rb") as handle:
+        handle.seek(entry[offset_key])
+        return handle.read(entry[length_key])
 
 
 def match_encoded_rows(
@@ -324,7 +379,7 @@ class LazyProvenanceStore:
         The segments are read before this returns; only the row hop is lazy.
         """
         with get_tracer().span("segment-read rows", "warehouse") as span:
-            buffers = [(part.directory / ROWS_SEGMENT).read_bytes() for part in self._parts]
+            buffers = [read_range(part.directory, part.rows) for part in self._parts]
             read = sum(map(len, buffers))
             self.metrics.add(bytes_read=read)
             span.set(bytes=read)
@@ -334,9 +389,7 @@ class LazyProvenanceStore:
     def _read_range(
         self, directory: FsPath, entry: dict[str, Any], offset_key: str, length_key: str
     ) -> bytes:
-        with open(directory / OPS_DIR / entry["segment"], "rb") as handle:
-            handle.seek(entry[offset_key])
-            raw = handle.read(entry[length_key])
+        raw = read_range(directory, entry, offset_key, length_key)
         self.metrics.add(bytes_read=len(raw))
         return raw
 

@@ -4,7 +4,8 @@ The paper's motivation for eager capture is that provenance outlives the
 pipeline run (auditing and usage queries happen days later, Sec. 7.4).
 :class:`Warehouse` is the durable home those queries run against: many
 captured executions under one root directory, catalogued in
-``catalog.json``, each run spilled into per-operator binary segments that a
+``catalog.json``, each run spilled into binary segments -- one per operator,
+the result rows, the index -- that a
 :class:`~repro.warehouse.reader.LazyProvenanceStore` decodes on demand.
 
 Directory layout::
@@ -12,11 +13,15 @@ Directory layout::
     <root>/
       catalog.json                   run registry (name, timestamp, sizes)
       runs/<run_id>/                 legacy flat layout (unsharded roots)
-        manifest.json                footer index: oid -> segment/offsets
-        rows.seg                     provenance-annotated result rows
-        ops/op-<oid>.seg             one segment per operator
-        ops/range-NNNN/op-<oid>.seg  sub-sharded segments (large runs)
+        part.seg                     operator segments, then the rows
+                                     segment, then the index segment
+        manifest.json                footer: oid -> offsets in part.seg
+        metrics.json                 the execution's accounting
       shards/<shard>/runs/<run_id>/  sharded layout (after ``init_shards``)
+
+A live run holds one such ``part.seg`` per micro-batch instead
+(:mod:`repro.warehouse.live`); runs written in layout 2 (a file per
+segment) still read (:func:`~repro.warehouse.reader.run_parts`).
 
 A sharded warehouse places each run onto a named shard by consistent-hashing
 its run id (:mod:`repro.core.ring`), records the placement in the catalog's
@@ -70,7 +75,7 @@ from repro.warehouse.reader import (
     match_encoded_rows,
     run_parts,
 )
-from repro.warehouse.writer import DEFAULT_SUB_SHARD_SPAN, encode_part, write_run
+from repro.warehouse.writer import encode_part, write_run
 
 __all__ = ["Warehouse"]
 
@@ -247,20 +252,17 @@ class Warehouse:
         return run_id, shard, run_dir
 
     def record(
-        self,
-        execution: ExecutionResult,
-        name: str = "run",
-        index: bool = True,
-        sub_shard_span: int = DEFAULT_SUB_SHARD_SPAN,
+        self, execution: ExecutionResult, name: str = "run", index: bool = True
     ) -> RunRecord:
         """Persist one capture-enabled execution; returns its catalog record.
 
-        By default the run's query-side index (``index.seg``) is built in
-        the same step; pass ``index=False`` to skip it (``repro index
-        build`` backfills later, producing identical bytes).  In a sharded
-        warehouse the run lands on the shard its id hashes to and that
-        shard's epoch advances; *sub_shard_span* bounds operators per
-        segment directory (see :func:`write_run`).
+        The run is one ``part.seg`` (:func:`write_run`); by default its
+        query-side index is built in the same pass and written as the
+        file's last segment.  Pass ``index=False`` to skip it (``repro index
+        build`` backfills ``index.seg`` later, with identical bytes).  In a
+        sharded warehouse the run lands on the shard its id hashes to and
+        that shard's epoch advances.  ``total_bytes`` is the size of
+        ``part.seg``.
         """
         if execution.store is None:
             raise ProvenanceError("only capture-enabled executions can be recorded")
@@ -271,7 +273,6 @@ class Warehouse:
         ):
             manifest = write_run(
                 run_dir, encode_part(execution), execution.root.oid, run_id, name, created,
-                sub_shard_span=sub_shard_span,
                 index=RunIndex.accumulator() if index else None,
             )
             # Keep the execution's accounting next to the segments so
@@ -382,12 +383,7 @@ class Warehouse:
         )
         return entry
 
-    def seal_live_run(
-        self,
-        run_id: str,
-        compact: bool = True,
-        sub_shard_span: int = DEFAULT_SUB_SHARD_SPAN,
-    ) -> RunRecord:
+    def seal_live_run(self, run_id: str, compact: bool = True) -> RunRecord:
         """Finish a live run: no more appends; optionally compact.
 
         With ``compact=True`` the epoch layout is rewritten into the
@@ -410,9 +406,7 @@ class Warehouse:
             with get_tracer().span(
                 "warehouse-compact", "warehouse", run_id=record.run_id
             ):
-                manifest = compact_live_run(
-                    run_dir, manifest, sub_shard_span=sub_shard_span
-                )
+                manifest = compact_live_run(run_dir, manifest)
             record.indexed = True
             record.operator_count = len(manifest["operators"])
             record.row_count = manifest["rows"]["count"]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.engine.session import Session
@@ -47,3 +50,15 @@ def example_pipeline(session, example_tweets):
 def captured_example(example_pipeline):
     """The running example executed with provenance capture."""
     return example_pipeline.execute(capture=True)
+
+
+#: A warehouse written in run layout 2, a file per segment (see its README).
+WAREHOUSE_V2 = Path(__file__).parent / "fixtures" / "warehouse_v2"
+
+
+@pytest.fixture
+def warehouse_v2(tmp_path) -> Path:
+    """A temporary copy of the committed layout-2 warehouse, free to grow."""
+    root = tmp_path / "v2"
+    shutil.copytree(WAREHOUSE_V2, root)
+    return root

@@ -7,12 +7,14 @@ Three contracts, none of them timed:
   of any earlier epoch; the head grows by one slim line per epoch; and
   compaction moves source items and sink rows as stored bytes -- it parses
   none.
-* **Crash safety.**  A writer that dies between the epoch directory and the
-  head rename leaves exactly the pre-state, and the next append goes through;
-  so does a ``record`` that dies anywhere before the catalog rename.
+* **Crash safety.**  An append that dies after its ``part.seg``, after its
+  ``part.json`` or before the head rename leaves exactly the pre-state, and
+  the next append goes through; so does a ``record`` that dies after its
+  ``part.seg``, after the manifest rename or before the catalog rename.
 * **One reader for both shapes.**  A head written by <= 2.3 carries each
-  epoch's footer inline; ``run_parts`` takes it as it is, so inspect, pinned
-  backtrace, retention and compaction agree with the ``part.json`` shape.
+  epoch's footer inline (and each segment in its own file); ``run_parts``
+  takes it as it is, so inspect, pinned backtrace, retention and compaction
+  agree with the ``part.json`` shape.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ import repro.warehouse.format as wf
 import repro.warehouse.live as live
 import repro.warehouse.writer as writer
 from repro.engine.expressions import col, collect_list, count
+from repro.engine.metrics import ExecutionMetrics
 from repro.engine.session import Session
 from repro.nested.values import DataItem
 from repro.pebble.query import query_provenance
 from repro.stream import StreamSession, TumblingWindow, window_by
 from repro.warehouse import RunIndex, Warehouse
 from repro.warehouse.catalog import Catalog
-from repro.warehouse.reader import load_manifest, run_parts
+from repro.warehouse.reader import load_manifest, read_range, run_parts
 from repro.workloads import scenario
 from repro.workloads.scenarios import load_workload
 
@@ -74,13 +77,12 @@ def _tree(run_dir: Path) -> dict[str, bytes]:
 
 
 def _assert_indexed_like_the_disk_feeder(run_dir: Path) -> int:
-    """Every part's ``index.seg`` -- fed by the writer from what it held -- is
-    what ``RunIndex.build`` derives from the part's segments; returns the
+    """Every part's index segment -- fed by the writer from what it held --
+    is what ``RunIndex.build`` derives from the part's segments; returns the
     number of parts checked."""
     parts = run_parts(run_dir, load_manifest(run_dir))
     for part in parts:
-        written = (part.directory / part.index["segment"]).read_bytes()
-        assert written == RunIndex.build(part.directory, {"operators": part.operators}).encode()
+        assert read_range(part.directory, part.index) == RunIndex.build(part).encode()
     return len(parts)
 
 
@@ -96,64 +98,81 @@ def _narrow(dataset):
 
 
 class TestCrashedAppend:
-    """The writer dies after the epoch directory is complete and before the
-    head is renamed.  The plan is windowless, so re-ingesting the batch that
-    never committed is the whole recovery (at-least-once delivery)."""
+    """The writer dies after the epoch's ``part.seg``, after its
+    ``part.json``, or with the new head written but not renamed; each test
+    walks all three points.  The plan is windowless, so re-ingesting the
+    batch that never committed is the whole recovery (at-least-once
+    delivery)."""
+
+    CRASH_POINTS = {
+        "after-part.seg": (live, "write_part_footer"),
+        "after-part.json": (live, "write_manifest"),
+        "before-the-head-rename": (Path, "replace"),
+    }
 
     @pytest.fixture()
-    def crashed(self, tmp_path, monkeypatch):
-        stream = StreamSession(warehouse=tmp_path / "wh", name="feed", num_partitions=2)
-        stream.open(_narrow(stream.dataset()))
-        stream.ingest(_rows(0, 6))
+    def crash(self, tmp_path, monkeypatch):
+        """``crash(point)`` -> (stream, run dir) of a stream, under its own
+        root, whose second ingest died at *point*."""
 
-        def die(run_dir, manifest):
-            raise OSError("killed before the head rename")
+        def die(*args, **kwargs):
+            raise OSError("killed mid-append")
 
-        monkeypatch.setattr(live, "write_manifest", die)
-        with pytest.raises(OSError):
-            stream.ingest(_rows(6, 10))
-        monkeypatch.undo()
-        return stream, stream.warehouse.run_dir(stream.run_id)
+        def crashed(point: str):
+            stream = StreamSession(warehouse=tmp_path / point, name="feed", num_partitions=2)
+            stream.open(_narrow(stream.dataset()))
+            stream.ingest(_rows(0, 6))
+            with monkeypatch.context() as patch:
+                patch.setattr(*self.CRASH_POINTS[point], die)
+                with pytest.raises(OSError):
+                    stream.ingest(_rows(6, 10))
+            return stream, stream.warehouse.run_dir(stream.run_id)
 
-    def test_reopen_shows_exactly_the_pre_state(self, tmp_path, crashed):
-        stream, run_dir = crashed
-        # The epoch directory landed, complete; the head never moved.
-        assert (run_dir / "batches" / "epoch-0002" / "part.json").exists()
-        head = load_manifest(run_dir)
-        assert head["segment_epoch"] == 1 and len(head["epochs"]) == 1
-        reopened = Warehouse.open(tmp_path / "wh")
-        summary = reopened.inspect(stream.run_id)
-        assert [entry["epoch"] for entry in summary["epochs"]] == [1]
-        assert summary["rows"] == 5 and reopened.resolve(stream.run_id).segment_epoch == 1
-        answer, _ = reopened.backtrace(stream.run_id, 'root{/user="u1"}')
-        assert sorted(answer.all_ids()) and len(answer.matched_output_ids) == 3
+        return crashed
 
-    def test_the_next_ingest_succeeds_and_compacts_to_the_batch_bytes(self, crashed):
-        stream, run_dir = crashed
-        garbage = run_dir / "batches" / "epoch-0002"
-        (garbage / "ops" / "stale.seg").write_bytes(b"left by the dead writer")
-        entry = stream.ingest(_rows(6, 10))  # used to raise FileExistsError
-        assert entry["epoch"] == 2 and entry["rows"] == 4
-        assert not (garbage / "ops" / "stale.seg").exists()  # cleared, not merged
-        record = stream.finish(compact=True)
+    def test_reopen_shows_exactly_the_pre_state(self, tmp_path, crash):
+        for point in self.CRASH_POINTS:
+            stream, run_dir = crash(point)
+            # The epoch's part landed; the head never moved.
+            assert (run_dir / "batches" / "epoch-0002" / "part.seg").exists(), point
+            head = load_manifest(run_dir)
+            assert head["segment_epoch"] == 1 and len(head["epochs"]) == 1, point
+            reopened = Warehouse.open(tmp_path / point)
+            summary = reopened.inspect(stream.run_id)
+            assert [entry["epoch"] for entry in summary["epochs"]] == [1]
+            assert summary["rows"] == 5 and reopened.resolve(stream.run_id).segment_epoch == 1
+            answer, _ = reopened.backtrace(stream.run_id, 'root{/user="u1"}')
+            assert sorted(answer.all_ids()) and len(answer.matched_output_ids) == 3
 
+    def test_the_next_ingest_succeeds_and_compacts_to_the_batch_bytes(self, crash):
         session = Session(num_partitions=2)
         rows = [DataItem(row) for row in _rows(0, 10)]
         batch = _narrow(session.create_dataset(rows, "stream")).execute(capture=True)
-        batch_dir = stream.warehouse.run_dir(stream.warehouse.record(batch, name="batch").run_id)
-        assert _segments(stream.warehouse.run_dir(record.run_id)) == _segments(batch_dir)
+        for point in self.CRASH_POINTS:
+            stream, run_dir = crash(point)
+            garbage = run_dir / "batches" / "epoch-0002"
+            _half_write(garbage / "part.seg")
+            (garbage / "stale.seg").write_bytes(b"left by the dead writer")
+            entry = stream.ingest(_rows(6, 10))  # used to raise FileExistsError
+            assert entry["epoch"] == 2 and entry["rows"] == 4
+            assert not (garbage / "stale.seg").exists(), point  # cleared, not merged
+            record = stream.finish(compact=True)
+            warehouse = stream.warehouse
+            batch_dir = warehouse.run_dir(warehouse.record(batch, name="batch").run_id)
+            assert _segments(warehouse.run_dir(record.run_id)) == _segments(batch_dir), point
 
 
 class TestCrashedRecord:
-    """``record`` dies somewhere after its first segment and before the
-    catalog rename.  ``next_seq`` is persisted by that rename, so a reopened
-    warehouse mints the crashed run's id again and finds its directory."""
+    """``record`` dies after its ``part.seg``, after the manifest rename (in
+    ``metrics.json``) or before the catalog rename.  ``next_seq`` is
+    persisted by that rename, so a reopened warehouse mints the crashed
+    run's id again and finds its directory."""
 
     PATTERN = 'root{/user="u1"}'
 
     @pytest.fixture(
-        params=[(RunIndex, "write"), (writer, "write_manifest"), (Catalog, "save")],
-        ids=["after-the-segments", "after-index.seg", "before-the-catalog-rename"],
+        params=[(writer, "write_manifest"), (ExecutionMetrics, "to_json"), (Catalog, "save")],
+        ids=["after-part.seg", "after-the-manifest-rename", "before-the-catalog-rename"],
     )
     def crashed(self, request, tmp_path, monkeypatch):
         warehouse = Warehouse.open(tmp_path / "wh")
@@ -175,7 +194,7 @@ class TestCrashedRecord:
     def test_reopen_shows_exactly_the_pre_state(self, crashed):
         root, batch, kept, before = crashed
         left = root / "runs" / "run-0002-t1"
-        assert (left / "rows.seg").exists()  # the dead writer got that far
+        assert (left / "part.seg").exists()  # the dead writer got that far
         after = _tree(root)
         assert {name: after[name] for name in before} == before
         reopened = Warehouse.open(root)
@@ -186,12 +205,13 @@ class TestCrashedRecord:
     def test_the_retry_succeeds_and_answers_like_the_capture(self, crashed):
         root, batch, kept, _ = crashed
         left = root / "runs" / "run-0002-t1"
-        (left / "ops" / "stale.seg").write_bytes(b"left by the dead writer")
+        _half_write(left / "part.seg")
+        (left / "stale.seg").write_bytes(b"left by the dead writer")
         for _ in range(2):  # a directory left behind used to wedge the name for good
             reopened = Warehouse.open(root)
             record = reopened.record(batch, name="t1")
         assert record.run_id == "run-0003-t1"
-        assert not (left / "ops" / "stale.seg").exists()  # cleared, not merged
+        assert not (left / "stale.seg").exists()  # cleared, not merged
         assert _segments(left) == _segments(reopened.run_dir(kept.run_id))
         answer, _ = Warehouse.open(root).backtrace("run-0002-t1", self.PATTERN)
         assert answer.matched_output_ids
@@ -293,19 +313,42 @@ class TestCostFollowsTheBatch:
         assert answer.matched_output_ids
 
 
+def _half_write(path: Path) -> None:
+    """Leave *path* as a writer that died halfway through it would."""
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _slice(blob: bytes, location: dict) -> bytes:
+    return blob[location["offset"] : location["offset"] + location["segment_bytes"]]
+
+
 def _inline_footers(run_dir: Path) -> None:
-    """Rewrite *run_dir* the way <= 2.3 wrote it: every epoch's footer inline
-    in the (indented) manifest, no ``part.json``."""
+    """Rewrite *run_dir* the way <= 2.3 wrote it: every epoch's segments in
+    their own files (``ops/op-<oid>.seg``, ``rows.seg``, ``index.seg``) and
+    its footer inline in the (indented, layout-2) manifest, no ``part.json``."""
     manifest = json.loads((run_dir / "manifest.json").read_text())
     manifest.pop("operator_count")
+    manifest["format"] = 2
     for entry in manifest["epochs"]:
-        footer_path = run_dir / entry["dir"] / "part.json"
-        footer = json.loads(footer_path.read_text())
-        entry["operators"] = footer["operators"]
+        part_dir = run_dir / entry["dir"]
+        footer = json.loads((part_dir / "part.json").read_text())
+        blob = (part_dir / "part.seg").read_bytes()
+        (part_dir / "ops").mkdir()
+        entry["operators"] = {}
+        for oid, op in footer["operators"].items():
+            start = op["offset"] - wf.PREAMBLE
+            name = f"op-{int(oid):06d}.seg"
+            (part_dir / "ops" / name).write_bytes(blob[start : start + op["segment_bytes"]])
+            moved = {key: op[key] - start for key in ("offset", "items_offset") if key in op}
+            entry["operators"][oid] = dict(op, segment=name, **moved)
+        (part_dir / "rows.seg").write_bytes(_slice(blob, footer["rows"]))
         if footer["index"] is not None:
-            entry["index"] = footer["index"]
-        entry["rows_bytes"] = (run_dir / entry["dir"] / "rows.seg").stat().st_size
-        footer_path.unlink()
+            (part_dir / "index.seg").write_bytes(_slice(blob, footer["index"]))
+            entry["index"] = dict(footer["index"], segment="index.seg")
+            del entry["index"]["offset"]
+        entry["rows_bytes"] = footer["rows"]["segment_bytes"]
+        (part_dir / "part.json").unlink()
+        (part_dir / "part.seg").unlink()
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 

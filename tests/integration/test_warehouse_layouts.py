@@ -1,0 +1,135 @@
+"""Run layouts: layout 3 writes each part as one ``part.seg``; layout 2, a
+file per segment, is no longer written and still reads.
+
+The layout-2 side is the committed ``tests/fixtures/warehouse_v2`` warehouse
+(a batch run, a sub-sharded batch run, a sealed epoch run and a live head),
+written by the last layout-2 writer together with the digests of its
+backtrace, forward and SAR answers.  Over a temporary copy of it:
+
+* every answer digest is still the one recorded;
+* ``repro index build`` re-derives the recorded ``index.seg`` bytes;
+* the live head takes layout-3 epochs after its layout-2 ones, answers over
+  both, and compacts to the bytes of a one-shot record of the same rows.
+
+And one meaning of ``total_bytes`` for every run shape: the size of the
+run's ``part.seg`` files.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.cli import main
+from repro.engine.executor import Executor
+from repro.engine.session import Session
+from repro.nested.values import DataItem
+from repro.pebble.query import query_provenance
+from repro.stream import StreamSession
+from repro.warehouse import Warehouse
+from repro.warehouse.reader import load_manifest
+from tests.fixtures.make_warehouse_v2 import LIVE_BATCHES, answer_digests, narrow, stream_rows
+
+PATTERN = 'root{/user="u1"}'
+
+
+def _batch(rows: list[dict]):
+    session = Session(num_partitions=2)
+    return narrow(session.create_dataset([DataItem(row) for row in rows], "stream")).execute(
+        capture=True
+    )
+
+
+def _append(warehouse: Warehouse, run_id: str, rows: list[dict]) -> None:
+    """One micro-batch onto a live run, run the way ``StreamSession`` runs it."""
+    session = Session(num_partitions=2)
+    executor = Executor(capture=True, config=session.config)
+    executor._next_id = load_manifest(warehouse.run_dir(run_id))["next_pid"]
+    dataset = narrow(session.create_dataset([DataItem(row) for row in rows], "stream"))
+    execution = executor.execute(dataset.plan)
+    warehouse.append_live_epoch(run_id, execution, next_pid=executor._next_id)
+
+
+def _traced_ids(result) -> list[int]:
+    """The ``id`` of every input row an answer traces back to."""
+    return sorted(entry.item["id"] for source in result.sources for entry in source)
+
+
+class TestLayout2StillReads:
+    def test_answers_match_the_ones_recorded_when_it_was_written(self, warehouse_v2):
+        warehouse = Warehouse.open(warehouse_v2)
+        recorded = json.loads((warehouse_v2 / "answers.json").read_text())
+        assert [record.name for record in warehouse.runs()] == [
+            "example", "example-ranged", "sealed", "live"
+        ]
+        assert {
+            record.name: answer_digests(warehouse, record.run_id, record.name)
+            for record in warehouse.runs()
+        } == recorded
+
+    @pytest.mark.parametrize("run_id", ["run-0001-example", "run-0002-example-ranged"])
+    def test_index_build_rederives_the_recorded_index(self, warehouse_v2, run_id, capsys):
+        run_dir = warehouse_v2 / "runs" / run_id
+        recorded = (run_dir / "index.seg").read_bytes()
+        (run_dir / "index.seg").unlink()
+        assert Warehouse.open(warehouse_v2).load_index(run_id) is None  # scans meanwhile
+        assert main(["index", "build", run_id, "--root", str(warehouse_v2)]) == 0
+        assert "input ids" in capsys.readouterr().out
+        assert (run_dir / "index.seg").read_bytes() == recorded
+        assert load_manifest(run_dir)["format"] == 2  # a backfill rewrites no segment
+
+    def test_a_live_head_grows_by_layout_3_epochs_and_compacts_to_a_one_shot_record(
+        self, warehouse_v2
+    ):
+        warehouse = Warehouse.open(warehouse_v2)
+        run_id = "run-0004-live"
+        grown = ((10, 14), (14, 18))
+        for lo, hi in grown:
+            _append(warehouse, run_id, stream_rows(lo, hi))
+        run_dir = warehouse.run_dir(run_id)
+        head = load_manifest(run_dir)
+        assert head["format"] == 2 and [entry["epoch"] for entry in head["epochs"]] == [1, 2, 3, 4]
+        assert (run_dir / "batches" / "epoch-0002" / "ops").is_dir()
+        assert sorted(path.name for path in (run_dir / "batches" / "epoch-0003").iterdir()) == [
+            "part.json", "part.seg"
+        ]
+
+        rows = [row for lo, hi in LIVE_BATCHES + grown for row in stream_rows(lo, hi)]
+        batch = _batch(rows)
+        expected = query_provenance(batch, PATTERN)
+        live, _ = warehouse.backtrace(run_id, PATTERN)
+        assert len(live.matched_output_ids) == len(expected.matched_output_ids) == 9
+        assert _traced_ids(live) == _traced_ids(expected) == list(range(1, 18, 2))
+        assert warehouse.load_index(run_id).candidates("u1")  # both layouts' index parts
+
+        warehouse.seal_live_run(run_id, compact=True)
+        assert sorted(path.name for path in run_dir.iterdir()) == ["manifest.json", "part.seg"]
+        batch_dir = warehouse.run_dir(warehouse.record(batch, name="batch").run_id)
+        assert (run_dir / "part.seg").read_bytes() == (batch_dir / "part.seg").read_bytes()
+        compacted, _ = warehouse.backtrace(run_id, PATTERN)
+        assert compacted.render() == expected.render()
+
+
+class TestTotalBytes:
+    def test_total_bytes_is_the_size_of_the_runs_part_files(self, tmp_path):
+        """Batch, live and compacted alike, in the manifest and the catalog;
+        so a compacted stream is catalogued at the size of the batch run of
+        its rows."""
+        stream = StreamSession(warehouse=tmp_path / "wh", name="feed", num_partitions=2)
+        stream.open(narrow(stream.dataset()))
+        for lo, hi in LIVE_BATCHES:
+            stream.ingest(stream_rows(lo, hi))
+        warehouse = stream.warehouse
+
+        def assert_part_sized(record) -> int:
+            run_dir = warehouse.run_dir(record.run_id)
+            size = sum(path.stat().st_size for path in run_dir.rglob("part.seg"))
+            assert record.total_bytes == load_manifest(run_dir)["total_bytes"] == size
+            assert Warehouse.open(warehouse.root).resolve(record.run_id).total_bytes == size
+            return size
+
+        batch = warehouse.record(_batch(stream_rows(0, 10)), name="batch")
+        assert_part_sized(batch)
+        assert assert_part_sized(warehouse.resolve(stream.run_id)) > 0
+        assert assert_part_sized(stream.finish(compact=True)) == batch.total_bytes

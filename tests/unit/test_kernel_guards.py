@@ -14,7 +14,11 @@ whichever route (exact-type dispatch or the ``isinstance`` chain) a value takes.
 Recording is one pass over what the writer holds: with file opens, decodes,
 parses and encoder calls counted, a ``record`` or an ``append_epoch`` reads
 nothing it wrote, writes each footer once, and encodes an item object once
-however many read operators hold it.
+however many read operators hold it -- collecting its index terms in that
+same encoder pass, never in a second walk.  A part is one file: a record
+writes ``part.seg``, its manifest and ``metrics.json`` into the one
+directory it makes, an ingest ``part.seg`` and ``part.json`` into its
+epoch directory plus the head.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import builtins
 import io
 import json
+import os
 from collections import Counter, OrderedDict
 from types import MappingProxyType
 
@@ -255,15 +260,21 @@ class TestConstructionFidelity:
 
 @pytest.fixture
 def write_path(monkeypatch):
-    """Count what a write does: files opened (by mode), operator decodes,
-    JSON parses, manifest writes and item-encoder calls."""
+    """Count what a write does: files opened (by mode), directories created,
+    operator decodes, JSON parses, manifest writes, item-encoder calls and
+    string-leaf walks."""
     counts: Counter = Counter()
     opened: list[tuple[str, str]] = []
-    real_open = io.open
+    made: list[str] = []
+    real_open, real_mkdir = io.open, os.mkdir
 
     def recording_open(file, mode="r", *args, **kwargs):
         opened.append((str(file), mode))
         return real_open(file, mode, *args, **kwargs)
+
+    def recording_mkdir(path, *args, **kwargs):
+        real_mkdir(path, *args, **kwargs)
+        made.append(str(path))  # only a directory that was created
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -274,23 +285,42 @@ def write_path(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    # ``Path.read_bytes`` / ``write_bytes`` / ``write_text`` go through io.open.
+    # ``Path.read_bytes`` / ``write_bytes`` / ``write_text`` go through io.open,
+    # ``Path.mkdir`` through os.mkdir.
     monkeypatch.setattr(io, "open", recording_open)
     monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(os, "mkdir", recording_mkdir)
     counting(wf, "decode_operator")
     counting(wf, "_item_json")
+    counting(wf, "_item_json_and_leaves")
     counting(json, "loads")
     counting(writer, "write_manifest")
+    counting(index, "walk_string_leaves")
     # The backfill path calls it through its own import: same counter.
     monkeypatch.setattr(index, "write_manifest", writer.write_manifest)
-    return counts, opened
+    return counts, opened, made
+
+
+def _written_under(directory, opened) -> list[str]:
+    """The files opened for writing under *directory*, relative, sorted."""
+    prefix = str(directory) + "/"
+    return sorted(name[len(prefix):] for name, mode in opened if "w" in mode and name.startswith(prefix))
+
+
+def _feed(tmp_path) -> StreamSession:
+    stream = StreamSession(warehouse=tmp_path / "wh", name="feed", num_partitions=2)
+    stream.open(stream.dataset().filter(col("id") >= 1).select(col("user"), col("id")))
+    return stream
+
+
+_FEED_ROWS = [{"id": i, "user": f"u{i % 2}", "ts": float(i)} for i in range(12)]
 
 
 class TestRecordIsOnePass:
     def test_a_record_reads_nothing_back_and_encodes_an_item_object_once(
         self, tmp_path, write_path
     ):
-        counts, opened = write_path
+        counts, opened, _ = write_path
         execution = scenario("T3").instantiate(scale=0.1, num_partitions=2).execute(capture=True)
         store = execution.store
         held = [
@@ -305,21 +335,53 @@ class TestRecordIsOnePass:
         counts.clear(), opened.clear()
         record = warehouse.record(execution, name="T3", index=True)
         run_dir = str(warehouse.run_dir(record.run_id))
-        assert (run_dir + "/index.seg", "wb") in opened
+        assert (run_dir + "/part.seg", "wb") in opened
         assert [name for name, mode in opened if name.startswith(run_dir) and "r" in mode] == []
         assert counts["decode_operator"] == 0 and counts["loads"] == 0
         assert counts["write_manifest"] == 1
-        assert counts["_item_json"] == distinct + len(execution.rows())
+        assert counts["_item_json_and_leaves"] == distinct
+        assert counts["_item_json"] == len(execution.rows())
 
     def test_an_append_writes_its_footer_once_and_reads_no_segment(self, tmp_path, write_path):
-        counts, opened = write_path
-        stream = StreamSession(warehouse=tmp_path / "wh", name="feed", num_partitions=2)
-        stream.open(stream.dataset().filter(col("id") >= 1).select(col("user"), col("id")))
-        rows = [{"id": i, "user": f"u{i % 2}", "ts": float(i)} for i in range(12)]
-        stream.ingest(rows[:6])
+        counts, opened, _ = write_path
+        stream = _feed(tmp_path)
+        stream.ingest(_FEED_ROWS[:6])
         counts.clear(), opened.clear()
-        stream.ingest(rows[6:])
+        stream.ingest(_FEED_ROWS[6:])
         assert [mode for name, mode in opened if name.endswith("part.json")] == ["w"]
-        assert (str(stream.warehouse.run_dir(stream.run_id) / "batches/epoch-0002/index.seg"), "wb") in opened
+        assert (str(stream.warehouse.run_dir(stream.run_id) / "batches/epoch-0002/part.seg"), "wb") in opened
         assert [name for name, mode in opened if name.endswith(".seg") and "r" in mode] == []
-        assert counts["decode_operator"] == 0 and counts["_item_json"] == 6 + 6  # items + rows
+        assert counts["decode_operator"] == 0
+        assert counts["_item_json_and_leaves"] == 6 and counts["_item_json"] == 6  # items, rows
+
+
+class TestAPartIsOneFile:
+    """A batch run or an epoch is one ``part.seg`` beside its footer, and
+    its index terms come from the walk that encoded its items."""
+
+    def test_a_record_writes_its_part_manifest_and_metrics_in_one_new_directory(
+        self, tmp_path, write_path
+    ):
+        counts, opened, made = write_path
+        execution = scenario("T1").instantiate(scale=0.05, num_partitions=2).execute(capture=True)
+        warehouse = Warehouse.open(tmp_path / "wh")
+        warehouse.record(execution, name="first")  # ``runs/`` exists from here on
+        counts.clear(), opened.clear(), made.clear()
+        run_dir = warehouse.run_dir(warehouse.record(execution, name="T1").run_id)
+        assert counts["walk_string_leaves"] == 0
+        assert _written_under(run_dir, opened) == ["manifest.json.tmp", "metrics.json", "part.seg"]
+        assert made == [str(run_dir)]
+
+    def test_an_ingest_writes_its_part_and_footer_and_the_head(self, tmp_path, write_path):
+        counts, opened, made = write_path
+        stream = _feed(tmp_path)
+        stream.ingest(_FEED_ROWS[:6])
+        counts.clear(), opened.clear(), made.clear()
+        stream.ingest(_FEED_ROWS[6:])
+        run_dir = stream.warehouse.run_dir(stream.run_id)
+        epoch = "batches/epoch-0002/"
+        assert counts["walk_string_leaves"] == 0
+        assert _written_under(run_dir, opened) == [
+            epoch + "part.json", epoch + "part.seg", "manifest.json.tmp"
+        ]
+        assert made == [str(run_dir / epoch.rstrip("/"))]

@@ -12,10 +12,12 @@ from repro.engine.expressions import col
 from repro.engine.session import Session
 from repro.errors import ProvenanceError
 from repro.nested.json_io import item_to_json
-from repro.nested.values import DataItem
+from repro.nested.values import Bag, DataItem
+import repro.warehouse.format as wf
 from repro.warehouse import RunIndex, Warehouse, ensure_index
 from repro.warehouse.index import INDEX_SEGMENT, MAX_TERM_LEN, walk_string_leaves
-from repro.warehouse.reader import load_manifest
+from repro.warehouse.reader import load_manifest, read_range
+from repro.warehouse.writer import PART_SEGMENT
 from repro.workloads.scenarios import SCENARIOS
 
 
@@ -27,17 +29,25 @@ def recorded(captured_example, tmp_path):
     return warehouse, record
 
 
-def _both_feeders(warehouse, execution, **options) -> tuple[bytes, bytes]:
-    """``index.seg`` as the writer feeds it (in the recording pass) and as
-    the disk feeder derives it from a run recorded without one."""
-    at_record = warehouse.record(execution, name="indexed", index=True, **options)
-    backfilled = warehouse.record(execution, name="plain", index=False, **options)
+def _index_bytes(run_dir) -> bytes:
+    """The index segment a run's manifest locates (in ``part.seg`` when
+    recorded with it, in ``index.seg`` when backfilled)."""
+    return read_range(run_dir, load_manifest(run_dir)["index"])
+
+
+def _both_feeders(warehouse, execution) -> tuple[bytes, bytes]:
+    """The index as the writer feeds it (in the recording pass, the last
+    segment of ``part.seg``) and as the disk feeder derives it from a run
+    recorded without one (``index.seg``)."""
+    at_record = warehouse.record(execution, name="indexed", index=True)
+    backfilled = warehouse.record(execution, name="plain", index=False)
     assert at_record.indexed and not backfilled.indexed
     warehouse.build_index(backfilled.run_id)
     assert warehouse.resolve(backfilled.run_id).indexed
+    assert not (warehouse.run_dir(at_record.run_id) / INDEX_SEGMENT).exists()
+    assert (warehouse.run_dir(backfilled.run_id) / INDEX_SEGMENT).exists()
     return tuple(
-        (warehouse.run_dir(record.run_id) / INDEX_SEGMENT).read_bytes()
-        for record in (at_record, backfilled)
+        _index_bytes(warehouse.run_dir(record.run_id)) for record in (at_record, backfilled)
     )
 
 
@@ -67,10 +77,12 @@ class TestBuildAndRoundTrip:
         warehouse, record = recorded
         assert record.indexed
         run_dir = warehouse.run_dir(record.run_id)
-        assert (run_dir / INDEX_SEGMENT).exists()
+        assert not (run_dir / INDEX_SEGMENT).exists()
         manifest = load_manifest(run_dir)
         entry = manifest["index"]
-        assert entry["segment"] == INDEX_SEGMENT
+        assert entry["segment"] == PART_SEGMENT
+        # The index is the part's last segment.
+        assert entry["offset"] + entry["segment_bytes"] == (run_dir / PART_SEGMENT).stat().st_size
         assert entry["inputs"] > 0 and entry["terms"] > 0 and entry["items"] > 0
 
     def test_encode_decode_round_trip(self, recorded):
@@ -98,8 +110,7 @@ class TestBuildAndRoundTrip:
     @given(st.lists(_raw_items, min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_both_feeders_agree_on_generated_items(self, raws):
-        """One item list under two reads, more operators than the sub-shard
-        span, leaves in a bag of bags."""
+        """One item list under two reads, leaves in a bag of bags."""
         items = [DataItem(dict(raw, k=position)) for position, raw in enumerate(raws)]
         for item in items:  # the model walk sees what the parsed JSON shows
             parsed = json.loads(item_to_json(item))
@@ -115,8 +126,7 @@ class TestBuildAndRoundTrip:
         )
         with tempfile.TemporaryDirectory() as root:
             warehouse = Warehouse.open(root)
-            first, second = _both_feeders(warehouse, execution, sub_shard_span=2)
-            assert "sub_shards" in load_manifest(warehouse.run_dir("indexed"))
+            first, second = _both_feeders(warehouse, execution)
             index = warehouse.load_index("indexed")
         assert first == second
         for raw in raws:
@@ -133,9 +143,29 @@ class TestBuildAndRoundTrip:
     def test_build_index_is_idempotent(self, recorded):
         warehouse, record = recorded
         run_dir = warehouse.run_dir(record.run_id)
-        before = (run_dir / INDEX_SEGMENT).read_bytes()
+        before = _index_bytes(run_dir)
         warehouse.build_index(record.run_id)
-        assert (run_dir / INDEX_SEGMENT).read_bytes() == before
+        assert _index_bytes(run_dir) == before
+        warehouse.build_index(record.run_id, force=True)  # re-derived into index.seg
+        assert (run_dir / INDEX_SEGMENT).read_bytes() == _index_bytes(run_dir) == before
+
+    @given(_raw_items)
+    @settings(max_examples=60, deadline=None)
+    def test_the_encoder_pass_collects_every_string_leaf(self, raw):
+        """The writer's terms come from the pass that encodes the item: the
+        same bytes as the plain encoder and the same multiset of leaves as
+        the model walk, model subclasses included."""
+
+        class Row(DataItem):
+            __slots__ = ()
+
+        class Tags(Bag):
+            __slots__ = ()
+
+        item = Row(dict(raw, sub=Row(tags=Tags(raw["tags"]), s=raw["s"])))
+        encoded, leaves = wf._item_json_and_leaves(item)
+        assert encoded == wf._item_json(item)
+        assert sorted(leaves) == sorted(walk_string_leaves(item))
 
 
 class TestProbes:
@@ -175,16 +205,17 @@ class TestProbes:
 
     def test_item_ranges_frame_the_exact_item(self, loaded):
         """ITEMS has no reader any more, but stays written (INDEX_VERSION 1):
-        each byte range must still frame exactly one ``id | JSON`` record."""
-        import repro.warehouse.format as wf
+        each byte range, counted from the start of its operator segment,
+        must still frame exactly one ``id | JSON`` record."""
         from repro.nested.json_io import item_from_json
 
         index, store, run_dir, manifest = loaded
+        part = (run_dir / PART_SEGMENT).read_bytes()
         checked = 0
         for oid, ranges in index.items.items():
-            segment = (
-                run_dir / "ops" / manifest["operators"][str(oid)]["segment"]
-            ).read_bytes()
+            entry = manifest["operators"][str(oid)]
+            start = entry["offset"] - wf.PREAMBLE
+            segment = part[start : start + entry["segment_bytes"]]
             for item_id, (offset, length) in ranges.items():
                 cursor = wf.Cursor(segment[offset : offset + length])
                 assert cursor.u64() == item_id

@@ -1,10 +1,10 @@
 """Sharded warehouse storage: manifest, placement, epochs, rebalance.
 
 The shard layer must never change an answer: runs live under
-``shards/<name>/runs/`` instead of ``runs/``, sub-sharded operator
-segments under ``ops/range-NNNN/``, and every reader resolves through the
-catalog record -- so these tests repeatedly pin "same backtrace before and
-after" alongside the layout assertions.
+``shards/<name>/runs/`` instead of ``runs/``, a layout-2 run's sub-sharded
+operator segments under ``ops/range-NNNN/``, and every reader resolves
+through the catalog record -- so these tests repeatedly pin "same backtrace
+before and after" alongside the layout assertions.
 """
 
 import json
@@ -172,28 +172,32 @@ class TestRebalance:
 
 
 class TestSubSharding:
-    def test_segment_ranges_do_not_change_answers(
-        self, captured_example, example_pattern, tmp_path
-    ):
-        plain = Warehouse.open(tmp_path / "plain")
-        sharded = Warehouse.open(tmp_path / "ranged")
-        a = plain.record(captured_example, name="example")
-        b = sharded.record(captured_example, name="example", sub_shard_span=4)
-        ops = sharded.run_dir(b.run_id) / "ops"
+    """Layout 3 writes a run as one ``part.seg``, so there is nothing left to
+    spread over ``ops/range-NNNN/``; a layout-2 run that was sub-sharded
+    (``sub_shard_span=2``, the committed fixture) still reads."""
+
+    RANGED = "run-0002-example-ranged"
+
+    def test_segment_ranges_do_not_change_answers(self, warehouse_v2, example_pattern):
+        ops = Warehouse.open(warehouse_v2).run_dir(self.RANGED) / "ops"
         ranges = sorted(path.name for path in ops.iterdir() if path.is_dir())
         assert ranges and all(name.startswith("range-") for name in ranges)
-        assert _answer(tmp_path / "plain", a.run_id, example_pattern) == _answer(
-            tmp_path / "ranged", b.run_id, example_pattern
+        assert _answer(warehouse_v2, "run-0001-example", example_pattern) == _answer(
+            warehouse_v2, self.RANGED, example_pattern
         )
 
-    def test_manifest_records_the_span(self, captured_example, tmp_path):
-        warehouse = Warehouse.open(tmp_path)
-        record = warehouse.record(captured_example, name="example", sub_shard_span=4)
-        manifest = json.loads(
-            (warehouse.run_dir(record.run_id) / "manifest.json").read_text()
-        )
-        assert manifest["sub_shards"]["span"] == 4
+    def test_manifest_records_the_span(self, warehouse_v2, captured_example):
+        warehouse = Warehouse.open(warehouse_v2)
+        manifest = json.loads((warehouse.run_dir(self.RANGED) / "manifest.json").read_text())
+        assert manifest["sub_shards"]["span"] == 2
         assert manifest["sub_shards"]["ranges"]
+        with pytest.raises(TypeError):
+            warehouse.record(captured_example, name="example", sub_shard_span=2)
+        fresh = warehouse.run_dir(warehouse.record(captured_example, name="fresh").run_id)
+        assert sorted(path.name for path in fresh.iterdir()) == [
+            "manifest.json", "metrics.json", "part.seg"
+        ]
+        assert "sub_shards" not in json.loads((fresh / "manifest.json").read_text())
 
 
 class TestShardSummary:
