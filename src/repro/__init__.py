@@ -13,8 +13,8 @@ This module is the library's **stable facade**: user programs import from
   run (windowed aggregation via ``repro.stream.window_by``, watermarks,
   incremental backtrace while ingesting, TTL retention),
 * :func:`connect` -- the provenance client: one :class:`ProvenanceClient`
-  over ``file:///path`` (in-process) and ``http://host:port`` (a serve
-  worker or fleet router),
+  over ``file:///path`` (in-process) and ``http://host:port`` (a
+  ``repro serve`` endpoint),
 * the audit surface -- :func:`trace_forward` (forward provenance: inputs ->
   derived outputs), :func:`subject_access_request`, and
   :func:`verify_erasure` (the GDPR workflows in :mod:`repro.audit`),
@@ -56,7 +56,7 @@ from repro.pebble import CapturedExecution, PebbleSession, query_provenance
 from repro.stream import StreamSession
 from repro.warehouse import Warehouse
 
-__version__ = "3.4.0"
+__version__ = "3.5.0"
 
 __all__ = [
     # primary API

@@ -31,8 +31,6 @@ __all__ = [
     "build_tracers",
     "erasure_over_tracers",
     "harvest_subjects",
-    "merge_erasure",
-    "merge_sar",
     "report_digest",
     "sar_over_tracers",
     "subject_access_request",
@@ -124,7 +122,14 @@ def sar_over_tracers(
                     {"id": pid, "item": _item_json(item)} for pid, item in result.outputs
                 ]
             runs.append(entry)
-        entries.append(_sar_entry(subject, runs))
+        entries.append(
+            {
+                "subject": subject,
+                "runs": runs,
+                "run_count": len(runs),
+                "total_outputs": sum(run["output_count"] for run in runs),
+            }
+        )
     return {
         "report": "subject-access-request",
         "template": template,
@@ -134,51 +139,6 @@ def sar_over_tracers(
         "total_subjects": total,
         "subjects": entries,
     }
-
-
-def _sar_entry(subject: str, runs: list[dict[str, Any]]) -> dict[str, Any]:
-    """One subject's entry of a SAR page over its per-run findings."""
-    return {
-        "subject": subject,
-        "runs": runs,
-        "run_count": len(runs),
-        "total_outputs": sum(run["output_count"] for run in runs),
-    }
-
-
-def _merged_subjects(
-    scope: Sequence[str], parts: Sequence[dict[str, Any]], field: str
-) -> list[tuple[str, list[dict[str, Any]]]]:
-    """``(subject, per-run entries)`` pairs over every part, in *scope* order.
-
-    Each part is a report over a disjoint subset of *scope* for the same
-    subjects, template and page, so the parts list the same subjects in the
-    same order and only their per-run lists (*field*) differ.
-    """
-    order = {run_id: index for index, run_id in enumerate(scope)}
-    merged = []
-    for index, entry in enumerate(parts[0]["subjects"]):
-        runs = [run for part in parts for run in part["subjects"][index][field]]
-        runs.sort(key=lambda run: order[run["run_id"]])
-        merged.append((entry["subject"], runs))
-    return merged
-
-
-def merge_sar(
-    scope: Sequence[str], parts: Sequence[dict[str, Any]]
-) -> dict[str, Any]:
-    """The SAR page over *scope* from pages over a split of it.
-
-    Equal to :func:`sar_over_tracers` over the whole scope: what a fleet
-    router answers after scattering one request by run ownership.
-    """
-    return dict(
-        parts[0],
-        subjects=[
-            _sar_entry(subject, runs)
-            for subject, runs in _merged_subjects(scope, parts, "runs")
-        ],
-    )
 
 
 def _item_json(item: Any) -> Any:
@@ -253,14 +213,13 @@ def erasure_over_tracers(
     """The erasure-verification core, shared by the library and serve paths.
 
     Like :func:`sar_over_tracers`, the report depends only on the warehouse
-    state and the request shape -- a serve worker answering from resident
+    state and the request shape -- a server answering from resident
     executions produces the same bytes (and therefore the same ``digest``)
-    as a fresh library call, which is what makes fleet-served receipts
+    as a fresh library call, which is what makes served receipts
     interchangeable with direct ones.
     """
-    ordered = sorted(set(subjects))
-    findings = []
-    for subject in ordered:
+    entries = []
+    for subject in sorted(set(subjects)):
         pattern = subject_pattern(subject, template)
         residuals = []
         for run_id, tracer in tracers:
@@ -274,45 +233,16 @@ def erasure_over_tracers(
                     "output_ids": list(result.output_ids),
                 }
             )
-        findings.append((subject, residuals))
-    return _erasure_report(template, findings, [run_id for run_id, _ in tracers])
-
-
-def _erasure_report(
-    template: str,
-    findings: Sequence[tuple[str, list[dict[str, Any]]]],
-    runs_checked: list[str],
-) -> dict[str, Any]:
-    """The digest-signed receipt over ``(subject, residuals)`` findings."""
-    subjects = [
-        {"subject": subject, "clean": not residuals, "residuals": residuals}
-        for subject, residuals in findings
-    ]
+        entries.append({"subject": subject, "clean": not residuals, "residuals": residuals})
     body = {
         "report": "erasure-verification",
         "template": template,
-        "subjects": subjects,
-        "subject_count": len(subjects),
-        "clean": all(entry["clean"] for entry in subjects),
-        "runs_checked": runs_checked,
+        "subjects": entries,
+        "subject_count": len(entries),
+        "clean": all(entry["clean"] for entry in entries),
+        "runs_checked": [run_id for run_id, _ in tracers],
     }
     return dict(body, digest=report_digest(body))
-
-
-def merge_erasure(
-    scope: Sequence[str], parts: Sequence[dict[str, Any]]
-) -> dict[str, Any]:
-    """The erasure receipt over *scope* from receipts over a split of it.
-
-    Equal to :func:`erasure_over_tracers` over the whole scope, digest
-    included -- fleet receipts and single-process receipts are
-    interchangeable.
-    """
-    return _erasure_report(
-        parts[0]["template"],
-        _merged_subjects(scope, parts, "residuals"),
-        list(scope),
-    )
 
 
 def verify_erasure(

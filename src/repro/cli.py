@@ -17,7 +17,6 @@ Usage (also via ``python -m repro``)::
     python -m repro stats run-0001-example --root /tmp/wh
 
     python -m repro serve --root /tmp/wh --port 9410   # the query service
-    python -m repro serve --root /tmp/wh --fleet 4     # N workers + a router
     python -m repro stats --remote http://127.0.0.1:9410
 
     python -m repro shard init --root /tmp/wh --count 4
@@ -294,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request deadline in seconds (0: unbounded; over -> 504)")
     serve.add_argument("--cache-size", type=int, default=128,
                        help="pattern-result cache capacity (entries)")
-    serve.add_argument("--segment-cache-size", type=int, default=None,
-                       help="per-resident-run operator segment cache size")
     serve.add_argument("--retention-ttl", type=float, default=None,
                        metavar="SECONDS",
                        help="sweep streaming runs in the background, expiring "
@@ -305,12 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how often the background retention sweep runs")
     serve.add_argument("--trace", default=None, metavar="PATH",
                        help="write a Chrome trace-event JSON on shutdown")
-    serve.add_argument("--fleet", type=int, default=None, metavar="N",
-                       help="serve through an N-worker fleet behind a router "
-                            "(the listening port becomes the router's)")
-    serve.add_argument("--fleet-mode", choices=["thread", "process"],
-                       default="thread",
-                       help="how --fleet hosts its workers (default: thread)")
 
     shard = commands.add_parser(
         "shard", help="manage the warehouse's storage shards"
@@ -912,37 +903,8 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     )  # pragma: no cover
 
 
-def _cmd_serve_fleet(args: argparse.Namespace) -> int:
-    from repro.serve.fleet import Fleet
-    from repro.serve.router import RouterService, RouterServer
-
-    with Fleet(args.root, size=args.fleet, mode=args.fleet_mode) as fleet:
-        router = RouterService(fleet.workers())
-        server = RouterServer(router, host=args.host, port=args.port)
-        print(f"routing warehouse {args.root} at {server.url}")
-        print(f"  fleet: {args.fleet} {args.fleet_mode} worker(s)")
-        for name, url in fleet.workers():
-            print(f"    {name}: {url}")
-        print("  endpoints: /v1/healthz /v1/fleet /v1/runs /v1/stats "
-              "/metrics POST /v1/query /v1/forward /v1/audit/sar "
-              "/v1/audit/erasure")
-        sys.stdout.flush()
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            print("\nshutting down fleet")
-            sys.stdout.flush()
-            server.close()
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.fleet:
-        return _cmd_serve_fleet(args)
     from repro.serve import ProvenanceServer, QueryService, ServeConfig
-    from repro.warehouse.reader import DEFAULT_CACHE_SIZE
 
     config = ServeConfig(
         root=args.root,
@@ -952,11 +914,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         deadline=args.deadline,
         cache_size=args.cache_size,
-        segment_cache_size=(
-            args.segment_cache_size
-            if args.segment_cache_size is not None
-            else DEFAULT_CACHE_SIZE
-        ),
         retention_ttl=args.retention_ttl,
         retention_sweep_interval=args.retention_sweep_interval,
     )

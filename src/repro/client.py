@@ -3,7 +3,7 @@
 There is one way to ask provenance questions of stored runs::
 
     client = repro.connect("file:///data/warehouse")   # or a bare path
-    client = repro.connect("http://127.0.0.1:9410")    # server or router
+    client = repro.connect("http://127.0.0.1:9410")    # a repro serve
 
     answer = client.backtrace('root{//id_str="lp"}', run="run-0001-example")
     report = client.sar(["lp"], page=1)["report"]
@@ -18,11 +18,10 @@ the request reaches a :class:`~repro.serve.service.QueryService`:
   and calls it in-process (no server involved), so admission control,
   pattern-result caching and catalog-freshness checks behave exactly as
   they do behind a socket;
-* the **HTTP** transport speaks ``/v1`` to a ``repro serve`` worker or a
-  fleet router through :func:`exchange` -- the one function that opens a
-  connection, retries the retryable failures and, with :func:`unwrap`,
-  rebuilds the typed error an envelope names.  The router's fan-out to its
-  workers goes through the same function.
+* the **HTTP** transport speaks ``/v1`` to a ``repro serve`` through
+  :func:`exchange` -- the one function that opens a connection, retries
+  the retryable failures and, with :func:`unwrap`, rebuilds the typed
+  error an envelope names.
 
 A ``backtrace`` answer carries ``result``/``query_seconds``/``server``
 whether it was computed in-process or fetched over HTTP, and audit reports
@@ -92,7 +91,7 @@ class RetryPolicy:
 #: momentary queue spike without hammering an overloaded server.
 DEFAULT_POLICY = RetryPolicy(max_retries=3, backoff=0.05)
 
-#: One attempt: what the router's fan-out uses (its callers do the retrying).
+#: One attempt: :func:`exchange`'s default (its callers pick a policy).
 NO_RETRY = RetryPolicy(max_retries=0)
 
 
@@ -138,7 +137,7 @@ def exchange(
     backoff of :class:`RetryPolicy`, while the failure is retryable: a full
     admission queue (429), a deadline overrun (504), a 503, or an
     unreachable server.  An error *response* is returned, not raised --
-    :func:`unwrap` raises it, a proxy passes it on; only a transport failure
+    :func:`unwrap` or :func:`scrape` raises it; only a transport failure
     raises here (:class:`ServeError`, retryable, when nothing answers;
     :class:`TaskTimeoutError` when an answer does not arrive in *timeout*).
     """
@@ -210,7 +209,7 @@ class _FileTransport:
 
 
 class _HttpTransport:
-    """``/v1`` of a serve worker or fleet router, through :func:`exchange`."""
+    """``/v1`` of a ``repro serve``, through :func:`exchange`."""
 
     def __init__(
         self, url: str, policy: RetryPolicy | None = None, timeout: float = 30.0
@@ -370,7 +369,7 @@ def connect(url: str, **options: Any) -> ProvenanceClient:
     * ``file:///data/warehouse`` or a bare filesystem path -- the file
       transport, an in-process service (no server involved);
     * ``http://host:port`` / ``https://host:port`` -- the HTTP transport,
-      speaking ``/v1`` to a single ``repro serve`` worker or a fleet router.
+      speaking ``/v1`` to a ``repro serve``.
 
     Extra keyword arguments flow to the transport: serving knobs
     (``workers=``, ``cache_size=``, ...) for ``file:``, client knobs

@@ -1,29 +1,23 @@
-"""Consistent hashing: the placement primitive shared by shards and fleet.
+"""Consistent hashing: the placement primitive of the sharded warehouse.
 
-Two layers place work by run id:
-
-* the **warehouse** assigns each recorded run to a storage shard
-  (:meth:`~repro.warehouse.service.Warehouse.record`), and
-* the **router** assigns each run's queries to the serve worker whose
-  caches are hot for it (:mod:`repro.serve.router`).
-
-Both use the same :class:`HashRing` so the mapping has the two properties
-distributed provenance querying needs (cf. "Efficiently Processing Workflow
-Provenance Queries on SPARK", which partitions provenance and routes each
-query to the partition that owns it):
+The **warehouse** assigns each recorded run to a storage shard
+(:meth:`~repro.warehouse.service.Warehouse.record`) with a
+:class:`HashRing`, so the mapping has the two properties placement needs
+(cf. "Efficiently Processing Workflow Provenance Queries on SPARK", which
+partitions provenance and routes each query to the partition that owns it):
 
 * **determinism across processes** -- points come from SHA-1 over the node
-  and key strings, never from Python's per-process ``hash()``, so a router
-  restarted tomorrow (or a second router on another box) computes the same
-  run -> worker map;
+  and key strings, never from Python's per-process ``hash()``, so a
+  warehouse reopened tomorrow (or a CLI inspecting it) computes the same
+  run -> shard map;
 * **bounded movement** -- adding or removing one node only remaps the keys
   that fall between the changed node's points and their predecessors, in
-  expectation ``keys / nodes`` of them, so growing a fleet does not flush
-  every worker's hot caches.
+  expectation ``keys / nodes`` of them, so growing the shard set moves
+  only the runs it must.
 
 ``replicas`` virtual points per node smooth the distribution; 64 keeps the
-ring small (a fleet is a handful of workers) while staying within a few
-percent of uniform.
+ring small (a warehouse has a handful of shards) while staying within a
+few percent of uniform.
 """
 
 from __future__ import annotations
@@ -44,8 +38,8 @@ def stable_hash(text: str) -> int:
     """A process-independent 64-bit hash of *text* (SHA-1 prefix).
 
     ``hash()`` is salted per process (PYTHONHASHSEED), which would make
-    placement a per-process accident; SHA-1 gives every router, worker, and
-    CLI invocation the same answer for the same key.
+    placement a per-process accident; SHA-1 gives every process and CLI
+    invocation the same answer for the same key.
     """
     digest = hashlib.sha1(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -73,24 +67,6 @@ class HashRing:
         """The node owning *key*: the first ring point at or after its hash."""
         index = bisect_right(self._points, stable_hash(key)) % len(self._points)
         return self._owners[index]
-
-    def preference(self, key: str, count: int | None = None) -> list[str]:
-        """Distinct nodes in ring order from *key*'s point: the failover chain.
-
-        ``preference(key)[0] == assign(key)``; the router walks this list
-        when the owning worker is unhealthy, so failover is deterministic
-        too (every router picks the same fallback).
-        """
-        want = len(self.nodes) if count is None else min(count, len(self.nodes))
-        start = bisect_right(self._points, stable_hash(key))
-        chain: list[str] = []
-        for offset in range(len(self._points)):
-            node = self._owners[(start + offset) % len(self._points)]
-            if node not in chain:
-                chain.append(node)
-                if len(chain) == want:
-                    break
-        return chain
 
     def assignments(self, keys: Sequence[str]) -> dict[str, str]:
         """``key -> node`` for every key (a convenience for listings)."""

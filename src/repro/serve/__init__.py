@@ -18,8 +18,9 @@ Layers, inside out:
   answers it: resident runs, catalog freshness, metrics.
 * :mod:`repro.serve.http` -- the handler that reads the table, and
   :class:`ProvenanceServer`.
-* :mod:`repro.serve.router`, :mod:`repro.serve.fleet` -- N workers behind
-  one front door answering the same table.
+
+One server answers for one warehouse root; there is no second tier in
+front of it (DESIGN.md Sec. 17, "One server").
 """
 
 from repro.serve.cache import PatternResultCache

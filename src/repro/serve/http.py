@@ -4,9 +4,9 @@ The surface is **versioned** under ``/v1`` and declared once, in the route
 table beside :class:`~repro.serve.service.QueryService`
 (:data:`~repro.serve.service.POST_ROUTES`,
 :data:`~repro.serve.service.GET_ROUTES`); :class:`OneWriteHandler` reads the
-request, resolves it against that table and answers -- for the worker here
-and for the fleet router alike.  Every ``/v1`` answer -- success, 400, 404,
-429, 504, 500 -- is one uniform JSON envelope::
+request, resolves it against that table and answers from the server's
+:class:`~repro.serve.service.QueryService`.  Every ``/v1`` answer --
+success, 400, 404, 429, 504, 500 -- is one uniform JSON envelope::
 
     {"ok": true,  "data": <payload>}
     {"ok": false, "error": {"code": <stable code>, "message": ...,
@@ -76,14 +76,7 @@ from repro.errors import (
 )
 from repro.obs.log import get_logger
 from repro.obs.tracer import get_tracer
-from repro.serve.service import (
-    API_VERSION,
-    GET_ROUTES,
-    POST_ROUTES,
-    GetRoute,
-    PostRoute,
-    QueryService,
-)
+from repro.serve.service import API_VERSION, GET_ROUTES, POST_ROUTES, QueryService
 
 __all__ = ["ProvenanceServer", "API_VERSION", "OneWriteHandler", "error_envelope"]
 
@@ -134,7 +127,7 @@ def json_object(raw: bytes) -> dict[str, Any]:
 
 
 class OneWriteHandler(BaseHTTPRequestHandler):
-    """One connection of a worker or a router: read, route, answer once.
+    """One connection: read, route against the table, answer once.
 
     HTTP/1.1 keep-alive in both directions.  The request body is read
     *before* the request is resolved, so an answer that never looks at it
@@ -145,19 +138,11 @@ class OneWriteHandler(BaseHTTPRequestHandler):
     for a body the server already has.  So Nagle is off and
     :meth:`end_headers_with` replaces the ``end_headers()`` +
     ``wfile.write(body)`` pair with a single write.
-
-    Subclasses name their :attr:`backend` -- the object whose methods the
-    route table's rows call -- and may override how a row is answered.
     """
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
-    #: Tracer category and logger of this tier: ``"serve"`` or ``"router"``.
-    role = "serve"
-
-    @property
-    def backend(self) -> Any:
-        raise NotImplementedError
+    server: "_ServeHTTPServer"
 
     def log_message(self, format: str, *args: Any) -> None:
         # The default handler writes to stderr per request; route nothing --
@@ -176,11 +161,7 @@ class OneWriteHandler(BaseHTTPRequestHandler):
     # -- plumbing --------------------------------------------------------------
 
     def _send(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-        worker: str | None = None,
+        self, status: int, body: bytes, content_type: str = "application/json"
     ) -> int:
         """Answer with *body* (Content-Length set: keep-alive); returns *status*."""
         self.send_response(status)
@@ -188,8 +169,6 @@ class OneWriteHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if status == 429:
             self.send_header("Retry-After", "1")
-        if worker is not None:
-            self.send_header("X-Repro-Worker", worker)
         self.end_headers_with(body)
         return status
 
@@ -222,6 +201,7 @@ class OneWriteHandler(BaseHTTPRequestHandler):
         self._route("POST")
 
     def _route(self, verb: str) -> None:
+        service = self.server.service
         split = urlsplit(self.path)
         endpoint = "(unknown)"
         status = 500
@@ -229,19 +209,21 @@ class OneWriteHandler(BaseHTTPRequestHandler):
         handle = None
         try:
             raw = self._read_body()
+            # Inside the try: a catalog-refresh error answers in the envelope.
+            service.check_catalog()
             endpoint, answer = self._resolve(
                 verb, split.path.rstrip("/"), parse_qs(split.query), raw
             )
-            with get_tracer().span(f"request {endpoint}", self.role, verb=verb) as handle:
+            with get_tracer().span(f"request {endpoint}", "serve", verb=verb) as handle:
                 status = answer()
         except Exception as exc:  # noqa: BLE001 -- every error becomes a response
             status = self._send_json(error_status(exc), error_envelope(exc))
             if status == 500:
-                get_logger(self.role).event(
-                    f"{self.role}-error", endpoint=endpoint, error=str(exc)
+                get_logger("serve").event(
+                    "serve-error", endpoint=endpoint, error=str(exc)
                 )
         finally:
-            self.backend.observe_request(
+            service.observe_request(
                 endpoint,
                 status,
                 perf_counter() - started,
@@ -253,32 +235,29 @@ class OneWriteHandler(BaseHTTPRequestHandler):
     ) -> tuple[str, Callable[[], int]]:
         """``(endpoint template, thunk answering it)`` from the route table;
         raises for anything the table (or the scrape surface) does not list."""
+        service = self.server.service
         run = (query.get("run") or [None])[0]
         prefix = f"/{API_VERSION}"
         if path.startswith(prefix + "/"):
             path = path[len(prefix):]
             if verb == "POST" and path in _POST_BY_PATH:
-                route = _POST_BY_PATH[path]
-                return prefix + path, lambda: self._post(route, raw)
+                kind = _POST_BY_PATH[path].kind
+                return prefix + path, lambda: self._ok(
+                    service.request(kind, json_object(raw))
+                )
             get, arg = GET_ROUTES.get(path), run
             if get is None or get.takes == "id":  # the last segment is the <id>
                 head, _, arg = path.rpartition("/")
                 get = GET_ROUTES.get(head + "/<id>")
             if verb == "GET" and get is not None:
-                return prefix + get.path, lambda: self._get(get, arg)
+                return prefix + get.path, lambda: self._ok(get.answer(service, arg))
         elif verb == "GET" and path == "/metrics":
-            return path, lambda: self._send_text(self.backend.metrics_text())
+            return path, lambda: self._send_text(service.metrics_text())
         elif verb == "GET" and path == "/stats" and query.get("format") == ["prometheus"]:
             return path, lambda: self._send_text(
-                self.backend.run_stats(run).render_prometheus()
+                service.run_stats(run).render_prometheus()
             )
         raise ProvenanceError(f"no such route: {verb} {self.path}")
-
-    def _get(self, route: GetRoute, arg: str | None) -> int:
-        return self._ok(route.answer(self.backend, arg))
-
-    def _post(self, route: PostRoute, raw: bytes) -> int:
-        return self._ok(self.backend.request(route.kind, json_object(raw)))
 
 
 class _ServeHTTPServer(ThreadingHTTPServer):
@@ -289,25 +268,8 @@ class _ServeHTTPServer(ThreadingHTTPServer):
     allow_reuse_address = True
 
     def __init__(self, address: tuple[str, int], service: QueryService):
-        super().__init__(address, _Handler)
+        super().__init__(address, OneWriteHandler)
         self.service = service
-
-
-class _Handler(OneWriteHandler):
-    """The worker's connections: the table's rows over one QueryService."""
-
-    server: _ServeHTTPServer
-
-    @property
-    def backend(self) -> QueryService:
-        return self.server.service
-
-    def _resolve(
-        self, verb: str, path: str, query: dict[str, list[str]], raw: bytes
-    ) -> tuple[str, Callable[[], int]]:
-        # Inside _route's try: a catalog-refresh error answers in the envelope.
-        self.server.service.check_catalog()
-        return super()._resolve(verb, path, query, raw)
 
 
 class ProvenanceServer:

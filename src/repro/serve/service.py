@@ -4,9 +4,9 @@ This is the transport-independent core of ``repro.serve``, and the one
 place the served surface is spelled out.  :data:`POST_ROUTES` and
 :data:`GET_ROUTES` declare every endpoint once -- path, body fields and
 their validation, run scope, cache-key params, the computation over
-resident runs, counter and log fields, the merge of a scattered answer --
-and every layer reads them: the file transport of :func:`repro.connect`,
-the worker's HTTP handler, the fleet router, and the HTTP client.  A POST
+resident runs, counter and log fields -- and every layer reads them: the
+file transport of :func:`repro.connect`, the server's HTTP handler, and
+the HTTP client.  A POST
 request *is* its JSON body on every transport, and
 :meth:`QueryService.request` is the one path it takes: validate ->
 resolve scope -> cache -> admit under a deadline -> compute under a span
@@ -47,8 +47,6 @@ from repro.audit.forward import ForwardResult, ForwardTracer, load_execution
 from repro.audit.sar import (
     DEFAULT_SUBJECT_TEMPLATE,
     erasure_over_tracers,
-    merge_erasure,
-    merge_sar,
     sar_over_tracers,
 )
 from repro.core.backtrace.result import ProvenanceResult
@@ -63,7 +61,7 @@ from repro.serve.cache import PatternResultCache
 from repro.serve.pool import QueryPool
 from repro.warehouse import Warehouse
 from repro.warehouse.catalog import LEGACY_SHARD, RUN_EPOCH_PREFIX
-from repro.warehouse.reader import DEFAULT_CACHE_SIZE, LazyProvenanceStore
+from repro.warehouse.reader import LazyProvenanceStore
 from repro.warehouse.service import METRICS_NAME
 
 __all__ = [
@@ -100,8 +98,6 @@ class ServeConfig:
     deadline: float | None = 30.0
     #: Pattern-result cache capacity (entries).
     cache_size: int = 128
-    #: Per-store LRU capacity for lazily decoded operator segments.
-    segment_cache_size: int = DEFAULT_CACHE_SIZE
     #: Retention TTL in seconds for epoch-layout (streaming) runs;
     #: ``None``/0 disables the background sweep.
     retention_ttl: float | None = None
@@ -235,16 +231,9 @@ class PostRoute:
     #: The request counter, and the params that label it.
     counter: str
     counter_labels: tuple[str, ...] = ()
-    #: The run scope.  ``None``: one run (``run`` names it, default the
-    #: newest), which a router proxies to the run's owner.  Otherwise many
-    #: runs (``runs``, else ``run``, else every run), which a router
-    #: scatters by ownership, merging the parts' reports with
-    #: ``merge(scope, parts)``.
-    merge: Callable[[list[str], list[dict[str, Any]]], dict[str, Any]] | None = None
-
-    @property
-    def many_runs(self) -> bool:
-        return self.merge is not None
+    #: The run scope.  ``False``: one run (``run`` names it, default the
+    #: newest).  ``True``: many runs (``runs``, else ``run``, else every run).
+    many_runs: bool = False
 
     @property
     def cache_key(self) -> tuple[str, ...]:
@@ -283,16 +272,15 @@ class GetRoute:
 
     #: Path under ``/v1``; ``<id>`` stands for one path segment.
     path: str
-    #: The :class:`QueryService` method (a router has one of the same name).
+    #: The :class:`QueryService` method answering it.
     method: str
-    #: The argument the method takes: ``"id"`` (the path's ``<id>``: a run,
-    #: so a router proxies to its owner), ``"run"`` (the optional ``?run=``
-    #: query parameter), or ``None``.
+    #: The argument the method takes: ``"id"`` (the path's ``<id>``, a run),
+    #: ``"run"`` (the optional ``?run=`` query parameter), or ``None``.
     takes: str | None = None
 
-    def answer(self, backend: Any, arg: str | None = None) -> Any:
-        """Call the method this route names on *backend*."""
-        return getattr(backend, self.method)(*([arg] if self.takes else ()))
+    def answer(self, service: "QueryService", arg: str | None = None) -> Any:
+        """Call the method this route names on *service*."""
+        return getattr(service, self.method)(*([arg] if self.takes else ()))
 
 
 def _tracers(residents: list[_ResidentRun]) -> list[tuple[str, ForwardTracer]]:
@@ -358,7 +346,7 @@ POST_ROUTES: dict[str, PostRoute] = {
             compute=_sar,
             render=dict,
             counter="repro_serve_sar_requests_total",
-            merge=merge_sar,
+            many_runs=True,
         ),
         PostRoute(
             "erasure", "/audit/erasure",
@@ -366,7 +354,7 @@ POST_ROUTES: dict[str, PostRoute] = {
             compute=_erasure,
             render=dict,
             counter="repro_serve_erasure_requests_total",
-            merge=merge_erasure,
+            many_runs=True,
         ),
     )
 }
@@ -647,8 +635,7 @@ class QueryService:
         A one-run route resolves ``run`` (``None``: the newest).  On a
         many-run route ``runs`` (an explicit list of ids/names, order
         preserved) wins over ``run``; with neither, the scope is every
-        catalogued run.  The router uses ``runs`` to hand each worker
-        exactly its owned subset while keeping the request shape identical.
+        catalogued run.
         """
         resolve = self.warehouse.resolve
         if route.many_runs:
@@ -714,12 +701,7 @@ class QueryService:
                 "serve-load", "serve", run_id=run_id, method=method
             ):
                 # Eager: nothing may evict, the whole run decodes up front.
-                _, execution = load_execution(
-                    self.warehouse,
-                    run_id,
-                    method=method,
-                    cache_size=self.config.segment_cache_size,
-                )
+                _, execution = load_execution(self.warehouse, run_id, method=method)
                 index = self.warehouse.load_index(run_id)
                 resident = _ResidentRun(run_id, execution, method, index)
             self._residents[key] = resident

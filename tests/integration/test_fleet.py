@@ -1,13 +1,11 @@
-"""A serve fleet behind the router, end to end over real HTTP sockets.
+"""The /v1 surface of one server, end to end over real HTTP sockets.
 
-Three thread-mode workers mount one sharded warehouse; a
-:class:`RouterService` in front consistent-hashes queries to owners and
-scatter-gathers the cross-run endpoints.  The invariant pinned throughout:
-**the fleet is an implementation detail** -- every answer fetched through
-the router is byte-identical to a direct library call and to a
+One :class:`ProvenanceServer` serves a two-run warehouse whose runs sit on
+two storage shards.  The invariant pinned throughout: every answer fetched
+over HTTP is byte-identical to a direct library call and to a
 ``repro.connect("file://...")`` client over the same root, including audit
 digests.  Alongside that, the /v1 surface itself: the uniform envelope,
-stable error codes, and the 404 every unversioned path now gets.
+stable error codes, and the 404 every unversioned path gets.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ from repro.errors import ProvenanceError, ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.pebble.query import query_provenance
 from repro.serve import ProvenanceServer, QueryService, ServeConfig, result_to_json
-from repro.serve.fleet import Fleet
-from repro.serve.router import RouterService, RouterServer
 from repro.warehouse import Warehouse
 from repro.workloads.scenarios import (
     RUNNING_EXAMPLE_PATTERN,
@@ -37,7 +33,6 @@ from repro.workloads.scenarios import (
 )
 
 SUBJECTS = ["lp", "nobody-xyz"]
-FLEET_SIZE = 3
 
 
 def _canon(payload) -> str:
@@ -70,13 +65,13 @@ def _post(url: str, payload: dict):
 
 
 @pytest.fixture(scope="module")
-def fleet_setup(tmp_path_factory):
-    """Two recorded runs in a sharded warehouse, served by a 3-worker fleet.
+def served(tmp_path_factory):
+    """Two recorded runs in a sharded warehouse, served by one server.
 
-    Module-scoped: the read-only tests below share one fleet; the single
+    Module-scoped: the read-only tests below share one server; the single
     mutation test (recording a third run) runs last in this file.
     """
-    root = tmp_path_factory.mktemp("fleet") / "wh"
+    root = tmp_path_factory.mktemp("served") / "wh"
     captured = build_running_example(
         Session(num_partitions=2), [dict(t) for t in RUNNING_EXAMPLE_TWEETS]
     ).execute(capture=True)
@@ -86,70 +81,54 @@ def fleet_setup(tmp_path_factory):
         warehouse.record(captured, name=f"example-{index}").run_id
         for index in range(2)
     ]
-    with Fleet(root, size=FLEET_SIZE, mode="thread") as fleet:
-        router = RouterService(fleet.workers())
-        with RouterServer(router) as server:
-            yield server, router, fleet, root, run_ids
+    service = QueryService.open(
+        ServeConfig(root=str(root), port=0), registry=MetricsRegistry()
+    )
+    with ProvenanceServer(service, port=0) as server:
+        yield server, root, run_ids
 
 
 @pytest.fixture(scope="module")
-def remote(fleet_setup):
-    server, _, _, _, _ = fleet_setup
+def remote(served):
+    server, _, _ = served
     return repro.connect(server.url)
 
 
 @pytest.fixture(scope="module")
-def local(fleet_setup):
-    _, _, _, root, _ = fleet_setup
+def local(served):
+    _, root, _ = served
     client = repro.connect(f"file://{root}")
     yield client
     client.close()
 
 
-class TestScatterGather:
-    def test_runs_unions_every_worker(self, remote, fleet_setup):
-        _, _, _, _, run_ids = fleet_setup
+class TestShardedCatalog:
+    def test_runs_lists_the_runs_of_both_shards(self, remote, served):
+        _, root, run_ids = served
         assert [run["run_id"] for run in remote.runs()] == run_ids
-
-    def test_fleet_topology_spreads_runs_over_workers(self, fleet_setup):
-        server, _, _, _, run_ids = fleet_setup
-        status, _, body = _get(server.url + "/v1/fleet")
-        assert status == 200 and body["ok"] is True
-        topology = body["data"]
-        names = [worker["name"] for worker in topology["workers"]]
-        assert len(names) == FLEET_SIZE
-        assert set(topology["assignments"]) == set(run_ids)
-        assert all(owner in names for owner in topology["assignments"].values())
-
-    def test_health_reports_every_worker(self, fleet_setup):
-        server, _, _, _, _ = fleet_setup
-        status, _, body = _get(server.url + "/v1/healthz")
-        assert status == 200
-        health = body["data"]
-        assert health["status"] == "ok"
-        assert len(health["workers"]) == FLEET_SIZE
-        assert all(entry["status"] == "ok" for entry in health["workers"].values())
+        shards = {record.shard for record in Warehouse.open(root).runs()}
+        assert len(shards) == 2
 
 
 class TestByteIdentity:
-    """Fleet answers == direct library answers == local client answers."""
+    """Served answers == direct library answers == local client answers."""
 
     def test_backtrace_identical_across_all_three_tiers(
-        self, remote, local, fleet_setup
+        self, remote, local, served
     ):
-        _, _, _, root, run_ids = fleet_setup
+        _, root, run_ids = served
         warehouse = Warehouse.open(root)
         for run_id in run_ids:
             direct = result_to_json(
                 query_provenance(warehouse.load(run_id), RUNNING_EXAMPLE_PATTERN)
             )
-            via_router = remote.backtrace(RUNNING_EXAMPLE_PATTERN, run=run_id)
+            via_http = remote.backtrace(RUNNING_EXAMPLE_PATTERN, run=run_id)
             via_local = local.backtrace(RUNNING_EXAMPLE_PATTERN, run=run_id)
-            assert _canon(via_router["result"]) == _canon(direct)
+            assert _canon(via_http["result"]) == _canon(direct)
             assert _canon(via_local["result"]) == _canon(direct)
 
-    def test_forward_identical(self, remote, local, fleet_setup):
-        _, _, _, _, run_ids = fleet_setup
+    def test_forward_identical(self, remote, local, served):
+        _, _, run_ids = served
         pattern = 'root{//id_str="lp"}'
         for run_id in run_ids:
             assert _canon(
@@ -157,66 +136,64 @@ class TestByteIdentity:
             ) == _canon(local.forward(pattern, run=run_id)["result"])
 
     def test_sar_report_identical(self, remote, local):
-        via_router = remote.sar(SUBJECTS)
+        via_http = remote.sar(SUBJECTS)
         via_local = local.sar(SUBJECTS)
-        assert _canon(via_router["report"]) == _canon(via_local["report"])
-        # Two runs in scope: the scatter-gather merge rebuilt the counts.
-        assert via_router["report"]["subjects"][0]["run_count"] == 2
+        assert _canon(via_http["report"]) == _canon(via_local["report"])
+        # Two runs in scope, one on each shard.
+        assert via_http["report"]["subjects"][0]["run_count"] == 2
 
-    def test_erasure_digest_identical(self, remote, local, fleet_setup):
-        _, _, _, root, _ = fleet_setup
-        via_router = remote.verify_erasure(SUBJECTS)
+    def test_erasure_digest_identical(self, remote, local):
+        via_http = remote.verify_erasure(SUBJECTS)
         via_local = local.verify_erasure(SUBJECTS)
-        assert _canon(via_router["report"]) == _canon(via_local["report"])
-        assert via_router["report"]["digest"] == via_local["report"]["digest"]
-        assert via_router["report"]["clean"] is False  # "lp" leaves residue
+        assert _canon(via_http["report"]) == _canon(via_local["report"])
+        assert via_http["report"]["digest"] == via_local["report"]["digest"]
+        assert via_http["report"]["clean"] is False  # "lp" leaves residue
 
 
 class TestAggregatedStats:
-    def test_serve_counters_sum_across_workers(self, remote, fleet_setup):
-        server, _, fleet, _, run_ids = fleet_setup
-        for run_id in run_ids:  # touch owners of both runs
+    def test_stats_counts_what_the_metrics_page_counts(self, remote, served):
+        server, _, run_ids = served
+        for run_id in run_ids:
             remote.backtrace(RUNNING_EXAMPLE_PATTERN, run=run_id)
-        total = 0
-        for _, worker_url in fleet.workers():
-            with urllib.request.urlopen(worker_url + "/metrics", timeout=30) as r:
-                text = r.read().decode()
-            for line in text.splitlines():
-                if line.startswith("repro_serve_queries_total{"):
-                    total += int(float(line.rsplit(" ", 1)[1]))
+        with urllib.request.urlopen(server.url + "/metrics", timeout=30) as response:
+            text = response.read().decode()
+        scraped = sum(
+            float(line.rsplit(" ", 1)[1])
+            for line in text.splitlines()
+            if line.startswith("repro_serve_queries_total{")
+        )
         _, _, body = _get(server.url + "/v1/stats")
-        summed = sum(
+        listed = sum(
             metric["value"]
             for metric in body["data"]["metrics"]
             if metric["name"] == "repro_serve_queries_total"
         )
-        assert summed == total
-        assert total >= len(run_ids)
+        assert listed == scraped >= len(run_ids)
 
-    def test_cli_stats_remote_hits_the_router(self, fleet_setup, capsys):
-        server, _, _, _, _ = fleet_setup
+    def test_cli_stats_remote_json(self, served, capsys):
+        server, _, _ = served
         assert cli_main(["stats", "--remote", server.url, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         names = {metric["name"] for metric in payload["metrics"]}
         assert "repro_serve_queries_total" in names
 
-    def test_prometheus_text_over_legacy_route(self, fleet_setup, capsys):
-        server, _, _, _, _ = fleet_setup
+    def test_prometheus_text_over_legacy_route(self, served, capsys):
+        server, _, _ = served
         assert cli_main(["stats", "--remote", server.url]) == 0
         text = capsys.readouterr().out
         assert "repro_serve_queries_total" in text
 
 
 class TestEnvelope:
-    def test_success_envelope_is_ok_plus_data(self, fleet_setup):
-        server, _, _, _, _ = fleet_setup
+    def test_success_envelope_is_ok_plus_data(self, served):
+        server, _, _ = served
         status, _, body = _get(server.url + "/v1/runs")
         assert status == 200
         assert set(body) == {"ok", "data"}
         assert body["ok"] is True
 
-    def test_unknown_run_is_not_found_code(self, fleet_setup):
-        server, _, _, _, _ = fleet_setup
+    def test_unknown_run_is_not_found_code(self, served):
+        server, _, _ = served
         status, _, body = _get(server.url + "/v1/runs/no-such-run")
         assert status == 404
         assert body["ok"] is False
@@ -224,8 +201,8 @@ class TestEnvelope:
         assert body["error"]["retryable"] is False
         assert "no-such-run" in body["error"]["message"]
 
-    def test_bad_pattern_is_bad_pattern_code(self, fleet_setup):
-        server, _, _, _, _ = fleet_setup
+    def test_bad_pattern_is_bad_pattern_code(self, served):
+        server, _, _ = served
         status, _, body = _post(
             server.url + "/v1/query", {"pattern": "root{"}
         )
@@ -268,34 +245,31 @@ class TestEnvelope:
         assert body["error"]["code"] == "admission_full"
         assert body["error"]["retryable"] is True
 
-    def test_unversioned_routes_are_404_in_the_envelope(self, fleet_setup):
-        """3.0: only /v1 (and the two scrape pages) -- on worker and router."""
-        server, _, fleet, _, _ = fleet_setup
-        _, worker_url = fleet.workers()[0]
-        for base in (worker_url, server.url):
-            for path in ("/runs", "/healthz", "/stats", "/debug/slow"):
-                status, headers, body = _get(base + path)
-                assert status == 404, (base, path)
-                assert body["ok"] is False
-                assert body["error"]["code"] == "not_found"
-                assert "Deprecation" not in headers
-            status, _, body = _post(base + "/query", {"pattern": "root{}"})
-            assert (status, body["error"]["code"]) == (404, "not_found")
-            assert _get(base + "/v1/runs")[0] == 200
-            for page in ("/metrics", "/stats?format=prometheus"):
-                with urllib.request.urlopen(base + page, timeout=30) as response:
-                    assert response.status == 200
-                    assert "repro_serve_" in response.read().decode()
+    def test_unversioned_routes_are_404_in_the_envelope(self, served):
+        """3.0: only /v1 (and the two scrape pages)."""
+        base = served[0].url
+        for path in ("/runs", "/healthz", "/stats", "/debug/slow"):
+            status, headers, body = _get(base + path)
+            assert status == 404, path
+            assert body["ok"] is False
+            assert body["error"]["code"] == "not_found"
+            assert "Deprecation" not in headers
+        status, _, body = _post(base + "/query", {"pattern": "root{}"})
+        assert (status, body["error"]["code"]) == (404, "not_found")
+        assert _get(base + "/v1/runs")[0] == 200
+        for page in ("/metrics", "/stats?format=prometheus"):
+            with urllib.request.urlopen(base + page, timeout=30) as response:
+                assert response.status == 200
+                assert "repro_serve_" in response.read().decode()
 
 
 class TestConnectFacade:
     def test_both_transports_satisfy_the_protocol(self, remote, local):
         assert type(remote) is type(local) is ProvenanceClient
-        assert remote.health()["role"] == "router"
-        assert local.health()["status"] == "ok"
+        assert remote.health()["status"] == local.health()["status"] == "ok"
 
-    def test_bare_path_is_local(self, fleet_setup):
-        _, _, _, root, run_ids = fleet_setup
+    def test_bare_path_is_local(self, served):
+        _, root, run_ids = served
         with repro.connect(str(root)) as client:
             assert [run["run_id"] for run in client.runs()] == run_ids
 
@@ -318,12 +292,12 @@ class TestConnectFacade:
 
 
 class TestFreshRuns:
-    """Mutations last: the module-scoped fleet sees catalog growth."""
+    """Mutations last: the module-scoped server sees catalog growth."""
 
-    def test_router_serves_a_run_recorded_after_startup(
-        self, remote, fleet_setup, captured_example
+    def test_serves_a_run_recorded_after_startup(
+        self, remote, served, captured_example
     ):
-        server, _, _, root, run_ids = fleet_setup
+        _, root, run_ids = served
         record = Warehouse.open(root).record(captured_example, name="late")
         listed = [run["run_id"] for run in remote.runs()]
         assert listed == run_ids + [record.run_id]

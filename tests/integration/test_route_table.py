@@ -2,10 +2,10 @@
 
 The tests here iterate :data:`POST_ROUTES` / :data:`GET_ROUTES` themselves,
 so a kind or endpoint added to the table is exercised -- through the file
-transport, a worker and a 2-worker router -- without a test naming it.  A
-request is its body on every transport: the same body must yield the same
-``result`` / ``report`` bytes (and erasure digest) on all three, and a body
-one of them rejects must be rejected by all of them with the same 400.
+transport and an HTTP worker -- without a test naming it.  A request is its
+body on every transport: the same body must yield the same ``result`` /
+``report`` bytes (and erasure digest) on both, and a body one of them
+rejects must be rejected by the other with the same 400.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from repro.engine.session import Session
 from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ProvenanceServer, QueryService, ServeConfig
-from repro.serve.fleet import Fleet
-from repro.serve.router import RouterServer, RouterService
 from repro.serve.service import GET_ROUTES, POST_ROUTES
 from repro.warehouse import Warehouse
 from repro.workloads.scenarios import (
@@ -30,11 +28,11 @@ from repro.workloads.scenarios import (
     build_running_example,
 )
 
-TIERS = ("file", "worker", "router")
+TIERS = ("file", "worker")
 
 #: A valid value for every field a body may need; a row's body is the
 #: subset its ``fields`` name.  ``run``/``runs`` stay absent: many-run rows
-#: then span both runs, which is what makes the router scatter and merge.
+#: then span both runs.
 SAMPLE = {
     "pattern": RUNNING_EXAMPLE_PATTERN,
     "subjects": ["lp", "vx", "nobody-xyz"],
@@ -73,17 +71,12 @@ def tiers(tmp_path_factory):
     )
     once = RetryPolicy(max_retries=0)
     with ProvenanceServer(service, port=0) as worker:
-        with Fleet(root, size=2, mode="thread") as fleet:
-            with RouterServer(RouterService(fleet.workers())) as router:
-                with repro.connect(f"file://{root}") as local:
-                    clients = {
-                        "file": local,
-                        "worker": repro.connect(worker.url, policy=once),
-                        "router": repro.connect(router.url, policy=once),
-                    }
-                    yield {
-                        name: client._transport for name, client in clients.items()
-                    }, run_ids
+        with repro.connect(f"file://{root}") as local:
+            clients = {
+                "file": local,
+                "worker": repro.connect(worker.url, policy=once),
+            }
+            yield {name: client._transport for name, client in clients.items()}, run_ids
 
 
 def test_bad_values_cover_every_field_of_the_table():
@@ -100,12 +93,12 @@ def test_same_body_same_answer_on_every_tier(tiers, kind):
         name: json.dumps(answer[route.block], sort_keys=True)
         for name, answer in answers.items()
     }
-    assert blocks["file"] == blocks["worker"] == blocks["router"]
+    assert blocks["file"] == blocks["worker"]
     assert all(answer["method"] == "lazy" for answer in answers.values())
-    block = answers["router"][route.block]
+    block = answers["worker"][route.block]
     if kind == "erasure":
         assert block["digest"] and block["runs_checked"] == run_ids
-    if kind == "sar":  # two runs in scope, merged back in catalog order
+    if kind == "sar":  # two runs in scope, in catalog order
         (lp,) = [entry for entry in block["subjects"] if entry["subject"] == "lp"]
         assert [run["run_id"] for run in lp["runs"]] == run_ids
 
@@ -117,7 +110,7 @@ def test_every_get_is_reachable_on_every_tier(tiers, path):
     answers = {name: transports[name].get(path, arg) for name in TIERS}
     assert all(isinstance(answer, dict) for answer in answers.values())
     if GET_ROUTES[path].takes == "id" or path == "/runs":  # stored facts only
-        assert answers["file"] == answers["worker"] == answers["router"]
+        assert answers["file"] == answers["worker"]
 
 
 @pytest.mark.parametrize(
@@ -137,5 +130,5 @@ def test_bad_field_is_the_same_400_on_every_tier(tiers, kind, field, value):
             transports[name].post(kind, dict(_body(kind), **{field: value}))
         assert type(info.value) is ServeError and not info.value.retryable
         messages.append(str(info.value))
-    assert messages[0] == messages[1] == messages[2]
+    assert messages[0] == messages[1]
     assert f"'{field}'" in messages[0]

@@ -10,7 +10,13 @@ to a direct ``query_provenance`` over ``Warehouse.load``.
 from __future__ import annotations
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -454,9 +460,6 @@ class TestGracefulShutdown:
 
     def test_signal_stops_serve_forever(self, recorded):
         """SIGTERM must end a blocking serve_forever() without deadlocking."""
-        import os
-        import signal
-
         root, _ = recorded
         service = QueryService.open(
             ServeConfig(root=str(root), port=0), registry=MetricsRegistry()
@@ -499,3 +502,46 @@ class TestCliIntegration:
             cli_main(["stats", "--root", str(root), "--remote", server.url]) == 2
         )
         capsys.readouterr()
+
+    def test_serve_command_applies_every_flag(self, recorded, tmp_path):
+        """``repro serve`` carries each of its ten flags to the running server."""
+        root, _ = recorded
+        trace = tmp_path / "serve-trace.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--root", str(root),
+                "--host", "127.0.0.1", "--port", "0", "--workers", "3",
+                "--queue-limit", "5", "--deadline", "7", "--cache-size", "1",
+                "--retention-ttl", "3600", "--retention-sweep-interval", "60",
+                "--trace", str(trace),
+            ],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            banner = [process.stdout.readline() for _ in range(3)]
+            url = re.search(r"http://127\.0\.0\.1:\d+", banner[0]).group(0)
+            assert "workers: 3  queue limit: 5  deadline: 7.0s" in banner[1]
+            assert "retention: ttl 3600s, sweep every 60s" in banner[2]
+            client = repro.connect(url, policy=NO_BACKOFF)
+            health = client.health()
+            assert (health["workers"], health["queue_limit"]) == (3, 5)
+
+            def cached(pattern: str) -> bool:
+                return client.backtrace(pattern)["server"]["cached"]
+
+            # A one-entry cache: a second pattern evicts the first.
+            assert [cached(RUNNING_EXAMPLE_PATTERN), cached(RUNNING_EXAMPLE_PATTERN)] == [
+                False,
+                True,
+            ]
+            cached('root{//name="vx"}')
+            assert cached(RUNNING_EXAMPLE_PATTERN) is False
+        finally:
+            process.send_signal(signal.SIGTERM)
+            out, _ = process.communicate(timeout=30)
+        assert process.returncode == 0
+        assert "shutting down (signal)" in out
+        assert json.loads(trace.read_text())  # written on the way out

@@ -5,10 +5,9 @@ headers and then writes a small body as a second segment (Nagle's algorithm
 against the peer's delayed ACK).  No clock here: the handlers' ``wfile.write``
 is wrapped and must be called exactly once per response -- on 200, 404 and
 429 alike -- and 50 requests over one ``http.client`` connection must be
-answered on one accepted socket, by the worker handler and by the router's.
-Mid-loop each connection also POSTs a body to a route that does not exist:
-the 404 must consume that body, or the next request on the socket would be
-parsed out of it.
+answered on one accepted socket.  Mid-loop the connection also POSTs a body
+to a route that does not exist: the 404 must consume that body, or the next
+request on the socket would be parsed out of it.
 """
 
 from __future__ import annotations
@@ -21,9 +20,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ProvenanceServer, QueryService, ServeConfig
-from repro.serve.fleet import Fleet
-from repro.serve.http import OneWriteHandler, _Handler
-from repro.serve.router import RouterServer, RouterService, _RouterHandler
+from repro.serve.http import OneWriteHandler
 from repro.warehouse import Warehouse
 from repro.workloads.scenarios import RUNNING_EXAMPLE_PATTERN
 
@@ -33,17 +30,11 @@ UNROUTED = {"pattern": RUNNING_EXAMPLE_PATTERN, "padding": "x" * 2048}
 
 
 class Wire:
-    """Every accepted connection and every ``wfile.write``, per handler."""
+    """Every accepted connection and every ``wfile.write``."""
 
     def __init__(self) -> None:
         self.connections: list[OneWriteHandler] = []
-        self.writes: list[tuple[OneWriteHandler, bytes]] = []
-
-    def of(self, handler_class: type) -> tuple[list[OneWriteHandler], list[bytes]]:
-        return (
-            [handler for handler in self.connections if isinstance(handler, handler_class)],
-            [data for handler, data in self.writes if isinstance(handler, handler_class)],
-        )
+        self.writes: list[bytes] = []
 
 
 @pytest.fixture
@@ -57,7 +48,7 @@ def wire(monkeypatch):
         write = handler.wfile.write
 
         def counted(data: bytes) -> int:
-            seen.writes.append((handler, bytes(data)))
+            seen.writes.append(bytes(data))
             return write(data)
 
         handler.wfile.write = counted
@@ -90,8 +81,8 @@ def _assert_whole_responses(writes: list[bytes], bodies: list[bytes]) -> None:
         assert sent == body
 
 
-def test_nagle_is_off_for_both_handlers():
-    assert _Handler.disable_nagle_algorithm and _RouterHandler.disable_nagle_algorithm
+def test_nagle_is_off():
+    assert OneWriteHandler.disable_nagle_algorithm
 
 
 def test_worker_answers_fifty_requests_on_one_socket_one_write_each(root, wire):
@@ -113,9 +104,8 @@ def test_worker_answers_fifty_requests_on_one_socket_one_write_each(root, wire):
         assert status == 404
         bodies.append(body)
         connection.close()
-    connections, writes = wire.of(_Handler)
-    assert len(connections) == 1
-    _assert_whole_responses(writes, bodies)
+    assert len(wire.connections) == 1
+    _assert_whole_responses(wire.writes, bodies)
 
 
 def test_refusal_is_one_write_too(root, wire):
@@ -149,35 +139,8 @@ def test_refusal_is_one_write_too(root, wire):
             blocker.join(10)
         assert not blocker.is_alive()
         assert status == 429
-        refusal = [data for data in wire.of(_Handler)[1] if data.startswith(b"HTTP/1.1 429")]
+        refusal = [data for data in wire.writes if data.startswith(b"HTTP/1.1 429")]
         _assert_whole_responses(refusal, [body])
         assert b"Retry-After: 1" in refusal[0]
         connection.close()
         held.close()
-
-
-def test_router_answers_fifty_requests_on_one_socket_one_write_each(root, wire):
-    with Fleet(root, size=2, mode="thread") as fleet:
-        with RouterServer(RouterService(fleet.workers())) as server:
-            connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
-            bodies = []
-            for index in range(50):
-                if index == 25:
-                    status, body = _exchange(connection, "GET", "/v1/runs/no-such-run")
-                    assert status == 404
-                elif index == 30:
-                    status, body = _exchange(connection, "POST", "/v1/nosuch", UNROUTED)
-                    assert status == 404
-                else:
-                    status, body = _exchange(
-                        connection, "POST", "/v1/query", {"pattern": RUNNING_EXAMPLE_PATTERN}
-                    )
-                    assert status == 200
-                bodies.append(body)
-            connection.close()
-    connections, writes = wire.of(_RouterHandler)
-    assert len(connections) == 1
-    _assert_whole_responses(writes, bodies)
-    # The workers behind it answered the router's own requests the same way.
-    for written in wire.of(_Handler)[1]:
-        assert written.startswith(b"HTTP/1.1 ") and b"\r\n\r\n" in written

@@ -233,3 +233,37 @@ class TestRetention:
         swept = _query(service, stream.run_id)
         assert swept["server"]["cached"] is False
         assert swept["result"]["matched_output_ids"] == []
+
+    def test_background_sweeper_expires_invalidates_and_joins(self, tmp_path):
+        stream = _open_stream(Warehouse.open(tmp_path / "wh"))
+        stream.ingest(_rows(0, 6))
+        stream.ingest(_rows(6, 10))
+        stream.finish(compact=False)  # sealed, still in the epoch layout
+        receipts = stream.warehouse.run_dir(stream.run_id) / "retention"
+        service = QueryService.open(
+            ServeConfig(
+                root=str(tmp_path / "wh"),
+                port=0,
+                retention_ttl=0.01,
+                retention_sweep_interval=0.02,
+            ),
+            registry=MetricsRegistry(),
+        )
+        sweeper = service._sweeper
+        assert sweeper is not None and sweeper.is_alive()
+        registry = service.registry
+        try:
+            deadline = time.monotonic() + 10
+            while not (
+                list(receipts.glob("receipt-*.json"))
+                and registry.counter("repro_serve_retention_sweeps_total").value >= 1
+                and registry.counter("repro_serve_segment_invalidations_total").value >= 1
+            ):
+                assert time.monotonic() < deadline, "the sweeper never swept"
+                time.sleep(0.01)
+            swept = _query(service, stream.run_id)
+            assert swept["server"]["cached"] is False
+            assert swept["result"]["matched_output_ids"] == []
+        finally:
+            service.close()
+        assert service._sweeper is None and not sweeper.is_alive()

@@ -1,4 +1,4 @@
-"""Property: the serve fleet is answer-transparent.
+"""Property: the worker equivalence suite -- every tier answers alike.
 
 For any pattern from a pool of valid structural queries, any trace method,
 and any subject list, three ways of asking must agree byte-for-byte:
@@ -6,13 +6,13 @@ and any subject list, three ways of asking must agree byte-for-byte:
 * the library directly (``query_provenance`` over ``Warehouse.load``),
 * a local client (``repro.connect("file://...")`` -- in-process service
   with admission control and caching),
-* the fleet (``repro.connect("http://router")`` -- three workers behind
-  consistent-hash routing, audit questions scatter-gathered and merged).
+* an HTTP worker (``repro.connect("http://...")`` -- one ``repro serve``
+  over the same sharded root).
 
-One module-scoped fleet serves every example: hypothesis varies the
-questions, not the topology, so the suite stays fast while still walking
-the merge paths (multi-run SAR/erasure, cache hits on repeats, both trace
-methods) in unpredictable orders.
+One module-scoped server answers every example: hypothesis varies the
+questions, so the suite stays fast while still walking the multi-run
+SAR/erasure paths, cache hits on repeats and both trace methods in
+unpredictable orders.
 """
 
 from __future__ import annotations
@@ -23,17 +23,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
-from repro.audit.sar import (
-    build_tracers,
-    erasure_over_tracers,
-    merge_erasure,
-    merge_sar,
-    sar_over_tracers,
-)
 from repro.engine.session import Session
+from repro.obs.metrics import MetricsRegistry
 from repro.pebble.query import query_provenance
-from repro.serve.fleet import Fleet
-from repro.serve.router import RouterService, RouterServer
+from repro.serve import ProvenanceServer, QueryService, ServeConfig
 from repro.serve.service import result_to_json
 from repro.warehouse import Warehouse
 from repro.workloads.scenarios import (
@@ -60,7 +53,7 @@ _settings = settings(
 
 @pytest.fixture(scope="module")
 def tiers(tmp_path_factory):
-    """(warehouse, local client, fleet client, run ids) over two runs."""
+    """(warehouse, local client, HTTP client, run ids) over two runs."""
     root = tmp_path_factory.mktemp("equiv") / "wh"
     captured = build_running_example(
         Session(num_partitions=2), [dict(t) for t in RUNNING_EXAMPLE_TWEETS]
@@ -71,13 +64,14 @@ def tiers(tmp_path_factory):
         warehouse.record(captured, name=f"equiv-{index}").run_id
         for index in range(2)
     ]
-    with Fleet(root, size=3, mode="thread") as fleet:
-        router = RouterService(fleet.workers())
-        with RouterServer(router) as server:
-            local = repro.connect(f"file://{root}")
-            remote = repro.connect(server.url)
-            yield warehouse, local, remote, run_ids
-            local.close()
+    service = QueryService.open(
+        ServeConfig(root=str(root), port=0), registry=MetricsRegistry()
+    )
+    with ProvenanceServer(service, port=0) as server:
+        local = repro.connect(f"file://{root}")
+        remote = repro.connect(server.url)
+        yield warehouse, local, remote, run_ids
+        local.close()
 
 
 def _canon(payload) -> str:
@@ -131,36 +125,3 @@ class TestAuditEquivalence:
         theirs = remote.verify_erasure(subjects)["report"]
         assert _canon(ours) == _canon(theirs)
         assert ours["digest"] == theirs["digest"]
-
-
-class TestMergeEquivalence:
-    """What the router's scatter relies on: reports over any split of a run
-    scope merge back into the report over the whole scope, digest included."""
-
-    @_settings
-    @given(
-        subjects=st.lists(
-            st.sampled_from(SUBJECT_POOL), min_size=1, max_size=4, unique=True
-        ),
-        owners=st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=4),
-        data=st.data(),
-    )
-    def test_merged_parts_equal_the_whole(self, tiers, subjects, owners, data):
-        warehouse, _, _, run_ids = tiers
-        # Four runs in scope from the two stored ones: a merge sees only ids.
-        whole = [
-            (f"{run_id}#{copy}", tracer)
-            for copy in range(2)
-            for run_id, tracer in build_tracers(warehouse, run_ids)
-        ]
-        scope = [run_id for run_id, _ in whole]
-        split = [
-            [pair for pair, owner in zip(whole, owners) if owner == part]
-            for part in data.draw(st.permutations(sorted(set(owners))))
-        ]
-        assert merge_erasure(
-            scope, [erasure_over_tracers(part, subjects) for part in split]
-        ) == erasure_over_tracers(whole, subjects)
-        assert merge_sar(
-            scope, [sar_over_tracers(part, subjects, page_size=3) for part in split]
-        ) == sar_over_tracers(whole, subjects, page_size=3)

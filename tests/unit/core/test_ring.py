@@ -1,8 +1,8 @@
-"""The consistent-hash ring: determinism, bounded movement, failover order.
+"""The consistent-hash ring: determinism and bounded movement.
 
-Placement decisions are made independently by warehouses recording runs,
-routers placing queries, and CLIs inspecting both -- possibly in different
-processes on different days.  These tests pin the two properties that make
+Placement decisions are made independently by warehouses recording runs
+and CLIs inspecting them -- possibly in different processes on different
+days.  These tests pin the two properties that make
 that safe: the map is a pure function of (nodes, replicas, key), and
 changing the node set only moves the keys it must.
 """
@@ -92,23 +92,6 @@ class TestBoundedMovement:
         assert all(count > 0 for count in counts.values())
         # 64 virtual points per node keep skew within a small factor.
         assert max(counts.values()) <= 4 * min(counts.values())
-
-
-class TestPreference:
-    def test_head_of_chain_is_the_owner(self):
-        ring = HashRing(NODES)
-        for key in KEYS[:20]:
-            chain = ring.preference(key)
-            assert chain[0] == ring.assign(key)
-            assert sorted(chain) == sorted(NODES)  # distinct, complete
-
-    def test_count_truncates(self):
-        ring = HashRing(NODES)
-        assert len(ring.preference("run-0001", 2)) == 2
-        assert len(ring.preference("run-0001", 99)) == len(NODES)
-
-    def test_chain_is_deterministic(self):
-        assert HashRing(NODES).preference("k") == HashRing(NODES).preference("k")
 
 
 class TestValidation:
