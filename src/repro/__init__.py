@@ -56,7 +56,7 @@ from repro.pebble import CapturedExecution, PebbleSession, query_provenance
 from repro.stream import StreamSession
 from repro.warehouse import Warehouse
 
-__version__ = "3.5.0"
+__version__ = "3.6.0"
 
 __all__ = [
     # primary API

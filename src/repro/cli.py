@@ -19,10 +19,6 @@ Usage (also via ``python -m repro``)::
     python -m repro serve --root /tmp/wh --port 9410   # the query service
     python -m repro stats --remote http://127.0.0.1:9410
 
-    python -m repro shard init --root /tmp/wh --count 4
-    python -m repro shard ls --root /tmp/wh
-    python -m repro shard rebalance --root /tmp/wh
-
     python -m repro index build --root /tmp/wh         # backfill audit index
     python -m repro trace-forward --root /tmp/wh --pattern 'root{//id_str="lp"}'
     python -m repro audit sar u1 u2 --root /tmp/wh     # subject-access request
@@ -302,29 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how often the background retention sweep runs")
     serve.add_argument("--trace", default=None, metavar="PATH",
                        help="write a Chrome trace-event JSON on shutdown")
-
-    shard = commands.add_parser(
-        "shard", help="manage the warehouse's storage shards"
-    )
-    shard_commands = shard.add_subparsers(dest="shard_command", required=True)
-    shard_ls = shard_commands.add_parser(
-        "ls", help="per-shard run counts, sizes, and epochs"
-    )
-    shard_ls.add_argument("--root", required=True, help="warehouse root directory")
-    shard_init = shard_commands.add_parser(
-        "init", help="initialise (or grow) the shard layout"
-    )
-    shard_init.add_argument("--root", required=True, help="warehouse root directory")
-    shard_init.add_argument("--count", type=int, required=True,
-                            help="number of shards (grow-only)")
-    shard_rebalance = shard_commands.add_parser(
-        "rebalance",
-        help="move runs to their ring-assigned shards (optionally growing first)",
-    )
-    shard_rebalance.add_argument("--root", required=True,
-                                 help="warehouse root directory")
-    shard_rebalance.add_argument("--count", type=int, default=None,
-                                 help="grow to this many shards before rebalancing")
 
     return parser
 
@@ -864,45 +837,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard(args: argparse.Namespace) -> int:
-    from repro.warehouse import Warehouse
-
-    warehouse = Warehouse.open(args.root)
-
-    if args.shard_command == "ls":
-        summary = warehouse.shard_summary()
-        if not warehouse.sharded:
-            print(f"warehouse {warehouse.root}: unsharded (flat layout)")
-        header = f"{'shard':<12} {'runs':>4} {'rows':>8} {'bytes':>12} {'epoch':>5}"
-        print(header)
-        print("-" * len(header))
-        for entry in summary:
-            name = entry["shard"] or "(legacy)"
-            print(f"{name:<12} {entry['runs']:>4} {entry['rows']:>8} "
-                  f"{entry['bytes']:>12} {entry['epoch']:>5}")
-        return 0
-
-    if args.shard_command == "init":
-        names = warehouse.init_shards(args.count)
-        print(f"warehouse {warehouse.root}: {len(names)} shard(s)")
-        for name in names:
-            print(f"  {name}")
-        return 0
-
-    if args.shard_command == "rebalance":
-        outcome = warehouse.rebalance(count=args.count)
-        print(f"warehouse {warehouse.root}: {len(outcome['shards'])} shard(s), "
-              f"{len(outcome['moved'])} run(s) moved, {outcome['unmoved']} in place")
-        for move in outcome["moved"]:
-            source = move["from"] or "(legacy)"
-            print(f"  {move['run_id']}: {source} -> {move['to']}")
-        return 0
-
-    raise AssertionError(
-        f"unhandled shard command {args.shard_command!r}"
-    )  # pragma: no cover
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ProvenanceServer, QueryService, ServeConfig
 
@@ -995,8 +929,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_stats(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "shard":
-        return _cmd_shard(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

@@ -19,12 +19,13 @@ Two properties matter beyond a plain LRU:
   (after propagating the error to every waiter), so a transient failure --
   e.g. a deadline overrun -- never caches as a permanent wrong answer.
 
-Invalidation comes in two grains.  Whole-cache (:meth:`invalidate`) covers
-catalog changes that can move *name* resolution ("newest run named X").
-Run-scoped (:meth:`invalidate_runs`) covers per-shard epoch bumps: the
-serving layer keys every entry with the resolved run id(s) in position 1,
-so when one shard's epoch moves only the answers over that shard's runs
-drop and every other worker-hot entry survives.
+Invalidation is by run (:meth:`invalidate_runs`).  The serving layer keys
+every entry with its resolved run id(s) in position 1, so when one run's
+stored answers change (a streaming run's segment epoch moves, or the run
+leaves the catalog) only the answers over that run drop and every other
+entry survives.  A newly recorded run needs no invalidation at all: a
+request that now resolves to it carries a new key.  :meth:`invalidate`
+empties the whole cache.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class PatternResultCache:
                 return
 
     def invalidate(self) -> int:
-        """Drop every entry (catalog changed); returns the number dropped.
+        """Drop every entry; returns the number dropped.
 
         In-flight computations are unaffected: their waiters hold direct
         entry references, and the owner's result simply never lands in the

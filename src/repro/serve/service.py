@@ -60,7 +60,6 @@ from repro.pebble.query import query_provenance
 from repro.serve.cache import PatternResultCache
 from repro.serve.pool import QueryPool
 from repro.warehouse import Warehouse
-from repro.warehouse.catalog import LEGACY_SHARD, RUN_EPOCH_PREFIX
 from repro.warehouse.reader import LazyProvenanceStore
 from repro.warehouse.service import METRICS_NAME
 
@@ -393,11 +392,7 @@ class QueryService:
         self._residents: dict[tuple[str, str], _ResidentRun] = {}
         self._load_lock = threading.Lock()
         self._catalog_sig = self._catalog_signature()
-        self._epochs = warehouse.epoch_vector()
-        self._run_shards = {
-            record.run_id: (record.shard or LEGACY_SHARD)
-            for record in warehouse.runs()
-        }
+        self._segment_epochs = self._catalog_epochs()
         self._started = time.time()
         self._closed = False
         #: Test instrumentation: called on the worker thread before each
@@ -425,20 +420,29 @@ class QueryService:
             return None
         return (stat.st_mtime_ns, stat.st_size)
 
+    def _catalog_epochs(self) -> dict[str, int | None]:
+        """``run_id -> segment_epoch`` over the warehouse's catalog."""
+        return {
+            record.run_id: record.segment_epoch for record in self.warehouse.runs()
+        }
+
     def check_catalog(self) -> bool:
         """Pick up external catalog changes; ``True`` if anything invalidated.
 
-        Called on every request; the fast path is still one ``stat`` of
-        ``catalog.json``.  When the file changed, the **epoch vector**
-        decides the blast radius at two grains.  Shard entries cover
-        membership changes: only cache entries over runs in an epoch-bumped
-        shard drop.  ``run:<id>`` entries cover streaming runs: a
-        micro-batch append (or retention sweep, or seal) bumps only that
-        run's segment epoch, so exactly its cached answers drop -- and its
-        resident execution, whose epoch snapshot no longer matches the
-        segments on disk.  Batch residents are immutable and stay, *except*
-        for runs whose shard assignment moved (a rebalance relocated their
-        directories).
+        Called on every request; the fast path is one ``stat`` of
+        ``catalog.json``.  When the file changed, the reloaded catalog is
+        diffed run by run against the service's ``{run_id: segment_epoch}``
+        snapshot, because a run is the only grain at which a stored answer
+        can change:
+
+        * a run whose segment epoch moved (a micro-batch append, a seal, a
+          retention sweep) loses its cached answers and its resident store;
+        * a run that left the catalog loses the same two;
+        * a new run costs nothing: every cache key holds its resolved run
+          ids, so a request that now resolves to it misses by key.
+
+        A batch run never changes after ``record``, so its answers survive
+        every other writer.
         """
         signature = self._catalog_signature()
         if signature == self._catalog_sig:
@@ -448,58 +452,27 @@ class QueryService:
             if signature == self._catalog_sig:
                 return False
             self._catalog_sig = signature
-            run_set_before = set(self._run_shards)
             self.warehouse.refresh()
-            before, after = self._epochs, self.warehouse.epoch_vector()
-            shards_now = {
-                record.run_id: (record.shard or LEGACY_SHARD)
-                for record in self.warehouse.runs()
-            }
-            # Compare against the *service's* snapshot, not the warehouse's
-            # own refresh verdict: a sweep this very process ran has already
-            # mutated the warehouse in memory, yet the cache is still stale.
-            if after == before and set(shards_now) == run_set_before:
-                return False
-            self._epochs = after
-            bumped = {
-                key
-                for key in set(before) | set(after)
-                if before.get(key, 0) != after.get(key, 0)
-            }
-            bumped_runs = {
-                key[len(RUN_EPOCH_PREFIX):]
-                for key in bumped
-                if key.startswith(RUN_EPOCH_PREFIX)
-            }
-            bumped_shards = bumped - {
-                key for key in bumped if key.startswith(RUN_EPOCH_PREFIX)
-            }
-            stale = {
-                run_id
-                for run_id, shard in shards_now.items()
-                if shard in bumped_shards
-            } | bumped_runs
+            # Diff against the *service's* snapshot: a sweep this very
+            # process ran has already moved the warehouse's records in
+            # memory, yet the cache is still stale.
+            before, self._segment_epochs = self._segment_epochs, self._catalog_epochs()
             moved = {
                 run_id
-                for run_id, shard in shards_now.items()
-                if self._run_shards.get(run_id, shard) != shard
+                for run_id, epoch in self._segment_epochs.items()
+                if run_id in before and before[run_id] != epoch
             }
-            self._run_shards = shards_now
-            for key in [
-                key for key in self._residents if key[0] in moved | bumped_runs
-            ]:
+            stale = moved | (before.keys() - self._segment_epochs.keys())
+            for key in [key for key in self._residents if key[0] in stale]:
                 del self._residents[key]
-        if bumped:
-            self.cache.invalidate_runs(stale)
-            if bumped_runs:
-                self.registry.counter(
-                    "repro_serve_segment_invalidations_total"
-                ).inc(len(bumped_runs))
-        else:
-            # The run set changed without an epoch trail (a foreign writer):
-            # fall back to the conservative whole-cache flush.
-            self.cache.invalidate()
         self.registry.counter("repro_serve_catalog_refreshes_total").inc()
+        if not stale:
+            return False
+        if moved:
+            self.registry.counter("repro_serve_segment_invalidations_total").inc(
+                len(moved)
+            )
+        self.cache.invalidate_runs(stale)
         return True
 
     # -- retention -------------------------------------------------------------
@@ -618,7 +591,7 @@ class QueryService:
         if params.get("analyze"):
             payload, was_hit = compute(), False
         else:
-            # Position 1 is what invalidate_runs inspects when an epoch moves.
+            # Position 1 is what invalidate_runs inspects when a run goes stale.
             key = (kind, run_ids, *(params[name] for name in route.cache_key))
             payload, was_hit = self.cache.get_or_compute(
                 key, compute, wait_timeout=deadline

@@ -6,15 +6,12 @@ days apart).  ``catalog.json`` is the only file a listing has to read -- it
 carries per run the name, creation timestamp, sink operator, and size
 figures, so ``repro warehouse ls`` never touches a segment.
 
-Sharded warehouses additionally persist a **shard manifest** here: the list
-of named shards, the consistent-hash replica count that places runs onto
-them, and a monotonically increasing **epoch** per shard.  An epoch bumps
-whenever that shard's membership changes (a run recorded into it, a run
-moved by rebalancing), which generalizes the single catalog stat signature
-into a vector: a serve worker compares epoch vectors and invalidates only
-the cache entries and resident stores of shards that actually changed.
-Catalogs written before sharding load unchanged -- they have no manifest
-and behave as one anonymous shard at epoch 0.
+Each run's record also says where its directory is.  Runs recorded
+before 3.6 into a sharded root carry the shard they sit under; the
+``"shards"`` manifest and ``"epoch"`` counter those catalogs also hold are
+ignored on load and not written back.  A batch run never changes after
+``record``; a streaming run's ``segment_epoch`` moves whenever what a query
+over it sees moves, so long-lived readers invalidate cached answers by run.
 """
 
 from __future__ import annotations
@@ -28,54 +25,11 @@ from repro.errors import ProvenanceError
 
 __all__ = [
     "RunRecord",
-    "ShardManifest",
     "Catalog",
     "CATALOG_VERSION",
-    "RUN_EPOCH_PREFIX",
 ]
 
 CATALOG_VERSION = 1
-
-#: Pseudo-shard name for runs stored in the legacy flat layout
-#: (``<root>/runs/<run_id>``, no shard directory).
-LEGACY_SHARD = ""
-
-#: Epoch-vector key prefix for per-run segment epochs.  Shard names never
-#: contain a colon, so run keys are unambiguous in the same vector.
-RUN_EPOCH_PREFIX = "run:"
-
-
-class ShardManifest:
-    """The catalog's record of shard names, placement, and epochs."""
-
-    def __init__(self, shards: list[str], replicas: int, epochs: dict[str, int]):
-        #: Shard names in creation order (placement hashes the names, so the
-        #: order is cosmetic; the names are load-bearing).
-        self.shards = list(shards)
-        #: Virtual points per shard on the placement ring -- persisted so
-        #: every process places runs identically.
-        self.replicas = int(replicas)
-        #: ``shard -> epoch``; monotonically increasing per shard.
-        self.epochs = dict(epochs)
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "shards": list(self.shards),
-            "replicas": self.replicas,
-            "epochs": {name: self.epochs.get(name, 0) for name in self.shards},
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict[str, Any]) -> "ShardManifest":
-        return cls(obj["shards"], obj.get("replicas", 64), obj.get("epochs", {}))
-
-    def bump(self, shard: str) -> int:
-        """Advance *shard*'s epoch (membership changed) and return it."""
-        self.epochs[shard] = self.epochs.get(shard, 0) + 1
-        return self.epochs[shard]
-
-    def __repr__(self) -> str:
-        return f"ShardManifest({self.shards!r}, epochs={self.epochs!r})"
 
 
 class RunRecord:
@@ -121,15 +75,16 @@ class RunRecord:
         #: Whether the run carries a persisted ``index.seg`` (forward/audit
         #: queries fall back to a full scan when false).
         self.indexed = indexed
-        #: Storage shard holding the run's directory, or ``None`` for the
-        #: legacy flat layout (``<root>/runs/<run_id>``).
+        #: Storage shard a pre-3.6 sharded root put the run's directory under
+        #: (``<root>/shards/<shard>/runs/<run_id>``); read only.  ``None`` for
+        #: the flat layout (``<root>/runs/<run_id>``) every new run gets.
         self.shard = shard
         #: ``True`` while a streaming capture is still appending micro-batch
         #: epochs; sealed and batch runs are ``False``.
         self.live = live
-        #: Monotonic per-run segment counter: bumps on every epoch append
-        #: and retention sweep.  ``None`` for plain batch runs -- such runs
-        #: never change, so they need no per-run invalidation granule.
+        #: Monotonic per-run segment counter: bumps on every epoch append,
+        #: seal and retention sweep.  ``None`` for plain batch runs -- such
+        #: runs never change after ``record``.
         self.segment_epoch = segment_epoch
 
     def created_iso(self) -> str:
@@ -189,11 +144,6 @@ class Catalog:
         self.root = FsPath(root)
         self._records: list[RunRecord] = []
         self._next_seq = 1
-        #: Shard layout, or ``None`` for an unsharded (flat-layout) warehouse.
-        self.manifest: ShardManifest | None = None
-        #: Epoch of the legacy pseudo-shard: bumps on every record into the
-        #: flat layout so unsharded warehouses still get epoch invalidation.
-        self.legacy_epoch = 0
 
     @property
     def path(self) -> FsPath:
@@ -213,9 +163,6 @@ class Catalog:
             )
         catalog._records = [RunRecord.from_obj(entry) for entry in document["runs"]]
         catalog._next_seq = document.get("next_seq", len(catalog._records) + 1)
-        if "shards" in document:
-            catalog.manifest = ShardManifest.from_obj(document["shards"])
-        catalog.legacy_epoch = document.get("epoch", 0)
         return catalog
 
     def save(self) -> None:
@@ -223,47 +170,14 @@ class Catalog:
         document: dict[str, Any] = {
             "version": CATALOG_VERSION,
             "next_seq": self._next_seq,
-            "epoch": self.legacy_epoch,
             "runs": [record.to_obj() for record in self._records],
         }
-        if self.manifest is not None:
-            document["shards"] = self.manifest.to_obj()
         # Write-then-rename keeps the catalog readable if a record() crashes
         # mid-write (the fresh run directory is then simply unreferenced).
         tmp = self.path.with_suffix(".json.tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2)
         tmp.replace(self.path)
-
-    def epoch_vector(self) -> dict[str, int]:
-        """``shard -> epoch`` snapshot, always including the legacy shard.
-
-        Two equal vectors mean the catalog describes the same membership:
-        a serve worker compares vectors and drops only what belongs to
-        entries whose epoch moved.  Runs with a segment epoch (streaming
-        captures) additionally contribute a ``run:<run_id>`` entry -- a
-        micro-batch append bumps only that entry, so serve invalidation is
-        segment-granular instead of shard-granular.
-        """
-        vector = {LEGACY_SHARD: self.legacy_epoch}
-        if self.manifest is not None:
-            for name in self.manifest.shards:
-                vector[name] = self.manifest.epochs.get(name, 0)
-        for record in self._records:
-            if record.segment_epoch is not None:
-                vector[RUN_EPOCH_PREFIX + record.run_id] = record.segment_epoch
-        return vector
-
-    def bump_epoch(self, shard: str | None) -> None:
-        """Record a membership change in *shard* (``None`` = legacy layout)."""
-        if shard is None or shard == LEGACY_SHARD:
-            self.legacy_epoch += 1
-        else:
-            if self.manifest is None:
-                raise ProvenanceError(
-                    f"cannot bump epoch of shard {shard!r}: warehouse is unsharded"
-                )
-            self.manifest.bump(shard)
 
     def new_run_id(self, name: str) -> str:
         """Mint the next run identifier: a sequence number plus a name slug."""

@@ -12,24 +12,20 @@ Directory layout::
 
     <root>/
       catalog.json                   run registry (name, timestamp, sizes)
-      runs/<run_id>/                 legacy flat layout (unsharded roots)
+      runs/<run_id>/                 one directory per run
         part.seg                     operator segments, then the rows
                                      segment, then the index segment
         manifest.json                footer: oid -> offsets in part.seg
         metrics.json                 the execution's accounting
-      shards/<shard>/runs/<run_id>/  sharded layout (after ``init_shards``)
+      shards/<shard>/runs/<run_id>/  a run recorded into a pre-3.6 sharded root
 
 A live run holds one such ``part.seg`` per micro-batch instead
 (:mod:`repro.warehouse.live`); runs written in layout 2 (a file per
 segment) still read (:func:`~repro.warehouse.reader.run_parts`).
 
-A sharded warehouse places each run onto a named shard by consistent-hashing
-its run id (:mod:`repro.core.ring`), records the placement in the catalog's
-shard manifest, and bumps that shard's epoch -- the per-shard generalisation
-of the catalog stat signature that lets long-lived readers invalidate only
-what changed.  All read paths go through the catalog record's ``shard``
-field, so sharded and flat layouts can coexist in one root (e.g. a legacy
-warehouse mid-``rebalance``).
+Every new run goes under ``runs/``.  Reads resolve a run's directory
+through its catalog record, whose read-only ``shard`` field keeps the runs
+of a root written with storage shards (before 3.6) where they are.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from pathlib import Path as FsPath
 from typing import Any, Iterator
 
 from repro.core.backtrace.result import ProvenanceResult
-from repro.core.ring import DEFAULT_REPLICAS, HashRing
 from repro.core.treepattern.pattern import TreePattern
 from repro.engine.config import resolve_partitions
 from repro.engine.executor import ExecutionResult
@@ -55,7 +50,7 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import explained
 from repro.obs.tracer import get_tracer
-from repro.warehouse.catalog import LEGACY_SHARD, Catalog, RunRecord, ShardManifest
+from repro.warehouse.catalog import Catalog, RunRecord
 from repro.warehouse.format import materialise_rows
 from repro.warehouse.index import RunIndex, ensure_index
 from repro.warehouse.live import (
@@ -102,142 +97,15 @@ class Warehouse:
         root.mkdir(parents=True, exist_ok=True)
         return cls(root, Catalog.load(root))
 
-    # -- shard placement -------------------------------------------------------
-
-    @property
-    def sharded(self) -> bool:
-        return self._catalog.manifest is not None
-
-    def _placement_ring(self) -> HashRing:
-        manifest = self._catalog.manifest
-        if manifest is None:
-            raise ProvenanceError(
-                f"warehouse at {self.root} is unsharded (run init_shards first)"
-            )
-        return HashRing(manifest.shards, replicas=manifest.replicas)
-
-    def shard_for(self, run_id: str) -> str | None:
-        """The shard a run with *run_id* belongs on (``None``: flat layout)."""
-        if self._catalog.manifest is None:
-            return None
-        return self._placement_ring().assign(run_id)
-
-    def _dir_at(self, shard: str | None, run_id: str) -> FsPath:
-        """A run's directory under *shard* (or the legacy flat layout)."""
-        if shard:
-            return self.root / SHARDS_DIR / shard / RUNS_DIR / run_id
-        return self.root / RUNS_DIR / run_id
-
     def _dir_for(self, record: RunRecord) -> FsPath:
-        return self._dir_at(record.shard, record.run_id)
-
-    def init_shards(
-        self, count: int, replicas: int = DEFAULT_REPLICAS, prefix: str = "shard"
-    ) -> list[str]:
-        """Declare *count* named shards for this warehouse.
-
-        Creates the shard manifest (names ``shard-00 .. shard-NN``) so
-        subsequent :meth:`record` calls hash their run ids onto shards.
-        Existing runs stay where they are until :meth:`rebalance` moves
-        them.  Idempotent for the same count; shrinking is refused (that
-        would orphan directories) -- grow and :meth:`rebalance` instead.
-        """
-        if count < 1:
-            raise ProvenanceError(f"shard count must be >= 1, got {count}")
-        names = [f"{prefix}-{index:02d}" for index in range(count)]
-        manifest = self._catalog.manifest
-        if manifest is not None:
-            if names == manifest.shards:
-                return names
-            missing = set(manifest.shards) - set(names)
-            if missing:
-                raise ProvenanceError(
-                    f"cannot drop shards {sorted(missing)}; rebalance to a "
-                    "superset instead"
-                )
-            for name in names:
-                if name not in manifest.shards:
-                    manifest.shards.append(name)
-                    manifest.epochs.setdefault(name, 0)
-        else:
-            self._catalog.manifest = ShardManifest(
-                names, replicas, {name: 0 for name in names}
-            )
-        for name in names:
-            (self.root / SHARDS_DIR / name / RUNS_DIR).mkdir(parents=True, exist_ok=True)
-        self._catalog.save()
-        get_logger("warehouse").event("shards-initialised", shards=names, replicas=replicas)
-        return names
-
-    def rebalance(self, count: int | None = None) -> dict[str, Any]:
-        """Move every run to the shard its id hashes to; returns a report.
-
-        With *count*, grows the shard set first (``init_shards``).  Each
-        moved run bumps both the source and destination shard epochs, so
-        serve workers drop exactly the residents and cache entries whose
-        storage moved under them.  Runs already in place are untouched --
-        consistent hashing keeps that the common case.
-        """
-        if count is not None:
-            self.init_shards(count)
-        ring = self._placement_ring()
-        moved: list[dict[str, str | None]] = []
-        with get_tracer().span("warehouse-rebalance", "warehouse"):
-            for record in self._catalog.runs():
-                target = ring.assign(record.run_id)
-                if target == record.shard:
-                    continue
-                source_dir = self._dir_for(record)
-                target_dir = self.root / SHARDS_DIR / target / RUNS_DIR / record.run_id
-                target_dir.parent.mkdir(parents=True, exist_ok=True)
-                source_dir.replace(target_dir)
-                moved.append(
-                    {"run_id": record.run_id, "from": record.shard, "to": target}
-                )
-                self._catalog.bump_epoch(record.shard)
-                self._catalog.bump_epoch(target)
-                record.shard = target
-        if moved:
-            self._catalog.save()
-        report = {
-            "shards": list(self._catalog.manifest.shards),  # type: ignore[union-attr]
-            "moved": moved,
-            "unmoved": len(self._catalog) - len(moved),
-        }
-        get_logger("warehouse").event("shards-rebalanced", moved=len(moved), unmoved=report["unmoved"])
-        return report
-
-    def epoch_vector(self) -> dict[str, int]:
-        """``shard -> epoch`` snapshot (see :meth:`Catalog.epoch_vector`)."""
-        return self._catalog.epoch_vector()
-
-    def shard_summary(self) -> list[dict[str, Any]]:
-        """Per-shard run/row/byte totals for ``repro shard ls``."""
-        vector = self._catalog.epoch_vector()
-        shards: dict[str, dict[str, Any]] = {
-            name: {"shard": name or LEGACY_SHARD, "epoch": epoch, "runs": 0,
-                   "rows": 0, "bytes": 0, "run_ids": []}
-            for name, epoch in vector.items()
-        }
-        for record in self._catalog.runs():
-            name = record.shard or LEGACY_SHARD
-            entry = shards.setdefault(
-                name, {"shard": name, "epoch": 0, "runs": 0, "rows": 0,
-                       "bytes": 0, "run_ids": []}
-            )
-            entry["runs"] += 1
-            entry["rows"] += record.row_count
-            entry["bytes"] += record.total_bytes
-            entry["run_ids"].append(record.run_id)
-        # The legacy pseudo-shard only shows when it still holds runs.
-        if LEGACY_SHARD in shards and not shards[LEGACY_SHARD]["runs"] and self.sharded:
-            del shards[LEGACY_SHARD]
-        return [shards[name] for name in sorted(shards)]
+        if record.shard:
+            return self.root / SHARDS_DIR / record.shard / RUNS_DIR / record.run_id
+        return self.root / RUNS_DIR / record.run_id
 
     # -- recording -------------------------------------------------------------
 
-    def _new_run(self, name: str) -> tuple[str, str | None, FsPath]:
-        """Mint a run id; returns ``(run id, shard, run directory)``.
+    def _new_run(self, name: str) -> tuple[str, FsPath]:
+        """Mint a run id; returns ``(run id, run directory)``.
 
         The catalog references no run under a fresh id, so a directory
         already there is what a recording that died before the catalog
@@ -245,11 +113,10 @@ class Warehouse:
         reopened catalog mints the same id again); it is cleared.
         """
         run_id = self._catalog.new_run_id(name)
-        shard = self.shard_for(run_id)
-        run_dir = self._dir_at(shard, run_id)
+        run_dir = self.root / RUNS_DIR / run_id
         if run_dir.exists():
             shutil.rmtree(run_dir)
-        return run_id, shard, run_dir
+        return run_id, run_dir
 
     def record(
         self, execution: ExecutionResult, name: str = "run", index: bool = True
@@ -259,18 +126,14 @@ class Warehouse:
         The run is one ``part.seg`` (:func:`write_run`); by default its
         query-side index is built in the same pass and written as the
         file's last segment.  Pass ``index=False`` to skip it (``repro index
-        build`` backfills ``index.seg`` later, with identical bytes).  In a
-        sharded warehouse the run lands on the shard its id hashes to and
-        that shard's epoch advances.  ``total_bytes`` is the size of
-        ``part.seg``.
+        build`` backfills ``index.seg`` later, with identical bytes).
+        ``total_bytes`` is the size of ``part.seg``.
         """
         if execution.store is None:
             raise ProvenanceError("only capture-enabled executions can be recorded")
         created = time.time()
-        run_id, shard, run_dir = self._new_run(name)
-        with get_tracer().span(
-            "warehouse-record", "warehouse", run_id=run_id, shard=shard or LEGACY_SHARD
-        ):
+        run_id, run_dir = self._new_run(name)
+        with get_tracer().span("warehouse-record", "warehouse", run_id=run_id):
             manifest = write_run(
                 run_dir, encode_part(execution), execution.root.oid, run_id, name, created,
                 index=RunIndex.accumulator() if index else None,
@@ -288,10 +151,8 @@ class Warehouse:
             manifest["rows"]["count"],
             manifest["total_bytes"],
             indexed=index,
-            shard=shard,
         )
         self._catalog.add(record)
-        self._catalog.bump_epoch(shard)
         self._catalog.save()
         get_logger(run_id).event(
             "run-recorded",
@@ -300,7 +161,6 @@ class Warehouse:
             rows=record.row_count,
             bytes=record.total_bytes,
             indexed=index,
-            shard=shard or LEGACY_SHARD,
         )
         return record
 
@@ -311,11 +171,11 @@ class Warehouse:
 
         The run begins empty at segment epoch 0 and grows one epoch per
         :meth:`append_live_epoch` until :meth:`seal_live_run`.  Its catalog
-        record carries ``live=True`` plus a segment epoch, so the epoch
-        vector gains a per-run entry serve workers can invalidate on.
+        record carries ``live=True`` plus the segment epoch serve workers
+        invalidate the run's cached answers by.
         """
         created = time.time()
-        run_id, shard, run_dir = self._new_run(name)
+        run_id, run_dir = self._new_run(name)
         create_live_manifest(run_dir, run_id, name, created, sink_oid)
         record = RunRecord(
             run_id,
@@ -326,14 +186,12 @@ class Warehouse:
             0,
             0,
             indexed=False,
-            shard=shard,
             live=True,
             segment_epoch=0,
         )
         self._catalog.add(record)
-        self._catalog.bump_epoch(shard)
         self._catalog.save()
-        get_logger(run_id).event("live-run-created", name=name, shard=shard or LEGACY_SHARD)
+        get_logger(run_id).event("live-run-created", name=name)
         return record
 
     def append_live_epoch(
@@ -347,9 +205,8 @@ class Warehouse:
     ) -> dict[str, Any]:
         """Append one micro-batch to a live run; returns the epoch entry.
 
-        Only the run's own segment epoch advances -- the shard epoch stays
-        put, so serve-side invalidation is segment-granular: cached answers
-        over *this* run go stale, everything else on the shard survives.
+        Only the run's own segment epoch advances, so serve workers drop the
+        cached answers over *this* run and keep every other.
         """
         record = self._catalog.find(run_id)
         if not record.live:
@@ -372,8 +229,8 @@ class Warehouse:
         record.total_bytes = manifest["total_bytes"]
         record.operator_count = manifest["operator_count"]
         record.indexed = bool(index)
-        # Persist per batch: the catalog's per-run epoch entry is what serve
-        # workers stat-compare, so the bump must be durable immediately.
+        # Persist per batch: the catalog's per-run segment epoch is what
+        # serve workers compare, so the bump must be durable immediately.
         self._catalog.save()
         get_logger(record.run_id).event(
             "epoch-appended",
@@ -399,8 +256,8 @@ class Warehouse:
             manifest = seal_live_manifest(run_dir, manifest)
         # The seal bumped the manifest's counter; mirror it before compaction
         # replaces the manifest with the (counter-less) batch layout.  The
-        # record's epoch stays set forever: dropping it would erase the run's
-        # vector entry and mask this very invalidation.
+        # record's epoch stays set forever: dropping it would read as "no
+        # epoch" and mask this very invalidation.
         sealed_epoch = manifest.get("segment_epoch", (record.segment_epoch or 0) + 1)
         if compact:
             with get_tracer().span(
@@ -518,25 +375,14 @@ class Warehouse:
             breakdown=breakdown,
         )
 
-    def refresh(self) -> bool:
-        """Reload the catalog from disk; ``True`` if membership changed.
+    def refresh(self) -> None:
+        """Reload the catalog from disk.
 
         A long-lived reader (the ``repro.serve`` query service) opens the
         warehouse once but other processes may keep recording runs into the
-        same root; refreshing picks those up without reopening.  Stored runs
-        are immutable, so a refresh only ever *adds* visibility -- but name
-        resolution ("newest run named X") and cached pattern results must be
-        re-derived when the set changes.  The epoch vector is part of the
-        comparison: a rebalance moves run directories without changing the
-        run-id set, and open stores must still be dropped.
+        same root; refreshing picks those up without reopening.
         """
-        before = {record.run_id for record in self._catalog.runs()}
-        epochs_before = self._catalog.epoch_vector()
         self._catalog = Catalog.load(self.root)
-        return (
-            {record.run_id for record in self._catalog.runs()} != before
-            or self._catalog.epoch_vector() != epochs_before
-        )
 
     # -- listing / inspection --------------------------------------------------
 
@@ -761,16 +607,11 @@ class Warehouse:
             registry.gauge("repro_run_live", run_id=record.run_id).set(
                 1 if manifest.get("live") else 0
             )
-        # Sharded runs carry their shard as an extra label; unsharded runs
-        # keep the historical label set so existing dashboards stay intact.
-        size_labels: dict[str, str] = {"run_id": record.run_id}
-        if record.shard:
-            size_labels["shard"] = record.shard
-        registry.gauge("repro_run_operators", **size_labels).set(len(operators))
-        registry.gauge("repro_run_rows", **size_labels).set(
+        registry.gauge("repro_run_operators", run_id=record.run_id).set(len(operators))
+        registry.gauge("repro_run_rows", run_id=record.run_id).set(
             manifest["rows"]["count"]
         )
-        registry.gauge("repro_run_bytes", **size_labels).set(
+        registry.gauge("repro_run_bytes", run_id=record.run_id).set(
             manifest["total_bytes"]
         )
         for entry in operators:

@@ -62,3 +62,15 @@ def warehouse_v2(tmp_path) -> Path:
     root = tmp_path / "v2"
     shutil.copytree(WAREHOUSE_V2, root)
     return root
+
+
+#: A warehouse with two storage shards, written before 3.6 (see its README).
+WAREHOUSE_SHARDED = Path(__file__).parent / "fixtures" / "warehouse_sharded"
+
+
+@pytest.fixture
+def warehouse_sharded(tmp_path) -> Path:
+    """A temporary copy of the committed sharded warehouse, free to grow."""
+    root = tmp_path / "sharded"
+    shutil.copytree(WAREHOUSE_SHARDED, root)
+    return root

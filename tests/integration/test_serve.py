@@ -23,7 +23,7 @@ import pytest
 import repro
 from repro.cli import main as cli_main
 from repro.client import RetryPolicy, scrape
-from repro.errors import AdmissionError, TaskTimeoutError
+from repro.errors import AdmissionError, ProvenanceError, TaskTimeoutError
 from repro.obs.metrics import MetricsRegistry
 from repro.pebble.query import query_provenance
 from repro.serve import (
@@ -299,19 +299,58 @@ class TestAdmissionAndDeadlines:
 
 
 class TestCacheInvalidation:
-    def test_new_run_flushes_the_pattern_cache(self, served, captured_example):
+    """Cached answers and resident stores go stale by run, never wholesale."""
+
+    def test_new_run_keeps_explicit_run_answers_cached(
+        self, served, recorded, captured_example
+    ):
         server, service, root = served
+        _, run_id = recorded
         client = repro.connect(server.url, policy=NO_BACKOFF)
-        first = client.backtrace(RUNNING_EXAMPLE_PATTERN)
+        first = client.backtrace(RUNNING_EXAMPLE_PATTERN, run=run_id)
         assert first["server"]["cached"] is False
-        second = client.backtrace(RUNNING_EXAMPLE_PATTERN)
-        assert second["server"]["cached"] is True
+        newest = client.backtrace(RUNNING_EXAMPLE_PATTERN)
+        assert newest["server"]["cached"] is True  # the same resolved key
         # Another process records a new run into the same root.
         Warehouse.open(root).record(captured_example, name="example")
-        third = client.backtrace(RUNNING_EXAMPLE_PATTERN)
-        assert third["server"]["cached"] is False
-        assert third["run_id"] != first["run_id"]  # newest-run resolution moved
+        pinned = client.backtrace(RUNNING_EXAMPLE_PATTERN, run=run_id)
+        assert pinned["server"]["cached"] is True
+        moved = client.backtrace(RUNNING_EXAMPLE_PATTERN)
+        assert moved["server"]["cached"] is False  # misses by key
+        assert moved["run_id"] != run_id  # newest-run resolution moved
         assert len(client.runs()) == 2
+        assert service.cache.stats.invalidations == 0
+
+    def test_a_removed_run_drops_its_answers_and_resident(
+        self, captured_example, tmp_path
+    ):
+        root = tmp_path / "wh"
+        warehouse = Warehouse.open(root)
+        kept, removed = (
+            warehouse.record(captured_example, name=name).run_id
+            for name in ("kept", "removed")
+        )
+        service = QueryService.open(
+            ServeConfig(root=str(root), port=0), registry=MetricsRegistry()
+        )
+        with ProvenanceServer(service, port=0) as server:
+            client = repro.connect(server.url, policy=NO_BACKOFF)
+            for run in (kept, removed):
+                client.backtrace(RUNNING_EXAMPLE_PATTERN, run=run)
+            assert client.health()["resident_runs"] == 2
+            # A foreign writer rewrites the catalog without one run.
+            path = root / "catalog.json"
+            document = json.loads(path.read_text())
+            document["runs"] = [
+                entry for entry in document["runs"] if entry["run_id"] != removed
+            ]
+            path.write_text(json.dumps(document))
+            with pytest.raises(ProvenanceError, match="no run") as info:
+                client.backtrace(RUNNING_EXAMPLE_PATTERN, run=removed)
+            assert info.value.code == "not_found"
+            assert client.health()["resident_runs"] == 1
+            again = client.backtrace(RUNNING_EXAMPLE_PATTERN, run=kept)
+            assert again["server"]["cached"] is True
         assert service.cache.stats.invalidations == 1
 
 

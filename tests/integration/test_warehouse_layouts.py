@@ -1,5 +1,6 @@
 """Run layouts: layout 3 writes each part as one ``part.seg``; layout 2, a
-file per segment, is no longer written and still reads.
+file per segment, is no longer written and still reads.  Nor are storage
+shards: runs a pre-3.6 writer put under ``shards/<name>/runs/`` still read.
 
 The layout-2 side is the committed ``tests/fixtures/warehouse_v2`` warehouse
 (a batch run, a sub-sharded batch run, a sealed epoch run and a live head),
@@ -10,6 +11,12 @@ backtrace, forward and SAR answers.  Over a temporary copy of it:
 * ``repro index build`` re-derives the recorded ``index.seg`` bytes;
 * the live head takes layout-3 epochs after its layout-2 ones, answers over
   both, and compacts to the bytes of a one-shot record of the same rows.
+
+The sharded side is the committed ``tests/fixtures/warehouse_sharded``
+(two runs, one per shard, with the digests of their answers).  Over a copy,
+every answer digest is still the one recorded; a new run lands flat under
+``runs/``; and a save drops the catalog's old ``"shards"`` / ``"epoch"``
+keys but keeps each run's ``"shard"``.
 
 And one meaning of ``total_bytes`` for every run shape: the size of the
 run's ``part.seg`` files.
@@ -26,8 +33,10 @@ from repro.engine.executor import Executor
 from repro.engine.session import Session
 from repro.nested.values import DataItem
 from repro.pebble.query import query_provenance
+from repro.serve.service import result_to_json
 from repro.stream import StreamSession
 from repro.warehouse import Warehouse
+from repro.warehouse.catalog import Catalog
 from repro.warehouse.reader import load_manifest
 from tests.fixtures.make_warehouse_v2 import LIVE_BATCHES, answer_digests, narrow, stream_rows
 
@@ -49,6 +58,12 @@ def _append(warehouse: Warehouse, run_id: str, rows: list[dict]) -> None:
     dataset = narrow(session.create_dataset([DataItem(row) for row in rows], "stream"))
     execution = executor.execute(dataset.plan)
     warehouse.append_live_epoch(run_id, execution, next_pid=executor._next_id)
+
+
+def _answer(warehouse: Warehouse, run_id: str, pattern: str) -> str:
+    return json.dumps(
+        result_to_json(query_provenance(warehouse.load(run_id), pattern)), sort_keys=True
+    )
 
 
 def _traced_ids(result) -> list[int]:
@@ -109,6 +124,75 @@ class TestLayout2StillReads:
         assert (run_dir / "part.seg").read_bytes() == (batch_dir / "part.seg").read_bytes()
         compacted, _ = warehouse.backtrace(run_id, PATTERN)
         assert compacted.render() == expected.render()
+
+    RANGED = "run-0002-example-ranged"
+
+    def test_ranged_run_answers_alike(self, warehouse_v2, example_pattern):
+        """Layout 3 writes a run as one ``part.seg``, so there is nothing left
+        to spread over ``ops/range-NNNN/``; a layout-2 run that was spread
+        (``sub_shard_span=2``) still reads."""
+        warehouse = Warehouse.open(warehouse_v2)
+        ops = warehouse.run_dir(self.RANGED) / "ops"
+        ranges = sorted(path.name for path in ops.iterdir() if path.is_dir())
+        assert ranges and all(name.startswith("range-") for name in ranges)
+        assert _answer(warehouse, "run-0001-example", example_pattern) == _answer(
+            warehouse, self.RANGED, example_pattern
+        )
+
+    def test_manifest_records_the_span(self, warehouse_v2, captured_example):
+        warehouse = Warehouse.open(warehouse_v2)
+        manifest = json.loads((warehouse.run_dir(self.RANGED) / "manifest.json").read_text())
+        assert manifest["sub_shards"]["span"] == 2
+        assert manifest["sub_shards"]["ranges"]
+        with pytest.raises(TypeError):
+            warehouse.record(captured_example, name="example", sub_shard_span=2)
+        fresh = warehouse.run_dir(warehouse.record(captured_example, name="fresh").run_id)
+        assert sorted(path.name for path in fresh.iterdir()) == [
+            "manifest.json", "metrics.json", "part.seg"
+        ]
+        assert "sub_shards" not in json.loads((fresh / "manifest.json").read_text())
+
+
+class TestShardedRootStillReads:
+    SHARDS = {"run-0001-example": "shard-00", "run-0002-example": "shard-01"}
+
+    def test_answers_match_the_ones_recorded_when_it_was_written(self, warehouse_sharded):
+        warehouse = Warehouse.open(warehouse_sharded)
+        recorded = json.loads((warehouse_sharded / "answers.json").read_text())
+        assert {record.run_id: record.shard for record in warehouse.runs()} == self.SHARDS
+        for run_id, shard in self.SHARDS.items():
+            run_dir = warehouse_sharded / "shards" / shard / "runs" / run_id
+            assert warehouse.run_dir(run_id) == run_dir
+        assert {
+            record.run_id: answer_digests(warehouse, record.run_id, record.name)
+            for record in warehouse.runs()
+        } == recorded
+        assert warehouse.resolve("example").run_id == "run-0002-example"
+
+    def test_new_runs_land_flat(self, warehouse_sharded, captured_example, example_pattern):
+        warehouse = Warehouse.open(warehouse_sharded)
+        record = warehouse.record(captured_example, name="fresh")
+        assert record.shard is None
+        run_dir = warehouse_sharded / "runs" / record.run_id
+        assert warehouse.run_dir(record.run_id) == run_dir
+        assert sorted(path.name for path in run_dir.iterdir()) == [
+            "manifest.json", "metrics.json", "part.seg"
+        ]
+        assert _answer(warehouse, record.run_id, example_pattern) == _answer(
+            warehouse, "run-0001-example", example_pattern
+        )
+
+    def test_a_save_drops_the_shard_keys(self, warehouse_sharded):
+        path = warehouse_sharded / "catalog.json"
+        before = json.loads(path.read_text())
+        assert {"shards", "epoch"} <= set(before)
+        Catalog.load(warehouse_sharded).save()
+        after = json.loads(path.read_text())
+        assert "shards" not in after and "epoch" not in after
+        assert after["runs"] == before["runs"]
+        assert {
+            record.run_id: record.shard for record in Catalog.load(warehouse_sharded).runs()
+        } == self.SHARDS
 
 
 class TestTotalBytes:
