@@ -20,8 +20,7 @@ This module is the library's **stable facade**: user programs import from
   :func:`verify_erasure` (the GDPR workflows in :mod:`repro.audit`),
 * :class:`TreePattern` (with ``parse_pattern``/``child``/``descendant``) --
   the structural query language,
-* :class:`EngineConfig` -- execution knobs (partitions, optimizer rules,
-  profiling),
+* :class:`EngineConfig` -- execution knobs (partitions, optimizer rules),
 * the expression language (``col``, ``lit``, ``struct_``, the aggregates).
 
 Internal module paths (``repro.engine.*``, ``repro.core.*``, ...) remain
@@ -56,7 +55,7 @@ from repro.pebble import CapturedExecution, PebbleSession, query_provenance
 from repro.stream import StreamSession
 from repro.warehouse import Warehouse
 
-__version__ = "3.6.0"
+__version__ = "3.7.0"
 
 __all__ = [
     # primary API

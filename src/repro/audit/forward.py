@@ -55,10 +55,10 @@ from repro.engine.executor import ExecutionResult
 from repro.errors import AuditError
 from repro.nested.json_io import _jsonable
 from repro.nested.values import DataItem
-from repro.obs.breakdown import QueryBreakdown, get_breakdown
+from repro.obs.breakdown import QueryBreakdown
 from repro.obs.log import get_logger
 from repro.obs.slowlog import explained
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import count, span
 from repro.pebble.query import as_pattern
 from repro.core.treepattern.matcher import match_item
 from repro.warehouse.index import MAX_TERM_LEN, RunIndex
@@ -231,9 +231,8 @@ class ForwardTracer:
     def match_sources(self, pattern: TreePattern | str) -> list[SubjectMatch]:
         """Match *pattern* against every source's items, in oid order."""
         tree_pattern = as_pattern(pattern)
-        breakdown = get_breakdown()
         tested = 0
-        with breakdown.phase("pattern_match"):
+        with span("match-sources", "pattern_match"):
             topology = self._topology()
             matches = []
             for oid in sorted(topology):
@@ -247,7 +246,7 @@ class ForwardTracer:
             "candidates_confirmed": sum(len(match.ids) for match in matches),
         }
         self._last_stats.update(counts)
-        breakdown.count(**counts)
+        count(**counts)
         return matches
 
     def _match_source(self, pattern: TreePattern, oid: int) -> tuple[tuple[int, ...], int]:
@@ -260,7 +259,7 @@ class ForwardTracer:
                 if len(term) <= MAX_TERM_LEN
             ]
             if terms:
-                with get_breakdown().phase("index_probe"):
+                with span("index-probe", "index_probe"):
                     candidates: set[int] | None = None
                     for term in terms:
                         ids = {
@@ -299,8 +298,7 @@ class ForwardTracer:
         same set: the INPUTS map is complete by construction, and by the
         time an operator is visited all its predecessors have settled.
         """
-        breakdown = get_breakdown()
-        with breakdown.phase("closure"):
+        with span("forward-closure", "closure"):
             topology = self._topology()
             order = _forward_order(topology)
             reached: set[int] = set(seed_ids)
@@ -340,15 +338,15 @@ class ForwardTracer:
             "operators_skipped": skipped,
         }
         self._last_stats.update(counts)
-        breakdown.count(**counts)
+        count(**counts)
         return reached
 
     def trace(self, pattern: TreePattern | str) -> ForwardResult:
         """Match subjects and trace them to the sink's derived output rows."""
         tree_pattern = as_pattern(pattern)
-        with get_tracer().span(
+        with span(
             "forward-trace", "audit", pattern=tree_pattern.render()
-        ) as span:
+        ) as handle:
             sources = self.match_sources(tree_pattern)
             seeds = [item_id for source in sources for item_id in source.ids]
             reached = self.closure(seeds)
@@ -356,8 +354,8 @@ class ForwardTracer:
             outputs = [
                 (pid, item) for pid, item in rows if pid is not None and pid in reached
             ]
-            span.set(inputs=len(seeds), outputs=len(outputs))
-            get_breakdown().count(matched_inputs=len(seeds), outputs=len(outputs))
+            handle.set(inputs=len(seeds), outputs=len(outputs))
+            count(matched_inputs=len(seeds), outputs=len(outputs))
         return ForwardResult(
             getattr(self._store, "run_id", None),
             tree_pattern.render(),
@@ -500,7 +498,7 @@ def trace_forward(
     traces land in the slow log with their breakdown attached.
     """
     with explained("forward", "", method=method, breakdown=breakdown) as query:
-        with get_breakdown().phase("load"):
+        with span("load-run", "load"):
             record, execution = load_execution(
                 warehouse, run_id, method=method, cache_size=cache_size
             )
@@ -508,7 +506,7 @@ def trace_forward(
         result = ForwardTracer(execution, index).trace(pattern)
         query.run_id, query.pattern = record.run_id, result.pattern
         metrics = execution.store.metrics
-        query.count(
+        count(
             segments_decoded=metrics.misses,
             cache_hits=metrics.hits,
             cache_misses=metrics.misses,

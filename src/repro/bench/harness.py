@@ -436,12 +436,6 @@ ABLATION_CONFIGS: tuple[tuple[str, EngineConfig], ...] = (
     ("prune", EngineConfig(rules=("prune",))),
     ("prune+fuse", _PRUNE_FUSE),
     ("prune+fuse+trace", _PRUNE_FUSE),
-    # The profiler pair mirrors the +trace rung for the sampling profiler:
-    # prof-off is byte-identical config with profile explicitly False, so
-    # its delta against the profile rung is the whole sampling tax -- and
-    # its delta against prune+fuse pins "profiler off costs nothing".
-    ("prune+fuse+prof-off", _PRUNE_FUSE.replace(profile=False)),
-    ("prune+fuse+profile", _PRUNE_FUSE.replace(profile=True)),
 )
 
 

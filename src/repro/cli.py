@@ -851,15 +851,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retention_ttl=args.retention_ttl,
         retention_sweep_interval=args.retention_sweep_interval,
     )
-    from repro.obs.profile import profile_enabled
-
-    profiler = None
-    if profile_enabled():
-        from repro.obs.profile import SamplingProfiler
-
-        # One profiler for the server's lifetime: the sampler sees the
-        # worker threads, so server-side query work is attributed too.
-        profiler = SamplingProfiler(stage="serve").start()
     with _trace_to(args.trace):
         service = QueryService.open(config)
         server = ProvenanceServer(service)
@@ -872,8 +863,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("  endpoints: /v1/healthz /v1/runs /v1/runs/<id> /v1/stats "
               "/v1/debug/slow /metrics POST /v1/query /v1/forward "
               "/v1/audit/sar /v1/audit/erasure")
-        if profiler is not None:
-            print("  profiler: sampling (REPRO_PROFILE=on)")
         # Supervisors read the banner through a pipe; don't sit in the buffer.
         sys.stdout.flush()
         server.install_signal_handlers()
@@ -888,14 +877,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print("\nshutting down")
             sys.stdout.flush()
             server.close()
-            if profiler is not None:
-                from repro.obs.profile import profile_out_path
-
-                profiler.stop()
-                out = profile_out_path() or "serve_profile.folded"
-                lines = profiler.write_folded(out)
-                print(f"wrote {out} ({lines} stacks, "
-                      f"{profiler.sample_count} samples)")
     return 0
 
 

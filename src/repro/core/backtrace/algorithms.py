@@ -48,7 +48,7 @@ from repro.core.operator_provenance import (
 from repro.core.paths import POS, Path
 from repro.core.store import ProvenanceStoreProtocol
 from repro.errors import BacktraceError
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import span
 from repro.nested.schema import Schema
 from repro.nested.types import BagType, SetType, StructType
 
@@ -88,17 +88,16 @@ class Backtracer:
         empty structure, mirroring the paper's union backtracing that
         filters out undefined ids.
         """
-        tracer = get_tracer()
-        with tracer.span("toposort", "backtrace"):
+        with span("toposort", "backtrace"):
             order = self._reverse_topological(sink_oid)
         frontier: dict[int, BacktraceStructure] = {sink_oid: seeds}
         results: list[SourceProvenance] = []
-        with tracer.span("operator-walk", "backtrace", operators=len(order)):
+        with span("operator-walk", "backtrace", operators=len(order)):
             for oid in order:
                 structure = frontier.pop(oid, BacktraceStructure())
-                with tracer.span(f"walk op-{oid}", "backtrace") as span:
+                with span(f"walk op-{oid}", "backtrace") as handle:
                     provenance = self._store.get(oid)
-                    span.set(op_type=provenance.op_type, trees=len(structure.entries))
+                    handle.set(op_type=provenance.op_type, trees=len(structure.entries))
                     if isinstance(provenance.associations, ReadAssociations):
                         results.append(
                             SourceProvenance(oid, self._store.source_name(oid), structure)

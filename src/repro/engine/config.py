@@ -1,19 +1,18 @@
-"""Engine configuration: partitioning, optimizer rules, profiling.
+"""Engine configuration: partitioning and optimizer rules.
 
 One :class:`EngineConfig` replaces the ``num_partitions`` defaults that were
 previously duplicated across ``Session``, ``PebbleSession`` and
 ``CapturedExecution.load``, and carries the knobs of the logical/physical
-split: which optimizer rules rewrite the plan before compilation, and
-whether the sampling profiler watches the run.  How a stage runs is not a
-knob: its partition tasks run serially, once, on the calling thread
+split: which optimizer rules rewrite the plan before compilation.  How a
+stage runs is not a knob: its partition tasks run serially, once, on the calling thread
 (DESIGN.md Sec. 12).
 
 The config is immutable and **keyword-only**; derive variants with
 :meth:`replace` / :meth:`with_partitions`.  :meth:`from_env` builds the
-process-wide default and honours two environment switches,
-``REPRO_OPTIMIZE`` and ``REPRO_PROFILE``, so an entire test suite or
-benchmark run can be switched without touching call sites.  Both are parsed
-by :func:`env_flag`, which rejects text it does not recognise.
+process-wide default and honours one environment switch, ``REPRO_OPTIMIZE``,
+so an entire test suite or benchmark run can be switched without touching
+call sites.  It is parsed by :func:`env_flag`, which rejects text it does
+not recognise.
 Environment variables are overrides; every knob is equally settable in code:
 
 >>> config = EngineConfig(optimize=False).replace(rules=("prune",))
@@ -51,7 +50,6 @@ _ON = ("on", "1", "true", "yes")
 #: Environment switch -> the field it sets.
 _ENV_OVERRIDES = {
     "REPRO_OPTIMIZE": "optimize",
-    "REPRO_PROFILE": "profile",
 }
 
 
@@ -85,10 +83,6 @@ class EngineConfig:
     optimize: bool = True
     #: Enabled rule subset (ablations disable individual rules).
     rules: tuple[str, ...] = ALL_RULES
-    #: Attach the sampling profiler (:mod:`repro.obs.profile`) to execution:
-    #: stacks are sampled per stage and written as folded output.  Off by
-    #: default and zero-cost then; ``REPRO_PROFILE=on`` flips it.
-    profile: bool = False
 
     def __post_init__(self) -> None:
         if self.num_partitions < 1:

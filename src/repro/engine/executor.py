@@ -28,8 +28,8 @@ hook needs ids, so the plain path carries no provenance cost.
 
 from __future__ import annotations
 
-import time
-from typing import Any, Sequence
+from contextlib import contextmanager
+from typing import Any, Iterator, Sequence
 
 from repro.core.operator_provenance import (
     AggregationAssociations,
@@ -48,7 +48,7 @@ from repro.engine.hooks import (
     hooks_for,
     provenance_store,
 )
-from repro.engine.metrics import ExecutionMetrics, StageMetrics, Stopwatch
+from repro.engine.metrics import ExecutionMetrics, StageMetrics
 from repro.engine.optimizer import plan_physical
 from repro.engine.partition import concat_partitions, hash_partition, partition_rows
 from repro.engine.physical import (
@@ -73,8 +73,7 @@ from repro.engine.plan import (
     UnionNode,
 )
 from repro.errors import ExecutionError, PlanError, SchemaMismatchError
-from repro.obs.log import get_logger
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import span, timed
 from repro.nested.schema import Schema, infer_schema
 from repro.nested.types import StructType
 from repro.nested.values import DataItem
@@ -130,7 +129,7 @@ class Executor:
     """Executes one plan DAG; create a fresh instance per run.
 
     ``Executor(n, capture=True)`` keeps its seed meaning; the richer form
-    passes an :class:`EngineConfig` (optimizer rules, profiling) and/or an
+    passes an :class:`EngineConfig` (optimizer rules) and/or an
     explicit list of capture hooks.
     """
 
@@ -178,29 +177,17 @@ class Executor:
     def execute(self, root: PlanNode) -> ExecutionResult:
         """Execute the plan rooted at *root* and return its result."""
         physical = self.compile(root)
-        run_span = get_tracer().span(
+        with timed(
             "run",
             "run",
             partitions=self._num_partitions,
             optimize=self._config.optimize,
             capture=self._capturing,
             stages=len(physical.stages),
-        )
-        profiler = None
-        if self._config.profile:
-            from repro.obs.profile import SamplingProfiler
-
-            profiler = SamplingProfiler().start()
-        try:
-            with run_span, Stopwatch() as watch:
-                for index, stage in enumerate(physical.stages):
-                    if profiler is not None:
-                        profiler.mark_stage(f"stage-{index} {stage.kind}")
-                    self._execute_stage(index, stage)
-        finally:
-            if profiler is not None:
-                self._finish_profile(profiler)
-        self._metrics.total_seconds = watch.elapsed
+        ) as run_span:
+            for index, stage in enumerate(physical.stages):
+                self._execute_stage(index, stage)
+        self._metrics.total_seconds = run_span.duration
         self._metrics.publish()
         root_oid = physical.root_oid
         return ExecutionResult(
@@ -212,53 +199,30 @@ class Executor:
             physical=physical,
         )
 
-    @staticmethod
-    def _finish_profile(profiler: "SamplingProfiler") -> None:
-        """Stop the run's profiler; export folded stacks and trace markers."""
-        from repro.obs.profile import profile_out_path
-
-        profiler.stop()
-        out = profile_out_path()
-        if out:
-            lines = profiler.write_folded(out)
-            get_logger("engine").event(
-                "profile-written",
-                path=out,
-                lines=lines,
-                samples=profiler.sample_count,
-            )
-        tracer = get_tracer()
-        if tracer.enabled:
-            profiler.merge_into_tracer(tracer)
-
     # -- stage driver --------------------------------------------------------
 
     def _execute_stage(self, index: int, stage: Stage) -> None:
-        with get_tracer().span(
+        with timed(
             f"stage-{index} {stage.kind}", "stage", label=stage.label()
-        ) as span:
-            with Stopwatch() as watch:
-                if isinstance(stage, ReadStage):
-                    rows_in, rows_out, op_stats = self._run_read_stage(stage)
-                elif isinstance(stage, FusedStage):
-                    rows_in, rows_out, op_stats = self._run_fused_stage(stage)
-                else:
-                    assert isinstance(stage, WideStage)
-                    rows_in, rows_out, op_stats = self._run_wide_stage(stage)
-            span.set(rows_in=rows_in, rows_out=rows_out)
-        elapsed = watch.elapsed
-        share = elapsed / (len(op_stats) or 1)
+        ) as stage_span:
+            if isinstance(stage, ReadStage):
+                rows_in, rows_out, op_stats = self._run_read_stage(stage)
+            elif isinstance(stage, FusedStage):
+                rows_in, rows_out, op_stats = self._run_fused_stage(stage)
+            else:
+                assert isinstance(stage, WideStage)
+                rows_in, rows_out, op_stats = self._run_wide_stage(stage)
+            stage_span.set(rows_in=rows_in, rows_out=rows_out)
         for node, node_rows_in, node_rows_out in op_stats:
             slot = self._metrics.operator(node.oid, node.op_type, node.label())
             if node_rows_in is not None:
                 slot.rows_in = node_rows_in
             slot.rows_out = node_rows_out
-            slot.seconds += share
         stage_metrics = StageMetrics(index, stage.kind, stage.label(), stage.logical_oids())
-        stage_metrics.span_id = getattr(span, "span_id", None)
+        stage_metrics.span_id = stage_span.span_id
         stage_metrics.rows_in = rows_in
         stage_metrics.rows_out = rows_out
-        stage_metrics.seconds = elapsed
+        stage_metrics.seconds = stage_span.duration
         stage_metrics.partition_rows = tuple(
             len(partition) for partition in self._partitions[stage.output_oid]
         )
@@ -281,12 +245,23 @@ class Executor:
             return Schema(StructType())
         return infer_schema(sample)
 
-    def _emit_operator(self, node, inputs, manipulations, associations) -> None:
-        started = time.perf_counter()
+    @contextmanager
+    def _capture(self, node: PlanNode) -> Iterator[None]:
+        """Run the body as *node*'s capture work: one ``capture`` span whose
+        duration adds to the operator's ``capture_seconds``."""
+        with timed(f"capture op-{node.oid}", "capture") as clock:
+            yield
+        slot = self._metrics.operator(node.oid, node.op_type, node.label())
+        slot.capture_seconds += clock.duration
+
+    def _notify(self, node, inputs, manipulations, associations) -> None:
         for hook in self._hooks:
             hook.on_operator(node, inputs, manipulations, associations)
-        slot = self._metrics.operator(node.oid, node.op_type, node.label())
-        slot.capture_seconds += time.perf_counter() - started
+
+    def _emit_operator(self, node, inputs, manipulations, associations) -> None:
+        """Hand one operator's provenance to the hooks, timed as capture."""
+        with self._capture(node):
+            self._notify(node, inputs, manipulations, associations)
 
     def _child_state(self, node: PlanNode, index: int = 0) -> tuple[list[list[Row]], Schema]:
         child = node.children[index]
@@ -299,22 +274,17 @@ class Executor:
         items = node.loader()
         rows: list[Row] = []
         if self._capturing:
-            started = time.perf_counter()
-            associations = ReadAssociations()
-            by_id: dict[int, DataItem] = {}
-            for item in items:
-                pid = self._fresh_id()
-                associations.add(pid)
-                by_id[pid] = item
-                rows.append((pid, item))
-            capture_elapsed = time.perf_counter() - started
-            self._emit_operator(node, (), (), associations)
-            started = time.perf_counter()
-            for hook in self._hooks:
-                hook.on_source(node, by_id)
-            capture_elapsed += time.perf_counter() - started
-            slot = self._metrics.operator(node.oid, node.op_type, node.label())
-            slot.capture_seconds += capture_elapsed
+            with self._capture(node):
+                associations = ReadAssociations()
+                by_id: dict[int, DataItem] = {}
+                for item in items:
+                    pid = self._fresh_id()
+                    associations.add(pid)
+                    by_id[pid] = item
+                    rows.append((pid, item))
+                self._notify(node, (), (), associations)
+                for hook in self._hooks:
+                    hook.on_source(node, by_id)
         else:
             rows = [(None, item) for item in items]
         total = self._finish(
@@ -329,7 +299,6 @@ class Executor:
         in_partitions = self._partitions[stage.input_oid]
         nparts = len(in_partitions)
         capturing = self._capturing
-        tracer = get_tracer()
         stage_label = stage.label()
         sampling = [
             type(op).propagate_schema is NarrowOp.propagate_schema for op in ops
@@ -418,7 +387,7 @@ class Executor:
 
         if capturing:
             in_pids = [[pid for pid, _ in partition] for partition in in_partitions]
-            with tracer.span("capture-finalize", "capture", stage=stage_label):
+            with span("capture-finalize", "capture", stage=stage_label):
                 out_ids = self._finalize_fused(
                     ops, in_pids, entries_by_part, counts, schema_before
                 )
@@ -463,34 +432,32 @@ class Executor:
                     ids[: counts[part][position][1]] for part, ids in enumerate(frontier)
                 ]
                 continue
-            assembly_started = time.perf_counter()
-            associations = op.new_associations()
-            new_frontier: list[list[int]] = []
-            for part in range(nparts):
-                in_ids = frontier[part]
-                out_ids: list[int] = []
-                if op.entry_kind == "identity":
-                    for src_id in in_ids:
-                        out_id = self._fresh_id()
-                        associations.add(src_id, out_id)
-                        out_ids.append(out_id)
-                elif op.entry_kind == "filter":
-                    for src_index in entries_by_part[part][position]:
-                        out_id = self._fresh_id()
-                        associations.add(in_ids[src_index], out_id)
-                        out_ids.append(out_id)
-                else:  # flatten: (source index, 1-based position) pairs
-                    for src_index, element_pos in entries_by_part[part][position]:
-                        out_id = self._fresh_id()
-                        associations.add(in_ids[src_index], element_pos, out_id)
-                        out_ids.append(out_id)
-                new_frontier.append(out_ids)
-            frontier = new_frontier
-            accessed, manipulations = op.input_spec()
-            spec = (node.children[0].oid, accessed, schema_before[position])
-            slot = self._metrics.operator(node.oid, node.op_type, node.label())
-            slot.capture_seconds += time.perf_counter() - assembly_started
-            self._emit_operator(node, (spec,), manipulations, associations)
+            with self._capture(node):
+                associations = op.new_associations()
+                new_frontier: list[list[int]] = []
+                for part in range(nparts):
+                    in_ids = frontier[part]
+                    out_ids: list[int] = []
+                    if op.entry_kind == "identity":
+                        for src_id in in_ids:
+                            out_id = self._fresh_id()
+                            associations.add(src_id, out_id)
+                            out_ids.append(out_id)
+                    elif op.entry_kind == "filter":
+                        for src_index in entries_by_part[part][position]:
+                            out_id = self._fresh_id()
+                            associations.add(in_ids[src_index], out_id)
+                            out_ids.append(out_id)
+                    else:  # flatten: (source index, 1-based position) pairs
+                        for src_index, element_pos in entries_by_part[part][position]:
+                            out_id = self._fresh_id()
+                            associations.add(in_ids[src_index], element_pos, out_id)
+                            out_ids.append(out_id)
+                    new_frontier.append(out_ids)
+                frontier = new_frontier
+                accessed, manipulations = op.input_spec()
+                spec = (node.children[0].oid, accessed, schema_before[position])
+                self._notify(node, (spec,), manipulations, associations)
         return frontier
 
     # -- wide stages (shuffles, global order, multi-input merges) ------------

@@ -2,8 +2,12 @@
 
 The evaluation (Sec. 7.3.1 / 7.3.2) reports wall-clock runtime with and
 without capture plus the size of the collected provenance.  The executor
-fills one :class:`OperatorMetrics` per operator and aggregates them into an
-:class:`ExecutionMetrics` for the run.
+fills one :class:`OperatorMetrics` per operator (cardinalities and capture
+time) and one :class:`StageMetrics` per physical stage and aggregates them
+into an :class:`ExecutionMetrics` for the run.  Every second here is the
+duration of a span (:func:`repro.obs.tracer.timed`): the run's, a stage's,
+or an operator's capture hook.  A fused stage is the measured grain; its
+operators carry no wall time of their own.
 
 These per-run objects are no longer islands: each exposes a ``publish``
 method that folds its counters into a :mod:`repro.obs.metrics` registry
@@ -16,7 +20,6 @@ and are exportable as one Prometheus text page or JSON dump
 from __future__ import annotations
 
 import threading
-import time
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -27,29 +30,13 @@ __all__ = [
     "StageMetrics",
     "ExecutionMetrics",
     "SegmentCacheMetrics",
-    "Stopwatch",
 ]
 
 
-class Stopwatch:
-    """Context manager measuring elapsed wall-clock seconds."""
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.elapsed += time.perf_counter() - self._start
-
-
 class OperatorMetrics:
-    """Runtime and cardinality counters of one executed operator."""
+    """Cardinality counters and capture time of one executed operator."""
 
-    __slots__ = ("oid", "op_type", "label", "rows_in", "rows_out", "seconds", "capture_seconds")
+    __slots__ = ("oid", "op_type", "label", "rows_in", "rows_out", "capture_seconds")
 
     def __init__(self, oid: int, op_type: str, label: str):
         self.oid = oid
@@ -57,14 +44,14 @@ class OperatorMetrics:
         self.label = label
         self.rows_in = 0
         self.rows_out = 0
-        self.seconds = 0.0
-        #: Share of ``seconds`` spent assembling provenance records.
+        #: Time spent assembling and handing over provenance records (the
+        #: operator's ``capture`` spans).
         self.capture_seconds = 0.0
 
     def __repr__(self) -> str:
         return (
             f"OperatorMetrics({self.label!r}: {self.rows_in} -> {self.rows_out} rows, "
-            f"{self.seconds * 1000:.2f} ms)"
+            f"capture {self.capture_seconds * 1000:.2f} ms)"
         )
 
 
@@ -296,7 +283,6 @@ class ExecutionMetrics:
                     "label": op.label,
                     "rows_in": op.rows_in,
                     "rows_out": op.rows_out,
-                    "seconds": op.seconds,
                     "capture_seconds": op.capture_seconds,
                 }
                 for op in self._operators.values()
@@ -308,8 +294,8 @@ class ExecutionMetrics:
         """Fold the run's accounting into a metrics registry.
 
         The executor calls this once at the end of every execution, so the
-        process-wide registry observes every run: run latency, per-operator
-        latency by type, capture overhead, stage latency, and per-partition
+        process-wide registry observes every run: run latency, rows out per
+        operator type, capture overhead, stage latency, and per-partition
         row skew.
         """
         from repro.obs.metrics import get_registry, set_build_info
@@ -319,9 +305,6 @@ class ExecutionMetrics:
         registry.counter("repro_runs_total").inc()
         registry.histogram("repro_run_seconds").observe(self.total_seconds)
         for op in self._operators.values():
-            registry.histogram("repro_operator_seconds", op_type=op.op_type).observe(
-                op.seconds
-            )
             registry.counter("repro_operator_rows_out_total", op_type=op.op_type).inc(
                 op.rows_out
             )
@@ -329,13 +312,6 @@ class ExecutionMetrics:
                 registry.counter("repro_capture_seconds_total").inc(op.capture_seconds)
         for stage in self._stages:
             stage.publish(registry)
-
-    def by_type(self) -> dict[str, float]:
-        """Sum operator seconds per operator type (per-operator overhead study)."""
-        summed: dict[str, float] = {}
-        for metrics in self._operators.values():
-            summed[metrics.op_type] = summed.get(metrics.op_type, 0.0) + metrics.seconds
-        return summed
 
     def __repr__(self) -> str:
         return f"ExecutionMetrics({len(self._operators)} operators, {self.total_seconds:.3f} s)"

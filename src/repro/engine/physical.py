@@ -57,7 +57,7 @@ from repro.errors import ExecutionError, PlanError
 from repro.nested.schema import Schema
 from repro.nested.types import StructType
 from repro.nested.values import Bag, DataItem, NestedSet, coerce_value
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import span
 
 __all__ = [
     "SCHEMA_SAMPLE",
@@ -686,8 +686,7 @@ class StageTask:
     A ``StageTask`` carries everything its run needs -- the segment's
     operator chain, the partition's items and the capture flag -- instead of
     closing over the executor's local state.  The executor calls each task
-    once, on the calling thread, and the task records its ``task`` span in the
-    ambient tracer.
+    once, on the calling thread, and the task opens its ``task`` span there.
 
     Tasks are **pure**: they read only their own fields and return a fresh
     :class:`StageTaskResult`, so the result depends neither on how often nor
@@ -718,7 +717,7 @@ class StageTask:
         entries_out: list[Any] = []
         counts_out: list[tuple[int, int]] = []
         samples_out: list[list[DataItem] | None] = []
-        with get_tracer().span(
+        with span(
             f"task p{self.part}",
             "task",
             stage=self.stage_label,

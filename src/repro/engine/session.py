@@ -2,7 +2,7 @@
 
 A session assigns operator identifiers, carries the
 :class:`~repro.engine.config.EngineConfig` every execution inherits
-(partitioning, optimizer rules, profiling), and creates datasets
+(partitioning, optimizer rules), and creates datasets
 from in-memory items or JSONL files.
 """
 

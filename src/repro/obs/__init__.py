@@ -2,32 +2,26 @@
 
 Three pillars, one subsystem:
 
-* :mod:`repro.obs.tracer` -- hierarchical spans (run -> stage -> partition
-  task -> operator, warehouse segment reads, backtrace query phases) with
-  Chrome trace-event / Perfetto export.  Off by default and zero-cost then.
+* :mod:`repro.obs.tracer` -- spans, the one clock: hierarchical intervals
+  (run -> stage -> partition task, capture hooks, warehouse segment reads,
+  the phases of a provenance query) kept by a thread's recorder or the
+  process tracer, with Chrome trace-event / Perfetto export.  Off by
+  default and zero-cost then; the run, stage, capture and serve seconds in
+  the metrics are span durations.
 * :mod:`repro.obs.metrics` -- the process-wide registry of counters, gauges,
   and fixed-bucket histograms that per-run accounting publishes into, with
   Prometheus text exposition and a JSON dump.
 * :mod:`repro.obs.log` -- structured JSON logging keyed by run id.
 
-Deep-observability extensions ride on the same pillars:
+Two query-side extensions ride on the same pillars:
 
 * :mod:`repro.obs.breakdown` -- per-query explain-analyze phase timings
-  (:class:`QueryBreakdown`), threaded through backtrace and forward traces;
+  (:class:`QueryBreakdown`), a fold over the query's spans;
 * :mod:`repro.obs.slowlog` -- the ``REPRO_SLOW_QUERY_MS`` over-budget ring
-  buffer behind ``GET /debug/slow`` and ``repro stats --slow``;
-* :mod:`repro.obs.profile` -- a stdlib sampling profiler emitting folded
-  stacks per executor stage (``REPRO_PROFILE=on``).
+  buffer behind ``GET /debug/slow`` and ``repro stats --slow``.
 """
 
-from repro.obs.breakdown import (
-    NULL_BREAKDOWN,
-    PHASES,
-    QueryBreakdown,
-    activate as activate_breakdown,
-    get_breakdown,
-    render_breakdown,
-)
+from repro.obs.breakdown import PHASES, QueryBreakdown, render_breakdown
 from repro.obs.log import RunLogger, enable as enable_logging, get_logger
 from repro.obs.metrics import (
     BYTES_BUCKETS,
@@ -41,7 +35,6 @@ from repro.obs.metrics import (
     set_build_info,
     set_registry,
 )
-from repro.obs.profile import SamplingProfiler, profile_enabled, profile_out_path
 from repro.obs.slowlog import (
     SlowQueryLog,
     get_slow_log,
@@ -52,22 +45,30 @@ from repro.obs.slowlog import (
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
+    Recorder,
     Span,
     Tracer,
     chrome_trace_events,
     get_tracer,
+    recording,
     set_tracer,
+    span,
+    timed,
     tracing,
 )
 
 __all__ = [
     "Span",
+    "Recorder",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
     "get_tracer",
     "set_tracer",
     "tracing",
+    "span",
+    "timed",
+    "recording",
     "chrome_trace_events",
     "Counter",
     "Gauge",
@@ -83,17 +84,11 @@ __all__ = [
     "get_logger",
     "enable_logging",
     "QueryBreakdown",
-    "NULL_BREAKDOWN",
     "PHASES",
-    "get_breakdown",
-    "activate_breakdown",
     "render_breakdown",
     "SlowQueryLog",
     "get_slow_log",
     "set_slow_log",
     "slow_threshold_seconds",
     "observe_query",
-    "SamplingProfiler",
-    "profile_enabled",
-    "profile_out_path",
 ]

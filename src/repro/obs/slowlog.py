@@ -29,8 +29,9 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.obs.breakdown import QueryBreakdown, activate
+from repro.obs.breakdown import QueryBreakdown
 from repro.obs.log import get_logger
+from repro.obs.tracer import recording, span
 
 __all__ = [
     "SLOW_QUERY_ENV",
@@ -192,11 +193,6 @@ class ExplainedQuery:
         self.run_id = run_id
         self.pattern = pattern
 
-    def count(self, **deltas: Any) -> None:
-        """Report query-shape counters; a no-op when nothing is collected."""
-        if self.breakdown is not None:
-            self.breakdown.count(**deltas)
-
 
 @contextmanager
 def explained(
@@ -209,11 +205,12 @@ def explained(
 ) -> Iterator[ExplainedQuery]:
     """Run one provenance question under the explain / slow-log scaffold.
 
-    A breakdown is collected when the caller passed one (started or not),
-    asked with *analyze*, or a slow-query budget is set; it is started and
-    made this thread's active breakdown for the body, and after a body that
-    did not raise it is finished and the query offered to the slow log.
-    With none of the three the body runs bare.
+    A breakdown is collected when the caller passed one, asked with
+    *analyze*, or a slow-query budget is set; it is this thread's recorder
+    for the body, which runs inside one root span (``analyze <kind>``,
+    category ``other``).  After a body that did not raise, the recorded
+    spans are folded into the breakdown and the query is offered to the
+    slow log.  With none of the three the body runs bare.
     """
     threshold = slow_threshold_seconds()
     if breakdown is None and (analyze or threshold is not None):
@@ -222,10 +219,9 @@ def explained(
     if breakdown is None:
         yield query
         return
-    breakdown.start()
-    with activate(breakdown):
+    with recording(breakdown), span(f"analyze {kind}", "other") as root:
         yield query
-    breakdown.finish()
+    breakdown.fold(root)
     observe_query(
         kind,
         query.run_id,

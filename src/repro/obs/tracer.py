@@ -1,29 +1,35 @@
-"""Span-based tracing: where a run spends its time, as an inspectable artifact.
+"""Spans: the one clock every duration in the system is read from.
 
 The evaluation chapters of the paper (capture overhead, eager-vs-lazy query
 latency) reduce runs to single wall-clock numbers; fused stages, concurrent
 serve requests and lazy segment decoding make those numbers unexplainable
-without a time dimension.  The tracer records **hierarchical
-spans** -- run -> physical stage -> partition task -> operator, plus warehouse
-segment reads and backtrace query phases -- and exports them as Chrome
-trace-event JSON (loadable in Perfetto / ``chrome://tracing``) or JSONL.
+without a time dimension.  A **span** is a named interval on one thread --
+run -> physical stage -> partition task, warehouse segment reads, the phases
+of a provenance query -- and it is the only timing primitive: explain-analyze
+(:mod:`repro.obs.breakdown`) is a fold over a query's spans, and the run,
+stage, capture-hook and serve seconds are the durations of their spans.
+
+A span is recorded when a :class:`Recorder` is active on its thread
+(:func:`recording`) or a process tracer is installed (:func:`tracing`); the
+process :class:`Tracer` is the same recorder with a Chrome trace-event
+(Perfetto / ``chrome://tracing``) and JSONL file sink.
 
 Design constraints:
 
-* **Zero cost when off.**  The process-wide current tracer defaults to
-  :data:`NULL_TRACER`, whose ``span()`` returns one shared no-op context
-  manager; instrumented code pays a function call and nothing else.  The
-  bench ablation ladder carries a ``+trace`` row that pins this.
+* **Zero cost when off.**  With neither active, :func:`span` returns one
+  shared no-op context manager: no allocation, no clock read.  Only
+  :func:`timed` -- the handful of sites whose seconds feed a metric whatever
+  the tracing state -- reads the clock then.
+* **Parents and self time.**  A thread-local stack of open spans gives each
+  span its parent; a closing span adds its duration to the parent's
+  ``child_seconds``, so ``self_seconds`` (exclusive time) is known without
+  a second clock.
 * **Thread safe.**  ``repro serve`` answers requests on worker threads;
   spans record the identifier of the thread they ran on and the tracer
   appends finished spans under a lock, so overlapping requests render
-  correctly as separate tracks.
-* **No result perturbation.**  Tracing only observes; the equivalence
+  correctly as separate tracks.  A recorder sees only its own thread.
+* **No result perturbation.**  Spans only observe; the equivalence
   property tests pin traced == untraced results, stores, and backtraces.
-
-Spans nest implicitly: Chrome's ``B``/``E`` duration events are matched per
-thread by timestamp order, so a span opened inside another span on the same
-thread renders as its child without the tracer tracking parents.
 """
 
 from __future__ import annotations
@@ -31,14 +37,19 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-import time
+from time import perf_counter
 from typing import Any, Iterator, TextIO
 
 __all__ = [
     "Span",
+    "Recorder",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
+    "span",
+    "timed",
+    "count",
+    "recording",
     "get_tracer",
     "set_tracer",
     "tracing",
@@ -48,38 +59,89 @@ __all__ = [
 #: Synthetic process id used in exported traces (one trace == one process).
 TRACE_PID = 1
 
-#: Process-wide monotone span ids.  Assigned when a live span opens; the
+#: Process-wide monotone span ids.  Assigned when a recorded span opens; the
 #: id is what histogram exemplars reference (``span_id="17"`` in the
 #: OpenMetrics rendering), so a scraped tail latency points back at the
-#: exact span in the exported timeline.  The null tracer assigns none.
+#: exact span in the exported timeline.  Unrecorded spans get none.
 _SPAN_IDS = itertools.count(1)
 
 
-class Span:
-    """One finished span: a named interval on one thread."""
+class _ThreadState(threading.local):
+    #: The recorders active on this thread, outermost first.
+    recorders: tuple["Recorder", ...] = ()
 
-    __slots__ = ("name", "category", "start", "end", "tid", "args")
+    def __init__(self) -> None:
+        #: Open spans of this thread, innermost last.
+        self.stack: list[Span] = []
+
+
+_THREAD = _ThreadState()
+
+
+class Span:
+    """One named interval on one thread: a context manager while open, a
+    record once closed.  ``start`` / ``end`` are ``perf_counter`` seconds."""
+
+    __slots__ = (
+        "name", "category", "start", "end", "tid", "args",
+        "parent", "child_seconds", "span_id", "_sinks",
+    )
 
     def __init__(
         self,
         name: str,
         category: str,
-        start: float,
-        end: float,
-        tid: int,
-        args: dict[str, Any],
+        start: float = 0.0,
+        end: float = 0.0,
+        tid: int = 0,
+        args: dict[str, Any] | None = None,
+        sinks: tuple["Recorder", ...] = (),
     ):
         self.name = name
         self.category = category
-        #: Start/end offsets in seconds relative to the tracer's epoch.
         self.start = start
         self.end = end
         self.tid = tid
-        self.args = args
+        self.args = {} if args is None else args
+        #: The span that was open on this thread when this one opened.
+        self.parent: Span | None = None
+        #: Summed durations of the spans opened directly inside this one.
+        self.child_seconds = 0.0
+        #: Assigned on ``__enter__`` when a recorder keeps the span.
+        self.span_id: int | None = None
+        self._sinks = sinks
 
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+    @property
+    def self_seconds(self) -> float:
+        """Exclusive time: the duration minus the child spans' durations."""
+        return self.end - self.start - self.child_seconds
+
+    def set(self, **args: Any) -> None:
+        """Attach further arguments to the span (e.g. counts known at exit)."""
+        self.args.update(args)
+
+    def __enter__(self) -> "Span":
+        stack = _THREAD.stack
+        if stack:
+            self.parent = stack[-1]
+        stack.append(self)
+        self.tid = threading.get_ident()
+        if self._sinks:
+            self.span_id = next(_SPAN_IDS)
+        self.start = perf_counter()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.end = perf_counter()
+        _THREAD.stack.pop()
+        if self.parent is not None:
+            self.parent.child_seconds += self.end - self.start
+        for sink in self._sinks:
+            sink._record(self)
 
     def __repr__(self) -> str:
         return (
@@ -88,123 +150,55 @@ class Span:
         )
 
 
-class _SpanHandle:
-    """Context manager for one live span; finishes into the owning tracer."""
-
-    __slots__ = ("_tracer", "_name", "_category", "_args", "_start", "_tid", "span_id")
-
-    def __init__(self, tracer: "Tracer", name: str, category: str, args: dict[str, Any]):
-        self._tracer = tracer
-        self._name = name
-        self._category = category
-        self._args = args
-        #: Assigned on ``__enter__``; ``None`` before the span opens.
-        self.span_id: int | None = None
-
-    def set(self, **args: Any) -> None:
-        """Attach further arguments to the span (e.g. counts known at exit)."""
-        self._args.update(args)
-
-    def __enter__(self) -> "_SpanHandle":
-        self._tid = threading.get_ident()
-        self.span_id = next(_SPAN_IDS)
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        end = time.perf_counter()
-        epoch = self._tracer._epoch
-        self._tracer._record(
-            Span(
-                self._name,
-                self._category,
-                self._start - epoch,
-                end - epoch,
-                self._tid,
-                self._args,
-            )
-        )
-
-
-class _NullSpanHandle:
-    """The shared no-op span handle: enter/exit/set do nothing."""
+class _NullSpan:
+    """The shared no-op span: enter/exit/set do nothing."""
 
     __slots__ = ()
 
-    #: No id while tracing is off -- exemplar call sites pass it straight
+    #: No id while nothing records -- exemplar call sites pass it straight
     #: through to ``Histogram.observe``, which then records no exemplar.
     span_id = None
 
     def set(self, **args: Any) -> None:
         pass
 
-    def __enter__(self) -> "_NullSpanHandle":
+    def __enter__(self) -> "_NullSpan":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         pass
 
 
-_NULL_SPAN = _NullSpanHandle()
+_NULL_SPAN = _NullSpan()
 
 
-class NullTracer:
-    """The disabled tracer: every operation is a no-op.
+class Recorder:
+    """Collects finished spans and counters; thread-safe.
 
-    Instrumented code calls :func:`get_tracer` unconditionally; with this
-    tracer active the per-call cost is one attribute lookup and one shared
-    object return -- no allocation, no lock, no clock read.
+    Activated on one thread with :func:`recording`, it keeps that thread's
+    spans (``QueryBreakdown`` is one); installed with :func:`tracing`, the
+    :class:`Tracer` subclass keeps every thread's.
     """
-
-    enabled = False
-
-    def span(self, name: str, category: str = "run", **args: Any) -> _NullSpanHandle:
-        return _NULL_SPAN
-
-    def instant(self, name: str, category: str = "run", **args: Any) -> None:
-        pass
-
-    def spans(self) -> list[Span]:
-        return []
-
-    def __repr__(self) -> str:
-        return "NullTracer()"
-
-
-NULL_TRACER = NullTracer()
-
-
-class Tracer:
-    """Records spans; thread-safe; exports Chrome trace JSON and JSONL."""
 
     enabled = True
 
-    def __init__(self, process_name: str = "repro"):
-        self.process_name = process_name
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._spans: list[Span] = []
-        self._instants: list[Span] = []
-        #: Timeline origin (``perf_counter`` units) spans are relative to.
-        self._epoch = time.perf_counter()
-
-    # -- recording -----------------------------------------------------------
-
-    def span(self, name: str, category: str = "run", **args: Any) -> _SpanHandle:
-        """Open a span; use as ``with tracer.span("stage-0", "stage"):``."""
-        return _SpanHandle(self, name, category, args)
-
-    def instant(self, name: str, category: str = "run", **args: Any) -> None:
-        """Record a zero-duration marker event."""
-        now = time.perf_counter() - self._epoch
-        span = Span(name, category, now, now, threading.get_ident(), args)
-        with self._lock:
-            self._instants.append(span)
+        #: Counters reported through :func:`count` while active.
+        self.counters: dict[str, Any] = {}
 
     def _record(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
 
-    # -- reading -------------------------------------------------------------
+    def count(self, **deltas: Any) -> None:
+        """Merge counters: numbers add, everything else is last-write-wins."""
+        for key, value in deltas.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                self.counters[key] = value
+            else:
+                self.counters[key] = self.counters.get(key, 0) + value
 
     def spans(self) -> list[Span]:
         """Snapshot of the finished spans, in completion order."""
@@ -222,20 +216,42 @@ class Tracer:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._spans) + len(self._instants)
+            return len(self._spans)
+
+
+class NullTracer:
+    """The disabled process tracer: nothing is recorded."""
+
+    enabled = False
+
+    def spans(self) -> list[Span]:
+        return []
 
     def __repr__(self) -> str:
-        with self._lock:
-            return f"Tracer({self.process_name!r}, {len(self._spans)} spans)"
+        return "NullTracer()"
+
+
+NULL_TRACER = NullTracer()
+
+
+class Tracer(Recorder):
+    """The process recorder: every thread's spans, exported as Chrome trace
+    JSON or JSONL."""
+
+    def __init__(self, process_name: str = "repro"):
+        super().__init__()
+        self.process_name = process_name
+        #: Timeline origin (``perf_counter`` units) exports are relative to.
+        self._epoch = perf_counter()
+
+    def __repr__(self) -> str:
+        return f"Tracer({self.process_name!r}, {len(self)} spans)"
 
     # -- export --------------------------------------------------------------
 
     def chrome_events(self) -> list[dict[str, Any]]:
         """The trace-event list: metadata + paired ``B``/``E`` duration events."""
-        with self._lock:
-            spans = list(self._spans)
-            instants = list(self._instants)
-        return chrome_trace_events(spans, instants, self.process_name)
+        return chrome_trace_events(self.spans(), self.process_name, self._epoch)
 
     def write_chrome_trace(self, path: str) -> None:
         """Write a Perfetto/``chrome://tracing``-loadable JSON file."""
@@ -258,7 +274,7 @@ class Tracer:
             record = {
                 "name": span.name,
                 "cat": span.category,
-                "ts": span.start,
+                "ts": span.start - self._epoch,
                 "dur": span.duration,
                 "tid": span.tid,
                 "args": span.args,
@@ -267,11 +283,9 @@ class Tracer:
 
 
 def chrome_trace_events(
-    spans: list[Span],
-    instants: list[Span] | None = None,
-    process_name: str = "repro",
+    spans: list[Span], process_name: str = "repro", epoch: float = 0.0
 ) -> list[dict[str, Any]]:
-    """Convert spans to Chrome trace-event dicts (timestamps in microseconds).
+    """Convert spans to Chrome trace-event dicts (microseconds after *epoch*).
 
     Every duration is emitted as a ``B``/``E`` pair; per thread the pairs are
     ordered by timestamp with ties broken so that enclosing spans open first
@@ -287,10 +301,9 @@ def chrome_trace_events(
             "args": {"name": process_name},
         }
     ]
-    tids = sorted({span.tid for span in spans} | {span.tid for span in (instants or [])})
     #: Real thread idents are large opaque integers; renumber for readability.
-    tid_map = {tid: index + 1 for index, tid in enumerate(tids)}
-    for tid, mapped in tid_map.items():
+    tid_map = {tid: index + 1 for index, tid in enumerate(sorted({s.tid for s in spans}))}
+    for mapped in tid_map.values():
         events.append(
             {
                 "ph": "M",
@@ -305,7 +318,7 @@ def chrome_trace_events(
     def _us(seconds: float) -> float:
         return seconds * 1_000_000
 
-    timed: list[tuple[float, int, dict[str, Any]]] = []
+    timed_events: list[tuple[float, int, dict[str, Any]]] = []
     for span in spans:
         tid = tid_map[span.tid]
         begin = {
@@ -314,7 +327,7 @@ def chrome_trace_events(
             "cat": span.category,
             "pid": TRACE_PID,
             "tid": tid,
-            "ts": _us(span.start),
+            "ts": _us(span.start - epoch),
             "args": span.args,
         }
         end = {
@@ -323,42 +336,74 @@ def chrome_trace_events(
             "cat": span.category,
             "pid": TRACE_PID,
             "tid": tid,
-            "ts": _us(span.end),
+            "ts": _us(span.end - epoch),
         }
         # Tie-breakers: at equal timestamps longer spans begin first and end
         # last, so a parent measured around a child never inverts.
-        timed.append((_us(span.start), -round(_us(span.duration)), begin))
-        timed.append((_us(span.end), round(_us(span.duration)), end))
-    for span in instants or []:
-        timed.append(
-            (
-                _us(span.start),
-                0,
-                {
-                    "ph": "i",
-                    "name": span.name,
-                    "cat": span.category,
-                    "pid": TRACE_PID,
-                    "tid": tid_map[span.tid],
-                    "ts": _us(span.start),
-                    "s": "t",
-                    "args": span.args,
-                },
-            )
-        )
-    timed.sort(key=lambda entry: (entry[2]["tid"], entry[0], entry[1]))
-    events.extend(event for _, _, event in timed)
+        timed_events.append((begin["ts"], -round(_us(span.duration)), begin))
+        timed_events.append((end["ts"], round(_us(span.duration)), end))
+    timed_events.sort(key=lambda entry: (entry[2]["tid"], entry[0], entry[1]))
+    events.extend(event for _, _, event in timed_events)
     return events
 
 
-# -- the process-wide current tracer ------------------------------------------
+# -- opening spans -------------------------------------------------------------
 
 _ACTIVE: Tracer | NullTracer = NULL_TRACER
 _ACTIVE_LOCK = threading.Lock()
 
 
+def _sinks() -> tuple[Recorder, ...]:
+    recorders = _THREAD.recorders
+    if _ACTIVE is NULL_TRACER:
+        return recorders
+    return recorders + (_ACTIVE,)  # type: ignore[operator]
+
+
+def span(name: str, category: str = "run", **args: Any) -> Span | _NullSpan:
+    """Open a span: ``with span("stage-0 read", "stage") as handle:``.
+
+    Kept by this thread's recorders and the process tracer; with none of
+    them on, the shared no-op handle.
+    """
+    sinks = _sinks()
+    if not sinks:
+        return _NULL_SPAN
+    return Span(name, category, args=args, sinks=sinks)
+
+
+def timed(name: str, category: str = "run", **args: Any) -> Span:
+    """:func:`span` for a site whose ``duration`` feeds a metric: always a
+    real span that reads the clock, recorded only as :func:`span` would be."""
+    return Span(name, category, args=args, sinks=_sinks())
+
+
+def count(**deltas: Any) -> None:
+    """Report counters to this thread's innermost recorder; a no-op with none."""
+    recorders = _THREAD.recorders
+    if recorders:
+        recorders[-1].count(**deltas)
+
+
+class recording:
+    """Context manager activating *recorder* on this thread for the block."""
+
+    def __init__(self, recorder: Recorder):
+        self.recorder = recorder
+
+    def __enter__(self) -> Recorder:
+        _THREAD.recorders = _THREAD.recorders + (self.recorder,)
+        return self.recorder
+
+    def __exit__(self, *exc_info: object) -> None:
+        _THREAD.recorders = _THREAD.recorders[:-1]
+
+
+# -- the process-wide tracer ---------------------------------------------------
+
+
 def get_tracer() -> Tracer | NullTracer:
-    """The currently active tracer (the shared no-op tracer by default)."""
+    """The installed process tracer (the shared no-op tracer by default)."""
     return _ACTIVE
 
 
@@ -372,7 +417,7 @@ def set_tracer(tracer: Tracer | NullTracer | None) -> Tracer | NullTracer:
 
 
 class tracing:
-    """Context manager activating *tracer* for the enclosed block.
+    """Context manager installing *tracer* process-wide for the block.
 
     ::
 

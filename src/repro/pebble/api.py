@@ -124,8 +124,7 @@ class PebbleSession:
 
     The constructor is **keyword-only** and accepts every
     :class:`~repro.engine.config.EngineConfig` knob directly, so optimizer
-    and profiling settings are settable in code without touching
-    environment variables:
+    settings are settable in code without touching environment variables:
 
     >>> pebble = PebbleSession(optimize=False, rules=("prune",))
     >>> pebble = PebbleSession(num_partitions=8, config=my_config)

@@ -19,8 +19,7 @@ from repro.core.treepattern.parser import parse_pattern
 from repro.core.treepattern.pattern import TreePattern
 from repro.engine.executor import ExecutionResult
 from repro.errors import CaptureDisabledError
-from repro.obs.breakdown import get_breakdown
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import count, span
 
 __all__ = ["query_provenance", "trace_matches", "as_pattern"]
 
@@ -45,12 +44,10 @@ def query_provenance(
         raise CaptureDisabledError(
             "provenance was not captured for this execution; re-run with capture=True"
         )
-    breakdown = get_breakdown()
-    with get_tracer().span("pattern-match", "query", pattern=str(pattern)) as span:
-        with breakdown.phase("pattern_match"):
-            matches = match_partitions(as_pattern(pattern), execution.partitions)
-        span.set(matched=len(matches))
-    breakdown.count(rows_visited=len(execution), matched=len(matches))
+    with span("pattern-match", "pattern_match", pattern=str(pattern)) as handle:
+        matches = match_partitions(as_pattern(pattern), execution.partitions)
+        handle.set(matched=len(matches))
+    count(rows_visited=len(execution), matched=len(matches))
     return trace_matches(execution.store, execution.root.oid, matches)
 
 
@@ -66,9 +63,7 @@ def trace_matches(
     in-memory executions and stored runs: everything after the match is the
     same code.
     """
-    tracer = get_tracer()
-    breakdown = get_breakdown()
-    with breakdown.phase("pattern_match"):
+    with span("seed-structure", "pattern_match"):
         seeds = seed_structure(matches)
     matched_ids = sorted(match.item_id for match in matches if match.item_id is not None)
     if len(store) == 0:
@@ -78,9 +73,7 @@ def trace_matches(
         # the sink-topology walk.
         return ProvenanceResult([], matched_ids)
     backtracer = Backtracer(store)
-    with tracer.span("backtrace", "query", seeds=len(matches)):
-        with breakdown.phase("closure"):
-            raw = backtracer.backtrace(sink_oid, seeds)
-    with tracer.span("source-resolution", "query", sources=len(raw)):
-        with breakdown.phase("source_resolution"):
-            return ProvenanceResult.resolve(store, raw, matched_ids)
+    with span("backtrace", "closure", seeds=len(matches)):
+        raw = backtracer.backtrace(sink_oid, seeds)
+    with span("source-resolution", "source_resolution", sources=len(raw)):
+        return ProvenanceResult.resolve(store, raw, matched_ids)

@@ -59,7 +59,6 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from time import perf_counter
 from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
 
@@ -75,7 +74,7 @@ from repro.errors import (
     error_code,
 )
 from repro.obs.log import get_logger
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import timed
 from repro.serve.service import API_VERSION, GET_ROUTES, POST_ROUTES, QueryService
 
 __all__ = ["ProvenanceServer", "API_VERSION", "OneWriteHandler", "error_envelope"]
@@ -205,29 +204,30 @@ class OneWriteHandler(BaseHTTPRequestHandler):
         split = urlsplit(self.path)
         endpoint = "(unknown)"
         status = 500
-        started = perf_counter()
-        handle = None
+        request_span = timed("request", "serve", verb=verb)
         try:
-            raw = self._read_body()
-            # Inside the try: a catalog-refresh error answers in the envelope.
-            service.check_catalog()
-            endpoint, answer = self._resolve(
-                verb, split.path.rstrip("/"), parse_qs(split.query), raw
-            )
-            with get_tracer().span(f"request {endpoint}", "serve", verb=verb) as handle:
-                status = answer()
-        except Exception as exc:  # noqa: BLE001 -- every error becomes a response
-            status = self._send_json(error_status(exc), error_envelope(exc))
-            if status == 500:
-                get_logger("serve").event(
-                    "serve-error", endpoint=endpoint, error=str(exc)
-                )
+            with request_span:
+                try:
+                    raw = self._read_body()
+                    # Inside the try: a catalog-refresh error answers in the envelope.
+                    service.check_catalog()
+                    endpoint, answer = self._resolve(
+                        verb, split.path.rstrip("/"), parse_qs(split.query), raw
+                    )
+                    request_span.name = f"request {endpoint}"
+                    status = answer()
+                except Exception as exc:  # noqa: BLE001 -- every error becomes a response
+                    status = self._send_json(error_status(exc), error_envelope(exc))
+                    if status == 500:
+                        get_logger("serve").event(
+                            "serve-error", endpoint=endpoint, error=str(exc)
+                        )
         finally:
             service.observe_request(
                 endpoint,
                 status,
-                perf_counter() - started,
-                span_id=getattr(handle, "span_id", None),
+                request_span.duration,
+                span_id=request_span.span_id,
             )
 
     def _resolve(

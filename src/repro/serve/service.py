@@ -55,7 +55,7 @@ from repro.errors import ServeError
 from repro.obs.log import get_logger
 from repro.obs.metrics import Counter, MetricsRegistry, get_registry, set_build_info
 from repro.obs.slowlog import explained, slow_log_payload
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import span, timed
 from repro.pebble.query import query_provenance
 from repro.serve.cache import PatternResultCache
 from repro.serve.pool import QueryPool
@@ -580,7 +580,6 @@ class QueryService:
         route = POST_ROUTES[kind]
         params = route.parse(body)
         run_ids = self._scope(route, params)
-        started = time.perf_counter()
         deadline = self.config.effective_deadline()
 
         def compute() -> dict[str, Any]:
@@ -588,19 +587,22 @@ class QueryService:
                 lambda: self._execute(route, run_ids, params), deadline
             )
 
-        if params.get("analyze"):
-            payload, was_hit = compute(), False
-        else:
-            # Position 1 is what invalidate_runs inspects when a run goes stale.
-            key = (kind, run_ids, *(params[name] for name in route.cache_key))
-            payload, was_hit = self.cache.get_or_compute(
-                key, compute, wait_timeout=deadline
-            )
-        elapsed = time.perf_counter() - started
+        with timed(f"serve-request {kind}", "serve") as request_span:
+            if params.get("analyze"):
+                payload, was_hit = compute(), False
+            else:
+                # Position 1 is what invalidate_runs inspects when a run goes stale.
+                key = (kind, run_ids, *(params[name] for name in route.cache_key))
+                payload, was_hit = self.cache.get_or_compute(
+                    key, compute, wait_timeout=deadline
+                )
+            request_span.set(cached=was_hit)
         self.registry.counter(
             route.counter, **{name: params[name] for name in route.counter_labels}
         ).inc()
-        return dict(payload, server={"cached": was_hit, "seconds": elapsed})
+        return dict(
+            payload, server={"cached": was_hit, "seconds": request_span.duration}
+        )
 
     def _scope(self, route: PostRoute, params: dict[str, Any]) -> tuple[str, ...]:
         """Resolve a request's run scope to an ordered id tuple.
@@ -638,14 +640,13 @@ class QueryService:
         ) as query:
             if self.query_hook is not None:
                 self.query_hook()
-            with get_tracer().span(
+            residents = [self._resident(run_id, method) for run_id in run_ids]
+            with timed(
                 f"serve-{route.kind}", "serve", method=method, **about
-            ) as span:
-                residents = [self._resident(run_id, method) for run_id in run_ids]
-                started = time.perf_counter()
+            ) as compute_span:
                 answer, facts = route.compute(residents, params)
-                seconds = time.perf_counter() - started
-                span.set(**facts)
+                compute_span.set(**facts)
+            seconds = compute_span.duration
             get_logger(log_as).event(
                 f"serve-{route.kind}", method=method, seconds=seconds, **about, **facts
             )
@@ -670,7 +671,7 @@ class QueryService:
             resident = self._residents.get(key)
             if resident is not None:
                 return resident
-            with get_tracer().span(
+            with span(
                 "serve-load", "serve", run_id=run_id, method=method
             ):
                 # Eager: nothing may evict, the whole run decodes up front.

@@ -73,8 +73,7 @@ from repro.errors import BacktraceError, ProvenanceError
 from repro.nested.schema import Schema
 from repro.nested.types import unify
 from repro.nested.values import DataItem
-from repro.obs.breakdown import get_breakdown
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import span
 import repro.warehouse.format as wf
 from repro.warehouse.writer import MANIFEST_NAME, PART_NAME
 
@@ -208,13 +207,11 @@ def match_encoded_rows(
     matched exactly like in-memory rows.  Returns the matches (in row order)
     and how many rows were parsed.
     """
-    breakdown = get_breakdown()
-    with get_tracer().span("pattern-match", "query", pattern=pattern.render()) as span:
-        with breakdown.phase("segment_decode"):
+    with span("pattern-match", "pattern_match", pattern=pattern.render()) as handle:
+        with span("row-decode", "segment_decode"):
             survivors = wf.materialise_rows(prefilter_encoded_rows(pattern, rows))
-        with breakdown.phase("pattern_match"):
-            matches = match_rows(pattern, survivors)
-        span.set(matched=len(matches), rows_decoded=len(survivors))
+        matches = match_rows(pattern, survivors)
+        handle.set(matched=len(matches), rows_decoded=len(survivors))
     return matches, len(survivors)
 
 
@@ -225,7 +222,7 @@ def count_items_decoded(
     """Book the item parses of the body under ``segment_decode`` and add
     them to ``metrics.items_decoded``."""
     before = block.decoded
-    with get_breakdown().phase("segment_decode"):
+    with span("item-decode", "segment_decode"):
         yield
     if block.decoded != before:
         metrics.add(items_decoded=block.decoded - before)
@@ -378,11 +375,11 @@ class LazyProvenanceStore:
 
         The segments are read before this returns; only the row hop is lazy.
         """
-        with get_tracer().span("segment-read rows", "warehouse") as span:
+        with span("segment-read rows", "warehouse") as handle:
             buffers = [read_range(part.directory, part.rows) for part in self._parts]
             read = sum(map(len, buffers))
             self.metrics.add(bytes_read=read)
-            span.set(bytes=read)
+            handle.set(bytes=read)
         cursors = [wf.open_segment(buffer, wf.SEGMENT_ROWS) for buffer in buffers]
         return itertools.chain.from_iterable(map(wf.iter_encoded_rows, cursors))
 
@@ -409,13 +406,13 @@ class LazyProvenanceStore:
             entries = self._entries(oid)
             first = entries[0][1]
             self.metrics.add(misses=1)
-            with get_tracer().span(
+            with span(
                 f"segment-read op-{oid}",
-                "warehouse",
+                "segment_decode",
                 segment=first["segment"],
                 op_type=first["op_type"],
                 bytes=sum(entry["record_length"] for _, entry in entries),
-            ), get_breakdown().phase("segment_decode"):
+            ):
                 decoded = [
                     wf.decode_operator(
                         wf.Cursor(self._read_range(directory, entry, "offset", "record_length"))
@@ -451,12 +448,12 @@ class LazyProvenanceStore:
         if "items_offset" not in entries[0][1]:
             raise BacktraceError(f"operator {oid} is not a read operator")
         self.metrics.add(item_misses=1)
-        with get_tracer().span(
+        with span(
             f"segment-read items op-{oid}",
-            "warehouse",
+            "segment_decode",
             segment=entries[0][1]["segment"],
             bytes=sum(entry["items_length"] for _, entry in entries),
-        ), get_breakdown().phase("segment_decode"):
+        ):
             blocks = [
                 wf.open_source_items(
                     self._read_range(directory, entry, "items_offset", "items_length")
@@ -504,7 +501,7 @@ class LazyProvenanceStore:
         so a resident store grows with its answers, not with every probe."""
         with self._lock:
             block = self._block_of(oid, item_id)
-        with get_breakdown().phase("segment_decode"):
+        with span("item-decode", "segment_decode"):
             return block.peek(item_id)
 
     def decayed_source_id(self, oid: int, item_id: int) -> bool:

@@ -45,11 +45,11 @@ from repro.engine.partition import partition_rows
 from repro.errors import LiveRunError, ProvenanceError
 from repro.nested.schema import Schema, infer_schema
 from repro.nested.types import StructType
-from repro.obs.breakdown import QueryBreakdown, get_breakdown
+from repro.obs.breakdown import QueryBreakdown
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import explained
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import count, span
 from repro.warehouse.catalog import Catalog, RunRecord
 from repro.warehouse.format import materialise_rows
 from repro.warehouse.index import RunIndex, ensure_index
@@ -133,7 +133,7 @@ class Warehouse:
             raise ProvenanceError("only capture-enabled executions can be recorded")
         created = time.time()
         run_id, run_dir = self._new_run(name)
-        with get_tracer().span("warehouse-record", "warehouse", run_id=run_id):
+        with span("warehouse-record", "warehouse", run_id=run_id):
             manifest = write_run(
                 run_dir, encode_part(execution), execution.root.oid, run_id, name, created,
                 index=RunIndex.accumulator() if index else None,
@@ -213,7 +213,7 @@ class Warehouse:
             raise LiveRunError(f"run {record.run_id!r} is sealed; cannot append")
         run_dir = self._dir_for(record)
         manifest = load_manifest(run_dir)
-        with get_tracer().span(
+        with span(
             "warehouse-append-epoch", "warehouse", run_id=record.run_id
         ):
             entry = append_epoch(
@@ -260,7 +260,7 @@ class Warehouse:
         # epoch" and mask this very invalidation.
         sealed_epoch = manifest.get("segment_epoch", (record.segment_epoch or 0) + 1)
         if compact:
-            with get_tracer().span(
+            with span(
                 "warehouse-compact", "warehouse", run_id=record.run_id
             ):
                 manifest = compact_live_run(run_dir, manifest)
@@ -468,7 +468,7 @@ class Warehouse:
         """
         record = self._catalog.find(run_id) if run_id else self._catalog.latest()
         run_dir = self._dir_for(record)
-        with get_tracer().span("warehouse-load", "warehouse", run_id=record.run_id):
+        with span("warehouse-load", "warehouse", run_id=record.run_id):
             store = LazyProvenanceStore(
                 run_dir,
                 load_manifest(run_dir),
@@ -538,7 +538,7 @@ class Warehouse:
 
         Returns the provenance result plus the segment-cache metrics of the
         query, whose miss counter equals the number of operator segments the
-        backtrace actually decoded.  Pass a started-or-not
+        backtrace actually decoded.  Pass a
         :class:`QueryBreakdown` to collect per-phase explain-analyze timings;
         when the ``REPRO_SLOW_QUERY_MS`` budget is set, one is built anyway
         so over-budget queries land in the slow log with their breakdown.
@@ -547,20 +547,20 @@ class Warehouse:
 
         tree_pattern = as_pattern(pattern)
         with explained("backtrace", str(pattern), breakdown=breakdown) as query:
-            with get_tracer().span("warehouse-query", "warehouse") as span:
-                with get_breakdown().phase("load"):
+            with span("warehouse-query", "warehouse") as handle:
+                with span("open-run", "load"):
                     store, encoded = self._open_run(run_id, cache_size)
                 query.run_id = store.run_id
                 matches, rows_decoded = match_encoded_rows(tree_pattern, encoded)
                 metrics = store.metrics
                 metrics.add(rows_decoded=rows_decoded)
                 result = trace_matches(store, store.sink_oid, matches)
-                span.set(
+                handle.set(
                     run_id=store.run_id,
                     segments_decoded=metrics.misses,
                     bytes_read=metrics.bytes_read,
                 )
-            query.count(
+            count(
                 rows_visited=store.manifest["rows"]["count"],
                 matched=len(matches),
                 rows_decoded=metrics.rows_decoded,

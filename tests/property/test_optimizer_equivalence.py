@@ -185,7 +185,7 @@ def test_tracing_does_not_perturb_results(shape, k):
         assert answer.all_ids() == expected_answer.all_ids(), name
         assert answer.render() == expected_answer.render(), name
         assert tracer.find("run"), name
-        assert tracer.find("query", name="pattern-match"), name
+        assert tracer.find("pattern_match", name="pattern-match"), name
 
 
 @given(st.sampled_from(sorted(SHAPES)), st.integers(min_value=0, max_value=4))

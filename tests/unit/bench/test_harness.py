@@ -16,14 +16,7 @@ class TestAblationLadder:
             "prune",
             "prune+fuse",
             "prune+fuse+trace",
-            "prune+fuse+prof-off",
-            "prune+fuse+profile",
         ]
-
-    def test_profiler_pair_differs_from_the_default_rung_only_in_profile(self):
-        rungs = dict(ABLATION_CONFIGS)
-        assert rungs["prune+fuse+prof-off"] == rungs["prune+fuse"]
-        assert rungs["prune+fuse+profile"] == rungs["prune+fuse"].replace(profile=True)
 
 
 class TestCaptureOverhead:

@@ -39,7 +39,6 @@ class TestLayoutIsNotAnOption:
             "num_partitions",
             "optimize",
             "rules",
-            "profile",
         }
 
     def test_constructor_and_replace_reject_layout(self):
@@ -116,17 +115,14 @@ class TestRuleToggles:
 
 class TestFromEnv:
     def test_environment_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OPTIMIZE", "off")
-        monkeypatch.setenv("REPRO_PROFILE", " ON ")
+        monkeypatch.setenv("REPRO_OPTIMIZE", " OFF ")
         config = EngineConfig.from_env()
         assert config.optimize is False
-        assert config.profile is True
 
     @pytest.mark.parametrize(
         "name, text",
         [
             ("REPRO_OPTIMIZE", "flase"),
-            ("REPRO_PROFILE", "enabled"),
         ],
     )
     def test_unrecognised_switch_raises(self, monkeypatch, name, text):

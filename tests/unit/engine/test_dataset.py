@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine.dataset import Dataset, GroupedDataset
 from repro.engine.expressions import col, count
-from repro.engine.metrics import ExecutionMetrics, Stopwatch
+from repro.engine.metrics import ExecutionMetrics
 from repro.engine.session import Session
 from repro.engine.storage import InMemorySource, JsonlSource
 from repro.errors import DataModelError, ExecutionError, PlanError
@@ -103,23 +103,7 @@ class TestStorage:
 
 
 class TestMetrics:
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        with watch:
-            pass
-        first = watch.elapsed
-        with watch:
-            pass
-        assert watch.elapsed >= first
-
     def test_operator_slot_reused(self):
         metrics = ExecutionMetrics()
         slot = metrics.operator(1, "filter", "filter x")
         assert metrics.operator(1, "filter", "filter x") is slot
-
-    def test_by_type_sums(self):
-        metrics = ExecutionMetrics()
-        metrics.operator(1, "filter", "f1").seconds = 0.5
-        metrics.operator(2, "filter", "f2").seconds = 0.25
-        metrics.operator(3, "read", "r").seconds = 1.0
-        assert metrics.by_type() == {"filter": 0.75, "read": 1.0}

@@ -1,41 +1,7 @@
 """Unit tests for the per-run metric containers (engine.metrics)."""
 
-from repro.engine.metrics import (
-    ExecutionMetrics,
-    SegmentCacheMetrics,
-    StageMetrics,
-    Stopwatch,
-)
+from repro.engine.metrics import ExecutionMetrics, SegmentCacheMetrics, StageMetrics
 from repro.obs.metrics import ROWS_BUCKETS, MetricsRegistry
-
-
-class TestStopwatch:
-    def test_reentry_accumulates(self, monkeypatch):
-        """Re-entering the same instance adds to ``elapsed``, never resets it."""
-        ticks = iter([10.0, 13.0, 20.0, 22.0])
-        monkeypatch.setattr(
-            "repro.engine.metrics.time.perf_counter", lambda: next(ticks)
-        )
-        watch = Stopwatch()
-        with watch:
-            pass
-        assert watch.elapsed == 3.0
-        with watch:
-            pass
-        assert watch.elapsed == 5.0
-
-    def test_accumulates_through_exceptions(self, monkeypatch):
-        ticks = iter([0.0, 1.0])
-        monkeypatch.setattr(
-            "repro.engine.metrics.time.perf_counter", lambda: next(ticks)
-        )
-        watch = Stopwatch()
-        try:
-            with watch:
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert watch.elapsed == 1.0
 
 
 class TestExecutionMetricsJson:
@@ -43,11 +9,11 @@ class TestExecutionMetricsJson:
         metrics = ExecutionMetrics()
         slot = metrics.operator(3, "filter", "filter(x)")
         slot.rows_in, slot.rows_out = 6, 4
-        slot.seconds = 0.5
         slot.capture_seconds = 0.125
         (row,) = metrics.to_json()["operators"]
         assert row["capture_seconds"] == 0.125
-        assert row["seconds"] == 0.5
+        # A fused stage is the measured grain: no per-operator wall time.
+        assert "seconds" not in row
 
     def test_top_level_shape_is_stable(self):
         payload = ExecutionMetrics().to_json()
@@ -116,7 +82,6 @@ class TestExecutionMetricsPublish:
         metrics.total_seconds = 0.25
         slot = metrics.operator(1, "filter", "filter(x)")
         slot.rows_out = 5
-        slot.seconds = 0.1
         slot.capture_seconds = 0.01
         metrics.publish(registry)
         assert registry.counter("repro_runs_total").value == 1

@@ -12,6 +12,7 @@ from repro.obs.tracer import (
     get_tracer,
     iter_b_e_pairs,
     set_tracer,
+    span,
     tracing,
 )
 
@@ -22,23 +23,19 @@ class TestNullTracer:
         assert NULL_TRACER.enabled is False
 
     def test_span_returns_one_shared_noop_handle(self):
-        first = NULL_TRACER.span("a", "run")
-        second = NULL_TRACER.span("b", "stage", rows=3)
+        first = span("a", "run")
+        second = span("b", "stage", rows=3)
         assert first is second, "the disabled path must not allocate"
         with first as handle:
             handle.set(rows=7)  # swallowed
-        assert NULL_TRACER.spans() == []
-
-    def test_instant_is_a_noop(self):
-        NULL_TRACER.instant("marker")
         assert NULL_TRACER.spans() == []
 
 
 class TestTracer:
     def test_records_spans_with_args(self):
         tracer = Tracer()
-        with tracer.span("stage-0 read", "stage", rows=6) as span:
-            span.set(rows_out=3)
+        with tracing(tracer), span("stage-0 read", "stage", rows=6) as handle:
+            handle.set(rows_out=3)
         (recorded,) = tracer.spans()
         assert recorded.name == "stage-0 read"
         assert recorded.category == "stage"
@@ -48,10 +45,10 @@ class TestTracer:
 
     def test_find_filters_by_category_and_name(self):
         tracer = Tracer()
-        with tracer.span("run", "run"):
-            with tracer.span("stage-0 read", "stage"):
+        with tracing(tracer), span("run", "run"):
+            with span("stage-0 read", "stage"):
                 pass
-            with tracer.span("stage-1 fused", "stage"):
+            with span("stage-1 fused", "stage"):
                 pass
         assert len(tracer.find("stage")) == 2
         assert len(tracer.find("stage", name="read")) == 1
@@ -59,36 +56,49 @@ class TestTracer:
 
     def test_threads_get_distinct_tids(self):
         tracer = Tracer()
-        with tracer.span("main-side", "task"):
-            pass
 
         def work():
-            with tracer.span("thread-side", "task"):
+            with span("thread-side", "task"):
                 pass
 
-        worker = threading.Thread(target=work)
-        worker.start()
-        worker.join()
-        tids = {span.tid for span in tracer.spans()}
+        with tracing(tracer):
+            with span("main-side", "task"):
+                pass
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join()
+        tids = {recorded.tid for recorded in tracer.spans()}
         assert len(tids) == 2
 
-    def test_len_counts_spans_and_instants(self):
+    def test_len_counts_spans(self):
         tracer = Tracer()
-        with tracer.span("a", "run"):
-            pass
-        tracer.instant("marker", "run")
+        with tracing(tracer), span("a", "run"):
+            with span("b", "stage"):
+                pass
         assert len(tracer) == 2
+
+
+class TestParentsAndSelfTime:
+    def test_child_duration_leaves_the_parents_self_time(self):
+        tracer = Tracer()
+        with tracing(tracer):
+            with span("parent", "run") as parent:
+                with span("child", "stage") as child:
+                    pass
+        assert child.parent is parent and parent.parent is None
+        assert parent.child_seconds == child.duration
+        assert parent.self_seconds == parent.duration - child.duration
+        assert tracer.spans() == [child, parent]
 
 
 class TestChromeExport:
     def _traced(self):
         tracer = Tracer()
-        with tracer.span("run", "run", partitions=4):
-            with tracer.span("stage-0 read", "stage"):
+        with tracing(tracer), span("run", "run", partitions=4):
+            with span("stage-0 read", "stage"):
                 pass
-            with tracer.span("stage-1 fused", "stage"):
+            with span("stage-1 fused", "stage"):
                 pass
-        tracer.instant("marker", "run")
         return tracer
 
     def test_every_b_has_a_matching_e_and_required_keys(self):

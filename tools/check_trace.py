@@ -10,6 +10,9 @@ Checks, exiting non-zero on the first violation:
 * optionally (``--require NAME``) that a span with the given name prefix
   exists -- used to assert the traced workload actually exercised a phase.
 
+:func:`phase_times` reads explain-analyze phases back from a trace (the
+CI obs-smoke job compares them with what ``--analyze`` printed).
+
 Usage::
 
     python tools/check_trace.py trace.json --require backtrace --require segment-read
@@ -24,6 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.obs.breakdown import PHASES  # noqa: E402
 from repro.obs.tracer import iter_b_e_pairs  # noqa: E402
 
 REQUIRED_KEYS = ("ph", "name", "ts", "pid", "tid")
@@ -63,6 +67,35 @@ def check(path: str, require: list[str]) -> list[str]:
         if not any(name.startswith(prefix) for name in names):
             errors.append(f"{path}: no span named {prefix!r}* (have: {sorted(names)})")
     return errors
+
+
+def phase_times(events: list[dict]) -> dict[str, float]:
+    """Explain-analyze phases (seconds) folded from trace events.
+
+    Every span inside an ``analyze <kind>`` root books its self time to its
+    category when that is a phase, else to its nearest phase ancestor's --
+    the rule :class:`repro.obs.breakdown.QueryBreakdown` folds spans by,
+    here rebuilt from the per-thread ``B``/``E`` nesting alone.
+    """
+    phases: dict[str, float] = {}
+    stacks: dict[tuple[int, int], list[list]] = {}
+    for event in events:
+        if event.get("ph") not in ("B", "E"):
+            continue
+        stack = stacks.setdefault((event["pid"], event["tid"]), [])
+        if event["ph"] == "B":
+            stack.append([event, 0.0])
+            continue
+        begin, child_us = stack.pop()
+        duration = event["ts"] - begin["ts"]
+        if stack:
+            stack[-1][1] += duration
+        chain = [begin] + [frame[0] for frame in reversed(stack)]
+        if not any(span["name"].startswith("analyze ") for span in chain):
+            continue
+        owner = next((span["cat"] for span in chain if span["cat"] in PHASES), "other")
+        phases[owner] = phases.get(owner, 0.0) + (duration - child_us) / 1e6
+    return phases
 
 
 def main(argv: list[str] | None = None) -> int:
