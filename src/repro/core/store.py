@@ -174,21 +174,6 @@ class ProvenanceStore:
 
         return encode_store_blob(list(self._operators.values()))
 
-    @classmethod
-    def deserialize(cls, blob: bytes) -> "ProvenanceStore":
-        """Rebuild a store from a :meth:`serialize` blob.
-
-        Source items are not part of the blob (the warehouse keeps them in
-        their own segments), so the restored store can backtrace but not
-        resolve source identifiers to input items.
-        """
-        from repro.warehouse.format import decode_store_blob
-
-        store = cls()
-        for provenance in decode_store_blob(blob):
-            store.register(provenance)
-        return store
-
     # -- space accounting (Fig. 8) -------------------------------------------
 
     def size_report(self) -> ProvenanceSizeReport:

@@ -2,7 +2,6 @@
 
 from repro.pebble.api import CapturedExecution, PebbleSession
 from repro.pebble.export import plan_to_dot, provenance_to_dot
-from repro.pebble.persistence import load_execution, save_execution
 from repro.pebble.query import query_provenance
 
 __all__ = [
@@ -10,7 +9,5 @@ __all__ = [
     "PebbleSession",
     "plan_to_dot",
     "provenance_to_dot",
-    "load_execution",
-    "save_execution",
     "query_provenance",
 ]

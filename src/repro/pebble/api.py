@@ -20,7 +20,7 @@ from pathlib import Path as FsPath
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.warehouse import Warehouse
+    from repro.warehouse import RunRecord, Warehouse
 
 from repro.core.backtrace.result import ProvenanceResult
 from repro.core.store import ProvenanceSizeReport
@@ -32,6 +32,7 @@ from repro.engine.executor import ExecutionResult
 from repro.engine.session import Session
 from repro.errors import CaptureDisabledError
 from repro.nested.values import DataItem
+from repro.pebble.export import export_execution_json
 from repro.pebble.query import as_pattern, query_provenance
 
 __all__ = ["PebbleSession", "CapturedExecution"]
@@ -70,20 +71,15 @@ class CapturedExecution:
         assert self._execution.store is not None
         return self._execution.store.size_report()
 
-    def save(self, path: FsPath | str, name: str = "run") -> None:
-        """Persist the annotated result and provenance durably.
+    def save(
+        self, warehouse: "Warehouse | FsPath | str", name: str = "run"
+    ) -> "RunRecord":
+        """Record this execution into a warehouse; returns the run record.
 
-        Records the execution into the provenance warehouse rooted at
-        *path* (created if needed); queries can later be served lazily with
-        :meth:`load` or ``repro warehouse query`` without re-loading the
-        whole capture.
+        *warehouse* is an open :class:`~repro.warehouse.Warehouse` or its
+        root directory (created if needed); queries can later be served
+        lazily with :meth:`load` or ``repro warehouse query``.
         """
-        from repro.pebble.persistence import save_execution
-
-        save_execution(self._execution, path, name=name)
-
-    def record_to(self, warehouse: "Warehouse | FsPath | str", name: str = "run"):
-        """Record this execution into a warehouse; returns the run record."""
         from repro.warehouse import Warehouse
 
         if not isinstance(warehouse, Warehouse):
@@ -93,27 +89,24 @@ class CapturedExecution:
     def export_json(self, path: FsPath | str) -> None:
         """Export rows + provenance as one plain-JSON document.
 
-        The JSON format is the interchange path for external tools; the
-        warehouse (:meth:`save`) is the queryable store.
+        The JSON format is a write-only interchange path for external tools;
+        the warehouse (:meth:`save`) is the queryable store.
         """
-        from repro.pebble.persistence import save_execution_json
-
-        save_execution_json(self._execution, path)
+        export_execution_json(self._execution, path)
 
     @classmethod
     def load(
-        cls, path: FsPath | str, num_partitions: int | None = None
+        cls, root: FsPath | str, num_partitions: int | None = None
     ) -> "CapturedExecution":
-        """Restore a persisted capture; supports querying, not re-running.
+        """Restore the newest run of the warehouse at *root* for querying.
 
-        Accepts a warehouse root directory (loads the newest run with a
-        lazy provenance store) or a JSON export file.  ``num_partitions``
-        defaults to the engine-wide default partition count.
+        The provenance store is lazy; the plan is not restored (only the
+        sink id), so the execution supports querying, not re-running.
+        ``num_partitions`` defaults to the engine-wide partition count.
         """
-        from repro.engine.config import resolve_partitions
-        from repro.pebble.persistence import load_execution
+        from repro.warehouse import Warehouse
 
-        return cls(load_execution(path, resolve_partitions(num_partitions)))
+        return cls(Warehouse.open(root).load(num_partitions=num_partitions))
 
     def __repr__(self) -> str:
         return f"CapturedExecution({len(self._execution)} result items)"

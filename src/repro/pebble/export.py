@@ -6,30 +6,121 @@ structural provenance; a DOT rendering is the lightweight version of that:
 draws the backtracing trees of a query answer (Fig. 2 style) with
 contributing nodes filled green-ish and influencing nodes dashed.
 
-The whole-document JSON capture format (the predecessor of the binary
-provenance warehouse) also lives on here as an interchange path:
-:func:`export_execution_json` writes one self-contained JSON document that
-external tools can read without knowing the segment format.
+:func:`export_execution_json` writes one self-contained JSON document
+(``"format": 1``: the result rows, the per-operator provenance and the source
+items) that external tools can read without knowing the segment format.  It
+is write-only: the warehouse (:mod:`repro.warehouse`) is the one store
+provenance is read back from.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path as FsPath
+from typing import Any
 
 from repro.core.backtrace.result import ProvenanceResult
 from repro.core.backtrace.tree import BacktraceNode
+from repro.core.operator_provenance import (
+    AggregationAssociations,
+    Associations,
+    BinaryAssociations,
+    FlattenAssociations,
+    OperatorProvenance,
+    ReadAssociations,
+    UNDEFINED,
+    UnaryAssociations,
+)
 from repro.core.paths import POS
 from repro.engine.executor import ExecutionResult
 from repro.engine.plan import PlanNode
+from repro.errors import ProvenanceError
+from repro.nested.json_io import _jsonable  # shared encoder for model values
+from repro.nested.types import type_to_obj
 
 __all__ = ["plan_to_dot", "provenance_to_dot", "export_execution_json"]
 
+_FORMAT_VERSION = 1
+
+
+def _encode_associations(associations: Associations) -> dict[str, Any]:
+    if isinstance(associations, ReadAssociations):
+        return {"kind": "read", "ids": list(associations.ids)}
+    if isinstance(associations, UnaryAssociations):
+        return {"kind": "unary", "records": [list(record) for record in associations.records]}
+    if isinstance(associations, FlattenAssociations):
+        return {"kind": "flatten", "records": [list(record) for record in associations.records]}
+    if isinstance(associations, BinaryAssociations):
+        return {"kind": "binary", "records": [list(record) for record in associations.records]}
+    if isinstance(associations, AggregationAssociations):
+        return {
+            "kind": "aggregation",
+            "records": [[list(ids_in), id_out] for ids_in, id_out in associations.records],
+        }
+    raise ProvenanceError(f"cannot encode associations {type(associations).__name__}")
+
+
+def _encode_operator(provenance: OperatorProvenance) -> dict[str, Any]:
+    inputs = []
+    for input_ref in provenance.inputs:
+        inputs.append(
+            {
+                "predecessor": input_ref.predecessor,
+                "accessed": (
+                    None
+                    if input_ref.accessed is UNDEFINED
+                    else sorted(str(path) for path in input_ref.accessed)
+                ),
+                "schema": (
+                    None if input_ref.schema is None else type_to_obj(input_ref.schema.struct)
+                ),
+            }
+        )
+    return {
+        "oid": provenance.oid,
+        "type": provenance.op_type,
+        "label": provenance.label,
+        "inputs": inputs,
+        "manipulations": (
+            None
+            if provenance.manipulations_undefined()
+            else [
+                [str(path_in), str(path_out)]
+                for path_in, path_out in provenance.manipulations_or_empty()
+            ]
+        ),
+        "associations": _encode_associations(provenance.associations),
+    }
+
 
 def export_execution_json(execution: ExecutionResult, path: FsPath | str) -> None:
-    """Export a capture-enabled execution as one plain-JSON document."""
-    from repro.pebble.persistence import save_execution_json
-
-    save_execution_json(execution, path)
+    """Export a capture-enabled execution (rows + provenance) to JSON."""
+    if execution.store is None:
+        raise ProvenanceError("only capture-enabled executions can be exported")
+    store = execution.store
+    sources = []
+    for provenance in store.operators():
+        if not isinstance(provenance.associations, ReadAssociations):
+            continue
+        sources.append(
+            {
+                "oid": provenance.oid,
+                "name": store.source_name(provenance.oid),
+                "items": [
+                    [item_id, _jsonable(item)]
+                    for item_id, item in sorted(store.source_items(provenance.oid).items())
+                ],
+            }
+        )
+    document = {
+        "format": _FORMAT_VERSION,
+        "sink": execution.root.oid,
+        "rows": [[pid, _jsonable(item)] for pid, item in execution.rows()],
+        "operators": [_encode_operator(provenance) for provenance in store.operators()],
+        "sources": sources,
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
 
 
 def _escape(text: str) -> str:

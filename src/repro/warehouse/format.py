@@ -70,7 +70,6 @@ __all__ = [
     "encode_segment",
     "open_segment",
     "encode_store_blob",
-    "decode_store_blob",
 ]
 
 MAGIC = b"PBWH"  # "PeBble WareHouse"
@@ -504,23 +503,13 @@ def open_segment(buffer: bytes, expected_kind: int) -> Cursor:
 
 
 def encode_store_blob(operators: Sequence[OperatorProvenance]) -> bytes:
-    """Encode an operator sequence as one decodable blob.
+    """Encode an operator sequence as one blob: a preamble, then one
+    :func:`encode_operator` record per operator.
 
-    This backs :meth:`repro.core.store.ProvenanceStore.serialize`; source
-    items are not included (they live in their own warehouse segments).
+    This backs :meth:`repro.core.store.ProvenanceStore.serialize`, which
+    the capture benchmarks time; source items are not included (they live
+    in their own warehouse segments).
     """
     parts = [MAGIC, _u16(FORMAT_VERSION), _u32(len(operators))]
     parts.extend(encode_operator(provenance) for provenance in operators)
     return b"".join(parts)
-
-
-def decode_store_blob(blob: bytes) -> list[OperatorProvenance]:
-    """Decode a :func:`encode_store_blob` byte string."""
-    cursor = Cursor(blob)
-    magic = cursor._take(4)
-    if magic != MAGIC:
-        raise ProvenanceError(f"not a provenance blob (magic {magic!r})")
-    version = cursor.u16()
-    if version != FORMAT_VERSION:
-        raise ProvenanceError(f"unsupported provenance blob version {version}")
-    return [decode_operator(cursor) for _ in range(cursor.u32())]

@@ -147,3 +147,78 @@ class TestGdprScenario:
         result = trace_forward(warehouse, spec.pattern)
         assert result.matched_input_count > 0
         assert result.output_ids, "G1's subject must reach at least one output"
+
+
+class TestAuditFlags:
+    """Every flag of ``audit sar`` / ``audit erasure`` reaches the library."""
+
+    @pytest.fixture
+    def two_runs(self, recorded_root, capsys):
+        """The running example twice; returns ``(root, first_run_id)``."""
+        assert main(["warehouse", "record", "example", "--root", recorded_root]) == 0
+        capsys.readouterr()
+        return recorded_root, Warehouse.open(recorded_root).runs()[0].run_id
+
+    @staticmethod
+    def _report(argv, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        code = main([*argv, "--report", str(path)])
+        capsys.readouterr()
+        return code, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("command", ["sar", "erasure"])
+    def test_run_restricts_the_runs(self, command, two_runs, tmp_path, capsys):
+        root, first = two_runs
+        base = ["audit", command, "lp", "--root", root]
+        _, every = self._report(base, tmp_path, capsys)
+        _, one = self._report([*base, "--run", first], tmp_path, capsys)
+        if command == "sar":
+            assert every["subjects"][0]["run_count"] == 2
+            assert [run["run_id"] for run in one["subjects"][0]["runs"]] == [first]
+        else:
+            assert len(every["runs_checked"]) == 2
+            assert one["runs_checked"] == [first]
+
+    @pytest.mark.parametrize("command", ["sar", "erasure"])
+    def test_template_shapes_the_pattern(self, command, recorded_root, tmp_path, capsys):
+        base = ["audit", command, "lp", "--root", recorded_root]
+        _, default = self._report(base, tmp_path, capsys)
+        _, narrowed = self._report(
+            [*base, "--template", 'root{/text="{subject}"}'], tmp_path, capsys
+        )
+        library = subject_access_request(
+            Warehouse.open(recorded_root), ["lp"], template='root{/text="{subject}"}'
+        )
+        if command == "sar":
+            assert default["subjects"][0]["total_outputs"] > 0
+            assert narrowed == library
+            assert narrowed["subjects"][0]["total_outputs"] == 0
+        else:
+            assert default["clean"] is False
+            assert narrowed["clean"] is True
+
+    def test_erasure_subjects_file_and_no_index(self, recorded_root, tmp_path, capsys):
+        subjects = tmp_path / "subjects.txt"
+        subjects.write_text("lp\n")
+        base = ["audit", "erasure", "--subjects-file", str(subjects), "--root", recorded_root]
+        code, scanned = self._report([*base, "--no-index"], tmp_path, capsys)
+        assert code == 1
+        assert main(["index", "build", "--root", recorded_root]) == 0
+        code, indexed = self._report(base, tmp_path, capsys)
+        assert code == 1
+        assert indexed == scanned == verify_erasure(Warehouse.open(recorded_root), ["lp"])
+
+    def test_sar_page_and_include_items(self, recorded_root, tmp_path, capsys):
+        base = ["audit", "sar", "lp", "nobody-xyz", "--root", recorded_root,
+                "--page-size", "1"]
+        _, first = self._report(base, tmp_path, capsys)
+        _, second = self._report([*base, "--page", "2"], tmp_path, capsys)
+        assert (first["page"], second["page"]) == (1, 2)
+        assert [entry["subject"] for entry in first["subjects"] + second["subjects"]] == [
+            "lp", "nobody-xyz",
+        ]
+        (run,) = first["subjects"][0]["runs"]
+        assert "outputs" not in run
+        _, with_items = self._report([*base, "--include-items"], tmp_path, capsys)
+        (run,) = with_items["subjects"][0]["runs"]
+        assert [output["id"] for output in run["outputs"]] == run["output_ids"]

@@ -1,10 +1,14 @@
-"""Integration tests for provenance persistence (capture once, query later)."""
+"""Integration tests for provenance persistence (capture once, query later).
+
+The warehouse is the one store provenance is read back from:
+``CapturedExecution.save`` records into a warehouse root directory and
+``CapturedExecution.load`` restores its newest run.
+"""
 
 import pytest
 
 from repro.errors import ProvenanceError
 from repro.pebble.api import CapturedExecution
-from repro.pebble.persistence import load_execution, save_execution
 from repro.workloads.scenarios import (
     RUNNING_EXAMPLE_PATTERN,
     build_running_example,
@@ -19,9 +23,11 @@ class TestSaveLoadRoundtrip:
         captured = pebble.run(pipeline)
         before = captured.backtrace(RUNNING_EXAMPLE_PATTERN)
 
-        path = tmp_path / "capture.json"
-        captured.save(path)
-        restored = CapturedExecution.load(path, num_partitions=2)
+        root = tmp_path / "wh"
+        record = captured.save(root, name="example")
+        assert record.name == "example"
+        assert record.row_count == len(captured.rows())
+        restored = CapturedExecution.load(root, num_partitions=2)
         after = restored.backtrace(RUNNING_EXAMPLE_PATTERN)
 
         assert after.all_ids() == before.all_ids()
@@ -32,9 +38,9 @@ class TestSaveLoadRoundtrip:
     def test_rows_and_sizes_preserved(self, pebble, example_tweets, tmp_path):
         pipeline = build_running_example(pebble.session, example_tweets)
         captured = pebble.run(pipeline)
-        path = tmp_path / "capture.json"
-        captured.save(path)
-        restored = CapturedExecution.load(path)
+        root = tmp_path / "wh"
+        captured.save(root)
+        restored = CapturedExecution.load(root)
         assert sorted(map(repr, restored.items())) == sorted(map(repr, captured.items()))
         assert restored.size_report().lineage_bytes == captured.size_report().lineage_bytes
         assert (
@@ -45,27 +51,27 @@ class TestSaveLoadRoundtrip:
     @pytest.mark.parametrize("name", ["T1", "D4", "D5"])
     def test_scenarios_roundtrip(self, name, tmp_path):
         from repro.engine.session import Session
+        from repro.pebble.query import query_provenance
 
         spec = scenario(name)
         data = load_workload(spec.kind, 0.1)
-        execution = spec.build(Session(2), data).execute(capture=True)
-        from repro.pebble.query import query_provenance
-
-        before = query_provenance(execution, spec.pattern)
-        path = tmp_path / "capture.json"
-        save_execution(execution, path)
-        restored = load_execution(path, num_partitions=2)
-        after = query_provenance(restored, spec.pattern)
+        captured = CapturedExecution(spec.build(Session(2), data).execute(capture=True))
+        before = captured.backtrace(spec.pattern)
+        root = tmp_path / "wh"
+        captured.save(root, name=name)
+        restored = CapturedExecution.load(root, num_partitions=2)
+        after = query_provenance(restored.execution, spec.pattern)
         assert after.all_ids() == before.all_ids()
 
     def test_plain_execution_rejected(self, pebble, example_tweets, tmp_path):
         pipeline = build_running_example(pebble.session, example_tweets)
         execution = pebble.run_plain(pipeline)
         with pytest.raises(ProvenanceError):
-            save_execution(execution, tmp_path / "x.json")
+            CapturedExecution(execution).save(tmp_path / "wh")
+        assert not (tmp_path / "wh").exists()
 
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text('{"format": 99}')
-        with pytest.raises(ProvenanceError, match="unsupported"):
-            load_execution(path)
+    def test_load_needs_a_warehouse_directory(self, pebble, example_tweets, tmp_path):
+        path = tmp_path / "capture.json"
+        pebble.run(build_running_example(pebble.session, example_tweets)).export_json(path)
+        with pytest.raises(ProvenanceError, match="not a directory"):
+            CapturedExecution.load(path)

@@ -537,6 +537,7 @@ class TestCliIntegration:
         server, _, _ = served
         root, _ = recorded
         assert cli_main(["stats"]) == 2
+        assert cli_main(["stats", "--slow"]) == 2
         assert (
             cli_main(["stats", "--root", str(root), "--remote", server.url]) == 2
         )

@@ -22,7 +22,6 @@ from repro.core.operator_provenance import (
     UnaryAssociations,
 )
 from repro.core.paths import parse_path
-from repro.core.store import ProvenanceStore
 from repro.core.treepattern.matcher import match_rows, required_constants
 from repro.core.treepattern.parser import parse_pattern
 from repro.core.treepattern.pattern import NO_EQUALS, Edge, PatternNode, TreePattern
@@ -128,36 +127,6 @@ def test_operator_record_round_trip(provenance):
     _assert_operators_equal(provenance, decoded)
 
 
-@given(st.lists(_associations, max_size=4))
-@settings(max_examples=80, deadline=None)
-def test_store_blob_round_trip(bags):
-    # Wrap each bag in a minimal operator so varying-width aggregation
-    # records sit back to back in one blob -- the undecodable case of the
-    # historic format.
-    operators = [
-        OperatorProvenance(index, "op", [InputRef(None, UNDEFINED)], UNDEFINED, bag)
-        for index, bag in enumerate(bags)
-    ]
-    decoded = wf.decode_store_blob(wf.encode_store_blob(operators))
-    assert len(decoded) == len(operators)
-    for original, restored in zip(operators, decoded):
-        _assert_operators_equal(original, restored)
-
-
-@given(st.lists(_associations, min_size=1, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_provenance_store_serialize_round_trip(bags):
-    store = ProvenanceStore()
-    for index, bag in enumerate(bags):
-        store.register(
-            OperatorProvenance(index, "op", [InputRef(None, UNDEFINED)], UNDEFINED, bag)
-        )
-    restored = ProvenanceStore.deserialize(store.serialize())
-    assert len(restored) == len(store)
-    for original in store.operators():
-        _assert_operators_equal(original, restored.get(original.oid))
-
-
 def _decode_all(raw: bytes) -> dict[int, DataItem]:
     """The sequential whole-block decoder, kept here as the oracle."""
     cursor = wf.Cursor(raw)
@@ -242,17 +211,6 @@ def test_aggregation_varying_widths_round_trip():
     operator = OperatorProvenance(2, "aggregate", [InputRef(1, UNDEFINED)], UNDEFINED, bag)
     decoded = wf.decode_operator(wf.Cursor(wf.encode_operator(operator)))
     assert list(decoded.associations.records) == [((), 1), ((7,), 2), ((3, 0, 9), 4)]
-
-
-def test_store_blob_rejects_bad_magic_and_version():
-    operators = [
-        OperatorProvenance(1, "read", [InputRef(None, UNDEFINED)], UNDEFINED, ReadAssociations([1]))
-    ]
-    blob = wf.encode_store_blob(operators)
-    with pytest.raises(ProvenanceError):
-        wf.decode_store_blob(b"XXXX" + blob[4:])
-    with pytest.raises(ProvenanceError):
-        wf.decode_store_blob(blob[:4] + (999).to_bytes(2, "little") + blob[6:])
 
 
 @given(_operators, st.integers(min_value=1, max_value=16))

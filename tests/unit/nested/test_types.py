@@ -150,6 +150,35 @@ class TestTypeRendering:
         }
 
 
+class TestTypeSerialisation:
+    """``type_to_obj`` / ``type_from_obj``: the codec warehouse schemas use."""
+
+    @pytest.mark.parametrize(
+        "typ",
+        [
+            INT,
+            STRING,
+            StructType([("a", INT), ("b", BagType(STRING))]),
+            BagType(StructType([("x", SetType(INT))])),
+            SetType(INT),
+        ],
+    )
+    def test_roundtrip(self, typ):
+        assert type_from_obj(type_to_obj(typ)) == typ
+
+    def test_json_compatible(self):
+        import json
+
+        typ = StructType([("a", BagType(StructType([("b", INT)])))])
+        assert type_from_obj(json.loads(json.dumps(type_to_obj(typ)))) == typ
+
+    def test_bad_object_rejected(self):
+        with pytest.raises(TypeInferenceError):
+            type_from_obj({"weird": 1})
+        with pytest.raises(TypeInferenceError):
+            type_from_obj(42)
+
+
 _fresh = itertools.count()
 
 

@@ -11,6 +11,17 @@ import repro
 from repro.cli import build_parser, main
 
 
+def _stream_run(root, name="feed"):
+    """An uncompacted streamed run of two epochs; returns the live session."""
+    from repro.stream import StreamSession
+
+    stream = StreamSession(warehouse=root, name=name, num_partitions=2)
+    stream.open(stream.dataset())
+    stream.ingest([{"id": 1, "user": "u1"}])
+    stream.ingest([{"id": 2, "user": "u2"}])
+    return stream
+
+
 class TestImports:
     def test_production_imports_load_no_benchmark_code(self):
         """``repro serve`` and every other command start without loading the
@@ -148,14 +159,9 @@ class TestCommands:
         info`` used to look for a top-level entry and print "not indexed"."""
         import json
 
-        from repro.stream import StreamSession
-
         root = tmp_path / "wh"
         assert main(["warehouse", "record", "example", "--root", str(root)]) == 0
-        stream = StreamSession(warehouse=root, name="feed", num_partitions=2)
-        stream.open(stream.dataset())
-        stream.ingest([{"id": 1, "user": "u1"}])
-        stream.ingest([{"id": 2, "user": "u2"}])
+        stream = _stream_run(root)
         stream.finish(compact=False)
         capsys.readouterr()
 
@@ -167,3 +173,179 @@ class TestCommands:
             summaries[run] = json.loads(out.split(": ", 1)[1])
         assert summaries[stream.run_id].keys() == summaries["example"].keys()
         assert summaries[stream.run_id]["items"] == 2
+
+
+def _command_id(command: list[str]) -> str:
+    return " ".join(word for word in command[:2] if not word.startswith("-"))
+
+
+#: Every command that reads a warehouse, with what it needs besides --root.
+READ_COMMANDS = [
+    ["warehouse", "ls"],
+    ["warehouse", "inspect", "example"],
+    ["warehouse", "query", "example", 'root{//id_str="lp"}'],
+    ["warehouse", "retain", "--ttl", "1"],
+    ["index", "build"],
+    ["index", "info"],
+    ["trace-forward", "--pattern", 'root{//id_str="lp"}'],
+    ["audit", "sar", "lp"],
+    ["audit", "erasure", "lp"],
+    ["stats"],
+]
+
+
+class TestRoot:
+    @pytest.mark.parametrize("command", READ_COMMANDS, ids=_command_id)
+    def test_read_commands_refuse_a_missing_root(self, command, tmp_path, capsys):
+        missing = tmp_path / "wh2"
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--root", str(missing)])
+        assert info.value.code == 2
+        assert "no warehouse directory" in capsys.readouterr().err
+        assert not missing.exists()
+
+
+class TestErrorSurface:
+    """A library error is one ``repro: <message>`` line and exit status 2."""
+
+    @pytest.fixture
+    def root(self, tmp_path, capsys):
+        root = str(tmp_path / "wh")
+        assert main(["warehouse", "record", "example", "--root", root]) == 0
+        capsys.readouterr()
+        return root
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["warehouse", "query", "nosuch", 'root{/a="b"}'], "nosuch"),
+            (["warehouse", "query", "example", "root{/a=="], "expected a value"),
+            (["audit", "sar", "lp", "--page", "0"], "page numbers start at 1"),
+        ],
+        ids=["unknown-run", "malformed-pattern", "page-zero"],
+    )
+    def test_user_error_exits_2_without_traceback(self, root, command, message, capsys):
+        assert main([*command, "--root", root]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_index_build_on_a_live_run(self, root, capsys):
+        stream = _stream_run(root)
+        assert main(["index", "build", stream.run_id, "--root", root]) == 2
+        assert capsys.readouterr().err.startswith("repro: ")
+        stream.finish(compact=False)
+
+    def test_error_in_a_traced_command_still_writes_the_trace(self, root, tmp_path, capsys):
+        trace = tmp_path / "failed.json"
+        code = main(["warehouse", "query", "nosuch", 'root{//id_str="lp"}', "--root", root,
+                     "--trace", str(trace)])
+        assert code == 2
+        assert trace.exists()
+        assert f"wrote trace {trace}" in capsys.readouterr().out
+
+
+class TestExplain:
+    def test_explain_prints_plan_rewrites_and_stages(self, capsys):
+        assert main(["explain", "T1", "--scale", "0.1"]) == 0
+        out = capsys.readouterr().out
+        assert "capture: off" in out
+        for section in ("logical plan:", "rewrites:", "physical plan:"):
+            assert section in out
+        assert out.index("logical plan:") < out.index("rewrites:") < out.index("physical plan:")
+
+    def test_capture_flag_compiles_for_capture(self, capsys):
+        assert main(["explain", "example", "--capture"]) == 0
+        out = capsys.readouterr().out
+        assert "capture: on" in out
+        assert "the paper's running example" in out
+
+
+class TestRetain:
+    def test_ttl_sweep_writes_a_verified_receipt(self, tmp_path, capsys):
+        import time
+
+        root = tmp_path / "wh"
+        stream = _stream_run(root)
+        stream.finish(compact=False)
+        time.sleep(0.05)
+        assert main(["warehouse", "retain", "--root", str(root), "--ttl", "0.01"]) == 0
+        out = capsys.readouterr().out
+        assert "retention: 1 run(s) swept" in out
+        assert f"{stream.run_id}: expired epoch(s)" in out
+        assert "-- verified, receipt sha256:" in out
+
+    def test_run_flag_restricts_the_sweep(self, tmp_path, capsys):
+        import time
+
+        root = tmp_path / "wh"
+        kept, swept = _stream_run(root, "kept"), _stream_run(root, "swept")
+        kept.finish(compact=False)
+        swept.finish(compact=False)
+        time.sleep(0.05)
+        assert main(["warehouse", "retain", "--root", str(root), "--ttl", "0.01",
+                     "--run", "swept"]) == 0
+        out = capsys.readouterr().out
+        assert "retention: 1 run(s) swept" in out
+        assert swept.run_id in out and kept.run_id not in out
+        assert main(["warehouse", "retain", "--root", str(root), "--ttl", "3600"]) == 0
+        assert "no epochs older than 3600s" in capsys.readouterr().out
+
+
+class TestSharedFlags:
+    """A flag declared once behaves the same on every command that takes it."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = str(tmp_path_factory.mktemp("shared") / "wh")
+        assert main(["warehouse", "record", "example", "--root", root]) == 0
+        return root
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["scenario", "T1", "--scale", "0.1", "--no-query"],
+            ["bench", "fig8", "--scale", "0.1"],
+            ["warehouse", "record", "example", "--root", "{root}"],
+            ["warehouse", "query", "example", 'root{//id_str="lp"}', "--root", "{root}"],
+            ["trace-forward", "--pattern", 'root{//id_str="lp"}', "--root", "{root}"],
+        ],
+        ids=_command_id,
+    )
+    def test_trace_writes_a_chrome_trace(self, command, root, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "trace.json"
+        argv = [part.replace("{root}", root) for part in command]
+        assert main([*argv, "--trace", str(path)]) == 0
+        events = json.loads(path.read_text())["traceEvents"]
+        assert any(event["ph"] == "B" for event in events)
+        assert f"wrote trace {path}" in capsys.readouterr().out
+
+    def test_example_pattern_override(self, capsys):
+        pattern = 'root{//id_str="lp"}'
+        assert main(["example", "--pattern", pattern]) == 0
+        assert f"Provenance of {pattern}:" in capsys.readouterr().out
+
+    def test_scale_default_is_per_command(self):
+        parser = build_parser()
+        assert parser.parse_args(["heatmap"]).scale == 0.5
+        assert parser.parse_args(["scenario", "T1"]).scale == 1.0
+        assert parser.parse_args(["bench", "fig8"]).scale == 1.0
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--partitions", "--cache-size", "--method", "--run-name"],
+    )
+    def test_removed_flags_are_rejected(self, flag, capsys):
+        commands = {
+            "--partitions": ["explain", "T1"],
+            "--cache-size": ["warehouse", "query", "r", 'root{//id_str="lp"}', "--root", "."],
+            "--method": ["trace-forward", "--pattern", 'root{//id_str="lp"}', "--root", "."],
+            "--run-name": ["warehouse", "record", "example", "--root", "."],
+        }
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([*commands[flag], flag, "1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

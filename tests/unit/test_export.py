@@ -1,10 +1,26 @@
-"""Unit tests for the DOT export of plans and provenance."""
+"""Unit tests for the DOT and JSON exports of plans, provenance and runs."""
 
-from repro.pebble.export import plan_to_dot, provenance_to_dot
+import json
+
+import pytest
+
+from repro.core.operator_provenance import (
+    AggregationAssociations,
+    BinaryAssociations,
+    FlattenAssociations,
+    ReadAssociations,
+    UnaryAssociations,
+)
+from repro.errors import ProvenanceError
+from repro.nested.json_io import _jsonable
+from repro.pebble.api import CapturedExecution
+from repro.pebble.export import export_execution_json, plan_to_dot, provenance_to_dot
 from repro.pebble.query import query_provenance
 from repro.workloads.scenarios import (
     RUNNING_EXAMPLE_PATTERN,
     build_running_example,
+    load_workload,
+    scenario,
 )
 
 
@@ -44,3 +60,62 @@ class TestProvenanceToDot:
         provenance = query_provenance(captured_example, 'root{//id_str="nobody"}')
         dot = provenance_to_dot(provenance)
         assert dot.count("subgraph") == 2  # both reads, both empty
+
+
+KINDS = {
+    ReadAssociations: "read",
+    UnaryAssociations: "unary",
+    FlattenAssociations: "flatten",
+    BinaryAssociations: "binary",
+    AggregationAssociations: "aggregation",
+}
+
+
+class TestExecutionJson:
+    """The write-only JSON interchange document (``"format": 1``)."""
+
+    @staticmethod
+    def _execution(name, session, example_tweets):
+        if name == "example":
+            return build_running_example(session, example_tweets).execute(capture=True)
+        spec = scenario(name)
+        return spec.build(session, load_workload(spec.kind, 0.1)).execute(capture=True)
+
+    @pytest.mark.parametrize("name", ["example", "T1"])
+    def test_document_mirrors_the_execution(self, name, session, example_tweets, tmp_path):
+        execution = self._execution(name, session, example_tweets)
+        store = execution.store
+        path = tmp_path / "capture.json"
+        CapturedExecution(execution).export_json(path)
+        document = json.loads(path.read_text())
+
+        assert document["format"] == 1
+        assert document["sink"] == execution.root.oid
+        operators = {entry["oid"]: entry for entry in document["operators"]}
+        assert sorted(operators) == sorted(op.oid for op in store.operators())
+        for provenance in store.operators():
+            associations = operators[provenance.oid]["associations"]
+            assert operators[provenance.oid]["type"] == provenance.op_type
+            assert associations["kind"] == KINDS[type(provenance.associations)]
+            records = associations["ids" if associations["kind"] == "read" else "records"]
+            assert len(records) == len(provenance.associations)
+        sources = {entry["oid"]: entry for entry in document["sources"]}
+        assert sources and sorted(sources) == sorted(
+            op.oid for op in store.operators() if store.is_source(op.oid)
+        )
+        for oid, entry in sources.items():
+            assert entry["name"] == store.source_name(oid)
+            assert entry["items"] == [
+                [item_id, _jsonable(item)]
+                for item_id, item in sorted(store.source_items(oid).items())
+            ]
+        assert document["rows"] == [[pid, _jsonable(item)] for pid, item in execution.rows()]
+        if name == "example":
+            kinds = {entry["associations"]["kind"] for entry in document["operators"]}
+            assert {"read", "flatten", "binary", "aggregation"} <= kinds
+
+    def test_plain_execution_rejected(self, session, example_tweets, tmp_path):
+        execution = build_running_example(session, example_tweets).execute(capture=False)
+        with pytest.raises(ProvenanceError, match="capture-enabled"):
+            export_execution_json(execution, tmp_path / "capture.json")
+        assert not (tmp_path / "capture.json").exists()
