@@ -14,12 +14,11 @@ workflows compliance teams actually run:
 * :func:`verify_erasure` -- the Art. 17 receipt: assert nothing derives
   from the subjects any more, signed with a reproducible sha256 digest.
 
-All answers are byte-stable across scheduler backends, loading strategies,
-and indexed-vs-scan evaluation.
+All answers are byte-stable across in-memory and stored runs and across
+indexed-vs-scan evaluation.
 """
 
 from repro.audit.forward import (
-    AUDIT_METHODS,
     ForwardResult,
     ForwardTracer,
     SubjectMatch,
@@ -34,7 +33,6 @@ from repro.audit.sar import (
 )
 
 __all__ = [
-    "AUDIT_METHODS",
     "DEFAULT_SUBJECT_TEMPLATE",
     "ForwardResult",
     "ForwardTracer",

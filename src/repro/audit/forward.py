@@ -62,21 +62,15 @@ from repro.obs.tracer import count, span
 from repro.pebble.query import as_pattern
 from repro.core.treepattern.matcher import match_item
 from repro.warehouse.index import MAX_TERM_LEN, RunIndex
-from repro.warehouse.reader import DEFAULT_CACHE_SIZE
+from repro.warehouse.reader import StoredRun
 
 __all__ = [
-    "AUDIT_METHODS",
     "ForwardResult",
     "ForwardTracer",
     "SubjectMatch",
-    "load_execution",
     "required_terms",
     "trace_forward",
 ]
-
-#: The two run-loading strategies an audit query may request (mirrors
-#: :data:`repro.serve.service.QUERY_METHODS` without importing serve).
-AUDIT_METHODS = ("lazy", "eager")
 
 
 def required_terms(pattern: TreePattern) -> set[str]:
@@ -197,19 +191,20 @@ class ForwardResult:
 class ForwardTracer:
     """Traces matched source items forward to every derived output.
 
-    Works over any captured execution (in-memory or warehouse-restored);
-    pass the run's :class:`RunIndex` to evaluate index-assisted.  Results
-    are byte-stable: identifiers are assigned by one deterministic executor
-    counter regardless of scheduler backend, and every collection here is
-    visited in sorted order -- so serial, threaded, and process-pool
-    captures of the same pipeline produce identical forward answers.
+    *run* is an in-memory :class:`~repro.engine.executor.ExecutionResult`
+    or a stored :class:`~repro.warehouse.reader.StoredRun`: the tracer reads
+    only its ``store`` and ``rows()``.  Pass the run's :class:`RunIndex` to
+    evaluate index-assisted.  Results are byte-stable: identifiers come
+    from one deterministic executor counter and every collection here is
+    visited in sorted order, so a capture and its stored run give identical
+    forward answers.
     """
 
-    def __init__(self, execution: ExecutionResult, index: RunIndex | None = None):
-        if execution.store is None:
+    def __init__(self, run: ExecutionResult | StoredRun, index: RunIndex | None = None):
+        if run.store is None:
             raise AuditError("forward tracing needs a capture-enabled execution")
-        self._execution = execution
-        self._store: ProvenanceStoreProtocol = execution.store
+        self._run = run
+        self._store: ProvenanceStoreProtocol = run.store
         self._index = index
         #: Candidates are tested and dropped; a warehouse store can parse
         #: them without keeping them resident.
@@ -350,7 +345,7 @@ class ForwardTracer:
             sources = self.match_sources(tree_pattern)
             seeds = [item_id for source in sources for item_id in source.ids]
             reached = self.closure(seeds)
-            rows = self._execution.rows()
+            rows = self._run.rows()
             outputs = [
                 (pid, item) for pid, item in rows if pid is not None and pid in reached
             ]
@@ -372,7 +367,7 @@ class ForwardTracer:
         return tuple(
             sorted(
                 pid
-                for pid, _ in self._execution.rows()
+                for pid, _ in self._run.rows()
                 if pid is not None and pid in reached
             )
         )
@@ -453,42 +448,11 @@ def _emit(provenance: OperatorProvenance, frontier: set[int]) -> set[int]:
     return outputs
 
 
-def load_execution(
-    warehouse: Any,
-    run_id: str | None = None,
-    method: str = "lazy",
-    cache_size: int = DEFAULT_CACHE_SIZE,
-) -> tuple[Any, ExecutionResult]:
-    """Restore ``(record, execution)`` with the lazy or eager strategy.
-
-    ``eager`` widens the segment cache to the whole run and decodes every
-    operator and source-item block up front -- the paper's eager query
-    evaluation, so audits over it never touch disk.
-    """
-    if method not in AUDIT_METHODS:
-        raise AuditError(
-            f"unknown audit method {method!r}; expected one of {AUDIT_METHODS}"
-        )
-    record = warehouse.resolve(run_id)
-    if method == "eager":
-        cache_size = max(cache_size, record.operator_count)
-    execution = warehouse.load(record.run_id, cache_size=cache_size)
-    if method == "eager":
-        store = execution.store
-        for oid in sorted(store.size_report().per_operator):
-            store.get(oid)
-            if store.is_source(oid):
-                store.source_items(oid)
-    return record, execution
-
-
 def trace_forward(
     warehouse: Any,
     pattern: TreePattern | str,
     run_id: str | None = None,
-    method: str = "lazy",
     use_index: bool = True,
-    cache_size: int = DEFAULT_CACHE_SIZE,
     breakdown: QueryBreakdown | None = None,
 ) -> ForwardResult:
     """One warehouse-level forward trace (load, index, trace, log).
@@ -497,26 +461,22 @@ def trace_forward(
     ``REPRO_SLOW_QUERY_MS`` is set, one is built regardless so over-budget
     traces land in the slow log with their breakdown attached.
     """
-    with explained("forward", "", method=method, breakdown=breakdown) as query:
+    with explained("forward", "", breakdown=breakdown) as query:
         with span("load-run", "load"):
-            record, execution = load_execution(
-                warehouse, run_id, method=method, cache_size=cache_size
-            )
-            index = warehouse.load_index(record.run_id) if use_index else None
-        result = ForwardTracer(execution, index).trace(pattern)
-        query.run_id, query.pattern = record.run_id, result.pattern
-        metrics = execution.store.metrics
+            run = warehouse.load(run_id)
+            index = warehouse.load_index(run.run_id) if use_index else None
+        result = ForwardTracer(run, index).trace(pattern)
+        query.run_id, query.pattern = run.run_id, result.pattern
+        metrics = run.store.metrics
         count(
             segments_decoded=metrics.misses,
             cache_hits=metrics.hits,
             cache_misses=metrics.misses,
             bytes_read=metrics.bytes_read,
-            method=method,
         )
-    get_logger(record.run_id).event(
+    get_logger(run.run_id).event(
         "forward-trace",
         pattern=result.pattern,
-        method=method,
         matched_inputs=result.matched_input_count,
         outputs=len(result.output_ids),
         **result.stats,

@@ -8,8 +8,7 @@ A subject-access request reports those outputs per run; an erasure
 verification asserts there are none left and signs the finding.
 
 Reports are **deliberately timing-free**: two SAR runs over the same
-warehouse state -- indexed or scanning, lazy or eager, today or next week
--- serialise byte-identically, which is what makes the erasure digest a
+warehouse state -- indexed or scanning, today or next week -- serialise byte-identically, which is what makes the erasure digest a
 meaningful receipt and lets CI compare indexed against scan answers with
 ``cmp``.
 """
@@ -23,7 +22,7 @@ from typing import Any, Iterable, Sequence
 from repro.errors import AuditError
 from repro.nested.json_io import _jsonable
 from repro.obs.log import get_logger
-from repro.audit.forward import ForwardTracer, load_execution
+from repro.audit.forward import ForwardTracer
 from repro.warehouse.index import walk_string_leaves
 
 __all__ = [
@@ -54,14 +53,14 @@ def subject_pattern(subject: str, template: str = DEFAULT_SUBJECT_TEMPLATE) -> s
     return template.replace("{subject}", escaped)
 
 
-def harvest_subjects(execution: Any, limit: int = 500) -> list[str]:
+def harvest_subjects(run: Any, limit: int = 500) -> list[str]:
     """Distinct string leaves of the run's source items, sorted, capped.
 
     Subjects drawn from the data itself keep a probe sweep honest: every
     probe exercises the term-postings path (and most also the closure),
     instead of short-circuiting on guaranteed misses.
     """
-    store = execution.store
+    store = run.store
     leaves: set[str] = set()
     for provenance in store.operators():
         if not store.is_source(provenance.oid):
@@ -96,7 +95,7 @@ def sar_over_tracers(
     """The SAR core: trace each page subject through every given tracer.
 
     ``tracers`` is an ordered ``(run_id, tracer)`` sequence; the serve layer
-    passes its resident executions here, the warehouse API freshly loaded
+    passes its resident runs here, the warehouse API freshly loaded
     ones -- the report is identical either way.  Runs in which a subject
     matched nothing are omitted from that subject's entry, so the report
     stays proportional to actual exposure.
@@ -150,7 +149,6 @@ def _item_json(item: Any) -> Any:
 def build_tracers(
     warehouse: Any,
     runs: Sequence[str] | None = None,
-    method: str = "lazy",
     use_index: bool = True,
 ) -> list[tuple[str, ForwardTracer]]:
     """Load one :class:`ForwardTracer` per requested (default: every) run."""
@@ -161,9 +159,8 @@ def build_tracers(
         run_ids = [warehouse.resolve(run_id).run_id for run_id in runs]
     tracers = []
     for run_id in run_ids:
-        _, execution = load_execution(warehouse, run_id, method=method)
         index = warehouse.load_index(run_id) if use_index else None
-        tracers.append((run_id, ForwardTracer(execution, index)))
+        tracers.append((run_id, ForwardTracer(warehouse.load(run_id), index)))
     return tracers
 
 
@@ -172,14 +169,13 @@ def subject_access_request(
     subjects: Iterable[str],
     runs: Sequence[str] | None = None,
     template: str = DEFAULT_SUBJECT_TEMPLATE,
-    method: str = "lazy",
     page: int = 1,
     page_size: int = 100,
     use_index: bool = True,
     include_items: bool = False,
 ) -> dict[str, Any]:
     """One bulk subject-access request across warehouse runs (paginated)."""
-    tracers = build_tracers(warehouse, runs, method=method, use_index=use_index)
+    tracers = build_tracers(warehouse, runs, use_index=use_index)
     report = sar_over_tracers(
         tracers,
         subjects,
@@ -193,7 +189,6 @@ def subject_access_request(
         subjects=report["total_subjects"],
         page=page,
         runs=len(tracers),
-        method=method,
         use_index=use_index,
     )
     return report
@@ -214,7 +209,7 @@ def erasure_over_tracers(
 
     Like :func:`sar_over_tracers`, the report depends only on the warehouse
     state and the request shape -- a server answering from resident
-    executions produces the same bytes (and therefore the same ``digest``)
+    runs produces the same bytes (and therefore the same ``digest``)
     as a fresh library call, which is what makes served receipts
     interchangeable with direct ones.
     """
@@ -250,7 +245,6 @@ def verify_erasure(
     subjects: Iterable[str],
     runs: Sequence[str] | None = None,
     template: str = DEFAULT_SUBJECT_TEMPLATE,
-    method: str = "lazy",
     use_index: bool = True,
 ) -> dict[str, Any]:
     """Assert no warehouse output still derives from any of *subjects*.
@@ -260,7 +254,7 @@ def verify_erasure(
     as a verifiable erasure receipt: re-running the check against the same
     warehouse state reproduces the digest exactly.
     """
-    tracers = build_tracers(warehouse, runs, method=method, use_index=use_index)
+    tracers = build_tracers(warehouse, runs, use_index=use_index)
     report = erasure_over_tracers(tracers, subjects, template=template)
     get_logger("audit").event(
         "audit-erasure",

@@ -258,28 +258,22 @@ class ProvenanceClient:
         pattern: str,
         *,
         run: str | None = None,
-        method: str = "lazy",
         analyze: bool = False,
     ) -> dict[str, Any]:
         """Backward provenance of *pattern* over one stored run (the newest
         when unnamed).  With *analyze* the answer carries an ``"analyze"``
         block of per-phase timings and is computed fresh, never cached."""
-        return self._post(
-            "query", pattern=pattern, run=run, method=method, analyze=analyze
-        )
+        return self._post("query", pattern=pattern, run=run, analyze=analyze)
 
     def forward(
         self,
         pattern: str,
         *,
         run: str | None = None,
-        method: str = "lazy",
         analyze: bool = False,
     ) -> dict[str, Any]:
         """Forward provenance: matched source items -> derived outputs."""
-        return self._post(
-            "forward", pattern=pattern, run=run, method=method, analyze=analyze
-        )
+        return self._post("forward", pattern=pattern, run=run, analyze=analyze)
 
     def sar(
         self,
@@ -288,7 +282,6 @@ class ProvenanceClient:
         template: str | None = None,
         run: str | None = None,
         runs: list[str] | None = None,
-        method: str = "lazy",
         page: int = 1,
         page_size: int = 100,
     ) -> dict[str, Any]:
@@ -299,7 +292,6 @@ class ProvenanceClient:
             template=template,
             run=run,
             runs=runs,
-            method=method,
             page=page,
             page_size=page_size,
         )
@@ -311,16 +303,10 @@ class ProvenanceClient:
         template: str | None = None,
         run: str | None = None,
         runs: list[str] | None = None,
-        method: str = "lazy",
     ) -> dict[str, Any]:
         """An erasure verification; ``["report"]["digest"]`` signs it."""
         return self._post(
-            "erasure",
-            subjects=subjects,
-            template=template,
-            run=run,
-            runs=runs,
-            method=method,
+            "erasure", subjects=subjects, template=template, run=run, runs=runs
         )
 
     def stats(self, *, run: str | None = None) -> dict[str, Any]:

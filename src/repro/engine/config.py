@@ -1,9 +1,8 @@
 """Engine configuration: partitioning and optimizer rules.
 
 One :class:`EngineConfig` replaces the ``num_partitions`` defaults that were
-previously duplicated across ``Session``, ``PebbleSession`` and
-``CapturedExecution.load``, and carries the knobs of the logical/physical
-split: which optimizer rules rewrite the plan before compilation.  How a
+previously duplicated across ``Session`` and ``PebbleSession``, and carries
+the knobs of the logical/physical split: which optimizer rules rewrite the plan before compilation.  How a
 stage runs is not a knob: its partition tasks run serially, once, on the calling thread
 (DESIGN.md Sec. 12).
 

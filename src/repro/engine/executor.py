@@ -97,7 +97,7 @@ class ExecutionResult:
         schema: Schema,
         store: ProvenanceStoreProtocol | None,
         metrics: ExecutionMetrics,
-        physical: PhysicalPlan | None = None,
+        physical: PhysicalPlan,
     ):
         self.root = root
         self.partitions = partitions
@@ -105,8 +105,7 @@ class ExecutionResult:
         #: Captured provenance, or ``None`` when capture was disabled.
         self.store = store
         self.metrics = metrics
-        #: The physical plan that produced this result (``None`` for results
-        #: restored from persistence, which never executed stages).
+        #: The physical plan that produced this result.
         self.physical = physical
 
     def rows(self) -> list[Row]:

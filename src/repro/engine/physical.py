@@ -82,8 +82,6 @@ __all__ = [
 ]
 
 #: Number of items sampled when inferring a dataset schema at runtime.
-#: Shared by every consumer that re-infers a schema from stored rows
-#: (warehouse loads, JSON restores), so persisted and live executions agree.
 SCHEMA_SAMPLE = 200
 
 

@@ -132,9 +132,9 @@ class ProvenanceError(ReproError):
 class LiveRunError(ProvenanceError):
     """An operation requires a sealed run but the target is still live.
 
-    Batch-only paths (``repro index build`` backfill, eager store loads)
-    reject live runs with this error; the incremental per-epoch index and
-    the live store merge are the supported alternatives while a run grows.
+    Batch-only paths (``repro index build`` backfill) reject live runs with
+    this error; the incremental per-epoch index and the live store merge are
+    the supported alternatives while a run grows.
     """
 
     code = "run_live"

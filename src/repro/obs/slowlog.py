@@ -128,7 +128,6 @@ def observe_query(
     run_id: str,
     pattern: str,
     seconds: float,
-    method: str = "lazy",
     breakdown: dict[str, Any] | None = None,
     threshold: float | None = None,
 ) -> bool:
@@ -147,7 +146,6 @@ def observe_query(
         "kind": kind,
         "run_id": run_id,
         "pattern": pattern,
-        "method": method,
         "seconds": seconds,
         "threshold_ms": threshold * 1000.0,
     }
@@ -158,7 +156,6 @@ def observe_query(
         "slow-query",
         kind=kind,
         pattern=pattern,
-        method=method,
         seconds=seconds,
         threshold_ms=threshold * 1000.0,
         breakdown=breakdown,
@@ -198,7 +195,6 @@ class ExplainedQuery:
 def explained(
     kind: str,
     pattern: str,
-    method: str = "lazy",
     run_id: str = "",
     breakdown: QueryBreakdown | None = None,
     analyze: bool = False,
@@ -227,7 +223,6 @@ def explained(
         query.run_id,
         query.pattern,
         breakdown.total_seconds,
-        method=method,
         breakdown=breakdown.to_json(),
         threshold=threshold,
     )

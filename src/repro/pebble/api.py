@@ -77,8 +77,8 @@ class CapturedExecution:
         """Record this execution into a warehouse; returns the run record.
 
         *warehouse* is an open :class:`~repro.warehouse.Warehouse` or its
-        root directory (created if needed); queries can later be served
-        lazily with :meth:`load` or ``repro warehouse query``.
+        root directory (created if needed); ``Warehouse.open(root).load()``
+        or ``repro warehouse query`` answers questions over the stored run.
         """
         from repro.warehouse import Warehouse
 
@@ -93,20 +93,6 @@ class CapturedExecution:
         the warehouse (:meth:`save`) is the queryable store.
         """
         export_execution_json(self._execution, path)
-
-    @classmethod
-    def load(
-        cls, root: FsPath | str, num_partitions: int | None = None
-    ) -> "CapturedExecution":
-        """Restore the newest run of the warehouse at *root* for querying.
-
-        The provenance store is lazy; the plan is not restored (only the
-        sink id), so the execution supports querying, not re-running.
-        ``num_partitions`` defaults to the engine-wide partition count.
-        """
-        from repro.warehouse import Warehouse
-
-        return cls(Warehouse.open(root).load(num_partitions=num_partitions))
 
     def __repr__(self) -> str:
         return f"CapturedExecution({len(self._execution)} result items)"

@@ -3,10 +3,11 @@
 The paper's provenance querying has two phases: the distributed tree-pattern
 matching over the pipeline's (provenance-annotated) result, and the
 backtracing of the matched items through the captured operator provenance to
-every input dataset.  The match comes in two shapes -- over materialised
-partitions (:func:`query_provenance`, in-memory executions) and over a
-stored run's encoded rows (:func:`repro.warehouse.reader.match_encoded_rows`)
--- and both hand their matches to the one :func:`trace_matches`.
+every input dataset.  An in-memory execution matches over its partitions
+(:func:`query_provenance`); a stored run matches over its rows, parsing only
+those the pattern's constants cannot rule out
+(:meth:`repro.warehouse.reader.StoredRun.match`).  Both hand their matches
+to the one :func:`trace_matches`.
 """
 
 from __future__ import annotations

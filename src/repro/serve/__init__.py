@@ -27,7 +27,6 @@ from repro.serve.cache import PatternResultCache
 from repro.serve.http import ProvenanceServer
 from repro.serve.pool import QueryPool
 from repro.serve.service import (
-    QUERY_METHODS,
     QueryService,
     ServeConfig,
     result_to_json,
@@ -38,7 +37,6 @@ __all__ = [
     "ProvenanceServer",
     "QueryPool",
     "QueryService",
-    "QUERY_METHODS",
     "ServeConfig",
     "result_to_json",
 ]

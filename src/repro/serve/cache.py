@@ -4,7 +4,7 @@ The serving workload the paper's query evaluation (Sec. 6) implies is
 *repeated*: the same auditing or data-usage question is asked against the
 same immutable run again and again.  Stored runs never change after
 ``record``, so a query's answer is a pure function of
-``(run, pattern, method)`` -- the perfect cache key.  The cache turns the
+``(run, pattern)`` -- the perfect cache key.  The cache turns the
 second and every later ask into a dictionary lookup: the warm/cold gap
 the ``serve_mixed`` workload of ``benchmarks/e2e`` measures.
 
@@ -24,8 +24,7 @@ every entry with its resolved run id(s) in position 1, so when one run's
 stored answers change (a streaming run's segment epoch moves, or the run
 leaves the catalog) only the answers over that run drop and every other
 entry survives.  A newly recorded run needs no invalidation at all: a
-request that now resolves to it carries a new key.  :meth:`invalidate`
-empties the whole cache.
+request that now resolves to it carries a new key.
 """
 
 from __future__ import annotations
@@ -142,27 +141,16 @@ class PatternResultCache:
                 self.stats.evictions += 1
                 return
 
-    def invalidate(self) -> int:
-        """Drop every entry; returns the number dropped.
-
-        In-flight computations are unaffected: their waiters hold direct
-        entry references, and the owner's result simply never lands in the
-        map (it was already removed), so the next request recomputes.
-        """
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            if dropped:
-                self.stats.invalidations += 1
-            return dropped
-
     def invalidate_runs(self, run_ids: set[str]) -> int:
         """Drop entries whose answer depends on any run in *run_ids*.
 
         The serving layer's cache keys carry the resolved run scope -- a
         tuple of run ids, for every request kind -- at position 1.  Counts
-        one invalidation event when anything dropped (same accounting as
-        :meth:`invalidate`).
+        one invalidation event when anything dropped.
+
+        In-flight computations are unaffected: their waiters hold direct
+        entry references, and the owner's result simply never lands in the
+        map (it was already removed), so the next request recomputes.
         """
         with self._lock:
             doomed = []

@@ -25,12 +25,12 @@ Endpoints (all JSON)::
     GET  /v1/runs/<run_id>         manifest summary + recorded run metrics
     GET  /v1/stats[?run=ID]        the per-run registry `repro stats` renders
     GET  /v1/debug/slow            the slow-query ring (REPRO_SLOW_QUERY_MS)
-    POST /v1/query                 {"pattern", "run", "method", "analyze"}
-    POST /v1/forward               {"pattern", "run", "method", "analyze"}
+    POST /v1/query                 {"pattern", "run", "analyze"}
+    POST /v1/forward               {"pattern", "run", "analyze"}
     POST /v1/audit/sar             {"subjects", "template", "run", "runs",
-                                    "method", "page", "page_size"}
-    POST /v1/audit/erasure         {"subjects", "template", "run", "runs",
-                                    "method"} -- digest-signed receipt
+                                    "page", "page_size"}
+    POST /v1/audit/erasure         {"subjects", "template", "run", "runs"}
+                                    -- digest-signed receipt
 
 Outside the version namespace there are exactly two paths, both Prometheus
 text: ``GET /metrics`` and ``GET /stats?format=prometheus[&run=ID]``.

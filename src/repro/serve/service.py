@@ -15,16 +15,15 @@ resolve scope -> cache -> admit under a deadline -> compute under a span
 Serving changes the warehouse's access pattern from "load per query" to
 "load once, query forever":
 
-* one **resident execution per (run, method)** -- loaded lazily on first
-  use and shared by all request threads (the
-  :class:`~repro.warehouse.reader.LazyProvenanceStore` is thread safe);
-  the ``lazy`` method decodes operator segments on demand, the ``eager``
-  method materialises the whole run up front so queries never touch disk --
-  the two sides of the paper's eager-vs-lazy query evaluation (Sec. 6),
-  selectable per request;
-* one **pattern-result cache** keyed by ``(kind, run scope, params)``,
-  invalidated when the catalog gains a run (stored runs are immutable, but
-  name resolution is "newest wins");
+* one **resident run per run id** -- the
+  :class:`~repro.warehouse.reader.StoredRun` that ``Warehouse.backtrace``
+  answers one-shot questions from, opened on first use and shared by all
+  request threads (it is thread safe): operator segments decode on demand
+  and each result row is parsed on its first touch, then kept;
+* one **pattern-result cache** keyed by ``(kind, run scope, params)``; the
+  scope holds resolved run ids, so a newly recorded run costs nothing and
+  only a run whose stored answers change (its segment epoch moves, or it
+  leaves the catalog) drops its entries;
 * one **query pool** bounding concurrent computations with admission
   control (429) and per-request deadlines (504).
 
@@ -43,24 +42,23 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.audit.forward import ForwardResult, ForwardTracer, load_execution
+from repro.audit.forward import ForwardResult, ForwardTracer
 from repro.audit.sar import (
     DEFAULT_SUBJECT_TEMPLATE,
     erasure_over_tracers,
     sar_over_tracers,
 )
 from repro.core.backtrace.result import ProvenanceResult
-from repro.engine.executor import ExecutionResult
 from repro.errors import ServeError
 from repro.obs.log import get_logger
 from repro.obs.metrics import Counter, MetricsRegistry, get_registry, set_build_info
 from repro.obs.slowlog import explained, slow_log_payload
 from repro.obs.tracer import span, timed
-from repro.pebble.query import query_provenance
 from repro.serve.cache import PatternResultCache
 from repro.serve.pool import QueryPool
 from repro.warehouse import Warehouse
-from repro.warehouse.reader import LazyProvenanceStore
+from repro.warehouse.index import RunIndex
+from repro.warehouse.reader import StoredRun
 from repro.warehouse.service import METRICS_NAME
 
 __all__ = [
@@ -69,7 +67,6 @@ __all__ = [
     "POST_ROUTES",
     "GetRoute",
     "PostRoute",
-    "QUERY_METHODS",
     "QueryService",
     "ServeConfig",
     "result_to_json",
@@ -77,9 +74,6 @@ __all__ = [
 
 #: The current (only) version namespace of the HTTP surface.
 API_VERSION = "v1"
-
-#: The two run-loading strategies a query may request.
-QUERY_METHODS = ("lazy", "eager")
 
 
 @dataclass(frozen=True)
@@ -147,29 +141,20 @@ def result_to_json(result: ProvenanceResult) -> dict[str, Any]:
 
 
 class _ResidentRun:
-    """One loaded (run, method) pair shared across request threads."""
+    """One opened stored run shared across request threads."""
 
-    __slots__ = ("run_id", "execution", "method", "loaded_at", "index")
+    __slots__ = ("run", "index")
 
-    def __init__(
-        self, run_id: str, execution: ExecutionResult, method: str, index: Any = None
-    ):
-        self.run_id = run_id
-        self.execution = execution
-        self.method = method
-        self.loaded_at = time.time()
-        #: The run's persisted :class:`~repro.warehouse.index.RunIndex`, or
-        #: ``None`` when the run was recorded unindexed (forward traces then
-        #: fall back to a full scan; answers are identical either way).
+    def __init__(self, run: StoredRun, index: RunIndex | None):
+        self.run = run
+        #: The run's persisted index, or ``None`` when the run was recorded
+        #: unindexed (forward traces then fall back to a full scan; answers
+        #: are identical either way).
         self.index = index
 
     def forward_tracer(self) -> ForwardTracer:
         """A fresh tracer per request: per-trace stats stay un-shared."""
-        return ForwardTracer(self.execution, self.index)
-
-    @property
-    def store(self) -> LazyProvenanceStore:
-        return self.execution.store  # type: ignore[return-value]
+        return ForwardTracer(self.run, self.index)
 
 
 # -- the route table -----------------------------------------------------------
@@ -205,7 +190,6 @@ _FIELDS: dict[str, tuple[Any, str, Callable[[Any], bool]]] = {
         lambda value: value is None
         or (isinstance(value, list) and all(map(_is_name, value))),
     ),
-    "method": ("lazy", f"one of {QUERY_METHODS}", lambda value: value in QUERY_METHODS),
     "analyze": (False, "true or false", lambda value: isinstance(value, bool)),
     "template": (DEFAULT_SUBJECT_TEMPLATE, "a pattern template string", _is_name),
     "page": (1, "an integer >= 1", _is_count),
@@ -227,9 +211,8 @@ class PostRoute:
     compute: Callable[[list[_ResidentRun], dict[str, Any]], tuple[Any, dict[str, Any]]]
     #: The answer's JSON view (its ``result`` / ``report`` block).
     render: Callable[[Any], dict[str, Any]]
-    #: The request counter, and the params that label it.
+    #: The request counter.
     counter: str
-    counter_labels: tuple[str, ...] = ()
     #: The run scope.  ``False``: one run (``run`` names it, default the
     #: newest).  ``True``: many runs (``runs``, else ``run``, else every run).
     many_runs: bool = False
@@ -283,11 +266,11 @@ class GetRoute:
 
 
 def _tracers(residents: list[_ResidentRun]) -> list[tuple[str, ForwardTracer]]:
-    return [(resident.run_id, resident.forward_tracer()) for resident in residents]
+    return [(resident.run.run_id, resident.forward_tracer()) for resident in residents]
 
 
 def _backtrace(residents: list[_ResidentRun], params: dict[str, Any]) -> Any:
-    result = query_provenance(residents[0].execution, params["pattern"])
+    result = residents[0].run.backtrace(params["pattern"])
     return result, {"matched": len(result.matched_output_ids)}
 
 
@@ -318,7 +301,7 @@ def _erasure(residents: list[_ResidentRun], params: dict[str, Any]) -> Any:
     return report, {"subjects": report["subject_count"], "clean": report["clean"]}
 
 
-_AUDIT_FIELDS = ("subjects", "template", "run", "runs", "method")
+_AUDIT_FIELDS = ("subjects", "template", "run", "runs")
 
 #: The four request kinds.  A fifth is one entry here plus one
 #: :class:`~repro.client.ProvenanceClient` method.
@@ -327,17 +310,17 @@ POST_ROUTES: dict[str, PostRoute] = {
     for route in (
         PostRoute(
             "query", "/query",
-            fields=("pattern", "run", "method", "analyze"),
+            fields=("pattern", "run", "analyze"),
             compute=_backtrace,
             render=result_to_json,
-            counter="repro_serve_queries_total", counter_labels=("method",),
+            counter="repro_serve_queries_total",
         ),
         PostRoute(
             "forward", "/forward",
-            fields=("pattern", "run", "method", "analyze"),
+            fields=("pattern", "run", "analyze"),
             compute=_forward,
             render=ForwardResult.to_json,
-            counter="repro_serve_forward_queries_total", counter_labels=("method",),
+            counter="repro_serve_forward_queries_total",
         ),
         PostRoute(
             "sar", "/audit/sar",
@@ -389,7 +372,7 @@ class QueryService:
             deadline=config.effective_deadline(),
         )
         self.cache = PatternResultCache(config.cache_size)
-        self._residents: dict[tuple[str, str], _ResidentRun] = {}
+        self._residents: dict[str, _ResidentRun] = {}
         self._load_lock = threading.Lock()
         self._catalog_sig = self._catalog_signature()
         self._segment_epochs = self._catalog_epochs()
@@ -463,8 +446,8 @@ class QueryService:
                 if run_id in before and before[run_id] != epoch
             }
             stale = moved | (before.keys() - self._segment_epochs.keys())
-            for key in [key for key in self._residents if key[0] in stale]:
-                del self._residents[key]
+            for run_id in stale & self._residents.keys():
+                del self._residents[run_id]
         self.registry.counter("repro_serve_catalog_refreshes_total").inc()
         if not stale:
             return False
@@ -597,9 +580,7 @@ class QueryService:
                     key, compute, wait_timeout=deadline
                 )
             request_span.set(cached=was_hit)
-        self.registry.counter(
-            route.counter, **{name: params[name] for name in route.counter_labels}
-        ).inc()
+        self.registry.counter(route.counter).inc()
         return dict(
             payload, server={"cached": was_hit, "seconds": request_span.duration}
         )
@@ -624,7 +605,6 @@ class QueryService:
         self, route: PostRoute, run_ids: tuple[str, ...], params: dict[str, Any]
     ) -> dict[str, Any]:
         """The pooled worker body: the route's computation over resident runs."""
-        method = params["method"]
         analyze = params.get("analyze", False)
         if route.many_runs:
             text, log_as, about = params["template"], "serve", {"runs": len(run_ids)}
@@ -632,26 +612,19 @@ class QueryService:
             text, log_as = params["pattern"], run_ids[0]
             about = {"run_id": log_as, "pattern": text}
         with explained(
-            route.kind,
-            text,
-            method=method,
-            run_id=",".join(run_ids),
-            analyze=analyze,
+            route.kind, text, run_id=",".join(run_ids), analyze=analyze
         ) as query:
             if self.query_hook is not None:
                 self.query_hook()
-            residents = [self._resident(run_id, method) for run_id in run_ids]
-            with timed(
-                f"serve-{route.kind}", "serve", method=method, **about
-            ) as compute_span:
+            residents = [self._resident(run_id) for run_id in run_ids]
+            with timed(f"serve-{route.kind}", "serve", **about) as compute_span:
                 answer, facts = route.compute(residents, params)
                 compute_span.set(**facts)
             seconds = compute_span.duration
             get_logger(log_as).event(
-                f"serve-{route.kind}", method=method, seconds=seconds, **about, **facts
+                f"serve-{route.kind}", seconds=seconds, **about, **facts
             )
             payload = {
-                "method": method,
                 route.block: route.render(answer),
                 "query_seconds": seconds,
             }
@@ -661,24 +634,20 @@ class QueryService:
             payload["analyze"] = query.breakdown.to_json()
         return payload
 
-    def _resident(self, run_id: str, method: str) -> _ResidentRun:
-        """The shared execution for ``(run_id, method)``, loading on first use."""
-        key = (run_id, method)
-        resident = self._residents.get(key)
+    def _resident(self, run_id: str) -> _ResidentRun:
+        """The shared stored run *run_id*, opened on first use."""
+        resident = self._residents.get(run_id)
         if resident is not None:
             return resident
         with self._load_lock:
-            resident = self._residents.get(key)
+            resident = self._residents.get(run_id)
             if resident is not None:
                 return resident
-            with span(
-                "serve-load", "serve", run_id=run_id, method=method
-            ):
-                # Eager: nothing may evict, the whole run decodes up front.
-                _, execution = load_execution(self.warehouse, run_id, method=method)
-                index = self.warehouse.load_index(run_id)
-                resident = _ResidentRun(run_id, execution, method, index)
-            self._residents[key] = resident
+            with span("serve-load", "serve", run_id=run_id):
+                resident = _ResidentRun(
+                    self.warehouse.load(run_id), self.warehouse.load_index(run_id)
+                )
+            self._residents[run_id] = resident
             return resident
 
     # -- metrics ---------------------------------------------------------------
@@ -715,11 +684,11 @@ class QueryService:
         registry.gauge("repro_serve_pool_timeouts").set(pool.timeouts)
         for name, value in self.cache.snapshot().items():
             registry.gauge(f"repro_serve_pattern_cache_{name}").set(value)
-        for (run_id, method), resident in list(self._residents.items()):
-            cache = resident.store.metrics
+        for run_id, resident in list(self._residents.items()):
+            cache = resident.run.store.metrics
             for field in ("hits", "misses", "item_hits", "item_misses", "bytes_read", "evictions"):
                 registry.gauge(
-                    f"repro_serve_segment_cache_{field}", run_id=run_id, method=method
+                    f"repro_serve_segment_cache_{field}", run_id=run_id
                 ).set(getattr(cache, field))
 
     def metrics_text(self) -> str:

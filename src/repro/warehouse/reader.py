@@ -30,6 +30,10 @@ for sources that actually end up with provenance entries -- and of such a
 block only the items an answer lists are ever parsed
 (:class:`~repro.warehouse.format.SourceItemBlock`).
 
+:class:`StoredRun` -- what ``Warehouse.load`` returns -- is the one object
+every query over a stored run goes through: the store plus the run's result
+rows, kept encoded until a question needs them.
+
 Cache hits and misses feed a
 :class:`~repro.engine.metrics.SegmentCacheMetrics`, making "how much of the
 run did this query touch?" an observable rather than a hope (a miss is one
@@ -54,6 +58,7 @@ from contextlib import contextmanager
 from pathlib import Path as FsPath
 from typing import Any, Iterable, Iterator, NamedTuple
 
+from repro.core.backtrace.result import ProvenanceResult
 from repro.core.operator_provenance import (
     Associations,
     InputRef,
@@ -68,40 +73,27 @@ from repro.core.treepattern.matcher import (
 )
 from repro.core.treepattern.pattern import TreePattern
 from repro.engine.metrics import SegmentCacheMetrics
-from repro.engine.plan import PlanNode
 from repro.errors import BacktraceError, ProvenanceError
+from repro.nested.json_io import item_from_json
 from repro.nested.schema import Schema
 from repro.nested.types import unify
 from repro.nested.values import DataItem
-from repro.obs.tracer import span
+from repro.obs.tracer import count, span
+from repro.pebble.query import as_pattern, trace_matches
 import repro.warehouse.format as wf
 from repro.warehouse.writer import MANIFEST_NAME, PART_NAME
 
 __all__ = [
     "LazyProvenanceStore",
-    "RestoredPlanNode",
     "RunPart",
+    "StoredRun",
     "load_manifest",
-    "match_encoded_rows",
     "read_range",
     "run_parts",
 ]
 
 #: Default number of decoded operator segments kept resident.
 DEFAULT_CACHE_SIZE = 64
-
-
-class RestoredPlanNode(PlanNode):
-    """Placeholder plan root carrying only the sink's operator id.
-
-    A restored execution supports querying, not re-running; the original
-    program is the source of truth for the plan itself.
-    """
-
-    op_type = "restored"
-
-    def __init__(self, oid: int):
-        super().__init__(oid, ())
 
 
 def load_manifest(run_dir: FsPath) -> dict[str, Any]:
@@ -195,24 +187,6 @@ def read_range(
     with open(directory / entry["segment"], "rb") as handle:
         handle.seek(entry[offset_key])
         return handle.read(entry[length_key])
-
-
-def match_encoded_rows(
-    pattern: TreePattern, rows: Iterable[tuple[int | None, bytes]]
-) -> tuple[list[PatternMatch], int]:
-    """Tree-pattern match over a stored run's ``(pid, raw JSON)`` rows.
-
-    Rows whose bytes lack one of the pattern's required string constants
-    cannot match and are never parsed; the survivors are materialised and
-    matched exactly like in-memory rows.  Returns the matches (in row order)
-    and how many rows were parsed.
-    """
-    with span("pattern-match", "pattern_match", pattern=pattern.render()) as handle:
-        with span("row-decode", "segment_decode"):
-            survivors = wf.materialise_rows(prefilter_encoded_rows(pattern, rows))
-        matches = match_rows(pattern, survivors)
-        handle.set(matched=len(matches), rows_decoded=len(survivors))
-    return matches, len(survivors)
 
 
 @contextmanager
@@ -534,3 +508,64 @@ class LazyProvenanceStore:
             f"{len(self._parts)} parts, {len(self._index)} operators, "
             f"{len(self._operators)} resident)"
         )
+
+
+class StoredRun:
+    """One stored run as every query over it sees it.
+
+    Holds the run's :class:`LazyProvenanceStore` and its result rows, read
+    once and kept encoded.  A row is parsed on its first touch and then
+    kept -- the rule :meth:`~repro.warehouse.format.SourceItemBlock.get`
+    applies to items -- under the store's lock, so concurrent queries parse
+    a row once and ``rows_decoded`` counts it once.  A one-shot query
+    parses only the rows the pattern's string constants cannot rule out; a
+    resident run answers every later question from the rows already parsed.
+    """
+
+    def __init__(self, store: LazyProvenanceStore):
+        self.store = store
+        self.run_id = store.run_id
+        self._rows = list(store.encoded_rows())
+        #: Row position -> parsed item, filled on first touch.
+        self._parsed: dict[int, DataItem] = {}
+
+    def _parse(self, positions: Iterable[int]) -> list[tuple[int | None, DataItem]]:
+        """The rows at *positions*, parsing those not parsed yet."""
+        rows, parsed = self._rows, self._parsed
+        with span("row-decode", "segment_decode") as handle:
+            positions = list(positions)
+            fresh = [position for position in positions if position not in parsed]
+            if fresh:
+                with self.store._lock:
+                    fresh = [position for position in fresh if position not in parsed]
+                    for position in fresh:
+                        parsed[position] = item_from_json(rows[position][1])
+                    self.store.metrics.add(rows_decoded=len(fresh))
+            handle.set(rows_decoded=len(fresh))
+        count(rows_decoded=len(fresh))
+        return [(rows[position][0], parsed[position]) for position in positions]
+
+    def match(self, pattern: TreePattern | str) -> list[PatternMatch]:
+        """Tree-pattern match over the run's rows, in row order.
+
+        Rows whose bytes lack one of the pattern's required string constants
+        cannot match and are never parsed; the survivors are matched exactly
+        like in-memory rows.
+        """
+        pattern = as_pattern(pattern)
+        with span("pattern-match", "pattern_match", pattern=pattern.render()) as handle:
+            survivors = prefilter_encoded_rows(
+                pattern, ((position, raw) for position, (_, raw) in enumerate(self._rows))
+            )
+            matches = match_rows(pattern, self._parse(position for position, _ in survivors))
+            handle.set(matched=len(matches))
+        count(rows_visited=len(self._rows), matched=len(matches))
+        return matches
+
+    def backtrace(self, pattern: TreePattern | str) -> ProvenanceResult:
+        """Match *pattern* and backtrace the matches to the input datasets."""
+        return trace_matches(self.store, self.store.sink_oid, self.match(pattern))
+
+    def rows(self) -> list[tuple[int | None, DataItem]]:
+        """Every result row as ``(pid, item)``, each parsed once."""
+        return self._parse(range(len(self._rows)))

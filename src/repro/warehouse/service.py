@@ -34,24 +34,20 @@ import json
 import shutil
 import time
 from pathlib import Path as FsPath
-from typing import Any, Iterator
+from typing import Any
 
 from repro.core.backtrace.result import ProvenanceResult
 from repro.core.treepattern.pattern import TreePattern
-from repro.engine.config import resolve_partitions
 from repro.engine.executor import ExecutionResult
-from repro.engine.metrics import ExecutionMetrics, SegmentCacheMetrics
-from repro.engine.partition import partition_rows
+from repro.engine.metrics import SegmentCacheMetrics
 from repro.errors import LiveRunError, ProvenanceError
-from repro.nested.schema import Schema, infer_schema
-from repro.nested.types import StructType
 from repro.obs.breakdown import QueryBreakdown
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import explained
 from repro.obs.tracer import count, span
+from repro.pebble.query import as_pattern
 from repro.warehouse.catalog import Catalog, RunRecord
-from repro.warehouse.format import materialise_rows
 from repro.warehouse.index import RunIndex, ensure_index
 from repro.warehouse.live import (
     append_epoch,
@@ -63,11 +59,9 @@ from repro.warehouse.live import (
     seal_live_manifest,
 )
 from repro.warehouse.reader import (
-    DEFAULT_CACHE_SIZE,
     LazyProvenanceStore,
-    RestoredPlanNode,
+    StoredRun,
     load_manifest,
-    match_encoded_rows,
     run_parts,
 )
 from repro.warehouse.writer import encode_part, write_run
@@ -355,9 +349,7 @@ class Warehouse:
         self,
         run_id: str | None,
         pattern: TreePattern | str,
-        method: str = "lazy",
         use_index: bool = True,
-        cache_size: int = DEFAULT_CACHE_SIZE,
         breakdown: QueryBreakdown | None = None,
     ) -> "ForwardResult":
         """Trace forward: which outputs of a stored run derive from the
@@ -369,9 +361,7 @@ class Warehouse:
             self,
             pattern,
             run_id=run_id,
-            method=method,
             use_index=use_index,
-            cache_size=cache_size,
             breakdown=breakdown,
         )
 
@@ -452,89 +442,33 @@ class Warehouse:
             )
         return summary
 
-    # -- lazy loading / querying -----------------------------------------------
+    # -- querying ---------------------------------------------------------------
 
-    def _open_run(
-        self,
-        run_id: str | None,
-        cache_size: int,
-        metrics: SegmentCacheMetrics | None = None,
-        max_epoch: int | None = None,
-    ) -> tuple[LazyProvenanceStore, Iterator[tuple[int | None, bytes]]]:
-        """A stored run's lazy store plus its result rows, still encoded.
+    def load(self, run_id: str | None = None) -> StoredRun:
+        """Open a stored run for querying (with no *run_id*, the newest).
 
         Reads the manifest and the rows segment(s); parses neither rows nor
-        provenance.  With no *run_id*, the newest run opens.
+        provenance.  Epoch-layout runs (live or sealed-uncompacted) open the
+        epochs visible *now* -- a consistent snapshot, since epoch
+        directories are complete before the manifest references them.
         """
-        record = self._catalog.find(run_id) if run_id else self._catalog.latest()
+        record = self.resolve(run_id)
         run_dir = self._dir_for(record)
         with span("warehouse-load", "warehouse", run_id=record.run_id):
-            store = LazyProvenanceStore(
-                run_dir,
-                load_manifest(run_dir),
-                cache_size=cache_size,
-                metrics=metrics,
-                max_epoch=max_epoch,
-            )
-            return store, store.encoded_rows()
-
-    def load(
-        self,
-        run_id: str | None = None,
-        num_partitions: int | None = None,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        metrics: SegmentCacheMetrics | None = None,
-        max_epoch: int | None = None,
-    ) -> ExecutionResult:
-        """Restore a run as a queryable execution with a lazy store.
-
-        Every result row is materialised (the execution is a resident,
-        re-queryable object; :meth:`backtrace` is the one-shot path that
-        parses only what its question touches), but the provenance store
-        behind the execution is a :class:`LazyProvenanceStore`: operators
-        decode only when a backtrace touches them.  With no *run_id*, the
-        newest run loads.
-
-        Epoch-layout runs (live or sealed-uncompacted) load the epochs
-        visible *now* -- a consistent snapshot, since epoch directories are
-        complete before the manifest references them.  *max_epoch* restricts
-        the view to epochs admitted at or before it (how a query that was
-        admitted mid-ingest stays pinned to what it saw); batch runs ignore it.
-        """
-        num_partitions = resolve_partitions(num_partitions)
-        store, encoded = self._open_run(run_id, cache_size, metrics, max_epoch)
-        rows = materialise_rows(encoded)
-        store.metrics.add(rows_decoded=len(rows))
-        from repro.engine.executor import SCHEMA_SAMPLE
-
-        schema = (
-            infer_schema(item for _, item in rows[:SCHEMA_SAMPLE])
-            if rows
-            else Schema(StructType())
-        )
-        return ExecutionResult(
-            RestoredPlanNode(store.sink_oid),
-            partition_rows(rows, num_partitions),
-            schema,
-            store,
-            ExecutionMetrics(),
-        )
+            return StoredRun(LazyProvenanceStore(run_dir, load_manifest(run_dir)))
 
     def backtrace(
         self,
         run_id: str | None,
         pattern: TreePattern | str,
-        cache_size: int = DEFAULT_CACHE_SIZE,
         breakdown: QueryBreakdown | None = None,
     ) -> tuple[ProvenanceResult, SegmentCacheMetrics]:
         """Answer a structural provenance question against a stored run.
 
-        The cold path parses only what the question touches: result rows
-        stay encoded until the pattern's required string constants have
-        ruled out every row they can (:func:`match_encoded_rows`), no
-        schema is inferred and nothing is partitioned, and source blocks
-        yield only the items the answer lists.  The answer is the one
-        ``query_provenance(self.load(run_id), pattern)`` gives.
+        A fresh :meth:`load` answers it (:meth:`StoredRun.backtrace`), so
+        only what the question touches is parsed: rows the pattern's
+        required string constants rule out stay encoded, and source blocks
+        yield only the items the answer lists.
 
         Returns the provenance result plus the segment-cache metrics of the
         query, whose miss counter equals the number of operator segments the
@@ -543,27 +477,20 @@ class Warehouse:
         when the ``REPRO_SLOW_QUERY_MS`` budget is set, one is built anyway
         so over-budget queries land in the slow log with their breakdown.
         """
-        from repro.pebble.query import as_pattern, trace_matches
-
         tree_pattern = as_pattern(pattern)
         with explained("backtrace", str(pattern), breakdown=breakdown) as query:
             with span("warehouse-query", "warehouse") as handle:
                 with span("open-run", "load"):
-                    store, encoded = self._open_run(run_id, cache_size)
-                query.run_id = store.run_id
-                matches, rows_decoded = match_encoded_rows(tree_pattern, encoded)
-                metrics = store.metrics
-                metrics.add(rows_decoded=rows_decoded)
-                result = trace_matches(store, store.sink_oid, matches)
+                    run = self.load(run_id)
+                query.run_id = run.run_id
+                result = run.backtrace(tree_pattern)
+                metrics = run.store.metrics
                 handle.set(
-                    run_id=store.run_id,
+                    run_id=run.run_id,
                     segments_decoded=metrics.misses,
                     bytes_read=metrics.bytes_read,
                 )
             count(
-                rows_visited=store.manifest["rows"]["count"],
-                matched=len(matches),
-                rows_decoded=metrics.rows_decoded,
                 items_decoded=metrics.items_decoded,
                 segments_decoded=metrics.misses,
                 cache_hits=metrics.hits,
@@ -571,7 +498,7 @@ class Warehouse:
                 bytes_read=metrics.bytes_read,
             )
         metrics.publish()
-        get_logger(store.run_id).event(
+        get_logger(run.run_id).event(
             "warehouse-query",
             pattern=str(pattern),
             matched=len(result.matched_output_ids),
@@ -596,7 +523,7 @@ class Warehouse:
         registry answers "what would this query touch?" as numbers.
         """
         registry = registry if registry is not None else MetricsRegistry()
-        record = self._catalog.find(run_id) if run_id else self._catalog.latest()
+        record = self.resolve(run_id)
         run_dir = self._dir_for(record)
         manifest = load_manifest(run_dir)
         operators = self._operator_summaries(run_dir, manifest)

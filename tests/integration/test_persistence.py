@@ -2,13 +2,14 @@
 
 The warehouse is the one store provenance is read back from:
 ``CapturedExecution.save`` records into a warehouse root directory and
-``CapturedExecution.load`` restores its newest run.
+``Warehouse.open(root).load()`` opens its newest run for querying.
 """
 
 import pytest
 
 from repro.errors import ProvenanceError
 from repro.pebble.api import CapturedExecution
+from repro.warehouse import Warehouse
 from repro.workloads.scenarios import (
     RUNNING_EXAMPLE_PATTERN,
     build_running_example,
@@ -27,7 +28,7 @@ class TestSaveLoadRoundtrip:
         record = captured.save(root, name="example")
         assert record.name == "example"
         assert record.row_count == len(captured.rows())
-        restored = CapturedExecution.load(root, num_partitions=2)
+        restored = Warehouse.open(root).load()
         after = restored.backtrace(RUNNING_EXAMPLE_PATTERN)
 
         assert after.all_ids() == before.all_ids()
@@ -40,18 +41,17 @@ class TestSaveLoadRoundtrip:
         captured = pebble.run(pipeline)
         root = tmp_path / "wh"
         captured.save(root)
-        restored = CapturedExecution.load(root)
-        assert sorted(map(repr, restored.items())) == sorted(map(repr, captured.items()))
-        assert restored.size_report().lineage_bytes == captured.size_report().lineage_bytes
-        assert (
-            restored.size_report().structural_bytes
-            == captured.size_report().structural_bytes
+        restored = Warehouse.open(root).load()
+        assert sorted(map(repr, (item for _, item in restored.rows()))) == sorted(
+            map(repr, captured.items())
         )
+        sizes = restored.store.size_report()
+        assert sizes.lineage_bytes == captured.size_report().lineage_bytes
+        assert sizes.structural_bytes == captured.size_report().structural_bytes
 
     @pytest.mark.parametrize("name", ["T1", "D4", "D5"])
     def test_scenarios_roundtrip(self, name, tmp_path):
         from repro.engine.session import Session
-        from repro.pebble.query import query_provenance
 
         spec = scenario(name)
         data = load_workload(spec.kind, 0.1)
@@ -59,8 +59,7 @@ class TestSaveLoadRoundtrip:
         before = captured.backtrace(spec.pattern)
         root = tmp_path / "wh"
         captured.save(root, name=name)
-        restored = CapturedExecution.load(root, num_partitions=2)
-        after = query_provenance(restored.execution, spec.pattern)
+        after = Warehouse.open(root).load().backtrace(spec.pattern)
         assert after.all_ids() == before.all_ids()
 
     def test_plain_execution_rejected(self, pebble, example_tweets, tmp_path):
@@ -74,4 +73,4 @@ class TestSaveLoadRoundtrip:
         path = tmp_path / "capture.json"
         pebble.run(build_running_example(pebble.session, example_tweets)).export_json(path)
         with pytest.raises(ProvenanceError, match="not a directory"):
-            CapturedExecution.load(path)
+            Warehouse.open(path)

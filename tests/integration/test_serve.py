@@ -4,7 +4,7 @@ Each test stands up a :class:`ProvenanceServer` on an ephemeral port over a
 freshly recorded warehouse, with its own :class:`MetricsRegistry` so request
 accounting is assertable per test.  The core guarantee pinned here: answers
 served concurrently through the HTTP + pool + cache stack are byte-identical
-to a direct ``query_provenance`` over ``Warehouse.load``.
+to the in-memory capture's own ``query_provenance`` answer.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.serve import (
     result_to_json,
 )
 from repro.warehouse import Warehouse
-from repro.workloads.scenarios import RUNNING_EXAMPLE_PATTERN
+from repro.workloads.scenarios import RUNNING_EXAMPLE_PATTERN, scenario
 
 NO_BACKOFF = RetryPolicy(max_retries=2, backoff=0.0)
 
@@ -105,13 +105,13 @@ class TestEndpoints:
         with pytest.raises(TreePatternError):
             client.backtrace("root{")  # unbalanced pattern
         with pytest.raises(ServeError):
-            client.backtrace(RUNNING_EXAMPLE_PATTERN, method="psychic")
+            client.backtrace(RUNNING_EXAMPLE_PATTERN, analyze="yes")
 
     def test_metrics_exposes_request_queue_and_cache_counters(self, client):
         client.backtrace(RUNNING_EXAMPLE_PATTERN)
         text = client.metrics_text()
         assert 'repro_serve_requests_total{endpoint="/v1/query",status="200"}' in text
-        assert 'repro_serve_queries_total{method="lazy"}' in text
+        assert "\nrepro_serve_queries_total 1\n" in text
         assert "repro_serve_queue_depth" in text
         assert "repro_serve_pattern_cache_hits" in text
         assert "repro_serve_segment_cache_misses" in text
@@ -134,32 +134,33 @@ class TestEndpoints:
         text = scrape(f"{served[0].url}/stats?format=prometheus&run={run_id}")
         for line in local.render_prometheus().splitlines():
             assert line in text
-        assert 'repro_serve_queries_total{method="lazy"}' in text
+        assert "\nrepro_serve_queries_total 1\n" in text
 
 
 class TestQueryEquivalence:
-    @pytest.mark.parametrize("method", ["lazy", "eager"])
-    def test_served_answer_equals_direct_backtrace(self, served, client, method):
-        _, _, root = served
-        payload = client.backtrace(RUNNING_EXAMPLE_PATTERN, method=method)
-        direct = query_provenance(
-            Warehouse.open(root).load(), RUNNING_EXAMPLE_PATTERN
-        )
+    def test_served_answer_equals_direct_backtrace(self, served, client, captured_example):
+        payload = client.backtrace(RUNNING_EXAMPLE_PATTERN)
+        direct = query_provenance(captured_example, RUNNING_EXAMPLE_PATTERN)
         assert payload["result"] == result_to_json(direct)
-        assert payload["method"] == method
+        assert "method" not in payload
         assert payload["server"]["cached"] is False
 
-    def test_eager_run_queries_touch_no_disk(self, served, client):
+    def test_a_second_query_parses_no_row_already_parsed(self, served, client):
         _, service, _ = served
-        client.backtrace(RUNNING_EXAMPLE_PATTERN, method="eager")
-        resident = service._residents[
-            (service.warehouse.resolve().run_id, "eager")
-        ]
-        bytes_after_load = resident.store.metrics.bytes_read
-        client.backtrace('root{//name="vx"}', method="eager")
-        assert resident.store.metrics.bytes_read == bytes_after_load
+        client.backtrace(RUNNING_EXAMPLE_PATTERN)
+        run = service._residents[service.warehouse.resolve().run_id].run
+        parsed = run.store.metrics.rows_decoded
+        assert parsed > 0
+        # analyze bypasses the answer cache: the rows are asked for again.
+        client.backtrace(RUNNING_EXAMPLE_PATTERN, analyze=True)
+        assert run.store.metrics.rows_decoded == parsed
+        # A pattern with no constant needs every row; each is parsed once.
+        client.backtrace("root{//id_str}")
+        assert run.store.metrics.rows_decoded == len(run.rows())
 
-    def test_concurrent_queries_identical_to_serial(self, served, recorded):
+    def test_concurrent_queries_identical_to_serial(
+        self, served, recorded, captured_example
+    ):
         """N threads of mixed /query + /runs == the serial answers, byte for byte."""
         server, service, root = served
         _, run_id = recorded
@@ -170,9 +171,7 @@ class TestQueryEquivalence:
         ]
         serial = {
             pattern: json.dumps(
-                result_to_json(
-                    query_provenance(Warehouse.open(root).load(), pattern)
-                ),
+                result_to_json(query_provenance(captured_example, pattern)),
                 sort_keys=True,
             )
             for pattern in patterns
@@ -208,15 +207,15 @@ class TestQueryEquivalence:
             thread.join()
         assert failures == []
         # Single-flight caching makes the counters deterministic even under
-        # this much concurrency: one miss per unique (run, pattern, method).
+        # this much concurrency: one miss per unique (run, pattern).
         snap = service.cache.snapshot()
         assert snap["misses"] == len(patterns)
         assert snap["hits"] == workers * per_worker - len(patterns)
         # And decode-under-lock does the same for the segment cache: the
         # lazy store decoded each reachable segment exactly once.
-        resident = service._residents[(run_id, "lazy")]
-        report = resident.store.size_report()
-        assert resident.store.metrics.misses <= len(report.per_operator)
+        store = service._residents[run_id].run.store
+        report = store.size_report()
+        assert store.metrics.misses <= len(report.per_operator)
 
     def test_concurrent_identical_queries_compute_once(self, served):
         """24 identical asks from 4 threads: one computes, 23 are served warm."""
@@ -354,6 +353,23 @@ class TestCacheInvalidation:
         assert service.cache.stats.invalidations == 1
 
 
+class TestResidentRuns:
+    def test_first_served_query_parses_only_candidate_rows(self, tmp_path):
+        """A resident run parses the rows its first question cannot rule
+        out by their bytes, not the whole run."""
+        spec = scenario("D1")
+        execution = spec.instantiate(0.2, num_partitions=2).execute(capture=True)
+        root = tmp_path / "wh"
+        record = Warehouse.open(root).record(execution, name="D1")
+        with QueryService.open(
+            ServeConfig(root=str(root), port=0), registry=MetricsRegistry()
+        ) as service:
+            payload = service.request("query", {"pattern": spec.pattern})
+            store = service._residents[record.run_id].run.store
+            assert 0 < store.metrics.rows_decoded < record.row_count
+        assert payload["result"] == result_to_json(query_provenance(execution, spec.pattern))
+
+
 class TestForwardEndpoint:
     PATTERN = 'root{//id_str="lp"}'
 
@@ -376,18 +392,13 @@ class TestForwardEndpoint:
         payload = client.forward(RUNNING_EXAMPLE_PATTERN)
         assert payload["server"]["cached"] is False
 
-    def test_eager_forward_equals_lazy(self, client):
-        lazy = client.forward(self.PATTERN, method="lazy")
-        eager = client.forward(self.PATTERN, method="eager")
-        assert lazy["result"] == eager["result"]
-
     def test_bad_forward_inputs_are_400(self, client):
         from repro.errors import ServeError, TreePatternError
 
         with pytest.raises(TreePatternError):
             client.forward("root{")
         with pytest.raises(ServeError):
-            client.forward(self.PATTERN, method="psychic")
+            client.forward(self.PATTERN, analyze="yes")
 
     def test_forward_admission_and_deadline(self, recorded):
         root, _ = recorded
@@ -467,7 +478,7 @@ class TestSarEndpoint:
         client.forward('root{//id_str="lp"}')
         client.sar(self.SUBJECTS)
         text = client.metrics_text()
-        assert 'repro_serve_forward_queries_total{method="lazy"}' in text
+        assert "\nrepro_serve_forward_queries_total 1\n" in text
         assert "repro_serve_sar_requests_total" in text
         names = {metric["name"] for metric in client.stats(run=run_id)["metrics"]}
         assert "repro_serve_forward_queries_total" in names
@@ -493,8 +504,8 @@ class TestGracefulShutdown:
         ]
         assert len(events) == 1
         counters = events[0]["counters"]
-        assert counters["repro_serve_queries_total{method=lazy}"] == 1
-        assert counters["repro_serve_forward_queries_total{method=lazy}"] == 1
+        assert counters["repro_serve_queries_total"] == 1
+        assert counters["repro_serve_forward_queries_total"] == 1
         assert events[0]["resident_runs"] == 1
 
     def test_signal_stops_serve_forever(self, recorded):

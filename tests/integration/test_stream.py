@@ -20,10 +20,10 @@ import pytest
 import repro
 from repro.engine.expressions import col, collect_list, count
 from repro.obs.metrics import MetricsRegistry
-from repro.pebble.query import query_provenance
 from repro.serve import ProvenanceServer, QueryService, ServeConfig
 from repro.stream import StreamSession, TumblingWindow, window_by
 from repro.warehouse import Warehouse
+from tests.oracle.full_parse import full_parse_backtrace
 
 PATTERN = 'root{/user="u1", /ids}'
 
@@ -58,9 +58,7 @@ class TestLiveQuerying:
         stream.ingest(_rows(6, 10))
         service = _service(tmp_path)
         served = _query(service, stream.run_id)
-        direct = query_provenance(
-            stream.warehouse.load(stream.run_id), PATTERN
-        )
+        direct = full_parse_backtrace(stream.warehouse.load(stream.run_id).store, PATTERN)
         from repro.serve import result_to_json
 
         assert served["result"] == result_to_json(direct)
@@ -95,7 +93,7 @@ class TestLiveQuerying:
         from repro.serve import result_to_json
 
         compacted = _query(service, stream.run_id)
-        direct = query_provenance(stream.warehouse.load(stream.run_id), PATTERN)
+        direct = full_parse_backtrace(stream.warehouse.load(stream.run_id).store, PATTERN)
         assert compacted["result"] == result_to_json(direct)
         assert compacted["result"]["matched_output_ids"]
 
@@ -120,21 +118,27 @@ class TestLiveRunAccounting:
         assert breakdown.counters["rows_visited"] >= breakdown.counters["rows_decoded"]
 
     def test_load_honours_metrics_and_cache_size_on_epoch_runs(self, tmp_path):
-        """``Warehouse.load(run, metrics=m, cache_size=n)`` used to drop both
-        arguments on epoch-layout runs (own metrics, unbounded cache)."""
+        """A store opened with ``metrics=m, cache_size=n`` keeps both on an
+        epoch-layout run (they were once dropped: own metrics, unbounded
+        cache)."""
         from repro.engine.metrics import SegmentCacheMetrics
+        from repro.warehouse.reader import LazyProvenanceStore, StoredRun
 
         stream = _open_stream(Warehouse.open(tmp_path / "wh"))
         stream.ingest(_rows(0, 6))
         stream.ingest(_rows(6, 10))
         stream.finish(compact=False)
         warehouse = stream.warehouse
-        expected = query_provenance(warehouse.load(stream.run_id), PATTERN)
+        expected = full_parse_backtrace(warehouse.load(stream.run_id).store, PATTERN)
 
         metrics = SegmentCacheMetrics()
-        execution = warehouse.load(stream.run_id, metrics=metrics, cache_size=1)
-        assert execution.store.metrics is metrics
-        answer = query_provenance(execution, PATTERN)
+        run = StoredRun(
+            LazyProvenanceStore(
+                warehouse.run_dir(stream.run_id), metrics=metrics, cache_size=1
+            )
+        )
+        assert run.store.metrics is metrics
+        answer = run.backtrace(PATTERN)
         assert metrics.misses > 0 and metrics.evictions > 0
         assert answer.render() == expected.render()
         assert answer.all_ids() == expected.all_ids()
@@ -193,7 +197,7 @@ class TestRetention:
         stream.ingest(_rows(0, 6))
         stream.ingest(_rows(6, 10))
         warehouse = stream.warehouse
-        before = query_provenance(warehouse.load(stream.run_id), PATTERN)
+        before = warehouse.load(stream.run_id).backtrace(PATTERN)
         assert before.matched_output_ids
 
         time.sleep(0.05)
@@ -213,10 +217,10 @@ class TestRetention:
         assert on_disk["digest"] == receipt["digest"]
 
         # Fully erased: the run answers empty, and still accepts new epochs.
-        erased = query_provenance(warehouse.load(stream.run_id), PATTERN)
+        erased = warehouse.load(stream.run_id).backtrace(PATTERN)
         assert erased.matched_output_ids == []
         stream.ingest(_rows(10, 16))
-        refilled = query_provenance(warehouse.load(stream.run_id), PATTERN)
+        refilled = warehouse.load(stream.run_id).backtrace(PATTERN)
         assert refilled.matched_output_ids
 
     def test_service_sweep_counts_and_invalidates(self, tmp_path):

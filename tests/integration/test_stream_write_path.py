@@ -38,7 +38,13 @@ from repro.pebble.query import query_provenance
 from repro.stream import StreamSession, TumblingWindow, window_by
 from repro.warehouse import RunIndex, Warehouse
 from repro.warehouse.catalog import Catalog
-from repro.warehouse.reader import load_manifest, read_range, run_parts
+from repro.warehouse.reader import (
+    LazyProvenanceStore,
+    StoredRun,
+    load_manifest,
+    read_range,
+    run_parts,
+)
 from repro.workloads import scenario
 from repro.workloads.scenarios import load_workload
 
@@ -377,7 +383,9 @@ class TestBothShapesReadTheSame:
         new, old, run_id = pair
         for max_epoch in (1, 2, 3):
             answers = [
-                query_provenance(warehouse.load(run_id, max_epoch=max_epoch), PATTERN)
+                StoredRun(
+                    LazyProvenanceStore(warehouse.run_dir(run_id), max_epoch=max_epoch)
+                ).backtrace(PATTERN)
                 for warehouse in (new, old)
             ]
             assert answers[0].render() == answers[1].render(), max_epoch

@@ -24,11 +24,11 @@ from repro.cli import main as cli_main
 from repro.client import ProvenanceClient, RetryPolicy
 from repro.errors import ProvenanceError, ReproError
 from repro.obs.metrics import MetricsRegistry
-from repro.pebble.query import query_provenance
 from repro.serve import ProvenanceServer, QueryService, ServeConfig, result_to_json
 from repro.warehouse import Warehouse
 from repro.workloads.scenarios import RUNNING_EXAMPLE_PATTERN
 from tests.conftest import WAREHOUSE_SHARDED
+from tests.oracle.full_parse import full_parse_backtrace
 
 SUBJECTS = ["lp", "nobody-xyz"]
 
@@ -111,7 +111,7 @@ class TestByteIdentity:
         warehouse = Warehouse.open(root)
         for run_id in run_ids:
             direct = result_to_json(
-                query_provenance(warehouse.load(run_id), RUNNING_EXAMPLE_PATTERN)
+                full_parse_backtrace(warehouse.load(run_id).store, RUNNING_EXAMPLE_PATTERN)
             )
             via_http = remote.backtrace(RUNNING_EXAMPLE_PATTERN, run=run_id)
             via_local = local.backtrace(RUNNING_EXAMPLE_PATTERN, run=run_id)
@@ -151,7 +151,7 @@ class TestAggregatedStats:
         scraped = sum(
             float(line.rsplit(" ", 1)[1])
             for line in text.splitlines()
-            if line.startswith("repro_serve_queries_total{")
+            if line.startswith("repro_serve_queries_total ")
         )
         _, _, body = _get(server.url + "/v1/stats")
         listed = sum(

@@ -17,6 +17,7 @@ from repro.errors import BacktraceError, ProvenanceError
 from repro.pebble.query import query_provenance
 from repro.stream import StreamSession
 from repro.warehouse import LazyProvenanceStore, Warehouse
+from repro.warehouse.reader import StoredRun
 from repro.workloads.scenarios import RUNNING_EXAMPLE_PATTERN
 
 
@@ -94,17 +95,17 @@ class TestLazyBacktrace:
     def test_query_decodes_reachable_operators_once(self, stored_run):
         root, run_id, pattern, operators = stored_run
         warehouse = Warehouse.open(root)
-        execution = warehouse.load(run_id, num_partitions=2)
-        store = execution.store
+        run = warehouse.load(run_id)
+        store = run.store
         assert isinstance(store, LazyProvenanceStore)
 
-        assert query_provenance(execution, pattern).matched_output_ids
+        assert run.backtrace(pattern).matched_output_ids
         # Every operator sits on the backtrace path from the sink; each
         # decoded exactly once (however many epochs hold a piece of it).
         first_misses = store.metrics.misses
         assert first_misses == len(store) == operators
 
-        query_provenance(execution, pattern)
+        run.backtrace(pattern)
         assert store.metrics.misses == first_misses, "second query must hit the cache"
         assert store.metrics.hits > 0
 
@@ -157,12 +158,13 @@ class TestLazyBacktrace:
     def test_eviction_keeps_answers_correct(self, captured_example, recorded):
         """A tiny cache thrashes but never changes the query answer."""
         root, run_id = recorded
-        result, metrics = Warehouse.open(root).backtrace(
-            run_id, RUNNING_EXAMPLE_PATTERN, cache_size=2
+        run = StoredRun(
+            LazyProvenanceStore(Warehouse.open(root).run_dir(run_id), cache_size=2)
         )
+        result = run.backtrace(RUNNING_EXAMPLE_PATTERN)
         before = query_provenance(captured_example, RUNNING_EXAMPLE_PATTERN)
         assert result.render() == before.render()
-        assert metrics.evictions > 0
+        assert run.store.metrics.evictions > 0
 
 
 class TestColdPathParsesOnlyWhatTheQuestionTouches:
@@ -195,10 +197,16 @@ class TestColdPathParsesOnlyWhatTheQuestionTouches:
         )
         assert metrics.items_decoded < stored_items
 
-        # The materialise-everything route stays reachable and says so.
-        loaded = warehouse.load(run_id)
-        assert loaded.store.metrics.rows_decoded == len(execution)
-        assert query_provenance(loaded, spec.pattern).render() == result.render()
+        assert result.render() == query_provenance(execution, spec.pattern).render()
+
+        # A run kept open answers again without parsing a row twice; its
+        # rows() parses the rest, once each.
+        run = warehouse.load(run_id)
+        assert run.backtrace(spec.pattern).render() == result.render()
+        parsed = run.store.metrics.rows_decoded
+        assert run.backtrace(spec.pattern).render() == result.render()
+        assert run.store.metrics.rows_decoded == parsed
+        assert len(run.rows()) == run.store.metrics.rows_decoded == len(execution)
 
     def test_resident_store_parses_an_item_once(self, recorded):
         root, run_id = recorded

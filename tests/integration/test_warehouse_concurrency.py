@@ -20,6 +20,7 @@ from repro.pebble.query import query_provenance
 from repro.serve.service import result_to_json
 from repro.warehouse import Warehouse
 from repro.workloads.scenarios import RUNNING_EXAMPLE_PATTERN
+from tests.oracle.full_parse import full_parse_backtrace
 
 FORWARD_PATTERN = 'root{//id_str="lp"}'
 
@@ -35,9 +36,7 @@ class TestRefreshRace:
     def test_refresh_never_serves_a_partial_run(self, captured_example, seeded_root):
         baseline_wh = Warehouse.open(seeded_root)
         baseline = json.dumps(
-            result_to_json(
-                query_provenance(baseline_wh.load(), RUNNING_EXAMPLE_PATTERN)
-            ),
+            result_to_json(query_provenance(captured_example, RUNNING_EXAMPLE_PATTERN)),
             sort_keys=True,
         )
         forward_baseline = baseline_wh.forward(
@@ -68,8 +67,8 @@ class TestRefreshRace:
                     final = stop.is_set()
                     warehouse.refresh()
                     for record in warehouse.runs():
-                        execution = warehouse.load(record.run_id)
-                        report = execution.store.size_report()
+                        run = warehouse.load(record.run_id)
+                        report = run.store.size_report()
                         if len(report.per_operator) != record.operator_count:
                             raise AssertionError(
                                 f"{record.run_id}: partial run served: "
@@ -77,9 +76,7 @@ class TestRefreshRace:
                                 f"{record.operator_count} operators"
                             )
                         answer = json.dumps(
-                            result_to_json(
-                                query_provenance(execution, RUNNING_EXAMPLE_PATTERN)
-                            ),
+                            result_to_json(run.backtrace(RUNNING_EXAMPLE_PATTERN)),
                             sort_keys=True,
                         )
                         if answer != baseline:
@@ -170,13 +167,14 @@ class TestSharedStore:
             stream.ingest([{"id": i, "user": f"u{i % 2}"} for i in range(low, low + 8)])
         stream.finish(compact=False)
 
-        def answer(execution) -> str:
-            return json.dumps(
-                result_to_json(query_provenance(execution, pattern)), sort_keys=True
-            )
+        def answer(run) -> str:
+            return json.dumps(result_to_json(run.backtrace(pattern)), sort_keys=True)
 
         single = warehouse.load(stream.run_id)
         baseline = answer(single)
+        assert baseline == json.dumps(
+            result_to_json(full_parse_backtrace(single.store, pattern)), sort_keys=True
+        )
         reached = single.store.metrics.misses
         assert reached == len(single.store) == 3
 
@@ -203,3 +201,55 @@ class TestSharedStore:
         assert answers == [baseline] * threads
         assert shared.store.metrics.misses == reached
         assert shared.store.metrics.item_misses == 1
+
+    def test_two_threads_parse_each_surviving_row_once(self, tmp_path, monkeypatch):
+        """Racing first questions over one stored run parse every row that
+        survives the prefilter exactly once between them."""
+        import time
+
+        import repro.warehouse.reader as reader
+        from repro.core.treepattern.matcher import prefilter_encoded_rows
+        from repro.engine.expressions import col
+        from repro.engine.session import Session
+        from repro.pebble.query import as_pattern
+
+        pattern = 'root{/user="u1"}'
+        rows = [{"id": i, "user": f"u{i % 4}"} for i in range(64)]
+        execution = (
+            Session(num_partitions=2)
+            .create_dataset(rows, "rows.json")
+            .filter(col("id") >= 0)
+            .execute(capture=True)
+        )
+        warehouse = Warehouse.open(tmp_path / "wh")
+        run = warehouse.load(warehouse.record(execution, name="rows").run_id)
+        survivors = list(prefilter_encoded_rows(as_pattern(pattern), run.store.encoded_rows()))
+
+        parsed: list[bytes] = []
+        parse = reader.item_from_json
+
+        def slow_parse(raw):
+            parsed.append(raw)
+            time.sleep(0.001)  # widen the window in which the threads race
+            return parse(raw)
+
+        monkeypatch.setattr(reader, "item_from_json", slow_parse)
+        barrier = threading.Barrier(2)
+        answers: list[str] = []
+
+        def ask():
+            barrier.wait()
+            answers.append(json.dumps(result_to_json(run.backtrace(pattern)), sort_keys=True))
+
+        pool = [threading.Thread(target=ask) for _ in range(2)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        assert len(parsed) == len(set(parsed)) == len(survivors) == 16
+        assert run.store.metrics.rows_decoded == len(survivors)
+        expected = json.dumps(
+            result_to_json(query_provenance(execution, pattern)), sort_keys=True
+        )
+        assert answers == [expected, expected]
+

@@ -39,6 +39,7 @@ from repro.warehouse import Warehouse
 from repro.warehouse.catalog import Catalog
 from repro.warehouse.reader import load_manifest
 from tests.fixtures.make_warehouse_v2 import LIVE_BATCHES, answer_digests, narrow, stream_rows
+from tests.oracle.full_parse import full_parse_backtrace
 
 PATTERN = 'root{/user="u1"}'
 
@@ -62,7 +63,8 @@ def _append(warehouse: Warehouse, run_id: str, rows: list[dict]) -> None:
 
 def _answer(warehouse: Warehouse, run_id: str, pattern: str) -> str:
     return json.dumps(
-        result_to_json(query_provenance(warehouse.load(run_id), pattern)), sort_keys=True
+        result_to_json(full_parse_backtrace(warehouse.load(run_id).store, pattern)),
+        sort_keys=True,
     )
 
 

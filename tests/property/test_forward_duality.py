@@ -10,8 +10,7 @@ pairwise:
 for every source item ``y`` and every sink output ``x``, where backtrace(x)
 seeds the full item tree (every path contributing).  A second property pins
 the index soundness claim: a forward trace answered through the persisted
-warehouse index serialises byte-identically to the full scan, under both
-the lazy and the eager loading method.
+warehouse index serialises byte-identically to the full scan.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from repro.audit.forward import AUDIT_METHODS, ForwardTracer, trace_forward
+from repro.audit.forward import ForwardTracer, trace_forward
 from repro.core.backtrace.algorithms import Backtracer
 from repro.core.backtrace.tree import BacktraceStructure, BacktraceTree
 from repro.core.paths import enumerate_paths
@@ -77,16 +76,16 @@ def test_forward_is_the_dual_of_backtrace(rows, shape):
             )
 
 
-@given(_rows, st.sampled_from(_SHAPES), st.sampled_from(AUDIT_METHODS))
+@given(_rows, st.sampled_from(_SHAPES))
 @settings(max_examples=10, deadline=None)
-def test_indexed_answer_equals_full_scan(rows, shape, method):
+def test_indexed_answer_equals_full_scan(rows, shape):
     execution = _build(Session(2), rows, shape).execute(capture=True)
     with tempfile.TemporaryDirectory() as root:
         warehouse = Warehouse.open(Path(root) / "wh")
         warehouse.record(execution, name="prop")
         pattern = _pattern(shape)
-        indexed = trace_forward(warehouse, pattern, method=method, use_index=True)
-        scanned = trace_forward(warehouse, pattern, method=method, use_index=False)
+        indexed = trace_forward(warehouse, pattern, use_index=True)
+        scanned = trace_forward(warehouse, pattern, use_index=False)
         assert indexed.stats["index_used"] and not scanned.stats["index_used"]
         assert json.dumps(indexed.to_json(), sort_keys=True) == json.dumps(
             scanned.to_json(), sort_keys=True

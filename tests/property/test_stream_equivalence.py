@@ -8,8 +8,9 @@ sink rows, index) and identical backtrace answers -- across split points
 and partition counts.  And a query admitted mid-ingest must answer exactly
 like the sealed run restricted to the epochs that were visible at admission
 (``max_epoch``), which is the incremental-query consistency contract of the
-serve tier -- over a live stream as over recorded batch scenarios, where the
-cold warehouse route must agree with the load route.
+serve tier.  A stored run's answers agree with the in-memory capture's on
+every recorded batch scenario, and with a parse-every-row reference on a
+live stream.
 
 Event times are monotone here: late rows are *defined* to diverge from
 batch (a batch run has no lateness), so they are exercised in the unit
@@ -29,7 +30,8 @@ from repro.engine.session import Session
 from repro.nested.values import DataItem
 from repro.pebble.query import query_provenance
 from repro.stream import StreamSession, TumblingWindow, window_by
-from repro.warehouse import Warehouse
+from repro.warehouse import LazyProvenanceStore, Warehouse
+from tests.oracle.full_parse import full_parse_backtrace
 
 CONFIGS = (("default", EngineConfig()),)
 
@@ -160,8 +162,8 @@ def test_mid_ingest_query_equals_sealed_run_at_admission_epoch(
     stream.finish(compact=False)
 
     for epoch, matched, ids, rendered in live_answers:
-        pinned = query_provenance(
-            warehouse.load(stream.run_id, max_epoch=epoch), pattern
+        pinned = full_parse_backtrace(
+            LazyProvenanceStore(warehouse.run_dir(stream.run_id), max_epoch=epoch), pattern
         )
         assert pinned.matched_output_ids == matched, epoch
         assert pinned.all_ids() == ids, epoch
@@ -196,8 +198,8 @@ def test_one_micro_batch_reads_exactly_like_a_recorded_batch(
     ).execute(capture=True)
     batch_record = warehouse.record(batch, name="batch")
 
-    streamed = warehouse.load(stream.run_id, num_partitions=partitions)
-    recorded = warehouse.load(batch_record.run_id, num_partitions=partitions)
+    streamed = warehouse.load(stream.run_id)
+    recorded = warehouse.load(batch_record.run_id)
     assert len(streamed.store) == len(recorded.store) > 0
     for oid in sorted(recorded.store.footer_topology()):
         assert wf.encode_operator(streamed.store.get(oid)) == wf.encode_operator(
@@ -240,19 +242,19 @@ def test_unioned_epoch_index_agrees_with_the_scan(
     stream.finish(compact=False)
     warehouse = stream.warehouse
 
-    execution = warehouse.load(stream.run_id, num_partitions=partitions)
+    run = warehouse.load(stream.run_id)
     index = warehouse.load_index(stream.run_id)
     assert index is not None
     for pattern in ('root{/user="u1"}', 'root{//tag="green"}', 'root{/user="nobody"}'):
-        indexed = ForwardTracer(execution, index).trace(pattern)
-        scanned = ForwardTracer(execution, None).trace(pattern)
+        indexed = ForwardTracer(run, index).trace(pattern)
+        scanned = ForwardTracer(run, None).trace(pattern)
         assert indexed.stats["index_used"] and not scanned.stats["index_used"]
         assert [s.to_json() for s in indexed.sources] == [
             s.to_json() for s in scanned.sources
         ], pattern
         assert indexed.output_ids == scanned.output_ids, pattern
         assert indexed.to_json() == scanned.to_json(), pattern
-    assert ForwardTracer(execution, index).trace('root{/user="u1"}').matched_input_count
+    assert ForwardTracer(run, index).trace('root{/user="u1"}').matched_input_count
 
 
 COLD_SCENARIOS = ("T1", "T2", "T3", "T4", "T5", "D1", "D2", "D3", "D4", "D5")
@@ -260,8 +262,8 @@ COLD_SCENARIOS = ("T1", "T2", "T3", "T4", "T5", "D1", "D2", "D3", "D4", "D5")
 
 def test_cold_backtrace_identical_to_the_load_route(tmp_path):
     """``Warehouse.backtrace`` parses only what the question touches; the
-    materialise-everything route (``load`` + ``query_provenance``) stays
-    the reference it must agree with byte for byte, on every scenario."""
+    in-memory capture's ``query_provenance`` is the reference it must agree
+    with byte for byte, on every scenario."""
     from repro.warehouse import Warehouse
     from repro.workloads.scenarios import load_workload, scenario
 
@@ -273,7 +275,7 @@ def test_cold_backtrace_identical_to_the_load_route(tmp_path):
         )
         run_id = warehouse.record(execution, name=name).run_id
         cold, metrics = Warehouse.open(tmp_path / "wh").backtrace(run_id, spec.pattern)
-        reference = query_provenance(warehouse.load(run_id), spec.pattern)
+        reference = query_provenance(execution, spec.pattern)
         assert cold.matched_output_ids == reference.matched_output_ids, name
         assert cold.matched_output_ids, name
         assert cold.render() == reference.render(), name
@@ -281,8 +283,9 @@ def test_cold_backtrace_identical_to_the_load_route(tmp_path):
 
 
 def test_cold_backtrace_identical_to_the_load_route_on_a_stream(tmp_path):
-    """S1 as a live run: every mid-ingest answer equals the load route
-    pinned to the epochs visible at admission, and so does the sealed one."""
+    """S1 as a live run: every mid-ingest answer equals the parse-every-row
+    reference pinned to the epochs visible at admission, and so does the
+    sealed one."""
     from repro.stream import StreamSession
     from repro.workloads.scenarios import load_workload, scenario
 
@@ -301,7 +304,8 @@ def test_cold_backtrace_identical_to_the_load_route_on_a_stream(tmp_path):
     admitted[None] = (sealed.matched_output_ids, sealed.render())
     assert sealed.matched_output_ids
     for epoch, answer in admitted.items():
-        pinned = query_provenance(
-            warehouse.load(stream.run_id, max_epoch=epoch), spec.pattern
+        pinned = full_parse_backtrace(
+            LazyProvenanceStore(warehouse.run_dir(stream.run_id), max_epoch=epoch),
+            spec.pattern,
         )
         assert (pinned.matched_output_ids, pinned.render()) == answer, epoch

@@ -8,6 +8,7 @@ side of a binary association, and unmatched outer-join sides (``None``).
 """
 
 import json
+import threading
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -25,13 +26,14 @@ from repro.core.paths import parse_path
 from repro.core.treepattern.matcher import match_rows, required_constants
 from repro.core.treepattern.parser import parse_pattern
 from repro.core.treepattern.pattern import NO_EQUALS, Edge, PatternNode, TreePattern
+from repro.engine.metrics import SegmentCacheMetrics
 from repro.errors import ProvenanceError
 from repro.nested.json_io import _jsonable
 from repro.nested.schema import infer_schema
 from repro.nested.types import type_to_obj
 from repro.nested.values import DataItem
 import repro.warehouse.format as wf
-from repro.warehouse.reader import match_encoded_rows
+from repro.warehouse.reader import StoredRun
 
 import pytest
 
@@ -283,6 +285,26 @@ _patterns = st.lists(_pattern_nodes, min_size=1, max_size=2).map(TreePattern)
 
 def _encoded(rows):
     return list(wf.iter_encoded_rows(wf.Cursor(wf.encode_rows(rows))))
+
+
+class _RowsOnly:
+    """What :class:`StoredRun` reads of its store to match rows."""
+
+    run_id = "rows"
+
+    def __init__(self, encoded):
+        self._encoded = encoded
+        self._lock = threading.RLock()
+        self.metrics = SegmentCacheMetrics()
+
+    def encoded_rows(self):
+        return iter(self._encoded)
+
+
+def match_encoded_rows(pattern, encoded):
+    """A stored run's matches over *encoded* rows, and how many it parsed."""
+    run = StoredRun(_RowsOnly(encoded))
+    return run.match(pattern), run.store.metrics.rows_decoded
 
 
 @given(_rows, _patterns)

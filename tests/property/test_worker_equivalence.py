@@ -1,9 +1,9 @@
 """Property: the worker equivalence suite -- every tier answers alike.
 
-For any pattern from a pool of valid structural queries, any trace method,
-and any subject list, three ways of asking must agree byte-for-byte:
+For any pattern from a pool of valid structural queries and any subject
+list, three ways of asking must agree byte-for-byte:
 
-* the library directly (``query_provenance`` over ``Warehouse.load``),
+* the stored run itself, every row parsed (the ``full_parse`` oracle),
 * a local client (``repro.connect("file://...")`` -- in-process service
   with admission control and caching),
 * an HTTP worker (``repro.connect("http://...")`` -- one ``repro serve``
@@ -11,8 +11,7 @@ and any subject list, three ways of asking must agree byte-for-byte:
 
 One module-scoped server answers every example: hypothesis varies the
 questions, so the suite stays fast while still walking the multi-run
-SAR/erasure paths, cache hits on repeats and both trace methods in
-unpredictable orders.
+SAR/erasure paths and cache hits on repeats in unpredictable orders.
 """
 
 from __future__ import annotations
@@ -25,11 +24,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 from repro.obs.metrics import MetricsRegistry
-from repro.pebble.query import query_provenance
 from repro.serve import ProvenanceServer, QueryService, ServeConfig
 from repro.serve.service import result_to_json
 from repro.warehouse import Warehouse
 from tests.conftest import WAREHOUSE_SHARDED
+from tests.oracle.full_parse import full_parse_backtrace
 
 PATTERNS = [
     'root{//id_str="lp"}',
@@ -73,21 +72,16 @@ class TestBacktraceEquivalence:
     @_settings
     @given(
         pattern=st.sampled_from(PATTERNS),
-        method=st.sampled_from(["lazy", "eager"]),
         run_index=st.integers(min_value=0, max_value=1),
     )
-    def test_three_tiers_agree(self, tiers, pattern, method, run_index):
+    def test_three_tiers_agree(self, tiers, pattern, run_index):
         warehouse, local, remote, run_ids = tiers
         run_id = run_ids[run_index]
         direct = _canon(
-            result_to_json(query_provenance(warehouse.load(run_id), pattern))
+            result_to_json(full_parse_backtrace(warehouse.load(run_id).store, pattern))
         )
-        assert _canon(
-            local.backtrace(pattern, run=run_id, method=method)["result"]
-        ) == direct
-        assert _canon(
-            remote.backtrace(pattern, run=run_id, method=method)["result"]
-        ) == direct
+        assert _canon(local.backtrace(pattern, run=run_id)["result"]) == direct
+        assert _canon(remote.backtrace(pattern, run=run_id)["result"]) == direct
 
 
 class TestAuditEquivalence:
@@ -96,13 +90,10 @@ class TestAuditEquivalence:
         subjects=st.lists(
             st.sampled_from(SUBJECT_POOL), min_size=1, max_size=3, unique=True
         ),
-        method=st.sampled_from(["lazy", "eager"]),
     )
-    def test_sar_pages_agree(self, tiers, subjects, method):
+    def test_sar_pages_agree(self, tiers, subjects):
         _, local, remote, _ = tiers
-        assert _canon(
-            local.sar(subjects, method=method)["report"]
-        ) == _canon(remote.sar(subjects, method=method)["report"])
+        assert _canon(local.sar(subjects)["report"]) == _canon(remote.sar(subjects)["report"])
 
     @_settings
     @given(

@@ -88,15 +88,14 @@ class TestObserveQuery:
 
         breakdown = {"total_seconds": 0.5, "phases": {"other": 0.5}, "counters": {}}
         assert observe_query(
-            "forward", "run-9", 'root{//id="x"}', 0.5,
-            method="eager", breakdown=breakdown,
+            "forward", "run-9", 'root{//id="x"}', 0.5, breakdown=breakdown,
         ) is True
 
         entry = ring.snapshot()[0]
         assert entry["kind"] == "forward"
         assert entry["run_id"] == "run-9"
         assert entry["pattern"] == 'root{//id="x"}'
-        assert entry["method"] == "eager"
+        assert "method" not in entry
         assert entry["seconds"] == 0.5
         assert entry["threshold_ms"] == 0.0
         assert entry["breakdown"] == breakdown

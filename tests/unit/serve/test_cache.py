@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -48,14 +49,14 @@ class TestBasics:
 
     def test_invalidate_clears_and_counts(self):
         cache = PatternResultCache(4)
-        cache.get_or_compute("a", lambda: 1)
-        cache.get_or_compute("b", lambda: 2)
-        assert cache.invalidate() == 2
+        cache.get_or_compute(("query", ("r1",), "a"), lambda: 1)
+        cache.get_or_compute(("query", ("r1",), "b"), lambda: 2)
+        assert cache.invalidate_runs({"r1"}) == 2
         assert len(cache) == 0
         assert cache.stats.invalidations == 1
-        assert cache.invalidate() == 0  # empty: not counted again
+        assert cache.invalidate_runs({"r1"}) == 0  # empty: not counted again
         assert cache.stats.invalidations == 1
-        _, hit = cache.get_or_compute("a", lambda: 1)
+        _, hit = cache.get_or_compute(("query", ("r1",), "a"), lambda: 1)
         assert not hit
 
     def test_snapshot_reports_entries_and_stats(self):
@@ -180,24 +181,24 @@ class TestInvalidateRuns:
         cache = PatternResultCache(16)
         # Every key scopes a tuple of run ids at position 1 (one id for
         # query/forward); a pattern caches under both directions independently.
-        cache.get_or_compute(("query", ("run-1",), "root{/a}", "lazy"), lambda: "q1")
-        cache.get_or_compute(("forward", ("run-1",), "root{/a}", "lazy"), lambda: "f1")
-        cache.get_or_compute(("query", ("run-2",), "root{/a}", "lazy"), lambda: "q2")
+        cache.get_or_compute(("query", ("run-1",), "root{/a}"), lambda: "q1")
+        cache.get_or_compute(("forward", ("run-1",), "root{/a}"), lambda: "f1")
+        cache.get_or_compute(("query", ("run-2",), "root{/a}"), lambda: "q2")
         cache.get_or_compute(
-            ("sar", ("run-1", "run-2"), ("u1",), "tmpl", "lazy", 1, 100), lambda: "s12"
+            ("sar", ("run-1", "run-2"), ("u1",), "tmpl", 1, 100), lambda: "s12"
         )
         cache.get_or_compute(
-            ("erasure", ("run-2", "run-3"), ("u1",), "tmpl", "lazy"), lambda: "e23"
+            ("erasure", ("run-2", "run-3"), ("u1",), "tmpl"), lambda: "e23"
         )
         return cache
 
     def test_single_run_drops_both_directions_and_member_tuples(self):
         cache = self._populated()
         assert cache.invalidate_runs({"run-1"}) == 3  # q1, f1, s12
-        _, hit = cache.get_or_compute(("query", ("run-2",), "root{/a}", "lazy"), lambda: None)
+        _, hit = cache.get_or_compute(("query", ("run-2",), "root{/a}"), lambda: None)
         assert hit  # other runs survive
         _, hit = cache.get_or_compute(
-            ("erasure", ("run-2", "run-3"), ("u1",), "tmpl", "lazy"), lambda: None
+            ("erasure", ("run-2", "run-3"), ("u1",), "tmpl"), lambda: None
         )
         assert hit
 
@@ -205,7 +206,7 @@ class TestInvalidateRuns:
         cache = self._populated()
         assert cache.invalidate_runs({"run-3"}) == 1  # only e23 spans run-3
         _, hit = cache.get_or_compute(
-            ("sar", ("run-1", "run-2"), ("u1",), "tmpl", "lazy", 1, 100), lambda: None
+            ("sar", ("run-1", "run-2"), ("u1",), "tmpl", 1, 100), lambda: None
         )
         assert hit
 
@@ -223,7 +224,40 @@ class TestInvalidateRuns:
     def test_unrecognised_key_shape_drops_conservatively(self):
         cache = PatternResultCache(4)
         cache.get_or_compute("bare-string-key", lambda: 1)
-        cache.get_or_compute(("query", ("run-1",), "p", "lazy"), lambda: 2)
+        cache.get_or_compute(("query", ("run-1",), "p"), lambda: 2)
         assert cache.invalidate_runs({"run-2"}) == 1  # only the bare key
-        _, hit = cache.get_or_compute(("query", ("run-1",), "p", "lazy"), lambda: None)
+        _, hit = cache.get_or_compute(("query", ("run-1",), "p"), lambda: None)
         assert hit
+
+    def test_an_in_flight_answer_never_lands_after_invalidation(self):
+        """The owner and its waiter still get the answer they computed, but
+        an invalidation that ran meanwhile keeps it out of the map."""
+        cache = PatternResultCache(4)
+        key = ("query", ("run-1",), "p")
+        entered, release = threading.Event(), threading.Event()
+        answers = []
+
+        def slow():
+            entered.set()
+            release.wait(5)
+            return "stale"
+
+        def ask(compute):
+            answers.append(cache.get_or_compute(key, compute, wait_timeout=5))
+
+        owner = threading.Thread(target=ask, args=(slow,))
+        owner.start()
+        entered.wait(5)
+        waiter = threading.Thread(target=ask, args=(lambda: "never",))
+        waiter.start()
+        deadline = time.monotonic() + 5
+        while cache.stats.hits < 1 and time.monotonic() < deadline:
+            time.sleep(0.001)  # the waiter holds the entry before it drops
+        assert cache.invalidate_runs({"run-1"}) == 1
+        release.set()
+        owner.join()
+        waiter.join()
+        assert sorted(answers) == [("stale", False), ("stale", True)]
+        assert len(cache) == 0
+        assert cache.get_or_compute(key, lambda: "fresh") == ("fresh", False)
+

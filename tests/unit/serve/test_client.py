@@ -113,11 +113,11 @@ class TestRetries:
         url, server = stub_server
         server.script = [(200, {"ok": True, "data": {"run_id": "r1", "result": {}}})]
         client = connect(url, policy=NO_BACKOFF)
-        client.backtrace("root{}", run="r1", method="eager")
+        client.backtrace("root{}", run="r1")
         verb, path, body = server.requests[0]
         assert (verb, path) == ("POST", "/v1/query")
         assert json.loads(body) == {
-            "pattern": "root{}", "run": "r1", "method": "eager", "analyze": False,
+            "pattern": "root{}", "run": "r1", "analyze": False,
         }
 
     def test_default_policy_bounds_attempts(self):
