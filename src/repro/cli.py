@@ -488,6 +488,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     print(f"{summary['run_id']} ({summary['name']}), created {summary['created']}")
     print(f"sink oid {summary['sink_oid']}, {summary['rows']} rows, "
           f"{summary['total_bytes']} bytes on disk")
+    print("bytes: " + ", ".join(f"{size} {kind}" for kind, size in summary["bytes"].items()))
     if "epochs" in summary:
         visible = sum(not entry["expired"] for entry in summary["epochs"])
         print(f"{'live' if summary['live'] else 'sealed'}, segment epoch "
@@ -554,7 +555,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     entry = warehouse.build_index(record.run_id, force=args.force)
     print(f"indexed {record.run_id}: "
           f"{entry['inputs']} input ids, {entry['terms']} terms, "
-          f"{entry['items']} item ranges, {entry['paths']} paths "
+          f"{entry['items']} items, {entry['paths']} paths "
           f"({entry['segment_bytes']} bytes)")
     return 0
 

@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_NUM_PARTITIONS",
     "ALL_RULES",
     "env_flag",
-    "resolve_partitions",
 ]
 
 #: The engine-wide default partition count (formerly repeated as a literal
@@ -147,10 +146,3 @@ class EngineConfig:
                 values[field] = flag
         values.update(overrides)
         return cls(**values)  # type: ignore[arg-type]
-
-
-def resolve_partitions(num_partitions: int | None) -> int:
-    """Map an optional partition-count argument to the engine default."""
-    if num_partitions is None:
-        return DEFAULT_NUM_PARTITIONS
-    return num_partitions

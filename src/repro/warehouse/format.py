@@ -25,8 +25,10 @@ segment sizes stay comparable with ``size_report()`` figures.
 from __future__ import annotations
 
 import json
+import struct
+import zlib
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.operator_provenance import (
@@ -60,7 +62,10 @@ __all__ = [
     "kind_name",
     "encode_operator",
     "decode_operator",
+    "FRAME_ITEMS",
+    "FRAME_LEVEL",
     "encode_payloads",
+    "frame_source_items",
     "encode_source_items",
     "SourceItemBlock",
     "open_source_items",
@@ -76,9 +81,14 @@ MAGIC = b"PBWH"  # "PeBble WareHouse"
 #: The segment codec (every preamble carries it); version 1 was the
 #: whole-document JSON format.
 FORMAT_VERSION = 2
-#: How a run lays its segments out (a manifest's ``"format"``): 3 writes a
-#: part as one ``part.seg``; 2, a file per segment, is still read.
-LAYOUT_VERSION = 3
+#: How a run lays its segments out (a manifest's ``"format"``): 4 writes a
+#: part as one ``part.seg`` whose source items sit in compressed frames;
+#: 3 (raw item JSON) and 2 (a file per segment) are still read.
+LAYOUT_VERSION = 4
+#: Items per compressed frame of a source-item block, and the zlib level
+#: each frame is compressed at.
+FRAME_ITEMS = 16
+FRAME_LEVEL = 1
 #: Bytes of the segment preamble (magic + version + kind).
 PREAMBLE = len(MAGIC) + 2 + 1
 
@@ -190,6 +200,14 @@ class Cursor:
 
     def u64(self) -> int:
         return int.from_bytes(self._take(8), "little")
+
+    def skip(self, count: int) -> None:
+        """Step over *count* bytes."""
+        self._take(count)
+
+    def array(self, code: str, count: int) -> tuple[int, ...]:
+        """*count* little-endian integers of ``struct`` code *code*."""
+        return struct.unpack(f"<{count}{code}", self._take(count * struct.calcsize("<" + code)))
 
     def raw(self) -> bytes:
         """One length-prefixed byte string, undecoded."""
@@ -348,30 +366,16 @@ def decode_operator(cursor: Cursor) -> OperatorProvenance:
 # -- source items and result rows ---------------------------------------------
 
 
-def encode_payloads(
-    name: str | None, payloads: Sequence[tuple[int | None, bytes]]
-) -> bytes:
-    """The one item encoder: ``[name] | count | (id | length | JSON bytes)*``.
-
-    A read operator's block leads with its source *name* and lists real ids
-    in ascending order; the rows payload has no name and ``None`` for a row
-    without a provenance id.  Payloads are the items' stored JSON bytes, so
-    compaction moves items between segments without parsing one.
+def encode_payloads(payloads: Sequence[tuple[int | None, bytes]]) -> bytes:
+    """The rows payload: ``count | (id | length | JSON bytes)*``, ``None``
+    for a row without a provenance id.  Payloads are the rows' stored JSON
+    bytes, so compaction moves rows between segments without parsing one.
     """
-    return b"".join(_payload_parts(name, payloads))
-
-
-def _payload_parts(
-    name: str | None, payloads: Sequence[tuple[int | None, bytes]]
-) -> list[bytes]:
-    """:func:`encode_payloads` before the join: the header, then per payload
-    its ``id | length`` head and its bytes, uncopied -- whoever writes them
-    out knows each record's offset."""
-    parts = [_u64(len(payloads)) if name is None else _string(name) + _u64(len(payloads))]
+    parts = [_u64(len(payloads))]
     for ident, raw in payloads:
         parts.append(_opt_id(ident) + _u32(len(raw)))
         parts.append(raw)
-    return parts
+    return b"".join(parts)
 
 
 #: One encoder for every stored item: the C encoder walks the item and calls
@@ -403,42 +407,129 @@ def _item_json_and_leaves(item: DataItem) -> tuple[bytes, list[str]]:
     return raw.encode("utf-8"), list(filter(str.__instancecheck__, children))
 
 
-def encode_source_items(name: str, items: dict[int, DataItem]) -> bytes:
-    """Encode a read operator's ``id -> input item`` mapping."""
-    return encode_payloads(
-        name, [(item_id, _item_json(item)) for item_id, item in sorted(items.items())]
+def frame_source_items(
+    name: str,
+    payloads: Sequence[tuple[int, bytes]],
+    compressed: dict[tuple[int, ...], bytes],
+) -> list[bytes]:
+    """A read operator's items as a framed block, in the pieces to write:
+    first ``name | count | ids (u64 each) | frame lengths (u32 each)``, then
+    one zlib frame per :data:`FRAME_ITEMS` items, each inflating to
+    ``(u32 len | JSON bytes)`` per item.
+
+    *payloads* are ``(item id, stored JSON bytes)`` in ascending id order.
+    *compressed* memoises frames by the identity of their payload objects
+    (one dict per part): a self-join's reads hold the very same bytes
+    objects, so their frames are compressed once.  The caller keeps the
+    payloads alive as long as the memo, so no id is reused meanwhile.
+    """
+    frames = []
+    for start in range(0, len(payloads), FRAME_ITEMS):
+        chunk = [raw for _, raw in payloads[start : start + FRAME_ITEMS]]
+        key = tuple(map(id, chunk))
+        frame = compressed.get(key)
+        if frame is None:
+            plain = b"".join([_u32(len(raw)) + raw for raw in chunk])
+            frame = compressed[key] = zlib.compress(plain, FRAME_LEVEL)
+        frames.append(frame)
+    head = b"".join(
+        (
+            _string(name),
+            _u64(len(payloads)),
+            struct.pack(f"<{len(payloads)}Q", *(item_id for item_id, _ in payloads)),
+            struct.pack(f"<{len(frames)}I", *map(len, frames)),
+        )
     )
+    return [head, *frames]
+
+
+def encode_source_items(name: str, items: dict[int, DataItem]) -> bytes:
+    """Encode a read operator's ``id -> input item`` mapping (framed)."""
+    payloads = [(item_id, _item_json(item)) for item_id, item in sorted(items.items())]
+    return b"".join(frame_source_items(name, payloads, {}))
 
 
 class SourceItemBlock:
-    """One encoded ``id -> input item`` block, parsed an item at a time.
+    """One encoded ``id -> input item`` block, read a frame and an item at
+    a time.
 
-    Opening hops the ``u64 id | u32 len`` headers and sets each item's JSON
-    bytes aside unparsed, so membership and the id set cost no
-    ``json.loads``; an item is parsed the first time :meth:`get` asks for it
-    and kept.
+    Opening reads the name and the id column (and, when framed, the frame
+    table), so membership, :meth:`ids` and the stored order inflate and
+    parse nothing.  The first item asked for inflates its frame, which is
+    then kept; an item is parsed the first time :meth:`get` asks for it and
+    kept.  A raw block (layouts 2 and 3: ``name | count | (id | len |
+    JSON)*``) is cut into frames that opening already holds.
     """
 
-    __slots__ = ("name", "_encoded", "_items")
+    __slots__ = ("name", "_ids", "_slots", "_raw", "_spans", "_frames", "_items", "inflated")
 
-    def __init__(self, raw: bytes):
+    def __init__(self, raw: bytes, framed: bool = True):
         cursor = Cursor(raw)
         self.name = cursor.string()
-        self._encoded: dict[int, bytes] = {
-            cursor.u64(): cursor.raw() for _ in range(cursor.u64())
-        }
+        count = cursor.u64()
+        self._raw = raw if framed else b""
+        if framed:
+            self._ids = cursor.array("Q", count)
+            lengths = cursor.array("I", -(-count // FRAME_ITEMS))
+            self._spans = list(accumulate(lengths, initial=cursor.offset))
+            if self._spans[-1] != len(raw):
+                raise ProvenanceError(
+                    f"item block {self.name!r}: frame table covers {self._spans[-1]} "
+                    f"bytes, the block holds {len(raw)}"
+                )
+            self._frames: list[list[bytes] | None] = [None] * len(lengths)
+        else:
+            heads = [(cursor.u64(), cursor.raw()) for _ in range(count)]
+            self._ids = tuple(item_id for item_id, _ in heads)
+            self._spans = []
+            payloads = [payload for _, payload in heads]
+            self._frames = [
+                payloads[start : start + FRAME_ITEMS] for start in range(0, count, FRAME_ITEMS)
+            ]
+        self._slots = {item_id: slot for slot, item_id in enumerate(self._ids)}
         self._items: dict[int, DataItem] = {}
+        #: How many of the block's frames have been inflated so far.
+        self.inflated = 0
+
+    def _frame(self, index: int) -> list[bytes]:
+        """Frame *index*'s payloads, inflated on first use and kept."""
+        payloads = self._frames[index]
+        if payloads is None:
+            start, end = self._spans[index], self._spans[index + 1]
+            try:
+                plain = zlib.decompress(memoryview(self._raw)[start:end])
+            except zlib.error as error:
+                raise ProvenanceError(
+                    f"item block {self.name!r}: frame {index} does not inflate ({error})"
+                ) from None
+            cursor = Cursor(plain)
+            expected = min(FRAME_ITEMS, len(self._ids) - index * FRAME_ITEMS)
+            payloads = [cursor.raw() for _ in range(expected)]
+            if cursor.offset != len(plain):
+                raise ProvenanceError(
+                    f"item block {self.name!r}: frame {index} holds "
+                    f"{len(plain) - cursor.offset} bytes past its {expected} items"
+                )
+            self._frames[index] = payloads
+            self.inflated += 1
+        return payloads
+
+    def _payload(self, item_id: int) -> bytes:
+        slot = self._slots[item_id]
+        return self._frame(slot // FRAME_ITEMS)[slot % FRAME_ITEMS]
 
     def __contains__(self, item_id: object) -> bool:
-        return item_id in self._encoded
+        return item_id in self._slots
 
     def ids(self) -> list[int]:
         """The item ids in stored (ascending) order."""
-        return list(self._encoded)
+        return list(self._ids)
 
-    def encoded(self) -> Iterable[tuple[int, bytes]]:
-        """``(item id, raw JSON bytes)`` in stored order; parses nothing."""
-        return self._encoded.items()
+    def encoded(self) -> list[tuple[int, bytes]]:
+        """``(item id, raw JSON bytes)`` in stored order; inflates every
+        frame, parses nothing."""
+        payloads = chain.from_iterable(map(self._frame, range(len(self._frames))))
+        return list(zip(self._ids, payloads))
 
     @property
     def decoded(self) -> int:
@@ -448,7 +539,7 @@ class SourceItemBlock:
     def peek(self, item_id: int) -> DataItem:
         """Item *item_id*, not kept when this call had to parse it."""
         item = self._items.get(item_id)
-        return item if item is not None else item_from_json(self._encoded[item_id])
+        return item if item is not None else item_from_json(self._payload(item_id))
 
     def get(self, item_id: int) -> DataItem:
         """Item *item_id*; raises ``KeyError`` when the block lacks it."""
@@ -457,17 +548,18 @@ class SourceItemBlock:
 
     def all(self) -> dict[int, DataItem]:
         """The whole ``id -> item`` mapping (parses whatever is still raw)."""
-        return {item_id: self.get(item_id) for item_id in self._encoded}
+        return {item_id: self.get(item_id) for item_id in self._ids}
 
 
-def open_source_items(raw: bytes) -> SourceItemBlock:
-    """Open an :func:`encode_source_items` block for per-item access."""
-    return SourceItemBlock(raw)
+def open_source_items(raw: bytes, layout: int = LAYOUT_VERSION) -> SourceItemBlock:
+    """Open a read operator's item block, as run layout *layout* wrote it,
+    for per-item access: framed from layout 4, raw JSON before."""
+    return SourceItemBlock(raw, framed=layout >= 4)
 
 
 def encode_rows(rows: Sequence[tuple[int | None, DataItem]]) -> bytes:
     """Encode the provenance-annotated result rows of one run."""
-    return encode_payloads(None, [(pid, _item_json(item)) for pid, item in rows])
+    return encode_payloads([(pid, _item_json(item)) for pid, item in rows])
 
 
 def iter_encoded_rows(cursor: Cursor) -> Iterator[tuple[int | None, bytes]]:

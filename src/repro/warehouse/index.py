@@ -22,13 +22,12 @@ must be scanned.  This module persists, per part, one extra segment (kind
     a longer term must fall back to a scan.
 
 ``ITEMS``
-    Per source oid, the byte range of each item record from the start of
-    its operator segment (the segment's own file in layout 2, its slice of
-    ``part.seg`` in layout 3).  **Unread**: candidates are parsed one at a
-    time out of the store's header-hopped block
-    (``store.peek_source_item``), which is as selective and opens no file
-    per candidate.  The section stays written so ``INDEX_VERSION`` 1 bytes
-    do not move; it goes at the next bump.
+    The number of source items indexed (one ``u64``).  Up to
+    ``INDEX_VERSION`` 1 the section held each item record's byte range in
+    its raw block; it had no reader, and framed blocks have no such ranges.
+    A version-1 index still decodes: its ranges are counted and dropped.
+    Candidates are parsed one at a time out of the store's block
+    (``store.peek_source_item``).
 
 ``PATHS``
     The A/M records inverted: ``path -> accessing oids`` and ``path ->
@@ -37,9 +36,9 @@ must be scanned.  This module persists, per part, one extra segment (kind
 
 The index is *derived* data with one accumulate / sort / encode path and
 two feeders.  Recording feeds it in the pass that encodes the part, from
-what the writer holds -- provenance objects, the string leaves the item
-encoder collected, the offsets of the block it is assembling
-(:func:`repro.warehouse.writer.write_part`) -- and writes it as the last
+what the writer holds -- provenance objects and the string leaves the item
+encoder collected (:func:`repro.warehouse.writer.write_part`) -- and writes
+it as the last
 segment of ``part.seg``, reading nothing back; ``repro index build``
 backfill feeds it from a written part's segments (:meth:`RunIndex.build`)
 and writes it beside the part as ``index.seg``, since derived data is
@@ -89,7 +88,7 @@ __all__ = [
 ]
 
 INDEX_SEGMENT = "index.seg"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 #: Longest string leaf the TERMS section indexes.  Tweet texts and names
 #: fit; probing anything longer falls back to the scan path (the index is
@@ -158,7 +157,7 @@ class _Accumulator:
         self.inputs, self.terms, self.accessed, self.manipulated = (
             defaultdict(set) for _ in range(4)
         )
-        self.items: dict[int, dict[int, tuple[int, int]]] = {}
+        self.item_count = 0
 
     def add_operator(self, provenance: OperatorProvenance) -> None:
         """INPUTS and PATHS of one operator."""
@@ -170,16 +169,12 @@ class _Accumulator:
                 self.accessed[str(acc)].add(oid)
         for path_in, _path_out in provenance.manipulations_or_empty():
             self.manipulated[str(path_in)].add(oid)
-        if isinstance(provenance.associations, ReadAssociations):
-            self.items[oid] = {}
 
-    def add_item(
-        self, oid: int, item_id: int, offset: int, length: int, leaves: Iterable[str]
-    ) -> None:
-        """ITEMS and TERMS of one source item record at *offset* in its
-        operator segment, given the item's string leaves (every one; those
-        over :data:`MAX_TERM_LEN` are left out here)."""
-        self.items[oid][item_id] = (offset, length)
+    def add_item(self, oid: int, item_id: int, leaves: Iterable[str]) -> None:
+        """ITEMS and TERMS of one item of source *oid*, given the item's
+        string leaves (every one; those over :data:`MAX_TERM_LEN` are left
+        out here)."""
+        self.item_count += 1
         posting = (oid, item_id)
         for leaf in leaves:
             if len(leaf) <= MAX_TERM_LEN:
@@ -190,19 +185,19 @@ class _Accumulator:
             {key: tuple(sorted(postings)) for key, postings in section.items()}
             for section in (self.inputs, self.terms, self.accessed, self.manipulated)
         )
-        return RunIndex(inputs, terms, self.items, accessed, manipulated)
+        return RunIndex(inputs, terms, self.item_count, accessed, manipulated)
 
 
 class RunIndex:
     """The decoded persisted index of one stored run."""
 
-    __slots__ = ("inputs", "terms", "items", "accessed", "manipulated")
+    __slots__ = ("inputs", "terms", "item_count", "accessed", "manipulated")
 
     def __init__(
         self,
         inputs: dict[int, tuple[int, ...]],
         terms: dict[str, tuple[tuple[int, int], ...]],
-        items: dict[int, dict[int, tuple[int, int]]],
+        item_count: int,
         accessed: dict[str, tuple[int, ...]],
         manipulated: dict[str, tuple[int, ...]],
     ):
@@ -210,8 +205,8 @@ class RunIndex:
         self.inputs = inputs
         #: string leaf -> sorted (source oid, item id) postings.
         self.terms = terms
-        #: source oid -> item id -> (offset, length) in its operator segment.
-        self.items = items
+        #: How many source items were indexed.
+        self.item_count = item_count
         #: path text -> sorted oids with the path in an A record.
         self.accessed = accessed
         #: input path text -> sorted oids with the path in an M record.
@@ -247,7 +242,7 @@ class RunIndex:
             "version": INDEX_VERSION,
             "inputs": len(self.inputs),
             "terms": len(self.terms),
-            "items": sum(len(ranges) for ranges in self.items.values()),
+            "items": self.item_count,
             "paths": len(self.accessed) + len(self.manipulated),
         }
 
@@ -270,21 +265,11 @@ class RunIndex:
             accumulator.add_operator(wf.decode_operator(wf.Cursor(record)))
             if "items_offset" not in entry:
                 continue
-            cursor = wf.Cursor(read_range(part.directory, entry, "items_offset", "items_length"))
-            cursor.string()  # source name
-            # ITEMS offsets count from the operator segment's start.
-            base = entry["items_offset"] - entry["offset"] + wf.PREAMBLE
-            for _ in range(cursor.u64()):
-                start = cursor.offset
-                item_id = cursor.u64()
-                payload = cursor.raw()
-                accumulator.add_item(
-                    oid,
-                    item_id,
-                    base + start,
-                    cursor.offset - start,
-                    walk_string_leaves(json.loads(payload)),
-                )
+            block = wf.open_source_items(
+                read_range(part.directory, entry, "items_offset", "items_length"), part.layout
+            )
+            for item_id, payload in block.encoded():
+                accumulator.add_item(oid, item_id, walk_string_leaves(json.loads(payload)))
         return accumulator.finish()
 
     # -- codec -----------------------------------------------------------------
@@ -302,13 +287,7 @@ class RunIndex:
             parts.append(wf._string(term) + wf._u32(len(postings)))
             for oid, item_id in postings:
                 parts.append(wf._u32(oid) + wf._u64(item_id))
-        parts.append(wf._u32(len(self.items)))
-        for oid in sorted(self.items):
-            ranges = self.items[oid]
-            parts.append(wf._u32(oid) + wf._u64(len(ranges)))
-            for item_id in sorted(ranges):
-                offset, length = ranges[item_id]
-                parts.append(wf._u64(item_id) + wf._u64(offset) + wf._u32(length))
+        parts.append(wf._u64(self.item_count))
         for section in (self.accessed, self.manipulated):
             parts.append(wf._u64(len(section)))
             for text in sorted(section):
@@ -321,7 +300,7 @@ class RunIndex:
     def decode(cls, buffer: bytes) -> "RunIndex":
         cursor = wf.open_segment(buffer, wf.SEGMENT_INDEX)
         version = cursor.u8()
-        if version != INDEX_VERSION:
+        if version not in (1, INDEX_VERSION):
             raise ProvenanceError(f"unsupported run index version {version}")
         inputs = {}
         for _ in range(cursor.u64()):
@@ -333,14 +312,15 @@ class RunIndex:
             terms[term] = tuple(
                 (cursor.u32(), cursor.u64()) for _ in range(cursor.u32())
             )
-        items: dict[int, dict[int, tuple[int, int]]] = {}
-        for _ in range(cursor.u32()):
-            oid = cursor.u32()
-            ranges = {}
-            for _ in range(cursor.u64()):
-                item_id = cursor.u64()
-                ranges[item_id] = (cursor.u64(), cursor.u32())
-            items[oid] = ranges
+        if version == 1:  # per source: oid | count | (id u64 | offset u64 | length u32)*
+            item_count = 0
+            for _ in range(cursor.u32()):
+                cursor.u32()
+                ranges = cursor.u64()
+                cursor.skip(ranges * 20)
+                item_count += ranges
+        else:
+            item_count = cursor.u64()
         sections = []
         for _ in range(2):
             section = {}
@@ -348,7 +328,7 @@ class RunIndex:
                 text = cursor.string()
                 section[text] = tuple(cursor.u32() for _ in range(cursor.u32()))
             sections.append(section)
-        return cls(inputs, terms, items, sections[0], sections[1])
+        return cls(inputs, terms, item_count, sections[0], sections[1])
 
     # -- persistence -----------------------------------------------------------
 
@@ -383,17 +363,12 @@ class RunIndex:
     def _union(cls, parts: "list[RunIndex]") -> "RunIndex":
         """One index over several parts' indexes: ids are unique across a
         run and every section maps ``key -> sorted postings``, so the union
-        of complete parts is complete.  (ITEMS ranges stay segment-relative;
-        the section has no reader.)
+        of complete parts is complete.
         """
-        items: dict[int, dict[int, tuple[int, int]]] = {}
-        for part in parts:
-            for oid, ranges in part.items.items():
-                items.setdefault(oid, {}).update(ranges)
         return cls(
             _union_postings(part.inputs for part in parts),
             _union_postings(part.terms for part in parts),
-            items,
+            sum(part.item_count for part in parts),
             _union_postings(part.accessed for part in parts),
             _union_postings(part.manipulated for part in parts),
         )
@@ -401,7 +376,7 @@ class RunIndex:
     def __repr__(self) -> str:
         return (
             f"RunIndex({len(self.inputs)} input ids, {len(self.terms)} terms, "
-            f"{sum(len(r) for r in self.items.values())} item ranges)"
+            f"{self.item_count} items)"
         )
 
 

@@ -54,7 +54,9 @@ epoch order, and fresh sequential ids are assigned in entry order -- exactly
 the order a batch executor would have assigned them for a linear plan -- so
 the compacted segments are byte-identical to a batch capture.  Source items
 and sink rows are re-headed, not re-parsed: their stored JSON bytes move
-under the new ids through the writer's one item encoder.
+under the new ids, the items inflated out of each epoch's frames and
+framed again by the writer (zlib is deterministic at a fixed level, so the
+frames are the ones a one-shot record writes).
 
 Retention expires whole epochs past a TTL and proves it: the sweep records
 the expired sink-row and source-item ids, verifies they no longer answer
@@ -341,7 +343,7 @@ def compact_live_run(run_dir: FsPath, manifest: dict[str, Any]) -> dict[str, Any
     ]
     sealed = write_run(
         run_dir,
-        EncodedPart(operators, len(rows), wf.encode_payloads(None, rows)),
+        EncodedPart(operators, len(rows), wf.encode_payloads(rows)),
         manifest["sink_oid"],
         manifest["run_id"],
         manifest["name"],
@@ -399,9 +401,7 @@ def retain_epochs(
                     pid for pid, _ in doomed.encoded_rows() if pid is not None
                 ),
                 "source_ids": {
-                    str(oid): sorted(
-                        item_id for item_id, _ in doomed.encoded_source_items(oid)
-                    )
+                    str(oid): sorted(doomed.source_ids(oid))
                     for oid in doomed.footer_topology()
                     if doomed.is_source(oid)
                 },

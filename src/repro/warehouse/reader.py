@@ -16,7 +16,9 @@ read::
 
 Runs written in layout 2 (a file per segment: ``ops/op-<oid>.seg``,
 ``ops/range-NNNN/`` sub-shards, ``rows.seg``, ``index.seg``) still read:
-:func:`run_parts` hands their footers out in layout-3 form.
+:func:`run_parts` hands their footers out in one-file form.  Each part
+carries its layout, which says how its source-item blocks are encoded:
+framed from layout 4, raw JSON in layouts 2 and 3.
 
 :class:`LazyProvenanceStore` satisfies the
 :class:`~repro.core.store.ProvenanceStoreProtocol`, so the backtracing
@@ -27,7 +29,8 @@ zero decodes.  Source-item blocks are read separately from operator
 records: backtracing walks every reachable operator's record (it needs the
 predecessor references and associations), while item blocks are only read
 for sources that actually end up with provenance entries -- and of such a
-block only the items an answer lists are ever parsed
+block only the frames holding the items an answer lists are ever inflated,
+and only those items parsed
 (:class:`~repro.warehouse.format.SourceItemBlock`).
 
 :class:`StoredRun` -- what ``Warehouse.load`` returns -- is the one object
@@ -103,7 +106,7 @@ def load_manifest(run_dir: FsPath) -> dict[str, Any]:
         raise ProvenanceError(f"no run manifest at {path}")
     with open(path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
-    if manifest.get("format") not in (2, wf.LAYOUT_VERSION):
+    if manifest.get("format") not in (2, 3, wf.LAYOUT_VERSION):
         raise ProvenanceError(
             f"unsupported run manifest format: {manifest.get('format')!r}"
         )
@@ -121,17 +124,22 @@ class RunPart(NamedTuple):
     rows: dict[str, Any]
     #: Location of the part's index segment, or ``None`` (unindexed).
     index: dict[str, Any] | None
+    #: The run layout that wrote the part (how its item blocks are encoded).
+    layout: int
 
 
 def _part(directory: FsPath, footer: dict[str, Any]) -> RunPart:
     """A part from its own footer.  A layout-2 footer (no ``"format"`` on
-    an epoch's, 2 on a batch manifest) is read in layout-3 form, copied:
+    an epoch's, 2 on a batch manifest) is read in one-file form, copied:
     each segment was its own file, so an operator's lives at
     ``ops/<segment>`` (``range-NNNN/`` sub-shards included), the rows at
     offset 0 of ``rows.seg`` to its end, the index at offset 0 of
     ``index.seg``."""
-    if footer.get("format") == wf.LAYOUT_VERSION:
-        return RunPart(directory, footer["operators"], footer["rows"], footer.get("index"))
+    layout = footer.get("format", 2)
+    if layout >= 3:
+        return RunPart(
+            directory, footer["operators"], footer["rows"], footer.get("index"), layout
+        )
     index = footer.get("index")
     return RunPart(
         directory,
@@ -141,6 +149,7 @@ def _part(directory: FsPath, footer: dict[str, Any]) -> RunPart:
         },
         {"segment": "rows.seg", "offset": 0, "segment_bytes": -1},
         dict(index, offset=0) if index else None,
+        layout,
     )
 
 
@@ -266,11 +275,11 @@ class LazyProvenanceStore:
             raise ProvenanceError(f"segment cache needs capacity >= 1, got {cache_size}")
         self._manifest = manifest if manifest is not None else load_manifest(run_dir)
         self._parts = run_parts(run_dir, self._manifest, max_epoch)
-        #: oid -> [(part directory, footer index entry)] in part order.
-        self._index: dict[int, list[tuple[FsPath, dict[str, Any]]]] = {}
+        #: oid -> [(part, footer index entry)] in part order.
+        self._index: dict[int, list[tuple[RunPart, dict[str, Any]]]] = {}
         for part in self._parts:
             for oid, entry in part.operators.items():
-                self._index.setdefault(int(oid), []).append((part.directory, entry))
+                self._index.setdefault(int(oid), []).append((part, entry))
         #: Only retention takes ids away from under a later reference.
         self._decays = any(
             entry.get("expired") for entry in self._manifest.get("epochs", ())
@@ -336,7 +345,7 @@ class LazyProvenanceStore:
             for oid, entries in self._index.items()
         }
 
-    def _entries(self, oid: int) -> list[tuple[FsPath, dict[str, Any]]]:
+    def _entries(self, oid: int) -> list[tuple[RunPart, dict[str, Any]]]:
         entries = self._index.get(oid)
         if entries is None:
             raise BacktraceError(f"no captured provenance for operator {oid}")
@@ -389,9 +398,11 @@ class LazyProvenanceStore:
             ):
                 decoded = [
                     wf.decode_operator(
-                        wf.Cursor(self._read_range(directory, entry, "offset", "record_length"))
+                        wf.Cursor(
+                            self._read_range(part.directory, entry, "offset", "record_length")
+                        )
                     )
-                    for directory, entry in entries
+                    for part, entry in entries
                 ]
                 provenance = decoded[0]
                 if len(decoded) > 1:
@@ -410,8 +421,9 @@ class LazyProvenanceStore:
             return provenance
 
     def _source_blocks(self, oid: int) -> list[wf.SourceItemBlock]:
-        """Operator *oid*'s item block of every part, read and header-hopped
-        on a miss (no item JSON is parsed).  Call with the store lock held.
+        """Operator *oid*'s item block of every part, read and opened on a
+        miss (its id column read; no frame inflated, no item JSON parsed).
+        Call with the store lock held.
         """
         cached = self._source_items.get(oid)
         if cached is not None:
@@ -430,9 +442,10 @@ class LazyProvenanceStore:
         ):
             blocks = [
                 wf.open_source_items(
-                    self._read_range(directory, entry, "items_offset", "items_length")
+                    self._read_range(part.directory, entry, "items_offset", "items_length"),
+                    part.layout,
                 )
-                for directory, entry in entries
+                for part, entry in entries
             ]
         self._source_items[oid] = blocks
         if len(self._source_items) > self._cache_size:
@@ -451,10 +464,16 @@ class LazyProvenanceStore:
 
     def encoded_source_items(self, oid: int) -> list[tuple[int, bytes]]:
         """A read operator's ``(item id, raw JSON bytes)``, part after part;
-        no item is parsed (compaction moves them as they are)."""
+        every frame is inflated, no item is parsed (compaction moves them as
+        they are)."""
         with self._lock:
-            blocks = self._source_blocks(oid)
-        return [pair for block in blocks for pair in block.encoded()]
+            return [pair for block in self._source_blocks(oid) for pair in block.encoded()]
+
+    def source_ids(self, oid: int) -> list[int]:
+        """A read operator's item ids, part after part, from the blocks' id
+        columns; nothing is inflated or parsed."""
+        with self._lock:
+            return [item_id for block in self._source_blocks(oid) for item_id in block.ids()]
 
     def _block_of(self, oid: int, item_id: int) -> wf.SourceItemBlock:
         for block in self._source_blocks(oid):
@@ -472,11 +491,10 @@ class LazyProvenanceStore:
     def peek_source_item(self, oid: int, item_id: int) -> DataItem:
         """:meth:`source_item` for callers that test the item and drop it
         (forward-trace candidates): a fresh parse is not kept on the block,
-        so a resident store grows with its answers, not with every probe."""
-        with self._lock:
-            block = self._block_of(oid, item_id)
-        with span("item-decode", "segment_decode"):
-            return block.peek(item_id)
+        so a resident store grows with its answers, not with every probe.
+        (The item's frame is inflated and kept, like any other read.)"""
+        with self._lock, span("item-decode", "segment_decode"):
+            return self._block_of(oid, item_id).peek(item_id)
 
     def decayed_source_id(self, oid: int, item_id: int) -> bool:
         """True when *item_id* was erased out from under a later reference.
@@ -486,7 +504,7 @@ class LazyProvenanceStore:
         in an expired epoch (a window that closed after its oldest members'
         epoch was retained away).  A run with no expired epoch never decays:
         a missing id there stays a hard failure.  Answered from the blocks'
-        id tables; no item is parsed.
+        id columns; no frame is inflated.
         """
         if not self._decays:
             return False
@@ -516,8 +534,9 @@ class StoredRun:
     Holds the run's :class:`LazyProvenanceStore` and its result rows, read
     once and kept encoded.  A row is parsed on its first touch and then
     kept -- the rule :meth:`~repro.warehouse.format.SourceItemBlock.get`
-    applies to items -- under the store's lock, so concurrent queries parse
-    a row once and ``rows_decoded`` counts it once.  A one-shot query
+    applies to items and to the frames holding them -- under the store's
+    lock, so concurrent queries parse a row once and ``rows_decoded``
+    counts it once.  A one-shot query
     parses only the rows the pattern's string constants cannot rule out; a
     resident run answers every later question from the rows already parsed.
     """

@@ -60,6 +60,7 @@ from repro.warehouse.live import (
 )
 from repro.warehouse.reader import (
     LazyProvenanceStore,
+    RunPart,
     StoredRun,
     load_manifest,
     run_parts,
@@ -388,10 +389,10 @@ class Warehouse:
         return self._dir_for(self._catalog.find(run_id))
 
     @staticmethod
-    def _operator_summaries(run_dir: FsPath, manifest: dict[str, Any]) -> list[dict[str, Any]]:
+    def _operator_summaries(parts: list[RunPart]) -> list[dict[str, Any]]:
         """Per-operator footer figures, summed over the run's visible parts."""
         summaries: dict[int, dict[str, Any]] = {}
-        for part in run_parts(run_dir, manifest):
+        for part in parts:
             for oid_text, entry in part.operators.items():
                 summary = summaries.setdefault(
                     int(oid_text),
@@ -409,12 +410,35 @@ class Warehouse:
                 summary["segment_bytes"] += entry["segment_bytes"]
         return [summaries[oid] for oid in sorted(summaries)]
 
+    @staticmethod
+    def _byte_ledger(parts: list[RunPart]) -> dict[str, int]:
+        """What the visible parts' bytes hold, summed from their footer
+        entries with no segment read: source-item blocks, the rest of the
+        operator segments (preambles and operator records), result rows and
+        the index.  A layout-2 rows entry runs to its file's end, so its
+        size is the file's."""
+        ledger = dict.fromkeys(("items", "records", "rows", "index"), 0)
+        for part in parts:
+            for entry in part.operators.values():
+                items = entry.get("items_length", 0)
+                ledger["items"] += items
+                ledger["records"] += entry["segment_bytes"] - items
+            rows = part.rows["segment_bytes"]
+            if rows < 0:
+                rows = (part.directory / part.rows["segment"]).stat().st_size
+            ledger["rows"] += rows
+            if part.index:
+                ledger["index"] += part.index["segment_bytes"]
+        return ledger
+
     def inspect(self, run_id: str) -> dict[str, Any]:
         """Per-operator summary of one run, served from its footer index (plus
-        liveness, watermark and per-epoch sizes on epoch-layout runs)."""
+        liveness, watermark and per-epoch sizes on epoch-layout runs), and
+        the ``bytes`` ledger of what its stored bytes hold."""
         record = self._catalog.find(run_id)
         run_dir = self._dir_for(record)
         manifest = load_manifest(run_dir)
+        parts = run_parts(run_dir, manifest)
         summary = {
             "run_id": record.run_id,
             "name": record.name,
@@ -422,7 +446,8 @@ class Warehouse:
             "sink_oid": manifest["sink_oid"],
             "rows": manifest["rows"]["count"],
             "total_bytes": manifest["total_bytes"],
-            "operators": self._operator_summaries(run_dir, manifest),
+            "bytes": self._byte_ledger(parts),
+            "operators": self._operator_summaries(parts),
         }
         if is_epoch_layout(manifest):
             summary.update(
@@ -526,7 +551,7 @@ class Warehouse:
         record = self.resolve(run_id)
         run_dir = self._dir_for(record)
         manifest = load_manifest(run_dir)
-        operators = self._operator_summaries(run_dir, manifest)
+        operators = self._operator_summaries(run_parts(run_dir, manifest))
         if is_epoch_layout(manifest):
             registry.gauge("repro_run_segment_epoch", run_id=record.run_id).set(
                 manifest["segment_epoch"]

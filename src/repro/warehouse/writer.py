@@ -6,15 +6,16 @@ segment, then the rows segment, then (given an index accumulator) the index
 segment.  A read operator's segment carries its ``id -> input item`` block
 *after* the operator record, at an offset noted in the footer, so a lazy
 reader can decode the operator (needed for topological backtracing) without
-touching the usually much larger item block.  Every segment keeps its own
-preamble and bytes; only where it sits is new (``LAYOUT_VERSION`` 3).
+touching the usually much larger item block.  The block keeps its id column
+raw and its items in zlib frames of ``FRAME_ITEMS``
+(:func:`~repro.warehouse.format.frame_source_items`, ``LAYOUT_VERSION`` 4);
+a frame two read operators share (a self-join) is compressed once per part.
 
 The part's query-side index (:mod:`repro.warehouse.index`) is fed in the
 same pass, from what this module holds while it encodes -- each operator's
-provenance object, each source item's string leaves (collected by the
-encoder pass that produced its stored bytes, :func:`encode_part`) and the
-offset of its record in the block being assembled -- so nothing written is
-read back.
+provenance object and each source item's string leaves (collected by the
+encoder pass that produced its stored bytes, :func:`encode_part`) -- so
+nothing written is read back.
 
 The footer maps every operator id to its byte ranges in ``part.seg``,
 record counts, and the Fig. 8 size split -- everything ``size_report()``
@@ -105,16 +106,13 @@ def _operator_segment(
     source: Source | None,
     index: "_Accumulator | None",
     start: int,
+    frames: dict[tuple[int, ...], bytes],
 ) -> tuple[list[bytes], dict[str, Any]]:
     """Encode one operator segment that starts *start* bytes into the part
-    file, feeding *index* the operator and each item record as its block is
-    laid out; returns ``(the segment's bytes as the pieces to write in
-    order, footer entry)``.
-
-    Footer offsets are absolute in the part file.  The ITEMS offsets the
-    index is fed stay relative to the segment's own start, as when each
-    segment was a file, so ``index.seg`` bytes do not move (the section is
-    unread and goes at the next ``INDEX_VERSION``).
+    file, feeding *index* the operator and each source item as its block is
+    framed; returns ``(the segment's bytes as the pieces to write in order,
+    footer entry)``.  Footer offsets are absolute in the part file;
+    *frames* is the part's memo of compressed item frames.
     """
     record = wf.encode_operator(provenance)
     pieces = [wf.encode_segment(wf.SEGMENT_OPERATOR, record)]
@@ -138,17 +136,14 @@ def _operator_segment(
         index.add_operator(provenance)
     if source is not None:
         name, payloads, leaves = source
-        parts = wf._payload_parts(name, payloads)  # header, then head + bytes per item
-        pieces += parts
+        block = wf.frame_source_items(name, payloads, frames)
+        pieces += block
         entry["source_name"], entry["item_count"] = name, len(payloads)
         entry["items_offset"] = start + wf.PREAMBLE + len(record)
-        entry["items_length"] = sum(map(len, parts))
+        entry["items_length"] = sum(map(len, block))
         if index is not None:
-            offset = wf.PREAMBLE + len(record) + len(parts[0])
-            for (item_id, raw), head, item_leaves in zip(payloads, parts[1::2], leaves):
-                length = len(head) + len(raw)
-                index.add_item(provenance.oid, item_id, offset, length, item_leaves)
-                offset += length
+            for (item_id, _), item_leaves in zip(payloads, leaves):
+                index.add_item(provenance.oid, item_id, item_leaves)
     entry["segment_bytes"] = sum(map(len, pieces))
     return pieces, entry
 
@@ -193,10 +188,11 @@ def write_part(
     part_dir = FsPath(part_dir)
     part_dir.mkdir(parents=True, exist_ok=True)
     operators: dict[str, Any] = {}
+    frames: dict[tuple[int, ...], bytes] = {}
     position = 0
     with open(part_dir / PART_SEGMENT, "wb") as handle:
         for provenance, source in part.operators:
-            pieces, entry = _operator_segment(provenance, source, index, position)
+            pieces, entry = _operator_segment(provenance, source, index, position, frames)
             handle.writelines(pieces)
             position += entry["segment_bytes"]
             operators[str(provenance.oid)] = entry

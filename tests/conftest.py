@@ -64,6 +64,18 @@ def warehouse_v2(tmp_path) -> Path:
     return root
 
 
+#: A warehouse written in run layout 3, items as raw JSON (see its README).
+WAREHOUSE_V3 = Path(__file__).parent / "fixtures" / "warehouse_v3"
+
+
+@pytest.fixture
+def warehouse_v3(tmp_path) -> Path:
+    """A temporary copy of the committed layout-3 warehouse, free to grow."""
+    root = tmp_path / "v3"
+    shutil.copytree(WAREHOUSE_V3, root)
+    return root
+
+
 #: A warehouse with two storage shards, written before 3.6 (see its README).
 WAREHOUSE_SHARDED = Path(__file__).parent / "fixtures" / "warehouse_sharded"
 

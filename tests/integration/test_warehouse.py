@@ -7,8 +7,11 @@ returns exactly the in-memory answer -- while the segment-cache counters
 prove how little of the run the query actually decoded.
 """
 
+import zlib
+
 import pytest
 
+import repro.warehouse.format as wf
 from repro.cli import main
 from repro.engine.expressions import col
 from repro.engine.metrics import SegmentCacheMetrics
@@ -155,6 +158,37 @@ class TestLazyBacktrace:
         reads = [op for op in summary["operators"] if op["kind"] == "read"]
         assert {op["source_name"] for op in reads} == {"tweets.json"}
 
+    def test_the_byte_ledger_adds_up_to_the_part_file(self, recorded, tmp_path, capsys):
+        """Items, records, rows and index: every byte of ``part.seg`` of a
+        run recorded with its index, from the footer alone; an epoch run
+        sums its parts.  ``warehouse inspect`` prints the same line."""
+        from tests.fixtures.make_warehouse_v2 import narrow, stream_rows
+
+        root, run_id = recorded
+        warehouse = Warehouse.open(root)
+        ledger = warehouse.inspect(run_id)["bytes"]
+        assert set(ledger) == {"items", "records", "rows", "index"}
+        assert min(ledger.values()) > 0
+        assert sum(ledger.values()) == (warehouse.run_dir(run_id) / "part.seg").stat().st_size
+
+        stream = StreamSession(warehouse=root, name="feed", num_partitions=2)
+        stream.open(narrow(stream.dataset()))
+        for lo, hi in ((0, 6), (6, 10)):
+            stream.ingest(stream_rows(lo, hi))
+        run_dir = stream.warehouse.run_dir(stream.run_id)
+        ledger = Warehouse.open(root).inspect(stream.run_id)["bytes"]
+        assert sum(ledger.values()) == sum(p.stat().st_size for p in run_dir.rglob("part.seg"))
+
+        capsys.readouterr()
+        for run in (run_id, stream.run_id):
+            assert main(["warehouse", "inspect", run, "--root", str(root)]) == 0
+            ledger = Warehouse.open(root).inspect(run)["bytes"]
+            line = (
+                f"bytes: {ledger['items']} items, {ledger['records']} records, "
+                f"{ledger['rows']} rows, {ledger['index']} index"
+            )
+            assert line in capsys.readouterr().out.splitlines()
+
     def test_eviction_keeps_answers_correct(self, captured_example, recorded):
         """A tiny cache thrashes but never changes the query answer."""
         root, run_id = recorded
@@ -234,6 +268,73 @@ class TestColdPathParsesOnlyWhatTheQuestionTouches:
         assert store.peek_source_item(1, 1) is kept
         with pytest.raises(BacktraceError):
             store.peek_source_item(1, 10**9)
+
+
+@pytest.fixture
+def inflations(monkeypatch) -> list[int]:
+    """The compressed size of every item frame inflated from here on."""
+    calls: list[int] = []
+    real = zlib.decompress
+
+    def counting(data, *args, **kwargs):
+        calls.append(len(data))
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(zlib, "decompress", counting)
+    return calls
+
+
+class TestFramesInflateOnlyWhatTheAnswerReaches:
+    def test_a_cold_t2_backtrace_inflates_no_more_frames_than_items_it_decodes(
+        self, tmp_path, inflations
+    ):
+        from repro.workloads.scenarios import load_workload, scenario
+
+        spec = scenario("T2")
+        execution = spec.build(Session(2), load_workload("twitter", 0.2)).execute(
+            capture=True
+        )
+        warehouse = Warehouse.open(tmp_path / "wh")
+        run_id = warehouse.record(execution, name="T2").run_id
+        inflations.clear()
+        result, metrics = Warehouse.open(tmp_path / "wh").backtrace(run_id, spec.pattern)
+        assert result.render() == query_provenance(execution, spec.pattern).render()
+        assert 0 < len(inflations) <= metrics.items_decoded
+        manifest = LazyProvenanceStore(warehouse.run_dir(run_id)).manifest
+        frames = sum(
+            -(-entry["item_count"] // wf.FRAME_ITEMS)
+            for entry in manifest["operators"].values()
+            if "item_count" in entry
+        )
+        assert len(inflations) < frames
+
+    def test_ids_membership_and_retention_inflate_nothing(self, tmp_path, inflations):
+        from tests.fixtures.make_warehouse_v2 import narrow, stream_rows
+
+        stream = StreamSession(warehouse=tmp_path / "wh", name="feed", num_partitions=2)
+        stream.open(narrow(stream.dataset()))
+        for lo, hi in ((0, 20), (20, 40), (40, 60)):
+            stream.ingest(stream_rows(lo, hi))
+        stream.finish(compact=False)
+        warehouse, run_dir = stream.warehouse, stream.warehouse.run_dir(stream.run_id)
+        store = LazyProvenanceStore(run_dir)
+        (source,) = [oid for oid in store.footer_topology() if store.is_source(oid)]
+        everything = store.source_ids(source)
+        created = store.manifest["epochs"][0]["created"]
+        inflations.clear()
+        (receipt,) = warehouse.retain(1.0, stream.run_id, now=created + 1.0)["receipts"]
+        assert receipt["verified"] == {"sink_ids_absent": True, "source_ids_absent": True}
+        expired = set(receipt["expired_epochs"][0]["source_ids"][str(source)])
+        assert len(expired) == 20
+        store = LazyProvenanceStore(run_dir)
+        assert store.source_ids(source) == [i for i in everything if i not in expired]
+        assert all(
+            store.decayed_source_id(source, item_id) == (item_id in expired)
+            for item_id in everything
+        )
+        assert inflations == []
+        store.source_item(source, store.source_ids(source)[0])
+        assert len(inflations) == 1
 
 
 class TestEvictionAccounting:

@@ -1,5 +1,6 @@
-"""Run layouts: layout 3 writes each part as one ``part.seg``; layout 2, a
-file per segment, is no longer written and still reads.  Nor are storage
+"""Run layouts: layout 4 writes each part as one ``part.seg`` with its
+source items in compressed frames; layout 3 (raw item JSON) and layout 2 (a
+file per segment) are no longer written and still read.  Nor are storage
 shards: runs a pre-3.6 writer put under ``shards/<name>/runs/`` still read.
 
 The layout-2 side is the committed ``tests/fixtures/warehouse_v2`` warehouse
@@ -8,9 +9,13 @@ written by the last layout-2 writer together with the digests of its
 backtrace, forward and SAR answers.  Over a temporary copy of it:
 
 * every answer digest is still the one recorded;
-* ``repro index build`` re-derives the recorded ``index.seg`` bytes;
-* the live head takes layout-3 epochs after its layout-2 ones, answers over
-  both, and compacts to the bytes of a one-shot record of the same rows.
+* ``repro index build`` re-derives what the recorded ``index.seg`` says;
+* the live head takes current-layout epochs after its layout-2 ones,
+  answers over both, and compacts to the bytes of a one-shot record of the
+  same rows.
+
+The layout-3 side is the committed ``tests/fixtures/warehouse_v3`` (a batch
+run and a two-epoch live run), held to the same three promises.
 
 The sharded side is the committed ``tests/fixtures/warehouse_sharded``
 (two runs, one per shard, with the digests of their answers).  Over a copy,
@@ -37,6 +42,8 @@ from repro.serve.service import result_to_json
 from repro.stream import StreamSession
 from repro.warehouse import Warehouse
 from repro.warehouse.catalog import Catalog
+from repro.warehouse.format import LAYOUT_VERSION
+from repro.warehouse.index import INDEX_VERSION, RunIndex
 from repro.warehouse.reader import load_manifest
 from tests.fixtures.make_warehouse_v2 import LIVE_BATCHES, answer_digests, narrow, stream_rows
 from tests.oracle.full_parse import full_parse_backtrace
@@ -93,10 +100,17 @@ class TestLayout2StillReads:
         assert Warehouse.open(warehouse_v2).load_index(run_id) is None  # scans meanwhile
         assert main(["index", "build", run_id, "--root", str(warehouse_v2)]) == 0
         assert "input ids" in capsys.readouterr().out
-        assert (run_dir / "index.seg").read_bytes() == recorded
+        # The rebuilt bytes are INDEX_VERSION 2 (ITEMS is a count); what
+        # they say is what the recorded version-1 index said.
+        old, rebuilt = (
+            RunIndex.decode(raw) for raw in (recorded, (run_dir / "index.seg").read_bytes())
+        )
+        for section in ("inputs", "terms", "item_count", "accessed", "manipulated"):
+            assert getattr(rebuilt, section) == getattr(old, section), section
+        assert rebuilt.summary() == dict(old.summary(), version=INDEX_VERSION)
         assert load_manifest(run_dir)["format"] == 2  # a backfill rewrites no segment
 
-    def test_a_live_head_grows_by_layout_3_epochs_and_compacts_to_a_one_shot_record(
+    def test_a_live_head_grows_by_new_layout_epochs_and_compacts_to_a_one_shot_record(
         self, warehouse_v2
     ):
         warehouse = Warehouse.open(warehouse_v2)
@@ -111,6 +125,9 @@ class TestLayout2StillReads:
         assert sorted(path.name for path in (run_dir / "batches" / "epoch-0003").iterdir()) == [
             "part.json", "part.seg"
         ]
+        assert json.loads((run_dir / "batches" / "epoch-0003" / "part.json").read_text())[
+            "format"
+        ] == LAYOUT_VERSION
 
         rows = [row for lo, hi in LIVE_BATCHES + grown for row in stream_rows(lo, hi)]
         batch = _batch(rows)
@@ -153,6 +170,61 @@ class TestLayout2StillReads:
             "manifest.json", "metrics.json", "part.seg"
         ]
         assert "sub_shards" not in json.loads((fresh / "manifest.json").read_text())
+
+
+class TestLayout3StillReads:
+    """The committed ``tests/fixtures/warehouse_v3``: a batch run and a live
+    run whose item blocks are raw JSON."""
+
+    def test_answers_match_the_ones_recorded_when_it_was_written(self, warehouse_v3):
+        warehouse = Warehouse.open(warehouse_v3)
+        recorded = json.loads((warehouse_v3 / "answers.json").read_text())
+        assert [record.name for record in warehouse.runs()] == ["example", "live"]
+        assert load_manifest(warehouse.run_dir("run-0001-example"))["format"] == 3
+        assert {
+            record.name: answer_digests(warehouse, record.run_id, record.name)
+            for record in warehouse.runs()
+        } == recorded
+
+    def test_the_live_run_grows_by_new_layout_epochs_and_answers_like_a_one_shot_batch(
+        self, warehouse_v3
+    ):
+        warehouse = Warehouse.open(warehouse_v3)
+        run_id = "run-0002-live"
+        grown = ((10, 14), (14, 18))
+        for lo, hi in grown:
+            _append(warehouse, run_id, stream_rows(lo, hi))
+        run_dir = warehouse.run_dir(run_id)
+        head = load_manifest(run_dir)
+        assert head["format"] == 3 and [entry["epoch"] for entry in head["epochs"]] == [1, 2, 3, 4]
+        layouts = [
+            json.loads((run_dir / entry["dir"] / "part.json").read_text())["format"]
+            for entry in head["epochs"]
+        ]
+        assert layouts == [3, 3, LAYOUT_VERSION, LAYOUT_VERSION]
+
+        rows = [row for lo, hi in LIVE_BATCHES + grown for row in stream_rows(lo, hi)]
+        batch = _batch(rows)
+        expected = query_provenance(batch, PATTERN)
+        live, _ = warehouse.backtrace(run_id, PATTERN)
+        assert len(live.matched_output_ids) == len(expected.matched_output_ids) == 9
+        assert _traced_ids(live) == _traced_ids(expected) == list(range(1, 18, 2))
+        index = warehouse.load_index(run_id)  # version-1 and version-2 parts, unioned
+        assert index.candidates("u1") and index.item_count == len(rows)
+
+    def test_sealing_the_live_run_compacts_it_to_a_one_shot_records_bytes(self, warehouse_v3):
+        warehouse = Warehouse.open(warehouse_v3)
+        run_id = "run-0002-live"
+        _append(warehouse, run_id, stream_rows(10, 14))
+        warehouse.seal_live_run(run_id, compact=True)
+        run_dir = warehouse.run_dir(run_id)
+        assert sorted(path.name for path in run_dir.iterdir()) == ["manifest.json", "part.seg"]
+        assert load_manifest(run_dir)["format"] == LAYOUT_VERSION
+        rows = [row for lo, hi in LIVE_BATCHES + ((10, 14),) for row in stream_rows(lo, hi)]
+        batch_dir = warehouse.run_dir(warehouse.record(_batch(rows), name="batch").run_id)
+        assert (run_dir / "part.seg").read_bytes() == (batch_dir / "part.seg").read_bytes()
+        compacted, _ = warehouse.backtrace(run_id, PATTERN)
+        assert compacted.render() == query_provenance(_batch(rows), PATTERN).render()
 
 
 class TestShardedRootStillReads:

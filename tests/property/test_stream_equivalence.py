@@ -213,7 +213,7 @@ def test_one_micro_batch_reads_exactly_like_a_recorded_batch(
 
     one_part = warehouse.load_index(stream.run_id)
     whole = warehouse.load_index(batch_record.run_id)
-    for section in ("inputs", "terms", "items", "accessed", "manipulated"):
+    for section in ("inputs", "terms", "item_count", "accessed", "manipulated"):
         assert getattr(one_part, section) == getattr(whole, section), section
     assert one_part.summary() == whole.summary()
 

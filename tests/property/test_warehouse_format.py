@@ -9,6 +9,8 @@ side of a binary association, and unmatched outer-join sides (``None``).
 
 import json
 import threading
+import zlib
+from itertools import accumulate
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -28,7 +30,7 @@ from repro.core.treepattern.parser import parse_pattern
 from repro.core.treepattern.pattern import NO_EQUALS, Edge, PatternNode, TreePattern
 from repro.engine.metrics import SegmentCacheMetrics
 from repro.errors import ProvenanceError
-from repro.nested.json_io import _jsonable
+from repro.nested.json_io import _jsonable, item_to_json
 from repro.nested.schema import infer_schema
 from repro.nested.types import type_to_obj
 from repro.nested.values import DataItem
@@ -130,13 +132,29 @@ def test_operator_record_round_trip(provenance):
 
 
 def _decode_all(raw: bytes) -> dict[int, DataItem]:
-    """The sequential whole-block decoder, kept here as the oracle."""
+    """The sequential whole-block decoder of a framed block, kept here as
+    the oracle: ids, frame lengths, then each frame inflated in turn."""
     cursor = wf.Cursor(raw)
     cursor.string()
-    return {
-        cursor.u64(): DataItem(json.loads(cursor.string()))
-        for _ in range(cursor.u64())
-    }
+    count = cursor.u64()
+    ids = [cursor.u64() for _ in range(count)]
+    payloads = []
+    for length in [cursor.u32() for _ in range(-(-count // wf.FRAME_ITEMS))]:
+        frame = wf.Cursor(zlib.decompress(raw[cursor.offset : cursor.offset + length]))
+        cursor.offset += length
+        while frame.offset < len(frame.buffer):
+            payloads.append(frame.string())
+    assert cursor.offset == len(raw) and len(payloads) == count
+    return {item_id: DataItem(json.loads(text)) for item_id, text in zip(ids, payloads)}
+
+
+def _raw_block(name: str, items: dict[int, DataItem]) -> bytes:
+    """A source-item block as layouts 2 and 3 wrote it: ``name | count |
+    (id | len | JSON)*``, items in ascending id order."""
+    parts = [wf._string(name), wf._u64(len(items))]
+    for item_id, item in sorted(items.items()):
+        parts.append(wf._u64(item_id) + wf._string(item_to_json(item)))
+    return b"".join(parts)
 
 
 _nasty_text = st.text(max_size=8) | st.sampled_from(
@@ -151,9 +169,13 @@ _nested_values = st.recursive(
 _nested_items = st.dictionaries(_nasty_text.filter(bool), _nested_values, max_size=4).map(
     DataItem
 )
+#: Blocks that fill no frame, one, and spill into the next.
+_item_maps = st.integers(min_value=0, max_value=2 * wf.FRAME_ITEMS + 3).flatmap(
+    lambda size: st.dictionaries(_ids, _nested_items, min_size=size, max_size=size)
+)
 
 
-@given(st.text(max_size=8), st.dictionaries(_ids, _nested_items, max_size=6), st.data())
+@given(st.text(max_size=8), _item_maps, st.data())
 @settings(max_examples=120, deadline=None)
 def test_source_item_block_reads_items_one_at_a_time(name, items, data):
     raw = wf.encode_source_items(name, items)
@@ -164,27 +186,98 @@ def test_source_item_block_reads_items_one_at_a_time(name, items, data):
     block = wf.open_source_items(raw)
     assert block.name == name
     assert block.ids() == sorted(items)
-    assert block.decoded == 0, "opening a block parses no item"
+    assert block.decoded == block.inflated == 0, "opening a block inflates and parses nothing"
     probes = data.draw(st.lists(st.sampled_from(sorted(items)), max_size=4)) if items else []
     for item_id in probes:
         assert item_id in block
         assert block.get(item_id) == reference[item_id]
     assert block.decoded == len(set(probes))
+    slots = {item_id: slot for slot, item_id in enumerate(sorted(items))}
+    assert block.inflated == len({slots[item_id] // wf.FRAME_ITEMS for item_id in probes})
     assert (wf.NONE_ID - 1 in block) == (wf.NONE_ID - 1 in items)
     assert block.all() == reference
     assert block.decoded == len(items)
+    assert block.inflated == -(-len(items) // wf.FRAME_ITEMS)
 
 
-@given(
-    st.text(max_size=8),
-    st.dictionaries(_ids, _nested_items, min_size=1, max_size=4),
-    st.integers(min_value=1, max_value=40),
-)
+@pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 50])
+def test_framed_blocks_round_trip_at_every_frame_boundary(size):
+    items = {
+        3 * n + 1: DataItem({"n": n, "text": f"item {n}", "tags": ["a"] * (n % 3)})
+        for n in range(size)
+    }
+    raw = wf.encode_source_items("src", items)
+    encoded = {item_id: wf._item_json(item) for item_id, item in items.items()}
+    for layout, block_raw in ((wf.LAYOUT_VERSION, raw), (3, _raw_block("src", items))):
+        block = wf.open_source_items(block_raw, layout)
+        assert block.name == "src" and block.ids() == sorted(items)
+        assert all(item_id in block for item_id in items) and 0 not in block
+        for item_id, item in items.items():
+            assert block.peek(item_id) == item
+        assert block.decoded == 0, "peek keeps no parsed item"
+        assert dict(block.encoded()) == encoded and [i for i, _ in block.encoded()] == sorted(items)
+        for item_id, item in items.items():
+            assert block.get(item_id) == item
+        assert block.decoded == size
+        assert block.all() == items
+    assert block.inflated == 0, "a raw block has no frame to inflate"
+    assert len(raw) < len(_raw_block("src", items)) or size < 4
+
+
+@given(st.text(max_size=8), _item_maps.filter(bool), st.data())
 @settings(max_examples=80, deadline=None)
-def test_truncated_source_item_block_raises(name, items, cut):
-    raw = wf.encode_source_items(name, items)
+def test_truncated_source_item_block_raises(name, items, data):
+    """Whatever the cut, and whichever layout wrote the block."""
+    blocks = ((wf.encode_source_items(name, items), wf.LAYOUT_VERSION), (_raw_block(name, items), 3))
+    for raw, layout in blocks:
+        cut = data.draw(st.integers(min_value=1, max_value=len(raw)))
+        with pytest.raises(ProvenanceError):
+            wf.open_source_items(raw[: len(raw) - cut], layout)
+
+
+@given(_item_maps.filter(bool), st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_flipped_bit_inside_a_frame_raises_provenance_error(items, data):
+    """A damaged frame fails as the warehouse's own error, never as
+    ``zlib.error`` or an ``IndexError``, when one of its items is asked
+    for.  The one flip that cannot fail is one in the padding bits of a
+    frame's last deflate byte: zlib ignores them, and the items read back
+    unchanged."""
+    intact = wf.encode_source_items("src", items)
+    raw = bytearray(intact)
+    cursor = wf.Cursor(intact)
+    cursor.string()
+    cursor.array("Q", cursor.u64())
+    lengths = cursor.array("I", -(-len(items) // wf.FRAME_ITEMS))
+    ends = list(accumulate(lengths, initial=cursor.offset))[1:]
+    position = data.draw(st.integers(min_value=cursor.offset, max_value=len(raw) - 1))
+    raw[position] ^= 1 << data.draw(st.integers(min_value=0, max_value=7))
+    damaged = wf.open_source_items(bytes(raw))  # the id column and frame table are intact
+    assert damaged.ids() == sorted(items)
+    frame = next(index for index, end in enumerate(ends) if end > position)
+    victim = sorted(items)[frame * wf.FRAME_ITEMS]
+    try:
+        item = damaged.get(victim)
+    except ProvenanceError:
+        with pytest.raises(ProvenanceError):
+            wf.open_source_items(bytes(raw)).encoded()
+    else:
+        assert position == ends[frame] - 5, "only the padding of the last deflate byte"
+        assert item == items[victim]
+        assert damaged.encoded() == wf.open_source_items(intact).encoded()
+
+
+def test_a_frame_table_that_runs_past_the_block_raises_provenance_error():
+    items = {n: DataItem({"n": n}) for n in range(20)}
+    raw = wf.encode_source_items("src", items)
+    table = len(wf._string("src")) + 8 + 8 * len(items)
+    for length in (0, 2**32 - 1):
+        damaged = raw[:table] + wf._u32(length) + raw[table + 4 :]
+        with pytest.raises(ProvenanceError):
+            wf.open_source_items(damaged)
+    huge = raw[: len(wf._string("src"))] + wf._u64(2**61) + raw[len(wf._string("src")) + 8 :]
     with pytest.raises(ProvenanceError):
-        wf.open_source_items(raw[: max(0, len(raw) - cut)])
+        wf.open_source_items(huge)
 
 
 @given(st.lists(st.tuples(st.none() | _ids, _items), max_size=6))

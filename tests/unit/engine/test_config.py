@@ -8,7 +8,6 @@ from repro.engine.config import (
     ALL_RULES,
     DEFAULT_NUM_PARTITIONS,
     EngineConfig,
-    resolve_partitions,
 )
 from repro.engine.session import Session
 from repro.errors import ExecutionError
@@ -24,10 +23,6 @@ class TestDefaults:
     def test_immutable(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             EngineConfig().num_partitions = 8
-
-    def test_resolve_partitions(self):
-        assert resolve_partitions(None) == DEFAULT_NUM_PARTITIONS
-        assert resolve_partitions(7) == 7
 
 
 class TestLayoutIsNotAnOption:

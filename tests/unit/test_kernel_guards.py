@@ -15,7 +15,8 @@ Recording is one pass over what the writer holds: with file opens, decodes,
 parses and encoder calls counted, a ``record`` or an ``append_epoch`` reads
 nothing it wrote, writes each footer once, and encodes an item object once
 however many read operators hold it -- collecting its index terms in that
-same encoder pass, never in a second walk.  A part is one file: a record
+same encoder pass, never in a second walk -- and compresses a frame of them
+once too.  A part is one file: a record
 writes ``part.seg``, its manifest and ``metrics.json`` into the one
 directory it makes, an ingest ``part.seg`` and ``part.json`` into its
 epoch directory plus the head.
@@ -261,8 +262,8 @@ class TestConstructionFidelity:
 @pytest.fixture
 def write_path(monkeypatch):
     """Count what a write does: files opened (by mode), directories created,
-    operator decodes, JSON parses, manifest writes, item-encoder calls and
-    string-leaf walks."""
+    operator decodes, JSON parses, manifest writes, item-encoder calls,
+    frame compressions and string-leaf walks."""
     counts: Counter = Counter()
     opened: list[tuple[str, str]] = []
     made: list[str] = []
@@ -293,6 +294,7 @@ def write_path(monkeypatch):
     counting(wf, "decode_operator")
     counting(wf, "_item_json")
     counting(wf, "_item_json_and_leaves")
+    counting(wf.zlib, "compress")
     counting(json, "loads")
     counting(writer, "write_manifest")
     counting(index, "walk_string_leaves")
@@ -341,6 +343,8 @@ class TestRecordIsOnePass:
         assert counts["write_manifest"] == 1
         assert counts["_item_json_and_leaves"] == distinct
         assert counts["_item_json"] == len(execution.rows())
+        # The two reads' frames hold the same payload objects: compressed once.
+        assert counts["compress"] == -(-distinct // wf.FRAME_ITEMS)
 
     def test_an_append_writes_its_footer_once_and_reads_no_segment(self, tmp_path, write_path):
         counts, opened, _ = write_path

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,7 +93,7 @@ class TestBuildAndRoundTrip:
         clone = RunIndex.decode(index.encode())
         assert clone.inputs == index.inputs
         assert clone.terms == index.terms
-        assert clone.items == index.items
+        assert clone.item_count == index.item_count
         assert clone.accessed == index.accessed
         assert clone.manipulated == index.manipulated
 
@@ -203,26 +204,39 @@ class TestProbes:
         with pytest.raises(ProvenanceError):
             index.candidates("x" * (MAX_TERM_LEN + 1))
 
-    def test_item_ranges_frame_the_exact_item(self, loaded):
-        """ITEMS has no reader any more, but stays written (INDEX_VERSION 1):
-        each byte range, counted from the start of its operator segment,
-        must still frame exactly one ``id | JSON`` record."""
+    def test_each_item_ids_frame_slot_holds_exactly_that_item(self, loaded):
+        """Slot ``i`` of a block's id column is item ``i % FRAME_ITEMS`` of
+        frame ``i // FRAME_ITEMS``: cut each block out of ``part.seg``,
+        inflate its frames by hand and compare with the store's item."""
         from repro.nested.json_io import item_from_json
 
         index, store, run_dir, manifest = loaded
         part = (run_dir / PART_SEGMENT).read_bytes()
         checked = 0
-        for oid, ranges in index.items.items():
-            entry = manifest["operators"][str(oid)]
-            start = entry["offset"] - wf.PREAMBLE
-            segment = part[start : start + entry["segment_bytes"]]
-            for item_id, (offset, length) in ranges.items():
-                cursor = wf.Cursor(segment[offset : offset + length])
-                assert cursor.u64() == item_id
-                direct = item_from_json(cursor.raw())
-                assert repr(direct) == repr(store.source_item(oid, item_id))
+        for oid_text, entry in manifest["operators"].items():
+            if "items_offset" not in entry:
+                continue
+            start = entry["items_offset"]
+            cursor = wf.Cursor(part[start : start + entry["items_length"]])
+            assert cursor.string() == entry["source_name"]
+            count = cursor.u64()
+            ids = [cursor.u64() for _ in range(count)]
+            lengths = [cursor.u32() for _ in range(-(-count // wf.FRAME_ITEMS))]
+            frames = []
+            for length in lengths:
+                frame = cursor.buffer[cursor.offset : cursor.offset + length]
+                plain = wf.Cursor(zlib.decompress(frame))
+                cursor.offset += length
+                frames.append([])
+                while plain.offset < len(plain.buffer):
+                    frames[-1].append(plain.raw())
+            assert cursor.offset == len(cursor.buffer)
+            assert [len(frame) for frame in frames[:-1]] == [wf.FRAME_ITEMS] * (len(frames) - 1)
+            for slot, item_id in enumerate(ids):
+                raw = frames[slot // wf.FRAME_ITEMS][slot % wf.FRAME_ITEMS]
+                assert repr(item_from_json(raw)) == repr(store.source_item(int(oid_text), item_id))
                 checked += 1
-        assert checked > 0
+        assert checked == index.item_count > 0
 
     def test_paths_index_lists_accessed_operators(self, loaded):
         index, store, _, _ = loaded
