@@ -35,7 +35,7 @@ def test_width_ablation(benchmark, save_result):
             ]
 
             def run(capture):
-                session = Session(4)
+                session = Session()
                 ds = (
                     session.create_dataset(tweets, "tweets.json")
                     .filter(col("retweet_count") == 0)
@@ -105,7 +105,7 @@ def test_depth_ablation(benchmark, save_result):
     data = [{"a": index, "flag": index % 2 == 0} for index in range(300)]
 
     def build(depth):
-        session = Session(4)
+        session = Session()
         ds = session.create_dataset(data, "in")
         for _ in range(depth):
             ds = ds.select(col("a"), col("flag")).filter(col("a") >= 0)
@@ -147,7 +147,7 @@ def test_optimizer_rewrite_ablation(benchmark, save_result):
        capture shrinks the items every downstream operator copies and
        annotates, so capture-on runtime drops on the scenarios that read a
        narrow slice of wide tweets; fusing the narrow chains removes the
-       per-operator partition barriers on top.
+       per-operator stage boundaries on top.
     """
     from repro.bench.harness import measure_optimizer_ablation
     from repro.bench.reporting import render_optimizer_ablation

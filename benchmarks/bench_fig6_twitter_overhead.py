@@ -25,7 +25,7 @@ def test_capture_run(benchmark, name):
     data = load_workload(spec.kind, 1.0)
 
     def run():
-        execution = spec.build(Session(4), data).execute(capture=True)
+        execution = spec.build(Session(), data).execute(capture=True)
         execution.store.serialize()
         return len(execution)
 

@@ -33,7 +33,7 @@ def test_eager_query(benchmark, name):
     """pytest-benchmark timing of the eager query (capture already paid)."""
     spec = scenario(name)
     data = load_workload(spec.kind, SCALE)
-    captured = spec.build(Session(4), data).execute(capture=True)
+    captured = spec.build(Session(), data).execute(capture=True)
 
     def query():
         return query_provenance(captured, spec.pattern)

@@ -40,7 +40,7 @@ def test_single_operator_capture(benchmark, operator):
     tweets = load_workload("twitter", SCALE)
 
     def run():
-        session = Session(4)
+        session = Session()
         base = session.create_dataset(tweets, "tweets.json")
         if operator == "filter":
             ds = base.filter(col("retweet_count") == 0)

@@ -22,7 +22,7 @@ def test_running_example_cycle(benchmark):
     """Capture + query of the running example, timed end to end."""
 
     def cycle():
-        pipeline = build_running_example(Session(2), list(RUNNING_EXAMPLE_TWEETS))
+        pipeline = build_running_example(Session(), list(RUNNING_EXAMPLE_TWEETS))
         execution = pipeline.execute(capture=True)
         return query_provenance(execution, RUNNING_EXAMPLE_PATTERN)
 
@@ -32,7 +32,7 @@ def test_running_example_cycle(benchmark):
 
 def test_running_example_artefacts(benchmark, save_result):
     def produce():
-        pipeline = build_running_example(Session(2), list(RUNNING_EXAMPLE_TWEETS))
+        pipeline = build_running_example(Session(), list(RUNNING_EXAMPLE_TWEETS))
         execution = pipeline.execute(capture=True)
         provenance = query_provenance(execution, RUNNING_EXAMPLE_PATTERN)
         annotations = count_annotations(

@@ -26,7 +26,7 @@ def _merged_usage():
     for name in DBLP_SCENARIOS:
         spec = scenario(name)
         data = load_workload(spec.kind, SCALE)
-        execution = spec.build(Session(2), data).execute(capture=True)
+        execution = spec.build(Session(), data).execute(capture=True)
         provenance = query_provenance(execution, spec.pattern)
         usage.add(provenance)
         audits.append(audit_leak(provenance))

@@ -56,7 +56,7 @@ CUSTOMERS = [
 
 
 def main() -> None:
-    pebble = PebbleSession(num_partitions=2)
+    pebble = PebbleSession()
 
     # The insider's query: premium customers' names, e-mails, and order totals.
     leaked_query = (

@@ -52,7 +52,7 @@ def build(pebble: PebbleSession, tweets):
 
 def main() -> None:
     tweets = generate_tweets(TwitterConfig(scale=0.5))
-    pebble = PebbleSession(num_partitions=4)
+    pebble = PebbleSession()
     pipeline = build(pebble, tweets)
 
     captured = pebble.run(pipeline)
@@ -87,7 +87,7 @@ def main() -> None:
     start = time.perf_counter()
     captured.backtrace('root{/hashtag="pebble", /users{/id_str="u1"}}')
     eager = time.perf_counter() - start
-    lazy_pipeline = build(PebbleSession(num_partitions=4), tweets)
+    lazy_pipeline = build(PebbleSession(), tweets)
     start = time.perf_counter()
     LazyProvenanceQuerier(lazy_pipeline).query('root{/hashtag="pebble", /users{/id_str="u1"}}')
     lazy = time.perf_counter() - start

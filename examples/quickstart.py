@@ -19,7 +19,7 @@ from repro.workloads.scenarios import (
 
 
 def main() -> None:
-    pebble = PebbleSession(num_partitions=2)
+    pebble = PebbleSession()
 
     # 1. Build the pipeline of Fig. 1: authored tweets (retweet_count == 0)
     #    unified with mentioned-user tweets, grouped per user.

@@ -30,7 +30,7 @@ def main() -> None:
     for name in DBLP_SCENARIOS:
         spec = scenario(name)
         data = load_workload(spec.kind, SCALE)
-        pebble = PebbleSession(num_partitions=4)
+        pebble = PebbleSession()
         execution = spec.build(pebble.session, data).execute(capture=True)
         provenance = query_provenance(execution, spec.pattern)
         usage.add(provenance)

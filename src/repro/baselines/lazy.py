@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.core.backtrace.algorithms import Backtracer
 from repro.core.backtrace.result import ProvenanceResult, SourceResult, ProvenanceEntry
-from repro.core.treepattern.matcher import match_partitions, seed_structure
+from repro.core.treepattern.matcher import match_rows, seed_structure
 from repro.core.treepattern.pattern import TreePattern
 from repro.engine.dataset import Dataset
 from repro.engine.plan import ReadNode
@@ -54,7 +54,7 @@ class LazyProvenanceQuerier:
         for target_oid in read_oids:
             execution = self._dataset.execute(capture=True)
             assert execution.store is not None
-            matches = match_partitions(tree_pattern, execution.partitions)
+            matches = match_rows(tree_pattern, execution.rows())
             seeds = seed_structure(matches)
             raw = Backtracer(execution.store).backtrace(execution.root.oid, seeds)
             matched_ids = sorted(

@@ -159,7 +159,6 @@ def measure_capture_overhead(
     names: Sequence[str],
     scales: Sequence[float] = (1.0,),
     repeats: int = 3,
-    num_partitions: int = 4,
 ) -> list[CaptureMeasurement]:
     """Figs. 6/7: capture overhead per scenario per scale."""
     measurements = []
@@ -169,17 +168,15 @@ def measure_capture_overhead(
             data = load_workload(spec.kind, scale)
 
             def run_plain() -> None:
-                spec.build(Session(num_partitions=num_partitions), data).execute(capture=False)
+                spec.build(Session(), data).execute(capture=False)
 
             def run_capture() -> None:
-                execution = spec.build(
-                    Session(num_partitions=num_partitions), data
-                ).execute(capture=True)
+                execution = spec.build(Session(), data).execute(capture=True)
                 assert execution.store is not None
                 # Eager capture includes persisting the pebbles (Sec. 5.1).
                 execution.store.serialize()
 
-            rows = len(spec.build(Session(num_partitions=num_partitions), data).execute())
+            rows = len(spec.build(Session(), data).execute())
             plain, capture = _timed_pair(run_plain, run_capture, repeats)
             measurements.append(CaptureMeasurement(name, scale, plain, capture, rows))
     return measurements
@@ -212,14 +209,14 @@ class SizeMeasurement:
 
 
 def measure_provenance_size(
-    names: Sequence[str], scale: float = 1.0, num_partitions: int = 4
+    names: Sequence[str], scale: float = 1.0
 ) -> list[SizeMeasurement]:
     """Fig. 8: size of the captured provenance, split lineage/structural."""
     measurements = []
     for name in names:
         spec = scenario(name)
         data = load_workload(spec.kind, scale)
-        execution = spec.build(Session(num_partitions=num_partitions), data).execute(capture=True)
+        execution = spec.build(Session(), data).execute(capture=True)
         assert execution.store is not None
         report = execution.store.size_report()
         measurements.append(
@@ -291,7 +288,6 @@ def measure_query_times(
     names: Sequence[str],
     scale: float = 1.0,
     repeats: int = 3,
-    num_partitions: int = 4,
 ) -> list[QueryMeasurement]:
     """Fig. 9: eager (capture already paid) vs. lazy (re-run per input),
     plus cold warehouse backtracing from segments on disk."""
@@ -303,12 +299,12 @@ def measure_query_times(
     for name in names:
         spec = scenario(name)
         data = load_workload(spec.kind, scale)
-        captured = spec.build(Session(num_partitions=num_partitions), data).execute(capture=True)
+        captured = spec.build(Session(), data).execute(capture=True)
 
         def run_eager() -> None:
             query_provenance(captured, spec.pattern)
 
-        lazy_dataset = spec.build(Session(num_partitions=num_partitions), data)
+        lazy_dataset = spec.build(Session(), data)
         querier = LazyProvenanceQuerier(lazy_dataset)
 
         def run_lazy() -> None:
@@ -391,7 +387,7 @@ def _flat_dblp_lines(scale: float) -> tuple[list[dict[str, str]], list[dict[str,
 
 
 def measure_titian_comparison(
-    scale: float = 1.0, repeats: int = 5, num_partitions: int = 2
+    scale: float = 1.0, repeats: int = 5
 ) -> TitianMeasurement:
     """Sec. 7.3.4: filter '2015' lines of articles/inproceedings, then union.
 
@@ -409,16 +405,16 @@ def measure_titian_comparison(
         return left.union(right)
 
     def run_plain() -> None:
-        plan = build(Session(num_partitions=num_partitions)).plan
-        Executor(num_partitions).execute(plan)
+        plan = build(Session()).plan
+        Executor().execute(plan)
 
     def run_titian() -> None:
-        plan = build(Session(num_partitions=num_partitions)).plan
-        Executor(num_partitions, hooks=[LineageCaptureHook()]).execute(plan)
+        plan = build(Session()).plan
+        Executor(hooks=[LineageCaptureHook()]).execute(plan)
 
     def run_pebble() -> None:
-        plan = build(Session(num_partitions=num_partitions)).plan
-        Executor(num_partitions, hooks=[StructuralCaptureHook()]).execute(plan)
+        plan = build(Session()).plan
+        Executor(hooks=[StructuralCaptureHook()]).execute(plan)
 
     (titian_seconds, _), (pebble_seconds, _) = _timed_pair(run_titian, run_pebble, repeats)
     plain_seconds, _ = _timed(run_plain, repeats)
@@ -471,7 +467,6 @@ def measure_optimizer_ablation(
     names: Sequence[str],
     scale: float = 1.0,
     repeats: int = 3,
-    num_partitions: int | None = None,
 ) -> list[AblationMeasurement]:
     """Capture-on runtime under the optimizer ablation ladder.
 
@@ -485,11 +480,10 @@ def measure_optimizer_ablation(
         spec = scenario(name)
         data = load_workload(spec.kind, scale)
         for config_name, config in ABLATION_CONFIGS:
-            session_config = config.with_partitions(num_partitions)
             traced = config_name.endswith("+trace")
 
             def run_capture() -> None:
-                dataset = spec.build(Session(config=session_config), data)
+                dataset = spec.build(Session(config=config), data)
                 if traced:
                     # A fresh tracer per run: span recording is part of the
                     # measured cost, unbounded accumulation is not.
@@ -500,7 +494,7 @@ def measure_optimizer_ablation(
                 assert execution.store is not None
                 execution.store.serialize()
 
-            probe = spec.build(Session(config=session_config), data).execute(capture=True)
+            probe = spec.build(Session(config=config), data).execute(capture=True)
             rules = probe.physical.report.rules_fired() if probe.physical else ()
             seconds, stdev = _timed(run_capture, repeats)
             measurements.append(
@@ -530,7 +524,7 @@ class OperatorMeasurement:
 
 
 def measure_operator_overhead(
-    scale: float = 1.0, repeats: int = 3, num_partitions: int = 4
+    scale: float = 1.0, repeats: int = 3
 ) -> list[OperatorMeasurement]:
     """Single-operator micro-pipelines over the Twitter corpus.
 
@@ -573,10 +567,10 @@ def measure_operator_overhead(
         build = pipeline(kind)
 
         def run_plain() -> None:
-            build(Session(num_partitions=num_partitions)).execute(capture=False)
+            build(Session()).execute(capture=False)
 
         def run_capture() -> None:
-            build(Session(num_partitions=num_partitions)).execute(capture=True)
+            build(Session()).execute(capture=True)
 
         (plain_seconds, _), (capture_seconds, _) = _timed_pair(run_plain, run_capture, repeats)
         measurements.append(OperatorMeasurement(kind, plain_seconds, capture_seconds))

@@ -313,7 +313,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
-    session = Session(num_partitions=2)
+    session = Session()
     pipeline = build_running_example(session, list(RUNNING_EXAMPLE_TWEETS))
     execution = pipeline.execute(capture=True)
     print("Result (Tab. 2):")
@@ -351,8 +351,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     print(f"{args.name}: {description}")
     print(
         f"capture: {'on' if args.capture else 'off'}  "
-        f"optimize: {'on' if config.optimize else 'off'}  "
-        f"partitions: {config.num_partitions}"
+        f"optimize: {'on' if config.optimize else 'off'}"
     )
     print("\nlogical plan:")
     print(dataset.explain())
@@ -440,7 +439,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     for name in DBLP_SCENARIOS:
         spec = scenario(name)
         data = load_workload(spec.kind, args.scale)
-        execution = spec.build(Session(num_partitions=4), data).execute(capture=True)
+        execution = spec.build(Session(), data).execute(capture=True)
         usage.add(query_provenance(execution, spec.pattern))
     attributes = ["key", "title", "authors", "year", "crossref", "pages"]
     source = "inproceedings.json"

@@ -3,7 +3,6 @@
 from repro.core.treepattern.matcher import (
     PatternMatch,
     match_item,
-    match_partitions,
     match_rows,
     seed_structure,
 )
@@ -13,7 +12,6 @@ from repro.core.treepattern.pattern import Edge, PatternNode, TreePattern, child
 __all__ = [
     "PatternMatch",
     "match_item",
-    "match_partitions",
     "match_rows",
     "seed_structure",
     "parse_pattern",

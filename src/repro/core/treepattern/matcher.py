@@ -1,4 +1,4 @@
-"""Tree-pattern matching over (partitioned) nested datasets.
+"""Tree-pattern matching over nested datasets.
 
 The matcher identifies the result items a provenance question addresses
 (phase one of the querying, Sec. 6.1) and seeds the backtracing structure:
@@ -7,8 +7,8 @@ concrete positions) of all matched pattern nodes; these become the
 contributing nodes of the initial backtracing trees (the right tree of
 Fig. 2).
 
-Matching is evaluated partition by partition -- each item is matched in
-isolation, which is exactly what makes the paper's matcher distributable.
+Each item is matched in isolation, which is exactly what makes the paper's
+matcher distributable.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "PatternMatch",
     "match_item",
     "match_rows",
-    "match_partitions",
     "required_constants",
     "prefilter_encoded_rows",
     "seed_structure",
@@ -200,7 +199,7 @@ def match_item(pattern: TreePattern, item: DataItem) -> set[Path] | None:
 def match_rows(
     pattern: TreePattern, rows: list[tuple[Any, DataItem]]
 ) -> list[PatternMatch]:
-    """Match a list of ``(id, item)`` rows (one partition)."""
+    """Match a list of ``(id, item)`` rows, in row order."""
     matches = []
     for item_id, item in rows:
         paths = match_item(pattern, item)
@@ -247,16 +246,6 @@ def prefilter_encoded_rows(
         raw = row[1]
         if all(needle in raw for needle in needles):
             yield row
-
-
-def match_partitions(
-    pattern: TreePattern, partitions: list[list[tuple[Any, DataItem]]]
-) -> list[PatternMatch]:
-    """Match every partition independently (distributed-style execution)."""
-    matches: list[PatternMatch] = []
-    for partition in partitions:
-        matches.extend(match_rows(pattern, partition))
-    return matches
 
 
 def seed_structure(matches: list[PatternMatch]) -> BacktraceStructure:

@@ -1,4 +1,4 @@
-"""Spark-like partitioned dataflow engine substrate (paper Sec. 4.2).
+"""Spark-like dataflow engine substrate (paper Sec. 4.2).
 
 The engine is layered: a logical plan (``plan.py``) is rewritten by the
 optimizer (``optimizer.py``), compiled into a physical plan of fused stages

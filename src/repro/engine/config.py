@@ -1,13 +1,12 @@
-"""Engine configuration: partitioning and optimizer rules.
+"""Engine configuration: the optimizer rules.
 
-One :class:`EngineConfig` replaces the ``num_partitions`` defaults that were
-previously duplicated across ``Session`` and ``PebbleSession``, and carries
-the knobs of the logical/physical split: which optimizer rules rewrite the plan before compilation.  How a
-stage runs is not a knob: its partition tasks run serially, once, on the calling thread
+One :class:`EngineConfig` carries the knobs of the logical/physical split:
+which optimizer rules rewrite the plan before compilation.  How a stage runs
+is not a knob: it runs once, over one row list, on the calling thread
 (DESIGN.md Sec. 12).
 
 The config is immutable and **keyword-only**; derive variants with
-:meth:`replace` / :meth:`with_partitions`.  :meth:`from_env` builds the
+:meth:`replace`.  :meth:`from_env` builds the
 process-wide default and honours one environment switch, ``REPRO_OPTIMIZE``,
 so an entire test suite or benchmark run can be switched without touching
 call sites.  It is parsed by :func:`env_flag`, which rejects text it does
@@ -27,14 +26,9 @@ from repro.errors import ExecutionError
 
 __all__ = [
     "EngineConfig",
-    "DEFAULT_NUM_PARTITIONS",
     "ALL_RULES",
     "env_flag",
 ]
-
-#: The engine-wide default partition count (formerly repeated as a literal
-#: in every session/executor/loader signature).
-DEFAULT_NUM_PARTITIONS = 4
 
 #: All optimizer rules, in the order the optimizer applies them.
 #: ``pushdown`` moves filters below select/flatten/with_column (plain runs
@@ -75,7 +69,6 @@ def env_flag(name: str) -> bool | None:
 class EngineConfig:
     """Immutable execution configuration carried by a ``Session``."""
 
-    num_partitions: int = DEFAULT_NUM_PARTITIONS
     #: Master switch for plan rewriting; ``False`` reproduces the seed
     #: operator-at-a-time execution exactly.
     optimize: bool = True
@@ -83,8 +76,6 @@ class EngineConfig:
     rules: tuple[str, ...] = ALL_RULES
 
     def __post_init__(self) -> None:
-        if self.num_partitions < 1:
-            raise ExecutionError(f"need at least one partition, got {self.num_partitions}")
         unknown = set(self.rules) - set(ALL_RULES)
         if unknown:
             raise ExecutionError(
@@ -92,8 +83,17 @@ class EngineConfig:
             )
 
     @property
+    def num_partitions(self) -> int:
+        """The one row list per operator output, ``1``; read-only, not a setting.
+
+        Kept because the end-to-end benchmark stamps ``config.num_partitions``
+        into every record (see DESIGN.md Sec. 12 for the decision).
+        """
+        return 1
+
+    @property
     def layout(self) -> str:
-        """The one partition layout, ``"rows"``; read-only, not a setting.
+        """The one row layout, ``"rows"``; read-only, not a setting.
 
         Kept because the end-to-end benchmark stamps ``config.layout`` into
         every record (see DESIGN.md Sec. 15 for the decision).
@@ -124,20 +124,12 @@ class EngineConfig:
             return self
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
 
-    def with_partitions(self, num_partitions: int | None) -> "EngineConfig":
-        """Return a copy with the partition count overridden (``None`` keeps it)."""
-        if num_partitions is None or num_partitions == self.num_partitions:
-            return self
-        return self.replace(num_partitions=num_partitions)
-
     @classmethod
     def from_env(cls, **overrides: object) -> "EngineConfig":
         """Build the default config, honouring environment overrides.
 
         Explicit *overrides* win over the environment; the environment wins
-        over the built-in defaults.  Only behavioural knobs are read from the
-        environment -- the partition count stays code-controlled because test
-        expectations depend on it.
+        over the built-in defaults.
         """
         values: dict[str, object] = {}
         for name, field in _ENV_OVERRIDES.items():

@@ -6,11 +6,12 @@ split into two layers (mirroring the classic logical/physical separation):
 1. :mod:`repro.engine.optimizer` rewrites the logical plan (filter pushdown,
    projection pruning, operator fusion) and compiles it into a
    :class:`~repro.engine.physical.PhysicalPlan` -- an ordered list of stages.
-2. This module executes the stages in order.  Source scans and wide stages
-   (join, aggregate, union, distinct, sort, limit) run the seed's handler
-   logic; **fused stages** run their narrow-operator chain partition-at-a-time
-   as independent per-partition tasks, serially, once, on the calling thread
-   (DESIGN.md Sec. 12 records why there is no scheduler and no retry).
+2. This module executes the stages in order, serially, once, on the calling
+   thread (DESIGN.md Sec. 12 records why there is no scheduler and no
+   retry).  Every operator output is one list of rows.  Source scans and
+   wide stages (join, aggregate, union, distinct, sort, limit) run the
+   seed's handler logic; **fused stages** run their narrow-operator chain
+   over the input's item list without building a row list per operator.
 
 Provenance capture is no longer hard-wired: the executor emits events to
 :class:`~repro.engine.hooks.CaptureHook` instances (structural capture,
@@ -18,18 +19,19 @@ lineage-only baseline, metrics).  The legacy ``capture`` / ``lineage_only``
 flags are still accepted and translate to the corresponding hooks.
 
 Equivalence with the seed path is an invariant, not an accident: stages run
-in the logical walk order, fused chains assign provenance ids in a serial
-finalisation pass that replays per-partition traces operator-by-operator
-(reproducing the seed's global id sequence exactly), and schema handling
-(propagation vs ``SCHEMA_SAMPLE`` inference) follows the seed rules
-per operator.  Rows are ``(pid, item)`` pairs; ``pid`` is ``None`` when no
-hook needs ids, so the plain path carries no provenance cost.
+in the logical walk order, a fused chain assigns provenance ids operator by
+operator from each operator's trace (the seed's global id sequence), and
+schema handling (propagation vs ``SCHEMA_SAMPLE`` inference) follows the
+seed rules per operator.  Rows are ``(pid, item)`` pairs; ``pid`` is
+``None`` when no hook needs ids, so the plain path carries no provenance
+cost.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, Sequence
+from itertools import islice
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.operator_provenance import (
     AggregationAssociations,
@@ -44,22 +46,18 @@ from repro.engine.expressions import BinaryExpr, ColumnExpr, Expression
 from repro.engine.hooks import (
     CaptureHook,
     MetricsHook,
-    capture_spec,
     hooks_for,
     provenance_store,
 )
 from repro.engine.metrics import ExecutionMetrics, StageMetrics
 from repro.engine.optimizer import plan_physical
-from repro.engine.partition import concat_partitions, hash_partition, partition_rows
 from repro.engine.physical import (
     SCHEMA_SAMPLE,
-    FlattenOp,
     FusedStage,
     NarrowOp,
     PhysicalPlan,
     ReadStage,
     Stage,
-    StageTask,
     WideStage,
 )
 from repro.engine.plan import (
@@ -68,12 +66,11 @@ from repro.engine.plan import (
     JoinNode,
     LimitNode,
     PlanNode,
-    ReadNode,
     SortNode,
     UnionNode,
 )
 from repro.errors import ExecutionError, PlanError, SchemaMismatchError
-from repro.obs.tracer import span, timed
+from repro.obs.tracer import timed
 from repro.nested.schema import Schema, infer_schema
 from repro.nested.types import StructType
 from repro.nested.values import DataItem
@@ -93,14 +90,14 @@ class ExecutionResult:
     def __init__(
         self,
         root: PlanNode,
-        partitions: list[list[Row]],
+        rows: list[Row],
         schema: Schema,
         store: ProvenanceStoreProtocol | None,
         metrics: ExecutionMetrics,
         physical: PhysicalPlan,
     ):
         self.root = root
-        self.partitions = partitions
+        self._rows = rows
         self.schema = schema
         #: Captured provenance, or ``None`` when capture was disabled.
         self.store = store
@@ -110,14 +107,14 @@ class ExecutionResult:
 
     def rows(self) -> list[Row]:
         """Return all ``(pid, item)`` rows in deterministic order."""
-        return concat_partitions(self.partitions)
+        return list(self._rows)
 
     def items(self) -> list[DataItem]:
         """Return the result data items (provenance ids stripped)."""
-        return [item for _, item in self.rows()]
+        return [item for _, item in self._rows]
 
     def __len__(self) -> int:
-        return sum(len(partition) for partition in self.partitions)
+        return len(self._rows)
 
     def __repr__(self) -> str:
         captured = "captured" if self.store is not None else "plain"
@@ -127,25 +124,20 @@ class ExecutionResult:
 class Executor:
     """Executes one plan DAG; create a fresh instance per run.
 
-    ``Executor(n, capture=True)`` keeps its seed meaning; the richer form
+    ``Executor(capture=True)`` keeps its seed meaning; the richer form
     passes an :class:`EngineConfig` (optimizer rules) and/or an
     explicit list of capture hooks.
     """
 
     def __init__(
         self,
-        num_partitions: int | None = None,
         capture: bool = False,
         lineage_only: bool = False,
         *,
         config: EngineConfig | None = None,
         hooks: Sequence[CaptureHook] | None = None,
     ):
-        base = config if config is not None else EngineConfig.from_env()
-        if num_partitions is not None:
-            base = base.with_partitions(num_partitions)
-        self._config = base
-        self._num_partitions = base.num_partitions
+        self._config = config if config is not None else EngineConfig.from_env()
         hook_list = list(hooks) if hooks is not None else hooks_for(capture, lineage_only)
         metrics_hook = next(
             (hook for hook in hook_list if isinstance(hook, MetricsHook)), None
@@ -155,12 +147,11 @@ class Executor:
             hook_list.append(metrics_hook)
         self._hooks: tuple[CaptureHook, ...] = tuple(hook_list)
         self._metrics = metrics_hook.metrics
-        #: Whether any hook needs per-row provenance ids (the seed ``capture``);
-        #: this is the capture-hook spec shipped inside every ``StageTask``.
-        self._capturing = capture_spec(hook_list)
+        #: Whether any hook needs per-row provenance ids (the seed ``capture``).
+        self._capturing = any(hook.needs_ids for hook in hook_list)
         self._store = provenance_store(hook_list)
         self._next_id = 1
-        self._partitions: dict[int, list[list[Row]]] = {}
+        self._rows: dict[int, list[Row]] = {}
         self._schemas: dict[int, Schema] = {}
 
     @property
@@ -179,7 +170,6 @@ class Executor:
         with timed(
             "run",
             "run",
-            partitions=self._num_partitions,
             optimize=self._config.optimize,
             capture=self._capturing,
             stages=len(physical.stages),
@@ -191,7 +181,7 @@ class Executor:
         root_oid = physical.root_oid
         return ExecutionResult(
             root,
-            self._partitions[root_oid],
+            self._rows[root_oid],
             self._schemas[root_oid],
             self._store,
             self._metrics,
@@ -222,24 +212,22 @@ class Executor:
         stage_metrics.rows_in = rows_in
         stage_metrics.rows_out = rows_out
         stage_metrics.seconds = stage_span.duration
-        stage_metrics.partition_rows = tuple(
-            len(partition) for partition in self._partitions[stage.output_oid]
-        )
         for hook in self._hooks:
             hook.on_stage(stage_metrics)
 
-    def _finish(self, oid: int, partitions: list[list[Row]], schema: Schema) -> int:
-        self._partitions[oid] = partitions
+    def _finish(self, oid: int, rows: list[Row], schema: Schema) -> int:
+        self._rows[oid] = rows
         self._schemas[oid] = schema
-        return sum(len(partition) for partition in partitions)
+        return len(rows)
 
     def _fresh_id(self) -> int:
         assigned = self._next_id
         self._next_id += 1
         return assigned
 
-    def _schema_of(self, rows: list[Row]) -> Schema:
-        sample = [item for _, item in rows[:SCHEMA_SAMPLE]]
+    def _schema_of(self, items: Iterable[DataItem]) -> Schema:
+        """Infer a schema from the first ``SCHEMA_SAMPLE`` of *items*."""
+        sample = list(islice(items, SCHEMA_SAMPLE))
         if not sample:
             return Schema(StructType())
         return infer_schema(sample)
@@ -262,9 +250,9 @@ class Executor:
         with self._capture(node):
             self._notify(node, inputs, manipulations, associations)
 
-    def _child_state(self, node: PlanNode, index: int = 0) -> tuple[list[list[Row]], Schema]:
+    def _child_state(self, node: PlanNode, index: int = 0) -> tuple[list[Row], Schema]:
         child = node.children[index]
-        return self._partitions[child.oid], self._schemas[child.oid]
+        return self._rows[child.oid], self._schemas[child.oid]
 
     # -- source scans --------------------------------------------------------
 
@@ -286,234 +274,116 @@ class Executor:
                     hook.on_source(node, by_id)
         else:
             rows = [(None, item) for item in items]
-        total = self._finish(
-            node.oid, partition_rows(rows, self._num_partitions), self._schema_of(rows)
-        )
-        return len(rows), total, [(node, len(rows), total)]
+        total = self._finish(node.oid, rows, self._schema_of(item for _, item in rows))
+        return total, total, [(node, total, total)]
 
     # -- fused pipelines -----------------------------------------------------
 
     def _run_fused_stage(self, stage: FusedStage) -> tuple[int, int, _OpStats]:
-        ops = stage.ops
-        in_partitions = self._partitions[stage.input_oid]
-        nparts = len(in_partitions)
-        capturing = self._capturing
-        stage_label = stage.label()
-        sampling = [
-            type(op).propagate_schema is NarrowOp.propagate_schema for op in ops
-        ]
+        """Run the chain once, operator by operator, over one item list.
 
-        # Segment the chain at flattens whose input schema is only known after
-        # an earlier sampling operator has produced output: the name-clash
-        # check (seed parity) needs that schema before the flatten may run.
-        segments: list[list[int]] = []
-        current: list[int] = []
-        known = True
-        for position, op in enumerate(ops):
-            if isinstance(op, FlattenOp) and not known and current:
-                segments.append(current)
-                current = []
-                known = True  # the barrier infers the schema
-            current.append(position)
-            if sampling[position]:
-                known = False
-        if current:
-            segments.append(current)
-
-        items_by_part: list[list[DataItem]] = [
-            [item for _, item in partition] for partition in in_partitions
-        ]
-        rows_in = sum(len(items) for items in items_by_part)
-        entries_by_part: list[list[Any]] = [[None] * len(ops) for _ in range(nparts)]
-        counts: list[list[tuple[int, int]]] = [[(0, 0)] * len(ops) for _ in range(nparts)]
-        samples: list[list[list[DataItem]]] = [
-            [[] for _ in range(nparts)] for _ in ops
-        ]
-        schema_before: list[Schema] = [None] * len(ops)  # type: ignore[list-item]
-        current_schema = self._schemas[stage.input_oid]
-
-        for segment in segments:
-            # Pre-checks over the statically trackable prefix of the segment
-            # (only pure, structure-preserving ops precede a flatten here, so
-            # raising before they run is unobservable -- the seed registered
-            # their output but never surfaced it on the error path).
-            schema: Schema | None = current_schema
-            for position in segment:
-                op = ops[position]
-                if schema is not None:
-                    op.check_input_schema(schema)
-                    schema = op.propagate_schema(schema)
-
-            tasks = [
-                StageTask(
-                    ops=tuple(ops[position] for position in segment),
-                    sampling=tuple(sampling[position] for position in segment),
-                    items=items_by_part[part],
-                    capturing=capturing,
-                    stage_label=stage_label,
-                    part=part,
-                )
-                for part in range(nparts)
-            ]
-            # Serially, once, in submission order: the first failing
-            # partition raises its own error.
-            results = [task() for task in tasks]
-            for part, result in enumerate(results):
-                items_by_part[part] = result.items
-                for offset, position in enumerate(segment):
-                    entries_by_part[part][position] = result.entries[offset]
-                    counts[part][position] = result.counts[offset]
-                    if result.samples[offset] is not None:
-                        samples[position][part] = result.samples[offset]
-
-            # Runtime schemas along the executed segment: structure-preserving
-            # ops propagate, rebuilding ops are inferred from the first
-            # SCHEMA_SAMPLE outputs in partition order (the seed sample set).
-            for position in segment:
-                schema_before[position] = current_schema
-                next_schema = ops[position].propagate_schema(current_schema)
-                if next_schema is None:
-                    sample_items: list[DataItem] = []
-                    for part in range(nparts):
-                        take = SCHEMA_SAMPLE - len(sample_items)
-                        if take <= 0:
-                            break
-                        sample_items.extend(samples[position][part][:take])
-                    next_schema = (
-                        infer_schema(sample_items) if sample_items else Schema(StructType())
-                    )
-                current_schema = next_schema
-
-        if capturing:
-            in_pids = [[pid for pid, _ in partition] for partition in in_partitions]
-            with span("capture-finalize", "capture", stage=stage_label):
-                out_ids = self._finalize_fused(
-                    ops, in_pids, entries_by_part, counts, schema_before
-                )
-            out_partitions = [
-                list(zip(ids, items)) for ids, items in zip(out_ids, items_by_part)
-            ]
-        else:
-            out_partitions = [
-                [(None, item) for item in items] for items in items_by_part
-            ]
-
-        rows_out = self._finish(stage.output_oid, out_partitions, current_schema)
-        op_stats: _OpStats = []
-        for position, op in enumerate(ops):
-            if op.node is not None:
-                node_rows_out = sum(counts[part][position][1] for part in range(nparts))
-                op_stats.append((op.node, None, node_rows_out))
-        return rows_in, rows_out, op_stats
-
-    def _finalize_fused(
-        self,
-        ops: list[NarrowOp],
-        in_pids: list[list[int]],
-        entries_by_part: list[list[Any]],
-        counts: list[list[tuple[int, int]]],
-        schema_before: list[Schema],
-    ) -> list[list[int]]:
-        """Serial id assignment: replay traces operator-by-operator.
-
-        Iterating operators in chain order and partitions in order inside each
-        operator reproduces the seed's global id sequence exactly, the
-        sequence the operator-at-a-time path assigns.
-        Returns the output id list per partition.
+        Each operator's input schema is checked before it runs (a flatten's
+        name clash), and a rebuilding operator's output schema is inferred
+        from its first ``SCHEMA_SAMPLE`` items -- the seed's rules.
         """
-        nparts = len(in_pids)
-        frontier: list[list[int]] = in_pids
-        for position, op in enumerate(ops):
-            node = op.node
-            if node is None or not op.registers:
-                # Physical helper (prune keeps ids 1:1, limit-prefix truncates).
-                frontier = [
-                    ids[: counts[part][position][1]] for part, ids in enumerate(frontier)
-                ]
-                continue
-            with self._capture(node):
-                associations = op.new_associations()
-                new_frontier: list[list[int]] = []
-                for part in range(nparts):
-                    in_ids = frontier[part]
-                    out_ids: list[int] = []
-                    if op.entry_kind == "identity":
-                        for src_id in in_ids:
-                            out_id = self._fresh_id()
-                            associations.add(src_id, out_id)
-                            out_ids.append(out_id)
-                    elif op.entry_kind == "filter":
-                        for src_index in entries_by_part[part][position]:
-                            out_id = self._fresh_id()
-                            associations.add(in_ids[src_index], out_id)
-                            out_ids.append(out_id)
-                    else:  # flatten: (source index, 1-based position) pairs
-                        for src_index, element_pos in entries_by_part[part][position]:
-                            out_id = self._fresh_id()
-                            associations.add(in_ids[src_index], element_pos, out_id)
-                            out_ids.append(out_id)
-                    new_frontier.append(out_ids)
-                frontier = new_frontier
-                accessed, manipulations = op.input_spec()
-                spec = (node.children[0].oid, accessed, schema_before[position])
-                self._notify(node, (spec,), manipulations, associations)
-        return frontier
+        in_rows = self._rows[stage.input_oid]
+        schema = self._schemas[stage.input_oid]
+        items = [item for _, item in in_rows]
+        ids = [pid for pid, _ in in_rows] if self._capturing else []
+        op_stats: _OpStats = []
+        for op in stage.ops:
+            op.check_input_schema(schema)
+            traced = self._capturing and op.registers
+            out, entries = op.apply(items, traced)
+            if traced:
+                ids = self._assign_ids(op, ids, entries, schema)
+            next_schema = op.propagate_schema(schema)
+            schema = next_schema if next_schema is not None else self._schema_of(out)
+            items = out
+            if op.node is not None:
+                op_stats.append((op.node, None, len(out)))
+        if self._capturing:
+            rows = list(zip(ids, items))
+        else:
+            rows = [(None, item) for item in items]
+        rows_out = self._finish(stage.output_oid, rows, schema)
+        return len(in_rows), rows_out, op_stats
 
-    # -- wide stages (shuffles, global order, multi-input merges) ------------
+    def _assign_ids(
+        self, op: NarrowOp, in_ids: list[int], entries: Any, schema: Schema
+    ) -> list[int]:
+        """Give *op*'s outputs fresh ids from its trace and register it.
+
+        *entries* decodes by ``op.entry_kind``: ``None`` (1:1), kept input
+        indices (filter), or ``(input index, position)`` pairs (flatten).
+        Returns the output ids in output order.
+        """
+        node = op.node
+        assert node is not None
+        with self._capture(node):
+            associations = op.new_associations()
+            out_ids: list[int] = []
+            if op.entry_kind == "identity":
+                for src_id in in_ids:
+                    out_id = self._fresh_id()
+                    associations.add(src_id, out_id)
+                    out_ids.append(out_id)
+            elif op.entry_kind == "filter":
+                for src_index in entries:
+                    out_id = self._fresh_id()
+                    associations.add(in_ids[src_index], out_id)
+                    out_ids.append(out_id)
+            else:  # flatten: (source index, 1-based position) pairs
+                for src_index, element_pos in entries:
+                    out_id = self._fresh_id()
+                    associations.add(in_ids[src_index], element_pos, out_id)
+                    out_ids.append(out_id)
+            accessed, manipulations = op.input_spec()
+            spec = (node.children[0].oid, accessed, schema)
+            self._notify(node, (spec,), manipulations, associations)
+        return out_ids
+
+    # -- wide stages (joins, groupings, global order, multi-input merges) ---
 
     def _run_wide_stage(self, stage: WideStage) -> tuple[int, int, _OpStats]:
         node = stage.node
         handler = self._WIDE_HANDLERS.get(type(node))
         if handler is None:
             raise ExecutionError(f"no handler for plan node {type(node).__name__}")
-        rows_in = sum(
-            sum(len(partition) for partition in self._partitions[child.oid])
-            for child in node.children
-        )
-        partitions, schema = handler(self, node)
-        rows_out = self._finish(node.oid, partitions, schema)
+        rows_in = sum(len(self._rows[child.oid]) for child in node.children)
+        rows, schema = handler(self, node)
+        rows_out = self._finish(node.oid, rows, schema)
         return rows_in, rows_out, [(node, None, rows_out)]
 
-    def _run_union(self, node: UnionNode) -> tuple[list[list[Row]], Schema]:
-        left_parts, left_schema = self._child_state(node, 0)
-        right_parts, right_schema = self._child_state(node, 1)
+    def _run_union(self, node: UnionNode) -> tuple[list[Row], Schema]:
+        left_rows, left_schema = self._child_state(node, 0)
+        right_rows, right_schema = self._child_state(node, 1)
         try:
             schema = left_schema.merged_with(right_schema)
         except Exception as exc:
             raise SchemaMismatchError(f"union over incompatible schemas: {exc}") from exc
-        associations = BinaryAssociations() if self._capturing else None
-        partitions: list[list[Row]] = []
-        for partition in left_parts:
-            unioned: list[Row] = []
-            for pid, item in partition:
-                if associations is not None:
-                    out_id = self._fresh_id()
-                    associations.add(pid, None, out_id)
-                    unioned.append((out_id, item))
-                else:
-                    unioned.append((pid, item))
-            partitions.append(unioned)
-        for partition in right_parts:
-            unioned = []
-            for pid, item in partition:
-                if associations is not None:
-                    out_id = self._fresh_id()
-                    associations.add(None, pid, out_id)
-                    unioned.append((out_id, item))
-                else:
-                    unioned.append((pid, item))
-            partitions.append(unioned)
-        if associations is not None:
-            inputs = (
-                (node.children[0].oid, frozenset(), left_schema),
-                (node.children[1].oid, frozenset(), right_schema),
-            )
-            self._emit_operator(node, inputs, (), associations)
-        return partitions, schema
+        if not self._capturing:
+            return left_rows + right_rows, schema
+        associations = BinaryAssociations()
+        unioned: list[Row] = []
+        for pid, item in left_rows:
+            out_id = self._fresh_id()
+            associations.add(pid, None, out_id)
+            unioned.append((out_id, item))
+        for pid, item in right_rows:
+            out_id = self._fresh_id()
+            associations.add(None, pid, out_id)
+            unioned.append((out_id, item))
+        inputs = (
+            (node.children[0].oid, frozenset(), left_schema),
+            (node.children[1].oid, frozenset(), right_schema),
+        )
+        self._emit_operator(node, inputs, (), associations)
+        return unioned, schema
 
-    def _run_join(self, node: JoinNode) -> tuple[list[list[Row]], Schema]:
-        left_parts, left_schema = self._child_state(node, 0)
-        right_parts, right_schema = self._child_state(node, 1)
+    def _run_join(self, node: JoinNode) -> tuple[list[Row], Schema]:
+        left_rows, left_schema = self._child_state(node, 0)
+        right_rows, right_schema = self._child_state(node, 1)
         clash = set(left_schema.attribute_names()) & set(right_schema.attribute_names())
         if clash:
             raise PlanError(
@@ -521,49 +391,37 @@ class Executor:
             )
         associations = BinaryAssociations() if self._capturing else None
         equi_keys = _extract_equi_keys(node.condition, left_schema, right_schema)
-        out_partitions: list[list[Row]] = [[] for _ in range(self._num_partitions)]
+        out_rows: list[Row] = []
 
-        def emit(bucket: int, left_row: Row, right_row: Row) -> None:
+        def emit(left_row: Row, right_row: Row) -> None:
             left_pid, left_item = left_row
             right_pid, right_item = right_row
             out_item = left_item.merged_with(right_item)
             if associations is not None:
                 out_id = self._fresh_id()
                 associations.add(left_pid, right_pid, out_id)
-                out_partitions[bucket].append((out_id, out_item))
+                out_rows.append((out_id, out_item))
             else:
-                out_partitions[bucket].append((None, out_item))
+                out_rows.append((None, out_item))
 
         if equi_keys is not None:
+            # Hash join: one build table over the left input, probed by the
+            # right input in arrival order.
             left_keys, right_keys = equi_keys
-            left_shuffled = hash_partition(
-                concat_partitions(left_parts),
-                self._num_partitions,
-                lambda row: tuple(expr.evaluate(row[1]) for expr in left_keys),
-            )
-            right_shuffled = hash_partition(
-                concat_partitions(right_parts),
-                self._num_partitions,
-                lambda row: tuple(expr.evaluate(row[1]) for expr in right_keys),
-            )
-            for bucket in range(self._num_partitions):
-                build: dict[tuple[Any, ...], list[Row]] = {}
-                for row in left_shuffled[bucket]:
-                    key = tuple(expr.evaluate(row[1]) for expr in left_keys)
-                    build.setdefault(key, []).append(row)
-                for right_row in right_shuffled[bucket]:
-                    key = tuple(expr.evaluate(right_row[1]) for expr in right_keys)
-                    for left_row in build.get(key, ()):
-                        emit(bucket, left_row, right_row)
+            build: dict[tuple[Any, ...], list[Row]] = {}
+            for row in left_rows:
+                key = tuple(expr.evaluate(row[1]) for expr in left_keys)
+                build.setdefault(key, []).append(row)
+            for right_row in right_rows:
+                key = tuple(expr.evaluate(right_row[1]) for expr in right_keys)
+                for left_row in build.get(key, ()):
+                    emit(left_row, right_row)
         else:
-            left_rows = concat_partitions(left_parts)
-            right_rows = concat_partitions(right_parts)
-            for index, left_row in enumerate(left_rows):
-                bucket = index % self._num_partitions
+            for left_row in left_rows:
                 for right_row in right_rows:
                     merged = left_row[1].merged_with(right_row[1])
                     if node.condition.evaluate(merged):
-                        emit(bucket, left_row, right_row)
+                        emit(left_row, right_row)
         if associations is not None:
             condition_paths = node.condition_paths()
             left_accessed = {path for path in condition_paths if left_schema.contains(path)}
@@ -581,60 +439,45 @@ class Executor:
                 (node.children[1].oid, right_accessed, right_schema),
             )
             self._emit_operator(node, inputs, manipulations, associations)
-        rows = concat_partitions(out_partitions)
-        return out_partitions, self._schema_of(rows)
+        return out_rows, self._schema_of(item for _, item in out_rows)
 
-    def _run_aggregate(self, node: AggregateNode) -> tuple[list[list[Row]], Schema]:
-        child_parts, child_schema = self._child_state(node)
+    def _run_aggregate(self, node: AggregateNode) -> tuple[list[Row], Schema]:
+        child_rows, child_schema = self._child_state(node)
         associations = AggregationAssociations() if self._capturing else None
-
-        def key_of(row: Row) -> tuple[Any, ...]:
-            return tuple(key.evaluate(row[1]) for key in node.keys)
-
-        shuffled = hash_partition(
-            concat_partitions(child_parts), self._num_partitions, key_of
-        )
-        partitions: list[list[Row]] = []
-        for bucket_rows in shuffled:
-            groups: dict[tuple[Any, ...], list[Row]] = {}
-            for row in bucket_rows:
-                groups.setdefault(key_of(row), []).append(row)
-            aggregated: list[Row] = []
-            for key_values, members in groups.items():
-                fields: list[tuple[str, Any]] = list(zip(node.key_names, key_values))
-                for aggregate in node.aggregates:
-                    values = [aggregate.column.evaluate(item) for _, item in members]
-                    fields.append((aggregate.output_name(), aggregate.apply(values)))
-                out_item = DataItem(fields)
-                if associations is not None:
-                    out_id = self._fresh_id()
-                    associations.add([pid for pid, _ in members], out_id)
-                    aggregated.append((out_id, out_item))
-                else:
-                    aggregated.append((None, out_item))
-            partitions.append(aggregated)
+        # Groups in order of their first row's arrival.
+        groups: dict[tuple[Any, ...], list[Row]] = {}
+        for row in child_rows:
+            group = tuple(key.evaluate(row[1]) for key in node.keys)
+            groups.setdefault(group, []).append(row)
+        out_rows: list[Row] = []
+        for key_values, members in groups.items():
+            fields: list[tuple[str, Any]] = list(zip(node.key_names, key_values))
+            for aggregate in node.aggregates:
+                values = [aggregate.column.evaluate(item) for _, item in members]
+                fields.append((aggregate.output_name(), aggregate.apply(values)))
+            out_item = DataItem(fields)
+            if associations is not None:
+                out_id = self._fresh_id()
+                associations.add([pid for pid, _ in members], out_id)
+                out_rows.append((out_id, out_item))
+            else:
+                out_rows.append((None, out_item))
         if associations is not None:
             spec = (node.children[0].oid, node.accessed_paths(0), child_schema)
             self._emit_operator(node, (spec,), node.manipulation_pairs(), associations)
-        rows = concat_partitions(partitions)
-        return partitions, self._schema_of(rows)
+        return out_rows, self._schema_of(item for _, item in out_rows)
 
-    def _run_distinct(self, node: DistinctNode) -> tuple[list[list[Row]], Schema]:
-        child_parts, child_schema = self._child_state(node)
-        rows = concat_partitions(child_parts)
+    def _run_distinct(self, node: DistinctNode) -> tuple[list[Row], Schema]:
+        rows, child_schema = self._child_state(node)
         groups: dict[DataItem, list[Any]] = {}
-        order: list[DataItem] = []
         for pid, item in rows:
-            if item not in groups:
-                groups[item] = []
-                order.append(item)
-            groups[item].append(pid)
+            groups.setdefault(item, []).append(pid)
         associations = AggregationAssociations() if self._capturing else None
         distinct_rows: list[Row] = []
-        for item in order:
+        for item, pids in groups.items():
             if associations is not None:
                 out_id = self._fresh_id()
-                associations.add(groups[item], out_id)
+                associations.add(pids, out_id)
                 distinct_rows.append((out_id, item))
             else:
                 distinct_rows.append((None, item))
@@ -643,11 +486,10 @@ class Executor:
             accessed = {Path().child(name) for name in child_schema.attribute_names()}
             spec = (node.children[0].oid, accessed, child_schema)
             self._emit_operator(node, (spec,), (), associations)
-        return partition_rows(distinct_rows, self._num_partitions), child_schema
+        return distinct_rows, child_schema
 
-    def _run_sort(self, node: SortNode) -> tuple[list[list[Row]], Schema]:
-        child_parts, child_schema = self._child_state(node)
-        rows = concat_partitions(child_parts)
+    def _run_sort(self, node: SortNode) -> tuple[list[Row], Schema]:
+        rows, child_schema = self._child_state(node)
 
         def sort_key(row: Row) -> tuple:
             # None sorts first; mixed types are kept apart by type name.
@@ -660,28 +502,25 @@ class Executor:
         ordered = sorted(rows, key=sort_key, reverse=node.descending)
         return self._reassign_rows(node, ordered, child_schema)
 
-    def _run_limit(self, node: LimitNode) -> tuple[list[list[Row]], Schema]:
-        child_parts, child_schema = self._child_state(node)
-        rows = concat_partitions(child_parts)[: node.n]
-        return self._reassign_rows(node, rows, child_schema)
+    def _run_limit(self, node: LimitNode) -> tuple[list[Row], Schema]:
+        rows, child_schema = self._child_state(node)
+        return self._reassign_rows(node, rows[: node.n], child_schema)
 
     def _reassign_rows(
         self, node: PlanNode, rows: list[Row], child_schema: Schema
-    ) -> tuple[list[list[Row]], Schema]:
+    ) -> tuple[list[Row], Schema]:
         """Shared tail of sort/limit: fresh unary associations over *rows*."""
-        associations = UnaryAssociations() if self._capturing else None
+        if not self._capturing:
+            return rows, child_schema
+        associations = UnaryAssociations()
         out_rows: list[Row] = []
         for pid, item in rows:
-            if associations is not None:
-                out_id = self._fresh_id()
-                associations.add(pid, out_id)
-                out_rows.append((out_id, item))
-            else:
-                out_rows.append((pid, item))
-        if associations is not None:
-            spec = (node.children[0].oid, node.accessed_paths(0), child_schema)
-            self._emit_operator(node, (spec,), [], associations)
-        return partition_rows(out_rows, self._num_partitions), child_schema
+            out_id = self._fresh_id()
+            associations.add(pid, out_id)
+            out_rows.append((out_id, item))
+        spec = (node.children[0].oid, node.accessed_paths(0), child_schema)
+        self._emit_operator(node, (spec,), [], associations)
+        return out_rows, child_schema
 
     _WIDE_HANDLERS: dict[type, Any] = {}
 

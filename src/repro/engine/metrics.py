@@ -11,8 +11,8 @@ operators carry no wall time of their own.
 
 These per-run objects are no longer islands: each exposes a ``publish``
 method that folds its counters into a :mod:`repro.obs.metrics` registry
-(the process-wide one by default), so stage latencies, per-partition row
-skew, capture overhead, and segment-cache behaviour accumulate across runs
+(the process-wide one by default), so stage latencies and row counts,
+capture overhead, and segment-cache behaviour accumulate across runs
 and are exportable as one Prometheus text page or JSON dump
 (``repro stats``).
 """
@@ -71,7 +71,6 @@ class StageMetrics:
         "rows_in",
         "rows_out",
         "seconds",
-        "partition_rows",
         "span_id",
     )
 
@@ -84,8 +83,6 @@ class StageMetrics:
         self.rows_in = 0
         self.rows_out = 0
         self.seconds = 0.0
-        #: Output rows per partition -- the skew observable of a stage.
-        self.partition_rows: tuple[int, ...] = ()
         #: The stage's trace-span id when tracing was on; becomes the
         #: latency histogram's exemplar at publish time.
         self.span_id: int | None = None
@@ -99,23 +96,17 @@ class StageMetrics:
             "rows_in": self.rows_in,
             "rows_out": self.rows_out,
             "seconds": self.seconds,
-            "partition_rows": list(self.partition_rows),
         }
 
     def publish(self, registry: "MetricsRegistry | None" = None) -> None:
         """Fold this stage's accounting into a metrics registry."""
-        from repro.obs.metrics import ROWS_BUCKETS, get_registry
+        from repro.obs.metrics import get_registry
 
         registry = registry if registry is not None else get_registry()
         registry.histogram("repro_stage_seconds", kind=self.kind).observe(
             self.seconds, span_id=self.span_id
         )
         registry.counter("repro_stage_rows_out_total", kind=self.kind).inc(self.rows_out)
-        skew = registry.histogram(
-            "repro_stage_partition_rows", buckets=ROWS_BUCKETS, kind=self.kind
-        )
-        for rows in self.partition_rows:
-            skew.observe(rows)
 
     def __repr__(self) -> str:
         return (
@@ -295,8 +286,7 @@ class ExecutionMetrics:
 
         The executor calls this once at the end of every execution, so the
         process-wide registry observes every run: run latency, rows out per
-        operator type, capture overhead, stage latency, and per-partition
-        row skew.
+        operator type, capture overhead, stage latency and rows out.
         """
         from repro.obs.metrics import get_registry, set_build_info
 

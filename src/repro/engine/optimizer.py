@@ -22,9 +22,7 @@ provenance capture already maintains (``accessed_paths`` /
   answers identical to the unoptimized path.
 * **Operator fusion** (``fuse``): consecutive narrow operators whose
   intermediate result has a single consumer execute as one pipelined stage
-  (see :mod:`repro.engine.physical`); with it comes the per-partition limit
-  prefix, which truncates partitions feeding a global limit (plain runs
-  only, for the same association-fidelity reason as pushdown).
+  (see :mod:`repro.engine.physical`).
 
 :func:`plan_physical` is the compiler entry the executor calls: it applies
 the enabled rules and returns the compiled :class:`PhysicalPlan` plus an
@@ -388,12 +386,10 @@ def plan_physical(
     prune_sets: dict[int, frozenset[str]] = {}
     if config.rule_enabled("prune"):
         prune_sets = prune_attribute_sets(executed)
-    fuse = config.rule_enabled("fuse")
     return compile_stages(
         root,
         executed,
-        fuse=fuse,
+        fuse=config.rule_enabled("fuse"),
         prune_sets=prune_sets,
-        limit_prefix=fuse and not preserve_store,
         report=report,
     )

@@ -2,22 +2,21 @@
 
 The logical plan (``engine/plan.py``) describes *what* to compute; a
 :class:`PhysicalPlan` describes *how*: an ordered list of stages, each either
-a source scan, a shuffle/materialisation point (join, aggregate, union,
+a source scan, a materialisation point (join, aggregate, union,
 distinct, sort, limit), or a **fused pipeline** of consecutive narrow
-operators (filter / select / map / with_column / flatten and
-optimizer-inserted helpers) that runs partition-at-a-time without
-materialising intermediates between operators.
+operators (filter / select / map / with_column / flatten and the
+optimizer's prune) that runs as one unit without materialising a dataset
+between its operators.
 
 Two properties make fused execution equivalent to the seed's
 operator-at-a-time interpreter:
 
 * **Stage order** follows the logical DAG's children-first walk, the same
   order the seed's recursive ``_run`` executed operators in.
-* **Id assignment is split out of computation.** A fused stage first runs
-  its operator chain per partition (records, per operator, which input row
-  produced each output row), then a finalisation pass replays those traces
-  operator-by-operator across partitions in order, assigning provenance ids.
-  That reproduces the seed's global id sequence byte-for-byte.
+* **Ids follow operator order.** A fused stage runs its operators one after
+  another over one item list; each traced operator reports which input row
+  produced each output row, and ids are assigned from that trace before the
+  next operator runs -- the seed's global id sequence, byte-for-byte.
 
 Schema handling mirrors the seed exactly: operators that preserve structure
 (filter, sort, limit, distinct, and the optimizer's prune) propagate their
@@ -57,7 +56,6 @@ from repro.errors import ExecutionError, PlanError
 from repro.nested.schema import Schema
 from repro.nested.types import StructType
 from repro.nested.values import Bag, DataItem, NestedSet, coerce_value
-from repro.obs.tracer import span
 
 __all__ = [
     "SCHEMA_SAMPLE",
@@ -68,13 +66,10 @@ __all__ = [
     "WithColumnOp",
     "FlattenOp",
     "PruneOp",
-    "LimitPrefixOp",
     "Stage",
     "ReadStage",
     "FusedStage",
     "WideStage",
-    "StageTask",
-    "StageTaskResult",
     "PhysicalPlan",
     "compile_stages",
     "narrow_op_for",
@@ -86,16 +81,16 @@ SCHEMA_SAMPLE = 200
 
 
 # ---------------------------------------------------------------------------
-# Narrow operators: the per-partition building blocks of a fused stage
+# Narrow operators: the building blocks of a fused stage
 # ---------------------------------------------------------------------------
 
 
 class NarrowOp:
     """One pipelined operator inside a fused stage.
 
-    ``apply`` transforms a partition's items and -- when *traced* -- returns
+    ``apply`` transforms the stage's items and -- when *traced* -- returns
     per-output entries describing which input row produced each output row,
-    for the serial id-assignment pass.  ``entry_kind`` tells the finaliser
+    for id assignment.  ``entry_kind`` tells the executor
     how to decode the entries: ``"identity"`` (1:1 in order, entries is
     ``None``), ``"filter"`` (list of kept source indices), or ``"flatten"``
     (list of ``(source index, position)`` pairs).
@@ -313,31 +308,6 @@ class PruneOp(NarrowOp):
         return tuple(name for name in attrs if name in self.keep)
 
 
-class LimitPrefixOp(NarrowOp):
-    """Optimizer-inserted per-partition prefix for a downstream global limit.
-
-    Keeping only the first *n* rows of every partition cannot change the
-    first *n* rows of the partition concatenation, so the global limit stage
-    downstream produces identical results; inserted only when no hook
-    requires plan-faithful associations (upstream operators would otherwise
-    lose association records for the truncated rows).
-    """
-
-    registers = False
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def apply(self, items: list[DataItem], traced: bool) -> tuple[list[DataItem], Any]:
-        return items[: self.n], None
-
-    def propagate_schema(self, schema: Schema) -> Schema | None:
-        return schema
-
-    def describe(self) -> str:
-        return f"limit_prefix[{self.n}]"
-
-
 NARROW_NODE_TYPES: tuple[type, ...] = (
     FilterNode,
     SelectNode,
@@ -415,7 +385,7 @@ class ReadStage(Stage):
 
 
 class FusedStage(Stage):
-    """A pipeline of narrow operators over the partitions of one input."""
+    """A pipeline of narrow operators over the rows of one input."""
 
     kind = "fused"
 
@@ -448,7 +418,7 @@ class FusedStage(Stage):
 
 
 class WideStage(Stage):
-    """A materialisation point: shuffle, global order, or multi-input merge."""
+    """A materialisation point: grouping, global order, or multi-input merge."""
 
     kind = "wide"
 
@@ -527,7 +497,6 @@ def compile_stages(
     *,
     fuse: bool,
     prune_sets: dict[int, frozenset[str]] | None = None,
-    limit_prefix: bool = False,
     report: Any = None,
 ) -> PhysicalPlan:
     """Compile the (rewritten) logical plan into an ordered stage list.
@@ -586,19 +555,6 @@ def compile_stages(
             else:
                 stage = start_chain(child, op)
         else:
-            if (
-                limit_prefix
-                and isinstance(node, LimitNode)
-                and isinstance(stage_of.get(node.children[0].oid), FusedStage)
-                and consumers.get(node.children[0].oid, 0) == 1
-            ):
-                upstream = stage_of[node.children[0].oid]
-                assert isinstance(upstream, FusedStage)
-                upstream.append(LimitPrefixOp(node.n))
-                if report is not None:
-                    report.add(
-                        "fuse", f"push per-partition prefix of limit {node.n} into stage"
-                    )
             stage = WideStage(node)
             stages.append(stage)
         stage_of[node.oid] = stage
@@ -644,91 +600,3 @@ def _wide_static_attrs(
             return None
         return left + right
     return None
-
-
-# ---------------------------------------------------------------------------
-# Stage tasks: one partition's slice of a fused segment
-# ---------------------------------------------------------------------------
-
-
-class StageTaskResult:
-    """What one executed :class:`StageTask` hands back to the executor.
-
-    The partition's output items and the per-operator trace entries /
-    cardinalities / schema samples the executor's finalisation pass needs.
-    """
-
-    __slots__ = ("items", "entries", "counts", "samples", "part")
-
-    def __init__(
-        self,
-        items: list[DataItem],
-        entries: list[Any],
-        counts: list[tuple[int, int]],
-        samples: list[list[DataItem] | None],
-        part: int,
-    ):
-        self.items = items
-        self.entries = entries
-        self.counts = counts
-        self.samples = samples
-        self.part = part
-
-    def __repr__(self) -> str:
-        return f"StageTaskResult(p{self.part}, {len(self.items)} items)"
-
-
-class StageTask:
-    """One partition's slice of a fused segment, as a value.
-
-    A ``StageTask`` carries everything its run needs -- the segment's
-    operator chain, the partition's items and the capture flag -- instead of
-    closing over the executor's local state.  The executor calls each task
-    once, on the calling thread, and the task opens its ``task`` span there.
-
-    Tasks are **pure**: they read only their own fields and return a fresh
-    :class:`StageTaskResult`, so the result depends neither on how often nor
-    on which thread a task runs (``test_stage_tasks.py`` pins both).
-    """
-
-    __slots__ = ("ops", "sampling", "items", "capturing", "stage_label", "part")
-
-    def __init__(
-        self,
-        *,
-        ops: tuple[NarrowOp, ...],
-        sampling: tuple[bool, ...],
-        items: list[DataItem],
-        capturing: bool,
-        stage_label: str,
-        part: int,
-    ):
-        self.ops = ops
-        self.sampling = sampling
-        self.items = items
-        self.capturing = capturing
-        self.stage_label = stage_label
-        self.part = part
-
-    def __call__(self) -> StageTaskResult:
-        items = list(self.items)
-        entries_out: list[Any] = []
-        counts_out: list[tuple[int, int]] = []
-        samples_out: list[list[DataItem] | None] = []
-        with span(
-            f"task p{self.part}",
-            "task",
-            stage=self.stage_label,
-            rows=len(items),
-        ):
-            for op, sampled in zip(self.ops, self.sampling):
-                out, entries = op.apply(items, self.capturing and op.registers)
-                entries_out.append(entries)
-                counts_out.append((len(items), len(out)))
-                samples_out.append(out[:SCHEMA_SAMPLE] if sampled else None)
-                items = out
-        return StageTaskResult(items, entries_out, counts_out, samples_out, self.part)
-
-    def __repr__(self) -> str:
-        chain = " | ".join(op.describe() for op in self.ops)
-        return f"StageTask(p{self.part}: {chain}, {len(self.items)} items)"

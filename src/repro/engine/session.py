@@ -2,7 +2,7 @@
 
 A session assigns operator identifiers, carries the
 :class:`~repro.engine.config.EngineConfig` every execution inherits
-(partitioning, optimizer rules), and creates datasets
+(optimizer rules), and creates datasets
 from in-memory items or JSONL files.
 """
 
@@ -22,21 +22,10 @@ __all__ = ["Session"]
 class Session:
     """Creates datasets and tracks operator identifiers for one program."""
 
-    def __init__(
-        self,
-        num_partitions: int | None = None,
-        *,
-        config: EngineConfig | None = None,
-    ):
-        base = config if config is not None else EngineConfig.from_env()
-        #: The engine configuration every execution of this session inherits;
-        #: an explicit ``num_partitions`` overrides the config's count.
-        self.config = base.with_partitions(num_partitions)
+    def __init__(self, *, config: EngineConfig | None = None):
+        #: The engine configuration every execution of this session inherits.
+        self.config = config if config is not None else EngineConfig.from_env()
         self._oid_counter = 0
-
-    @property
-    def num_partitions(self) -> int:
-        return self.config.num_partitions
 
     def next_oid(self) -> int:
         """Return a fresh operator identifier (unique within the session)."""
@@ -57,4 +46,4 @@ class Session:
         return self.from_source(JsonlSource(path, name))
 
     def __repr__(self) -> str:
-        return f"Session(num_partitions={self.num_partitions})"
+        return f"Session({self.config!r})"

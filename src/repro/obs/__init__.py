@@ -3,7 +3,7 @@
 Three pillars, one subsystem:
 
 * :mod:`repro.obs.tracer` -- spans, the one clock: hierarchical intervals
-  (run -> stage -> partition task, capture hooks, warehouse segment reads,
+  (run -> stage -> capture hook, warehouse segment reads,
   the phases of a provenance query) kept by a thread's recorder or the
   process tracer, with Chrome trace-event / Perfetto export.  Off by
   default and zero-cost then; the run, stage, capture and serve seconds in

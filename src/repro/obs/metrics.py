@@ -10,7 +10,7 @@ Naming follows the Prometheus conventions: ``repro_<subsystem>_<unit>`` with
 ``_total`` suffixes on counters (``repro_stage_seconds``,
 ``repro_segment_cache_misses_total``).  Histograms use **fixed bucket
 boundaries** declared at creation -- latency buckets for durations,
-power-of-ten row buckets for per-partition row-count skew -- so two dumps of
+power-of-ten row buckets for row counts -- so two dumps of
 the same registry are always comparable.
 
 Two export formats: :meth:`MetricsRegistry.to_json` (machine-readable dump,
@@ -42,7 +42,7 @@ LATENCY_BUCKETS: tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
-#: Row-count buckets (per-partition skew and per-operator cardinalities).
+#: Row-count buckets (per-operator cardinalities).
 ROWS_BUCKETS: tuple[float, ...] = (0, 1, 10, 100, 1_000, 10_000, 100_000, 1_000_000)
 
 #: Byte-size buckets (segment reads, provenance sizes).

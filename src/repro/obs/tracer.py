@@ -4,7 +4,7 @@ The evaluation chapters of the paper (capture overhead, eager-vs-lazy query
 latency) reduce runs to single wall-clock numbers; fused stages, concurrent
 serve requests and lazy segment decoding make those numbers unexplainable
 without a time dimension.  A **span** is a named interval on one thread --
-run -> physical stage -> partition task, warehouse segment reads, the phases
+run -> physical stage -> capture hook, warehouse segment reads, the phases
 of a provenance query -- and it is the only timing primitive: explain-analyze
 (:mod:`repro.obs.breakdown`) is a fold over a query's spans, and the run,
 stage, capture-hook and serve seconds are the durations of their spans.

@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from repro.core.backtrace.result import ProvenanceResult
 from repro.core.store import ProvenanceSizeReport
-from repro.core.treepattern.matcher import PatternMatch, match_partitions
+from repro.core.treepattern.matcher import PatternMatch, match_rows
 from repro.core.treepattern.pattern import TreePattern
 from repro.engine.config import EngineConfig
 from repro.engine.dataset import Dataset
@@ -60,7 +60,7 @@ class CapturedExecution:
 
     def match(self, pattern: TreePattern | str) -> list[PatternMatch]:
         """Run only the tree-pattern matching phase over the result."""
-        return match_partitions(as_pattern(pattern), self._execution.partitions)
+        return match_rows(as_pattern(pattern), self._execution.rows())
 
     def backtrace(self, pattern: TreePattern | str) -> ProvenanceResult:
         """Answer a structural provenance question (match + backtrace)."""
@@ -106,7 +106,7 @@ class PebbleSession:
     settings are settable in code without touching environment variables:
 
     >>> pebble = PebbleSession(optimize=False, rules=("prune",))
-    >>> pebble = PebbleSession(num_partitions=8, config=my_config)
+    >>> pebble = PebbleSession(config=my_config)
 
     An explicit ``config`` provides the base (``EngineConfig.from_env()``
     otherwise -- environment variables are overrides of the defaults, not
@@ -117,14 +117,13 @@ class PebbleSession:
     def __init__(
         self,
         *,
-        num_partitions: int | None = None,
         config: "EngineConfig | None" = None,
         **knobs: object,
     ):
         base = config if config is not None else EngineConfig.from_env()
         if knobs:
             base = base.replace(**knobs)
-        self.session = Session(num_partitions=num_partitions, config=base)
+        self.session = Session(config=base)
 
     @property
     def config(self) -> "EngineConfig":

@@ -3,7 +3,7 @@
 The paper's provenance querying has two phases: the distributed tree-pattern
 matching over the pipeline's (provenance-annotated) result, and the
 backtracing of the matched items through the captured operator provenance to
-every input dataset.  An in-memory execution matches over its partitions
+every input dataset.  An in-memory execution matches over its rows
 (:func:`query_provenance`); a stored run matches over its rows, parsing only
 those the pattern's constants cannot rule out
 (:meth:`repro.warehouse.reader.StoredRun.match`).  Both hand their matches
@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.core.backtrace.algorithms import Backtracer
 from repro.core.backtrace.result import ProvenanceResult
 from repro.core.store import ProvenanceStoreProtocol
-from repro.core.treepattern.matcher import PatternMatch, match_partitions, seed_structure
+from repro.core.treepattern.matcher import PatternMatch, match_rows, seed_structure
 from repro.core.treepattern.parser import parse_pattern
 from repro.core.treepattern.pattern import TreePattern
 from repro.engine.executor import ExecutionResult
@@ -38,7 +38,7 @@ def query_provenance(
     """Answer a structural provenance question over a captured execution.
 
     Phase 1 matches the tree pattern against the execution's result
-    partitions, identifying the queried items; phase 2
+    rows, identifying the queried items; phase 2
     (:func:`trace_matches`) backtraces them to every input dataset.
     """
     if execution.store is None:
@@ -46,7 +46,7 @@ def query_provenance(
             "provenance was not captured for this execution; re-run with capture=True"
         )
     with span("pattern-match", "pattern_match", pattern=str(pattern)) as handle:
-        matches = match_partitions(as_pattern(pattern), execution.partitions)
+        matches = match_rows(as_pattern(pattern), execution.rows())
         handle.set(matched=len(matches))
     count(rows_visited=len(execution), matched=len(matches))
     return trace_matches(execution.store, execution.root.oid, matches)

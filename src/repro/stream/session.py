@@ -126,7 +126,6 @@ class StreamSession:
         *,
         warehouse: "Warehouse | FsPath | str",
         name: str = "stream",
-        num_partitions: int | None = None,
         config: "EngineConfig | None" = None,
         **knobs: object,
     ):
@@ -135,7 +134,7 @@ class StreamSession:
         base = config if config is not None else EngineConfig.from_env()
         if knobs:
             base = base.replace(**knobs)
-        self.session = Session(num_partitions=num_partitions, config=base)
+        self.session = Session(config=base)
         self.warehouse = (
             warehouse if isinstance(warehouse, Warehouse) else Warehouse.open(warehouse)
         )

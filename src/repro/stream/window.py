@@ -21,7 +21,7 @@ shape identical to a batch aggregation:
 
 Determinism contract (the streaming == batch property relies on it): open
 windows live in an insertion-ordered dict keyed by ``(interval, group key)``,
-rows are consumed in global row order (concatenated partitions), and a flush
+rows are consumed in row order, and a flush
 emits windows stably sorted by start.  Because a window's end is a function
 of its start, the concatenation of incremental flushes under a monotonically
 advancing watermark equals the single final flush of a batch run over the
@@ -41,7 +41,6 @@ from repro.core.paths import Path
 from repro.engine.dataset import Dataset
 from repro.engine.executor import Executor
 from repro.engine.expressions import AggregateExpr, as_expression
-from repro.engine.partition import concat_partitions, partition_rows
 from repro.engine.plan import AggregateNode, PlanNode
 from repro.errors import ExecutionError, PlanError, StreamError
 from repro.nested.values import DataItem
@@ -267,19 +266,18 @@ class WindowRuntime:
 
 def _run_window_aggregate(
     executor: Executor, node: WindowAggregateNode
-) -> tuple[list[list[Any]], Any]:
+) -> tuple[list[Any], Any]:
     """Executor handler: ingest the batch into window state, emit due windows.
 
     Mirrors ``Executor._run_aggregate`` (one AggregationAssociations record
-    per emitted row, A/M spec against the child schema) but consumes the
-    concatenated partitions sequentially -- window flush order must not
-    depend on a hash shuffle -- and only emits windows the watermark closed.
+    per emitted row, A/M spec against the child schema) but only emits
+    windows the watermark closed.
     """
-    child_parts, child_schema = executor._child_state(node)
+    child_rows, child_schema = executor._child_state(node)
     runtime: WindowRuntime | None = getattr(executor, "_window_runtime", None)
     state = runtime.state(node.oid) if runtime is not None else WindowState()
     final = runtime is None or runtime.final
-    for pid, item in concat_partitions(child_parts):
+    for pid, item in child_rows:
         state.observe(node, pid, item)
     horizon = float("inf") if final else state.watermark
     associations = AggregationAssociations() if executor._capturing else None
@@ -303,8 +301,7 @@ def _run_window_aggregate(
     if associations is not None:
         spec = (node.children[0].oid, node.accessed_paths(0), child_schema)
         executor._emit_operator(node, (spec,), node.manipulation_pairs(), associations)
-    partitions = partition_rows(out_rows, executor._num_partitions)
-    return partitions, executor._schema_of(out_rows)
+    return out_rows, executor._schema_of(item for _, item in out_rows)
 
 
 # The wide-stage dispatch is exact-type keyed, so the subclass registers its

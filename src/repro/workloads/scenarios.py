@@ -174,12 +174,9 @@ class Scenario:
         """Build the scenario pipeline over pre-generated workload data."""
         return self._build(session, data)
 
-    def instantiate(
-        self, scale: float = 1.0, num_partitions: int | None = None
-    ) -> Dataset:
+    def instantiate(self, scale: float = 1.0) -> Dataset:
         """Generate the workload and build the pipeline in a fresh session."""
-        data = load_workload(self.kind, scale)
-        return self.build(Session(num_partitions=num_partitions), data)
+        return self.build(Session(), load_workload(self.kind, scale))
 
     def __repr__(self) -> str:
         return f"Scenario({self.name}: {self.description})"

@@ -18,14 +18,14 @@ from repro.workloads.scenarios import (
 
 @pytest.fixture
 def session() -> Session:
-    """A fresh two-partition engine session."""
-    return Session(num_partitions=2)
+    """A fresh engine session."""
+    return Session()
 
 
 @pytest.fixture
 def pebble() -> PebbleSession:
     """A fresh Pebble session."""
-    return PebbleSession(num_partitions=2)
+    return PebbleSession()
 
 
 @pytest.fixture

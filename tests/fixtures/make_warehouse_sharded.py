@@ -34,7 +34,7 @@ from tests.fixtures.make_warehouse_v2 import answer_digests
 def main(root: Path) -> None:
     assert cli_main(["shard", "init", "--root", str(root), "--count", "2"]) == 0
     warehouse = Warehouse.open(root)
-    captured = build_running_example(Session(num_partitions=2), RUNNING_EXAMPLE_TWEETS).execute(
+    captured = build_running_example(Session(), RUNNING_EXAMPLE_TWEETS).execute(
         capture=True
     )
     for _ in range(2):

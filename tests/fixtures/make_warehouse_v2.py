@@ -73,7 +73,7 @@ def answer_digests(warehouse: Warehouse, run_id: str, name: str) -> dict[str, st
 
 
 def _stream(root: Path, name: str, batches) -> StreamSession:
-    stream = StreamSession(warehouse=root, name=name, num_partitions=2)
+    stream = StreamSession(warehouse=root, name=name)
     stream.open(narrow(stream.dataset()))
     for lo, hi in batches:
         stream.ingest(stream_rows(lo, hi))
@@ -82,7 +82,7 @@ def _stream(root: Path, name: str, batches) -> StreamSession:
 
 def main(root: Path) -> None:
     warehouse = Warehouse.open(root)
-    captured = build_running_example(Session(num_partitions=2), RUNNING_EXAMPLE_TWEETS).execute(
+    captured = build_running_example(Session(), RUNNING_EXAMPLE_TWEETS).execute(
         capture=True
     )
     warehouse.record(captured, name="example")

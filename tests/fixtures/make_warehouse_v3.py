@@ -29,11 +29,11 @@ from tests.fixtures.make_warehouse_v2 import LIVE_BATCHES, answer_digests, narro
 
 def main(root: Path) -> None:
     warehouse = Warehouse.open(root)
-    captured = build_running_example(Session(num_partitions=2), RUNNING_EXAMPLE_TWEETS).execute(
+    captured = build_running_example(Session(), RUNNING_EXAMPLE_TWEETS).execute(
         capture=True
     )
     warehouse.record(captured, name="example")
-    stream = StreamSession(warehouse=root, name="live", num_partitions=2)
+    stream = StreamSession(warehouse=root, name="live")
     stream.open(narrow(stream.dataset()))
     for lo, hi in LIVE_BATCHES:
         stream.ingest(stream_rows(lo, hi))

@@ -141,7 +141,7 @@ class TestAuditCli:
 class TestGdprScenario:
     def test_g1_forward_workload(self, tmp_path):
         spec = scenario("G1")
-        execution = spec.instantiate(0.2, num_partitions=2).execute(capture=True)
+        execution = spec.instantiate(0.2).execute(capture=True)
         warehouse = Warehouse.open(tmp_path / "wh")
         warehouse.record(execution, name="gdpr")
         result = trace_forward(warehouse, spec.pattern)

@@ -90,14 +90,14 @@ def _lightweight_source_lineage(execution) -> list[tuple[str, frozenset[tuple[st
 
 
 def _plans():
-    session = Session(2)
+    session = Session()
     yield "running-example", build_running_example(
         session, list(RUNNING_EXAMPLE_TWEETS)
     )
     for name in ("T1", "T5", "D1", "D4", "D5"):
         spec = scenario(name)
         data = load_workload(spec.kind, 0.1)
-        yield name, spec.build(Session(2), data)
+        yield name, spec.build(Session(), data)
 
 
 @pytest.mark.parametrize("name,dataset", list(_plans()), ids=lambda value: value if isinstance(value, str) else "")

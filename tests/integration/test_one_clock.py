@@ -61,7 +61,7 @@ class TestZeroCostWhenOff:
         assert constructed == []
 
     def test_run_constructs_only_its_metric_spans(self, example_tweets, constructed):
-        pebble = PebbleSession(num_partitions=2)
+        pebble = PebbleSession()
         captured = pebble.run(build_running_example(pebble.session, example_tweets))
         metrics = captured.execution.metrics
         categories = [span.category for span in constructed]
@@ -91,7 +91,7 @@ class TestAnalyzeAgreesWithTheTrace:
 
 class TestStageSecondsAreSpanDurations:
     def test_stage_seconds_equal_the_stage_spans(self, example_tweets):
-        pebble = PebbleSession(num_partitions=2)
+        pebble = PebbleSession()
         tracer = Tracer()
         with tracing(tracer):
             captured = pebble.run(build_running_example(pebble.session, example_tweets))

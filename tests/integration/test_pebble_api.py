@@ -67,7 +67,7 @@ class TestPebbleSession:
 
         path = tmp_path / "tweets.jsonl"
         write_jsonl(path, [DataItem(text="hello", n=1)])
-        pebble = PebbleSession(num_partitions=2)
+        pebble = PebbleSession()
         ds = pebble.read_jsonl(path)
         captured = pebble.run(ds.select("text"))
         provenance = captured.backtrace('root{/text="hello"}')

@@ -55,7 +55,7 @@ class TestSaveLoadRoundtrip:
 
         spec = scenario(name)
         data = load_workload(spec.kind, 0.1)
-        captured = CapturedExecution(spec.build(Session(2), data).execute(capture=True))
+        captured = CapturedExecution(spec.build(Session(), data).execute(capture=True))
         before = captured.backtrace(spec.pattern)
         root = tmp_path / "wh"
         captured.save(root, name=name)

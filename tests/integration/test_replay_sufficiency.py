@@ -10,7 +10,7 @@ that the provenance question still matches.
 
 from repro.engine.expressions import col, collect_list, struct_
 from repro.engine.session import Session
-from repro.core.treepattern.matcher import match_partitions
+from repro.core.treepattern.matcher import match_rows
 from repro.core.treepattern.parser import parse_pattern
 from repro.pebble.query import query_provenance
 from repro.workloads.scenarios import (
@@ -44,10 +44,10 @@ class TestRunningExampleReplay:
         witnesses = _witnesses(provenance)["tweets.json"]
         assert len(witnesses) == 2
 
-        replay_session = Session(2)
+        replay_session = Session()
         replay = build_running_example(replay_session, witnesses)
         execution = replay.execute(capture=True)
-        matches = match_partitions(parse_pattern(example_pattern), execution.partitions)
+        matches = match_rows(parse_pattern(example_pattern), execution.rows())
         assert matches, "replay over the witnesses no longer satisfies the query"
         # The reproduced row holds exactly the duplicate Hello World texts.
         [match] = matches
@@ -75,7 +75,7 @@ class TestFlattenReplay:
         assert witness["user_mentions"].to_python() == [{"id_str": "bb"}]
 
         # Replaying the flatten over the witness still yields the match.
-        replay = Session(2).create_dataset([witness], "in").flatten(
+        replay = Session().create_dataset([witness], "in").flatten(
             "user_mentions", "m_user"
         )
         out = replay.collect()
@@ -84,7 +84,7 @@ class TestFlattenReplay:
 
 class TestAggregationReplay:
     def test_group_witnesses_rebuild_queried_collection(self):
-        session = Session(2)
+        session = Session()
         data = [
             {"grp": "g", "tag": "x", "noise": 1},
             {"grp": "g", "tag": "y", "noise": 2},
@@ -103,7 +103,7 @@ class TestAggregationReplay:
         assert witnesses == [type(witnesses[0])(grp="g", tag="y")]
 
         replay = (
-            Session(2)
+            Session()
             .create_dataset(witnesses, "in")
             .group_by(col("grp"))
             .agg(collect_list(col("tag")).alias("tags"))
@@ -122,7 +122,7 @@ class TestStructReplay:
         provenance = query_provenance(execution, 'root{/u{/id_str="lp"}}')
         witness = provenance.sources[0].entry(1).reduced_item()
         assert witness.to_python() == {"user": {"id_str": "lp"}}
-        replay = Session(1).create_dataset([witness], "in").select(
+        replay = Session().create_dataset([witness], "in").select(
             struct_(id_str=col("user.id_str")).alias("u")
         )
         assert replay.collect()[0]["u"]["id_str"] == "lp"

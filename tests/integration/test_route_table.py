@@ -60,7 +60,7 @@ def _body(kind: str) -> dict:
 def tiers(tmp_path_factory):
     """One two-run warehouse behind each transport; yields name -> transport."""
     captured = build_running_example(
-        Session(num_partitions=2), [dict(t) for t in RUNNING_EXAMPLE_TWEETS]
+        Session(), [dict(t) for t in RUNNING_EXAMPLE_TWEETS]
     ).execute(capture=True)
     root = tmp_path_factory.mktemp("table") / "wh"
     warehouse = Warehouse.open(root)

@@ -17,7 +17,7 @@ def captured():
     executions = {}
     for name, spec in SCENARIOS.items():
         data = load_workload(spec.kind, SCALE)
-        executions[name] = spec.build(Session(2), data).execute(capture=True)
+        executions[name] = spec.build(Session(), data).execute(capture=True)
     return executions
 
 
@@ -75,5 +75,5 @@ class TestEagerLazyEquivalence:
         spec = scenario(name)
         eager = query_provenance(captured[name], spec.pattern)
         data = load_workload(spec.kind, SCALE)
-        lazy = LazyProvenanceQuerier(spec.build(Session(2), data)).query(spec.pattern)
+        lazy = LazyProvenanceQuerier(spec.build(Session(), data)).query(spec.pattern)
         assert lazy.all_ids() == eager.all_ids()

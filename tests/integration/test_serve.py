@@ -358,7 +358,7 @@ class TestResidentRuns:
         """A resident run parses the rows its first question cannot rule
         out by their bytes, not the whole run."""
         spec = scenario("D1")
-        execution = spec.instantiate(0.2, num_partitions=2).execute(capture=True)
+        execution = spec.instantiate(0.2).execute(capture=True)
         root = tmp_path / "wh"
         record = Warehouse.open(root).record(execution, name="D1")
         with QueryService.open(

@@ -33,7 +33,7 @@ def _rows(lo: int, hi: int) -> list[dict]:
 
 
 def _open_stream(warehouse, name: str = "feed") -> StreamSession:
-    stream = StreamSession(warehouse=warehouse, name=name, num_partitions=2)
+    stream = StreamSession(warehouse=warehouse, name=name)
     windowed = window_by(
         stream.dataset(), col("ts"), TumblingWindow(4.0), col("user")
     ).agg(collect_list(col("id")).alias("ids"), count().alias("n"))

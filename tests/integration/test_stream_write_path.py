@@ -62,7 +62,7 @@ def _plan(dataset):
 
 
 def _open_stream(root: Path) -> StreamSession:
-    stream = StreamSession(warehouse=root, name="feed", num_partitions=2)
+    stream = StreamSession(warehouse=root, name="feed")
     stream.open(_plan(stream.dataset()))
     return stream
 
@@ -93,7 +93,7 @@ def _assert_indexed_like_the_disk_feeder(run_dir: Path) -> int:
 
 
 def _record_batch(warehouse: Warehouse, rows: list[dict]) -> Path:
-    session = Session(num_partitions=2)
+    session = Session()
     dataset = session.create_dataset([DataItem(row) for row in rows], "stream")
     batch = _plan(dataset).execute(capture=True)
     return warehouse.run_dir(warehouse.record(batch, name="batch").run_id)
@@ -125,7 +125,7 @@ class TestCrashedAppend:
             raise OSError("killed mid-append")
 
         def crashed(point: str):
-            stream = StreamSession(warehouse=tmp_path / point, name="feed", num_partitions=2)
+            stream = StreamSession(warehouse=tmp_path / point, name="feed")
             stream.open(_narrow(stream.dataset()))
             stream.ingest(_rows(0, 6))
             with monkeypatch.context() as patch:
@@ -151,7 +151,7 @@ class TestCrashedAppend:
             assert sorted(answer.all_ids()) and len(answer.matched_output_ids) == 3
 
     def test_the_next_ingest_succeeds_and_compacts_to_the_batch_bytes(self, crash):
-        session = Session(num_partitions=2)
+        session = Session()
         rows = [DataItem(row) for row in _rows(0, 10)]
         batch = _narrow(session.create_dataset(rows, "stream")).execute(capture=True)
         for point in self.CRASH_POINTS:
@@ -182,7 +182,7 @@ class TestCrashedRecord:
     )
     def crashed(self, request, tmp_path, monkeypatch):
         warehouse = Warehouse.open(tmp_path / "wh")
-        session = Session(num_partitions=2)
+        session = Session()
         rows = [DataItem(row) for row in _rows(0, 10)]
         batch = _narrow(session.create_dataset(rows, "stream")).execute(capture=True)
         kept = warehouse.record(batch, name="kept")
@@ -307,7 +307,7 @@ class TestCostFollowsTheBatch:
         compacted (it holds only their stored bytes)."""
         spec = scenario("S1")
         tweets = load_workload("twitter", 0.05)
-        stream = StreamSession(warehouse=tmp_path / "wh", name="s1", num_partitions=2)
+        stream = StreamSession(warehouse=tmp_path / "wh", name="s1")
         stream.open(spec.build(stream.session, stream.dataset(stream.source("tweets.json"))))
         for low in range(0, len(tweets), 5):
             stream.ingest(tweets[low : low + 5])

@@ -40,7 +40,7 @@ def stored_run(request, captured_example, tmp_path):
     if request.param == "batch":
         record = warehouse.record(captured_example, name="example")
         return tmp_path / "wh", record.run_id, RUNNING_EXAMPLE_PATTERN, 9
-    stream = StreamSession(warehouse=warehouse, name="feed", num_partitions=2)
+    stream = StreamSession(warehouse=warehouse, name="feed")
     stream.open(stream.dataset().filter(col("user") == "u1").select(col("id"), col("user")))
     for low in (0, 4, 8):
         stream.ingest([{"id": i, "user": f"u{i % 2}"} for i in range(low, low + 4)])
@@ -114,7 +114,7 @@ class TestLazyBacktrace:
 
     def test_unmatched_branch_items_never_decode(self, tmp_path):
         """Item blocks decode per contributing source, not per run."""
-        session = Session(num_partitions=2)
+        session = Session()
         left = session.create_dataset(
             [{"grp": "a", "val": 1}, {"grp": "a", "val": 2}], "left.json"
         )
@@ -171,7 +171,7 @@ class TestLazyBacktrace:
         assert min(ledger.values()) > 0
         assert sum(ledger.values()) == (warehouse.run_dir(run_id) / "part.seg").stat().st_size
 
-        stream = StreamSession(warehouse=root, name="feed", num_partitions=2)
+        stream = StreamSession(warehouse=root, name="feed")
         stream.open(narrow(stream.dataset()))
         for lo, hi in ((0, 6), (6, 10)):
             stream.ingest(stream_rows(lo, hi))
@@ -207,7 +207,7 @@ class TestColdPathParsesOnlyWhatTheQuestionTouches:
         from repro.workloads.scenarios import load_workload, scenario
 
         spec = scenario("T2")
-        execution = spec.build(Session(2), load_workload("twitter", 0.2)).execute(
+        execution = spec.build(Session(), load_workload("twitter", 0.2)).execute(
             capture=True
         )
         warehouse = Warehouse.open(tmp_path / "wh")
@@ -291,7 +291,7 @@ class TestFramesInflateOnlyWhatTheAnswerReaches:
         from repro.workloads.scenarios import load_workload, scenario
 
         spec = scenario("T2")
-        execution = spec.build(Session(2), load_workload("twitter", 0.2)).execute(
+        execution = spec.build(Session(), load_workload("twitter", 0.2)).execute(
             capture=True
         )
         warehouse = Warehouse.open(tmp_path / "wh")
@@ -311,7 +311,7 @@ class TestFramesInflateOnlyWhatTheAnswerReaches:
     def test_ids_membership_and_retention_inflate_nothing(self, tmp_path, inflations):
         from tests.fixtures.make_warehouse_v2 import narrow, stream_rows
 
-        stream = StreamSession(warehouse=tmp_path / "wh", name="feed", num_partitions=2)
+        stream = StreamSession(warehouse=tmp_path / "wh", name="feed")
         stream.open(narrow(stream.dataset()))
         for lo, hi in ((0, 20), (20, 40), (40, 60)):
             stream.ingest(stream_rows(lo, hi))
@@ -507,7 +507,7 @@ class TestWarehouseCli:
 
         root = tmp_path / "wh"
         record = Warehouse.open(root).record(
-            Session(2).create_dataset([{"a": 1}], "in").execute(capture=True),
+            Session().create_dataset([{"a": 1}], "in").execute(capture=True),
             name="old",
         )
         metrics_path = Warehouse.open(root).run_dir(record.run_id) / "metrics.json"

@@ -161,7 +161,7 @@ class TestSharedStore:
 
         pattern = 'root{/user="u1"}'
         warehouse = Warehouse.open(tmp_path / "wh")
-        stream = StreamSession(warehouse=warehouse, name="feed", num_partitions=2)
+        stream = StreamSession(warehouse=warehouse, name="feed")
         stream.open(stream.dataset().filter(col("user") == "u1").select(col("id"), col("user")))
         for low in range(0, 40, 8):
             stream.ingest([{"id": i, "user": f"u{i % 2}"} for i in range(low, low + 8)])
@@ -216,7 +216,7 @@ class TestSharedStore:
         pattern = 'root{/user="u1"}'
         rows = [{"id": i, "user": f"u{i % 4}"} for i in range(64)]
         execution = (
-            Session(num_partitions=2)
+            Session()
             .create_dataset(rows, "rows.json")
             .filter(col("id") >= 0)
             .execute(capture=True)

@@ -52,7 +52,7 @@ PATTERN = 'root{/user="u1"}'
 
 
 def _batch(rows: list[dict]):
-    session = Session(num_partitions=2)
+    session = Session()
     return narrow(session.create_dataset([DataItem(row) for row in rows], "stream")).execute(
         capture=True
     )
@@ -60,7 +60,7 @@ def _batch(rows: list[dict]):
 
 def _append(warehouse: Warehouse, run_id: str, rows: list[dict]) -> None:
     """One micro-batch onto a live run, run the way ``StreamSession`` runs it."""
-    session = Session(num_partitions=2)
+    session = Session()
     executor = Executor(capture=True, config=session.config)
     executor._next_id = load_manifest(warehouse.run_dir(run_id))["next_pid"]
     dataset = narrow(session.create_dataset([DataItem(row) for row in rows], "stream"))
@@ -176,7 +176,7 @@ class TestLayout3StillReads:
     """The committed ``tests/fixtures/warehouse_v3``: a batch run and a live
     run whose item blocks are raw JSON."""
 
-    def test_answers_match_the_ones_recorded_when_it_was_written(self, warehouse_v3):
+    def test_answers_match_the_ones_recorded_when_it_was_written(self, warehouse_v3, capsys):
         warehouse = Warehouse.open(warehouse_v3)
         recorded = json.loads((warehouse_v3 / "answers.json").read_text())
         assert [record.name for record in warehouse.runs()] == ["example", "live"]
@@ -185,6 +185,16 @@ class TestLayout3StillReads:
             record.name: answer_digests(warehouse, record.run_id, record.name)
             for record in warehouse.runs()
         } == recorded
+        # Runs recorded before 3.11 carry a per-stage "partition_rows" list
+        # in metrics.json; stats reads past it.
+        run_id = "run-0001-example"
+        stored = json.loads((warehouse.run_dir(run_id) / "metrics.json").read_text())
+        assert stored["stages"] and all("partition_rows" in stage for stage in stored["stages"])
+        registry = warehouse.stats(run_id)
+        total = registry.gauge("repro_run_total_seconds", run_id=run_id).value
+        assert total == stored["total_seconds"]
+        assert main(["stats", run_id, "--root", str(warehouse_v3)]) == 0
+        assert "repro_run_total_seconds" in capsys.readouterr().out
 
     def test_the_live_run_grows_by_new_layout_epochs_and_answers_like_a_one_shot_batch(
         self, warehouse_v3
@@ -274,7 +284,7 @@ class TestTotalBytes:
         """Batch, live and compacted alike, in the manifest and the catalog;
         so a compacted stream is catalogued at the size of the batch run of
         its rows."""
-        stream = StreamSession(warehouse=tmp_path / "wh", name="feed", num_partitions=2)
+        stream = StreamSession(warehouse=tmp_path / "wh", name="feed")
         stream.open(narrow(stream.dataset()))
         for lo, hi in LIVE_BATCHES:
             stream.ingest(stream_rows(lo, hi))

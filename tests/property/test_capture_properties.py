@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.lineage import LineageQuerier
 from repro.core.backtrace.algorithms import Backtracer
-from repro.core.treepattern.matcher import match_partitions, seed_structure
+from repro.core.treepattern.matcher import match_rows, seed_structure
 from repro.core.treepattern.pattern import TreePattern, child
 from repro.engine.expressions import col, collect_list, count, sum_
 from repro.engine.session import Session
@@ -76,17 +76,17 @@ def _pattern(shape: str) -> TreePattern:
 @given(_rows, st.sampled_from(_SHAPES))
 @settings(max_examples=60, deadline=None)
 def test_capture_does_not_change_results(rows, shape):
-    plain = _build(Session(2), rows, shape).execute(capture=False)
-    captured = _build(Session(2), rows, shape).execute(capture=True)
+    plain = _build(Session(), rows, shape).execute(capture=False)
+    captured = _build(Session(), rows, shape).execute(capture=True)
     assert sorted(map(repr, plain.items())) == sorted(map(repr, captured.items()))
 
 
 @given(_rows, st.sampled_from(_SHAPES))
 @settings(max_examples=60, deadline=None)
 def test_structural_ids_subset_of_lineage_ids(rows, shape):
-    execution = _build(Session(2), rows, shape).execute(capture=True)
+    execution = _build(Session(), rows, shape).execute(capture=True)
     pattern = _pattern(shape)
-    matches = match_partitions(pattern, execution.partitions)
+    matches = match_rows(pattern, execution.rows())
     seeds = seed_structure(matches)
     sources = Backtracer(execution.store).backtrace(execution.root.oid, seeds)
     structural = {
@@ -102,9 +102,9 @@ def test_structural_ids_subset_of_lineage_ids(rows, shape):
 @given(_rows, st.sampled_from(_SHAPES))
 @settings(max_examples=60, deadline=None)
 def test_backtraced_ids_resolve_to_input_items(rows, shape):
-    execution = _build(Session(2), rows, shape).execute(capture=True)
+    execution = _build(Session(), rows, shape).execute(capture=True)
     pattern = _pattern(shape)
-    matches = match_partitions(pattern, execution.partitions)
+    matches = match_rows(pattern, execution.rows())
     sources = Backtracer(execution.store).backtrace(
         execution.root.oid, seed_structure(matches)
     )
@@ -117,7 +117,7 @@ def test_backtraced_ids_resolve_to_input_items(rows, shape):
 @given(_rows, st.sampled_from(_SHAPES))
 @settings(max_examples=60, deadline=None)
 def test_output_ids_unique_per_operator(rows, shape):
-    execution = _build(Session(2), rows, shape).execute(capture=True)
+    execution = _build(Session(), rows, shape).execute(capture=True)
     for provenance in execution.store.operators():
         output_ids = list(provenance.associations.output_ids())
         assert len(output_ids) == len(set(output_ids))
@@ -126,7 +126,7 @@ def test_output_ids_unique_per_operator(rows, shape):
 @given(_rows)
 @settings(max_examples=40, deadline=None)
 def test_flatten_positions_are_valid(rows):
-    execution = _build(Session(2), rows, "flatten").execute(capture=True)
+    execution = _build(Session(), rows, "flatten").execute(capture=True)
     flatten_provenance = next(
         provenance
         for provenance in execution.store.operators()
@@ -145,7 +145,7 @@ def test_flatten_positions_are_valid(rows):
 @settings(max_examples=40, deadline=None)
 def test_aggregation_positions_align_with_collections(rows):
     """The i-th grouped input id produced the i-th collected element."""
-    execution = _build(Session(2), rows, "aggregate").execute(capture=True)
+    execution = _build(Session(), rows, "aggregate").execute(capture=True)
     agg_provenance = next(
         provenance
         for provenance in execution.store.operators()

@@ -63,7 +63,7 @@ def _backtrace_ids(execution, output_id: int, item) -> set[int]:
 @given(_rows, st.sampled_from(_SHAPES))
 @settings(max_examples=25, deadline=None)
 def test_forward_is_the_dual_of_backtrace(rows, shape):
-    execution = _build(Session(2), rows, shape).execute(capture=True)
+    execution = _build(Session(), rows, shape).execute(capture=True)
     tracer = ForwardTracer(execution)
     outputs = [(pid, item) for pid, item in execution.rows() if pid is not None]
     backward = {pid: _backtrace_ids(execution, pid, item) for pid, item in outputs}
@@ -79,7 +79,7 @@ def test_forward_is_the_dual_of_backtrace(rows, shape):
 @given(_rows, st.sampled_from(_SHAPES))
 @settings(max_examples=10, deadline=None)
 def test_indexed_answer_equals_full_scan(rows, shape):
-    execution = _build(Session(2), rows, shape).execute(capture=True)
+    execution = _build(Session(), rows, shape).execute(capture=True)
     with tempfile.TemporaryDirectory() as root:
         warehouse = Warehouse.open(Path(root) / "wh")
         warehouse.record(execution, name="prop")

@@ -34,7 +34,7 @@ SHAPES = {
     "flatten-agg": "root{/texts}",
     "agg": "root{/n}",
     "sort-limit": "root{/text}",
-    "filter-limit": "root{/text}",  # per-partition limit prefix shape
+    "filter-limit": "root{/text}",  # global limit after a fused chain
     "union": "root{/text}",
     "distinct": "root{/lang}",
     "with-column": "root{/rc}",
@@ -98,7 +98,7 @@ def _build(session: Session, shape: str, k: int):
 
 
 def _run(shape: str, k: int, config: EngineConfig, capture: bool):
-    session = Session(num_partitions=2, config=config)
+    session = Session(config=config)
     return _build(session, shape, k).execute(capture=capture)
 
 
@@ -150,8 +150,8 @@ def test_capture_equivalent_across_configs(shape, k):
 @given(st.sampled_from(sorted(SHAPES)), st.integers(min_value=0, max_value=4))
 @settings(max_examples=40, deadline=None)
 def test_plain_results_equivalent_across_configs(shape, k):
-    # Capture off: pushdown and the per-partition limit prefix are legal
-    # here, so this run exercises rewrites the capture path must refuse.
+    # Capture off: pushdown is legal here, so this run exercises the
+    # rewrite the capture path must refuse.
     baseline = _run(shape, k, BASELINE[1], capture=False)
     for name, config in VARIANTS:
         execution = _run(shape, k, config, capture=False)

@@ -5,7 +5,7 @@ Splitting one bounded input into N micro-batches, streaming them through a
 leave the warehouse with the *same run* a one-shot batch capture of the
 concatenated input records: identical segment bytes (operator provenance,
 sink rows, index) and identical backtrace answers -- across split points
-and partition counts.  And a query admitted mid-ingest must answer exactly
+and optimizer configurations.  And a query admitted mid-ingest must answer exactly
 like the sealed run restricted to the epochs that were visible at admission
 (``max_epoch``), which is the incremental-query consistency contract of the
 serve tier.  A stored run's answers agree with the in-memory capture's on
@@ -92,19 +92,16 @@ def _stable_manifest(run_dir: Path) -> dict:
     n=st.integers(min_value=6, max_value=14),
     cuts=st.lists(st.integers(min_value=1, max_value=13), min_size=1, max_size=3),
     named_config=st.sampled_from(CONFIGS),
-    partitions=st.integers(min_value=1, max_value=3),
 )
 @settings(max_examples=20, deadline=None)
 def test_streaming_compacted_equals_one_shot_batch(
-    tmp_path_factory, shape, n, cuts, named_config, partitions
+    tmp_path_factory, shape, n, cuts, named_config
 ):
     name, config = named_config
     rows = _rows(n)
     root = tmp_path_factory.mktemp("stream-eq")
 
-    stream = StreamSession(
-        warehouse=root / "wh", name="s", num_partitions=partitions, config=config
-    )
+    stream = StreamSession(warehouse=root / "wh", name="s", config=config)
     stream.open(_build(shape, stream.dataset()))
     for chunk in _chunks(rows, cuts):
         if chunk:
@@ -112,7 +109,7 @@ def test_streaming_compacted_equals_one_shot_batch(
     record = stream.finish(compact=True)
     warehouse = stream.warehouse
 
-    batch_session = Session(num_partitions=partitions, config=config)
+    batch_session = Session(config=config)
     batch = _build(
         shape, batch_session.create_dataset([DataItem(row) for row in rows], "stream")
     ).execute(capture=True)
@@ -135,16 +132,15 @@ def test_streaming_compacted_equals_one_shot_batch(
     shape=st.sampled_from(sorted(SHAPES)),
     n=st.integers(min_value=6, max_value=12),
     cuts=st.lists(st.integers(min_value=1, max_value=11), min_size=1, max_size=2),
-    partitions=st.integers(min_value=1, max_value=3),
 )
 @settings(max_examples=15, deadline=None)
 def test_mid_ingest_query_equals_sealed_run_at_admission_epoch(
-    tmp_path_factory, shape, n, cuts, partitions
+    tmp_path_factory, shape, n, cuts
 ):
     rows = _rows(n)
     root = tmp_path_factory.mktemp("stream-mid")
     stream = StreamSession(
-        warehouse=root / "wh", name="s", num_partitions=partitions
+        warehouse=root / "wh", name="s"
     )
     stream.open(_build(shape, stream.dataset()))
     warehouse = stream.warehouse
@@ -172,12 +168,9 @@ def test_mid_ingest_query_equals_sealed_run_at_admission_epoch(
 
 @given(
     n=st.integers(min_value=2, max_value=14),
-    partitions=st.integers(min_value=1, max_value=3),
 )
 @settings(max_examples=10, deadline=None)
-def test_one_micro_batch_reads_exactly_like_a_recorded_batch(
-    tmp_path_factory, n, partitions
-):
+def test_one_micro_batch_reads_exactly_like_a_recorded_batch(tmp_path_factory, n):
     """A batch run is a one-part run, literally: the same rows ingested as
     ONE micro-batch and left uncompacted read back -- operators, source
     items, result rows, index -- exactly like ``Warehouse.record`` of them."""
@@ -185,14 +178,14 @@ def test_one_micro_batch_reads_exactly_like_a_recorded_batch(
 
     rows = _rows(n)
     root = tmp_path_factory.mktemp("stream-one-part")
-    stream = StreamSession(warehouse=root / "wh", name="s", num_partitions=partitions)
+    stream = StreamSession(warehouse=root / "wh", name="s")
     stream.open(_build("narrow", stream.dataset()))
     stream.ingest(rows)
     stream.finish(compact=False)
     warehouse = stream.warehouse
     assert len(warehouse.inspect(stream.run_id)["epochs"]) == 1
 
-    batch_session = Session(num_partitions=partitions)
+    batch_session = Session()
     batch = _build(
         "narrow", batch_session.create_dataset([DataItem(row) for row in rows], "stream")
     ).execute(capture=True)
@@ -222,19 +215,16 @@ def test_one_micro_batch_reads_exactly_like_a_recorded_batch(
     shape=st.sampled_from(sorted(SHAPES)),
     n=st.integers(min_value=6, max_value=14),
     cuts=st.lists(st.integers(min_value=1, max_value=13), min_size=0, max_size=4),
-    partitions=st.integers(min_value=1, max_value=3),
 )
 @settings(max_examples=15, deadline=None)
-def test_unioned_epoch_index_agrees_with_the_scan(
-    tmp_path_factory, shape, n, cuts, partitions
-):
+def test_unioned_epoch_index_agrees_with_the_scan(tmp_path_factory, shape, n, cuts):
     """The union of the per-epoch indexes is complete: indexed and scan
     forward traces over an uncompacted run agree, and an empty posting is
     still a proof of absence."""
     from repro.audit.forward import ForwardTracer
 
     root = tmp_path_factory.mktemp("stream-index")
-    stream = StreamSession(warehouse=root / "wh", name="s", num_partitions=partitions)
+    stream = StreamSession(warehouse=root / "wh", name="s")
     stream.open(_build(shape, stream.dataset()))
     for chunk in _chunks(_rows(n), cuts):
         if chunk:
@@ -270,7 +260,7 @@ def test_cold_backtrace_identical_to_the_load_route(tmp_path):
     warehouse = Warehouse.open(tmp_path / "wh")
     for name in COLD_SCENARIOS:
         spec = scenario(name)
-        execution = spec.build(Session(2), load_workload(spec.kind, 0.2)).execute(
+        execution = spec.build(Session(), load_workload(spec.kind, 0.2)).execute(
             capture=True
         )
         run_id = warehouse.record(execution, name=name).run_id

@@ -163,7 +163,7 @@ class TestCandidateAccounting:
     @pytest.fixture(scope="class")
     def recorded_t3(self, tmp_path_factory):
         warehouse = Warehouse.open(tmp_path_factory.mktemp("t3") / "wh")
-        execution = scenario("T3").instantiate(0.2, num_partitions=2).execute(capture=True)
+        execution = scenario("T3").instantiate(0.2).execute(capture=True)
         record = warehouse.record(execution, name="t3")
         return warehouse, record.run_id
 

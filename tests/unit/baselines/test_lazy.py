@@ -27,7 +27,7 @@ class TestLazyQuerier:
         assert eager_entry.tree.render() == lazy_entry.tree.render()
 
     def test_single_input_pipeline(self):
-        session = Session(2)
+        session = Session()
         ds = session.create_dataset([{"a": 1}, {"a": 2}], "in").filter(col("a") == 1)
         querier = LazyProvenanceQuerier(ds)
         assert querier.source_count() == 1
@@ -36,7 +36,7 @@ class TestLazyQuerier:
 
     def test_no_capture_needed_before_query(self):
         """The lazy querier works on a never-executed pipeline."""
-        session = Session(2)
+        session = Session()
         ds = session.create_dataset([{"a": 7}], "in").select(col("a"))
         result = LazyProvenanceQuerier(ds).query("root{/a=7}")
         assert result.all_ids() == {"in": [1]}

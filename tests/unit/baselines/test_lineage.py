@@ -11,7 +11,7 @@ def _lineage(execution, output_ids):
 
 class TestLineage:
     def test_filter_select_chain(self):
-        session = Session(2)
+        session = Session()
         ds = (
             session.create_dataset([{"a": 1}, {"a": 2}, {"a": 3}], "in")
             .filter(col("a") >= 2)
@@ -24,7 +24,7 @@ class TestLineage:
 
     def test_aggregation_returns_all_group_members(self):
         """The imprecision of lineage (Sec. 2): every member shows up."""
-        session = Session(2)
+        session = Session()
         data = [{"g": 1, "v": "a"}, {"g": 1, "v": "b"}, {"g": 2, "v": "c"}]
         ds = session.create_dataset(data, "in").group_by(col("g")).agg(
             collect_list(col("v")).alias("vs")
@@ -35,7 +35,7 @@ class TestLineage:
         assert source.ids == {1, 2}
 
     def test_union_splits_sides(self):
-        session = Session(1)
+        session = Session()
         left = session.create_dataset([{"a": 1}], "left")
         right = session.create_dataset([{"a": 2}], "right")
         execution = left.union(right).execute(capture=True)
@@ -45,7 +45,7 @@ class TestLineage:
         assert by_name == {"left": {1}, "right": {2}}
 
     def test_join_traces_both_sides(self):
-        session = Session(2)
+        session = Session()
         left = session.create_dataset([{"k": 1}], "left")
         right = session.create_dataset([{"fk": 1}], "right")
         execution = left.join(right, col("k") == col("fk")).execute(capture=True)
@@ -56,7 +56,7 @@ class TestLineage:
         assert by_name["right"] == {2}
 
     def test_flatten_ignores_positions(self):
-        session = Session(1)
+        session = Session()
         ds = session.create_dataset([{"tags": ["x", "y"]}], "in").flatten("tags", "t")
         execution = ds.execute(capture=True)
         out_ids = {pid for pid, _ in execution.rows()}
@@ -64,7 +64,7 @@ class TestLineage:
         assert source.ids == {1}
 
     def test_empty_output_ids(self):
-        session = Session(1)
+        session = Session()
         ds = session.create_dataset([{"a": 1}], "in").filter(col("a") == 1)
         execution = ds.execute(capture=True)
         [source] = _lineage(execution, set())
@@ -73,9 +73,9 @@ class TestLineage:
     def test_works_over_lineage_only_capture(self):
         from repro.engine.executor import Executor
 
-        session = Session(1)
+        session = Session()
         ds = session.create_dataset([{"a": 1, "tags": ["x"]}], "in").flatten("tags", "t")
-        execution = Executor(1, capture=True, lineage_only=True).execute(ds.plan)
+        execution = Executor(capture=True, lineage_only=True).execute(ds.plan)
         out_ids = {pid for pid, _ in execution.rows()}
         [source] = LineageQuerier(execution.store).backtrace_ids(ds.plan.oid, out_ids)
         assert source.ids == {1}

@@ -4,14 +4,14 @@ from repro.core.backtrace.algorithms import Backtracer
 from repro.core.backtrace.tree import BacktraceStructure
 from repro.core.paths import parse_path
 from repro.core.treepattern.parser import parse_pattern
-from repro.core.treepattern.matcher import match_partitions, seed_structure
+from repro.core.treepattern.matcher import match_rows, seed_structure
 from repro.engine.expressions import col, collect_list, count, struct_, sum_
 from repro.engine.session import Session
 
 
 def _backtrace(execution, pattern_text):
     pattern = parse_pattern(pattern_text)
-    matches = match_partitions(pattern, execution.partitions)
+    matches = match_rows(pattern, execution.rows())
     seeds = seed_structure(matches)
     return Backtracer(execution.store).backtrace(execution.root.oid, seeds)
 
@@ -24,7 +24,7 @@ def _single_source(sources, name=None):
 
 class TestFilterBacktrace:
     def test_ids_and_access_marks(self):
-        session = Session(2)
+        session = Session()
         data = [{"a": 1, "flag": True}, {"a": 2, "flag": False}, {"a": 3, "flag": True}]
         ds = session.create_dataset(data, "in").filter(col("flag") == True)  # noqa: E712
         execution = ds.execute(capture=True)
@@ -37,7 +37,7 @@ class TestFilterBacktrace:
         assert flag.access == {ds.plan.oid}
 
     def test_filtered_out_items_not_in_provenance(self):
-        session = Session(2)
+        session = Session()
         ds = session.create_dataset([{"a": 1}, {"a": 2}], "in").filter(col("a") == 1)
         execution = ds.execute(capture=True)
         sources = _backtrace(execution, "root{/a=1}")
@@ -46,7 +46,7 @@ class TestFilterBacktrace:
 
 class TestSelectBacktrace:
     def test_projection_moved_back(self):
-        session = Session(2)
+        session = Session()
         data = [{"user": {"id_str": "lp", "name": "Lisa"}, "x": 1}]
         ds = session.create_dataset(data, "in").select(col("user.id_str"))
         execution = ds.execute(capture=True)
@@ -56,7 +56,7 @@ class TestSelectBacktrace:
         assert tree.find(parse_path("id_str")) is None
 
     def test_struct_projection(self):
-        session = Session(1)
+        session = Session()
         data = [{"a": 1, "b": 2}]
         ds = session.create_dataset(data, "in").select(
             struct_(a=col("a"), b=col("b")).alias("pair")
@@ -68,7 +68,7 @@ class TestSelectBacktrace:
         assert tree.find(parse_path("pair")) is None
 
     def test_computed_expression_maps_to_inputs(self):
-        session = Session(1)
+        session = Session()
         ds = session.create_dataset([{"a": 2, "b": 3}], "in").select(
             (col("a") + col("b")).alias("total")
         )
@@ -81,7 +81,7 @@ class TestSelectBacktrace:
 
 class TestMapBacktrace:
     def test_whole_input_schema_manipulated(self):
-        session = Session(1)
+        session = Session()
         data = [{"a": 1, "nested": {"b": 2}}]
         ds = session.create_dataset(data, "in").map(
             lambda item: item.replace(c=item["a"] * 10), "times10"
@@ -97,7 +97,7 @@ class TestMapBacktrace:
 
 class TestFlattenBacktrace:
     def test_position_recorded(self):
-        session = Session(2)
+        session = Session()
         data = [{"tags": ["x", "y", "z"]}, {"tags": ["y"]}]
         ds = session.create_dataset(data, "in").flatten("tags", "tag")
         execution = ds.execute(capture=True)
@@ -108,7 +108,7 @@ class TestFlattenBacktrace:
         assert set(tags.children) == {3}
 
     def test_merge_trees_same_input(self):
-        session = Session(1)
+        session = Session()
         data = [{"tags": ["x", "y"]}]
         ds = session.create_dataset(data, "in").flatten("tags", "tag")
         execution = ds.execute(capture=True)
@@ -119,7 +119,7 @@ class TestFlattenBacktrace:
         assert set(tags.children) == {1, 2}
 
     def test_outer_flatten_keeps_empty_items(self):
-        session = Session(1)
+        session = Session()
         data = [{"a": 1, "tags": []}]
         ds = session.create_dataset(data, "in").flatten("tags", "tag", outer=True)
         execution = ds.execute(capture=True)
@@ -130,7 +130,7 @@ class TestFlattenBacktrace:
 
 class TestUnionBacktrace:
     def test_sides_separated(self):
-        session = Session(1)
+        session = Session()
         left = session.create_dataset([{"a": 1}], "left")
         right = session.create_dataset([{"a": 2}], "right")
         execution = left.union(right).execute(capture=True)
@@ -143,7 +143,7 @@ class TestUnionBacktrace:
 
 class TestJoinBacktrace:
     def test_both_sides_traced_with_pruned_trees(self):
-        session = Session(2)
+        session = Session()
         left = session.create_dataset([{"k": 1, "l_val": "a"}, {"k": 2, "l_val": "b"}], "left")
         right = session.create_dataset([{"fk": 1, "r_val": "x"}], "right")
         execution = left.join(right, col("k") == col("fk")).execute(capture=True)
@@ -158,7 +158,7 @@ class TestJoinBacktrace:
         assert key_node is not None and key_node.access  # join key accessed
 
     def test_unjoined_rows_absent(self):
-        session = Session(1)
+        session = Session()
         left = session.create_dataset([{"k": 1}, {"k": 9}], "left")
         right = session.create_dataset([{"fk": 1, "v": 5}], "right")
         execution = left.join(right, col("k") == col("fk")).execute(capture=True)
@@ -169,7 +169,7 @@ class TestJoinBacktrace:
 
 class TestAggregationBacktrace:
     def _captured(self, session=None):
-        session = session or Session(2)
+        session = session or Session()
         data = [
             {"grp": "g1", "val": 1, "label": "a"},
             {"grp": "g1", "val": 2, "label": "b"},
@@ -218,7 +218,7 @@ class TestAggregationBacktrace:
 class TestWholeDagBacktrace:
     def test_manual_seed_over_shared_source(self):
         """A diamond plan (one read consumed twice) visits the read once."""
-        session = Session(1)
+        session = Session()
         base = session.create_dataset([{"a": 1}, {"a": 2}], "in")
         left = base.filter(col("a") == 1)
         right = base.filter(col("a") == 2)
@@ -229,7 +229,7 @@ class TestWholeDagBacktrace:
         assert sources[0].ids() == [1, 2]
 
     def test_empty_seed_returns_empty_sources(self):
-        session = Session(1)
+        session = Session()
         ds = session.create_dataset([{"a": 1}], "in").filter(col("a") == 1)
         execution = ds.execute(capture=True)
         sources = Backtracer(execution.store).backtrace(

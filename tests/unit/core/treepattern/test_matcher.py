@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.treepattern.matcher import (
     match_item,
-    match_partitions,
     match_rows,
     seed_structure,
 )
@@ -122,12 +121,6 @@ class TestRowsAndSeeds:
             parse_pattern('root{//id_str="lp"}'), [(101, other), (102, item_102)]
         )
         assert [match.item_id for match in matches] == [102]
-
-    def test_match_partitions_covers_all(self, item_102):
-        matches = match_partitions(
-            parse_pattern('root{//id_str="lp"}'), [[(1, item_102)], [(2, item_102)]]
-        )
-        assert [match.item_id for match in matches] == [1, 2]
 
     def test_seed_structure_builds_contributing_trees(self, item_102):
         matches = match_rows(

@@ -4,34 +4,30 @@ import dataclasses
 
 import pytest
 
-from repro.engine.config import (
-    ALL_RULES,
-    DEFAULT_NUM_PARTITIONS,
-    EngineConfig,
-)
+from repro.engine.config import ALL_RULES, EngineConfig
 from repro.engine.session import Session
 from repro.errors import ExecutionError
+from repro.pebble.api import PebbleSession
+from repro.stream.session import StreamSession
 
 
 class TestDefaults:
     def test_default_values(self):
         config = EngineConfig()
-        assert config.num_partitions == DEFAULT_NUM_PARTITIONS == 4
         assert config.optimize is True
         assert config.rules == ALL_RULES
 
     def test_immutable(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            EngineConfig().num_partitions = 8
+            EngineConfig().optimize = False
 
 
 class TestLayoutIsNotAnOption:
-    """``rows`` is the one partition layout; ``layout`` survives only as a
+    """``rows`` is the one row layout; ``layout`` survives only as a
     read-only constant for the benchmark's engine stamp."""
 
     def test_exact_field_set(self):
         assert {field.name for field in dataclasses.fields(EngineConfig)} == {
-            "num_partitions",
             "optimize",
             "rules",
         }
@@ -80,11 +76,32 @@ class TestSchedulerIsNotAnOption:
         assert EngineConfig.from_env().scheduler == "serial"
 
 
-class TestValidation:
-    def test_rejects_zero_partitions(self):
-        with pytest.raises(ExecutionError, match="at least one partition"):
-            EngineConfig(num_partitions=0)
+class TestPartitionCountIsNotAnOption:
+    """Every operator output is one row list; ``num_partitions`` survives
+    only as a read-only constant for the benchmark's engine stamp."""
 
+    def test_config_rejects_a_partition_count(self):
+        with pytest.raises(TypeError):
+            EngineConfig(num_partitions=1)
+        with pytest.raises(TypeError):
+            EngineConfig().replace(num_partitions=1)
+
+    def test_sessions_reject_a_partition_count(self, tmp_path):
+        with pytest.raises(TypeError):
+            Session(num_partitions=1)
+        with pytest.raises(TypeError):
+            PebbleSession(num_partitions=1)
+        with pytest.raises(TypeError):
+            StreamSession(warehouse=tmp_path / "wh", name="feed", num_partitions=1)
+
+    def test_partition_count_is_a_read_only_constant(self):
+        config = EngineConfig()
+        assert config.num_partitions == 1
+        with pytest.raises(AttributeError):
+            config.num_partitions = 1
+
+
+class TestValidation:
     def test_rejects_unknown_rule(self):
         with pytest.raises(ExecutionError, match="unknown optimizer rules"):
             EngineConfig(rules=("prune", "vectorize"))
@@ -100,12 +117,6 @@ class TestRuleToggles:
     def test_optimize_off_disables_every_rule(self):
         config = EngineConfig(optimize=False)
         assert not any(config.rule_enabled(rule) for rule in ALL_RULES)
-
-    def test_with_partitions(self):
-        config = EngineConfig()
-        assert config.with_partitions(None) is config
-        assert config.with_partitions(4) is config
-        assert config.with_partitions(2).num_partitions == 2
 
 
 class TestFromEnv:
@@ -130,18 +141,10 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_OPTIMIZE", "off")
         assert EngineConfig.from_env(optimize=True).optimize is True
 
-    def test_partition_count_not_read_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OPTIMIZE", "off")
-        assert EngineConfig.from_env().num_partitions == DEFAULT_NUM_PARTITIONS
-
 
 class TestSessionIntegration:
     def test_session_defaults_to_engine_default(self):
-        assert Session().num_partitions == DEFAULT_NUM_PARTITIONS
-
-    def test_session_override_wins_over_config(self):
-        session = Session(num_partitions=2, config=EngineConfig(num_partitions=8))
-        assert session.num_partitions == 2
+        assert Session().config == EngineConfig.from_env()
 
     def test_session_carries_config(self):
         config = EngineConfig(rules=("prune",), optimize=False)

@@ -7,7 +7,7 @@ from repro.engine.expressions import col, count
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.session import Session
 from repro.engine.storage import InMemorySource, JsonlSource
-from repro.errors import DataModelError, ExecutionError, PlanError
+from repro.errors import DataModelError, PlanError
 from repro.nested.json_io import write_jsonl
 from repro.nested.values import DataItem
 
@@ -45,8 +45,8 @@ class TestDatasetApi:
         assert "filter" in explained
 
     def test_cross_session_combination_rejected(self):
-        first = Session(2).create_dataset([{"a": 1}], "x")
-        second = Session(2).create_dataset([{"a": 1}], "y")
+        first = Session().create_dataset([{"a": 1}], "x")
+        second = Session().create_dataset([{"a": 1}], "y")
         with pytest.raises(PlanError, match="different sessions"):
             first.union(second)
 
@@ -64,17 +64,13 @@ class TestDatasetApi:
 
 class TestSession:
     def test_oids_unique_and_increasing(self):
-        session = Session(2)
+        session = Session()
         oids = [session.next_oid() for _ in range(5)]
         assert oids == sorted(set(oids))
 
-    def test_invalid_partitions(self):
-        with pytest.raises(ExecutionError):
-            Session(0)
-
     def test_create_dataset_rejects_non_items(self):
         with pytest.raises(DataModelError, match="must be data items"):
-            Session(2).create_dataset([1, 2, 3], "nums")
+            Session().create_dataset([1, 2, 3], "nums")
 
 
 class TestStorage:
@@ -98,7 +94,7 @@ class TestStorage:
     def test_session_read_jsonl(self, tmp_path):
         path = tmp_path / "tweets.jsonl"
         write_jsonl(path, [DataItem(text="hi")])
-        ds = Session(2).read_jsonl(path, name="tweets")
+        ds = Session().read_jsonl(path, name="tweets")
         assert ds.collect() == [DataItem(text="hi")]
 
 

@@ -18,7 +18,7 @@ from repro.nested.values import Bag, DataItem, NestedSet
 
 @pytest.fixture
 def session():
-    return Session(num_partitions=3)
+    return Session()
 
 
 def _items(dataset):
@@ -286,35 +286,30 @@ class TestExecutorInfrastructure:
         assert labels == {"read", "filter"}
         assert execution.metrics.total_seconds >= 0
 
-    def test_invalid_partition_count(self):
-        with pytest.raises(ExecutionError):
-            Executor(0)
-
     def test_lineage_only_mode_drops_structure(self, session):
         ds = session.create_dataset([{"a": 1, "tags": ["x"]}], "in").flatten("tags", "t")
-        execution = Executor(2, capture=True, lineage_only=True).execute(ds.plan)
+        execution = Executor(capture=True, lineage_only=True).execute(ds.plan)
         provenance = execution.store.get(ds.plan.oid)
         assert provenance.manipulations_or_empty() == ()
         assert provenance.input(0).accessed_or_empty() == frozenset()
 
     def test_single_partition(self):
-        session = Session(num_partitions=1)
+        session = Session()
         ds = session.create_dataset([{"a": index} for index in range(5)], "in")
         assert len(ds.filter(col("a") > 2).collect()) == 2
 
     def test_first_error_in_submission_order_wins(self):
-        """Partitions 1 and 2 both fail; the run raises partition 1's error."""
+        """Items 1 and 2 both fail; the run raises item 1's error and stops."""
         calls = []
 
-        def fail_in_middle_partitions(item):
+        def fail_in_middle(item):
             calls.append(item["p"])
             if item["p"] in (1, 2):
-                raise ValueError(f"partition {item['p']} failed")
+                raise ValueError(f"item {item['p']} failed")
             return item
 
-        session = Session(num_partitions=4)
-        # Contiguous partitioning: item p lands in partition p.
+        session = Session()
         ds = session.create_dataset([{"p": part} for part in range(4)], "in")
-        with pytest.raises(ExecutionError, match="partition 1 failed"):
-            ds.map(fail_in_middle_partitions).collect()
+        with pytest.raises(ExecutionError, match="item 1 failed"):
+            ds.map(fail_in_middle).collect()
         assert calls == [0, 1]

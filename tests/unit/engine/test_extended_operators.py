@@ -9,7 +9,7 @@ import pytest
 from repro.core.backtrace.algorithms import Backtracer
 from repro.core.model import FullModelInterpreter
 from repro.core.paths import parse_path
-from repro.core.treepattern.matcher import match_partitions, seed_structure
+from repro.core.treepattern.matcher import match_rows, seed_structure
 from repro.core.treepattern.parser import parse_pattern
 from repro.engine.expressions import col
 from repro.errors import PlanError
@@ -17,7 +17,7 @@ from repro.nested.values import DataItem
 
 
 def _trace(execution, pattern_text):
-    matches = match_partitions(parse_pattern(pattern_text), execution.partitions)
+    matches = match_rows(parse_pattern(pattern_text), execution.rows())
     seeds = seed_structure(matches)
     return Backtracer(execution.store).backtrace(execution.root.oid, seeds)
 

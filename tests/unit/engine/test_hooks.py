@@ -48,7 +48,7 @@ class TestHooksFor:
 
 class TestStructuralVsLineage:
     def test_lineage_blanks_structure_keeps_associations(self):
-        session = Session(num_partitions=2)
+        session = Session()
         plan = _pipeline(session).plan
         structural = Executor(hooks=[StructuralCaptureHook()]).execute(plan)
         lineage = Executor(hooks=[LineageCaptureHook()]).execute(plan)
@@ -65,7 +65,7 @@ class TestStructuralVsLineage:
 
 class TestMetricsHook:
     def test_stage_accounting(self):
-        session = Session(num_partitions=2)
+        session = Session()
         execution = _pipeline(session).execute()
         metrics = execution.metrics
         assert metrics.stages(), "executor must emit per-stage metrics"
@@ -78,7 +78,7 @@ class TestMetricsHook:
         assert len(payload["stages"]) == len(metrics.stages())
 
     def test_rows_in_and_out_reflect_filter(self):
-        session = Session(num_partitions=2)
+        session = Session()
         execution = _pipeline(session).execute()
         by_label = {stage.label: stage for stage in execution.metrics.stages()}
         read = execution.metrics.stages()[0]
@@ -96,13 +96,13 @@ class TestCustomHook:
             def on_stage(self, stage):
                 events.append((stage.index, stage.kind))
 
-        session = Session(num_partitions=2)
+        session = Session()
         execution = _pipeline(session).execute(hooks=[Recorder()])
         assert events and events[0] == (0, "read")
         assert execution.store is None  # observer hooks do not create a store
 
     def test_dataset_execute_accepts_hooks(self):
-        session = Session(num_partitions=2)
+        session = Session()
         hook = LineageCaptureHook()
         execution = _pipeline(session).execute(hooks=[hook])
         assert execution.store is hook.store

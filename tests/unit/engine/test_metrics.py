@@ -1,7 +1,7 @@
 """Unit tests for the per-run metric containers (engine.metrics)."""
 
 from repro.engine.metrics import ExecutionMetrics, SegmentCacheMetrics, StageMetrics
-from repro.obs.metrics import ROWS_BUCKETS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestExecutionMetricsJson:
@@ -21,26 +21,26 @@ class TestExecutionMetricsJson:
 
 
 class TestStageMetrics:
-    def test_to_json_includes_partition_rows(self):
+    def test_to_json_shape(self):
         stage = StageMetrics(1, "fused", "filter|select", (2, 3))
         stage.rows_in, stage.rows_out = 6, 4
-        stage.partition_rows = (3, 1)
         payload = stage.to_json()
-        assert payload["partition_rows"] == [3, 1]
+        assert set(payload) == {
+            "index", "kind", "label", "operators", "rows_in", "rows_out", "seconds",
+        }
         assert payload["operators"] == [2, 3]
+        assert (payload["rows_in"], payload["rows_out"]) == (6, 4)
 
-    def test_publish_observes_skew_per_partition(self):
+    def test_publish_observes_latency_and_rows_out(self):
         registry = MetricsRegistry()
         stage = StageMetrics(0, "read", "read", (1,))
         stage.rows_out = 10
-        stage.partition_rows = (7, 3)
+        stage.seconds = 0.002
         stage.publish(registry)
-        skew = registry.histogram(
-            "repro_stage_partition_rows", buckets=ROWS_BUCKETS, kind="read"
-        )
-        assert skew.count == 2
-        assert skew.sum == 10
+        assert registry.histogram("repro_stage_seconds", kind="read").count == 1
         assert registry.counter("repro_stage_rows_out_total", kind="read").value == 10
+        names = {metric["name"] for metric in registry.to_json()["metrics"]}
+        assert names == {"repro_stage_seconds", "repro_stage_rows_out_total"}
 
 
 class TestSegmentCacheMetrics:

@@ -17,7 +17,7 @@ from repro.engine.session import Session
 
 @pytest.fixture
 def session():
-    return Session(num_partitions=2)
+    return Session()
 
 
 def _rows():

@@ -9,7 +9,6 @@ from repro.engine.hooks import StructuralCaptureHook
 from repro.engine.optimizer import plan_physical
 from repro.engine.physical import (
     FusedStage,
-    LimitPrefixOp,
     PruneOp,
     ReadStage,
     SelectOp,
@@ -20,7 +19,7 @@ from repro.engine.session import Session
 
 @pytest.fixture
 def session():
-    return Session(num_partitions=2)
+    return Session()
 
 
 def _rows():
@@ -125,24 +124,17 @@ class TestPruneInsertion:
 
 
 class TestLimitPrefix:
-    def test_limit_prefix_only_without_capture(self, session):
+    """On one row list a prefix before a global limit saves nothing: the
+    chain stays as written and the limit is one wide stage after it."""
+
+    def test_limit_is_one_wide_stage_after_the_chain(self, session):
         ds = session.create_dataset(_rows(), "in").filter(col("a") >= 0).limit(3)
-        plain = _compile(ds)
-        plain_ops = [
-            op
-            for stage in plain.stages
-            if isinstance(stage, FusedStage)
-            for op in stage.ops
-        ]
-        assert any(isinstance(op, LimitPrefixOp) for op in plain_ops)
-        captured = _compile(ds, hooks=[StructuralCaptureHook()])
-        captured_ops = [
-            op
-            for stage in captured.stages
-            if isinstance(stage, FusedStage)
-            for op in stage.ops
-        ]
-        assert not any(isinstance(op, LimitPrefixOp) for op in captured_ops)
+        for hooks in ((), [StructuralCaptureHook()]):
+            physical = _compile(ds, hooks=hooks)
+            fused, limit = physical.stages[1:]
+            assert isinstance(fused, FusedStage)
+            assert [op.describe() for op in fused.ops] == [ds.plan.children[0].label()]
+            assert isinstance(limit, WideStage) and limit.kind == "limit"
         assert ds.execute().items() == ds.execute(capture=True).items()
 
     def test_compile_via_executor(self, session):

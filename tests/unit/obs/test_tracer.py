@@ -94,7 +94,7 @@ class TestParentsAndSelfTime:
 class TestChromeExport:
     def _traced(self):
         tracer = Tracer()
-        with tracing(tracer), span("run", "run", partitions=4):
+        with tracing(tracer), span("run", "run", stages=2):
             with span("stage-0 read", "stage"):
                 pass
             with span("stage-1 fused", "stage"):

@@ -11,7 +11,7 @@ from repro.stream import StreamSession, TumblingWindow, window_by
 
 @pytest.fixture
 def stream(tmp_path) -> StreamSession:
-    return StreamSession(warehouse=tmp_path / "wh", name="feed", num_partitions=2)
+    return StreamSession(warehouse=tmp_path / "wh", name="feed")
 
 
 def _rows(lo: int, hi: int) -> list[dict]:

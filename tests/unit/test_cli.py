@@ -15,7 +15,7 @@ def _stream_run(root, name="feed"):
     """An uncompacted streamed run of two epochs; returns the live session."""
     from repro.stream import StreamSession
 
-    stream = StreamSession(warehouse=root, name=name, num_partitions=2)
+    stream = StreamSession(warehouse=root, name=name)
     stream.open(stream.dataset())
     stream.ingest([{"id": 1, "user": "u1"}])
     stream.ingest([{"id": 2, "user": "u2"}])

@@ -310,7 +310,7 @@ def _written_under(directory, opened) -> list[str]:
 
 
 def _feed(tmp_path) -> StreamSession:
-    stream = StreamSession(warehouse=tmp_path / "wh", name="feed", num_partitions=2)
+    stream = StreamSession(warehouse=tmp_path / "wh", name="feed")
     stream.open(stream.dataset().filter(col("id") >= 1).select(col("user"), col("id")))
     return stream
 
@@ -323,7 +323,7 @@ class TestRecordIsOnePass:
         self, tmp_path, write_path
     ):
         counts, opened, _ = write_path
-        execution = scenario("T3").instantiate(scale=0.1, num_partitions=2).execute(capture=True)
+        execution = scenario("T3").instantiate(scale=0.1).execute(capture=True)
         store = execution.store
         held = [
             item
@@ -367,7 +367,7 @@ class TestAPartIsOneFile:
         self, tmp_path, write_path
     ):
         counts, opened, made = write_path
-        execution = scenario("T1").instantiate(scale=0.05, num_partitions=2).execute(capture=True)
+        execution = scenario("T1").instantiate(scale=0.05).execute(capture=True)
         warehouse = Warehouse.open(tmp_path / "wh")
         warehouse.record(execution, name="first")  # ``runs/`` exists from here on
         counts.clear(), opened.clear(), made.clear()

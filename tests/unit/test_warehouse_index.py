@@ -104,7 +104,7 @@ class TestBuildAndRoundTrip:
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_both_feeders_agree_on_every_scenario(self, name, tmp_path):
-        execution = SCENARIOS[name].instantiate(scale=0.05, num_partitions=2).execute(capture=True)
+        execution = SCENARIOS[name].instantiate(scale=0.05).execute(capture=True)
         first, second = _both_feeders(Warehouse.open(tmp_path / "wh"), execution)
         assert first == second
 
@@ -116,7 +116,7 @@ class TestBuildAndRoundTrip:
         for item in items:  # the model walk sees what the parsed JSON shows
             parsed = json.loads(item_to_json(item))
             assert sorted(walk_string_leaves(item)) == sorted(walk_string_leaves(parsed))
-        session = Session(num_partitions=2)
+        session = Session()
         reads = [session.create_dataset(items, "in.json") for _ in range(2)]
         execution = reads[0].union(reads[1]).filter(col("k") >= 0).execute(capture=True)
         store = execution.store

@@ -11,7 +11,7 @@ from repro.pebble.query import query_provenance
 @pytest.fixture
 def leak_report():
     """Audit of a leaked query result over customer records."""
-    session = Session(2)
+    session = Session()
     customers = [
         {"name": "Lisa", "city": "Stuttgart", "card": "1111", "age": 34},
         {"name": "John", "city": "Berlin", "card": "2222", "age": 51},
@@ -53,7 +53,7 @@ class TestAuditReport:
         assert "at risk (accessed): age" in rendered
 
     def test_empty_report(self):
-        session = Session(1)
+        session = Session()
         ds = session.create_dataset([{"a": 1}], "in").filter(col("a") == 2)
         provenance = query_provenance(ds.execute(capture=True), "root{/a}")
         report = audit_leak(provenance)

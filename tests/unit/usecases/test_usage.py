@@ -19,7 +19,7 @@ def analysis() -> UsageAnalysis:
     ]
 
     def run(pattern):
-        session = Session(2)
+        session = Session()
         ds = (
             session.create_dataset(data, "records")
             .filter(col("year") == 2015)
@@ -89,7 +89,7 @@ class TestHeatmap:
 class TestAggregatedWorkload:
     def test_nested_attributes_roll_up_to_top_level(self):
         usage = UsageAnalysis()
-        session = Session(2)
+        session = Session()
         data = [{"grp": "g", "vals": [1, 2]}]
         ds = (
             session.create_dataset(data, "in")

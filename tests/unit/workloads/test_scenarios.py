@@ -46,23 +46,23 @@ class TestRegistry:
 class TestScenarioExecution:
     def test_builds_and_runs(self, name):
         spec = scenario(name)
-        dataset = spec.instantiate(scale=0.2, num_partitions=2)
+        dataset = spec.instantiate(scale=0.2)
         items = dataset.collect()
         assert items, f"scenario {name} produced no result at scale 0.2"
 
     def test_pattern_matches_result(self, name):
         """Every scenario's structural query has matches (sentinel values)."""
         spec = scenario(name)
-        dataset = spec.instantiate(scale=0.2, num_partitions=2)
+        dataset = spec.instantiate(scale=0.2)
         execution = dataset.execute(capture=True)
-        from repro.core.treepattern.matcher import match_partitions
+        from repro.core.treepattern.matcher import match_rows
 
-        matches = match_partitions(parse_pattern(spec.pattern), execution.partitions)
+        matches = match_rows(parse_pattern(spec.pattern), execution.rows())
         assert matches, f"pattern of {name} matched nothing"
 
     def test_capture_does_not_change_result(self, name):
         spec = scenario(name)
         data = load_workload(spec.kind, 0.2)
-        plain = spec.build(Session(2), data).execute(capture=False)
-        captured = spec.build(Session(2), data).execute(capture=True)
+        plain = spec.build(Session(), data).execute(capture=False)
+        captured = spec.build(Session(), data).execute(capture=True)
         assert sorted(map(repr, plain.items())) == sorted(map(repr, captured.items()))
