@@ -1,12 +1,15 @@
-"""Purity of every StageTask the optimizer can emit.
+"""Purity of the work a fused stage does.
 
-The executor calls each :class:`StageTask` once, on the calling thread, and
-the engine's output is only well defined if that choice is unobservable: a
-task must compute the same thing however often, and on whichever thread, it
-runs.  These tests run every evaluation scenario with ``StageTask.__call__``
-wrapped so that each task also runs a second time on a fresh
-:class:`threading.Thread`; the two results are compared field by field
-before the executor uses the first.
+A fused stage runs its chain once, on the calling thread: each pipelined
+operator's ``NarrowOp.apply`` transforms the stage's whole item list, and
+the executor assigns ids from the returned entries afterwards.  The
+engine's output is only well defined if that choice is unobservable: an
+``apply`` must compute the same items and entries however often, and on
+whichever thread, it runs, and must leave its input list alone.  These
+tests run every evaluation scenario with each ``apply`` wrapped so that it
+also runs a second time on a fresh :class:`threading.Thread`; the two
+results are compared before the executor uses the first, and the whole
+execution is compared with a plain rerun.
 """
 
 import threading
@@ -14,63 +17,76 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.engine.config import EngineConfig
-from repro.engine.physical import StageTask
+from repro.engine.physical import NarrowOp
 from repro.engine.session import Session
 from repro.workloads.scenarios import SCENARIOS, load_workload, scenario
 
 SCALE = 0.05
 
 
-def _on_fresh_thread(task):
-    """Run *task* on a new thread and return its result."""
+def _on_fresh_thread(work):
+    """Run *work* on a new thread and return its result."""
     outcome = {}
-    thread = threading.Thread(target=lambda: outcome.update(result=task()))
+    thread = threading.Thread(target=lambda: outcome.update(result=work()))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
     return outcome["result"]
 
 
+def _op_classes():
+    """Every NarrowOp class that defines its own ``apply``."""
+    pending, found = [NarrowOp], []
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if "apply" in vars(cls) and cls is not NarrowOp:
+            found.append(cls)
+    return found
+
+
 @contextmanager
-def rerunning_stage_tasks():
-    """Run every StageTask twice, the second time on a fresh thread; yield
-    the ``(stage, partition)`` of each task that ran."""
+def rerunning_stage_ops():
+    """Run every fused operator's ``apply`` twice, the second time on a
+    fresh thread; yield the ``(op, traced)`` of each call that ran."""
     seen = []
-    original = StageTask.__call__
+    originals = {cls: vars(cls)["apply"] for cls in _op_classes()}
 
-    def twice(task):
-        inputs = list(task.items)
-        first = original(task)
-        second = _on_fresh_thread(lambda: original(task))
-        where = (task.stage_label, task.part)
-        for field in ("items", "entries", "counts", "samples", "part"):
-            assert getattr(first, field) == getattr(second, field), (where, field)
-        assert first.items is not second.items
-        assert task.items == inputs, where
-        seen.append(where)
-        return first
+    def twice(original):
+        def apply(op, items, traced):
+            inputs = list(items)
+            first = original(op, items, traced)
+            second = _on_fresh_thread(lambda: original(op, items, traced))
+            where = (op.describe(), traced)
+            assert first[0] == second[0], (where, "items")
+            assert first[1] == second[1], (where, "entries")
+            assert items == inputs, where
+            seen.append(where)
+            return first
 
-    StageTask.__call__ = twice
+        return apply
+
+    for cls, original in originals.items():
+        cls.apply = twice(original)
     try:
         yield seen
     finally:
-        StageTask.__call__ = original
+        for cls, original in originals.items():
+            cls.apply = original
 
 
 def _run_scenario(name, capture):
     spec = scenario(name)
     data = load_workload(spec.kind, SCALE)
-    session = Session(num_partitions=2, config=EngineConfig())
-    return spec.build(session, data).execute(capture=capture)
+    return spec.build(Session(), data).execute(capture=capture)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_stage_tasks_recompute_identically(name):
     baseline = _run_scenario(name, capture=True)
-    with rerunning_stage_tasks() as seen:
+    with rerunning_stage_ops() as seen:
         rerun = _run_scenario(name, capture=True)
-    assert seen, f"{name} compiled no fused stage tasks"
+    assert seen, f"{name} compiled no fused stage"
     assert rerun.rows() == baseline.rows()
     assert rerun.store.serialize() == baseline.store.serialize()
 
@@ -78,7 +94,8 @@ def test_stage_tasks_recompute_identically(name):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_plain_stage_tasks_recompute_identically(name):
     baseline = _run_scenario(name, capture=False)
-    with rerunning_stage_tasks() as seen:
+    with rerunning_stage_ops() as seen:
         rerun = _run_scenario(name, capture=False)
     assert seen
+    assert not any(traced for _, traced in seen)
     assert rerun.items() == baseline.items()
