@@ -27,7 +27,6 @@ from repro.core.operator_provenance import (
     Associations,
     InputRef,
     OperatorProvenance,
-    UNDEFINED,
 )
 from repro.core.paths import Path
 from repro.core.store import ProvenanceStore

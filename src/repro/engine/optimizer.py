@@ -56,7 +56,6 @@ from repro.engine.plan import (
     LimitNode,
     MapNode,
     PlanNode,
-    ReadNode,
     SelectNode,
     SortNode,
     UnionNode,

@@ -161,12 +161,31 @@ def _string(text: str) -> bytes:
     return _u32(len(raw)) + raw
 
 
-def _opt_id(value: int | None) -> bytes:
+def _opt_id(value: int | None) -> int:
+    """*value* as stored in an optional id field."""
     if value is None:
-        return _u64(NONE_ID)
+        return NONE_ID
     if value >= NONE_ID:
         raise ProvenanceError(f"identifier {value} collides with the NONE_ID sentinel")
-    return _u64(value)
+    return value
+
+
+#: The fixed-width layouts, one per record kind.  The encoder packs and the
+#: decoder unpacks with these same objects, so each layout has one definition.
+_ID = struct.Struct("<Q")  # a read operator's output id, or a count
+_UNARY = struct.Struct("<QQ")  # id_in | id_out
+_FLATTEN = struct.Struct("<QIQ")  # id_in | pos | id_out
+_BINARY = struct.Struct("<QQQ")  # id_in1 | id_in2 | id_out (NONE_ID for absent)
+_WIDTH = struct.Struct("<I")  # an aggregation record's id count; an item's length
+_ENTRY = struct.Struct("<QI")  # id | length, ahead of a row's (or raw item's) bytes
+#: The association kinds whose records all have one width.
+_FIXED_LAYOUTS = {_KIND_UNARY: _UNARY, _KIND_FLATTEN: _FLATTEN, _KIND_BINARY: _BINARY}
+
+
+def _truncated(needed: int, offset: int, have: int) -> ProvenanceError:
+    return ProvenanceError(
+        f"truncated segment: needed {needed} bytes at offset {offset}, have {have}"
+    )
 
 
 class Cursor:
@@ -181,10 +200,7 @@ class Cursor:
     def _take(self, count: int) -> bytes:
         end = self.offset + count
         if end > len(self.buffer):
-            raise ProvenanceError(
-                f"truncated segment: needed {count} bytes at offset {self.offset}, "
-                f"have {len(self.buffer) - self.offset}"
-            )
+            raise _truncated(count, self.offset, len(self.buffer) - self.offset)
         raw = self.buffer[self.offset : end]
         self.offset = end
         return raw
@@ -209,16 +225,34 @@ class Cursor:
         """*count* little-endian integers of ``struct`` code *code*."""
         return struct.unpack(f"<{count}{code}", self._take(count * struct.calcsize("<" + code)))
 
+    def records(self, layout: struct.Struct, count: int) -> Iterator[tuple[int, ...]]:
+        """*count* fixed-width records of *layout*, from one bounds-checked slice."""
+        return layout.iter_unpack(self._take(count * layout.size))
+
+    def entries(self, head: struct.Struct, count: int) -> Iterator[tuple[Any, ...]]:
+        """Hop *count* ``head | bytes`` entries whose *head* ends with the
+        byte count; yields the head's other fields and the bytes, and the
+        cursor follows the last entry yielded."""
+        buffer = self.buffer
+        end = len(buffer)
+        for _ in range(count):
+            offset = self.offset
+            start = offset + head.size
+            if start > end:
+                raise _truncated(head.size, offset, end - offset)
+            *fields, length = head.unpack_from(buffer, offset)
+            stop = start + length
+            if stop > end:
+                raise _truncated(length, start, end - start)
+            self.offset = stop
+            yield (*fields, buffer[start:stop])
+
     def raw(self) -> bytes:
         """One length-prefixed byte string, undecoded."""
         return self._take(self.u32())
 
     def string(self) -> str:
         return self.raw().decode("utf-8")
-
-    def opt_id(self) -> int | None:
-        value = self.u64()
-        return None if value == NONE_ID else value
 
     def expect_magic(self) -> tuple[int, int]:
         """Check the segment preamble; returns ``(version, segment kind)``."""
@@ -242,27 +276,24 @@ def _encode_associations(associations: Associations) -> bytes:
         )
     parts = [_u8(kind)]
     if isinstance(associations, ReadAssociations):
-        parts.append(_u64(len(associations.ids)))
-        parts.extend(_u64(id_out) for id_out in associations.ids)
-    elif isinstance(associations, UnaryAssociations):
-        parts.append(_u64(len(associations.records)))
-        for id_in, id_out in associations.records:
-            parts.append(_u64(id_in) + _u64(id_out))
-    elif isinstance(associations, FlattenAssociations):
-        parts.append(_u64(len(associations.records)))
-        for id_in, pos, id_out in associations.records:
-            parts.append(_u64(id_in) + _u32(pos) + _u64(id_out))
-    elif isinstance(associations, BinaryAssociations):
-        parts.append(_u64(len(associations.records)))
-        for id_in1, id_in2, id_out in associations.records:
-            parts.append(_opt_id(id_in1) + _opt_id(id_in2) + _u64(id_out))
-    else:
-        assert isinstance(associations, AggregationAssociations)
-        parts.append(_u64(len(associations.records)))
+        parts.append(_ID.pack(len(associations.ids)))
+        parts.extend(map(_ID.pack, associations.ids))
+    elif isinstance(associations, AggregationAssociations):
+        parts.append(_ID.pack(len(associations.records)))
         for ids_in, id_out in associations.records:
-            parts.append(_u32(len(ids_in)))
-            parts.extend(_u64(id_in) for id_in in ids_in)
-            parts.append(_u64(id_out))
+            parts.append(_WIDTH.pack(len(ids_in)))
+            parts.extend(map(_ID.pack, ids_in))
+            parts.append(_ID.pack(id_out))
+    else:
+        records = associations.records
+        parts.append(_ID.pack(len(records)))
+        if isinstance(associations, BinaryAssociations):
+            records = (
+                (_opt_id(id_in1), _opt_id(id_in2), id_out)
+                for id_in1, id_in2, id_out in records
+            )
+        layout = _FIXED_LAYOUTS[kind]
+        parts.extend(layout.pack(*record) for record in records)
     return b"".join(parts)
 
 
@@ -270,25 +301,49 @@ def _decode_associations(cursor: Cursor) -> Associations:
     kind = cursor.u8()
     count = cursor.u64()
     if kind == _KIND_READ:
-        return ReadAssociations([cursor.u64() for _ in range(count)])
+        return ReadAssociations(cursor.array("Q", count))
     if kind == _KIND_UNARY:
-        return UnaryAssociations([(cursor.u64(), cursor.u64()) for _ in range(count)])
+        return UnaryAssociations(cursor.records(_UNARY, count))
     if kind == _KIND_FLATTEN:
-        return FlattenAssociations(
-            [(cursor.u64(), cursor.u32(), cursor.u64()) for _ in range(count)]
-        )
+        return FlattenAssociations(cursor.records(_FLATTEN, count))
     if kind == _KIND_BINARY:
         return BinaryAssociations(
-            [(cursor.opt_id(), cursor.opt_id(), cursor.u64()) for _ in range(count)]
+            [
+                (
+                    None if id_in1 == NONE_ID else id_in1,
+                    None if id_in2 == NONE_ID else id_in2,
+                    id_out,
+                )
+                for id_in1, id_in2, id_out in cursor.records(_BINARY, count)
+            ]
         )
     if kind == _KIND_AGGREGATION:
-        records = []
-        for _ in range(count):
-            width = cursor.u32()
-            ids_in = tuple(cursor.u64() for _ in range(width))
-            records.append((ids_in, cursor.u64()))
-        return AggregationAssociations(records)
+        return AggregationAssociations(_decode_aggregation(cursor, count))
     raise ProvenanceError(f"unknown association kind code {kind}")
+
+
+def _decode_aggregation(cursor: Cursor, count: int) -> list[tuple[tuple[int, ...], int]]:
+    """*count* ``u32 width | width x u64 | u64`` records, each unpacked in
+    one call once its width is known to fit the buffer."""
+    buffer, offset = cursor.buffer, cursor.offset
+    end = len(buffer)
+    smallest = _WIDTH.size + _ID.size
+    if count * smallest > end - offset:
+        raise _truncated(count * smallest, offset, end - offset)
+    records = []
+    for _ in range(count):
+        if offset + _WIDTH.size > end:
+            raise _truncated(_WIDTH.size, offset, end - offset)
+        (width,) = _WIDTH.unpack_from(buffer, offset)
+        offset += _WIDTH.size
+        size = (width + 1) * _ID.size
+        if offset + size > end:
+            raise _truncated(size, offset, end - offset)
+        ids = struct.unpack_from(f"<{width + 1}Q", buffer, offset)
+        records.append((ids[:-1], ids[-1]))
+        offset += size
+    cursor.offset = offset
+    return records
 
 
 # -- operator records ---------------------------------------------------------
@@ -371,9 +426,9 @@ def encode_payloads(payloads: Sequence[tuple[int | None, bytes]]) -> bytes:
     for a row without a provenance id.  Payloads are the rows' stored JSON
     bytes, so compaction moves rows between segments without parsing one.
     """
-    parts = [_u64(len(payloads))]
+    parts = [_ID.pack(len(payloads))]
     for ident, raw in payloads:
-        parts.append(_opt_id(ident) + _u32(len(raw)))
+        parts.append(_ENTRY.pack(_opt_id(ident), len(raw)))
         parts.append(raw)
     return b"".join(parts)
 
@@ -429,7 +484,7 @@ def frame_source_items(
         key = tuple(map(id, chunk))
         frame = compressed.get(key)
         if frame is None:
-            plain = b"".join([_u32(len(raw)) + raw for raw in chunk])
+            plain = b"".join([_WIDTH.pack(len(raw)) + raw for raw in chunk])
             frame = compressed[key] = zlib.compress(plain, FRAME_LEVEL)
         frames.append(frame)
     head = b"".join(
@@ -479,7 +534,7 @@ class SourceItemBlock:
                 )
             self._frames: list[list[bytes] | None] = [None] * len(lengths)
         else:
-            heads = [(cursor.u64(), cursor.raw()) for _ in range(count)]
+            heads = list(cursor.entries(_ENTRY, count))
             self._ids = tuple(item_id for item_id, _ in heads)
             self._spans = []
             payloads = [payload for _, payload in heads]
@@ -504,7 +559,7 @@ class SourceItemBlock:
                 ) from None
             cursor = Cursor(plain)
             expected = min(FRAME_ITEMS, len(self._ids) - index * FRAME_ITEMS)
-            payloads = [cursor.raw() for _ in range(expected)]
+            payloads = [payload for payload, in cursor.entries(_WIDTH, expected)]
             if cursor.offset != len(plain):
                 raise ProvenanceError(
                     f"item block {self.name!r}: frame {index} holds "
@@ -564,8 +619,8 @@ def encode_rows(rows: Sequence[tuple[int | None, DataItem]]) -> bytes:
 
 def iter_encoded_rows(cursor: Cursor) -> Iterator[tuple[int | None, bytes]]:
     """Hop a rows payload, yielding ``(pid, raw JSON bytes)`` per row."""
-    for _ in range(cursor.u64()):
-        yield cursor.opt_id(), cursor.raw()
+    for pid, raw in cursor.entries(_ENTRY, cursor.u64()):
+        yield (None if pid == NONE_ID else pid), raw
 
 
 def materialise_rows(

@@ -13,11 +13,7 @@ from repro.engine.session import Session
 from repro.core.treepattern.matcher import match_rows
 from repro.core.treepattern.parser import parse_pattern
 from repro.pebble.query import query_provenance
-from repro.workloads.scenarios import (
-    RUNNING_EXAMPLE_PATTERN,
-    RUNNING_EXAMPLE_TWEETS,
-    build_running_example,
-)
+from repro.workloads.scenarios import build_running_example
 
 
 def _witnesses(provenance):

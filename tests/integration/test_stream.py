@@ -15,8 +15,6 @@ from __future__ import annotations
 import json
 import time
 
-import pytest
-
 import repro
 from repro.engine.expressions import col, collect_list, count
 from repro.obs.metrics import MetricsRegistry

@@ -8,7 +8,9 @@ side of a binary association, and unmatched outer-join sides (``None``).
 """
 
 import json
+import struct
 import threading
+import tracemalloc
 import zlib
 from itertools import accumulate
 
@@ -54,6 +56,26 @@ _aggregation = st.lists(
 
 _associations = st.one_of(_read, _unary, _flatten, _binary, _aggregation)
 
+
+def _lists_of(size, element, **kwargs):
+    return st.lists(element, min_size=size, max_size=size, **kwargs)
+
+
+#: Every association kind at 0, 1 and many records.
+_sized_associations = st.sampled_from([0, 1, 40]).flatmap(
+    lambda size: st.one_of(
+        _lists_of(size, _ids, unique=True).map(ReadAssociations),
+        _lists_of(size, st.tuples(_ids, _ids)).map(UnaryAssociations),
+        _lists_of(size, st.tuples(_ids, _pos, _ids)).map(FlattenAssociations),
+        _lists_of(size, st.tuples(st.none() | _ids, st.none() | _ids, _ids)).map(
+            BinaryAssociations
+        ),
+        _lists_of(size, st.tuples(st.lists(_ids, max_size=5).map(tuple), _ids)).map(
+            AggregationAssociations
+        ),
+    )
+)
+
 _paths = st.sampled_from(["a", "b.c", "tags[pos]", "user.name", "m[3].x"]).map(parse_path)
 _accessed = st.just(UNDEFINED) | st.lists(_paths, max_size=3)
 _schemas = st.none() | st.just(
@@ -67,15 +89,21 @@ _input_refs = st.builds(
 )
 _manipulations = st.just(UNDEFINED) | st.lists(st.tuples(_paths, _paths), max_size=3)
 
-_operators = st.builds(
-    OperatorProvenance,
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.sampled_from(["read", "filter", "select", "flatten", "union", "join", "aggregate"]),
-    st.lists(_input_refs, max_size=3),
-    _manipulations,
-    _associations,
-    st.sampled_from([None, "a label", "groupBy(user)"]),
-)
+
+
+def _operators_with(associations):
+    return st.builds(
+        OperatorProvenance,
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["read", "filter", "select", "flatten", "union", "join", "aggregate"]),
+        st.lists(_input_refs, max_size=3),
+        _manipulations,
+        associations,
+        st.sampled_from([None, "a label", "groupBy(user)"]),
+    )
+
+
+_operators = _operators_with(_associations)
 
 _items = st.fixed_dictionaries(
     {
@@ -119,6 +147,127 @@ def _assert_operators_equal(left: OperatorProvenance, right: OperatorProvenance)
             (str(a), str(b)) for a, b in right.manipulations_or_empty()
         ] == [(str(a), str(b)) for a, b in left.manipulations_or_empty()]
     _assert_associations_equal(left.associations, right.associations)
+
+
+# -- the per-field codec, kept here as the oracle -----------------------------
+
+
+def _reference_encode_operator(provenance: OperatorProvenance) -> bytes:
+    """An operator record written one field at a time."""
+    parts = [wf._u32(provenance.oid), wf._string(provenance.op_type), wf._string(provenance.label)]
+    parts.append(wf._u32(len(provenance.inputs)))
+    for ref in provenance.inputs:
+        parts.append(wf._u32(2**32 - 1 if ref.predecessor is None else ref.predecessor))
+        if ref.accessed is UNDEFINED:
+            parts.append(wf._u8(0))
+        else:
+            accessed = sorted(ref.accessed, key=str)
+            parts.append(wf._u8(1) + wf._u32(len(accessed)))
+            parts.extend(wf._string(str(path)) for path in accessed)
+        if ref.schema is None:
+            parts.append(wf._u8(0))
+        else:
+            parts.append(wf._u8(1) + wf._string(json.dumps(type_to_obj(ref.schema.struct))))
+    if provenance.manipulations_undefined():
+        parts.append(wf._u8(0))
+    else:
+        pairs = provenance.manipulations_or_empty()
+        parts.append(wf._u8(1) + wf._u32(len(pairs)))
+        for path_in, path_out in pairs:
+            parts.append(wf._string(str(path_in)) + wf._string(str(path_out)))
+    bag = provenance.associations
+
+    def opt(value):
+        return wf._u64(wf.NONE_ID if value is None else value)
+
+    if isinstance(bag, ReadAssociations):
+        parts.append(wf._u8(1) + wf._u64(len(bag.ids)))
+        parts.extend(wf._u64(id_out) for id_out in bag.ids)
+    elif isinstance(bag, UnaryAssociations):
+        parts.append(wf._u8(2) + wf._u64(len(bag.records)))
+        parts.extend(wf._u64(id_in) + wf._u64(id_out) for id_in, id_out in bag.records)
+    elif isinstance(bag, FlattenAssociations):
+        parts.append(wf._u8(3) + wf._u64(len(bag.records)))
+        parts.extend(
+            wf._u64(id_in) + wf._u32(pos) + wf._u64(id_out) for id_in, pos, id_out in bag.records
+        )
+    elif isinstance(bag, BinaryAssociations):
+        parts.append(wf._u8(4) + wf._u64(len(bag.records)))
+        parts.extend(opt(one) + opt(two) + wf._u64(id_out) for one, two, id_out in bag.records)
+    else:
+        parts.append(wf._u8(5) + wf._u64(len(bag.records)))
+        for ids_in, id_out in bag.records:
+            parts.append(wf._u32(len(ids_in)))
+            parts.extend(wf._u64(id_in) for id_in in ids_in)
+            parts.append(wf._u64(id_out))
+    return b"".join(parts)
+
+
+def _reference_decode_associations(cursor: wf.Cursor):
+    """An association bag read one field at a time."""
+
+    def opt(value):
+        return None if value == wf.NONE_ID else value
+
+    kind, count = cursor.u8(), cursor.u64()
+    if kind == 1:
+        return ReadAssociations([cursor.u64() for _ in range(count)])
+    if kind == 2:
+        return UnaryAssociations([(cursor.u64(), cursor.u64()) for _ in range(count)])
+    if kind == 3:
+        return FlattenAssociations(
+            [(cursor.u64(), cursor.u32(), cursor.u64()) for _ in range(count)]
+        )
+    if kind == 4:
+        return BinaryAssociations(
+            [(opt(cursor.u64()), opt(cursor.u64()), cursor.u64()) for _ in range(count)]
+        )
+    assert kind == 5
+    records = []
+    for _ in range(count):
+        ids_in = tuple(cursor.u64() for _ in range(cursor.u32()))
+        records.append((ids_in, cursor.u64()))
+    return AggregationAssociations(records)
+
+
+def _reference_iter_encoded_rows(cursor: wf.Cursor):
+    """A rows payload hopped one field at a time."""
+    for _ in range(cursor.u64()):
+        pid = cursor.u64()
+        yield (None if pid == wf.NONE_ID else pid), cursor.raw()
+
+
+@given(_operators_with(_sized_associations))
+@settings(max_examples=120, deadline=None)
+def test_encode_writes_the_reference_bytes(provenance):
+    assert wf.encode_operator(provenance) == _reference_encode_operator(provenance)
+
+
+@given(_operators_with(_sized_associations))
+@settings(max_examples=120, deadline=None)
+def test_decode_equals_the_reference_decode(provenance):
+    raw = wf.encode_operator(provenance)
+    cursor = wf.Cursor(raw)
+    decoded = wf.decode_operator(cursor)
+    assert cursor.offset == len(raw)
+    bag = wf._encode_associations(provenance.associations)
+    reference = wf.Cursor(raw, len(raw) - len(bag))
+    expected = _reference_decode_associations(reference)
+    assert reference.offset == len(raw)
+    assert type(decoded.associations) is type(expected)
+    if isinstance(expected, ReadAssociations):
+        assert decoded.associations.ids == expected.ids
+    else:
+        assert decoded.associations.records == expected.records
+
+
+@given(st.lists(st.tuples(st.none() | _ids, _items), max_size=20))
+@settings(max_examples=80, deadline=None)
+def test_row_hop_equals_the_reference_hop(rows):
+    raw = wf.encode_rows(rows)
+    cursor, reference = wf.Cursor(raw), wf.Cursor(raw)
+    assert list(wf.iter_encoded_rows(cursor)) == list(_reference_iter_encoded_rows(reference))
+    assert cursor.offset == reference.offset == len(raw)
 
 
 @given(_operators)
@@ -308,14 +457,88 @@ def test_aggregation_varying_widths_round_trip():
     assert list(decoded.associations.records) == [((), 1), ((7,), 2), ((3, 0, 9), 4)]
 
 
-@given(_operators, st.integers(min_value=1, max_value=16))
+@given(_operators_with(_sized_associations))
 @settings(max_examples=60, deadline=None)
-def test_truncated_record_raises_not_garbage(provenance, cut):
+def test_truncated_record_raises_not_garbage(provenance):
+    """Every cut, from one byte to the whole record."""
     raw = wf.encode_operator(provenance)
-    if cut >= len(raw):
-        cut = len(raw)
-    with pytest.raises(ProvenanceError):
-        wf.decode_operator(wf.Cursor(raw[: len(raw) - cut]))
+    for cut in range(1, len(raw) + 1):
+        with pytest.raises(ProvenanceError):
+            wf.decode_operator(wf.Cursor(raw[: len(raw) - cut]))
+
+
+@given(st.lists(st.tuples(st.none() | _ids, _items), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_truncated_rows_payload_raises(rows):
+    """Every cut of a rows payload fails while it is hopped, never yields
+    a partial row."""
+    raw = wf.encode_rows(rows)
+    for cut in range(1, len(raw) + 1):
+        with pytest.raises(ProvenanceError):
+            wf.materialise_rows(wf.iter_encoded_rows(wf.Cursor(raw[: len(raw) - cut])))
+
+
+def _reframed(items: dict[int, DataItem], plain: bytes) -> bytes:
+    """A one-frame block over *items* whose frame inflates to *plain*."""
+    frame = zlib.compress(plain)
+    ids = sorted(items)
+    return b"".join(
+        (
+            wf._string("src"),
+            wf._u64(len(ids)),
+            struct.pack(f"<{len(ids)}Q", *ids),
+            wf._u32(len(frame)),
+            frame,
+        )
+    )
+
+
+@given(st.dictionaries(_ids, _items, min_size=1, max_size=wf.FRAME_ITEMS))
+@settings(max_examples=40, deadline=None)
+def test_a_frame_whose_item_lengths_overrun_it_raises(items):
+    """Cut the inflated frame anywhere, or leave bytes past its items: the
+    block opens (its id column is intact), and asking for an item raises."""
+    plain = b"".join(wf._string(wf._item_json(items[item_id]).decode()) for item_id in sorted(items))
+    assert wf.open_source_items(_reframed(items, plain)).all() == items
+    first = min(items)
+    for damaged in [plain[: len(plain) - cut] for cut in range(1, len(plain) + 1)] + [plain + b"\0"]:
+        block = wf.open_source_items(_reframed(items, damaged))
+        with pytest.raises(ProvenanceError):
+            block.get(first)
+
+
+_HUGE = 2**63
+
+
+@pytest.mark.parametrize("kind", range(1, 6))
+def test_a_count_of_two_to_the_63_raises_and_allocates_nothing(kind):
+    """An association count no buffer could hold fails at once."""
+    operator = OperatorProvenance(1, "op", [], UNDEFINED, ReadAssociations([]))
+    prefix = wf.encode_operator(operator)[:-9]  # all but kind and count
+    raw = prefix + wf._u8(kind) + wf._u64(_HUGE) + bytes(64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProvenanceError):
+            wf.decode_operator(wf.Cursor(raw))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_a_rows_or_raw_block_count_of_two_to_the_63_raises_and_allocates_nothing():
+    rows = wf._u64(_HUGE) + wf._u64(1) + wf._u32(2) + b"{}"
+    block = wf._string("src") + rows
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProvenanceError):
+            wf.materialise_rows(wf.iter_encoded_rows(wf.Cursor(rows)))
+        with pytest.raises(ProvenanceError):
+            wf.open_source_items(block, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_oversized_id_rejected_at_encode_time():

@@ -8,7 +8,7 @@ from repro.core.treepattern.matcher import (
     seed_structure,
 )
 from repro.core.treepattern.parser import parse_pattern
-from repro.core.treepattern.pattern import TreePattern, child, descendant
+from repro.core.treepattern.pattern import TreePattern, child
 from repro.nested.values import DataItem
 
 

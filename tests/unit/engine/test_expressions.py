@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine.expressions import (
-    AliasedExpr,
     avg,
     coalesce,
     col,

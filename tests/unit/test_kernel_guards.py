@@ -20,6 +20,11 @@ once too.  A part is one file: a record
 writes ``part.seg``, its manifest and ``metrics.json`` into the one
 directory it makes, an ingest ``part.seg`` and ``part.json`` into its
 epoch directory plus the head.
+
+Decoding a stored operator takes one bounds-checked slice per association
+column: with ``Cursor`` calls counted, an operator of a fixed-width kind at
+1,000 records takes as many slices as at one record, and an aggregation
+makes no ``Cursor`` call per record or per id.
 """
 
 from __future__ import annotations
@@ -34,6 +39,15 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.operator_provenance import (
+    AggregationAssociations,
+    BinaryAssociations,
+    FlattenAssociations,
+    OperatorProvenance,
+    ReadAssociations,
+    UNDEFINED,
+    UnaryAssociations,
+)
 from repro.core.paths import Path, Step
 from repro.core.treepattern.matcher import match_item
 from repro.core.treepattern.parser import parse_pattern
@@ -389,3 +403,55 @@ class TestAPartIsOneFile:
             epoch + "part.json", epoch + "part.seg", "manifest.json.tmp"
         ]
         assert made == [str(run_dir / epoch.rstrip("/"))]
+
+
+@pytest.fixture
+def cursor_calls(monkeypatch):
+    """Count calls of every ``Cursor`` method, by name."""
+    counts: Counter = Counter()
+    for name, method in list(vars(wf.Cursor).items()):
+        if callable(method) and not name.startswith("__"):
+
+            def wrapper(*args, _name=name, _method=method, **kwargs):
+                counts[_name] += 1
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(wf.Cursor, name, wrapper)
+    return counts
+
+
+def _decode_counting(counts: Counter, associations) -> Counter:
+    operator = OperatorProvenance(7, "op", [], UNDEFINED, associations)
+    raw = wf.encode_operator(operator)
+    counts.clear()
+    decoded = wf.decode_operator(wf.Cursor(raw))
+    assert len(decoded.associations) == len(associations)
+    return Counter(counts)
+
+
+_FIXED_WIDTH = {
+    "read": lambda n: ReadAssociations(range(n)),
+    "unary": lambda n: UnaryAssociations([(i, i + 1) for i in range(n)]),
+    "flatten": lambda n: FlattenAssociations([(i, 1 + i % 3, i + 1) for i in range(n)]),
+    "binary": lambda n: BinaryAssociations([(i, None if i % 2 else i, i + 1) for i in range(n)]),
+}
+
+
+class TestDecodeIsOneSlicePerColumn:
+    @pytest.mark.parametrize("kind", sorted(_FIXED_WIDTH))
+    def test_a_fixed_width_kind_takes_as_many_slices_at_1000_records_as_at_1(
+        self, kind, cursor_calls
+    ):
+        one = _decode_counting(cursor_calls, _FIXED_WIDTH[kind](1))
+        many = _decode_counting(cursor_calls, _FIXED_WIDTH[kind](1000))
+        assert many["_take"] == one["_take"]
+        assert many == one
+
+    def test_an_aggregation_makes_no_cursor_call_per_record_or_id(self, cursor_calls):
+        one = _decode_counting(cursor_calls, AggregationAssociations([((1,), 2)]))
+        wide = _decode_counting(cursor_calls, AggregationAssociations([(tuple(range(1000)), 2)]))
+        many = _decode_counting(
+            cursor_calls, AggregationAssociations([((i, i + 1), i) for i in range(1000)])
+        )
+        assert wide == one
+        assert many == one

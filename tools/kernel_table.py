@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-tweet cost of the value-model walks, read side and write side, for one
-or two source trees.
+"""Per-tweet cost of the value-model walks and per-record cost of the segment
+decoder, for one or two source trees.
 
     python3 tools/kernel_table.py --src /path/to/parent/src --src src --rounds 5
 
@@ -19,6 +19,12 @@ goes first) that times, on the same 100 generated tweets,
 * the string leaves ``index.seg`` indexes -- from the item where the tree's
   walk knows the model types, else from ``json.loads`` of its stored bytes
 
+and, on a D3 capture (scale 0.2), the read side of the segment codec:
+
+* ``decode_operator`` per encoded operator record -- ``decode_operator_us``
+* ``iter_encoded_rows`` per row of the rows payload, hopped 100 times per
+  timing -- ``hop_rows_us``
+
 and prints the best-of-repeats per kernel.  The parent prints the median
 over rounds and, given two trees, the ratio first/second.
 """
@@ -34,12 +40,16 @@ import sys
 
 _CHILD = r"""
 import json, time
+from repro import PebbleSession
 from repro.core.treepattern.matcher import match_item
 from repro.core.treepattern.parser import parse_pattern
 from repro.nested.json_io import item_from_json
 from repro.nested.schema import infer_schema
-from repro.warehouse.format import _item_json
+from repro.warehouse.format import (
+    Cursor, _item_json, decode_operator, encode_operator, encode_rows, iter_encoded_rows,
+)
 from repro.warehouse.index import walk_string_leaves
+from repro.workloads import load_workload, scenario
 from repro.workloads.twitter import generate_tweets
 
 tweets = generate_tweets(scale=0.25, seed=1)
@@ -65,6 +75,13 @@ def best(fn, repeats=7, fresh=None):
     return min(times)
 
 
+d3 = scenario("D3")
+pebble = PebbleSession()
+captured = pebble.run(d3.build(pebble.session, load_workload(d3.kind, 0.2)))
+records = [encode_operator(provenance) for provenance in captured.execution.store.operators()]
+rows = captured.execution.rows()
+rows_payload = encode_rows(rows)
+
 n = len(items)
 hits = sum(match_item(wildcard, item) is not None for item in items)
 print(json.dumps({
@@ -77,6 +94,13 @@ print(json.dumps({
     "encode_item_us": best(lambda: [_item_json(i) for i in items]) / n * 1e6,
     "string_leaves_us": best(leaves) / n * 1e6,
     "json_loads_us": best(lambda: [json.loads(t) for t in texts]) / n * 1e6,
+    "decode_operator_us": best(lambda: [decode_operator(Cursor(r)) for r in records])
+    / len(records) * 1e6,
+    # A hop is a few µs: 100 per timing keep it above the clock's noise, and
+    # counting (not keeping) the rows keeps the collector out of the timing.
+    "hop_rows_us": best(lambda: [sum(1 for _ in iter_encoded_rows(Cursor(rows_payload)))
+                                 for _ in range(100)]) / (100 * len(rows)) * 1e6,
+    "d3_records": len(records), "d3_record_bytes": sum(map(len, records)), "d3_rows": len(rows),
     "tweets": n, "bytes_per_tweet": sum(map(len, texts)) // n, "wildcard_hits": hits,
 }))
 """
@@ -114,7 +138,9 @@ def main() -> int:
         print(row)
     shape = medians[args.src[0]]
     print(f"({int(shape['tweets'])} tweets, {int(shape['bytes_per_tweet'])} B each, "
-          f"{int(shape['wildcard_hits'])} wildcard hits, median of {args.rounds} rounds)")
+          f"{int(shape['wildcard_hits'])} wildcard hits; D3: {int(shape['d3_records'])} operator "
+          f"records, {int(shape['d3_record_bytes'])} B, {int(shape['d3_rows'])} rows; "
+          f"median of {args.rounds} rounds)")
     return 0
 
 
