@@ -25,9 +25,16 @@ Per operator type the step mirrors the paper exactly:
   undefined on the traced side.
 * **map**: the tree is replaced by the whole input schema, marked as
   manipulated (``A`` and ``M`` are unknown for arbitrary UDFs).
+
+Trees are immutable and, within one :meth:`Backtracer.backtrace` call,
+interned, so each step edits each *distinct* tree once (memoised per
+operator) however many items carry it.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from typing import Callable, Iterable, Sequence
 
 from repro.core.backtrace.methods import (
     access_path,
@@ -36,7 +43,7 @@ from repro.core.backtrace.methods import (
     prune_output_residue,
     remove_sibling_positions,
 )
-from repro.core.backtrace.tree import BacktraceNode, BacktraceStructure, BacktraceTree
+from repro.core.backtrace.tree import BacktraceNode, BacktraceStructure, BacktraceTree, interning
 from repro.core.operator_provenance import (
     AggregationAssociations,
     BinaryAssociations,
@@ -92,7 +99,7 @@ class Backtracer:
             order = self._reverse_topological(sink_oid)
         frontier: dict[int, BacktraceStructure] = {sink_oid: seeds}
         results: list[SourceProvenance] = []
-        with span("operator-walk", "backtrace", operators=len(order)):
+        with span("operator-walk", "backtrace", operators=len(order)), interning():
             for oid in order:
                 structure = frontier.pop(oid, BacktraceStructure())
                 with span(f"walk op-{oid}", "backtrace") as handle:
@@ -104,11 +111,10 @@ class Backtracer:
                         )
                         continue
                     for pred_oid, contribution in self._step(provenance, structure):
-                        existing = frontier.get(pred_oid)
-                        if existing is None:
-                            frontier[pred_oid] = contribution
-                        else:
-                            existing.merge_from(contribution)
+                        existing = frontier.setdefault(pred_oid, contribution)
+                        if existing is not contribution:
+                            for item_id, tree in contribution.items():
+                                existing.add(item_id, tree)
         results.sort(key=lambda source: source.oid)
         return results
 
@@ -181,19 +187,8 @@ class Backtracer:
         """Alg. 3 for filter and select."""
         input_ref = provenance.input(0)
         lookup = provenance.associations.by_output()  # type: ignore[attr-defined]
-        result = BacktraceStructure()
-        pairs = provenance.manipulations_or_empty()
-        for item_id, tree in structure.items():
-            id_in = lookup.get(item_id)
-            if id_in is None:
-                continue
-            updated = tree.copy()
-            manipulate_paths(updated, pairs, provenance.oid)
-            prune_output_residue(updated, pairs)
-            for accessed in sorted(input_ref.accessed_or_empty(), key=str):
-                access_path(updated, accessed, provenance.oid, input_ref.schema)
-            result.add(id_in, updated)
-        return [(self._pred(input_ref), result)]
+        edit = _editor(provenance.oid, input_ref, provenance.manipulations_or_empty(), prune=True)
+        return [(self._pred(input_ref), _mapped(structure, lambda i: (lookup.get(i),), edit))]
 
     def _step_map(
         self, provenance: OperatorProvenance, structure: BacktraceStructure
@@ -201,13 +196,8 @@ class Backtracer:
         """Map: unknown semantics; mark the whole input schema manipulated."""
         input_ref = provenance.input(0)
         lookup = provenance.associations.by_output()  # type: ignore[attr-defined]
-        result = BacktraceStructure()
-        for item_id, _tree in structure.items():
-            id_in = lookup.get(item_id)
-            if id_in is None:
-                continue
-            result.add(id_in, _schema_tree(input_ref.schema, provenance.oid))
-        return [(self._pred(input_ref), result)]
+        whole = _schema_tree(input_ref.schema, provenance.oid)
+        return [(self._pred(input_ref), _mapped(structure, lambda i: (lookup.get(i),), lambda _: whole))]
 
     def _step_flatten(
         self, provenance: OperatorProvenance, structure: BacktraceStructure
@@ -215,40 +205,18 @@ class Backtracer:
         """Alg. 2: generic step, then mergeTrees over positions."""
         input_ref = provenance.input(0)
         lookup = provenance.associations.by_output()  # type: ignore[attr-defined]
-        pairs = provenance.manipulations_or_empty()
-        rows: list[tuple[int, int, BacktraceTree]] = []
-        for item_id, tree in structure.items():
-            record = lookup.get(item_id)
-            if record is None:
-                continue
-            id_in, pos = record
-            updated = tree.copy()
-            manipulate_paths(updated, pairs, provenance.oid)
-            for accessed in sorted(input_ref.accessed_or_empty(), key=str):
-                access_path(updated, accessed, provenance.oid, input_ref.schema)
-            rows.append((id_in, pos, updated))
-        result = BacktraceStructure(merge_trees(rows))
-        return [(self._pred(input_ref), result)]
+        edit = _editor(provenance.oid, input_ref, provenance.manipulations_or_empty())
+        rows = [(*lookup[i], edit(tree)) for i, tree in structure.items() if i in lookup]
+        return [(self._pred(input_ref), BacktraceStructure(merge_trees(rows)))]
 
     def _step_union(
         self, provenance: OperatorProvenance, structure: BacktraceStructure
     ) -> list[tuple[int, BacktraceStructure]]:
         """Union: project the defined input id per side, trees unchanged."""
         lookup = provenance.associations.by_output()  # type: ignore[attr-defined]
-        left = BacktraceStructure()
-        right = BacktraceStructure()
-        for item_id, tree in structure.items():
-            record = lookup.get(item_id)
-            if record is None:
-                continue
-            id_in1, id_in2 = record
-            if id_in1 is not None:
-                left.add(id_in1, tree.copy())
-            if id_in2 is not None:
-                right.add(id_in2, tree.copy())
         return [
-            (self._pred(provenance.input(0)), left),
-            (self._pred(provenance.input(1)), right),
+            (self._pred(provenance.input(side)), _mapped(structure, _side(lookup, side), lambda t: t))
+            for side in (0, 1)
         ]
 
     def _step_join(
@@ -266,24 +234,8 @@ class Backtracer:
                 for in_path, out_path in provenance.manipulations_or_empty()
                 if own_names is None or (in_path.steps and in_path.head().name in own_names)
             ]
-            side_structure = BacktraceStructure()
-            for item_id, tree in structure.items():
-                record = lookup.get(item_id)
-                if record is None:
-                    continue
-                id_in = record[side]
-                if id_in is None:
-                    continue
-                updated = tree.copy()
-                if own_names is not None:
-                    for label in list(updated.root.children):
-                        if label not in own_names:
-                            updated.root.remove_child(label)
-                manipulate_paths(updated, pairs, provenance.oid)
-                for accessed in sorted(input_ref.accessed_or_empty(), key=str):
-                    access_path(updated, accessed, provenance.oid, schema)
-                side_structure.add(id_in, updated)
-            outputs.append((self._pred(input_ref), side_structure))
+            edit = _editor(provenance.oid, input_ref, pairs, keep=own_names)
+            outputs.append((self._pred(input_ref), _mapped(structure, _side(lookup, side), edit)))
         return outputs
 
     def _step_distinct(
@@ -296,45 +248,46 @@ class Backtracer:
         passes through unchanged (plus access marks for the comparison).
         """
         input_ref = provenance.input(0)
-        result = BacktraceStructure()
-        for ids_in, id_out in provenance.associations.records:  # type: ignore[attr-defined]
-            if id_out not in structure.entries:
-                continue
-            tree = structure.entries[id_out]
-            for id_in in ids_in:
-                member_tree = tree.copy()
-                for accessed in sorted(input_ref.accessed_or_empty(), key=str):
-                    access_path(member_tree, accessed, provenance.oid, input_ref.schema)
-                result.add(id_in, member_tree)
-        return [(self._pred(input_ref), result)]
+        lookup = provenance.associations.by_output()  # type: ignore[attr-defined]
+        edit = _editor(provenance.oid, input_ref)
+        return [(self._pred(input_ref), _mapped(structure, lambda i: lookup.get(i, ()), edit))]
 
     def _step_aggregation(
         self, provenance: OperatorProvenance, structure: BacktraceStructure
     ) -> list[tuple[int, BacktraceStructure]]:
-        """Alg. 4: trace aggregation/nesting back to the grouped input."""
+        """Alg. 4: trace aggregation/nesting back to the grouped input.
+
+        A member's position enters its edit only through finding the
+        concrete ``out[position]`` node, and edits make no position label an
+        input path does not name.  So the members at positions the tree does
+        not name share one edit.
+        """
         input_ref = provenance.input(0)
         lookup = provenance.associations.by_output()  # type: ignore[attr-defined]
         pairs = provenance.manipulations_or_empty()
+        oid = provenance.oid
+        mark = _editor(oid, input_ref)
+
+        @cache
+        def edit(tree: BacktraceTree, position: int) -> BacktraceTree | None:
+            in_prov = False
+            for in_path, out_path in pairs:
+                tree, hit = _undo_aggregate_pair(tree, in_path, out_path, position, oid)
+                in_prov |= hit
+            for _, out_path in pairs:
+                tree = _drop_residual_output(tree, out_path)
+            return mark(prune_output_residue(tree, pairs)) if in_prov else None
+
+        named_by_pairs = {step.pos for in_path, _ in pairs for step in in_path}
         result = BacktraceStructure()
         for item_id, tree in structure.items():
-            ids_in = lookup.get(item_id)
-            if ids_in is None:
-                continue
-            for position, id_in in enumerate(ids_in, start=1):
-                member_tree = tree.copy()
-                in_prov = False
-                for in_path, out_path in pairs:
-                    in_prov |= _undo_aggregate_pair(
-                        member_tree, in_path, out_path, position, provenance.oid
-                    )
-                for in_path, out_path in pairs:
-                    _drop_residual_output(member_tree, out_path)
-                prune_output_residue(member_tree, pairs)
-                if not in_prov:
-                    continue
-                for accessed in sorted(input_ref.accessed_or_empty(), key=str):
-                    access_path(member_tree, accessed, provenance.oid, input_ref.schema)
-                result.add(id_in, member_tree)
+            labels = {label for _, node in tree.paths() for label in node.children}
+            named = {label for label in labels | named_by_pairs if isinstance(label, int)}
+            unnamed = max(named, default=0) + 1  # stands in for every other position
+            for position, id_in in enumerate(lookup.get(item_id, ()), start=1):
+                updated = edit(tree, position if position in named else unnamed)
+                if updated is not None:
+                    result.add(id_in, updated)
         return [(self._pred(input_ref), result)]
 
     @staticmethod
@@ -345,27 +298,61 @@ class Backtracer:
         return predecessor
 
 
-def _graft_copy(tree: BacktraceTree, in_path: Path, node: "BacktraceNode", oid: int) -> None:
-    """Graft a *copy* of a matched output node at the input path.
+def _mapped(
+    structure: BacktraceStructure,
+    ids_in: Callable[[int], Iterable[int | None]],
+    edit: Callable[[BacktraceTree], BacktraceTree],
+) -> BacktraceStructure:
+    """``(id_in, edit(tree))`` for every ``(id, tree)`` and defined ``id_in`` of the id."""
+    result = BacktraceStructure()
+    for item_id, tree in structure.items():
+        for id_in in ids_in(item_id):
+            if id_in is not None:
+                result.add(id_in, edit(tree))
+    return result
 
-    The copy keeps the original tree intact so that several M pairs can
-    consume the same matched output region (e.g. ``collect_list`` of a
-    struct built from two input attributes); the residual output nodes are
-    dropped afterwards by :func:`_drop_residual_output`.
-    """
-    copied = node.copy()
-    copied.mark_subtree_manipulated(oid)
-    tree.graft(in_path, copied)
+
+def _side(lookup: dict, side: int) -> Callable[[int], tuple]:
+    """The input id on *side* of a binary operator's output id."""
+    return lambda item_id: lookup.get(item_id, (None, None))[side : side + 1]
+
+
+def _editor(
+    oid: int,
+    input_ref: object,
+    pairs: Sequence[tuple[Path, Path]] = (),
+    prune: bool = False,
+    keep: set[str] | None = None,
+) -> Callable[[BacktraceTree], BacktraceTree]:
+    """The generic step (Alg. 3) on one input, memoised per distinct tree:
+    keep only the *keep* top-level attributes, undo ``M``, drop the output
+    residue if *prune*, then mark ``A``."""
+    accessed = sorted(input_ref.accessed_or_empty(), key=str)  # type: ignore[attr-defined]
+    schema = input_ref.schema  # type: ignore[attr-defined]
+
+    @cache
+    def edit(tree: BacktraceTree) -> BacktraceTree:
+        root = tree.root
+        if keep is not None and not keep.issuperset(root.children):
+            tree = BacktraceTree(root.replace(children=[c for n, c in root.children.items() if n in keep]))
+        tree = manipulate_paths(tree, pairs, oid)
+        if prune:
+            tree = prune_output_residue(tree, pairs)
+        for path in accessed:
+            tree = access_path(tree, path, oid, schema)
+        return tree
+
+    return edit
 
 
 def _undo_aggregate_pair(
     tree: BacktraceTree, in_path: Path, out_path: Path, position: int, oid: int
-) -> bool:
+) -> tuple[BacktraceTree, bool]:
     """Apply one M pair of an aggregation to one group member (Alg. 4 ll. 5-12).
 
-    Returns ``True`` if the member's output path occurs in the tree (the
-    member is ``inProv``).  Three match shapes are handled for nested
-    collectors:
+    Returns the tree with the matched output node grafted (and left) at
+    the input path, and whether the member is ``inProv``.  Three match
+    shapes are handled for nested collectors:
 
     * a concrete position in the tree (the pattern matched this member's
       element),
@@ -374,40 +361,30 @@ def _undo_aggregate_pair(
     * the bare collection attribute as a leaf (the query addresses the
       whole collection) -- every member produced one element, so every
       member is in the provenance.
+
+    Several M pairs can consume one matched output region (``collect_list``
+    of a struct of two input attributes); :func:`_drop_residual_output`
+    removes it afterwards.
     """
-    if out_path.has_placeholder():
-        concrete = out_path.substitute_placeholder(position)
-        node = tree.find(concrete)
-        if node is not None:
-            _graft_copy(tree, in_path, node, oid)
-            return True
+    node = tree.find(out_path.substitute_placeholder(position) if out_path.has_placeholder() else out_path)
+    if node is None and out_path.has_placeholder():
         # Schema-expanded trees (e.g. from a downstream map) hold literal
         # [pos] placeholder nodes; find resolves the POS label directly.
         node = tree.find(out_path)
-        if node is not None:
-            _graft_copy(tree, in_path, node, oid)
-            return True
-        collection_node = tree.find(_collection_attr(out_path))
-        if collection_node is not None and not collection_node.positional_children():
-            # Whole-collection query: the attribute is a leaf (or holds
-            # element constraints without positions) -- every member
-            # produced one element, so every member is in the provenance.
-            _graft_copy(tree, in_path, collection_node, oid)
-            return True
-        return False
-    node = tree.find(out_path)
+        if node is None:
+            collection = tree.find(_collection_attr(out_path))
+            if collection is not None and not collection.positional_children():
+                node = collection
     if node is None:
-        return False
-    _graft_copy(tree, in_path, node, oid)
-    return True
+        return tree, False
+    return tree.graft(in_path, node.with_manipulation(oid)), True
 
 
-def _drop_residual_output(tree: BacktraceTree, out_path: Path) -> None:
+def _drop_residual_output(tree: BacktraceTree, out_path: Path) -> BacktraceTree:
     """Alg. 4 l. 13: remove remaining output-schema nodes of this pair."""
     if out_path.has_placeholder():
-        remove_sibling_positions(tree, _collection_attr(out_path))
-    else:
-        tree.remove(out_path)
+        return remove_sibling_positions(tree, _collection_attr(out_path))
+    return tree.remove(out_path)
 
 
 def _collection_attr(out_path: Path) -> Path:
@@ -428,21 +405,19 @@ def _schema_tree(schema: Schema | None, oid: int) -> BacktraceTree:
     paper conservatively marks every input attribute as manipulated (and
     therefore contributing).
     """
-    tree = BacktraceTree()
     if schema is None:
-        return tree
+        return BacktraceTree()
 
-    def build(node: BacktraceNode, struct: StructType) -> None:
+    def build(struct: StructType) -> list[BacktraceNode]:
+        nodes = []
         for name, field_type in struct.fields:
-            child = node.ensure_child(name, contributing=True)
-            child.manipulation.add(oid)
+            children: list[BacktraceNode] = []
             if isinstance(field_type, StructType):
-                build(child, field_type)
+                children = build(field_type)
             elif isinstance(field_type, (BagType, SetType)):
-                element = child.ensure_child(POS, contributing=True)
-                element.manipulation.add(oid)
-                if isinstance(field_type.element, StructType):
-                    build(element, field_type.element)
+                element = build(field_type.element) if isinstance(field_type.element, StructType) else []
+                children = [BacktraceNode(POS, True, manipulation=(oid,), children=element)]
+            nodes.append(BacktraceNode(name, True, manipulation=(oid,), children=children))
+        return nodes
 
-    build(tree.root, schema.struct)
-    return tree
+    return BacktraceTree(BacktraceNode("root", True, children=build(schema.struct)))

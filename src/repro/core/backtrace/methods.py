@@ -1,5 +1,7 @@
 """Tree update methods used by the backtracing algorithms (paper Sec. 6.2).
 
+Each method returns a new tree and leaves its argument as it was.
+
 ``manipulate_paths`` implements the *manipulatePath* method: for every
 ``(input path, output path)`` pair in an operator's ``M``, the subtree that
 the operator wrote to the output path is moved back to the input path, and
@@ -20,9 +22,10 @@ are expanded to their children per the input schema, following Example 6.6
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Sequence
 
-from repro.core.backtrace.tree import BacktraceNode, BacktraceTree
+from repro.core.backtrace.tree import BacktraceNode, BacktraceStructure, BacktraceTree, _rewrite
 from repro.core.paths import POS, Path
 from repro.nested.schema import Schema
 from repro.nested.types import BagType, SetType, StructType
@@ -40,7 +43,7 @@ def manipulate_paths(
     tree: BacktraceTree,
     pairs: Sequence[tuple[Path, Path]],
     oid: int,
-) -> bool:
+) -> BacktraceTree:
     """Undo the manipulations ``M`` of operator *oid* on *tree*.
 
     Each pair maps an input path to the output path the operator produced;
@@ -51,32 +54,26 @@ def manipulate_paths(
     path, the queried node stands for its whole subtree, so the missing tail
     is expanded before moving (querying the ``tweet`` struct as a whole
     traces its ``text`` constituent back to the input).
-
-    Returns ``True`` if at least one pair matched the tree.
     """
-    detached: list[tuple[Path, BacktraceNode]] = []
+    moved: list[tuple[Path, BacktraceNode]] = []
     for in_path, out_path in pairs:
         if in_path == out_path:
             # Identity mapping (e.g. join concatenation): nothing moves, but
             # the nodes were (re)produced by this operator.
-            node = tree.find(out_path)
-            if node is not None:
-                node.mark_subtree_manipulated(oid)
-                detached.append((in_path, _TOUCHED))
+            root = _rewrite(tree.root, BacktraceTree._labels(out_path), lambda old: old.with_manipulation(oid))
+            tree = tree if root is tree.root else BacktraceTree(root)
             continue
-        subtree = _detach_expanding(tree, out_path)
+        tree, subtree = _detach_expanding(tree, out_path)
         if subtree is not None:
-            detached.append((in_path, subtree))
-    matched = bool(detached)
-    for in_path, subtree in detached:
-        if subtree is _TOUCHED:
-            continue
-        subtree.mark_subtree_manipulated(oid)
-        tree.graft(in_path, subtree)
-    return matched
+            moved.append((in_path, subtree))
+    for in_path, subtree in moved:
+        tree = tree.graft(in_path, subtree.with_manipulation(oid))
+    return tree
 
 
-def _detach_expanding(tree: BacktraceTree, out_path: Path) -> BacktraceNode | None:
+def _detach_expanding(
+    tree: BacktraceTree, out_path: Path
+) -> tuple[BacktraceTree, BacktraceNode | None]:
     """Detach the subtree at *out_path*, expanding through queried leaves.
 
     Navigating the tree labels of *out_path*: if a label is missing but the
@@ -87,25 +84,24 @@ def _detach_expanding(tree: BacktraceTree, out_path: Path) -> BacktraceNode | No
     """
     labels = BacktraceTree._labels(out_path)
     node = tree.root
-    walked: list[BacktraceNode] = [node]
     for index, label in enumerate(labels):
         found = node.child(label)
         if found is None:
-            if node is tree.root or node.children:
-                return None
-            for missing in labels[index:]:
-                node = node.ensure_child(missing, node.contributing)
-                walked.append(node)
-            break
+            if index == 0 or node.children:
+                return tree, None
+            # The tail below the leaf stays; its last node is what moves.
+            grown = None
+            for missing in reversed(labels[index:-1]):
+                grown = BacktraceNode(missing, node.contributing, children=[grown] if grown else ())
+            if grown is not None:
+                leaf = node.with_children((grown,))
+                tree = BacktraceTree(_rewrite(tree.root, labels[:index], lambda old: leaf))
+            return tree, BacktraceNode(labels[-1], node.contributing)
         node = found
-        walked.append(node)
-    parent = walked[-2]
-    target = walked[-1]
-    parent.remove_child(target.label)
-    return target
+    return tree.remove(out_path), node
 
 
-def prune_output_residue(tree: BacktraceTree, pairs: Sequence[tuple[Path, Path]]) -> None:
+def prune_output_residue(tree: BacktraceTree, pairs: Sequence[tuple[Path, Path]]) -> BacktraceTree:
     """Remove leftover output-schema nodes after ``manipulate_paths``.
 
     A projection that builds nested output (``struct_(...)``) maps input
@@ -118,14 +114,12 @@ def prune_output_residue(tree: BacktraceTree, pairs: Sequence[tuple[Path, Path]]
     """
     in_heads = {in_path.head().name for in_path, _ in pairs if in_path.steps}
     out_heads = {out_path.head().name for _, out_path in pairs if out_path.steps}
+    root = tree.root
     for head in out_heads - in_heads:
-        node = tree.root.child(head)
+        node = root.child(head)
         if node is not None and not node.children:
-            tree.root.remove_child(head)
-
-
-#: Sentinel marking identity pairs that touched the tree without moving data.
-_TOUCHED = BacktraceNode("touched")
+            root = root.without_child(head)
+    return tree if root is tree.root else BacktraceTree(root)
 
 
 def access_path(
@@ -133,7 +127,7 @@ def access_path(
     path: Path,
     oid: int,
     schema: Schema | None = None,
-) -> None:
+) -> BacktraceTree:
     """Record that operator *oid* accessed *path* (the accessPath method).
 
     If the path's nodes exist, the operator id is added to their access set;
@@ -143,72 +137,54 @@ def access_path(
     element".  When *schema* is given and the path resolves to a struct, the
     struct's children are expanded and marked as accessed as well.
     """
-    terminals = _mark_along(tree.root, list(_expanded_labels(path)), oid)
-    if schema is None:
-        return
-    try:
-        target_type = schema.resolve(path)
-    except Exception:
-        return
-    if isinstance(target_type, StructType):
-        for node in terminals:
-            _expand_struct(node, target_type, oid)
-
-
-def _expanded_labels(path: Path) -> Iterable[object]:
-    for step in path:
-        yield step.name
-        if step.pos is not None:
-            yield step.pos if isinstance(step.pos, int) else POS
+    struct = None
+    if schema is not None:
+        try:
+            target_type = schema.resolve(path)
+        except Exception:
+            target_type = None
+        if isinstance(target_type, StructType):
+            struct = target_type
+    root = _mark_along(tree.root, BacktraceTree._labels(path), oid, struct)
+    return tree if root is tree.root else BacktraceTree(root)
 
 
 def _mark_along(
-    root: BacktraceNode, labels: list[object], oid: int
-) -> list[BacktraceNode]:
-    """Walk *labels* from *root*, creating influencing nodes when absent.
+    node: BacktraceNode, labels: list[object], oid: int, struct: StructType | None
+) -> BacktraceNode:
+    """Walk *labels* from *node*, creating influencing nodes when absent.
 
     A ``POS`` label fans out over all existing positional children (or
-    creates one placeholder child).  Returns the terminal nodes, whose
-    access sets received *oid*.
+    creates one placeholder child).  The terminal nodes receive *oid*, and
+    their fields too when they hold a *struct*.
     """
-    frontier = [root]
-    for label in labels:
-        next_frontier: list[BacktraceNode] = []
-        for node in frontier:
-            if label is POS:
-                positional = node.positional_children()
-                if positional:
-                    next_frontier.extend(positional)
-                else:
-                    next_frontier.append(node.ensure_child(POS, contributing=False))
-            else:
-                child = node.child(label)
-                if child is None:
-                    child = node.ensure_child(label, contributing=False)
-                next_frontier.append(child)
-        frontier = next_frontier
-    for node in frontier:
-        node.access.add(oid)
-    return frontier
+    if not labels:
+        node = node.accessed(oid)
+        return node if struct is None else _expand_struct(node, struct, oid)
+    label, rest = labels[0], labels[1:]
+    if label is POS:
+        targets = node.positional_children() or [BacktraceNode(POS, contributing=False)]
+    else:
+        targets = [node.child(label) or BacktraceNode(label, contributing=False)]
+    return node.with_children([_mark_along(child, rest, oid, struct) for child in targets])
 
 
-def _expand_struct(node: BacktraceNode, struct: StructType, oid: int) -> None:
+def _expand_struct(node: BacktraceNode, struct: StructType, oid: int) -> BacktraceNode:
     """Mark all fields of an accessed struct as accessed (Example 6.6)."""
+    fields = []
     for name, field_type in struct.fields:
-        child = node.child(name)
-        if child is None:
-            child = node.ensure_child(name, contributing=False)
-        child.access.add(oid)
+        child = (node.child(name) or BacktraceNode(name, contributing=False)).accessed(oid)
         if isinstance(field_type, StructType):
-            _expand_struct(child, field_type, oid)
+            child = _expand_struct(child, field_type, oid)
         elif isinstance(field_type, (BagType, SetType)) and isinstance(
             field_type.element, StructType
         ):
-            for positional in child.positional_children() or [
-                child.ensure_child(POS, contributing=False)
-            ]:
-                positional.access.add(oid)
-                _expand_struct(positional, field_type.element, oid)
+            elements = child.positional_children() or [BacktraceNode(POS, contributing=False)]
+            child = child.with_children(
+                [_expand_struct(element.accessed(oid), field_type.element, oid) for element in elements]
+            )
+        fields.append(child)
+    return node.with_children(fields)
 
 
 def merge_trees(
@@ -218,22 +194,16 @@ def merge_trees(
 
     *rows* are ``(input id, position, tree)`` triples produced by the generic
     backtracing step; each tree still holds ``[pos]`` placeholder nodes.  The
-    placeholders are substituted with the row's concrete position, then all
-    trees of the same input id are unioned.
+    placeholders are substituted with the row's concrete position (once per
+    distinct ``(tree, position)``), then all trees of the same input id are
+    unioned.
     """
-    merged: dict[int, BacktraceTree] = {}
-    for item_id, pos, tree in rows:
-        if pos > 0:
-            tree.substitute_placeholders(pos)
-        existing = merged.get(item_id)
-        if existing is None:
-            merged[item_id] = tree
-        else:
-            existing.merge_from(tree)
-    return list(merged.items())
+    substitute = cache(BacktraceTree.substitute_placeholders)
+    rows = ((item_id, substitute(tree, pos) if pos > 0 else tree) for item_id, pos, tree in rows)
+    return BacktraceStructure(rows).items()
 
 
-def remove_sibling_positions(tree: BacktraceTree, collection_path: Path) -> None:
+def remove_sibling_positions(tree: BacktraceTree, collection_path: Path) -> BacktraceTree:
     """The removeNodes call of Alg. 4 (l. 13).
 
     After the aggregation backtracing moved the queried element of a nested
@@ -241,4 +211,4 @@ def remove_sibling_positions(tree: BacktraceTree, collection_path: Path) -> None
     the remaining positions, which belong to *other* input items) is removed
     from this item's tree.
     """
-    tree.remove(collection_path)
+    return tree.remove(collection_path)

@@ -9,6 +9,8 @@ Fig. 2-style trees.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import is_
 from typing import Iterator
 
 from repro.core.backtrace.algorithms import SourceProvenance
@@ -102,53 +104,38 @@ def _instantiate(tree: BacktraceTree, item: DataItem) -> BacktraceTree:
     *schema* as manipulated.  The schema is sampled across all items, so an
     individual item may lack parts of it -- an optional subtree, an empty
     nested collection.  A per-item tree must conform to the item, not just
-    the schema, or it reports dangling provenance.
+    the schema, or it reports dangling provenance.  A tree that already
+    conforms is returned as it is.
     """
-    clone = tree.copy()
-    _prune_to_value(clone.root, item)
-    return clone
+    root = _prune_to_value(tree.root, item)
+    return tree if root is tree.root else BacktraceTree(root)
 
 
-def _prune_to_value(node: BacktraceNode, value: object) -> None:
-    """Drop children of *node* that address nothing in *value* (in place)."""
+def _prune_to_value(node: BacktraceNode, value: object) -> BacktraceNode:
+    """*node* without the children that address nothing in *value* (itself if none go)."""
     if not node.children:
-        return
+        return node
+    kept: list[BacktraceNode] = []
     if isinstance(value, DataItem):
         attrs = dict(value.pairs())
-        for label in list(node.children):
+        for label, child in node.children.items():
             if isinstance(label, str) and label in attrs:
-                _prune_to_value(node.children[label], attrs[label])
-            else:
-                node.remove_child(label)
+                kept.append(_prune_to_value(child, attrs[label]))
     elif isinstance(value, (Bag, NestedSet)):
         elements = list(value)
-        for label in list(node.children):
-            child = node.children[label]
-            if label is POS:
-                if not elements:
-                    node.remove_child(label)
-                    continue
+        for label, child in node.children.items():
+            if label is POS and elements:
                 # A placeholder stands for *any* position: keep whatever
                 # resolves in at least one element (union of per-element
                 # prunings -- nested collections are schema-homogeneous, so
                 # this rarely differs from pruning against one element).
-                pruned = None
-                for element in elements:
-                    candidate = child.copy()
-                    _prune_to_value(candidate, element)
-                    if pruned is None:
-                        pruned = candidate
-                    else:
-                        pruned.merge_from(candidate)
-                node.children[POS] = pruned
+                kept.append(reduce(BacktraceNode.union, (_prune_to_value(child, e) for e in elements)))
             elif isinstance(label, int) and 1 <= label <= len(elements):
-                _prune_to_value(child, elements[label - 1])
-            else:
-                node.remove_child(label)
-    else:
-        # Scalar value below a node with children: a schema-level subtree
-        # this item never had.
-        node.children.clear()
+                kept.append(_prune_to_value(child, elements[label - 1]))
+    # A scalar value below a node with children keeps none of them: a
+    # schema-level subtree this item never had.
+    unchanged = len(kept) == len(node.children) and all(map(is_, kept, node.children.values()))
+    return node if unchanged else node.replace(children=kept)
 
 
 def _reduce_value(value: object, node: BacktraceNode) -> object:

@@ -11,90 +11,163 @@ item's schema.  Each tree node carries
 * the contributing flag ``c``: ``True`` if the attribute is needed to
   reproduce the queried items, ``False`` if it merely *influenced* them.
 
-Trees are mutable -- the backtracing algorithm updates them in place while
-stepping backwards through the pipeline -- and copyable, because one output
-item's tree fans out to several input items (e.g. through an aggregation).
+Trees are immutable values: every edit returns a new tree that shares the
+subtrees it did not change.  A tree records schema-level paths, so items that
+reach an operator by the same route carry equal trees; inside an
+:func:`interning` block (one ``Backtracer.backtrace`` call) equal nodes are
+one object, which lets a backtracing step edit each distinct tree once.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
+from operator import is_
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator
 
 from repro.core.paths import POS, Path
 from repro.errors import BacktraceError
 
-__all__ = ["BacktraceNode", "BacktraceTree", "BacktraceStructure", "NodeLabel"]
+__all__ = ["BacktraceNode", "BacktraceTree", "BacktraceStructure", "NodeLabel", "interning"]
 
 #: A node label: attribute name (str), concrete position (int), or POS.
 NodeLabel = object
 
+_NONE: frozenset[int] = frozenset()
+_LEAF: MappingProxyType = MappingProxyType({})
+
+# The hash-consing table of the enclosing ``interning()`` block, if any.
+_TABLE: ContextVar[dict | None] = ContextVar("backtrace_nodes", default=None)
+
+
+@contextmanager
+def interning() -> Iterator[None]:
+    """Hash-cons every node built in the block: equal nodes are one object.
+    The table dies with the block, so a long-lived process does not grow."""
+    token = _TABLE.set({})
+    try:
+        yield
+    finally:
+        _TABLE.reset(token)
+
+
+def _order(node: "BacktraceNode") -> tuple[bool, str]:
+    return isinstance(node.label, int), str(node.label)
+
 
 class BacktraceNode:
-    """One node of a backtracing tree (Def. 6.3)."""
+    """One node of a backtracing tree (Def. 6.3), compared by value.
 
-    __slots__ = ("label", "children", "access", "manipulation", "contributing")
+    A node is never changed once built: ``access`` and ``manipulation`` are
+    frozensets and ``children`` (nodes keyed by their own labels, in render
+    order) is a read-only mapping.
+    """
 
-    def __init__(self, label: NodeLabel, contributing: bool = True):
-        self.label = label
-        self.children: dict[NodeLabel, BacktraceNode] = {}
-        self.access: set[int] = set()
-        self.manipulation: set[int] = set()
-        self.contributing = contributing
+    __slots__ = ("label", "contributing", "access", "manipulation", "children", "_hash")
+
+    def __new__(
+        cls,
+        label: NodeLabel,
+        contributing: bool = True,
+        access: Iterable[int] = _NONE,
+        manipulation: Iterable[int] = _NONE,
+        children: Iterable["BacktraceNode"] = (),
+    ) -> "BacktraceNode":
+        node = object.__new__(cls)
+        kids = list(children)
+        if len(kids) > 1:
+            kids.sort(key=_order)
+        node.label = label
+        node.contributing = contributing
+        node.access = frozenset(access)
+        node.manipulation = frozenset(manipulation)
+        node.children = MappingProxyType({kid.label: kid for kid in kids}) if kids else _LEAF
+        node._hash = hash((label, contributing, node.access, node.manipulation, *kids))
+        table = _TABLE.get()
+        return node if table is None else table.setdefault(node, node)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, BacktraceNode):
+            return NotImplemented
+        return self._hash == other._hash and self._fields() == other._fields()
+
+    def _fields(self) -> tuple:
+        return self.label, self.contributing, self.access, self.manipulation, self.children
+
+    def __reduce__(self) -> tuple:  # pickle and copy rebuild through __new__
+        return BacktraceNode, (*self._fields()[:4], tuple(self.children.values()))
+
+    def replace(
+        self, label: NodeLabel = None, contributing: bool | None = None,
+        access: Iterable[int] | None = None, manipulation: Iterable[int] | None = None,
+        children: Iterable["BacktraceNode"] | None = None,
+    ) -> "BacktraceNode":
+        """A node like this one with the given fields replaced."""
+        if label in (None, self.label) and contributing is access is manipulation is children is None:
+            return self
+        return BacktraceNode(
+            self.label if label is None else label,
+            self.contributing if contributing is None else contributing,
+            self.access if access is None else access,
+            self.manipulation if manipulation is None else manipulation,
+            self.children.values() if children is None else children,
+        )
 
     def child(self, label: NodeLabel) -> "BacktraceNode | None":
         """Return the child with the given label, or ``None``."""
         return self.children.get(label)
 
-    def ensure_child(self, label: NodeLabel, contributing: bool) -> "BacktraceNode":
-        """Return the child with *label*, creating it if needed.
+    def with_children(self, nodes: Iterable["BacktraceNode"]) -> "BacktraceNode":
+        """This node with *nodes* put in place of the children of their labels."""
+        children = {**self.children, **{node.label: node for node in nodes}}
+        unchanged = len(children) == len(self.children) and all(map(is_, children.values(), self.children.values()))
+        return self if unchanged else self.replace(children=children.values())
 
-        An existing node's contributing flag is only ever *raised*: once an
-        attribute is known to contribute it never degrades to influencing.
-        """
-        node = self.children.get(label)
-        if node is None:
-            node = BacktraceNode(label, contributing)
-            self.children[label] = node
-        elif contributing and not node.contributing:
-            node.contributing = True
-        return node
+    def without_child(self, label: NodeLabel) -> "BacktraceNode":
+        if label not in self.children:
+            return self
+        return self.replace(children=[c for key, c in self.children.items() if key != label])
 
-    def remove_child(self, label: NodeLabel) -> None:
-        self.children.pop(label, None)
+    def accessed(self, oid: int) -> "BacktraceNode":
+        """This node with *oid* added to its access set."""
+        return self if oid in self.access else self.replace(access=self.access | {oid})
 
     def positional_children(self) -> list["BacktraceNode"]:
         """Return children whose label is a position or the placeholder."""
-        return [
-            node
-            for label, node in self.children.items()
-            if isinstance(label, int) or label is POS
-        ]
+        return [node for label, node in self.children.items() if isinstance(label, int) or label is POS]
 
-    def copy(self) -> "BacktraceNode":
-        """Deep-copy the subtree rooted at this node."""
-        clone = BacktraceNode(self.label, self.contributing)
-        clone.access = set(self.access)
-        clone.manipulation = set(self.manipulation)
-        clone.children = {label: child.copy() for label, child in self.children.items()}
-        return clone
+    def union(self, other: "BacktraceNode") -> "BacktraceNode":
+        """Union another subtree into this one (this node's label is kept).
 
-    def merge_from(self, other: "BacktraceNode") -> None:
-        """Union another subtree into this one (same label assumed)."""
-        self.access |= other.access
-        self.manipulation |= other.manipulation
-        self.contributing = self.contributing or other.contributing
-        for label, other_child in other.children.items():
-            mine = self.children.get(label)
-            if mine is None:
-                self.children[label] = other_child.copy()
-            else:
-                mine.merge_from(other_child)
+        Returns *self* or *other* itself when the union adds nothing to it.
+        """
+        if self is other:
+            return self
+        children = dict(self.children)
+        for label, theirs in other.children.items():
+            mine = children.get(label)
+            children[label] = theirs if mine is None else mine.union(theirs)
+        merged = BacktraceNode(
+            self.label,
+            self.contributing or other.contributing,
+            self.access | other.access,
+            self.manipulation | other.manipulation,
+            children.values(),
+        )
+        return self if merged == self else other if merged == other else merged
 
-    def mark_subtree_manipulated(self, oid: int) -> None:
-        """Add *oid* to the manipulation set of this node and all descendants."""
-        self.manipulation.add(oid)
-        for child in self.children.values():
-            child.mark_subtree_manipulated(oid)
+    def with_manipulation(self, oid: int) -> "BacktraceNode":
+        """This subtree with *oid* added to the manipulation set of every node."""
+        return self.replace(
+            manipulation=self.manipulation | {oid},
+            children=[child.with_manipulation(oid) for child in self.children.values()],
+        )
 
     def walk(self, prefix: tuple[NodeLabel, ...] = ()) -> Iterator[tuple[tuple[NodeLabel, ...], "BacktraceNode"]]:
         """Yield ``(label path, node)`` pairs for all descendants (not self)."""
@@ -108,13 +181,46 @@ class BacktraceNode:
         return f"BacktraceNode({self.label!r}/{flag}, children={sorted(map(repr, self.children))})"
 
 
+def _rewrite(
+    node: BacktraceNode,
+    labels: list[NodeLabel],
+    terminal: Callable[[BacktraceNode], BacktraceNode | None],
+) -> BacktraceNode:
+    """*node* with its descendant at *labels* replaced by ``terminal(it)``
+    (``None`` drops it); *node* itself if there is no such descendant."""
+    old = node.children.get(labels[0])
+    if old is None:
+        return node
+    new = terminal(old) if len(labels) == 1 else _rewrite(old, labels[1:], terminal)
+    if new is old:
+        return node
+    return node.without_child(old.label) if new is None else node.with_children((new,))
+
+
 class BacktraceTree:
-    """A backtracing tree: a virtual root over top-level attribute nodes."""
+    """A backtracing tree: a virtual root over top-level attribute nodes.
+
+    Equal trees compare and hash equal, so a step can memoise per tree.
+    """
 
     __slots__ = ("root",)
 
-    def __init__(self) -> None:
-        self.root = BacktraceNode("root", contributing=True)
+    def __init__(self, root: BacktraceNode | None = None) -> None:
+        self.root = BacktraceNode("root", contributing=True) if root is None else root
+
+    @classmethod
+    def from_paths(cls, paths: Iterable[Path], contributing: bool = True) -> "BacktraceTree":
+        """The tree of *paths*, every node with the given flag."""
+        trie: dict = {}
+        for path in paths:
+            level = trie
+            for label in cls._labels(path):
+                level = level.setdefault(label, {})
+
+        def build(label: NodeLabel, level: dict) -> BacktraceNode:
+            return BacktraceNode(label, contributing, children=[build(*kid) for kid in level.items()])
+
+        return cls(BacktraceNode("root", True, children=[build(*kid) for kid in trie.items()]))
 
     # -- path navigation -----------------------------------------------------
 
@@ -138,91 +244,59 @@ class BacktraceTree:
             node = found
         return node
 
-    def contains(self, path: Path) -> bool:
-        return self.find(path) is not None
+    def ensure_path(self, path: Path, contributing: bool) -> "BacktraceTree":
+        """The tree with a node at *path*.
 
-    def ensure_path(self, path: Path, contributing: bool) -> BacktraceNode:
-        """Create (or find) the node at *path*; returns the terminal node.
-
-        Intermediate nodes inherit the contributing flag; existing nodes are
-        only upgraded, never downgraded.
+        New nodes get the given flag; existing nodes are only upgraded,
+        never downgraded.
         """
-        node = self.root
-        for label in self._labels(path):
-            node = node.ensure_child(label, contributing)
-        return node
+        return self.union(BacktraceTree.from_paths([path], contributing))
 
-    def remove(self, path: Path) -> None:
-        """Remove the node at *path* (with its subtree), if present."""
+    def remove(self, path: Path) -> "BacktraceTree":
+        """The tree without the node at *path* (and its subtree)."""
         labels = self._labels(path)
         if not labels:
             raise BacktraceError("cannot remove the virtual root")
-        node = self.root
-        for label in labels[:-1]:
-            found = node.child(label)
-            if found is None:
-                return
-            node = found
-        node.remove_child(labels[-1])
+        root = _rewrite(self.root, labels, lambda old: None)
+        return self if root is self.root else BacktraceTree(root)
 
-    def detach(self, path: Path) -> BacktraceNode | None:
-        """Remove and return the subtree at *path*, or ``None`` if absent."""
-        labels = self._labels(path)
-        if not labels:
-            raise BacktraceError("cannot detach the virtual root")
-        node = self.root
-        for label in labels[:-1]:
-            found = node.child(label)
-            if found is None:
-                return None
-            node = found
-        subtree = node.child(labels[-1])
-        if subtree is not None:
-            node.remove_child(labels[-1])
-        return subtree
+    def detach(self, path: Path) -> tuple["BacktraceTree", BacktraceNode | None]:
+        """The tree without the subtree at *path*, and that subtree (or ``None``)."""
+        rest = self.remove(path)
+        return rest, None if rest is self else self.find(path)
 
-    def graft(self, path: Path, subtree: BacktraceNode) -> BacktraceNode:
-        """Attach *subtree* at *path*, merging into any existing node.
+    def graft(self, path: Path, subtree: BacktraceNode) -> "BacktraceTree":
+        """The tree with *subtree* attached at *path*, unioned into any node there.
 
-        Intermediate nodes are created with the subtree's contributing flag
-        (context needed to reproduce a contributing value contributes too).
-        Returns the node now living at *path*.
+        Intermediate nodes get the subtree's contributing flag (context
+        needed to reproduce a contributing value contributes too).
         """
         labels = self._labels(path)
         if not labels:
             raise BacktraceError("cannot graft at the virtual root")
-        node = self.root
-        for label in labels[:-1]:
-            node = node.ensure_child(label, subtree.contributing)
-        existing = node.child(labels[-1])
-        if existing is None:
-            subtree.label = labels[-1]
-            node.children[labels[-1]] = subtree
-            return subtree
-        existing.merge_from(subtree)
-        return existing
+        node = subtree.replace(label=labels[-1])
+        for label in reversed(labels[:-1]):
+            node = BacktraceNode(label, subtree.contributing, children=(node,))
+        return self.union(BacktraceTree(BacktraceNode("root", True, children=(node,))))
 
     # -- whole-tree operations -------------------------------------------------
 
     def is_empty(self) -> bool:
         return not self.root.children
 
-    def copy(self) -> "BacktraceTree":
-        clone = BacktraceTree()
-        clone.root = self.root.copy()
-        return clone
+    def union(self, other: "BacktraceTree") -> "BacktraceTree":
+        root = self.root.union(other.root)
+        return self if root is self.root else BacktraceTree(root)
 
-    def merge_from(self, other: "BacktraceTree") -> None:
-        self.root.merge_from(other.root)
-
-    def substitute_placeholders(self, pos: int) -> None:
-        """Replace every ``[pos]`` placeholder node label with *pos*.
+    def substitute_placeholders(self, pos: int) -> "BacktraceTree":
+        """The tree with every ``[pos]`` placeholder label replaced by *pos*.
 
         Used by the flatten backtracing (Alg. 2): after the generic step the
         tree holds placeholder nodes; each row knows its concrete position
         from the id associations.
         """
-        _substitute(self.root, pos)
+        root = _substitute(self.root, pos)
+        return self if root is self.root else BacktraceTree(root)
 
     def paths(self) -> list[tuple[tuple[NodeLabel, ...], BacktraceNode]]:
         """Return all ``(label path, node)`` pairs in the tree."""
@@ -230,13 +304,11 @@ class BacktraceTree:
 
     def contributing_leaf_paths(self) -> list[tuple[NodeLabel, ...]]:
         """Label paths of contributing nodes without contributing children."""
-        result = []
-        for labels, node in self.root.walk():
-            if node.contributing and not any(
-                child.contributing for child in node.children.values()
-            ):
-                result.append(labels)
-        return result
+        return [
+            labels
+            for labels, node in self.root.walk()
+            if node.contributing and not any(child.contributing for child in node.children.values())
+        ]
 
     def render(self, indent: str = "  ") -> str:
         """Pretty-print the tree in the style of Fig. 2."""
@@ -252,34 +324,41 @@ class BacktraceTree:
             suffix = f" [{'; '.join(marks)}]" if marks else ""
             label = "[pos]" if node.label is POS else str(node.label)
             lines.append(f"{indent * depth}{label} ({flag}){suffix}")
-            for key in sorted(node.children, key=lambda lab: (isinstance(lab, int), str(lab))):
-                visit(node.children[key], depth + 1)
+            for child in node.children.values():
+                visit(child, depth + 1)
 
-        for key in sorted(self.root.children, key=lambda lab: (isinstance(lab, int), str(lab))):
-            visit(self.root.children[key], 0)
+        for child in self.root.children.values():
+            visit(child, 0)
         return "\n".join(lines)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BacktraceTree) and self.root == other.root
+
+    def __hash__(self) -> int:
+        return hash(self.root)
 
     def __repr__(self) -> str:
         return f"BacktraceTree({len(self.root.children)} top-level nodes)"
 
 
-def _substitute(node: BacktraceNode, pos: int) -> None:
-    placeholder = node.children.pop(POS, None)
+def _substitute(node: BacktraceNode, pos: int) -> BacktraceNode:
+    if not node.children:
+        return node
+    children = dict(node.children)
+    placeholder = children.pop(POS, None)
     if placeholder is not None:
-        placeholder.label = pos
-        existing = node.children.get(pos)
-        if existing is None:
-            node.children[pos] = placeholder
-        else:
-            existing.merge_from(placeholder)
-    for child in list(node.children.values()):
-        _substitute(child, pos)
+        existing = children.get(pos)
+        placeholder = placeholder.replace(label=pos)
+        children[pos] = placeholder if existing is None else existing.union(placeholder)
+    kids = [_substitute(child, pos) for child in children.values()]
+    unchanged = placeholder is None and all(map(is_, kids, node.children.values()))
+    return node if unchanged else node.replace(children=kids)
 
 
 class BacktraceStructure:
     """The backtracing structure ``B``: a mapping ``id -> tree`` (Def. 6.2).
 
-    The paper models B as a bag of pairs; we merge trees that share an id
+    The paper models B as a bag of pairs; we union trees that share an id
     (a pure union of provenance information) so B stays small while stepping
     backwards.
     """
@@ -292,12 +371,9 @@ class BacktraceStructure:
             self.add(item_id, tree)
 
     def add(self, item_id: int, tree: BacktraceTree) -> None:
-        """Insert an ``(id, tree)`` pair, merging trees of the same id."""
+        """Insert an ``(id, tree)`` pair, unioning trees of the same id."""
         existing = self.entries.get(item_id)
-        if existing is None:
-            self.entries[item_id] = tree
-        else:
-            existing.merge_from(tree)
+        self.entries[item_id] = tree if existing is None else existing.union(tree)
 
     def ids(self) -> list[int]:
         return list(self.entries)
@@ -313,16 +389,6 @@ class BacktraceStructure:
 
     def is_empty(self) -> bool:
         return not self.entries
-
-    def copy(self) -> "BacktraceStructure":
-        clone = BacktraceStructure()
-        for item_id, tree in self.entries.items():
-            clone.entries[item_id] = tree.copy()
-        return clone
-
-    def merge_from(self, other: "BacktraceStructure") -> None:
-        for item_id, tree in other.entries.items():
-            self.add(item_id, tree.copy())
 
     def __len__(self) -> int:
         return len(self.entries)

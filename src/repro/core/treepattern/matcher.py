@@ -43,10 +43,7 @@ class PatternMatch:
 
     def seed_tree(self) -> BacktraceTree:
         """Build the initial backtracing tree: matched paths contribute."""
-        tree = BacktraceTree()
-        for path in self.paths:
-            tree.ensure_path(path, contributing=True)
-        return tree
+        return BacktraceTree.from_paths(self.paths, contributing=True)
 
     def __repr__(self) -> str:
         rendered = sorted(str(path) for path in self.paths)

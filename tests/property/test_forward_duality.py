@@ -51,11 +51,8 @@ def _source_ids(execution) -> set[int]:
 
 def _backtrace_ids(execution, output_id: int, item) -> set[int]:
     """Full-item backtrace: every path of *item* seeds as contributing."""
-    tree = BacktraceTree()
-    for path in enumerate_paths(item):
-        tree.ensure_path(path, contributing=True)
     structure = BacktraceStructure()
-    structure.add(output_id, tree)
+    structure.add(output_id, BacktraceTree.from_paths(enumerate_paths(item)))
     sources = Backtracer(execution.store).backtrace(execution.root.oid, structure)
     return {item_id for source in sources for item_id in source.ids()}
 

@@ -217,11 +217,8 @@ def _backtrace_ids(execution, output_id):
     from repro.core.backtrace.tree import BacktraceStructure, BacktraceTree
     from repro.core.paths import enumerate_paths
 
-    tree = BacktraceTree()
-    for path in enumerate_paths(_item_of(execution, output_id)):
-        tree.ensure_path(path, contributing=True)
     structure = BacktraceStructure()
-    structure.add(output_id, tree)
+    structure.add(output_id, BacktraceTree.from_paths(enumerate_paths(_item_of(execution, output_id))))
     sources = Backtracer(execution.store).backtrace(execution.root.oid, structure)
     return {i for source in sources for i in source.ids()}
 

@@ -14,42 +14,34 @@ from repro.nested.types import BagType, STRING, StructType
 
 
 def _tree(*paths, contributing=True):
-    tree = BacktraceTree()
-    for path in paths:
-        tree.ensure_path(parse_path(path), contributing)
-    return tree
+    return BacktraceTree.from_paths(map(parse_path, paths), contributing)
 
 
 class TestManipulatePaths:
     def test_select_projection_undone(self):
         """Select op 3: ``user.id_str -> id_str`` moves id_str back under user."""
-        tree = _tree("id_str")
-        matched = manipulate_paths(
-            tree, [(parse_path("user.id_str"), parse_path("id_str"))], oid=3
+        before = _tree("id_str")
+        tree = manipulate_paths(
+            before, [(parse_path("user.id_str"), parse_path("id_str"))], oid=3
         )
-        assert matched
+        assert before.find(parse_path("id_str")) is not None
         assert tree.find(parse_path("id_str")) is None
         node = tree.find(parse_path("user.id_str"))
         assert node is not None and node.manipulation == {3}
 
     def test_unmatched_pair_skipped(self):
         tree = _tree("other")
-        matched = manipulate_paths(tree, [(parse_path("a"), parse_path("b"))], oid=1)
-        assert not matched
-        assert tree.find(parse_path("other")) is not None
+        assert manipulate_paths(tree, [(parse_path("a"), parse_path("b"))], oid=1) is tree
 
     def test_identity_pair_marks_without_moving(self):
-        tree = _tree("text")
-        matched = manipulate_paths(tree, [(parse_path("text"), parse_path("text"))], oid=7)
-        assert matched
+        tree = manipulate_paths(_tree("text"), [(parse_path("text"), parse_path("text"))], oid=7)
         assert tree.find(parse_path("text")).manipulation == {7}
 
     def test_swap_is_safe(self):
         """Two-phase detach/graft survives a -> b plus b -> a renamings."""
-        tree = _tree("a", "b")
-        tree.find(parse_path("a")).access.add(1)
-        tree.find(parse_path("b")).access.add(2)
-        manipulate_paths(
+        tree = access_path(_tree("a", "b"), parse_path("a"), oid=1)
+        tree = access_path(tree, parse_path("b"), oid=2)
+        tree = manipulate_paths(
             tree,
             [(parse_path("b"), parse_path("a")), (parse_path("a"), parse_path("b"))],
             oid=5,
@@ -59,9 +51,8 @@ class TestManipulatePaths:
 
     def test_flatten_pair_creates_placeholder(self):
         """Flatten: ``user_mentions[pos] -> m_user`` (Ex. 6.5)."""
-        tree = _tree("m_user.id_str")
-        manipulate_paths(
-            tree,
+        tree = manipulate_paths(
+            _tree("m_user.id_str"),
             [(parse_path("user_mentions[pos]"), parse_path("m_user"))],
             oid=5,
         )
@@ -72,60 +63,52 @@ class TestManipulatePaths:
 
     def test_queried_leaf_expands_through_output_path(self):
         """A queried leaf stands for its whole subtree: tweet -> tweet.text."""
-        tree = _tree("tweet")
-        matched = manipulate_paths(
-            tree, [(parse_path("text"), parse_path("tweet.text"))], oid=8
+        tree = manipulate_paths(
+            _tree("tweet"), [(parse_path("text"), parse_path("tweet.text"))], oid=8
         )
-        assert matched
         assert tree.find(parse_path("text")) is not None
 
     def test_no_expansion_through_nonleaf(self):
         tree = _tree("tweet.other")
-        matched = manipulate_paths(
+        assert manipulate_paths(
             tree, [(parse_path("text"), parse_path("tweet.text"))], oid=8
-        )
-        assert not matched
+        ) is tree
 
     def test_moved_subtree_marks_descendants(self):
-        tree = _tree("user.id_str", "user.name")
-        manipulate_paths(tree, [(parse_path("u2"), parse_path("user"))], oid=8)
+        tree = manipulate_paths(
+            _tree("user.id_str", "user.name"), [(parse_path("u2"), parse_path("user"))], oid=8
+        )
         assert tree.find(parse_path("u2.id_str")).manipulation == {8}
         assert tree.find(parse_path("u2.name")).manipulation == {8}
 
 
 class TestPruneOutputResidue:
     def test_empty_output_attr_removed(self):
-        tree = _tree("tweet")
         pairs = [(parse_path("text"), parse_path("tweet.text"))]
-        manipulate_paths(tree, pairs, oid=8)
-        prune_output_residue(tree, pairs)
+        tree = prune_output_residue(manipulate_paths(_tree("tweet"), pairs, oid=8), pairs)
         assert tree.find(parse_path("tweet")) is None
 
     def test_non_empty_output_attr_kept(self):
         tree = _tree("tweet.unrelated")
         pairs = [(parse_path("text"), parse_path("tweet.text"))]
-        prune_output_residue(tree, pairs)
+        assert prune_output_residue(tree, pairs) is tree
         assert tree.find(parse_path("tweet.unrelated")) is not None
 
     def test_identity_named_attr_not_pruned(self):
-        tree = _tree("text")
         pairs = [(parse_path("text"), parse_path("text"))]
-        manipulate_paths(tree, pairs, oid=3)
-        prune_output_residue(tree, pairs)
+        tree = prune_output_residue(manipulate_paths(_tree("text"), pairs, oid=3), pairs)
         assert tree.find(parse_path("text")) is not None
 
 
 class TestAccessPath:
     def test_existing_node_marked(self):
-        tree = _tree("text")
-        access_path(tree, parse_path("text"), oid=2)
+        tree = access_path(_tree("text"), parse_path("text"), oid=2)
         node = tree.find(parse_path("text"))
         assert node.access == {2}
         assert node.contributing
 
     def test_missing_node_created_as_influencing(self):
-        tree = _tree("text")
-        access_path(tree, parse_path("retweet_count"), oid=2)
+        tree = access_path(_tree("text"), parse_path("retweet_count"), oid=2)
         node = tree.find(parse_path("retweet_count"))
         assert node.access == {2}
         assert not node.contributing
@@ -137,8 +120,7 @@ class TestAccessPath:
                 [("user", StructType([("id_str", STRING), ("name", STRING)]))]
             )
         )
-        tree = _tree("user.id_str")
-        access_path(tree, parse_path("user"), oid=9, schema=schema)
+        tree = access_path(_tree("user.id_str"), parse_path("user"), oid=9, schema=schema)
         assert tree.find(parse_path("user")).access == {9}
         assert tree.find(parse_path("user.id_str")).access == {9}
         name = tree.find(parse_path("user.name"))
@@ -146,14 +128,14 @@ class TestAccessPath:
         assert not name.contributing
 
     def test_placeholder_access_marks_existing_positions(self):
-        tree = _tree("mentions[1].id_str", "mentions[3].id_str")
-        access_path(tree, parse_path("mentions[pos]"), oid=5)
+        tree = access_path(
+            _tree("mentions[1].id_str", "mentions[3].id_str"), parse_path("mentions[pos]"), oid=5
+        )
         assert tree.find(parse_path("mentions[1]")).access == {5}
         assert tree.find(parse_path("mentions[3]")).access == {5}
 
     def test_placeholder_access_creates_placeholder_when_absent(self):
-        tree = _tree("text")
-        access_path(tree, parse_path("mentions[pos]"), oid=5)
+        tree = access_path(_tree("text"), parse_path("mentions[pos]"), oid=5)
         mentions = tree.find(parse_path("mentions"))
         assert POS in mentions.children
         assert mentions.children[POS].access == {5}
@@ -164,8 +146,7 @@ class TestAccessPath:
                 [("mentions", BagType(StructType([("id_str", STRING)])))]
             )
         )
-        tree = _tree("other")
-        access_path(tree, parse_path("mentions"), oid=4, schema=schema)
+        tree = access_path(_tree("other"), parse_path("mentions"), oid=4, schema=schema)
         assert tree.find(parse_path("mentions")).access == {4}
 
 
@@ -196,6 +177,7 @@ class TestMergeTrees:
 
 class TestRemoveSiblingPositions:
     def test_collection_node_removed(self):
-        tree = _tree("tweets[2].text", "tweets[3].text")
-        remove_sibling_positions(tree, parse_path("tweets"))
+        tree = remove_sibling_positions(
+            _tree("tweets[2].text", "tweets[3].text"), parse_path("tweets")
+        )
         assert tree.find(parse_path("tweets")) is None

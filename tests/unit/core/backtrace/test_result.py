@@ -3,18 +3,16 @@
 import pytest
 
 from repro.core.backtrace.result import ProvenanceEntry, ProvenanceResult, SourceResult
+from repro.core.backtrace.methods import access_path, manipulate_paths
 from repro.core.backtrace.tree import BacktraceTree
 from repro.core.paths import parse_path
 from repro.nested.values import DataItem
 
 
 def _entry(item_id=1, contributing=("text",), influencing=("retweet_count",)):
-    tree = BacktraceTree()
-    for path in contributing:
-        tree.ensure_path(parse_path(path), contributing=True)
+    tree = BacktraceTree.from_paths(map(parse_path, contributing))
     for path in influencing:
-        node = tree.ensure_path(parse_path(path), contributing=False)
-        node.access.add(2)
+        tree = access_path(tree, parse_path(path), oid=2)
     return ProvenanceEntry(item_id, DataItem(text="hi", retweet_count=0), tree)
 
 
@@ -34,7 +32,7 @@ class TestProvenanceEntry:
 
     def test_manipulated_by(self):
         entry = _entry()
-        entry.tree.find(parse_path("text")).manipulation.add(3)
+        entry.tree = manipulate_paths(entry.tree, [(parse_path("text"), parse_path("text"))], 3)
         assert entry.manipulated_by() == {"text": [3]}
 
     def test_render_has_header(self):

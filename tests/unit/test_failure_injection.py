@@ -63,9 +63,7 @@ class TestBrokenUdfs:
 
 class TestBrokenStores:
     def _seed(self, item_id=1):
-        tree = BacktraceTree()
-        tree.ensure_path(parse_path("a"), contributing=True)
-        return BacktraceStructure([(item_id, tree)])
+        return BacktraceStructure([(item_id, BacktraceTree.from_paths([parse_path("a")]))])
 
     def test_missing_operator_provenance(self):
         store = ProvenanceStore()

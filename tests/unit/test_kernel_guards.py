@@ -25,6 +25,12 @@ Decoding a stored operator takes one bounds-checked slice per association
 column: with ``Cursor`` calls counted, an operator of a fixed-width kind at
 1,000 records takes as many slices as at one record, and an aggregation
 makes no ``Cursor`` call per record or per id.
+
+Backtracing edits a tree once per shape, not once per item: with the
+aggregation's tree edits and ``BacktraceNode`` constructions counted, a
+whole-collection query over one group runs each edit at most once per
+distinct ``(tree, position)`` key, and builds as many nodes at 1,000
+members as at 10.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.backtrace.algorithms as algorithms
+from repro.core.backtrace.tree import BacktraceNode
 from repro.core.operator_provenance import (
     AggregationAssociations,
     BinaryAssociations,
@@ -57,7 +65,9 @@ from repro.nested.schema import infer_schema
 from repro.nested.types import BOOLEAN, INT, NULL, STRING, BagType, fold_type, infer_type
 import repro.nested.types as types
 from repro.nested.values import Bag, DataItem, NestedSet, _Collection, coerce_value
-from repro.engine.expressions import col
+from repro.engine.expressions import col, collect_list, sum_
+from repro.engine.session import Session
+from repro.pebble.query import query_provenance
 from repro.stream import StreamSession
 from repro.warehouse import Warehouse
 import repro.warehouse.format as wf
@@ -455,3 +465,58 @@ class TestDecodeIsOneSlicePerColumn:
         )
         assert wide == one
         assert many == one
+
+
+@pytest.fixture
+def tree_edits(monkeypatch):
+    """Count the aggregation's tree edits per key, and nodes built."""
+    counts: dict[str, Counter] = {"undo": Counter(), "access": Counter(), "nodes": Counter()}
+    undo, access = algorithms._undo_aggregate_pair, algorithms.access_path
+
+    def counted_undo(tree, in_path, out_path, position, oid):
+        counts["undo"][(tree, in_path, out_path, position, oid)] += 1
+        return undo(tree, in_path, out_path, position, oid)
+
+    def counted_access(tree, path, oid, schema=None):
+        counts["access"][(tree, path, oid)] += 1
+        return access(tree, path, oid, schema)
+
+    new = BacktraceNode.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        counts["nodes"]["built"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "_undo_aggregate_pair", counted_undo)
+    monkeypatch.setattr(algorithms, "access_path", counted_access)
+    monkeypatch.setattr(BacktraceNode, "__new__", staticmethod(counted_new))
+    return counts
+
+
+def _one_group(members: int):
+    rows = [{"grp": "g", "val": index, "label": f"l{index}"} for index in range(members)]
+    return (
+        Session()
+        .create_dataset(rows, "in")
+        .group_by(col("grp"))
+        .agg(collect_list(col("label")).alias("labels"), sum_(col("val")).alias("total"))
+        .execute(capture=True)
+    )
+
+
+class TestBacktraceEditsEachShapeOnce:
+    @pytest.mark.parametrize("members", [10, 1000])
+    def test_each_edit_runs_once_per_distinct_tree_and_position(self, tree_edits, members):
+        result = query_provenance(_one_group(members), 'root{/grp="g", /labels}')
+        assert len(result.source("in")) == members
+        assert tree_edits["undo"] and max(tree_edits["undo"].values()) == 1
+        assert tree_edits["access"] and max(tree_edits["access"].values()) == 1
+
+    def test_nodes_built_do_not_grow_with_members(self, tree_edits):
+        built = []
+        for members in (10, 1000):
+            execution = _one_group(members)
+            tree_edits["nodes"].clear()
+            query_provenance(execution, 'root{/grp="g", /labels}')
+            built.append(tree_edits["nodes"]["built"])
+        assert built[0] > 0 and built[0] == built[1]

@@ -25,6 +25,9 @@ and, on a D3 capture (scale 0.2), the read side of the segment codec:
 * ``iter_encoded_rows`` per row of the rows payload, hopped 100 times per
   timing -- ``hop_rows_us``
 
+and the in-memory ``captured.backtrace`` of D3's own pattern on that
+capture -- ``backtrace_d3_us`` (match, backtrace and source resolution)
+
 and prints the best-of-repeats per kernel.  The parent prints the median
 over rounds and, given two trees, the ratio first/second.
 """
@@ -100,6 +103,7 @@ print(json.dumps({
     # counting (not keeping) the rows keeps the collector out of the timing.
     "hop_rows_us": best(lambda: [sum(1 for _ in iter_encoded_rows(Cursor(rows_payload)))
                                  for _ in range(100)]) / (100 * len(rows)) * 1e6,
+    "backtrace_d3_us": best(lambda: captured.backtrace(d3.pattern), repeats=21) * 1e6,
     "d3_records": len(records), "d3_record_bytes": sum(map(len, records)), "d3_rows": len(rows),
     "tweets": n, "bytes_per_tweet": sum(map(len, texts)) // n, "wildcard_hits": hits,
 }))
