@@ -13,9 +13,9 @@
 import time
 
 from conftest import run_once
-from repro.baselines.annotations import ValueAnnotationCapture
-from repro.baselines.lazy import LazyProvenanceQuerier
-from repro.bench.reporting import format_table
+from paperbench.annotations import ValueAnnotationCapture
+from paperbench.lazy import LazyProvenanceQuerier
+from paperbench.reporting import format_table
 from repro.engine.expressions import col
 from repro.engine.session import Session
 from repro.nested.values import DataItem
@@ -149,8 +149,8 @@ def test_optimizer_rewrite_ablation(benchmark, save_result):
        narrow slice of wide tweets; fusing the narrow chains removes the
        per-operator stage boundaries on top.
     """
-    from repro.bench.harness import measure_optimizer_ablation
-    from repro.bench.reporting import render_optimizer_ablation
+    from paperbench.harness import measure_optimizer_ablation
+    from paperbench.reporting import render_optimizer_ablation
     from repro.workloads.scenarios import TWITTER_SCENARIOS
 
     measurements = run_once(

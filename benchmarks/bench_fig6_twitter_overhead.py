@@ -9,8 +9,8 @@ factors 0.5x-2x of the synthetic corpus and regenerate the same rows.
 import pytest
 
 from conftest import run_once
-from repro.bench.harness import measure_capture_overhead
-from repro.bench.reporting import render_capture_overhead
+from paperbench.harness import measure_capture_overhead
+from paperbench.reporting import render_capture_overhead
 from repro.engine.session import Session
 from repro.workloads.scenarios import TWITTER_SCENARIOS, load_workload, scenario
 

@@ -8,8 +8,8 @@ same ordering should emerge on the synthetic corpus.
 import pytest
 
 from conftest import run_once
-from repro.bench.harness import measure_capture_overhead
-from repro.bench.reporting import render_capture_overhead
+from paperbench.harness import measure_capture_overhead
+from paperbench.reporting import render_capture_overhead
 from repro.engine.session import Session
 from repro.workloads.scenarios import DBLP_SCENARIOS, load_workload, scenario
 

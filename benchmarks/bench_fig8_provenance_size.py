@@ -12,8 +12,8 @@ Expected shapes from the paper (Sec. 7.3.2):
 """
 
 from conftest import run_once
-from repro.bench.harness import measure_provenance_size
-from repro.bench.reporting import render_provenance_sizes
+from paperbench.harness import measure_provenance_size
+from paperbench.reporting import render_provenance_sizes
 from repro.workloads.scenarios import DBLP_SCENARIOS, TWITTER_SCENARIOS
 
 SCALE = 1.0

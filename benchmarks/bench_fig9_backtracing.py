@@ -13,8 +13,8 @@ the table reports that latency plus the segment-cache hit rate.
 import pytest
 
 from conftest import run_once
-from repro.bench.harness import measure_query_times
-from repro.bench.reporting import render_query_times
+from paperbench.harness import measure_query_times
+from paperbench.reporting import render_query_times
 from repro.engine.session import Session
 from repro.pebble.query import query_provenance
 from repro.workloads.scenarios import (

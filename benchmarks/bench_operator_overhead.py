@@ -9,8 +9,8 @@ store one identifier per group member.
 import pytest
 
 from conftest import run_once
-from repro.bench.harness import measure_operator_overhead
-from repro.bench.reporting import render_operator_overhead
+from paperbench.harness import measure_operator_overhead
+from paperbench.reporting import render_operator_overhead
 from repro.engine.expressions import col, collect_list
 from repro.engine.session import Session
 from repro.workloads.scenarios import load_workload

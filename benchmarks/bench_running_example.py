@@ -7,7 +7,7 @@ value-level (Lipstick-style) annotation (35 vs. 5, Sec. 2).
 """
 
 from conftest import run_once
-from repro.baselines.annotations import count_annotations
+from paperbench.annotations import count_annotations
 from repro.engine.session import Session
 from repro.nested.values import DataItem
 from repro.pebble.query import query_provenance

@@ -8,8 +8,8 @@ points more than the lineage-only capture.
 """
 
 from conftest import run_once
-from repro.bench.harness import measure_titian_comparison
-from repro.bench.reporting import render_titian_comparison
+from paperbench.harness import measure_titian_comparison
+from paperbench.reporting import render_titian_comparison
 
 SCALE = 2.0
 REPEATS = 15

@@ -9,7 +9,7 @@ Runs the five DBLP scenarios, merges their provenance, and regenerates
 """
 
 from conftest import run_once
-from repro.core.usecases.auditing import audit_leak
+from paperbench.auditing import audit_leak
 from repro.core.usecases.usage import UsageAnalysis
 from repro.engine.session import Session
 from repro.pebble.query import query_provenance

@@ -16,8 +16,8 @@ Provides one measurement function per experiment family:
 
 Runs are repeated and averaged; data generation is excluded from every
 timing (the generators memoise per scale, mirroring data already on disk).
-This is what ``repro bench`` runs, and only that command imports it; the
-end-to-end benchmark of the system lives in ``benchmarks/e2e/``.
+The ``benchmarks/bench_*.py`` figure scripts run it; the end-to-end
+benchmark of the system lives in ``benchmarks/e2e/``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import statistics
 import time
 from typing import Callable, Sequence
 
-from repro.baselines.lazy import LazyProvenanceQuerier
 from repro.engine.config import EngineConfig
 from repro.engine.dataset import Dataset
 from repro.engine.executor import Executor
@@ -38,6 +37,8 @@ from repro.obs.tracer import Tracer, tracing
 from repro.pebble.query import query_provenance
 from repro.workloads.dblp import DblpConfig, generate_dblp
 from repro.workloads.scenarios import load_workload, scenario
+
+from paperbench.lazy import LazyProvenanceQuerier
 
 __all__ = [
     "ABLATION_CONFIGS",

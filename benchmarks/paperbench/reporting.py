@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.bench.harness import (
+from paperbench.harness import (
     AblationMeasurement,
     CaptureMeasurement,
     OperatorMeasurement,

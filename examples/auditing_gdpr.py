@@ -18,8 +18,14 @@ Run with::
     python examples/auditing_gdpr.py
 """
 
+import sys
+from pathlib import Path
+
 from repro import PebbleSession, col, struct_
-from repro.core.usecases.auditing import audit_leak
+
+# The leaked-result analysis belongs to the paper's evaluation (Sec. 7.3.5).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from paperbench.auditing import audit_leak  # noqa: E402
 
 CUSTOMERS = [
     {

@@ -15,12 +15,17 @@ Run with::
     python examples/debugging_pipeline.py
 """
 
+import sys
 import time
+from pathlib import Path
 
 from repro import PebbleSession, col, collect_set, struct_
-from repro.baselines.lazy import LazyProvenanceQuerier
-from repro.baselines.lineage import LineageQuerier
 from repro.workloads.twitter import TwitterConfig, generate_tweets
+
+# The baselines belong to the paper's evaluation, beside the benchmarks.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from paperbench.lazy import LazyProvenanceQuerier  # noqa: E402
+from paperbench.lineage import LineageQuerier  # noqa: E402
 
 
 def build(pebble: PebbleSession, tweets):

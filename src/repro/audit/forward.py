@@ -53,8 +53,7 @@ from repro.core.store import ProvenanceStoreProtocol
 from repro.core.treepattern.pattern import TreePattern
 from repro.engine.executor import ExecutionResult
 from repro.errors import AuditError
-from repro.nested.json_io import _jsonable
-from repro.nested.values import DataItem
+from repro.nested.values import DataItem, to_python
 from repro.obs.breakdown import QueryBreakdown
 from repro.obs.log import get_logger
 from repro.obs.slowlog import explained
@@ -163,7 +162,7 @@ class ForwardResult:
         }
         if include_items:
             payload["outputs"] = [
-                {"id": pid, "item": _jsonable(item)} for pid, item in self.outputs
+                {"id": pid, "item": to_python(item)} for pid, item in self.outputs
             ]
         return payload
 

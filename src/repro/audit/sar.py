@@ -20,7 +20,7 @@ import json
 from typing import Any, Iterable, Sequence
 
 from repro.errors import AuditError
-from repro.nested.json_io import _jsonable
+from repro.nested.values import to_python
 from repro.obs.log import get_logger
 from repro.audit.forward import ForwardTracer
 from repro.warehouse.index import walk_string_leaves
@@ -66,7 +66,7 @@ def harvest_subjects(run: Any, limit: int = 500) -> list[str]:
         if not store.is_source(provenance.oid):
             continue
         for item in store.source_items(provenance.oid).values():
-            leaves.update(walk_string_leaves(_jsonable(item)))
+            leaves.update(walk_string_leaves(item))
     return sorted(leaves)[:limit]
 
 
@@ -118,7 +118,7 @@ def sar_over_tracers(
             }
             if include_items:
                 entry["outputs"] = [
-                    {"id": pid, "item": _item_json(item)} for pid, item in result.outputs
+                    {"id": pid, "item": to_python(item)} for pid, item in result.outputs
                 ]
             runs.append(entry)
         entries.append(
@@ -138,12 +138,6 @@ def sar_over_tracers(
         "total_subjects": total,
         "subjects": entries,
     }
-
-
-def _item_json(item: Any) -> Any:
-    from repro.nested.json_io import _jsonable
-
-    return _jsonable(item)
 
 
 def build_tracers(

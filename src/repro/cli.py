@@ -1,12 +1,10 @@
-"""Command-line interface: run scenarios, queries, and evaluation sweeps.
+"""Command-line interface: run scenarios, record runs, query and audit them.
 
 Usage (also via ``python -m repro``)::
 
     python -m repro example                    # the paper's running example
     python -m repro scenario T3 --scale 1      # run a scenario + its query
     python -m repro explain T1                 # logical plan, rewrites, stages
-    python -m repro bench fig8                 # regenerate one figure
-    python -m repro bench ablation --scale .2  # optimizer rewrite ladder
     python -m repro heatmap --scale 0.5        # the Fig. 10 use-case
     python -m repro list                       # available scenarios
 
@@ -35,9 +33,9 @@ every command except ``warehouse record`` and ``serve`` must name an
 existing warehouse.
 
 Exit status: 0 on success, 1 when ``audit erasure`` finds residuals, 2 on
-a usage or library error.  ``repro bench`` regenerates the paper's
-figures; the system's own end-to-end benchmark is
-``python3 benchmarks/e2e/run.py``.
+a usage or library error.  The paper's figures are regenerated by
+``python -m pytest benchmarks/bench_<figure>.py -s``; the system's own
+end-to-end benchmark is ``python3 benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ from repro.workloads.scenarios import (
     RUNNING_EXAMPLE_PATTERN,
     RUNNING_EXAMPLE_TWEETS,
     SCENARIOS,
-    TWITTER_SCENARIOS,
     build_running_example,
     load_workload,
     scenario,
@@ -87,9 +84,6 @@ ARGUMENTS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
     # positionals
     "scenario": (("name",), {"choices": sorted(SCENARIOS)}),
     "pipeline": (("name",), {"choices": [*sorted(SCENARIOS), "example"]}),
-    "figure": (("figure",), {
-        "choices": ["fig6", "fig7", "fig8", "fig9", "titian", "operators", "ablation"],
-    }),
     "run": (("run",), {"help": "run id or name (names resolve to newest)"}),
     "newest-run": (("run",), {
         "nargs": "?", "default": None, "help": "run id or name (default: newest run)",
@@ -147,7 +141,6 @@ ARGUMENTS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
         "action": "store_true",
         "help": "compile for provenance capture (disables store-unsafe rewrites)",
     }),
-    "repeats": (("--repeats",), {"type": int, "default": 3}),
     "items": (("--items",), {"type": int, "default": 25}),
     "probe": (("--probe",), {
         "default": None, "metavar": "PATTERN",
@@ -359,78 +352,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     print(physical.report.describe())
     print("\nphysical plan:")
     print(physical.describe())
-    return 0
-
-
-def _measurement_dict(measurement: object) -> dict:
-    """Flatten one bench measurement (all of which use ``__slots__``) to JSON."""
-    return {
-        slot: getattr(measurement, slot)
-        for slot in type(measurement).__slots__
-    }
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.harness import (
-        measure_capture_overhead,
-        measure_operator_overhead,
-        measure_optimizer_ablation,
-        measure_provenance_size,
-        measure_query_times,
-        measure_titian_comparison,
-    )
-    from repro.bench.reporting import (
-        render_capture_overhead,
-        render_operator_overhead,
-        render_optimizer_ablation,
-        render_provenance_sizes,
-        render_query_times,
-        render_titian_comparison,
-    )
-
-    figure, scale, repeats = args.figure, args.scale, args.repeats
-    measurements: list = []
-    if figure == "fig6":
-        measurements = measure_capture_overhead(
-            TWITTER_SCENARIOS, scales=(scale,), repeats=repeats
-        )
-        print(render_capture_overhead(measurements, "Fig. 6 -- Twitter capture overhead"))
-    elif figure == "fig7":
-        measurements = measure_capture_overhead(
-            DBLP_SCENARIOS, scales=(scale,), repeats=repeats
-        )
-        print(render_capture_overhead(measurements, "Fig. 7 -- DBLP capture overhead"))
-    elif figure == "fig8":
-        twitter = measure_provenance_size(TWITTER_SCENARIOS, scale=scale)
-        dblp = measure_provenance_size(DBLP_SCENARIOS, scale=scale)
-        measurements = twitter + dblp
-        print(render_provenance_sizes(twitter, "Fig. 8(a) -- Twitter provenance size"))
-        print(render_provenance_sizes(dblp, "Fig. 8(b) -- DBLP provenance size"))
-    elif figure == "fig9":
-        twitter = measure_query_times(TWITTER_SCENARIOS, scale=scale, repeats=repeats)
-        dblp = measure_query_times(DBLP_SCENARIOS, scale=scale, repeats=repeats)
-        measurements = twitter + dblp
-        print(render_query_times(twitter, "Fig. 9(a) -- Twitter query runtime"))
-        print(render_query_times(dblp, "Fig. 9(b) -- DBLP query runtime"))
-    elif figure == "titian":
-        measurement = measure_titian_comparison(scale=scale, repeats=max(repeats, 9))
-        measurements = [measurement]
-        print(render_titian_comparison(measurement))
-    elif figure == "operators":
-        measurements = measure_operator_overhead(scale=scale, repeats=repeats)
-        print(render_operator_overhead(measurements))
-    elif figure == "ablation":
-        measurements = measure_optimizer_ablation(
-            TWITTER_SCENARIOS, scale=scale, repeats=repeats
-        )
-        print(render_optimizer_ablation(measurements))
-    if args.metrics_json:
-        payload = {
-            "figure": figure,
-            "scale": scale,
-            "measurements": [_measurement_dict(entry) for entry in measurements],
-        }
-        _write_json(args.metrics_json, payload)
     return 0
 
 
@@ -756,9 +677,6 @@ COMMANDS: dict[tuple[str, ...], tuple[Callable[[argparse.Namespace], int] | None
         _cmd_explain, "show logical plan, applied rewrites, and physical stages",
         ("pipeline", "scale", "capture"),
     ),
-    ("bench",): (_cmd_bench, "regenerate one evaluation artefact", (
-        "figure", "scale", "repeats", "metrics-json", "trace",
-    )),
     ("heatmap",): (_cmd_heatmap, "Fig. 10 usage heatmap over D1-D5", (
         ("scale", {"default": 0.5}), "items",
     )),

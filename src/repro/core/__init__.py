@@ -1,15 +1,11 @@
 """Structural provenance: the paper's primary contribution (Secs. 4-6)."""
 
 from repro.core.paths import POS, Path, Step, parse_path
-from repro.core.model import FullModelInterpreter, OperatorResult, ResultProvenance
 from repro.core.operator_provenance import OperatorProvenance, UNDEFINED
 from repro.core.store import ProvenanceSizeReport, ProvenanceStore
 
 __all__ = [
     "POS",
-    "FullModelInterpreter",
-    "OperatorResult",
-    "ResultProvenance",
     "Path",
     "Step",
     "parse_path",

@@ -1,6 +1,5 @@
 """Use-cases enabled by structural provenance (paper Sec. 7.3.5)."""
 
-from repro.core.usecases.auditing import AuditReport, ItemExposure, audit_leak
 from repro.core.usecases.usage import HeatmapRow, UsageAnalysis
 
-__all__ = ["AuditReport", "ItemExposure", "audit_leak", "HeatmapRow", "UsageAnalysis"]
+__all__ = ["HeatmapRow", "UsageAnalysis"]

@@ -443,14 +443,27 @@ class Executor:
 
     def _run_aggregate(self, node: AggregateNode) -> tuple[list[Row], Schema]:
         child_rows, child_schema = self._child_state(node)
-        associations = AggregationAssociations() if self._capturing else None
         # Groups in order of their first row's arrival.
         groups: dict[tuple[Any, ...], list[Row]] = {}
         for row in child_rows:
             group = tuple(key.evaluate(row[1]) for key in node.keys)
             groups.setdefault(group, []).append(row)
+        return self._emit_groups(node, groups.items(), child_schema)
+
+    def _emit_groups(
+        self,
+        node: AggregateNode,
+        groups: Iterable[tuple[tuple[Any, ...], list[Row]]],
+        child_schema: Schema,
+    ) -> tuple[list[Row], Schema]:
+        """One output row per ``(key values, member rows)`` group: the key
+        values under ``node.key_names``, then each aggregate over the
+        members.  Captured, each row gets a fresh id and an
+        AggregationAssociations record, and the operator's A/M spec is taken
+        against *child_schema*.  The batch and the windowed aggregate share it."""
+        associations = AggregationAssociations() if self._capturing else None
         out_rows: list[Row] = []
-        for key_values, members in groups.items():
+        for key_values, members in groups:
             fields: list[tuple[str, Any]] = list(zip(node.key_names, key_values))
             for aggregate in node.aggregates:
                 values = [aggregate.column.evaluate(item) for _, item in members]

@@ -53,16 +53,6 @@ def item_to_json(item: DataItem, indent: int | None = None) -> str:
     return json.dumps(item, indent=indent, default=json_default)
 
 
-def _jsonable(value: Any) -> Any:
-    """The plain ``dict``/``list`` tree of a model value, for callers that
-    need Python objects rather than JSON text."""
-    if isinstance(value, DataItem):
-        return {name: _jsonable(inner) for name, inner in value.pairs()}
-    if isinstance(value, (Bag, NestedSet)):
-        return [_jsonable(inner) for inner in value]
-    return value
-
-
 def items_from_jsonl(lines: Iterable[str]) -> Iterator[DataItem]:
     """Parse JSON-lines text into data items, skipping blank lines."""
     for line in lines:

@@ -35,8 +35,8 @@ from repro.core.paths import POS
 from repro.engine.executor import ExecutionResult
 from repro.engine.plan import PlanNode
 from repro.errors import ProvenanceError
-from repro.nested.json_io import _jsonable  # shared encoder for model values
 from repro.nested.types import type_to_obj
+from repro.nested.values import to_python
 
 __all__ = ["plan_to_dot", "provenance_to_dot", "export_execution_json"]
 
@@ -107,7 +107,7 @@ def export_execution_json(execution: ExecutionResult, path: FsPath | str) -> Non
                 "oid": provenance.oid,
                 "name": store.source_name(provenance.oid),
                 "items": [
-                    [item_id, _jsonable(item)]
+                    [item_id, to_python(item)]
                     for item_id, item in sorted(store.source_items(provenance.oid).items())
                 ],
             }
@@ -115,7 +115,7 @@ def export_execution_json(execution: ExecutionResult, path: FsPath | str) -> Non
     document = {
         "format": _FORMAT_VERSION,
         "sink": execution.root.oid,
-        "rows": [[pid, _jsonable(item)] for pid, item in execution.rows()],
+        "rows": [[pid, to_python(item)] for pid, item in execution.rows()],
         "operators": [_encode_operator(provenance) for provenance in store.operators()],
         "sources": sources,
     }

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.core.operator_provenance import AggregationAssociations
 from repro.core.paths import Path
 from repro.engine.dataset import Dataset
 from repro.engine.executor import Executor
@@ -269,9 +268,9 @@ def _run_window_aggregate(
 ) -> tuple[list[Any], Any]:
     """Executor handler: ingest the batch into window state, emit due windows.
 
-    Mirrors ``Executor._run_aggregate`` (one AggregationAssociations record
-    per emitted row, A/M spec against the child schema) but only emits
-    windows the watermark closed.
+    Emits through ``Executor._emit_groups`` like the batch aggregate, but
+    only the windows the watermark closed, each keyed by its
+    ``window_start``/``window_end`` before the grouping keys.
     """
     child_rows, child_schema = executor._child_state(node)
     runtime: WindowRuntime | None = getattr(executor, "_window_runtime", None)
@@ -280,28 +279,11 @@ def _run_window_aggregate(
     for pid, item in child_rows:
         state.observe(node, pid, item)
     horizon = float("inf") if final else state.watermark
-    associations = AggregationAssociations() if executor._capturing else None
-    out_rows: list[Any] = []
-    for (window_start, window_end), key_values, members in state.flush(horizon):
-        fields: list[tuple[str, Any]] = [
-            ("window_start", window_start),
-            ("window_end", window_end),
-        ]
-        fields.extend(zip(node.key_names[len(WINDOW_ATTRS):], key_values))
-        for aggregate in node.aggregates:
-            values = [aggregate.column.evaluate(item) for _, item in members]
-            fields.append((aggregate.output_name(), aggregate.apply(values)))
-        out_item = DataItem(fields)
-        if associations is not None:
-            out_id = executor._fresh_id()
-            associations.add([pid for pid, _ in members], out_id)
-            out_rows.append((out_id, out_item))
-        else:
-            out_rows.append((None, out_item))
-    if associations is not None:
-        spec = (node.children[0].oid, node.accessed_paths(0), child_schema)
-        executor._emit_operator(node, (spec,), node.manipulation_pairs(), associations)
-    return out_rows, executor._schema_of(item for _, item in out_rows)
+    groups = (
+        ((window_start, window_end, *key_values), members)
+        for (window_start, window_end), key_values, members in state.flush(horizon)
+    )
+    return executor._emit_groups(node, groups, child_schema)
 
 
 # The wide-stage dispatch is exact-type keyed, so the subclass registers its

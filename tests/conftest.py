@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,12 @@ from repro.workloads.scenarios import (
     RUNNING_EXAMPLE_TWEETS,
     build_running_example,
 )
+
+#: The paper's figure harness and baselines (``paperbench``) live beside the
+#: end-to-end benchmark under ``benchmarks/``, outside the ``repro`` package.
+BENCHMARKS = str(Path(__file__).resolve().parents[1] / "benchmarks")
+if BENCHMARKS not in sys.path:
+    sys.path.insert(0, BENCHMARKS)
 
 
 @pytest.fixture

@@ -13,8 +13,8 @@ information the paper relies on is lost:
 
 import pytest
 
-from repro.baselines.lineage import LineageQuerier
-from repro.core.model import FullModelInterpreter, OperatorResult
+from paperbench.lineage import LineageQuerier
+from tests.oracle.reference import FullModelInterpreter, OperatorResult
 from repro.core.operator_provenance import UNDEFINED
 from repro.engine.plan import PlanNode, ReadNode
 from repro.engine.session import Session

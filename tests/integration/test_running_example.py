@@ -7,7 +7,7 @@ backtracing trees of Fig. 2.
 
 import pytest
 
-from repro.baselines.lineage import LineageQuerier
+from paperbench.lineage import LineageQuerier
 from repro.nested.values import Bag, DataItem
 from repro.pebble.query import query_provenance
 

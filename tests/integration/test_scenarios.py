@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.baselines.lazy import LazyProvenanceQuerier
-from repro.baselines.lineage import LineageQuerier
+from paperbench.lazy import LazyProvenanceQuerier
+from paperbench.lineage import LineageQuerier
 from repro.engine.session import Session
 from repro.pebble.query import query_provenance
 from repro.workloads.scenarios import SCENARIOS, load_workload, scenario

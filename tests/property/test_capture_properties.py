@@ -11,7 +11,7 @@ guarantees:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.lineage import LineageQuerier
+from paperbench.lineage import LineageQuerier
 from repro.core.backtrace.algorithms import Backtracer
 from repro.core.treepattern.matcher import match_rows, seed_structure
 from repro.core.treepattern.pattern import TreePattern, child

@@ -32,10 +32,10 @@ from repro.core.treepattern.parser import parse_pattern
 from repro.core.treepattern.pattern import NO_EQUALS, Edge, PatternNode, TreePattern
 from repro.engine.metrics import SegmentCacheMetrics
 from repro.errors import ProvenanceError
-from repro.nested.json_io import _jsonable, item_to_json
+from repro.nested.json_io import item_to_json
 from repro.nested.schema import infer_schema
 from repro.nested.types import type_to_obj
-from repro.nested.values import DataItem
+from repro.nested.values import DataItem, to_python
 import repro.warehouse.format as wf
 from repro.warehouse.reader import StoredRun
 
@@ -329,8 +329,8 @@ _item_maps = st.integers(min_value=0, max_value=2 * wf.FRAME_ITEMS + 3).flatmap(
 def test_source_item_block_reads_items_one_at_a_time(name, items, data):
     raw = wf.encode_source_items(name, items)
     reference = _decode_all(raw)
-    assert {k: _jsonable(v) for k, v in reference.items()} == {
-        k: _jsonable(v) for k, v in items.items()
+    assert {k: to_python(v) for k, v in reference.items()} == {
+        k: to_python(v) for k, v in items.items()
     }
     block = wf.open_source_items(raw)
     assert block.name == name
@@ -436,7 +436,7 @@ def test_rows_round_trip(rows):
     assert len(decoded) == len(rows)
     for (pid, item), (decoded_pid, decoded_item) in zip(rows, decoded):
         assert decoded_pid == pid
-        assert _jsonable(decoded_item) == _jsonable(item)
+        assert to_python(decoded_item) == to_python(item)
 
 
 @given(_binary)

@@ -1,6 +1,6 @@
 """Unit tests for the Lipstick-style value-annotation baseline (Sec. 2)."""
 
-from repro.baselines.annotations import ValueAnnotationCapture, count_annotations
+from paperbench.annotations import ValueAnnotationCapture, count_annotations
 from repro.nested.values import DataItem
 from repro.workloads.scenarios import RUNNING_EXAMPLE_TWEETS
 

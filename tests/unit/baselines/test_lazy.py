@@ -1,6 +1,6 @@
 """Unit tests for the PROVision-style lazy provenance querier."""
 
-from repro.baselines.lazy import LazyProvenanceQuerier
+from paperbench.lazy import LazyProvenanceQuerier
 from repro.engine.expressions import col
 from repro.engine.session import Session
 from repro.pebble.query import query_provenance

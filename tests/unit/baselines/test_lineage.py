@@ -1,6 +1,6 @@
 """Unit tests for the Titian-style lineage baseline."""
 
-from repro.baselines.lineage import LineageQuerier
+from paperbench.lineage import LineageQuerier
 from repro.engine.expressions import col, collect_list
 from repro.engine.session import Session
 

@@ -1,6 +1,6 @@
 """Unit tests for the measurement harness (fast configurations only)."""
 
-from repro.bench.harness import (
+from paperbench.harness import (
     ABLATION_CONFIGS,
     measure_capture_overhead,
     measure_provenance_size,

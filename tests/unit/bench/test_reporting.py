@@ -1,13 +1,13 @@
 """Unit tests for the benchmark reporting renderers."""
 
-from repro.bench.harness import (
+from paperbench.harness import (
     CaptureMeasurement,
     OperatorMeasurement,
     QueryMeasurement,
     SizeMeasurement,
     TitianMeasurement,
 )
-from repro.bench.reporting import (
+from paperbench.reporting import (
     format_table,
     render_capture_overhead,
     render_operator_overhead,

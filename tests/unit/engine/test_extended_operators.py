@@ -7,7 +7,7 @@ backtracing behaviour, plus cross-validation against the full model.
 import pytest
 
 from repro.core.backtrace.algorithms import Backtracer
-from repro.core.model import FullModelInterpreter
+from tests.oracle.reference import FullModelInterpreter
 from repro.core.paths import parse_path
 from repro.core.treepattern.matcher import match_rows, seed_structure
 from repro.core.treepattern.parser import parse_pattern

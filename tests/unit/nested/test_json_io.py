@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import DataModelError
 from repro.nested.json_io import (
-    _jsonable,
     item_from_json,
     item_to_json,
     json_default,
@@ -15,7 +14,7 @@ from repro.nested.json_io import (
     read_jsonl,
     write_jsonl,
 )
-from repro.nested.values import Bag, DataItem, NestedSet
+from repro.nested.values import Bag, DataItem, NestedSet, to_python
 import repro.warehouse.format as wf
 from repro.workloads.twitter import generate_tweets
 
@@ -47,7 +46,7 @@ class TestJson:
         raws.append({"set": NestedSet(["b", "a", "b"]), "bags": [[], [[1.5, None, True]]], "e": {}})
         for raw in raws:
             item = DataItem(raw)
-            plain = _jsonable(item)
+            plain = to_python(item)
             for indent in (None, 2):
                 assert item_to_json(item, indent=indent) == json.dumps(plain, indent=indent)
             assert wf._item_json(item) == json.dumps(plain).encode("utf-8")

@@ -12,7 +12,7 @@ from repro.core.operator_provenance import (
     UnaryAssociations,
 )
 from repro.errors import ProvenanceError
-from repro.nested.json_io import _jsonable
+from repro.nested.values import to_python
 from repro.pebble.api import CapturedExecution
 from repro.pebble.export import export_execution_json, plan_to_dot, provenance_to_dot
 from repro.pebble.query import query_provenance
@@ -106,10 +106,10 @@ class TestExecutionJson:
         for oid, entry in sources.items():
             assert entry["name"] == store.source_name(oid)
             assert entry["items"] == [
-                [item_id, _jsonable(item)]
+                [item_id, to_python(item)]
                 for item_id, item in sorted(store.source_items(oid).items())
             ]
-        assert document["rows"] == [[pid, _jsonable(item)] for pid, item in execution.rows()]
+        assert document["rows"] == [[pid, to_python(item)] for pid, item in execution.rows()]
         if name == "example":
             kinds = {entry["associations"]["kind"] for entry in document["operators"]}
             assert {"read", "flatten", "binary", "aggregation"} <= kinds

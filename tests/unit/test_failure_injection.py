@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.lineage import LineageQuerier
+from paperbench.lineage import LineageQuerier
 from repro.core.backtrace.algorithms import Backtracer
 from repro.core.backtrace.tree import BacktraceStructure, BacktraceTree
 from repro.core.operator_provenance import (

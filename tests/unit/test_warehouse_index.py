@@ -13,7 +13,7 @@ from repro.engine.expressions import col
 from repro.engine.session import Session
 from repro.errors import ProvenanceError
 from repro.nested.json_io import item_to_json
-from repro.nested.values import Bag, DataItem
+from repro.nested.values import Bag, DataItem, to_python
 import repro.warehouse.format as wf
 from repro.warehouse import RunIndex, Warehouse, ensure_index
 from repro.warehouse.index import INDEX_SEGMENT, MAX_TERM_LEN, walk_string_leaves
@@ -195,9 +195,7 @@ class TestProbes:
         assert postings, "sentinel id_str 'lp' must be indexed"
         for oid, item_id in postings:
             item = store.source_item(oid, item_id)
-            from repro.nested.json_io import _jsonable
-
-            assert "lp" in set(walk_string_leaves(_jsonable(item)))
+            assert "lp" in set(walk_string_leaves(to_python(item)))
 
     def test_over_cap_term_probe_raises(self, loaded):
         index, _, _, _ = loaded

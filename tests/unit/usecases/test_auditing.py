@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.usecases.auditing import audit_leak
+from paperbench.auditing import audit_leak
 from repro.engine.expressions import col
 from repro.engine.session import Session
 from repro.pebble.query import query_provenance

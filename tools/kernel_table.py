@@ -28,8 +28,11 @@ and, on a D3 capture (scale 0.2), the read side of the segment codec:
 and the in-memory ``captured.backtrace`` of D3's own pattern on that
 capture -- ``backtrace_d3_us`` (match, backtrace and source resolution)
 
-and prints the best-of-repeats per kernel.  The parent prints the median
-over rounds and, given two trees, the ratio first/second.
+and prints the best-of-repeats per kernel.  The parent prints, per tree,
+the median over rounds and the interquartile range (IQR) beside it, and,
+given two trees, the ratio first/second of the medians, marked ``~`` when
+the two trees' quartile intervals overlap: such a ratio is within the
+host's round-to-round noise.  One round has no spread (IQR ``-``, no mark).
 """
 
 from __future__ import annotations
@@ -118,6 +121,14 @@ def _measure(src: str) -> dict[str, float]:
     return json.loads(out.stdout)
 
 
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """``(median, q1, q3)`` of one kernel's per-round values."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q1, q3
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", required=True, help="a src/ tree (give twice to compare)")
@@ -128,19 +139,23 @@ def main() -> int:
         order = args.src if round_index % 2 == 0 else list(reversed(args.src))
         for src in order:
             runs[src].append(_measure(src))
-    medians = {
-        src: {key: statistics.median(run[key] for run in rows) for key in rows[0]}
-        for src, rows in runs.items()
-    }
-    keys = [key for key in next(iter(medians.values())) if key.endswith(("_us", "_ms"))]
-    print(f"{'kernel':<22}" + "".join(f"{src[-28:]:>30}" for src in args.src)
+    # Per tree and kernel: (median, first quartile, third quartile).
+    spread = {src: {key: _quartiles([run[key] for run in rows]) for key in rows[0]}
+              for src, rows in runs.items()}
+    keys = [key for key in spread[args.src[0]] if key.endswith(("_us", "_ms"))]
+    print(f"{'kernel':<22}" + "".join(f"{src[-28:]:>30}{'iqr':>10}" for src in args.src)
           + ("   first/second" if len(args.src) == 2 else ""))
     for key in keys:
-        row = f"{key:<22}" + "".join(f"{medians[src][key]:>30.2f}" for src in args.src)
+        row = f"{key:<22}"
+        for src in args.src:
+            median, low, high = spread[src][key]
+            row += f"{median:>30.2f}" + (f"{high - low:>10.2f}" if args.rounds > 1 else f"{'-':>10}")
         if len(args.src) == 2:
-            row += f"   {medians[args.src[0]][key] / medians[args.src[1]][key]:>10.2f}x"
+            (first, low1, high1), (second, low2, high2) = (spread[src][key] for src in args.src)
+            overlap = args.rounds > 1 and low1 <= high2 and low2 <= high1
+            row += f"   {first / second:>10.2f}x{' ~' if overlap else ''}"
         print(row)
-    shape = medians[args.src[0]]
+    shape = {key: median for key, (median, _, _) in spread[args.src[0]].items()}
     print(f"({int(shape['tweets'])} tweets, {int(shape['bytes_per_tweet'])} B each, "
           f"{int(shape['wildcard_hits'])} wildcard hits; D3: {int(shape['d3_records'])} operator "
           f"records, {int(shape['d3_record_bytes'])} B, {int(shape['d3_rows'])} rows; "
