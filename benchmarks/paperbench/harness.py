@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 from repro.engine.config import EngineConfig
 from repro.engine.dataset import Dataset
 from repro.engine.executor import Executor
-from repro.engine.hooks import LineageCaptureHook, StructuralCaptureHook
 from repro.engine.expressions import col
 from repro.engine.session import Session
 from repro.obs.tracer import Tracer, tracing
@@ -39,6 +38,7 @@ from repro.workloads.dblp import DblpConfig, generate_dblp
 from repro.workloads.scenarios import load_workload, scenario
 
 from paperbench.lazy import LazyProvenanceQuerier
+from paperbench.lineage import blank_structure
 
 __all__ = [
     "ABLATION_CONFIGS",
@@ -392,9 +392,10 @@ def measure_titian_comparison(
 ) -> TitianMeasurement:
     """Sec. 7.3.4: filter '2015' lines of articles/inproceedings, then union.
 
-    The Titian stand-in captures only id associations (lineage-only mode);
-    Pebble captures full structural provenance.  Both are compared against
-    the plain run on the same flat string records.
+    Pebble captures full structural provenance; the Titian stand-in is the
+    same capture followed by :func:`blank_structure`, which keeps only the id
+    associations.  Both are compared against the plain run on the same flat
+    string records.
     """
     articles, inproceedings = _flat_dblp_lines(scale)
 
@@ -411,11 +412,12 @@ def measure_titian_comparison(
 
     def run_titian() -> None:
         plan = build(Session()).plan
-        Executor(hooks=[LineageCaptureHook()]).execute(plan)
+        execution = Executor(capture=True).execute(plan)
+        blank_structure(execution.store)
 
     def run_pebble() -> None:
         plan = build(Session()).plan
-        Executor(hooks=[StructuralCaptureHook()]).execute(plan)
+        Executor(capture=True).execute(plan)
 
     (titian_seconds, _), (pebble_seconds, _) = _timed_pair(run_titian, run_pebble, repeats)
     plain_seconds, _ = _timed(run_plain, repeats)

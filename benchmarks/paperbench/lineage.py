@@ -3,7 +3,9 @@
 Titian, RAMP, and Newt trace which *top-level* input items contribute to
 which output items -- nothing below the top level, no access/manipulation
 information.  The baseline here reuses the captured id associations only
-(what a lineage system would store) and backtraces pure identifier sets.
+(what a lineage system would store) and backtraces pure identifier sets;
+:func:`blank_structure` turns a structural capture into such a lineage-only
+store (the Titian stand-in of the Sec. 7.3.4 comparison).
 
 The crucial behavioural difference to structural provenance is at
 aggregations: lineage returns **every** group member for a queried output
@@ -19,15 +21,45 @@ from repro.core.operator_provenance import (
     AggregationAssociations,
     BinaryAssociations,
     FlattenAssociations,
+    InputRef,
     OperatorProvenance,
     ReadAssociations,
     UnaryAssociations,
 )
 from repro.core.store import ProvenanceStore
-from repro.engine.hooks import LineageCaptureHook
 from repro.errors import BacktraceError
 
-__all__ = ["LineageCaptureHook", "LineageQuerier", "SourceLineage"]
+__all__ = ["LineageQuerier", "SourceLineage", "blank_structure"]
+
+
+def blank_structure(store: ProvenanceStore) -> ProvenanceStore:
+    """Return a lineage-only copy of *store*: the same id associations and
+    source items, with every accessed-path set and manipulation list empty,
+    so backtracing over it degrades to plain lineage.  *store* is unchanged.
+    """
+    blanked = ProvenanceStore()
+    for provenance in store.operators():
+        inputs = tuple(
+            InputRef(ref.predecessor, frozenset(), schema=ref.schema)
+            for ref in provenance.inputs
+        )
+        blanked.register(
+            OperatorProvenance(
+                provenance.oid,
+                provenance.op_type,
+                inputs,
+                (),
+                provenance.associations,
+                provenance.label,
+            )
+        )
+        if store.is_source(provenance.oid):
+            blanked.register_source_items(
+                provenance.oid,
+                store.source_name(provenance.oid),
+                store.source_items(provenance.oid),
+            )
+    return blanked
 
 
 class SourceLineage:

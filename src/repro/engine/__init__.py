@@ -2,20 +2,14 @@
 
 The engine is layered: a logical plan (``plan.py``) is rewritten by the
 optimizer (``optimizer.py``), compiled into a physical plan of fused stages
-(``physical.py``), and executed serially by ``executor.py``, with
-provenance capture attached as hooks (``hooks.py``) and everything
+(``physical.py``), and executed serially by ``executor.py``, which
+captures provenance when asked (``capture=True``), with everything
 configured by one :class:`~repro.engine.config.EngineConfig`.
 """
 
 from repro.engine.config import EngineConfig
 from repro.engine.dataset import Dataset, GroupedDataset
 from repro.engine.executor import ExecutionResult, Executor
-from repro.engine.hooks import (
-    CaptureHook,
-    LineageCaptureHook,
-    MetricsHook,
-    StructuralCaptureHook,
-)
 from repro.engine.optimizer import OptimizationReport, plan_physical
 from repro.engine.physical import PhysicalPlan
 from repro.engine.expressions import (
@@ -42,10 +36,6 @@ __all__ = [
     "EngineConfig",
     "ExecutionResult",
     "Executor",
-    "CaptureHook",
-    "StructuralCaptureHook",
-    "LineageCaptureHook",
-    "MetricsHook",
     "OptimizationReport",
     "PhysicalPlan",
     "plan_physical",

@@ -108,14 +108,10 @@ class Dataset:
 
     # -- actions ---------------------------------------------------------------
 
-    def execute(self, capture: bool = False, *, hooks: Any = None) -> ExecutionResult:
-        """Run the plan under the session's engine config.
-
-        ``capture=True`` attaches the structural capture hook; passing
-        *hooks* explicitly attaches an arbitrary
-        :class:`~repro.engine.hooks.CaptureHook` list instead.
-        """
-        executor = Executor(capture=capture, config=self.session.config, hooks=hooks)
+    def execute(self, capture: bool = False) -> ExecutionResult:
+        """Run the plan under the session's engine config; ``capture=True``
+        fills the result's provenance store."""
+        executor = Executor(capture=capture, config=self.session.config)
         return executor.execute(self.plan)
 
     def collect(self) -> list[DataItem]:

@@ -13,42 +13,37 @@ split into two layers (mirroring the classic logical/physical separation):
    seed's handler logic; **fused stages** run their narrow-operator chain
    over the input's item list without building a row list per operator.
 
-Provenance capture is no longer hard-wired: the executor emits events to
-:class:`~repro.engine.hooks.CaptureHook` instances (structural capture,
-lineage-only baseline, metrics).  The legacy ``capture`` / ``lineage_only``
-flags are still accepted and translate to the corresponding hooks.
+Provenance capture is one flag: ``Executor(capture=True)`` gives every row
+a provenance id and registers each operator's :class:`OperatorProvenance`
+(and each read operator's source items) in one
+:class:`~repro.core.store.ProvenanceStore` (paper Sec. 5.1).
 
 Equivalence with the seed path is an invariant, not an accident: stages run
 in the logical walk order, a fused chain assigns provenance ids operator by
 operator from each operator's trace (the seed's global id sequence), and
 schema handling (propagation vs ``SCHEMA_SAMPLE`` inference) follows the
 seed rules per operator.  Rows are ``(pid, item)`` pairs; ``pid`` is
-``None`` when no hook needs ids, so the plain path carries no provenance
-cost.
+``None`` without capture, so the plain path carries no provenance cost.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import islice
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 from repro.core.operator_provenance import (
     AggregationAssociations,
     BinaryAssociations,
+    InputRef,
+    OperatorProvenance,
     ReadAssociations,
     UnaryAssociations,
 )
 from repro.core.paths import Path
-from repro.core.store import ProvenanceStoreProtocol
+from repro.core.store import ProvenanceStore
 from repro.engine.config import EngineConfig
 from repro.engine.expressions import BinaryExpr, ColumnExpr, Expression
-from repro.engine.hooks import (
-    CaptureHook,
-    MetricsHook,
-    hooks_for,
-    provenance_store,
-)
 from repro.engine.metrics import ExecutionMetrics, StageMetrics
 from repro.engine.optimizer import plan_physical
 from repro.engine.physical import (
@@ -92,7 +87,7 @@ class ExecutionResult:
         root: PlanNode,
         rows: list[Row],
         schema: Schema,
-        store: ProvenanceStoreProtocol | None,
+        store: ProvenanceStore | None,
         metrics: ExecutionMetrics,
         physical: PhysicalPlan,
     ):
@@ -124,32 +119,15 @@ class ExecutionResult:
 class Executor:
     """Executes one plan DAG; create a fresh instance per run.
 
-    ``Executor(capture=True)`` keeps its seed meaning; the richer form
-    passes an :class:`EngineConfig` (optimizer rules) and/or an
-    explicit list of capture hooks.
+    ``Executor(capture=True)`` fills a :class:`ProvenanceStore`; *config*
+    (optimizer rules) defaults to :meth:`EngineConfig.from_env`.
     """
 
-    def __init__(
-        self,
-        capture: bool = False,
-        lineage_only: bool = False,
-        *,
-        config: EngineConfig | None = None,
-        hooks: Sequence[CaptureHook] | None = None,
-    ):
+    def __init__(self, capture: bool = False, *, config: EngineConfig | None = None):
         self._config = config if config is not None else EngineConfig.from_env()
-        hook_list = list(hooks) if hooks is not None else hooks_for(capture, lineage_only)
-        metrics_hook = next(
-            (hook for hook in hook_list if isinstance(hook, MetricsHook)), None
-        )
-        if metrics_hook is None:
-            metrics_hook = MetricsHook()
-            hook_list.append(metrics_hook)
-        self._hooks: tuple[CaptureHook, ...] = tuple(hook_list)
-        self._metrics = metrics_hook.metrics
-        #: Whether any hook needs per-row provenance ids (the seed ``capture``).
-        self._capturing = any(hook.needs_ids for hook in hook_list)
-        self._store = provenance_store(hook_list)
+        self._metrics = ExecutionMetrics()
+        self._capturing = capture
+        self._store = ProvenanceStore() if capture else None
         self._next_id = 1
         self._rows: dict[int, list[Row]] = {}
         self._schemas: dict[int, Schema] = {}
@@ -162,7 +140,7 @@ class Executor:
 
     def compile(self, root: PlanNode) -> PhysicalPlan:
         """Optimize and compile *root* without executing it (``repro explain``)."""
-        return plan_physical(root, self._config, self._hooks)
+        return plan_physical(root, self._config, self._capturing)
 
     def execute(self, root: PlanNode) -> ExecutionResult:
         """Execute the plan rooted at *root* and return its result."""
@@ -212,8 +190,7 @@ class Executor:
         stage_metrics.rows_in = rows_in
         stage_metrics.rows_out = rows_out
         stage_metrics.seconds = stage_span.duration
-        for hook in self._hooks:
-            hook.on_stage(stage_metrics)
+        self._metrics.add_stage(stage_metrics)
 
     def _finish(self, oid: int, rows: list[Row], schema: Schema) -> int:
         self._rows[oid] = rows
@@ -242,11 +219,21 @@ class Executor:
         slot.capture_seconds += clock.duration
 
     def _notify(self, node, inputs, manipulations, associations) -> None:
-        for hook in self._hooks:
-            hook.on_operator(node, inputs, manipulations, associations)
+        """Register *node*'s provenance; *inputs* are ``(predecessor oid,
+        accessed paths, input schema)`` triples, one per child."""
+        assert self._store is not None
+        refs = tuple(
+            InputRef(predecessor, accessed, schema=schema)
+            for predecessor, accessed, schema in inputs
+        )
+        self._store.register(
+            OperatorProvenance(
+                node.oid, node.op_type, refs, manipulations, associations, node.label()
+            )
+        )
 
     def _emit_operator(self, node, inputs, manipulations, associations) -> None:
-        """Hand one operator's provenance to the hooks, timed as capture."""
+        """Register one operator's provenance, timed as capture."""
         with self._capture(node):
             self._notify(node, inputs, manipulations, associations)
 
@@ -270,8 +257,7 @@ class Executor:
                     by_id[pid] = item
                     rows.append((pid, item))
                 self._notify(node, (), (), associations)
-                for hook in self._hooks:
-                    hook.on_source(node, by_id)
+                self._store.register_source_items(node.oid, node.name, by_id)
         else:
             rows = [(None, item) for item in items]
         total = self._finish(node.oid, rows, self._schema_of(item for _, item in rows))

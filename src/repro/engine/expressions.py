@@ -467,15 +467,6 @@ class AggregateExpr:
     def accessed_paths(self) -> set[Path]:
         return self.column.accessed_paths()
 
-    def input_path(self) -> Path:
-        """Return the single aggregated input path (for the M mapping)."""
-        paths = sorted(self.accessed_paths(), key=str)
-        if len(paths) == 1:
-            return paths[0]
-        # Derived aggregation input: fall back to the output name; M then
-        # maps each accessed path to the aggregate output via accessed_paths.
-        return Path()
-
     def apply(self, values: list[Any]) -> Any:
         return self.fn(values)
 

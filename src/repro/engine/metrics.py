@@ -6,7 +6,7 @@ fills one :class:`OperatorMetrics` per operator (cardinalities and capture
 time) and one :class:`StageMetrics` per physical stage and aggregates them
 into an :class:`ExecutionMetrics` for the run.  Every second here is the
 duration of a span (:func:`repro.obs.tracer.timed`): the run's, a stage's,
-or an operator's capture hook.  A fused stage is the measured grain; its
+or an operator's capture.  A fused stage is the measured grain; its
 operators carry no wall time of their own.
 
 These per-run objects are no longer islands: each exposes a ``publish``

@@ -8,8 +8,8 @@ provenance capture already maintains (``accessed_paths`` /
   flatten, or with_column when every path its predicate accesses can be
   rewritten through the child's projections.  Pushing a filter changes
   which operator drops each row -- and therefore the captured id
-  associations -- so the rule only fires when no attached capture hook
-  demands plan fidelity (i.e. in plain runs and metric-only runs).
+  associations -- so the rule only fires in plain runs, never when
+  provenance is captured.
 * **Projection pruning** (``prune``): computes, per plan edge, the set of
   top-level attributes some downstream operator still accesses, and inserts
   a physical :class:`~repro.engine.physical.PruneOp` at the head of fused
@@ -45,7 +45,6 @@ from repro.engine.expressions import (
     StructExpr,
     UnaryExpr,
 )
-from repro.engine.hooks import CaptureHook
 from repro.engine.physical import PhysicalPlan, compile_stages
 from repro.engine.plan import (
     AggregateNode,
@@ -236,9 +235,9 @@ def pushdown_filters(root: PlanNode, report: OptimizationReport) -> PlanNode:
     """Push filters below select/flatten/with_column where paths permit.
 
     Result-preserving but *association-changing* (rows are dropped by a
-    different operator), so callers gate it on no plan-fidelity hooks being
-    attached.  Only fires across edges whose producer has a single consumer;
-    shared sub-plans are never duplicated.
+    different operator), so it is skipped when provenance is captured.
+    Only fires across edges whose producer has a single consumer; shared
+    sub-plans are never duplicated.
     """
     consumers = _consumer_counts(root)
     memo: dict[int, PlanNode] = {}
@@ -374,13 +373,15 @@ def prune_attribute_sets(root: PlanNode) -> dict[int, frozenset[str]]:
 def plan_physical(
     root: PlanNode,
     config: EngineConfig,
-    hooks: Sequence[CaptureHook] = (),
+    capture: bool = False,
 ) -> PhysicalPlan:
-    """Optimize *root* under *config* and compile it into a physical plan."""
+    """Optimize *root* under *config* and compile it into a physical plan.
+
+    With *capture* the executed plan keeps the logical plan's operators, so
+    the association-changing pushdown is skipped."""
     report = OptimizationReport()
-    preserve_store = any(hook.needs_ids or hook.plan_fidelity for hook in hooks)
     executed = root
-    if config.rule_enabled("pushdown") and not preserve_store:
+    if config.rule_enabled("pushdown") and not capture:
         executed = pushdown_filters(executed, report)
     prune_sets: dict[int, frozenset[str]] = {}
     if config.rule_enabled("prune"):

@@ -13,7 +13,7 @@ from pathlib import Path as FsPath
 from typing import Any, Iterable, Iterator
 
 from repro.errors import DataModelError
-from repro.nested.values import Bag, DataItem, NestedSet, to_python
+from repro.nested.values import Bag, DataItem, NestedSet
 
 __all__ = [
     "item_from_json",
@@ -82,12 +82,3 @@ def write_jsonl(path: FsPath | str, items: Iterable[DataItem]) -> int:
             handle.write("\n")
             count += 1
     return count
-
-
-def estimate_json_bytes(value: Any) -> int:
-    """Approximate serialised size of a model value in bytes.
-
-    Used by the space-overhead instrumentation (Fig. 8) to size datasets and
-    provenance without materialising full JSON strings for every record.
-    """
-    return len(json.dumps(to_python(value) if isinstance(value, (DataItem, Bag, NestedSet)) else value))

@@ -1,6 +1,7 @@
 """Unit tests for the Titian-style lineage baseline."""
 
-from paperbench.lineage import LineageQuerier
+from paperbench.lineage import LineageQuerier, blank_structure
+from repro.core.operator_provenance import UNDEFINED
 from repro.engine.expressions import col, collect_list
 from repro.engine.session import Session
 
@@ -70,12 +71,47 @@ class TestLineage:
         [source] = _lineage(execution, set())
         assert source.ids == set()
 
-    def test_works_over_lineage_only_capture(self):
-        from repro.engine.executor import Executor
-
+    def test_works_over_blank_structure(self):
         session = Session()
         ds = session.create_dataset([{"a": 1, "tags": ["x"]}], "in").flatten("tags", "t")
-        execution = Executor(capture=True, lineage_only=True).execute(ds.plan)
+        execution = ds.execute(capture=True)
         out_ids = {pid for pid, _ in execution.rows()}
-        [source] = LineageQuerier(execution.store).backtrace_ids(ds.plan.oid, out_ids)
+        lineage = blank_structure(execution.store)
+        [source] = LineageQuerier(lineage).backtrace_ids(ds.plan.oid, out_ids)
         assert source.ids == {1}
+
+
+class TestBlankStructure:
+    def test_blanks_structure_keeps_associations(self):
+        session = Session()
+        ds = (
+            session.create_dataset(
+                [{"a": index, "b": index * 2, "tags": ["x", "y"]} for index in range(6)],
+                "in",
+            )
+            .filter(col("a") >= 1)
+            .select(col("a"), col("tags"))
+            .flatten("tags", "tag")
+        )
+        store = ds.execute(capture=True).store
+        before = store.serialize()
+        lineage = blank_structure(store)
+        assert store.serialize() == before  # the input store is left unchanged
+        assert [op.oid for op in lineage.operators()] == [op.oid for op in store.operators()]
+        for full in store.operators():
+            blanked = lineage.get(full.oid)
+            # Same id associations (what Titian keeps)...
+            assert type(blanked.associations) is type(full.associations)
+            assert list(blanked.associations.output_ids()) == list(full.associations.output_ids())
+            assert blanked.op_type == full.op_type
+            # ...but no accessed paths or manipulations below the top level.
+            assert all(ref.accessed_or_empty() == frozenset() for ref in blanked.inputs)
+            assert all(ref.accessed is not UNDEFINED for ref in blanked.inputs)
+            assert blanked.manipulations_or_empty() == ()
+            assert not blanked.manipulations_undefined()
+        # The flatten had structure to blank.
+        assert store.get(ds.plan.oid).input(0).accessed_or_empty()
+        assert store.get(ds.plan.oid).manipulations_or_empty()
+        source_oid = next(op.oid for op in store.operators() if store.is_source(op.oid))
+        assert lineage.source_name(source_oid) == "in"
+        assert lineage.source_items(source_oid) == store.source_items(source_oid)

@@ -9,7 +9,6 @@ from repro.core.operator_provenance import (
     ReadAssociations,
     UnaryAssociations,
 )
-from repro.engine.executor import Executor
 from repro.engine.expressions import col, collect_list, collect_set, count, struct_, sum_
 from repro.engine.session import Session
 from repro.errors import ExecutionError, PlanError, SchemaMismatchError
@@ -285,13 +284,6 @@ class TestExecutorInfrastructure:
         labels = {metric.op_type for metric in execution.metrics.operators()}
         assert labels == {"read", "filter"}
         assert execution.metrics.total_seconds >= 0
-
-    def test_lineage_only_mode_drops_structure(self, session):
-        ds = session.create_dataset([{"a": 1, "tags": ["x"]}], "in").flatten("tags", "t")
-        execution = Executor(capture=True, lineage_only=True).execute(ds.plan)
-        provenance = execution.store.get(ds.plan.oid)
-        assert provenance.manipulations_or_empty() == ()
-        assert provenance.input(0).accessed_or_empty() == frozenset()
 
     def test_single_partition(self):
         session = Session()

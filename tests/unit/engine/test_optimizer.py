@@ -4,7 +4,6 @@ import pytest
 
 from repro.engine.config import EngineConfig
 from repro.engine.expressions import col, struct_
-from repro.engine.hooks import StructuralCaptureHook
 from repro.engine.optimizer import (
     OptimizationReport,
     plan_physical,
@@ -98,9 +97,7 @@ class TestFilterPushdown:
             .select(col("a"), col("b"))
             .filter(col("a") >= 5)
         )
-        captured = plan_physical(
-            ds.plan, EngineConfig(), hooks=[StructuralCaptureHook()]
-        )
+        captured = plan_physical(ds.plan, EngineConfig(), capture=True)
         assert "pushdown" not in captured.report.rules_fired()
         assert captured.executed_root is ds.plan
         plain = plan_physical(ds.plan, EngineConfig())

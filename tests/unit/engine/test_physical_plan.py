@@ -5,7 +5,6 @@ import pytest
 from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor
 from repro.engine.expressions import col, count
-from repro.engine.hooks import StructuralCaptureHook
 from repro.engine.optimizer import plan_physical
 from repro.engine.physical import (
     FusedStage,
@@ -26,10 +25,10 @@ def _rows():
     return [{"a": index, "b": -index, "tags": ["x", "y"]} for index in range(8)]
 
 
-def _compile(dataset, config=None, hooks=()):
+def _compile(dataset, config=None, capture=False):
     # Explicit EngineConfig() rather than the session's env-derived config,
     # so stage-shape expectations hold under REPRO_OPTIMIZE.
-    return plan_physical(dataset.plan, config or EngineConfig(), hooks)
+    return plan_physical(dataset.plan, config or EngineConfig(), capture)
 
 
 class TestStageShapes:
@@ -129,8 +128,8 @@ class TestLimitPrefix:
 
     def test_limit_is_one_wide_stage_after_the_chain(self, session):
         ds = session.create_dataset(_rows(), "in").filter(col("a") >= 0).limit(3)
-        for hooks in ((), [StructuralCaptureHook()]):
-            physical = _compile(ds, hooks=hooks)
+        for capture in (False, True):
+            physical = _compile(ds, capture=capture)
             fused, limit = physical.stages[1:]
             assert isinstance(fused, FusedStage)
             assert [op.describe() for op in fused.ops] == [ds.plan.children[0].label()]

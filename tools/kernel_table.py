@@ -30,15 +30,20 @@ capture -- ``backtrace_d3_us`` (match, backtrace and source resolution)
 
 and prints the best-of-repeats per kernel.  The parent prints, per tree,
 the median over rounds and the interquartile range (IQR) beside it, and,
-given two trees, the ratio first/second of the medians, marked ``~`` when
-the two trees' quartile intervals overlap: such a ratio is within the
-host's round-to-round noise.  One round has no spread (IQR ``-``, no mark).
+given two trees, the ratio first/second of the medians and the number of
+rounds in which the first tree's value is lower (``4/5``).  The two children
+of a round run back to back, so that paired count cancels the host's load
+drift, which quartile intervals over few rounds do not.  A ratio is marked
+``~`` (within noise) unless one tree wins at least 9/10 of the rounds,
+rounded up (5 of 5 at ``--rounds 5``), and the two quartile intervals do not
+overlap.  One round has no spread (IQR ``-``, no count, no mark).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -143,6 +148,8 @@ def main() -> int:
     spread = {src: {key: _quartiles([run[key] for run in rows]) for key in rows[0]}
               for src, rows in runs.items()}
     keys = [key for key in spread[args.src[0]] if key.endswith(("_us", "_ms"))]
+    # Round by round, the two trees' values: their children ran back to back.
+    pairs = list(zip(*(runs[src] for src in args.src)))
     print(f"{'kernel':<22}" + "".join(f"{src[-28:]:>30}{'iqr':>10}" for src in args.src)
           + ("   first/second" if len(args.src) == 2 else ""))
     for key in keys:
@@ -152,8 +159,13 @@ def main() -> int:
             row += f"{median:>30.2f}" + (f"{high - low:>10.2f}" if args.rounds > 1 else f"{'-':>10}")
         if len(args.src) == 2:
             (first, low1, high1), (second, low2, high2) = (spread[src][key] for src in args.src)
-            overlap = args.rounds > 1 and low1 <= high2 and low2 <= high1
-            row += f"   {first / second:>10.2f}x{' ~' if overlap else ''}"
+            row += f"   {first / second:>10.2f}x"
+            if args.rounds > 1:
+                first_wins = sum(a[key] < b[key] for a, b in pairs)
+                second_wins = sum(b[key] < a[key] for a, b in pairs)
+                decided = max(first_wins, second_wins) >= math.ceil(9 * args.rounds / 10)
+                overlap = low1 <= high2 and low2 <= high1
+                row += f" {first_wins}/{args.rounds}{'' if decided and not overlap else ' ~'}"
         print(row)
     shape = {key: median for key, (median, _, _) in spread[args.src[0]].items()}
     print(f"({int(shape['tweets'])} tweets, {int(shape['bytes_per_tweet'])} B each, "
