@@ -109,9 +109,18 @@ class TestBlankStructure:
             assert all(ref.accessed is not UNDEFINED for ref in blanked.inputs)
             assert blanked.manipulations_or_empty() == ()
             assert not blanked.manipulations_undefined()
-        # The flatten had structure to blank.
-        assert store.get(ds.plan.oid).input(0).accessed_or_empty()
-        assert store.get(ds.plan.oid).manipulations_or_empty()
         source_oid = next(op.oid for op in store.operators() if store.is_source(op.oid))
         assert lineage.source_name(source_oid) == "in"
         assert lineage.source_items(source_oid) == store.source_items(source_oid)
+
+    def test_blanks_flatten_paths_and_manipulations(self):
+        session = Session()
+        ds = session.create_dataset([{"a": 1, "tags": ["x"]}], "in").flatten("tags", "t")
+        store = ds.execute(capture=True).store
+        full = store.get(ds.plan.oid)
+        # The flatten had structure to blank.
+        assert full.input(0).accessed_or_empty()
+        assert full.manipulations_or_empty()
+        blanked = blank_structure(store).get(ds.plan.oid)
+        assert blanked.manipulations_or_empty() == ()
+        assert blanked.input(0).accessed_or_empty() == frozenset()
