@@ -90,16 +90,19 @@ def _timed_pair(
     """Time two functions with interleaved runs (robust A/B comparison).
 
     Alternating the runs spreads slow drifts (allocator state, CPU
-    frequency) evenly over both sides; medians damp outliers.
+    frequency) evenly over both sides, and B runs first on odd repeats so
+    neither side always gets the warmer or the colder slot; medians damp
+    outliers.  Samples stay paired by repeat index.
     """
     for _ in range(warmup):
         fn_a()
         fn_b()
-    samples_a = []
-    samples_b = []
-    for _ in range(repeats):
-        samples_a.append(_sample(fn_a))
-        samples_b.append(_sample(fn_b))
+    samples_a: list[float] = []
+    samples_b: list[float] = []
+    order = ((samples_a, fn_a), (samples_b, fn_b))
+    for repeat in range(repeats):
+        for samples, fn in order[:: -1 if repeat % 2 else 1]:
+            samples.append(_sample(fn))
 
     def summarise(samples: list[float]) -> tuple[float, float]:
         median = statistics.median(samples)

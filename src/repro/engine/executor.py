@@ -120,11 +120,11 @@ class Executor:
     """Executes one plan DAG; create a fresh instance per run.
 
     ``Executor(capture=True)`` fills a :class:`ProvenanceStore`; *config*
-    (optimizer rules) defaults to :meth:`EngineConfig.from_env`.
+    (optimizer rules) defaults to ``EngineConfig()``.
     """
 
     def __init__(self, capture: bool = False, *, config: EngineConfig | None = None):
-        self._config = config if config is not None else EngineConfig.from_env()
+        self._config = config if config is not None else EngineConfig()
         self._metrics = ExecutionMetrics()
         self._capturing = capture
         self._store = ProvenanceStore() if capture else None

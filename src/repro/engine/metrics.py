@@ -136,7 +136,7 @@ class SegmentCacheMetrics:
     """
 
     __slots__ = (
-        "hits", "misses", "item_hits", "item_misses", "bytes_read", "evictions",
+        "hits", "misses", "item_hits", "item_misses", "bytes_read",
         "rows_decoded", "items_decoded", "_lock",
     )
 
@@ -146,7 +146,6 @@ class SegmentCacheMetrics:
         self.item_hits = 0
         self.item_misses = 0
         self.bytes_read = 0
-        self.evictions = 0
         self.rows_decoded = 0
         self.items_decoded = 0
         self._lock = threading.Lock()
@@ -159,7 +158,6 @@ class SegmentCacheMetrics:
         item_hits: int = 0,
         item_misses: int = 0,
         bytes_read: int = 0,
-        evictions: int = 0,
         rows_decoded: int = 0,
         items_decoded: int = 0,
     ) -> None:
@@ -170,7 +168,6 @@ class SegmentCacheMetrics:
             self.item_hits += item_hits
             self.item_misses += item_misses
             self.bytes_read += bytes_read
-            self.evictions += evictions
             self.rows_decoded += rows_decoded
             self.items_decoded += items_decoded
 
@@ -191,7 +188,6 @@ class SegmentCacheMetrics:
             self.item_hits = 0
             self.item_misses = 0
             self.bytes_read = 0
-            self.evictions = 0
             self.rows_decoded = 0
             self.items_decoded = 0
 
@@ -203,7 +199,6 @@ class SegmentCacheMetrics:
             "item_hits": self.item_hits,
             "item_misses": self.item_misses,
             "bytes_read": self.bytes_read,
-            "evictions": self.evictions,
             "rows_decoded": self.rows_decoded,
             "items_decoded": self.items_decoded,
             "hit_rate": self.hit_rate,
@@ -223,7 +218,6 @@ class SegmentCacheMetrics:
         registry.counter("repro_segment_cache_item_hits_total").inc(self.item_hits)
         registry.counter("repro_segment_cache_item_misses_total").inc(self.item_misses)
         registry.counter("repro_segment_cache_bytes_read_total").inc(self.bytes_read)
-        registry.counter("repro_segment_cache_evictions_total").inc(self.evictions)
         registry.counter("repro_segment_cache_rows_decoded_total").inc(self.rows_decoded)
         registry.counter("repro_segment_cache_items_decoded_total").inc(self.items_decoded)
         registry.gauge("repro_segment_cache_hit_rate").set(self.hit_rate)

@@ -24,7 +24,7 @@ class Session:
 
     def __init__(self, *, config: EngineConfig | None = None):
         #: The engine configuration every execution of this session inherits.
-        self.config = config if config is not None else EngineConfig.from_env()
+        self.config = config if config is not None else EngineConfig()
         self._oid_counter = 0
 
     def next_oid(self) -> int:

@@ -101,29 +101,15 @@ class CapturedExecution:
 class PebbleSession:
     """Transparent wrapper over the engine session (the PebbleAPI of Fig. 5).
 
-    The constructor is **keyword-only** and accepts every
-    :class:`~repro.engine.config.EngineConfig` knob directly, so optimizer
-    settings are settable in code without touching environment variables:
+    The constructor is **keyword-only**; optimizer settings come in one
+    :class:`~repro.engine.config.EngineConfig` (``EngineConfig()`` when
+    omitted):
 
-    >>> pebble = PebbleSession(optimize=False, rules=("prune",))
-    >>> pebble = PebbleSession(config=my_config)
-
-    An explicit ``config`` provides the base (``EngineConfig.from_env()``
-    otherwise -- environment variables are overrides of the defaults, not
-    the only path); extra knobs are applied on top via
-    :meth:`EngineConfig.replace`, and unknown knob names raise ``TypeError``.
+    >>> pebble = PebbleSession(config=EngineConfig(optimize=False, rules=("prune",)))
     """
 
-    def __init__(
-        self,
-        *,
-        config: "EngineConfig | None" = None,
-        **knobs: object,
-    ):
-        base = config if config is not None else EngineConfig.from_env()
-        if knobs:
-            base = base.replace(**knobs)
-        self.session = Session(config=base)
+    def __init__(self, *, config: "EngineConfig | None" = None):
+        self.session = Session(config=config)
 
     @property
     def config(self) -> "EngineConfig":

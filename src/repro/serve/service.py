@@ -528,7 +528,7 @@ class QueryService:
         folded in after the warehouse figures, so ``repro stats --remote``
         shows what this server has answered, not just what is stored.
         """
-        registry = self.warehouse.stats(run_id, registry=MetricsRegistry())
+        registry = self.warehouse.stats(run_id)
         for metric in self.registry.metrics():
             if isinstance(metric, Counter) and metric.name.startswith("repro_serve_"):
                 copy = registry.counter(metric.name, **dict(metric.labels))
@@ -686,7 +686,7 @@ class QueryService:
             registry.gauge(f"repro_serve_pattern_cache_{name}").set(value)
         for run_id, resident in list(self._residents.items()):
             cache = resident.run.store.metrics
-            for field in ("hits", "misses", "item_hits", "item_misses", "bytes_read", "evictions"):
+            for field in ("hits", "misses", "item_hits", "item_misses", "bytes_read"):
                 registry.gauge(
                     f"repro_serve_segment_cache_{field}", run_id=run_id
                 ).set(getattr(cache, field))

@@ -115,10 +115,6 @@ class StreamSession:
     one :class:`StreamSource`, and one live warehouse run.  Lifecycle::
 
         source() -> dataset() -> open(plan) -> ingest()* -> finish()
-
-    Extra keyword arguments are :class:`EngineConfig` knobs applied on top
-    of ``config`` (or the environment defaults), exactly like
-    :class:`~repro.pebble.api.PebbleSession`.
     """
 
     def __init__(
@@ -127,14 +123,10 @@ class StreamSession:
         warehouse: "Warehouse | FsPath | str",
         name: str = "stream",
         config: "EngineConfig | None" = None,
-        **knobs: object,
     ):
         from repro.warehouse import Warehouse
 
-        base = config if config is not None else EngineConfig.from_env()
-        if knobs:
-            base = base.replace(**knobs)
-        self.session = Session(config=base)
+        self.session = Session(config=config)
         self.warehouse = (
             warehouse if isinstance(warehouse, Warehouse) else Warehouse.open(warehouse)
         )

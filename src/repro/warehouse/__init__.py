@@ -15,7 +15,7 @@ Modules:
 * :mod:`~repro.warehouse.catalog` -- the JSON run registry,
 * :mod:`~repro.warehouse.reader` -- ``run_parts`` (a batch run is one part,
   a streamed run one per micro-batch) and the :class:`LazyProvenanceStore`
-  over them, with an LRU segment cache and hit/miss metrics,
+  over them, decoding each segment once, with hit/miss metrics,
 * :mod:`~repro.warehouse.live` -- the epoch-append lifecycle of streamed
   runs (append, seal, compact, retain),
 * :mod:`~repro.warehouse.index` -- the persisted per-run query index

@@ -161,8 +161,6 @@ def append_epoch(
     *,
     next_pid: int,
     watermark: float | None = None,
-    created: float | None = None,
-    index: bool = True,
 ) -> dict[str, Any]:
     """Append one micro-batch as a sealed epoch; returns its manifest line.
 
@@ -185,14 +183,12 @@ def append_epoch(
     part = encode_part(execution)
     # The per-epoch delta index is accumulated while the epoch's segments
     # are encoded, like a batch run's, so no full-run rebuild ever happens.
-    footer, total_bytes = write_part(
-        epoch_dir, part, RunIndex.accumulator() if index else None
-    )
+    footer, total_bytes = write_part(epoch_dir, part, RunIndex.accumulator())
     write_part_footer(epoch_dir, footer)
     entry = {
         "epoch": epoch,
         "dir": f"{BATCHES_DIR}/epoch-{epoch:04d}",
-        "created": created if created is not None else time.time(),
+        "created": time.time(),
         "rows": part.row_count,
         "total_bytes": total_bytes,
         "watermark": watermark,

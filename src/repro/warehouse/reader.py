@@ -23,7 +23,7 @@ framed from layout 4, raw JSON in layouts 2 and 3.
 :class:`LazyProvenanceStore` satisfies the
 :class:`~repro.core.store.ProvenanceStoreProtocol`, so the backtracing
 algorithm runs over it unchanged -- but operators decode on demand from
-their segment files, an LRU cache bounds resident provenance, and the
+their segment files, each at most once per store, and the
 footer index answers ``is_source``/``source_name``/``size_report`` with
 zero decodes.  Source-item blocks are read separately from operator
 records: backtracing walks every reachable operator's record (it needs the
@@ -42,8 +42,8 @@ Cache hits and misses feed a
 run did this query touch?" an observable rather than a hope (a miss is one
 operator decode, however many parts its record is spread over).
 
-The store is **thread safe**: one re-entrant lock guards the LRU maps and
-the decode path, so concurrent backtraces (the ``repro.serve`` query service
+The store is **thread safe**: one re-entrant lock guards the decoded maps
+and the decode path, so concurrent backtraces (the ``repro.serve`` query service
 shares one resident store per run across request threads) see a consistent
 cache and deterministic hit/miss accounting -- each segment decodes exactly
 once, never twice under a racing double-miss.  Segment file handles are
@@ -56,7 +56,6 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path as FsPath
 from typing import Any, Iterable, Iterator, NamedTuple
@@ -94,9 +93,6 @@ __all__ = [
     "read_range",
     "run_parts",
 ]
-
-#: Default number of decoded operator segments kept resident.
-DEFAULT_CACHE_SIZE = 64
 
 
 def load_manifest(run_dir: FsPath) -> dict[str, Any]:
@@ -153,15 +149,12 @@ def _part(directory: FsPath, footer: dict[str, Any]) -> RunPart:
     )
 
 
-def run_parts(
-    run_dir: FsPath, manifest: dict[str, Any], max_epoch: int | None = None
-) -> list[RunPart]:
+def run_parts(run_dir: FsPath, manifest: dict[str, Any]) -> list[RunPart]:
     """Locate a stored run's segments: the one place both manifest shapes
     and both layouts meet.
 
     A batch manifest is one part (the run directory itself); an epoch
-    manifest yields one part per visible epoch -- unexpired and, with
-    *max_epoch*, admitted at or before it -- in epoch order.  An epoch's
+    manifest yields one part per unexpired epoch, in epoch order.  An epoch's
     footer is its own immutable ``part.json``; an entry that carries
     ``operators`` inline (written by <= 2.3) is taken as it is.  Each
     part's layout comes from its own footer, so a layout-2 live head that
@@ -174,7 +167,7 @@ def run_parts(
         return [_part(run_dir, manifest)]
     parts = []
     for entry in epochs:
-        if entry.get("expired") or (max_epoch is not None and entry["epoch"] > max_epoch):
+        if entry.get("expired"):
             continue
         directory = run_dir / entry["dir"]
         footer = entry
@@ -259,22 +252,14 @@ class LazyProvenanceStore:
     An operator spread over several parts (:func:`run_parts`) decodes as
     the concatenation of its per-part associations in part order; ``M``
     comes from the first part (static plan metadata), the input schema
-    snapshots of ``I`` are unified (:func:`_merge_inputs`).  *max_epoch*
-    pins the view to the epochs a mid-ingest query was admitted with.
+    snapshots of ``I`` are unified (:func:`_merge_inputs`).  A store
+    sees the epochs its *manifest* lists; pass a manifest with fewer
+    ``epochs`` to view the run as it stood when those were admitted.
     """
 
-    def __init__(
-        self,
-        run_dir: FsPath,
-        manifest: dict[str, Any] | None = None,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        metrics: SegmentCacheMetrics | None = None,
-        max_epoch: int | None = None,
-    ):
-        if cache_size < 1:
-            raise ProvenanceError(f"segment cache needs capacity >= 1, got {cache_size}")
+    def __init__(self, run_dir: FsPath, manifest: dict[str, Any] | None = None):
         self._manifest = manifest if manifest is not None else load_manifest(run_dir)
-        self._parts = run_parts(run_dir, self._manifest, max_epoch)
+        self._parts = run_parts(run_dir, self._manifest)
         #: oid -> [(part, footer index entry)] in part order.
         self._index: dict[int, list[tuple[RunPart, dict[str, Any]]]] = {}
         for part in self._parts:
@@ -284,11 +269,10 @@ class LazyProvenanceStore:
         self._decays = any(
             entry.get("expired") for entry in self._manifest.get("epochs", ())
         )
-        self._cache_size = cache_size
-        self._operators: OrderedDict[int, OperatorProvenance] = OrderedDict()
-        self._source_items: OrderedDict[int, list[wf.SourceItemBlock]] = OrderedDict()
-        self.metrics = metrics if metrics is not None else SegmentCacheMetrics()
-        #: Guards the two LRU maps and the decode path.
+        self._operators: dict[int, OperatorProvenance] = {}
+        self._source_items: dict[int, list[wf.SourceItemBlock]] = {}
+        self.metrics = SegmentCacheMetrics()
+        #: Guards the two decoded maps and the decode path.
         self._lock = threading.RLock()
 
     # -- index-only lookups (zero decodes) -----------------------------------
@@ -384,7 +368,6 @@ class LazyProvenanceStore:
             cached = self._operators.get(oid)
             if cached is not None:
                 self.metrics.add(hits=1)
-                self._operators.move_to_end(oid)
                 return cached
             entries = self._entries(oid)
             first = entries[0][1]
@@ -415,9 +398,6 @@ class LazyProvenanceStore:
                         label=provenance.label,
                     )
             self._operators[oid] = provenance
-            if len(self._operators) > self._cache_size:
-                self._operators.popitem(last=False)
-                self.metrics.add(evictions=1)
             return provenance
 
     def _source_blocks(self, oid: int) -> list[wf.SourceItemBlock]:
@@ -428,7 +408,6 @@ class LazyProvenanceStore:
         cached = self._source_items.get(oid)
         if cached is not None:
             self.metrics.add(item_hits=1)
-            self._source_items.move_to_end(oid)
             return cached
         entries = self._entries(oid)
         if "items_offset" not in entries[0][1]:
@@ -448,9 +427,6 @@ class LazyProvenanceStore:
                 for part, entry in entries
             ]
         self._source_items[oid] = blocks
-        if len(self._source_items) > self._cache_size:
-            self._source_items.popitem(last=False)
-            self.metrics.add(evictions=1)
         return blocks
 
     def source_items(self, oid: int) -> dict[int, DataItem]:

@@ -196,7 +196,6 @@ class Warehouse:
         *,
         next_pid: int,
         watermark: float | None = None,
-        index: bool = True,
     ) -> dict[str, Any]:
         """Append one micro-batch to a live run; returns the epoch entry.
 
@@ -217,13 +216,12 @@ class Warehouse:
                 execution,
                 next_pid=next_pid,
                 watermark=watermark,
-                index=index,
             )
         record.segment_epoch = manifest["segment_epoch"]
         record.row_count = manifest["rows"]["count"]
         record.total_bytes = manifest["total_bytes"]
         record.operator_count = manifest["operator_count"]
-        record.indexed = bool(index)
+        record.indexed = True
         # Persist per batch: the catalog's per-run segment epoch is what
         # serve workers compare, so the bump must be durable immediately.
         self._catalog.save()
@@ -320,7 +318,7 @@ class Warehouse:
         ``indexed`` flag is updated and saved, so listings reflect it.
         Live and sealed-uncompacted runs refuse with :class:`LiveRunError`:
         their indexes grow incrementally, one delta per epoch (the
-        ``append_live_epoch(..., index=True)`` path), and are queried
+        :meth:`append_live_epoch` path), and are queried
         merged -- there is no full rebuild to run.
         """
         record = self.resolve(run_id)
@@ -537,17 +535,16 @@ class Warehouse:
         self,
         run_id: str | None = None,
         pattern: TreePattern | str | None = None,
-        registry: MetricsRegistry | None = None,
     ) -> MetricsRegistry:
         """Build a metrics registry describing one stored run.
 
         Folds the run's footer index (operator/record/byte counts) and the
-        execution accounting recorded at ``record`` time into *registry*
-        (a fresh one by default).  With *pattern*, additionally runs the
+        execution accounting recorded at ``record`` time into a fresh
+        registry.  With *pattern*, additionally runs the
         backtrace and folds its segment-cache behaviour in, so the returned
         registry answers "what would this query touch?" as numbers.
         """
-        registry = registry if registry is not None else MetricsRegistry()
+        registry = MetricsRegistry()
         record = self.resolve(run_id)
         run_dir = self._dir_for(record)
         manifest = load_manifest(run_dir)

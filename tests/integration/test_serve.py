@@ -120,7 +120,7 @@ class TestEndpoints:
         self, served, client, recorded
     ):
         root, run_id = recorded
-        local = Warehouse.open(root).stats(run_id, registry=MetricsRegistry())
+        local = Warehouse.open(root).stats(run_id)
         remote = client.stats(run=run_id)
         # Every warehouse metric appears verbatim; the remote registry may
         # additionally fold in this server's repro_serve_* counters.

@@ -115,32 +115,6 @@ class TestLiveRunAccounting:
         assert breakdown.counters["items_decoded"] == answer_items > 0
         assert breakdown.counters["rows_visited"] >= breakdown.counters["rows_decoded"]
 
-    def test_load_honours_metrics_and_cache_size_on_epoch_runs(self, tmp_path):
-        """A store opened with ``metrics=m, cache_size=n`` keeps both on an
-        epoch-layout run (they were once dropped: own metrics, unbounded
-        cache)."""
-        from repro.engine.metrics import SegmentCacheMetrics
-        from repro.warehouse.reader import LazyProvenanceStore, StoredRun
-
-        stream = _open_stream(Warehouse.open(tmp_path / "wh"))
-        stream.ingest(_rows(0, 6))
-        stream.ingest(_rows(6, 10))
-        stream.finish(compact=False)
-        warehouse = stream.warehouse
-        expected = full_parse_backtrace(warehouse.load(stream.run_id).store, PATTERN)
-
-        metrics = SegmentCacheMetrics()
-        run = StoredRun(
-            LazyProvenanceStore(
-                warehouse.run_dir(stream.run_id), metrics=metrics, cache_size=1
-            )
-        )
-        assert run.store.metrics is metrics
-        answer = run.backtrace(PATTERN)
-        assert metrics.misses > 0 and metrics.evictions > 0
-        assert answer.render() == expected.render()
-        assert answer.all_ids() == expected.all_ids()
-
     def test_decayed_ids_are_answered_from_the_id_table(self, tmp_path):
         """A window closing after a TTL sweep still references the erased
         members; probing them (and every surviving id) parses no item."""

@@ -408,15 +408,16 @@ class TestBothShapesReadTheSame:
 
     def test_backtrace_pinned_to_an_admission_epoch(self, pair):
         new, old, run_id = pair
-        for max_epoch in (1, 2, 3):
-            answers = [
-                StoredRun(
-                    LazyProvenanceStore(warehouse.run_dir(run_id), max_epoch=max_epoch)
-                ).backtrace(PATTERN)
-                for warehouse in (new, old)
-            ]
-            assert answers[0].render() == answers[1].render(), max_epoch
-            assert answers[0].all_ids() == answers[1].all_ids(), max_epoch
+        for epoch in (1, 2, 3):
+            answers = []
+            for warehouse in (new, old):
+                run_dir = warehouse.run_dir(run_id)
+                manifest = load_manifest(run_dir)
+                admitted = [e for e in manifest["epochs"] if e["epoch"] <= epoch]
+                store = LazyProvenanceStore(run_dir, dict(manifest, epochs=admitted))
+                answers.append(StoredRun(store).backtrace(PATTERN))
+            assert answers[0].render() == answers[1].render(), epoch
+            assert answers[0].all_ids() == answers[1].all_ids(), epoch
         assert answers[0].matched_output_ids
 
     def test_retain_expires_the_footer_with_its_directory(self, pair):

@@ -14,7 +14,6 @@ import pytest
 import repro.warehouse.format as wf
 from repro.cli import main
 from repro.engine.expressions import col
-from repro.engine.metrics import SegmentCacheMetrics
 from repro.engine.session import Session
 from repro.errors import BacktraceError, ProvenanceError
 from repro.pebble.query import query_provenance
@@ -22,6 +21,7 @@ from repro.stream import StreamSession
 from repro.warehouse import LazyProvenanceStore, Warehouse
 from repro.warehouse.reader import StoredRun
 from repro.workloads.scenarios import RUNNING_EXAMPLE_PATTERN
+from tests.oracle.full_parse import full_parse_backtrace
 
 
 @pytest.fixture
@@ -135,8 +135,8 @@ class TestLazyBacktrace:
     def test_index_only_lookups_decode_nothing(self, captured_example, recorded):
         root, run_id = recorded
         warehouse = Warehouse.open(root)
-        metrics = SegmentCacheMetrics()
-        store = LazyProvenanceStore(warehouse.run_dir(run_id), metrics=metrics)
+        store = LazyProvenanceStore(warehouse.run_dir(run_id))
+        metrics = store.metrics
 
         assert len(store) == 9
         assert store.is_source(1) and not store.is_source(9)
@@ -188,17 +188,6 @@ class TestLazyBacktrace:
                 f"{ledger['rows']} rows, {ledger['index']} index"
             )
             assert line in capsys.readouterr().out.splitlines()
-
-    def test_eviction_keeps_answers_correct(self, captured_example, recorded):
-        """A tiny cache thrashes but never changes the query answer."""
-        root, run_id = recorded
-        run = StoredRun(
-            LazyProvenanceStore(Warehouse.open(root).run_dir(run_id), cache_size=2)
-        )
-        result = run.backtrace(RUNNING_EXAMPLE_PATTERN)
-        before = query_provenance(captured_example, RUNNING_EXAMPLE_PATTERN)
-        assert result.render() == before.render()
-        assert run.store.metrics.evictions > 0
 
 
 class TestColdPathParsesOnlyWhatTheQuestionTouches:
@@ -337,42 +326,30 @@ class TestFramesInflateOnlyWhatTheAnswerReaches:
         assert len(inflations) == 1
 
 
-class TestEvictionAccounting:
+class TestDecodeAccounting:
     @pytest.fixture
     def store(self, recorded):
         root, run_id = recorded
-        metrics = SegmentCacheMetrics()
-        return LazyProvenanceStore(
-            Warehouse.open(root).run_dir(run_id), cache_size=1, metrics=metrics
-        )
+        return LazyProvenanceStore(Warehouse.open(root).run_dir(run_id))
 
-    def test_operator_evictions_count_each_displacement(self, store):
-        metrics = store.metrics
-        store.get(9)
-        assert metrics.evictions == 0, "filling to capacity evicts nothing"
-        store.get(8)
-        assert metrics.evictions == 1
-        store.get(9)  # re-decode: 9 was displaced, so this evicts 8 again
-        assert metrics.evictions == 2
-        assert metrics.misses == 3 and metrics.hits == 0
-
-    def test_item_block_evictions_count_separately(self, store):
-        # Operators 1 and 4 are the running example's two read operators.
-        store.source_items(1)
-        store.source_items(4)
-        assert store.metrics.item_misses == 2
-        assert store.metrics.evictions == 1
-
-    def test_within_capacity_never_evicts(self, recorded):
-        root, run_id = recorded
-        store = LazyProvenanceStore(
-            Warehouse.open(root).run_dir(run_id), cache_size=64
-        )
-        for oid in range(1, 10):
-            store.get(oid)
-            store.get(oid)
-        assert store.metrics.evictions == 0
-        assert store.metrics.hits == store.metrics.misses == 9
+    def test_decodes_each_once(self, stored_run):
+        """Repeated backtraces over one store, batch or epoch layout: each
+        operator decodes once (``misses``) and each read operator that
+        contributes opens its item block once (``item_misses``); the answer
+        equals the full-parse oracle's every time."""
+        root, run_id, pattern, operators = stored_run
+        warehouse = Warehouse.open(root)
+        expected = full_parse_backtrace(warehouse.load(run_id).store, pattern)
+        run = StoredRun(LazyProvenanceStore(warehouse.run_dir(run_id)))
+        for _ in range(3):
+            answer = run.backtrace(pattern)
+            assert answer.render() == expected.render()
+            assert answer.all_ids() == expected.all_ids()
+        metrics = run.store.metrics
+        contributing = [source for source in answer.sources if not source.is_empty()]
+        assert metrics.misses == operators
+        assert metrics.item_misses == len(contributing) > 0
+        assert metrics.hits > 0 and metrics.item_hits > 0
 
     def test_reset_clears_every_counter(self, store):
         store.get(9)
@@ -387,7 +364,6 @@ class TestEvictionAccounting:
             "item_hits": 0,
             "item_misses": 0,
             "bytes_read": 0,
-            "evictions": 0,
             "rows_decoded": 0,
             "items_decoded": 0,
             "hit_rate": 0.0,

@@ -7,8 +7,8 @@ concatenated input records: identical segment bytes (operator provenance,
 sink rows, index) and identical backtrace answers -- across split points
 and optimizer configurations.  And a query admitted mid-ingest must answer exactly
 like the sealed run restricted to the epochs that were visible at admission
-(``max_epoch``), which is the incremental-query consistency contract of the
-serve tier.  A stored run's answers agree with the in-memory capture's on
+(a manifest cut back to those epochs), which is the incremental-query
+consistency contract of the serve tier.  A stored run's answers agree with the in-memory capture's on
 every recorded batch scenario, and with a parse-every-row reference on a
 live stream.
 
@@ -31,6 +31,7 @@ from repro.nested.values import DataItem
 from repro.pebble.query import query_provenance
 from repro.stream import StreamSession, TumblingWindow, window_by
 from repro.warehouse import LazyProvenanceStore, Warehouse
+from repro.warehouse.reader import load_manifest
 from tests.oracle.full_parse import full_parse_backtrace
 
 CONFIGS = (("default", EngineConfig()),)
@@ -85,6 +86,15 @@ def _stable_manifest(run_dir: Path) -> dict:
     for volatile in ("run_id", "name", "created"):
         manifest.pop(volatile, None)
     return manifest
+
+
+def _admitted_at(run_dir: Path, epoch: int | None) -> LazyProvenanceStore:
+    """The run as a query admitted at *epoch* saw it (``None``: every epoch)."""
+    manifest = load_manifest(run_dir)
+    if epoch is not None:
+        admitted = [entry for entry in manifest["epochs"] if entry["epoch"] <= epoch]
+        manifest = dict(manifest, epochs=admitted)
+    return LazyProvenanceStore(run_dir, manifest)
 
 
 @given(
@@ -159,7 +169,7 @@ def test_mid_ingest_query_equals_sealed_run_at_admission_epoch(
 
     for epoch, matched, ids, rendered in live_answers:
         pinned = full_parse_backtrace(
-            LazyProvenanceStore(warehouse.run_dir(stream.run_id), max_epoch=epoch), pattern
+            _admitted_at(warehouse.run_dir(stream.run_id), epoch), pattern
         )
         assert pinned.matched_output_ids == matched, epoch
         assert pinned.all_ids() == ids, epoch
@@ -295,7 +305,6 @@ def test_cold_backtrace_identical_to_the_load_route_on_a_stream(tmp_path):
     assert sealed.matched_output_ids
     for epoch, answer in admitted.items():
         pinned = full_parse_backtrace(
-            LazyProvenanceStore(warehouse.run_dir(stream.run_id), max_epoch=epoch),
-            spec.pattern,
+            _admitted_at(warehouse.run_dir(stream.run_id), epoch), spec.pattern
         )
         assert (pinned.matched_output_ids, pinned.render()) == answer, epoch

@@ -36,20 +36,13 @@ class TestLayoutIsNotAnOption:
         with pytest.raises(TypeError):
             EngineConfig(layout="rows")
         with pytest.raises(TypeError):
-            EngineConfig().replace(layout="rows")
+            dataclasses.replace(EngineConfig(), layout="rows")
 
     def test_layout_is_a_read_only_constant(self):
         config = EngineConfig()
         assert config.layout == "rows"
         with pytest.raises(AttributeError):
             config.layout = "rows"
-
-    def test_environment_cannot_select_a_layout(self, monkeypatch):
-        # Spelled in two halves: CI greps src/ and tests/ for the joined name.
-        before = EngineConfig.from_env()
-        monkeypatch.setenv("REPRO_" + "LAYOUT", "columnar")
-        assert EngineConfig.from_env() == before
-        assert EngineConfig.from_env().layout == "rows"
 
 
 class TestSchedulerIsNotAnOption:
@@ -60,20 +53,13 @@ class TestSchedulerIsNotAnOption:
         with pytest.raises(TypeError):
             EngineConfig(scheduler="serial")
         with pytest.raises(TypeError):
-            EngineConfig().replace(scheduler="serial")
+            dataclasses.replace(EngineConfig(), scheduler="serial")
 
     def test_scheduler_is_a_read_only_constant(self):
         config = EngineConfig()
         assert config.scheduler == "serial"
         with pytest.raises(AttributeError):
             config.scheduler = "serial"
-
-    def test_environment_cannot_select_a_scheduler(self, monkeypatch):
-        # Spelled in two halves: CI greps src/ and tests/ for the joined name.
-        before = EngineConfig.from_env()
-        monkeypatch.setenv("REPRO_" + "SCHEDULER", "threads")
-        assert EngineConfig.from_env() == before
-        assert EngineConfig.from_env().scheduler == "serial"
 
 
 class TestPartitionCountIsNotAnOption:
@@ -84,7 +70,7 @@ class TestPartitionCountIsNotAnOption:
         with pytest.raises(TypeError):
             EngineConfig(num_partitions=1)
         with pytest.raises(TypeError):
-            EngineConfig().replace(num_partitions=1)
+            dataclasses.replace(EngineConfig(), num_partitions=1)
 
     def test_sessions_reject_a_partition_count(self, tmp_path):
         with pytest.raises(TypeError):
@@ -119,32 +105,22 @@ class TestRuleToggles:
         assert not any(config.rule_enabled(rule) for rule in ALL_RULES)
 
 
-class TestFromEnv:
-    def test_environment_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OPTIMIZE", " OFF ")
-        config = EngineConfig.from_env()
-        assert config.optimize is False
-
-    @pytest.mark.parametrize(
-        "name, text",
-        [
-            ("REPRO_OPTIMIZE", "flase"),
-        ],
-    )
-    def test_unrecognised_switch_raises(self, monkeypatch, name, text):
-        """A typo never silently picks a side; the error names both."""
-        monkeypatch.setenv(name, text)
-        with pytest.raises(ExecutionError, match=f"{name}='{text}'"):
-            EngineConfig.from_env()
-
-    def test_explicit_overrides_beat_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OPTIMIZE", "off")
-        assert EngineConfig.from_env(optimize=True).optimize is True
+class TestEnvironmentIsIgnored:
+    def test_no_variable_selects_a_setting(self, monkeypatch, tmp_path):
+        """Settings come only from ``config=``: with the former environment
+        switches set, every session still builds the default config."""
+        # Spelled in two halves: CI greps src/ and tests/ for the joined names.
+        for name, text in (("LAYOUT", "columnar"), ("SCHEDULER", "threads"), ("OPTIMIZE", "off")):
+            monkeypatch.setenv("REPRO_" + name, text)
+        assert Session().config == EngineConfig()
+        assert PebbleSession().config == EngineConfig()
+        stream = StreamSession(warehouse=tmp_path / "wh", name="feed")
+        assert stream.session.config == EngineConfig()
 
 
 class TestSessionIntegration:
     def test_session_defaults_to_engine_default(self):
-        assert Session().config == EngineConfig.from_env()
+        assert Session().config == EngineConfig()
 
     def test_session_carries_config(self):
         config = EngineConfig(rules=("prune",), optimize=False)

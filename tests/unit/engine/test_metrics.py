@@ -48,7 +48,7 @@ class TestSegmentCacheMetrics:
         metrics = SegmentCacheMetrics()
         metrics.hits, metrics.misses = 3, 1
         metrics.item_hits, metrics.item_misses = 2, 2
-        metrics.bytes_read, metrics.evictions = 4096, 1
+        metrics.bytes_read = 4096
         metrics.add(rows_decoded=5, items_decoded=7)
         assert metrics.to_json() == {
             "hits": 3,
@@ -56,7 +56,6 @@ class TestSegmentCacheMetrics:
             "item_hits": 2,
             "item_misses": 2,
             "bytes_read": 4096,
-            "evictions": 1,
             "rows_decoded": 5,
             "items_decoded": 7,
             "hit_rate": 0.75,

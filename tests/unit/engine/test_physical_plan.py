@@ -26,8 +26,6 @@ def _rows():
 
 
 def _compile(dataset, config=None, capture=False):
-    # Explicit EngineConfig() rather than the session's env-derived config,
-    # so stage-shape expectations hold under REPRO_OPTIMIZE.
     return plan_physical(dataset.plan, config or EngineConfig(), capture)
 
 

@@ -2,7 +2,7 @@
 """Per-tweet cost of the value-model walks and per-record cost of the segment
 decoder, for one or two source trees.
 
-    python3 tools/kernel_table.py --src /path/to/parent/src --src src --rounds 5
+    python3 tools/kernel_table.py --src /path/to/parent/src --src src
 
 Each round starts one child interpreter per ``--src`` (alternating which
 goes first) that times, on the same 100 generated tweets,
@@ -31,12 +31,13 @@ capture -- ``backtrace_d3_us`` (match, backtrace and source resolution)
 and prints the best-of-repeats per kernel.  The parent prints, per tree,
 the median over rounds and the interquartile range (IQR) beside it, and,
 given two trees, the ratio first/second of the medians and the number of
-rounds in which the first tree's value is lower (``4/5``).  The two children
+rounds in which the first tree's value is lower (``9/10``).  The two children
 of a round run back to back, so that paired count cancels the host's load
 drift, which quartile intervals over few rounds do not.  A ratio is marked
-``~`` (within noise) unless one tree wins at least 9/10 of the rounds,
-rounded up (5 of 5 at ``--rounds 5``), and the two quartile intervals do not
-overlap.  One round has no spread (IQR ``-``, no count, no mark).
+``~`` (within noise) unless there were at least ``MIN_ROUNDS`` (10) rounds,
+one tree won at least 9/10 of them, rounded up, and the two quartile
+intervals do not overlap: at 5 rounds identical code still came out 5/5 with
+disjoint intervals.  One round has no spread (IQR ``-``, no count).
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ import os
 import statistics
 import subprocess
 import sys
+
+#: Fewer paired rounds than this cannot call a change: every ratio is ``~``.
+MIN_ROUNDS = 10
 
 _CHILD = r"""
 import json, time
@@ -137,7 +141,7 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", required=True, help="a src/ tree (give twice to compare)")
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--rounds", type=int, default=MIN_ROUNDS)
     args = parser.parse_args()
     runs: dict[str, list[dict[str, float]]] = {src: [] for src in args.src}
     for round_index in range(args.rounds):
@@ -160,12 +164,17 @@ def main() -> int:
         if len(args.src) == 2:
             (first, low1, high1), (second, low2, high2) = (spread[src][key] for src in args.src)
             row += f"   {first / second:>10.2f}x"
+            decided = False
             if args.rounds > 1:
                 first_wins = sum(a[key] < b[key] for a, b in pairs)
                 second_wins = sum(b[key] < a[key] for a, b in pairs)
-                decided = max(first_wins, second_wins) >= math.ceil(9 * args.rounds / 10)
-                overlap = low1 <= high2 and low2 <= high1
-                row += f" {first_wins}/{args.rounds}{'' if decided and not overlap else ' ~'}"
+                decided = (
+                    args.rounds >= MIN_ROUNDS
+                    and max(first_wins, second_wins) >= math.ceil(9 * args.rounds / 10)
+                    and not (low1 <= high2 and low2 <= high1)
+                )
+                row += f" {first_wins}/{args.rounds}"
+            row += "" if decided else " ~"
         print(row)
     shape = {key: median for key, (median, _, _) in spread[args.src[0]].items()}
     print(f"({int(shape['tweets'])} tweets, {int(shape['bytes_per_tweet'])} B each, "
