@@ -189,6 +189,17 @@ class TestLazyBacktrace:
             )
             assert line in capsys.readouterr().out.splitlines()
 
+    def test_eviction_keeps_answers_correct(self, captured_example, recorded):
+        """The store never evicts: repeated backtraces answer as the
+        in-memory run does, and only the first one decodes anything."""
+        root, run_id = recorded
+        run = StoredRun(LazyProvenanceStore(Warehouse.open(root).run_dir(run_id)))
+        before = query_provenance(captured_example, RUNNING_EXAMPLE_PATTERN)
+        assert run.backtrace(RUNNING_EXAMPLE_PATTERN).render() == before.render()
+        decoded = (run.store.metrics.misses, run.store.metrics.item_misses)
+        assert run.backtrace(RUNNING_EXAMPLE_PATTERN).render() == before.render()
+        assert (run.store.metrics.misses, run.store.metrics.item_misses) == decoded
+
 
 class TestColdPathParsesOnlyWhatTheQuestionTouches:
     def test_t2_decodes_only_candidate_rows_and_answer_items(self, tmp_path):
@@ -326,11 +337,37 @@ class TestFramesInflateOnlyWhatTheAnswerReaches:
         assert len(inflations) == 1
 
 
-class TestDecodeAccounting:
+class TestEvictionAccounting:
+    """Decoded operators and opened item blocks stay for the store's life:
+    nothing is evicted, so each is decoded at most once per store."""
+
     @pytest.fixture
     def store(self, recorded):
         root, run_id = recorded
         return LazyProvenanceStore(Warehouse.open(root).run_dir(run_id))
+
+    def test_operator_evictions_count_each_displacement(self, store):
+        metrics = store.metrics
+        store.get(9)
+        store.get(8)
+        store.get(9)  # 9 was not displaced by 8: a hit, not a re-decode
+        assert metrics.misses == 2 and metrics.hits == 1
+        assert "evictions" not in metrics.to_json()
+
+    def test_item_block_evictions_count_separately(self, store):
+        # Operators 1 and 4 are the running example's two read operators.
+        store.source_items(1)
+        store.source_items(4)
+        store.source_items(1)
+        metrics = store.metrics
+        assert metrics.item_misses == 2 and metrics.item_hits == 1
+        assert metrics.misses == metrics.hits == 0, "item blocks count apart"
+
+    def test_within_capacity_never_evicts(self, store):
+        for oid in range(1, 10):
+            store.get(oid)
+            store.get(oid)
+        assert store.metrics.hits == store.metrics.misses == 9
 
     def test_decodes_each_once(self, stored_run):
         """Repeated backtraces over one store, batch or epoch layout: each
