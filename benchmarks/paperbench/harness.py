@@ -27,6 +27,7 @@ import statistics
 import time
 from typing import Callable, Sequence
 
+from repro.core.store import ProvenanceStore
 from repro.engine.config import EngineConfig
 from repro.engine.dataset import Dataset
 from repro.engine.executor import Executor
@@ -38,7 +39,7 @@ from repro.workloads.dblp import DblpConfig, generate_dblp
 from repro.workloads.scenarios import load_workload, scenario
 
 from paperbench.lazy import LazyProvenanceQuerier
-from paperbench.lineage import blank_structure
+from paperbench.lineage import LineageExecutor, structured_operators
 
 __all__ = [
     "ABLATION_CONFIGS",
@@ -395,10 +396,10 @@ def measure_titian_comparison(
 ) -> TitianMeasurement:
     """Sec. 7.3.4: filter '2015' lines of articles/inproceedings, then union.
 
-    Pebble captures full structural provenance; the Titian stand-in is the
-    same capture followed by :func:`blank_structure`, which keeps only the id
-    associations.  Both are compared against the plain run on the same flat
-    string records.
+    Pebble captures full structural provenance; the Titian stand-in is a
+    :class:`LineageExecutor` capture, which registers the same id
+    associations with no accessed paths and no manipulations.  Both are
+    compared against the plain run on the same flat string records.
     """
     articles, inproceedings = _flat_dblp_lines(scale)
 
@@ -413,15 +414,17 @@ def measure_titian_comparison(
         plan = build(Session()).plan
         Executor().execute(plan)
 
-    def run_titian() -> None:
+    def run_titian() -> ProvenanceStore:
         plan = build(Session()).plan
-        execution = Executor(capture=True).execute(plan)
-        blank_structure(execution.store)
+        return LineageExecutor(capture=True).execute(plan).store
 
     def run_pebble() -> None:
         plan = build(Session()).plan
         Executor(capture=True).execute(plan)
 
+    structured = structured_operators(run_titian())
+    if structured:
+        raise AssertionError(f"the lineage capture kept structure on operators {structured}")
     (titian_seconds, _), (pebble_seconds, _) = _timed_pair(run_titian, run_pebble, repeats)
     plain_seconds, _ = _timed(run_plain, repeats)
     return TitianMeasurement(plain_seconds, titian_seconds, pebble_seconds)

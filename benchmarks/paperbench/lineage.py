@@ -2,10 +2,10 @@
 
 Titian, RAMP, and Newt trace which *top-level* input items contribute to
 which output items -- nothing below the top level, no access/manipulation
-information.  The baseline here reuses the captured id associations only
-(what a lineage system would store) and backtraces pure identifier sets;
-:func:`blank_structure` turns a structural capture into such a lineage-only
-store (the Titian stand-in of the Sec. 7.3.4 comparison).
+information.  :class:`LineageExecutor` is such a capture: the executor's id
+associations with empty accessed paths and manipulations (the Titian
+stand-in of the Sec. 7.3.4 comparison), and :class:`LineageQuerier`
+backtraces pure identifier sets over any store.
 
 The crucial behavioural difference to structural provenance is at
 aggregations: lineage returns **every** group member for a queried output
@@ -21,45 +21,36 @@ from repro.core.operator_provenance import (
     AggregationAssociations,
     BinaryAssociations,
     FlattenAssociations,
-    InputRef,
     OperatorProvenance,
     ReadAssociations,
     UnaryAssociations,
 )
+from repro.core.backtrace.algorithms import reverse_topological
 from repro.core.store import ProvenanceStore
+from repro.engine.executor import Executor
 from repro.errors import BacktraceError
 
-__all__ = ["LineageQuerier", "SourceLineage", "blank_structure"]
+__all__ = ["LineageExecutor", "LineageQuerier", "SourceLineage", "structured_operators"]
 
 
-def blank_structure(store: ProvenanceStore) -> ProvenanceStore:
-    """Return a lineage-only copy of *store*: the same id associations and
-    source items, with every accessed-path set and manipulation list empty,
-    so backtracing over it degrades to plain lineage.  *store* is unchanged.
-    """
-    blanked = ProvenanceStore()
-    for provenance in store.operators():
-        inputs = tuple(
-            InputRef(ref.predecessor, frozenset(), schema=ref.schema)
-            for ref in provenance.inputs
-        )
-        blanked.register(
-            OperatorProvenance(
-                provenance.oid,
-                provenance.op_type,
-                inputs,
-                (),
-                provenance.associations,
-                provenance.label,
-            )
-        )
-        if store.is_source(provenance.oid):
-            blanked.register_source_items(
-                provenance.oid,
-                store.source_name(provenance.oid),
-                store.source_items(provenance.oid),
-            )
-    return blanked
+class LineageExecutor(Executor):
+    """An executor whose capture keeps the id associations only: every
+    operator registers empty accessed paths ``A`` and manipulations ``M``."""
+
+    def _notify(self, node, inputs, manipulations, associations) -> None:
+        blank = tuple((predecessor, (), schema) for predecessor, _, schema in inputs)
+        super()._notify(node, blank, (), associations)
+
+
+def structured_operators(store: ProvenanceStore) -> list[int]:
+    """Oids of the operators whose record keeps accessed paths or
+    manipulations (or leaves either undefined); empty for a lineage store."""
+    return [
+        provenance.oid
+        for provenance in store.operators()
+        if provenance.manipulations != ()
+        or any(ref.accessed != frozenset() for ref in provenance.inputs)
+    ]
 
 
 class SourceLineage:
@@ -88,7 +79,7 @@ class LineageQuerier:
 
     def backtrace_ids(self, sink_oid: int, output_ids: set[int]) -> list[SourceLineage]:
         """Trace a set of output identifiers back to every source."""
-        order = self._reverse_topological(sink_oid)
+        order = reverse_topological(self._store, sink_oid)
         frontier: dict[int, set[int]] = {sink_oid: set(output_ids)}
         results: list[SourceLineage] = []
         for oid in order:
@@ -142,36 +133,3 @@ class LineageQuerier:
         if predecessor is None:
             raise BacktraceError("non-source operator without predecessor reference")
         return predecessor
-
-    def _reverse_topological(self, sink_oid: int) -> list[int]:
-        reachable: set[int] = set()
-        stack = [sink_oid]
-        predecessors: dict[int, list[int]] = {}
-        while stack:
-            oid = stack.pop()
-            if oid in reachable:
-                continue
-            reachable.add(oid)
-            preds = [
-                input_ref.predecessor
-                for input_ref in self._store.get(oid).inputs
-                if input_ref.predecessor is not None
-            ]
-            predecessors[oid] = preds
-            stack.extend(preds)
-        successor_count = {oid: 0 for oid in reachable}
-        for preds in predecessors.values():
-            for pred in preds:
-                successor_count[pred] += 1
-        ready = sorted(oid for oid, cnt in successor_count.items() if cnt == 0)
-        order: list[int] = []
-        while ready:
-            oid = ready.pop(0)
-            order.append(oid)
-            for pred in predecessors.get(oid, ()):
-                successor_count[pred] -= 1
-                if successor_count[pred] == 0:
-                    ready.append(pred)
-        if len(order) != len(reachable):
-            raise BacktraceError("captured operator graph contains a cycle")
-        return order

@@ -55,7 +55,7 @@ from repro.pebble import CapturedExecution, PebbleSession, query_provenance
 from repro.stream import StreamSession
 from repro.warehouse import Warehouse
 
-__version__ = "3.15.0"
+__version__ = "3.16.0"
 
 __all__ = [
     # primary API

@@ -41,15 +41,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.core.operator_provenance import (
-    AggregationAssociations,
-    BinaryAssociations,
-    FlattenAssociations,
-    OperatorProvenance,
-    ReadAssociations,
-    UnaryAssociations,
-)
-from repro.core.store import ProvenanceStoreProtocol
+from repro.core.store import ProvenanceStoreProtocol, topological_order
 from repro.core.treepattern.pattern import TreePattern
 from repro.engine.executor import ExecutionResult
 from repro.errors import AuditError
@@ -227,9 +219,8 @@ class ForwardTracer:
         tree_pattern = as_pattern(pattern)
         tested = 0
         with span("match-sources", "pattern_match"):
-            topology = self._topology()
             matches = []
-            for oid in sorted(topology):
+            for oid in sorted(self._store.topology()):
                 if not self._store.is_source(oid):
                     continue
                 ids, candidates = self._match_source(tree_pattern, oid)
@@ -293,8 +284,7 @@ class ForwardTracer:
         time an operator is visited all its predecessors have settled.
         """
         with span("forward-closure", "closure"):
-            topology = self._topology()
-            order = _forward_order(topology)
+            order = topological_order(self._store.topology())
             reached: set[int] = set(seed_ids)
             decoded = 0
             skipped = 0
@@ -315,7 +305,7 @@ class ForwardTracer:
                     if not frontier:
                         skipped += 1
                         continue
-                    outputs = _emit(store.get(oid), frontier)
+                    outputs = store.get(oid).associations.derived(frontier)
                     decoded += 1
                     fresh = outputs - reached
                     reached |= fresh
@@ -324,7 +314,7 @@ class ForwardTracer:
                 for oid in order:
                     if store.is_source(oid):
                         continue
-                    reached |= _emit(store.get(oid), reached)
+                    reached |= store.get(oid).associations.derived(reached)
                     decoded += 1
         counts = {
             "index_used": self._index is not None,
@@ -370,81 +360,6 @@ class ForwardTracer:
                 if pid is not None and pid in reached
             )
         )
-
-    # -- plumbing --------------------------------------------------------------
-
-    def _topology(self) -> dict[int, tuple[int, ...]]:
-        store = self._store
-        # The warehouse store keeps the operator graph in its footer; only
-        # in-memory stores decode.
-        footer = getattr(store, "footer_topology", None)
-        if footer is not None:
-            return footer()
-        return {
-            provenance.oid: tuple(
-                ref.predecessor
-                for ref in provenance.inputs
-                if ref.predecessor is not None
-            )
-            for provenance in store.operators()
-        }
-
-
-def _forward_order(topology: dict[int, tuple[int, ...]]) -> list[int]:
-    """Kahn's algorithm, sources first, deterministic (ascending-oid ties)."""
-    remaining = {
-        oid: sum(1 for pred in preds if pred in topology)
-        for oid, preds in topology.items()
-    }
-    successors: dict[int, list[int]] = {oid: [] for oid in topology}
-    for oid, preds in topology.items():
-        for pred in preds:
-            if pred in topology:
-                successors[pred].append(oid)
-    ready = sorted((oid for oid, count in remaining.items() if count == 0), reverse=True)
-    order: list[int] = []
-    while ready:
-        ready.sort(reverse=True)
-        oid = ready.pop()
-        order.append(oid)
-        for succ in successors[oid]:
-            remaining[succ] -= 1
-            if remaining[succ] == 0:
-                ready.append(succ)
-    if len(order) != len(topology):
-        raise AuditError("captured operator graph contains a cycle")
-    return order
-
-
-def _emit(provenance: OperatorProvenance, frontier: set[int]) -> set[int]:
-    """Output ids one operator derives from frontier input ids."""
-    associations = provenance.associations
-    outputs: set[int] = set()
-    if isinstance(associations, ReadAssociations):
-        return outputs
-    if isinstance(associations, UnaryAssociations):
-        for id_in, id_out in associations.records:
-            if id_in in frontier:
-                outputs.add(id_out)
-    elif isinstance(associations, FlattenAssociations):
-        for id_in, _pos, id_out in associations.records:
-            if id_in in frontier:
-                outputs.add(id_out)
-    elif isinstance(associations, BinaryAssociations):
-        for id_in1, id_in2, id_out in associations.records:
-            if (id_in1 is not None and id_in1 in frontier) or (
-                id_in2 is not None and id_in2 in frontier
-            ):
-                outputs.add(id_out)
-    elif isinstance(associations, AggregationAssociations):
-        for members, id_out in associations.records:
-            if any(member in frontier for member in members):
-                outputs.add(id_out)
-    else:  # pragma: no cover -- new association kinds must be handled here
-        raise AuditError(
-            f"cannot trace forward through {type(associations).__name__}"
-        )
-    return outputs
 
 
 def trace_forward(

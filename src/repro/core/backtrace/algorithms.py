@@ -53,13 +53,13 @@ from repro.core.operator_provenance import (
     UnaryAssociations,
 )
 from repro.core.paths import POS, Path
-from repro.core.store import ProvenanceStoreProtocol
+from repro.core.store import ProvenanceStoreProtocol, topological_order
 from repro.errors import BacktraceError
 from repro.obs.tracer import span
 from repro.nested.schema import Schema
 from repro.nested.types import BagType, SetType, StructType
 
-__all__ = ["Backtracer", "SourceProvenance"]
+__all__ = ["Backtracer", "SourceProvenance", "reverse_topological"]
 
 
 class SourceProvenance:
@@ -80,6 +80,30 @@ class SourceProvenance:
         return f"SourceProvenance({self.name!r}, ids={self.ids()})"
 
 
+def reverse_topological(store: ProvenanceStoreProtocol, sink_oid: int) -> list[int]:
+    """The operators reachable from *sink_oid*, successors before
+    predecessors (each is processed once every reachable successor handed
+    its structure down)."""
+    stack = [sink_oid]
+    predecessors: dict[int, list[int]] = {}
+    while stack:
+        oid = stack.pop()
+        if oid in predecessors:
+            continue
+        preds = [
+            input_ref.predecessor
+            for input_ref in store.get(oid).inputs
+            if input_ref.predecessor is not None
+        ]
+        predecessors[oid] = preds
+        stack.extend(preds)
+    successors: dict[int, list[int]] = {oid: [] for oid in predecessors}
+    for oid, preds in predecessors.items():
+        for pred in preds:
+            successors[pred].append(oid)
+    return topological_order(successors)
+
+
 class Backtracer:
     """Backtraces a structure ``B`` through the captured provenance."""
 
@@ -96,7 +120,7 @@ class Backtracer:
         filters out undefined ids.
         """
         with span("toposort", "backtrace"):
-            order = self._reverse_topological(sink_oid)
+            order = reverse_topological(self._store, sink_oid)
         frontier: dict[int, BacktraceStructure] = {sink_oid: seeds}
         results: list[SourceProvenance] = []
         with span("operator-walk", "backtrace", operators=len(order)), interning():
@@ -117,45 +141,6 @@ class Backtracer:
                                 existing.add(item_id, tree)
         results.sort(key=lambda source: source.oid)
         return results
-
-    # -- DAG ordering ------------------------------------------------------------
-
-    def _reverse_topological(self, sink_oid: int) -> list[int]:
-        """Order reachable operators so successors precede predecessors."""
-        reachable: set[int] = set()
-        stack = [sink_oid]
-        predecessors: dict[int, list[int]] = {}
-        while stack:
-            oid = stack.pop()
-            if oid in reachable:
-                continue
-            reachable.add(oid)
-            preds = [
-                input_ref.predecessor
-                for input_ref in self._store.get(oid).inputs
-                if input_ref.predecessor is not None
-            ]
-            predecessors[oid] = preds
-            stack.extend(preds)
-        # Kahn's algorithm on the successor relation: an operator can be
-        # processed once all reachable successors handed their B down.
-        successor_count: dict[int, int] = {oid: 0 for oid in reachable}
-        for oid, preds in predecessors.items():
-            for pred in preds:
-                successor_count[pred] += 1
-        ready = [oid for oid, count in successor_count.items() if count == 0]
-        order: list[int] = []
-        while ready:
-            ready.sort(reverse=True)
-            oid = ready.pop()
-            order.append(oid)
-            for pred in predecessors.get(oid, ()):
-                successor_count[pred] -= 1
-                if successor_count[pred] == 0:
-                    ready.append(pred)
-        if len(order) != len(reachable):
-            raise BacktraceError("captured operator graph contains a cycle")
-        return order
 
     # -- per-operator steps ---------------------------------------------------------
 

@@ -24,10 +24,20 @@ read               ``(id_o,)`` -- fresh identifiers
 Size accounting distinguishes the *lineage* share (what a Titian-style
 solution would store: the bare id associations) from the *structural* share
 (positions, accessed/manipulated schema paths) to reproduce Fig. 8.
+
+Every per-kind reading of the records is a method of its association class
+(``input_ids``, ``derived``, ``renumbered``, ``by_output``, the byte
+accounting): the index feed, the forward closure, compaction, the stored-run
+reader and the JSON export call these instead of testing the kind.  A new
+association kind touches only this module, the segment codec
+(:mod:`repro.warehouse.format`) and the backtracing step
+(``Backtracer._step``).
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.paths import Path
@@ -106,8 +116,24 @@ class InputRef:
         return f"InputRef(pred={self.predecessor}, A={self.accessed!r})"
 
 
+def _renumber(id_map: dict[int, int], fresh: Iterator[int], old: int) -> int:
+    """Give output id *old* the next id of *fresh*; remember it in *id_map*."""
+    id_map[old] = new = next(fresh)
+    return new
+
+
+_FIRST = itemgetter(0)
+
+
 class Associations:
-    """Base class of the operator-dependent id association bags."""
+    """Base class of the operator-dependent id association bags.
+
+    ``records`` holds one entry per output item, in output order.
+    """
+
+    #: The kind's name in the footer index and the JSON export.
+    kind: str
+    records: list
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -124,11 +150,28 @@ class Associations:
         """Iterate over all output identifiers."""
         raise NotImplementedError
 
+    def input_ids(self) -> Iterator[int]:
+        """Iterate over every input identifier a record references."""
+        raise NotImplementedError
+
+    def derived(self, frontier: set[int]) -> set[int]:
+        """The output ids of the records that reference an id in *frontier*."""
+        raise NotImplementedError
+
+    def renumbered(self, id_map: dict[int, int], fresh: Iterator[int]) -> "Associations":
+        """A copy whose output ids are drawn from *fresh*, record by record.
+
+        Input ids are translated through *id_map*; each old output id is
+        added to it with its new id, for the operators downstream.
+        """
+        raise NotImplementedError
+
 
 class UnaryAssociations(Associations):
     """``{(id_i, id_o)}`` for map, select, filter."""
 
     __slots__ = ("records", "_by_output")
+    kind = "unary"
 
     def __init__(self, records: Sequence[tuple[int, int]] = ()):
         self.records: list[tuple[int, int]] = list(records)
@@ -158,6 +201,17 @@ class UnaryAssociations(Associations):
     def output_ids(self) -> Iterator[int]:
         return (id_out for _, id_out in self.records)
 
+    def input_ids(self) -> Iterator[int]:
+        return map(_FIRST, self.records)
+
+    def derived(self, frontier: set[int]) -> set[int]:
+        return {id_out for id_in, id_out in self.records if id_in in frontier}
+
+    def renumbered(self, id_map: dict[int, int], fresh: Iterator[int]) -> "UnaryAssociations":
+        return UnaryAssociations(
+            [(id_map[id_in], _renumber(id_map, fresh, id_out)) for id_in, id_out in self.records]
+        )
+
 
 class BinaryAssociations(Associations):
     """``{(id_i1, id_i2, id_o)}`` for join and union.
@@ -168,6 +222,7 @@ class BinaryAssociations(Associations):
     """
 
     __slots__ = ("records", "_by_output")
+    kind = "binary"
 
     def __init__(self, records: Sequence[tuple[int | None, int | None, int]] = ()):
         self.records: list[tuple[int | None, int | None, int]] = list(records)
@@ -194,6 +249,33 @@ class BinaryAssociations(Associations):
     def output_ids(self) -> Iterator[int]:
         return (id_out for _, _, id_out in self.records)
 
+    def input_ids(self) -> Iterator[int]:
+        for id_in1, id_in2, _ in self.records:
+            if id_in1 is not None:
+                yield id_in1
+            if id_in2 is not None:
+                yield id_in2
+
+    def derived(self, frontier: set[int]) -> set[int]:
+        # ``None`` (the absent union side) is never in an id frontier.
+        return {
+            id_out
+            for id_in1, id_in2, id_out in self.records
+            if id_in1 in frontier or id_in2 in frontier
+        }
+
+    def renumbered(self, id_map: dict[int, int], fresh: Iterator[int]) -> "BinaryAssociations":
+        return BinaryAssociations(
+            [
+                (
+                    None if id_in1 is None else id_map[id_in1],
+                    None if id_in2 is None else id_map[id_in2],
+                    _renumber(id_map, fresh, id_out),
+                )
+                for id_in1, id_in2, id_out in self.records
+            ]
+        )
+
 
 class FlattenAssociations(Associations):
     """``{(id_i, pos, id_o)}`` for flatten; ``pos`` is 1-based.
@@ -203,6 +285,7 @@ class FlattenAssociations(Associations):
     """
 
     __slots__ = ("records", "_by_output")
+    kind = "flatten"
 
     def __init__(self, records: Sequence[tuple[int, int, int]] = ()):
         self.records: list[tuple[int, int, int]] = list(records)
@@ -232,6 +315,20 @@ class FlattenAssociations(Associations):
     def output_ids(self) -> Iterator[int]:
         return (id_out for _, _, id_out in self.records)
 
+    def input_ids(self) -> Iterator[int]:
+        return map(_FIRST, self.records)
+
+    def derived(self, frontier: set[int]) -> set[int]:
+        return {id_out for id_in, _pos, id_out in self.records if id_in in frontier}
+
+    def renumbered(self, id_map: dict[int, int], fresh: Iterator[int]) -> "FlattenAssociations":
+        return FlattenAssociations(
+            [
+                (id_map[id_in], pos, _renumber(id_map, fresh, id_out))
+                for id_in, pos, id_out in self.records
+            ]
+        )
+
 
 class AggregationAssociations(Associations):
     """``{(ids_i, id_o)}`` for groupBy+aggregation.
@@ -242,6 +339,7 @@ class AggregationAssociations(Associations):
     """
 
     __slots__ = ("records", "_by_output")
+    kind = "aggregation"
 
     def __init__(self, records: Sequence[tuple[tuple[int, ...], int]] = ()):
         self.records: list[tuple[tuple[int, ...], int]] = list(records)
@@ -269,14 +367,37 @@ class AggregationAssociations(Associations):
     def output_ids(self) -> Iterator[int]:
         return (id_out for _, id_out in self.records)
 
+    def input_ids(self) -> Iterator[int]:
+        return chain.from_iterable(map(_FIRST, self.records))
+
+    def derived(self, frontier: set[int]) -> set[int]:
+        return {
+            id_out for ids_in, id_out in self.records if not frontier.isdisjoint(ids_in)
+        }
+
+    def renumbered(
+        self, id_map: dict[int, int], fresh: Iterator[int]
+    ) -> "AggregationAssociations":
+        return AggregationAssociations(
+            [
+                (tuple(id_map[id_in] for id_in in ids_in), _renumber(id_map, fresh, id_out))
+                for ids_in, id_out in self.records
+            ]
+        )
+
 
 class ReadAssociations(Associations):
-    """Fresh identifiers assigned to source items."""
+    """Fresh identifiers assigned to source items; ``records`` are the ids."""
 
     __slots__ = ("ids",)
+    kind = "read"
 
     def __init__(self, ids: Sequence[int] = ()):
         self.ids: list[int] = list(ids)
+
+    @property
+    def records(self) -> list[int]:  # type: ignore[override]
+        return self.ids
 
     def add(self, id_out: int) -> None:
         self.ids.append(id_out)
@@ -289,6 +410,15 @@ class ReadAssociations(Associations):
 
     def output_ids(self) -> Iterator[int]:
         return iter(self.ids)
+
+    def input_ids(self) -> Iterator[int]:
+        return iter(())
+
+    def derived(self, frontier: set[int]) -> set[int]:
+        return set()
+
+    def renumbered(self, id_map: dict[int, int], fresh: Iterator[int]) -> "ReadAssociations":
+        return ReadAssociations([_renumber(id_map, fresh, old) for old in self.ids])
 
 
 class OperatorProvenance:

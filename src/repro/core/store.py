@@ -5,18 +5,55 @@ and the backtracing phase (Sec. 6): the executor registers one
 :class:`~repro.core.operator_provenance.OperatorProvenance` per executed
 operator, and the backtracing algorithm walks the store from the sink to the
 sources.  The store also exposes the space accounting used for Fig. 8 and
-resolves source identifiers back to input data items.
+resolves source identifiers back to input data items.  The operator graph's
+one ordering, :func:`topological_order`, lives here too.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Protocol, runtime_checkable
+import heapq
+from typing import Iterable, Iterator, Mapping, Protocol, runtime_checkable
 
 from repro.core.operator_provenance import OperatorProvenance, ReadAssociations
 from repro.errors import BacktraceError, ProvenanceError
 from repro.nested.values import DataItem
 
-__all__ = ["ProvenanceStore", "ProvenanceStoreProtocol", "ProvenanceSizeReport"]
+__all__ = [
+    "ProvenanceStore",
+    "ProvenanceStoreProtocol",
+    "ProvenanceSizeReport",
+    "topological_order",
+]
+
+
+def topological_order(after: Mapping[int, Iterable[int]]) -> list[int]:
+    """Order the keys of *after* so each comes after the oids it lists.
+
+    Kahn's algorithm; of the ready oids the smallest goes first, so the
+    order is deterministic.  An oid listed twice (a self-join's
+    predecessor) is an edge counted twice; listed oids that are not keys
+    of *after* are ignored.  A cycle raises :class:`ProvenanceError`.
+    """
+    waiting = dict.fromkeys(after, 0)
+    unblocks: dict[int, list[int]] = {oid: [] for oid in after}
+    for oid, deps in after.items():
+        for dep in deps:
+            if dep in unblocks:
+                waiting[oid] += 1
+                unblocks[dep].append(oid)
+    ready = [oid for oid, count in waiting.items() if count == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        oid = heapq.heappop(ready)
+        order.append(oid)
+        for successor in unblocks[oid]:
+            waiting[successor] -= 1
+            if waiting[successor] == 0:
+                heapq.heappush(ready, successor)
+    if len(order) != len(waiting):
+        raise ProvenanceError("operator graph contains a cycle")
+    return order
 
 
 class ProvenanceSizeReport:
@@ -74,6 +111,8 @@ class ProvenanceStoreProtocol(Protocol):
 
     def operators(self) -> Iterator[OperatorProvenance]: ...
 
+    def topology(self) -> dict[int, tuple[int, ...]]: ...
+
     def is_source(self, oid: int) -> bool: ...
 
     def source_name(self, oid: int) -> str: ...
@@ -129,6 +168,15 @@ class ProvenanceStore:
 
     def operators(self) -> Iterator[OperatorProvenance]:
         return iter(self._operators.values())
+
+    def topology(self) -> dict[int, tuple[int, ...]]:
+        """``oid -> predecessor oids`` for every operator."""
+        return {
+            provenance.oid: tuple(
+                ref.predecessor for ref in provenance.inputs if ref.predecessor is not None
+            )
+            for provenance in self._operators.values()
+        }
 
     def is_source(self, oid: int) -> bool:
         """Return ``True`` if *oid* is a read operator (recursion anchor)."""

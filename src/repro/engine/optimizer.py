@@ -114,14 +114,6 @@ class OptimizationReport:
 # ---------------------------------------------------------------------------
 
 
-def _consumer_counts(root: PlanNode) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for node in root.walk():
-        for child in node.children:
-            counts[child.oid] = counts.get(child.oid, 0) + 1
-    return counts
-
-
 def _clone_with_children(node: PlanNode, children: Sequence[PlanNode]) -> PlanNode:
     """Re-create *node* (same oid and parameters) over new children."""
     with_children = getattr(node, "with_children", None)
@@ -239,7 +231,7 @@ def pushdown_filters(root: PlanNode, report: OptimizationReport) -> PlanNode:
     Only fires across edges whose producer has a single consumer; shared
     sub-plans are never duplicated.
     """
-    consumers = _consumer_counts(root)
+    consumers = root.consumer_counts()
     memo: dict[int, PlanNode] = {}
 
     def push(node: FilterNode) -> PlanNode:

@@ -483,14 +483,6 @@ class PhysicalPlan:
 # ---------------------------------------------------------------------------
 
 
-def _consumer_counts(root: PlanNode) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for node in root.walk():
-        for child in node.children:
-            counts[child.oid] = counts.get(child.oid, 0) + 1
-    return counts
-
-
 def compile_stages(
     logical_root: PlanNode,
     executed_root: PlanNode,
@@ -509,7 +501,7 @@ def compile_stages(
     producer has exactly one consumer, so shared sub-plans stay materialised
     and memoised exactly like the seed's ``_memo``.
     """
-    consumers = _consumer_counts(executed_root)
+    consumers = executed_root.consumer_counts()
     prune_sets = prune_sets or {}
     stages: list[Stage] = []
     stage_of: dict[int, Stage] = {}

@@ -86,6 +86,14 @@ class PlanNode:
         visit(self)
         return ordered
 
+    def consumer_counts(self) -> dict[int, int]:
+        """``oid -> number of parent edges reading it`` within the sub-DAG."""
+        counts: dict[int, int] = {}
+        for node in self.walk():
+            for child in node.children:
+                counts[child.oid] = counts.get(child.oid, 0) + 1
+        return counts
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(oid={self.oid})"
 

@@ -22,14 +22,9 @@ from typing import Any
 from repro.core.backtrace.result import ProvenanceResult
 from repro.core.backtrace.tree import BacktraceNode
 from repro.core.operator_provenance import (
-    AggregationAssociations,
-    Associations,
-    BinaryAssociations,
-    FlattenAssociations,
     OperatorProvenance,
     ReadAssociations,
     UNDEFINED,
-    UnaryAssociations,
 )
 from repro.core.paths import POS
 from repro.engine.executor import ExecutionResult
@@ -43,24 +38,8 @@ __all__ = ["plan_to_dot", "provenance_to_dot", "export_execution_json"]
 _FORMAT_VERSION = 1
 
 
-def _encode_associations(associations: Associations) -> dict[str, Any]:
-    if isinstance(associations, ReadAssociations):
-        return {"kind": "read", "ids": list(associations.ids)}
-    if isinstance(associations, UnaryAssociations):
-        return {"kind": "unary", "records": [list(record) for record in associations.records]}
-    if isinstance(associations, FlattenAssociations):
-        return {"kind": "flatten", "records": [list(record) for record in associations.records]}
-    if isinstance(associations, BinaryAssociations):
-        return {"kind": "binary", "records": [list(record) for record in associations.records]}
-    if isinstance(associations, AggregationAssociations):
-        return {
-            "kind": "aggregation",
-            "records": [[list(ids_in), id_out] for ids_in, id_out in associations.records],
-        }
-    raise ProvenanceError(f"cannot encode associations {type(associations).__name__}")
-
-
 def _encode_operator(provenance: OperatorProvenance) -> dict[str, Any]:
+    associations = provenance.associations
     inputs = []
     for input_ref in provenance.inputs:
         inputs.append(
@@ -89,7 +68,12 @@ def _encode_operator(provenance: OperatorProvenance) -> dict[str, Any]:
                 for path_in, path_out in provenance.manipulations_or_empty()
             ]
         ),
-        "associations": _encode_associations(provenance.associations),
+        # JSON writes the record tuples as arrays; a read operator's
+        # records are its bare ids.
+        "associations": {
+            "kind": associations.kind,
+            "ids" if associations.kind == "read" else "records": associations.records,
+        },
     }
 
 

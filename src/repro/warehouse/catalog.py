@@ -174,9 +174,9 @@ class Catalog:
         }
         # Write-then-rename keeps the catalog readable if a record() crashes
         # mid-write (the fresh run directory is then simply unreferenced).
+        # Compact JSON runs the C encoder (see ``write_manifest``).
         tmp = self.path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
+        tmp.write_text(json.dumps(document), encoding="utf-8")
         tmp.replace(self.path)
 
     def new_run_id(self, name: str) -> str:

@@ -59,7 +59,6 @@ __all__ = [
     "SEGMENT_INDEX",
     "NONE_ID",
     "Cursor",
-    "kind_name",
     "encode_operator",
     "decode_operator",
     "FRAME_ITEMS",
@@ -115,27 +114,6 @@ _ASSOCIATION_KINDS = {
     BinaryAssociations: _KIND_BINARY,
     AggregationAssociations: _KIND_AGGREGATION,
 }
-
-#: Association kind names used by the footer index (no decode needed to
-#: answer ``is_source`` or render a run summary).
-KIND_NAMES = {
-    _KIND_READ: "read",
-    _KIND_UNARY: "unary",
-    _KIND_FLATTEN: "flatten",
-    _KIND_BINARY: "binary",
-    _KIND_AGGREGATION: "aggregation",
-}
-
-
-def kind_name(associations: "Associations") -> str:
-    """The footer-index name of an association bag's kind."""
-    kind = _ASSOCIATION_KINDS.get(type(associations))
-    if kind is None:
-        raise ProvenanceError(
-            f"cannot encode associations {type(associations).__name__}"
-        )
-    return KIND_NAMES[kind]
-
 
 # -- primitives ---------------------------------------------------------------
 

@@ -64,14 +64,7 @@ from operator import itemgetter
 from pathlib import Path as FsPath
 from typing import Any, Iterable, Iterator
 
-from repro.core.operator_provenance import (
-    AggregationAssociations,
-    BinaryAssociations,
-    FlattenAssociations,
-    OperatorProvenance,
-    ReadAssociations,
-    UnaryAssociations,
-)
+from repro.core.operator_provenance import OperatorProvenance
 from repro.errors import ProvenanceError
 from repro.nested.values import Bag, DataItem, NestedSet
 import repro.warehouse.format as wf
@@ -116,31 +109,6 @@ def walk_string_leaves(value: Any) -> Iterator[str]:
             stack.extend(value)
 
 
-def _consumed_ids(associations: Any) -> Iterator[int]:
-    """The input-side identifiers one operator's associations reference."""
-    if isinstance(associations, ReadAssociations):
-        return
-    if isinstance(associations, UnaryAssociations):
-        for id_in, _ in associations.records:
-            yield id_in
-    elif isinstance(associations, FlattenAssociations):
-        for id_in, _, _ in associations.records:
-            yield id_in
-    elif isinstance(associations, BinaryAssociations):
-        for id_in1, id_in2, _ in associations.records:
-            if id_in1 is not None:
-                yield id_in1
-            if id_in2 is not None:
-                yield id_in2
-    elif isinstance(associations, AggregationAssociations):
-        for ids_in, _ in associations.records:
-            yield from ids_in
-    else:  # pragma: no cover -- new association kinds must be handled here
-        raise ProvenanceError(
-            f"cannot index associations {type(associations).__name__}"
-        )
-
-
 def _union_postings(sections: Iterable[dict[Any, tuple[Any, ...]]]) -> dict[Any, Any]:
     """Union ``key -> sorted postings`` maps, keeping postings sorted."""
     merged: dict[Any, set[Any]] = {}
@@ -162,7 +130,7 @@ class _Accumulator:
     def add_operator(self, provenance: OperatorProvenance) -> None:
         """INPUTS and PATHS of one operator."""
         oid = provenance.oid
-        for item_id in _consumed_ids(provenance.associations):
+        for item_id in provenance.associations.input_ids():
             self.inputs[item_id].add(oid)
         for input_ref in provenance.inputs:
             for acc in input_ref.accessed_or_empty():

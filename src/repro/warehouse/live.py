@@ -68,21 +68,15 @@ time-based deletion).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import shutil
 import time
 from pathlib import Path as FsPath
 from typing import Any
 
-from repro.core.operator_provenance import (
-    AggregationAssociations,
-    Associations,
-    BinaryAssociations,
-    FlattenAssociations,
-    OperatorProvenance,
-    ReadAssociations,
-    UnaryAssociations,
-)
+from repro.core.operator_provenance import OperatorProvenance
+from repro.core.store import topological_order
 from repro.errors import LiveRunError, ProvenanceError, StreamError
 import repro.warehouse.format as wf
 from repro.warehouse.index import RunIndex, walk_string_leaves
@@ -226,34 +220,11 @@ def seal_live_manifest(run_dir: FsPath, manifest: dict[str, Any]) -> dict[str, A
 # ---------------------------------------------------------------------------
 
 
-def _chain_order(topology: dict[int, tuple[int, ...]]) -> list[int]:
-    """Children-first topological order (Kahn, ascending-oid tie-break)."""
-    successors: dict[int, list[int]] = {oid: [] for oid in topology}
-    in_degree: dict[int, int] = {oid: 0 for oid in topology}
-    for oid, preds in topology.items():
-        for pred in preds:
-            successors[pred].append(oid)
-            in_degree[oid] += 1
-    ready = sorted(oid for oid, degree in in_degree.items() if degree == 0)
-    order: list[int] = []
-    while ready:
-        oid = ready.pop(0)
-        order.append(oid)
-        for succ in sorted(successors[oid]):
-            in_degree[succ] -= 1
-            if in_degree[succ] == 0:
-                ready.append(succ)
-        ready.sort()
-    if len(order) != len(topology):
-        raise ProvenanceError("live run operator graph contains a cycle")
-    return order
-
-
 def compact_live_run(run_dir: FsPath, manifest: dict[str, Any]) -> dict[str, Any]:
     """Rewrite a sealed epoch-layout run into the canonical batch layout.
 
     Ids are remapped to the sequence a one-shot batch execution would have
-    assigned (operator-major in chain order, entry order within each
+    assigned (operator-major in topological order, entry order within each
     operator), which makes the resulting segments byte-identical to a batch
     capture of the same data; the batch index is fed in the same pass, from
     the stored item bytes.  The ``batches/`` tree is removed afterwards.
@@ -274,56 +245,25 @@ def compact_live_run(run_dir: FsPath, manifest: dict[str, Any]) -> dict[str, Any
         )
     source = LazyProvenanceStore(run_dir, manifest)
     id_map: dict[int, int] = {}
-    next_id = 1
+    fresh = itertools.count(1)
     operators = []
-    for oid in _chain_order(source.footer_topology()):
+    for oid in topological_order(source.topology()):
         provenance = source.get(oid)
-        associations = provenance.associations
+        if len(provenance.inputs) > 1:
+            # Binary operators are rejected at stream-open time; a run that
+            # somehow holds one cannot be canonically ordered.
+            raise StreamError(
+                f"cannot compact binary operator {oid}; streaming plans are linear"
+            )
+        remapped = provenance.associations.renumbered(id_map, fresh)
         source_block = None
-        if isinstance(associations, ReadAssociations):
-            fresh = []
-            for old in associations.ids:
-                id_map[old] = next_id
-                fresh.append(next_id)
-                next_id += 1
-            remapped: Associations = ReadAssociations(fresh)
+        if source.is_source(oid):
             payloads = sorted(
                 (id_map[old], raw) for old, raw in source.encoded_source_items(oid)
             )
             # No item object exists here: the index parses the stored bytes.
             leaves = (walk_string_leaves(json.loads(raw)) for _, raw in payloads)
             source_block = (source.source_name(oid), payloads, leaves)
-        elif isinstance(associations, UnaryAssociations):
-            records = []
-            for id_in, id_out in associations.records:
-                id_map[id_out] = next_id
-                records.append((id_map[id_in], next_id))
-                next_id += 1
-            remapped = UnaryAssociations(records)
-        elif isinstance(associations, FlattenAssociations):
-            records = []
-            for id_in, pos, id_out in associations.records:
-                id_map[id_out] = next_id
-                records.append((id_map[id_in], pos, next_id))
-                next_id += 1
-            remapped = FlattenAssociations(records)
-        elif isinstance(associations, AggregationAssociations):
-            records = []
-            for ids_in, id_out in associations.records:
-                id_map[id_out] = next_id
-                records.append((tuple(id_map[i] for i in ids_in), next_id))
-                next_id += 1
-            remapped = AggregationAssociations(records)
-        elif isinstance(associations, BinaryAssociations):
-            # Binary operators are rejected at stream-open time; a run that
-            # somehow holds one cannot be canonically ordered.
-            raise StreamError(
-                f"cannot compact binary operator {oid}; streaming plans are linear"
-            )
-        else:  # pragma: no cover -- new association kinds must be handled
-            raise ProvenanceError(
-                f"cannot compact associations {type(associations).__name__}"
-            )
         remapped_provenance = OperatorProvenance(
             provenance.oid,
             provenance.op_type,
@@ -398,7 +338,7 @@ def retain_epochs(
                 ),
                 "source_ids": {
                     str(oid): sorted(doomed.source_ids(oid))
-                    for oid in doomed.footer_topology()
+                    for oid in doomed.topology()
                     if doomed.is_source(oid)
                 },
             }

@@ -61,12 +61,7 @@ from pathlib import Path as FsPath
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from repro.core.backtrace.result import ProvenanceResult
-from repro.core.operator_provenance import (
-    Associations,
-    InputRef,
-    OperatorProvenance,
-    ReadAssociations,
-)
+from repro.core.operator_provenance import InputRef, OperatorProvenance
 from repro.core.store import ProvenanceSizeReport
 from repro.core.treepattern.matcher import (
     PatternMatch,
@@ -204,20 +199,6 @@ def count_items_decoded(
         metrics.add(items_decoded=block.decoded - before)
 
 
-def _merge_associations(parts: list[Associations]) -> Associations:
-    """Concatenate association bags of one operator across parts, in order."""
-    first = parts[0]
-    if isinstance(first, ReadAssociations):
-        ids: list[int] = []
-        for part in parts:
-            ids.extend(part.ids)  # type: ignore[attr-defined]
-        return ReadAssociations(ids)
-    records: list[Any] = []
-    for part in parts:
-        records.extend(part.records)  # type: ignore[attr-defined]
-    return type(first)(records)  # type: ignore[call-arg]
-
-
 def _merge_inputs(parts: list[OperatorProvenance]) -> list[InputRef]:
     """Merge the ``I`` entries of one operator across parts.
 
@@ -318,7 +299,7 @@ class LazyProvenanceStore:
         """The footer index (shared, not copied -- treat as read-only)."""
         return self._manifest
 
-    def footer_topology(self) -> dict[int, tuple[int, ...]]:
+    def topology(self) -> dict[int, tuple[int, ...]]:
         """``oid -> predecessor oids`` for every operator, with zero decodes.
 
         The forward tracer orders its walk from this map alone; only the
@@ -394,7 +375,10 @@ class LazyProvenanceStore:
                         provenance.op_type,
                         _merge_inputs(decoded),
                         provenance.manipulations,
-                        _merge_associations([part.associations for part in decoded]),
+                        # One operator's bags across parts, concatenated in order.
+                        type(provenance.associations)(  # type: ignore[call-arg]
+                            [r for part in decoded for r in part.associations.records]
+                        ),
                         label=provenance.label,
                     )
             self._operators[oid] = provenance

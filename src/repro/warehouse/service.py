@@ -134,9 +134,11 @@ class Warehouse:
                 index=RunIndex.accumulator() if index else None,
             )
             # Keep the execution's accounting next to the segments so
-            # ``repro stats`` can rebuild a registry for the stored run.
-            with open(run_dir / METRICS_NAME, "w", encoding="utf-8") as handle:
-                json.dump(execution.metrics.to_json(), handle, indent=2)
+            # ``repro stats`` can rebuild a registry for the stored run
+            # (compact, C-encoded, as ``write_manifest`` explains).
+            (run_dir / METRICS_NAME).write_text(
+                json.dumps(execution.metrics.to_json()), encoding="utf-8"
+            )
         record = RunRecord(
             run_id,
             name,

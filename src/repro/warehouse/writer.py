@@ -122,7 +122,7 @@ def _operator_segment(
         "record_length": len(record),
         "op_type": provenance.op_type,
         "label": provenance.label,
-        "kind": wf.kind_name(provenance.associations),
+        "kind": provenance.associations.kind,
         "records": len(provenance.associations),
         "lineage_bytes": provenance.lineage_bytes(),
         "structural_bytes": provenance.structural_extra_bytes(),

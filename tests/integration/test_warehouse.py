@@ -318,7 +318,7 @@ class TestFramesInflateOnlyWhatTheAnswerReaches:
         stream.finish(compact=False)
         warehouse, run_dir = stream.warehouse, stream.warehouse.run_dir(stream.run_id)
         store = LazyProvenanceStore(run_dir)
-        (source,) = [oid for oid in store.footer_topology() if store.is_source(oid)]
+        (source,) = [oid for oid in store.topology() if store.is_source(oid)]
         everything = store.source_ids(source)
         created = store.manifest["epochs"][0]["created"]
         inflations.clear()

@@ -204,7 +204,7 @@ def test_one_micro_batch_reads_exactly_like_a_recorded_batch(tmp_path_factory, n
     streamed = warehouse.load(stream.run_id)
     recorded = warehouse.load(batch_record.run_id)
     assert len(streamed.store) == len(recorded.store) > 0
-    for oid in sorted(recorded.store.footer_topology()):
+    for oid in sorted(recorded.store.topology()):
         assert wf.encode_operator(streamed.store.get(oid)) == wf.encode_operator(
             recorded.store.get(oid)
         ), oid

@@ -1,7 +1,8 @@
 """Unit tests for the Titian-style lineage baseline."""
 
-from paperbench.lineage import LineageQuerier, blank_structure
+from paperbench.lineage import LineageExecutor, LineageQuerier, structured_operators
 from repro.core.operator_provenance import UNDEFINED
+from repro.engine.executor import Executor
 from repro.engine.expressions import col, collect_list
 from repro.engine.session import Session
 
@@ -71,18 +72,17 @@ class TestLineage:
         [source] = _lineage(execution, set())
         assert source.ids == set()
 
-    def test_works_over_blank_structure(self):
+    def test_works_over_lineage_capture(self):
         session = Session()
         ds = session.create_dataset([{"a": 1, "tags": ["x"]}], "in").flatten("tags", "t")
-        execution = ds.execute(capture=True)
+        execution = LineageExecutor(capture=True).execute(ds.plan)
         out_ids = {pid for pid, _ in execution.rows()}
-        lineage = blank_structure(execution.store)
-        [source] = LineageQuerier(lineage).backtrace_ids(ds.plan.oid, out_ids)
+        [source] = LineageQuerier(execution.store).backtrace_ids(ds.plan.oid, out_ids)
         assert source.ids == {1}
 
 
-class TestBlankStructure:
-    def test_blanks_structure_keeps_associations(self):
+class TestLineageExecutor:
+    def test_keeps_associations_without_structure(self):
         session = Session()
         ds = (
             session.create_dataset(
@@ -93,34 +93,47 @@ class TestBlankStructure:
             .select(col("a"), col("tags"))
             .flatten("tags", "tag")
         )
-        store = ds.execute(capture=True).store
-        before = store.serialize()
-        lineage = blank_structure(store)
-        assert store.serialize() == before  # the input store is left unchanged
-        assert [op.oid for op in lineage.operators()] == [op.oid for op in store.operators()]
-        for full in store.operators():
-            blanked = lineage.get(full.oid)
+        full = ds.execute(capture=True)
+        lineage = LineageExecutor(capture=True).execute(ds.plan)
+        assert lineage.rows() == full.rows()
+        store, lineage_store = full.store, lineage.store
+        assert [op.oid for op in lineage_store.operators()] == [op.oid for op in store.operators()]
+        for captured in store.operators():
+            bare = lineage_store.get(captured.oid)
             # Same id associations (what Titian keeps)...
-            assert type(blanked.associations) is type(full.associations)
-            assert list(blanked.associations.output_ids()) == list(full.associations.output_ids())
-            assert blanked.op_type == full.op_type
+            assert type(bare.associations) is type(captured.associations)
+            assert bare.associations.records == captured.associations.records
+            assert bare.op_type == captured.op_type
             # ...but no accessed paths or manipulations below the top level.
-            assert all(ref.accessed_or_empty() == frozenset() for ref in blanked.inputs)
-            assert all(ref.accessed is not UNDEFINED for ref in blanked.inputs)
-            assert blanked.manipulations_or_empty() == ()
-            assert not blanked.manipulations_undefined()
+            assert all(ref.accessed_or_empty() == frozenset() for ref in bare.inputs)
+            assert all(ref.accessed is not UNDEFINED for ref in bare.inputs)
+            assert bare.manipulations_or_empty() == ()
+            assert not bare.manipulations_undefined()
+        assert structured_operators(lineage_store) == []
+        assert structured_operators(store)
         source_oid = next(op.oid for op in store.operators() if store.is_source(op.oid))
-        assert lineage.source_name(source_oid) == "in"
-        assert lineage.source_items(source_oid) == store.source_items(source_oid)
+        assert lineage_store.source_name(source_oid) == "in"
+        assert lineage_store.source_items(source_oid) == store.source_items(source_oid)
 
-    def test_blanks_flatten_paths_and_manipulations(self):
+    def test_flatten_has_no_paths_or_manipulations(self):
         session = Session()
         ds = session.create_dataset([{"a": 1, "tags": ["x"]}], "in").flatten("tags", "t")
-        store = ds.execute(capture=True).store
-        full = store.get(ds.plan.oid)
-        # The flatten had structure to blank.
+        full = ds.execute(capture=True).store.get(ds.plan.oid)
+        # The flatten had structure to leave out.
         assert full.input(0).accessed_or_empty()
         assert full.manipulations_or_empty()
-        blanked = blank_structure(store).get(ds.plan.oid)
-        assert blanked.manipulations_or_empty() == ()
-        assert blanked.input(0).accessed_or_empty() == frozenset()
+        bare = LineageExecutor(capture=True).execute(ds.plan).store.get(ds.plan.oid)
+        assert bare.manipulations_or_empty() == ()
+        assert bare.input(0).accessed_or_empty() == frozenset()
+
+    def test_planted_structure_is_reported(self):
+        """A capture that puts accessed paths or manipulations back is caught."""
+
+        class Leaky(LineageExecutor):
+            def _notify(self, node, inputs, manipulations, associations):
+                Executor._notify(self, node, inputs, manipulations, associations)
+
+        session = Session()
+        ds = session.create_dataset([{"a": 1, "tags": ["x"]}], "in").flatten("tags", "t")
+        store = Leaky(capture=True).execute(ds.plan).store
+        assert structured_operators(store) == [ds.plan.oid]

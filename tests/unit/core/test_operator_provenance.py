@@ -110,3 +110,82 @@ class TestOperatorProvenance:
 
     def test_default_label(self):
         assert self._make().label == "select"
+
+
+class TestPerKindReadings:
+    """``input_ids`` / ``derived`` / ``renumbered`` for each association kind."""
+
+    def test_read(self):
+        associations = ReadAssociations([5, 6])
+        assert associations.kind == "read"
+        assert associations.records == [5, 6]
+        assert list(associations.input_ids()) == []
+        assert associations.derived({5, 6}) == set()
+        id_map: dict[int, int] = {}
+        renumbered = associations.renumbered(id_map, iter([1, 2]))
+        assert isinstance(renumbered, ReadAssociations)
+        assert renumbered.ids == [1, 2]
+        assert id_map == {5: 1, 6: 2}
+
+    def test_unary(self):
+        associations = UnaryAssociations([(1, 10), (2, 11), (2, 12)])
+        assert associations.kind == "unary"
+        assert list(associations.input_ids()) == [1, 2, 2]
+        assert associations.derived({2, 99}) == {11, 12}
+        assert associations.derived(set()) == set()
+        id_map = {1: 101, 2: 102}
+        renumbered = associations.renumbered(id_map, iter([7, 8, 9]))
+        assert renumbered.records == [(101, 7), (102, 8), (102, 9)]
+        assert id_map == {1: 101, 2: 102, 10: 7, 11: 8, 12: 9}
+
+    def test_flatten_keeps_positions(self):
+        associations = FlattenAssociations([(1, 1, 10), (1, 2, 11), (3, 1, 12)])
+        assert associations.kind == "flatten"
+        assert list(associations.input_ids()) == [1, 1, 3]
+        assert associations.derived({1}) == {10, 11}
+        id_map = {1: 1, 3: 2}
+        renumbered = associations.renumbered(id_map, iter([3, 4, 5]))
+        assert isinstance(renumbered, FlattenAssociations)
+        assert renumbered.records == [(1, 1, 3), (1, 2, 4), (2, 1, 5)]
+        assert id_map[11] == 4
+
+    def test_binary_union_none_side(self):
+        associations = BinaryAssociations([(1, None, 10), (None, 2, 11)])
+        assert associations.kind == "binary"
+        assert list(associations.input_ids()) == [1, 2]
+        assert associations.derived({1}) == {10}
+        assert associations.derived({2}) == {11}
+        id_map = {1: 1, 2: 2}
+        renumbered = associations.renumbered(id_map, iter([3, 4]))
+        assert renumbered.records == [(1, None, 3), (None, 2, 4)]
+
+    def test_binary_self_join_duplicate_predecessor(self):
+        # A self-join reads one operator twice: the same id on both sides.
+        associations = BinaryAssociations([(1, 1, 10), (1, 2, 11)])
+        assert list(associations.input_ids()) == [1, 1, 1, 2]
+        assert associations.derived({1}) == {10, 11}
+        assert associations.derived({2}) == {11}
+        id_map = {1: 5, 2: 6}
+        renumbered = associations.renumbered(id_map, iter([7, 8]))
+        assert renumbered.records == [(5, 5, 7), (5, 6, 8)]
+
+    def test_aggregation_multi_id_records(self):
+        associations = AggregationAssociations([((1, 2, 3), 10), ((4,), 11)])
+        assert associations.kind == "aggregation"
+        assert list(associations.input_ids()) == [1, 2, 3, 4]
+        assert associations.derived({3}) == {10}
+        assert associations.derived({2, 4}) == {10, 11}
+        assert associations.derived({5}) == set()
+        id_map = {1: 1, 2: 2, 3: 3, 4: 4}
+        renumbered = associations.renumbered(id_map, iter([5, 6]))
+        assert renumbered.records == [((1, 2, 3), 5), ((4,), 6)]
+        assert id_map[10] == 5 and id_map[11] == 6
+
+    def test_renumbering_chains_through_operators(self):
+        """Each operator's outputs become the next one's translated inputs."""
+        fresh = iter(range(1, 100))
+        id_map: dict[int, int] = {}
+        read = ReadAssociations([40, 41]).renumbered(id_map, fresh)
+        unary = UnaryAssociations([(41, 50), (40, 51)]).renumbered(id_map, fresh)
+        assert read.ids == [1, 2]
+        assert unary.records == [(2, 3), (1, 4)]

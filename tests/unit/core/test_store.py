@@ -9,7 +9,7 @@ from repro.core.operator_provenance import (
     ReadAssociations,
     UnaryAssociations,
 )
-from repro.core.store import ProvenanceStore
+from repro.core.store import ProvenanceStore, topological_order
 from repro.errors import BacktraceError, ProvenanceError
 from repro.nested.values import DataItem
 
@@ -107,3 +107,36 @@ class TestSizeReport:
         blob = store.serialize()
         assert blob == store.serialize()
         assert len(blob) > 0
+
+
+class TestTopologicalOrder:
+    def test_smallest_ready_first(self):
+        # 1 -> 3, 2 -> 3, 4 alone: ready {1, 2, 4} leave smallest first.
+        assert topological_order({3: (1, 2), 1: (), 4: (), 2: ()}) == [1, 2, 3, 4]
+
+    def test_predecessors_first_on_a_chain(self):
+        assert topological_order({1: (), 5: (3,), 3: (1,)}) == [1, 3, 5]
+
+    def test_duplicate_edge_counts_twice(self):
+        # A self-join lists its one predecessor twice.
+        assert topological_order({1: (), 2: (1, 1), 3: (2,)}) == [1, 2, 3]
+        # Reversed, the duplicate edge must also be released twice.
+        assert topological_order({1: (2, 2), 2: (3,), 3: ()}) == [3, 2, 1]
+
+    def test_deps_outside_the_mapping_are_ignored(self):
+        assert topological_order({2: (1,), 3: (2, 99)}) == [2, 3]
+
+    def test_empty(self):
+        assert topological_order({}) == []
+
+    def test_cycle_raises(self):
+        with pytest.raises(ProvenanceError, match="cycle"):
+            topological_order({1: (2,), 2: (1,), 3: ()})
+
+
+class TestTopology:
+    def test_predecessors_per_operator(self):
+        store = ProvenanceStore()
+        store.register(_read_op(1))
+        store.register(_filter_op(2, 1))
+        assert store.topology() == {1: (), 2: (1,)}
